@@ -454,7 +454,7 @@ const benchDispatchTask = "bench/echo"
 
 func init() {
 	if err := chanalloc.RegisterEngineTask(benchDispatchTask,
-		func(params json.RawMessage, job int, rng *chanalloc.RNG) (any, error) {
+		func(_ struct{}, job int, _ *chanalloc.RNG) (any, error) {
 			return job, nil
 		}); err != nil {
 		panic(err)

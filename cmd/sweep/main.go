@@ -60,7 +60,6 @@ package main
 import (
 	"bytes"
 	"crypto/tls"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -138,11 +137,7 @@ type expOutput struct {
 
 func init() {
 	if err := chanalloc.RegisterEngineTask(expTask,
-		func(raw json.RawMessage, job int, _ *chanalloc.RNG) (any, error) {
-			var p expParams
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("decoding params: %w", err)
-			}
+		func(p expParams, job int, _ *chanalloc.RNG) (any, error) {
 			if job < 0 || job >= len(p.Exps) {
 				return nil, fmt.Errorf("job %d outside %d experiments", job, len(p.Exps))
 			}

@@ -68,8 +68,6 @@ func EnumerateNEParallel(g *Game, maxProfiles int64, workers int) ([]*Alloc, err
 type (
 	// EngineBackend executes task batches under the determinism contract.
 	EngineBackend = engine.Backend
-	// EngineTaskFunc runs one job of a registered task.
-	EngineTaskFunc = engine.TaskFunc
 	// InProcessBackend is the default backend: the in-process worker pool.
 	InProcessBackend = engine.InProcess
 	// ProcessBackend shards batches over re-exec'd worker subprocesses
@@ -258,9 +256,15 @@ func EngineServe(lis net.Listener, opts ...ServeOption) error { return engine.Se
 // EngineTaskNames lists the tasks registered in this process, sorted.
 func EngineTaskNames() []string { return engine.TaskNames() }
 
+// EngineTaskFunc runs one job of a registered task against the batch's
+// params, decoded into P once per batch (once per worker connection on the
+// remote backends) and shared read-only by every job; see engine.TaskFunc.
+type EngineTaskFunc[P any] = engine.TaskFunc[P]
+
 // RegisterEngineTask adds a named task to the process-global registry so
-// backends (including worker subprocesses) can run it.
-func RegisterEngineTask(name string, fn EngineTaskFunc) error {
+// backends (including worker subprocesses) can run it. The engine decodes
+// each batch's params into P; json.RawMessage keeps the raw blob.
+func RegisterEngineTask[P any](name string, fn EngineTaskFunc[P]) error {
 	return engine.RegisterTask(name, fn)
 }
 

@@ -97,24 +97,36 @@ func RunLocal(g *core.Game, policies []Policy, opts ...CoordinatorOption) (*Loca
 	}
 
 	conns := make([]net.Conn, g.Users())
+	clients := make([]net.Conn, g.Users())
 	agents := make([]AgentResult, g.Users())
 	agentErrs := make([]error, g.Users())
 	var wg sync.WaitGroup
 	for i := range policies {
-		server, client := net.Pipe()
-		conns[i] = server
+		conns[i], clients[i] = net.Pipe()
 		wg.Add(1)
 		go func(i int, conn net.Conn, policy Policy) {
 			defer wg.Done()
-			defer conn.Close()
 			agents[i], agentErrs[i] = RunAgent(conn, policy, co.timeout)
-		}(i, client, policies[i])
+		}(i, clients[i], policies[i])
 	}
 	a, stats, runErr := co.Run(conns)
+	// Disarm every deadline before closing any end. A net.Pipe deadline is
+	// a pending timer that references the pipe, Close does not stop it, and
+	// a pipe refuses SetDeadline once either end is closed — so a finished
+	// ring's pipes would otherwise stay reachable for the whole timeout.
+	// No end is closed yet (agents leave theirs to this function), so the
+	// calls cannot fail.
+	for i := range conns {
+		_ = conns[i].SetDeadline(time.Time{})
+		_ = clients[i].SetDeadline(time.Time{})
+	}
 	for _, conn := range conns {
 		conn.Close() // unblocks agents if the coordinator bailed early
 	}
 	wg.Wait()
+	for _, conn := range clients {
+		conn.Close()
+	}
 	if runErr != nil {
 		return nil, runErr
 	}

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"github.com/multiradio/chanalloc/internal/core"
@@ -156,11 +155,7 @@ func runRingSpec(spec RingSpec, rng *des.RNG) (RingResult, error) {
 }
 
 func init() {
-	engine.MustRegisterTask(RingTask, func(params json.RawMessage, job int, rng *des.RNG) (any, error) {
-		var p ringParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("decoding ring params: %w", err)
-		}
+	engine.MustRegisterTask(RingTask, func(p ringParams, job int, rng *des.RNG) (any, error) {
 		if job < 0 || job >= len(p.Specs) {
 			return nil, fmt.Errorf("job %d outside %d ring specs", job, len(p.Specs))
 		}

@@ -46,16 +46,22 @@ func NewInProcess() *InProcess { return &InProcess{} }
 // Name implements Backend.
 func (*InProcess) Name() string { return "inprocess" }
 
-// RunTask implements Backend over Map: the task runs as ordinary pool jobs,
-// each result marshalled to JSON at the job boundary so the encoded bytes
-// are what every other backend must reproduce.
+// RunTask implements Backend over Map: the params blob is decoded once for
+// the whole batch and the task runs as ordinary pool jobs, each result
+// marshalled to JSON at the job boundary so the encoded bytes are what
+// every other backend must reproduce. A params decode failure fails every
+// job with the same error, exactly as on a remote worker connection.
 func (*InProcess) RunTask(task string, params json.RawMessage, n int, opts ...Option) ([]json.RawMessage, Stats, error) {
-	fn, ok := taskByName(task)
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("engine: unknown task %q (registered: %v)", task, TaskNames())
+	if err := checkBatch(task, params); err != nil {
+		return nil, Stats{}, err
 	}
+	bind, _ := taskByName(task)
+	run, bindErr := bind(params)
 	return Map(n, func(job int, rng *des.RNG) (json.RawMessage, error) {
-		out, err := fn(params, job, rng)
+		if bindErr != nil {
+			return nil, bindErr
+		}
+		out, err := run(job, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,15 +35,45 @@ type confResult struct {
 	Label string `json:"label"`
 }
 
+// paramsDecodes counts countParams decodes in this process.
+var paramsDecodes atomic.Int64
+
+// countParams parameterises conformance/count and counts its own decodes:
+// every UnmarshalJSON is one decode of a batch's params blob, and the value
+// remembers which decode (1-based, per process) produced it.
+type countParams struct {
+	Mul    uint64 `json:"mul"`
+	decode int64
+}
+
+func (p *countParams) UnmarshalJSON(b []byte) error {
+	var raw struct {
+		Mul uint64 `json:"mul"`
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	p.Mul, p.decode = raw.Mul, paramsDecodes.Add(1)
+	return nil
+}
+
+// countResult reports, beside the job's draw, which decode of the params
+// the job ran against and in which process.
+type countResult struct {
+	Job    int    `json:"job"`
+	Acc    uint64 `json:"acc"`
+	Decode int64  `json:"decode"`
+	PID    int    `json:"pid"`
+}
+
 func init() {
+	MustRegisterTask("conformance/count", func(p countParams, job int, rng *des.RNG) (any, error) {
+		return countResult{Job: job, Acc: rng.Uint64() * p.Mul, Decode: p.decode, PID: os.Getpid()}, nil
+	})
 	// conformance/draw consumes a job-dependent amount of the PRNG stream —
 	// the digest only matches across backends if seeds derive from
 	// (root, job) alone.
-	MustRegisterTask("conformance/draw", func(params json.RawMessage, job int, rng *des.RNG) (any, error) {
-		var p confParams
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, err
-		}
+	MustRegisterTask("conformance/draw", func(p confParams, job int, rng *des.RNG) (any, error) {
 		var acc uint64
 		for i := 0; i <= job%7; i++ {
 			acc = acc*p.Mul + rng.Uint64()
@@ -51,7 +82,7 @@ func init() {
 	})
 	// conformance/fail errors on every job with index ≡ 3 (mod 5); the
 	// batch must surface job 3's error on every backend, worded identically.
-	MustRegisterTask("conformance/fail", func(params json.RawMessage, job int, rng *des.RNG) (any, error) {
+	MustRegisterTask("conformance/fail", func(_ json.RawMessage, job int, rng *des.RNG) (any, error) {
 		if job%5 == 3 {
 			return nil, fmt.Errorf("job %d boom", job)
 		}
@@ -66,42 +97,44 @@ func init() {
 // process serving its own registered tasks; cluster shapes run the real
 // membership path — register handshake, heartbeats, pipelined windowed
 // dispatch — with JoinAndServe workers dialing a loopback coordinator.
-func conformanceBackends(t *testing.T) []struct {
-	desc    string
-	backend Backend
-	opts    []Option
-} {
+func conformanceBackends(t *testing.T) []conformanceBackend {
 	t.Helper()
 	tcp1 := startServe(t, "tcp", "127.0.0.1:0")
 	tcp2 := startServe(t, "tcp", "127.0.0.1:0")
 	unix := startServe(t, "unix", t.TempDir()+"/worker.sock")
 	tlsSrv, tlsCli := testTLSPair(t)
 	tcpTLS := startServeTLS(t, tlsSrv)
-	return []struct {
-		desc    string
-		backend Backend
-		opts    []Option
-	}{
-		{"inprocess/workers=1", NewInProcess(), []Option{Workers(1)}},
-		{"inprocess/workers=4", NewInProcess(), []Option{Workers(4)}},
-		{"process/shards=1", NewProcess(1), nil},
-		{"process/shards=3", NewProcess(3), nil},
-		{"socket/peers=1", NewSocket(tcp1), nil},
+	return []conformanceBackend{
+		{"inprocess/workers=1", NewInProcess(), []Option{Workers(1)}, 0},
+		{"inprocess/workers=4", NewInProcess(), []Option{Workers(4)}, 0},
+		{"process/shards=1", NewProcess(1), nil, 1},
+		{"process/shards=3", NewProcess(3), nil, 3},
+		{"socket/peers=1", NewSocket(tcp1), nil, 1},
 		// Three connections across two listeners: the same endpoint serving
 		// several peers concurrently must not show in the results.
-		{"socket/peers=3", NewSocket(tcp1, tcp2, tcp1), nil},
-		{"socket/unix", NewSocket(unix), nil},
+		{"socket/peers=3", NewSocket(tcp1, tcp2, tcp1), nil, 3},
+		{"socket/unix", NewSocket(unix), nil, 1},
 		// TLS under the framing: the conformance digest is the proof the
 		// frame bytes never changed.
-		{"socket/tls", NewSocketWith([]string{tcpTLS}, WithSocketTLS(tlsCli)), nil},
+		{"socket/tls", NewSocketWith([]string{tcpTLS}, WithSocketTLS(tlsCli)), nil, 1},
 		// Every pinned window size: lock-step (1), moderate (4) and deeper
 		// than most batches (32). Neither the window nor the worker count
 		// may show in the results.
-		{"cluster/window=1", startCluster(t, 1, WithClusterWindow(1)), nil},
-		{"cluster/window=4/workers=2", startCluster(t, 2, WithClusterWindow(4)), nil},
-		{"cluster/window=32", startCluster(t, 1, WithClusterWindow(32)), nil},
-		{"cluster/tls", startTLSCluster(t, 2, tlsSrv, tlsCli, WithClusterWindow(4)), nil},
+		{"cluster/window=1", startCluster(t, 1, WithClusterWindow(1)), nil, 1},
+		{"cluster/window=4/workers=2", startCluster(t, 2, WithClusterWindow(4)), nil, 2},
+		{"cluster/window=32", startCluster(t, 1, WithClusterWindow(32)), nil, 1},
+		{"cluster/tls", startTLSCluster(t, 2, tlsSrv, tlsCli, WithClusterWindow(4)), nil, 2},
 	}
+}
+
+// conformanceBackend is one backend shape of the conformance suite.
+type conformanceBackend struct {
+	desc    string
+	backend Backend
+	opts    []Option
+	// conns is how many worker connections (shards, peers, members) a
+	// healthy batch can use; 0 for the in-process pool.
+	conns int
 }
 
 // startCluster runs a loopback cluster coordinator with `workers` in-test
@@ -218,6 +251,85 @@ func TestBackendConformanceEmptyBatch(t *testing.T) {
 			got, stats, err := bc.backend.RunTask("conformance/draw", []byte(`{"mul":1}`), 0, bc.opts...)
 			if err != nil || len(got) != 0 || got == nil || stats.Workers != 0 {
 				t.Fatalf("empty batch: got=%v stats=%+v err=%v", got, stats, err)
+			}
+		})
+	}
+}
+
+// TestBackendConformanceDecodeOnce pins the params contract: a batch's
+// params blob is decoded once per worker connection (once per batch on the
+// in-process pool), and only a connection's first job frame carries it.
+// conformance/count reports which decode each job ran against: in-process
+// decodes are counted directly; each process shard is a fresh process, so
+// its jobs must all report its first and only decode.
+func TestBackendConformanceDecodeOnce(t *testing.T) {
+	const n = 23
+	params := []byte(`{"mul":7}`)
+	for _, bc := range conformanceBackends(t) {
+		t.Run(bc.desc, func(t *testing.T) {
+			decodes0, frames0 := paramsDecodes.Load(), mParamsFrames.Value()
+			raw, _, err := bc.backend.RunTask("conformance/count", params, n, append(bc.opts, Seed(5))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodes := paramsDecodes.Load() - decodes0
+			frames := int64(mParamsFrames.Value() - frames0)
+			seen := map[int64]bool{}
+			pids := map[int]bool{}
+			for job, enc := range raw {
+				var r countResult
+				if err := json.Unmarshal(enc, &r); err != nil {
+					t.Fatal(err)
+				}
+				if r.Job != job {
+					t.Fatalf("job %d reports identity %d", job, r.Job)
+				}
+				seen[r.Decode] = true
+				pids[r.PID] = true
+			}
+			_, isProcess := bc.backend.(*Process)
+			switch {
+			case bc.conns == 0:
+				if decodes != 1 || frames != 0 || len(seen) != 1 {
+					t.Fatalf("in-process batch: %d decodes, %d params frames, jobs saw %d decodes; want 1, 0, 1",
+						decodes, frames, len(seen))
+				}
+			case isProcess:
+				if decodes != 0 || len(seen) != 1 || !seen[1] {
+					t.Fatalf("process batch: %d coordinator decodes, shard decodes seen %v; want 0 and {1}", decodes, seen)
+				}
+				if frames != int64(len(pids)) || len(pids) > bc.conns {
+					t.Fatalf("process batch: %d params frames for %d shards that ran jobs (of %d)", frames, len(pids), bc.conns)
+				}
+			default:
+				if decodes != frames || int64(len(seen)) != decodes || decodes < 1 || decodes > int64(bc.conns) {
+					t.Fatalf("%d decodes, %d params frames, jobs saw %d decodes, %d connections; want decodes == frames == seen in [1, %d]",
+						decodes, frames, len(seen), bc.conns, bc.conns)
+				}
+			}
+		})
+	}
+}
+
+// TestBackendConformanceParamsErrors: params that do not decode into the
+// task's type fail every job with one engine-worded error, and params that
+// are not JSON at all fail the batch before dispatch — identically on every
+// backend.
+func TestBackendConformanceParamsErrors(t *testing.T) {
+	const decodeErr = `engine: job 0: decoding params of task "conformance/draw": ` +
+		`json: cannot unmarshal string into Go struct field confParams.mul of type uint64`
+	const invalidErr = `engine: params of task "conformance/draw" are not valid JSON`
+	for _, bc := range conformanceBackends(t) {
+		t.Run(bc.desc, func(t *testing.T) {
+			for _, tc := range []struct{ params, want string }{
+				{`{"mul":"x"}`, decodeErr},
+				{`{"mul":`, invalidErr},
+			} {
+				got, _, err := bc.backend.RunTask("conformance/draw", []byte(tc.params), 9,
+					append(bc.opts, Seed(1))...)
+				if err == nil || err.Error() != tc.want || got != nil {
+					t.Fatalf("params %s: results %v, error %v; want nil results and %q", tc.params, got, err, tc.want)
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -221,4 +222,154 @@ func TestChaosKillResumeUnderFaults(t *testing.T) {
 		}
 	}
 	t.Logf("chaos resume: %d resumed, %d+%d faults injected", stats.Resumed, inj1.Spent(), inj2.Spent())
+}
+
+// tapConn records every frame the coordinator writes to one worker
+// connection. A victim tap severs its connection through a faultinject
+// wrapper on the write of job frame severAfter+1, with the previous frames'
+// jobs still in flight.
+type tapConn struct {
+	net.Conn
+	faulty     net.Conn // the same transport behind a sever-on-first-use injector
+	severAfter int      // 0: never sever
+
+	mu   sync.Mutex
+	sent [][]byte
+	jobs int
+}
+
+func (c *tapConn) Write(b []byte) (int, error) {
+	isJob := bytes.HasPrefix(b, []byte(`{"type":"job"`))
+	c.mu.Lock()
+	sever := isJob && c.severAfter > 0 && c.jobs >= c.severAfter
+	c.mu.Unlock()
+	if sever {
+		return c.faulty.Write(b)
+	}
+	n, err := c.Conn.Write(b)
+	if err == nil {
+		c.mu.Lock()
+		c.sent = append(c.sent, append([]byte(nil), b...))
+		if isJob {
+			c.jobs++
+		}
+		c.mu.Unlock()
+	}
+	return n, err
+}
+
+// jobFrames decodes the job frames the coordinator wrote, in order.
+func (c *tapConn) jobFrames(t *testing.T) []wireMsg {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []wireMsg
+	for _, b := range c.sent {
+		var m wireMsg
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatalf("coordinator wrote an undecodable frame %q: %v", b, err)
+		}
+		if m.Type == wireJob {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// tapListener wraps every accepted connection in a tapConn; the first one
+// accepted is the victim.
+type tapListener struct {
+	net.Listener
+	inj        *faultinject.Injector
+	severAfter int
+
+	mu    sync.Mutex
+	conns []*tapConn
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	tc := &tapConn{Conn: conn, faulty: l.inj.Conn(conn)}
+	l.mu.Lock()
+	if len(l.conns) == 0 {
+		tc.severAfter = l.severAfter
+	}
+	l.conns = append(l.conns, tc)
+	l.mu.Unlock()
+	return tc, nil
+}
+
+func (l *tapListener) tapped() []*tapConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*tapConn(nil), l.conns...)
+}
+
+// TestClusterSeveredWorkerParamsOnFirstFrame pins the v2 params rule under
+// a mid-batch sever: the victim's connection dies with jobs in flight, the
+// survivor takes the requeued jobs against the params its own first frame
+// carried, the victim's redial gets a fresh first frame with params, and
+// the batch fans in byte-identical to the in-process pool.
+func TestClusterSeveredWorkerParamsOnFirstFrame(t *testing.T) {
+	const n, root = 40, 23
+	params := []byte(`{"mul":3,"label":"sever"}`)
+	want, _, err := NewInProcess().RunTask("chaos/slow", params, n, Seed(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(faultinject.Config{Seed: 1, Sever: 1, Budget: 1})
+	tap := &tapListener{Listener: lis, inj: inj, severAfter: 3}
+	c := NewClusterOn(tap, WithClusterWindow(4), WithJoinWait(20*time.Second),
+		WithClusterHeartbeat(50*time.Millisecond))
+	t.Cleanup(func() { c.Close() })
+	awaitMembers := func(k int) {
+		deadline := time.Now().Add(5 * time.Second)
+		for c.reg.Len() < k && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if c.reg.Len() < k {
+			t.Fatalf("only %d of %d workers joined", c.reg.Len(), k)
+		}
+	}
+	runWorkers(t, c.Addr(), 1) // the victim joins first
+	awaitMembers(1)
+	runWorkers(t, c.Addr(), 1) // the survivor
+	awaitMembers(2)
+
+	got, stats, err := c.RunTask("chaos/slow", params, n, Seed(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job := range want {
+		if !bytes.Equal(want[job], got[job]) {
+			t.Fatalf("job %d after a mid-batch sever: %s vs baseline %s", job, got[job], want[job])
+		}
+	}
+	if inj.Spent() != 1 || stats.Requeues < 1 {
+		t.Fatalf("%d faults injected, %d requeues: the victim was not severed mid-batch", inj.Spent(), stats.Requeues)
+	}
+	conns := tap.tapped()
+	if len(conns) < 2 {
+		t.Fatalf("%d connections accepted, want the victim and the survivor", len(conns))
+	}
+	if frames := conns[1].jobFrames(t); len(frames) == 0 {
+		t.Fatal("the survivor received no jobs")
+	}
+	// Every connection that carried jobs — victim, survivor and the
+	// victim's redial, if it got work — carries params on exactly its
+	// first job frame.
+	for i, conn := range conns {
+		for k, m := range conn.jobFrames(t) {
+			if carries := len(m.Params) > 0; carries != (k == 0) {
+				t.Fatalf("connection %d job frame %d (job %d): carries params = %v", i, k, m.Job, carries)
+			}
+		}
+	}
 }

@@ -616,8 +616,8 @@ func (c *Cluster) RunTask(task string, params json.RawMessage, n int, opts ...Op
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if _, ok := taskByName(task); !ok {
-		return nil, Stats{}, fmt.Errorf("engine: unknown task %q (registered: %v)", task, TaskNames())
+	if err := checkBatch(task, params); err != nil {
+		return nil, Stats{}, err
 	}
 	stats := Stats{Jobs: n}
 	if n < 0 {
@@ -853,12 +853,18 @@ func (c *Cluster) transportErr(b *clusterBatch) error {
 // runPeer streams jobs to one peer with up to c.window outstanding: take a
 // job off the queue, acquire a window credit (freed when the job's result
 // arrives), send the frame, repeat — no waiting for results in between.
-// It returns when the batch completes (queue closed) or the peer leaves; a
-// job it could not place comes straight back on the queue, and the leave
-// path requeues everything the peer still held.
+// Only the first frame it sends carries the batch's params; the worker
+// caches them for the rest of the batch. A peer's connection never carries
+// two batches' frames interleaved (batches are serialised), and a requeued
+// job lands on a peer whose own first frame carried the params, so the
+// cache is always this batch's. It returns when the batch completes (queue
+// closed) or the peer leaves; a job it could not place comes straight back
+// on the queue, and the leave path requeues everything the peer still
+// held.
 func (c *Cluster) runPeer(p *clusterPeer, b *clusterBatch) {
 	gone := p.attach(b, c.window)
 	defer p.detach()
+	paramsSent := false
 	for {
 		var job int
 		var ok bool
@@ -882,14 +888,16 @@ func (c *Cluster) runPeer(p *clusterPeer, b *clusterBatch) {
 			b.requeue([]int{job})
 			return
 		}
-		if err := p.send(&wireMsg{
-			Type:   wireJob,
-			Job:    job,
-			Task:   b.task,
-			Params: b.params,
-			Seed:   JobSeed(b.seed, job),
-		}); err == nil {
+		m := &wireMsg{Type: wireJob, Job: job, Task: b.task, Seed: JobSeed(b.seed, job)}
+		if !paramsSent {
+			m.Params = paramsBlob(b.params)
+		}
+		if err := p.send(m); err == nil {
 			obs.Emit("dispatch", p.remote, int64(job), 0, 0)
+			if !paramsSent {
+				paramsSent = true
+				mParamsFrames.Inc()
+			}
 		} else {
 			// Sever the transport so cleanup funnels through the single
 			// leave path: the failed connection's reader exits, leave()

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,17 +24,17 @@ var journalExecs atomic.Int64
 var stuckHold atomic.Bool
 
 func init() {
-	MustRegisterTask("journal/count", func(params json.RawMessage, job int, rng *des.RNG) (any, error) {
+	MustRegisterTask("journal/count", func(_ struct{}, job int, rng *des.RNG) (any, error) {
 		journalExecs.Add(1)
 		return confResult{Job: job, Acc: rng.Uint64()}, nil
 	})
 	// chaos/slow stretches batches so kills land mid-flight; the sleep never
 	// shows in the result.
-	MustRegisterTask("chaos/slow", func(params json.RawMessage, job int, rng *des.RNG) (any, error) {
+	MustRegisterTask("chaos/slow", func(_ struct{}, job int, rng *des.RNG) (any, error) {
 		time.Sleep(2 * time.Millisecond)
 		return confResult{Job: job, Acc: rng.Uint64()*31 + uint64(job)}, nil
 	})
-	MustRegisterTask("chaos/stuck", func(params json.RawMessage, job int, rng *des.RNG) (any, error) {
+	MustRegisterTask("chaos/stuck", func(_ struct{}, job int, rng *des.RNG) (any, error) {
 		for i := 0; i < 6000 && stuckHold.Load(); i++ {
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -15,7 +15,7 @@ import (
 func init() {
 	// A deliberately slow task so mid-batch membership changes land while
 	// jobs are still streaming (init keeps registration -count-idempotent).
-	MustRegisterTask("conformance/slow20ms", func(params json.RawMessage, job int, rng *des.RNG) (any, error) {
+	MustRegisterTask("conformance/slow20ms", func(_ struct{}, job int, rng *des.RNG) (any, error) {
 		time.Sleep(20 * time.Millisecond)
 		return confResult{Job: job, Acc: rng.Uint64()}, nil
 	})
@@ -237,6 +237,7 @@ func startDyingClusterWorker(t *testing.T, addr string, serve int) {
 	}
 	go func() {
 		defer conn.Close()
+		var session workerSession
 		served := 0
 		for {
 			var m wireMsg
@@ -250,7 +251,7 @@ func startDyingClusterWorker(t *testing.T, addr string, serve int) {
 				return // die with the rest of the window in flight
 			}
 			served++
-			if err := enc.Encode(executeJob(&m)); err != nil {
+			if err := enc.Encode(session.execute(&m)); err != nil {
 				return
 			}
 		}
@@ -263,7 +264,14 @@ func startDyingClusterWorker(t *testing.T, addr string, serve int) {
 // the batch byte-identically.
 func TestClusterKilledPeerMidWindowRequeues(t *testing.T) {
 	const n = 23
-	want, params := inprocessWant(t, n, 42)
+	// chaos/slow's 2 ms jobs keep the healthy worker from draining the
+	// queue before the dying one is sent its second job: with instant jobs
+	// it could, and the test then exercised no requeue.
+	params := []byte(`{"mul":31,"label":"conf"}`)
+	want, _, err := NewInProcess().RunTask("chaos/slow", params, n, Seed(42), Workers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := NewCluster("127.0.0.1:0",
 		WithClusterWindow(8), WithJoinWait(10*time.Second))
 	if err != nil {
@@ -278,7 +286,7 @@ func TestClusterKilledPeerMidWindowRequeues(t *testing.T) {
 	}
 	joinWorker(t, c.Addr())
 
-	got, stats, err := c.RunTask("conformance/draw", params, n, Seed(42))
+	got, stats, err := c.RunTask("chaos/slow", params, n, Seed(42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,15 @@ import (
 //	     only ever spoken on worker-dials-coordinator connections, so a v1
 //	     peer never sees them unsolicited), an optional auth token on hello
 //	     and register, and the heartbeat_ms field of a register's reply.
+//	v2 — a batch's params ride only on the first job frame a connection
+//	     carries for the batch; a job frame without params means "reuse the
+//	     params this connection cached". A v1 worker would run such a frame
+//	     against absent params, so the change is incompatible.
 //
 // Bump it whenever a frame's meaning changes incompatibly (a field changing
 // semantics, a mandatory field appearing). Purely additive fields do not
 // need a bump: unknown fields are ignored by both ends.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // rejectAuthToken is the loud-but-secret-free reason a token mismatch
 // reports: the token value itself never crosses the wire in an error.
@@ -88,7 +92,7 @@ func serverHandshake(enc *json.Encoder, dec *json.Decoder, token string) error {
 	}
 	if m.Task != "" {
 		if _, ok := taskByName(m.Task); !ok {
-			return reject(fmt.Sprintf("unknown task %q (registered: %v)", m.Task, TaskNames()))
+			return reject(unknownTask(m.Task).Error())
 		}
 	}
 	if err := enc.Encode(&wireMsg{Type: wireHello, Version: ProtocolVersion, Tasks: TaskNames()}); err != nil {

@@ -178,9 +178,11 @@ func joinOnce(network, address string, cfg *joinConfig) error {
 // serveJoined is the worker's serving loop after a successful
 // registration: a reader buffers incoming job frames (the coordinator
 // pipelines up to its window), the main loop executes them in arrival
-// order, and a ticker heartbeats on the shared encoder so the coordinator
-// never mistakes a long job for silence. The session ends when the
-// transport does — including joinOnce's stop hook closing the connection.
+// order against the session's params cache (the first job frame of a
+// batch carries the params, the rest reuse them), and a ticker heartbeats
+// on the shared encoder so the coordinator never mistakes a long job for
+// silence. The session ends when the transport does — including
+// joinOnce's stop hook closing the connection.
 func serveJoined(conn net.Conn, dec *json.Decoder, heartbeat time.Duration) error {
 	var sendMu sync.Mutex
 	enc := json.NewEncoder(conn)
@@ -234,8 +236,9 @@ func serveJoined(conn net.Conn, dec *json.Decoder, heartbeat time.Duration) erro
 		}
 	}()
 
+	var session workerSession
 	for m := range jobs {
-		if err := send(executeJob(&m)); err != nil {
+		if err := send(session.execute(&m)); err != nil {
 			conn.Close()
 			// The reader may be parked on a full jobs buffer rather than in
 			// Decode (a coordinator window deeper than the buffer), where

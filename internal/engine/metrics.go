@@ -19,6 +19,9 @@ var (
 	mInflight    = obs.NewGauge("engine_inflight_jobs")
 	mWindowDepth = obs.NewHistogram("engine_peer_window_depth", obs.SmallCountBuckets)
 	mDispatchLat = obs.NewHistogram("engine_dispatch_latency_ns", obs.LatencyBucketsNS)
+	// Job frames that carried the batch's params blob: one per worker
+	// connection per batch on the remote backends.
+	mParamsFrames = obs.NewCounter("engine_params_frames_total")
 
 	// Checkpoint-journal traffic (Cluster backend with WithClusterJournal):
 	// entries appended vs. jobs skipped on resume. A resumed sweep should

@@ -72,11 +72,21 @@ func (p *Process) Name() string { return "process" }
 
 // shard is one live worker subprocess with JSON framing over its stdio.
 type shard struct {
+	lockstep
 	cmd      *exec.Cmd
 	stdin    io.WriteCloser
-	enc      *json.Encoder
-	dec      *json.Decoder
 	teardown time.Duration
+}
+
+// lockstep is the job framing of one lock-step worker connection — a
+// shard's stdio pair or a socket peer: send a job frame, await its result.
+type lockstep struct {
+	enc *json.Encoder
+	dec *json.Decoder
+	// paramsSent records that the batch's params rode on an earlier job
+	// frame of this connection; a redial or respawn is a new connection,
+	// so its first frame carries them again.
+	paramsSent bool
 }
 
 // start spawns one worker subprocess.
@@ -94,22 +104,28 @@ func (p *Process) start() (*shard, error) {
 		return nil, fmt.Errorf("starting worker: %w", err)
 	}
 	return &shard{
+		lockstep: lockstep{enc: json.NewEncoder(stdin), dec: json.NewDecoder(stdout)},
 		cmd:      cmd,
 		stdin:    stdin,
-		enc:      json.NewEncoder(stdin),
-		dec:      json.NewDecoder(stdout),
 		teardown: p.teardown,
 	}, nil
 }
 
-// runJob executes one job on the shard, lock-step: send the frame, await
-// the matching reply.
-func (s *shard) runJob(m *wireMsg) (*wireMsg, error) {
-	if err := s.enc.Encode(m); err != nil {
+// runJob executes one job on the connection: send the frame, await the
+// matching reply. params ride only on the connection's first job frame.
+func (l *lockstep) runJob(m *wireMsg, params json.RawMessage) (*wireMsg, error) {
+	if !l.paramsSent {
+		m.Params = params
+	}
+	if err := l.enc.Encode(m); err != nil {
 		return nil, fmt.Errorf("sending job %d: %w", m.Job, err)
 	}
+	if !l.paramsSent {
+		l.paramsSent = true
+		mParamsFrames.Inc()
+	}
 	var reply wireMsg
-	if err := s.dec.Decode(&reply); err != nil {
+	if err := l.dec.Decode(&reply); err != nil {
 		return nil, fmt.Errorf("awaiting result of job %d: %w", m.Job, err)
 	}
 	if reply.Type != wireResult || reply.Job != m.Job {
@@ -142,8 +158,8 @@ func (p *Process) RunTask(task string, params json.RawMessage, n int, opts ...Op
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if _, ok := taskByName(task); !ok {
-		return nil, Stats{}, fmt.Errorf("engine: unknown task %q (registered: %v)", task, TaskNames())
+	if err := checkBatch(task, params); err != nil {
+		return nil, Stats{}, err
 	}
 	shards := p.shards
 	if shards < 1 {
@@ -162,6 +178,7 @@ func (p *Process) RunTask(task string, params json.RawMessage, n int, opts ...Op
 	}
 
 	start := time.Now()
+	blob := paramsBlob(params)
 	results := make([]json.RawMessage, n)
 	errs := make([]string, n)
 	failed := make([]bool, n)
@@ -185,12 +202,11 @@ func (p *Process) RunTask(task string, params json.RawMessage, n int, opts ...Op
 				}
 				jobStart := time.Now()
 				reply, err := sh.runJob(&wireMsg{
-					Type:   wireJob,
-					Job:    job,
-					Task:   task,
-					Params: params,
-					Seed:   JobSeed(cfg.seed, job),
-				})
+					Type: wireJob,
+					Job:  job,
+					Task: task,
+					Seed: JobSeed(cfg.seed, job),
+				}, blob)
 				stats.JobTimes[job] = time.Since(jobStart)
 				if err != nil {
 					infraErrs[w] = err

@@ -3,74 +3,85 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestWireFrameBytes pins the exact bytes of every frame kind. The pins are
-// the compatibility contract with remote workers: a change here is a wire
+// wireFramePins are the exact bytes of every frame kind. The pins are the
+// compatibility contract with remote workers: a change here is a wire
 // change and needs a ProtocolVersion review. In particular the job frame
 // must carry "seed":0 explicitly — a zero seed is a legitimate JobSeed
 // value, and eliding it (the old omitempty) made "seed absent" and "seed 0"
 // indistinguishable to a version-skewed peer.
+var wireFramePins = []struct {
+	desc string
+	msg  wireMsg
+	want string
+}{
+	{
+		"job frame with zero seed",
+		wireMsg{Type: wireJob, Job: 0, Task: "t", Params: json.RawMessage(`{"p":1}`), Seed: 0},
+		`{"type":"job","job":0,"task":"t","params":{"p":1},"seed":0}`,
+	},
+	{
+		// v2: a connection's later job frames of a batch omit params —
+		// the worker reuses the params its first frame carried.
+		"continuation job frame without params",
+		wireMsg{Type: wireJob, Job: 7, Task: "t", Seed: 12345},
+		`{"type":"job","job":7,"task":"t","seed":12345}`,
+	},
+	{
+		"first job frame of a batch with null params",
+		wireMsg{Type: wireJob, Job: 2, Task: "t", Params: paramsBlob(nil), Seed: 9},
+		`{"type":"job","job":2,"task":"t","params":null,"seed":9}`,
+	},
+	{
+		"result frame with value",
+		wireMsg{Type: wireResult, Job: 3, Value: json.RawMessage(`{"x":2}`)},
+		`{"type":"result","job":3,"seed":0,"value":{"x":2}}`,
+	},
+	{
+		"result frame with job error",
+		wireMsg{Type: wireResult, Job: 4, Error: "boom"},
+		`{"type":"result","job":4,"seed":0,"error":"boom"}`,
+	},
+	{
+		"hello frame",
+		wireMsg{Type: wireHello, Version: ProtocolVersion, Task: "t"},
+		`{"type":"hello","job":0,"task":"t","seed":0,"version":2}`,
+	},
+	{
+		"hello reply",
+		wireMsg{Type: wireHello, Version: ProtocolVersion, Tasks: []string{"a", "b"}},
+		`{"type":"hello","job":0,"seed":0,"version":2,"tasks":["a","b"]}`,
+	},
+	{
+		"hello frame with auth token",
+		wireMsg{Type: wireHello, Version: ProtocolVersion, Task: "t", Token: "s3cret"},
+		`{"type":"hello","job":0,"task":"t","seed":0,"version":2,"token":"s3cret"}`,
+	},
+	{
+		"register frame",
+		wireMsg{Type: wireRegister, Version: ProtocolVersion, Tasks: []string{"a"}, Token: "s3cret"},
+		`{"type":"register","job":0,"seed":0,"version":2,"tasks":["a"],"token":"s3cret"}`,
+	},
+	{
+		"register reply with heartbeat cadence",
+		wireMsg{Type: wireHello, Version: ProtocolVersion, Tasks: []string{"a"}, HeartbeatMillis: 2000},
+		`{"type":"hello","job":0,"seed":0,"version":2,"tasks":["a"],"heartbeat_ms":2000}`,
+	},
+	{
+		"heartbeat frame",
+		wireMsg{Type: wireHeartbeat},
+		`{"type":"heartbeat","job":0,"seed":0}`,
+	},
+}
+
+// TestWireFrameBytes checks every frame kind against its pinned bytes.
 func TestWireFrameBytes(t *testing.T) {
-	for _, tc := range []struct {
-		desc string
-		msg  wireMsg
-		want string
-	}{
-		{
-			"job frame with zero seed",
-			wireMsg{Type: wireJob, Job: 0, Task: "t", Params: json.RawMessage(`{"p":1}`), Seed: 0},
-			`{"type":"job","job":0,"task":"t","params":{"p":1},"seed":0}`,
-		},
-		{
-			"job frame with nonzero seed",
-			wireMsg{Type: wireJob, Job: 7, Task: "t", Seed: 12345},
-			`{"type":"job","job":7,"task":"t","seed":12345}`,
-		},
-		{
-			"result frame with value",
-			wireMsg{Type: wireResult, Job: 3, Value: json.RawMessage(`{"x":2}`)},
-			`{"type":"result","job":3,"seed":0,"value":{"x":2}}`,
-		},
-		{
-			"result frame with job error",
-			wireMsg{Type: wireResult, Job: 4, Error: "boom"},
-			`{"type":"result","job":4,"seed":0,"error":"boom"}`,
-		},
-		{
-			"hello frame",
-			wireMsg{Type: wireHello, Version: ProtocolVersion, Task: "t"},
-			`{"type":"hello","job":0,"task":"t","seed":0,"version":1}`,
-		},
-		{
-			"hello reply",
-			wireMsg{Type: wireHello, Version: ProtocolVersion, Tasks: []string{"a", "b"}},
-			`{"type":"hello","job":0,"seed":0,"version":1,"tasks":["a","b"]}`,
-		},
-		{
-			"hello frame with auth token",
-			wireMsg{Type: wireHello, Version: ProtocolVersion, Task: "t", Token: "s3cret"},
-			`{"type":"hello","job":0,"task":"t","seed":0,"version":1,"token":"s3cret"}`,
-		},
-		{
-			"register frame",
-			wireMsg{Type: wireRegister, Version: ProtocolVersion, Tasks: []string{"a"}, Token: "s3cret"},
-			`{"type":"register","job":0,"seed":0,"version":1,"tasks":["a"],"token":"s3cret"}`,
-		},
-		{
-			"register reply with heartbeat cadence",
-			wireMsg{Type: wireHello, Version: ProtocolVersion, Tasks: []string{"a"}, HeartbeatMillis: 2000},
-			`{"type":"hello","job":0,"seed":0,"version":1,"tasks":["a"],"heartbeat_ms":2000}`,
-		},
-		{
-			"heartbeat frame",
-			wireMsg{Type: wireHeartbeat},
-			`{"type":"heartbeat","job":0,"seed":0}`,
-		},
-	} {
+	for _, tc := range wireFramePins {
 		got, err := json.Marshal(&tc.msg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.desc, err)
@@ -143,6 +154,38 @@ func TestHandshake(t *testing.T) {
 		}
 		if err := <-srvErr; err == nil {
 			t.Fatal("server should reject version skew")
+		}
+	})
+	t.Run("v1 coordinator rejected", func(t *testing.T) {
+		// v1 coordinators send params in every job frame and cannot be
+		// told apart by their frames, only by the handshake.
+		client, server := newTestPipes(t)
+		srvErr := make(chan error, 1)
+		go func() { srvErr <- serverHandshake(server.enc, server.dec, "") }()
+		if err := client.enc.Encode(&wireMsg{Type: wireHello, Version: 1, Task: "conformance/draw"}); err != nil {
+			t.Fatal(err)
+		}
+		var reply wireMsg
+		if err := client.dec.Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		if want := "protocol version mismatch: coordinator v1, worker v2"; reply.Error != want {
+			t.Fatalf("reply %+v, want rejection %q", reply, want)
+		}
+		if err := <-srvErr; err == nil {
+			t.Fatal("server should reject a v1 coordinator")
+		}
+	})
+	t.Run("v1 worker rejected", func(t *testing.T) {
+		client, server := newTestPipes(t)
+		go func() {
+			var hello wireMsg
+			server.dec.Decode(&hello)
+			server.enc.Encode(&wireMsg{Type: wireHello, Version: 1, Tasks: []string{"conformance/draw"}})
+		}()
+		err := clientHandshake(client.enc, client.dec, "conformance/draw", "")
+		if err == nil || err.Error() != "protocol version mismatch: coordinator v2, worker v1" {
+			t.Fatalf("client error %v, want a v1 version-skew rejection", err)
 		}
 	})
 	t.Run("matching auth tokens accepted", func(t *testing.T) {
@@ -274,6 +317,40 @@ func TestRegisterHandshake(t *testing.T) {
 		}
 		if err := <-srvErr; err == nil {
 			t.Fatal("coordinator should reject version skew")
+		}
+	})
+	t.Run("v1 worker rejected", func(t *testing.T) {
+		client, server := newTestPipes(t)
+		srvErr := make(chan error, 1)
+		go func() {
+			_, err := acceptRegistration(server.enc, server.dec, "", time.Second)
+			srvErr <- err
+		}()
+		if err := client.enc.Encode(&wireMsg{Type: wireRegister, Version: 1, Tasks: []string{"conformance/draw"}}); err != nil {
+			t.Fatal(err)
+		}
+		var reply wireMsg
+		if err := client.dec.Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		if want := "protocol version mismatch: worker v1, coordinator v2"; reply.Error != want {
+			t.Fatalf("reply %+v, want rejection %q", reply, want)
+		}
+		if err := <-srvErr; err == nil {
+			t.Fatal("coordinator should reject a v1 worker")
+		}
+	})
+	t.Run("v1 coordinator rejected", func(t *testing.T) {
+		client, server := newTestPipes(t)
+		go func() {
+			var reg wireMsg
+			server.dec.Decode(&reg)
+			server.enc.Encode(&wireMsg{Type: wireHello, Version: 1, HeartbeatMillis: 1000})
+		}()
+		_, err := registerHandshake(client.enc, client.dec, "")
+		if err == nil || !errors.Is(err, errRegisterRejected) ||
+			!strings.HasSuffix(err.Error(), "protocol version mismatch: worker v2, coordinator v1") {
+			t.Fatalf("worker error %v, want a permanent v1 version-skew rejection", err)
 		}
 	})
 	t.Run("non-register first frame rejected", func(t *testing.T) {

@@ -115,9 +115,8 @@ func (s *Socket) Name() string { return "socket" }
 
 // socketPeer is one live worker connection with JSON framing.
 type socketPeer struct {
+	lockstep
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
 }
 
 // dial connects and handshakes one peer.
@@ -130,29 +129,12 @@ func (s *Socket) dial(addr, task string) (*socketPeer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", addr, err)
 	}
-	p := &socketPeer{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
+	p := &socketPeer{lockstep: lockstep{enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, conn: conn}
 	if err := clientHandshake(p.enc, p.dec, task, s.token); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("handshake with %s: %w", addr, err)
 	}
 	return p, nil
-}
-
-// runJob executes one job on the peer, lock-step, mirroring the Process
-// backend's shard framing.
-func (p *socketPeer) runJob(m *wireMsg) (*wireMsg, error) {
-	if err := p.enc.Encode(m); err != nil {
-		return nil, fmt.Errorf("sending job %d: %w", m.Job, err)
-	}
-	var reply wireMsg
-	if err := p.dec.Decode(&reply); err != nil {
-		return nil, fmt.Errorf("awaiting result of job %d: %w", m.Job, err)
-	}
-	if reply.Type != wireResult || reply.Job != m.Job {
-		return nil, fmt.Errorf("got frame %q for job %d, want result of job %d",
-			reply.Type, reply.Job, m.Job)
-	}
-	return &reply, nil
 }
 
 // shutdown tears the peer connection down politely: half-close our writing
@@ -196,8 +178,8 @@ func (s *Socket) RunTask(task string, params json.RawMessage, n int, opts ...Opt
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if _, ok := taskByName(task); !ok {
-		return nil, Stats{}, fmt.Errorf("engine: unknown task %q (registered: %v)", task, TaskNames())
+	if err := checkBatch(task, params); err != nil {
+		return nil, Stats{}, err
 	}
 	if len(s.addrs) == 0 {
 		return nil, Stats{}, fmt.Errorf("engine: socket backend has no worker addresses")
@@ -217,6 +199,7 @@ func (s *Socket) RunTask(task string, params json.RawMessage, n int, opts ...Opt
 	}
 
 	start := time.Now()
+	blob := paramsBlob(params)
 	results := make([]json.RawMessage, n)
 	errs := make([]string, n)
 	failed := make([]bool, n)
@@ -278,12 +261,11 @@ func (s *Socket) RunTask(task string, params json.RawMessage, n int, opts ...Opt
 				}
 				jobStart := time.Now()
 				reply, err := peer.runJob(&wireMsg{
-					Type:   wireJob,
-					Job:    job,
-					Task:   task,
-					Params: params,
-					Seed:   JobSeed(cfg.seed, job),
-				})
+					Type: wireJob,
+					Job:  job,
+					Task: task,
+					Seed: JobSeed(cfg.seed, job),
+				}, blob)
 				stats.JobTimes[job] = time.Since(jobStart)
 				if err != nil {
 					// Transport failure mid-job: the job is requeued for the

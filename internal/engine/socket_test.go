@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/multiradio/chanalloc/internal/des"
 )
 
 // framed is one end of an in-memory protocol connection.
@@ -70,6 +68,7 @@ func startFlakyWorker(t *testing.T, serveJobs int) string {
 		if err := serverHandshake(enc, dec, ""); err != nil {
 			return
 		}
+		var session workerSession
 		for served := 0; ; served++ {
 			var m wireMsg
 			if err := dec.Decode(&m); err != nil {
@@ -78,20 +77,7 @@ func startFlakyWorker(t *testing.T, serveJobs int) string {
 			if served >= serveJobs {
 				return // die with the job in flight
 			}
-			fn, ok := taskByName(m.Task)
-			if !ok {
-				return
-			}
-			out, err := fn(m.Params, m.Job, des.NewRNG(m.Seed))
-			reply := wireMsg{Type: wireResult, Job: m.Job}
-			if err != nil {
-				reply.Error = err.Error()
-			} else if value, merr := json.Marshal(out); merr != nil {
-				reply.Error = merr.Error()
-			} else {
-				reply.Value = value
-			}
-			if err := enc.Encode(&reply); err != nil {
+			if err := enc.Encode(session.execute(&m)); err != nil {
 				return
 			}
 		}
@@ -108,7 +94,10 @@ func TestSocketKilledPeerRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := NewInProcess().RunTask("conformance/draw", params, n, Seed(42), Workers(2))
+	// chaos/slow's 2 ms jobs keep the healthy peer from draining the queue
+	// before the flaky peer takes its second job: with instant jobs it
+	// could, and the test then exercised no requeue.
+	want, _, err := NewInProcess().RunTask("chaos/slow", params, n, Seed(42), Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +105,7 @@ func TestSocketKilledPeerRequeues(t *testing.T) {
 	healthy := startServe(t, "tcp", "127.0.0.1:0")
 	flaky := startFlakyWorker(t, 1) // serve one job, die holding the second
 	backend := NewSocketWith([]string{healthy, flaky}, WithRedialWait(0))
-	got, stats, err := backend.RunTask("conformance/draw", params, n, Seed(42))
+	got, stats, err := backend.RunTask("chaos/slow", params, n, Seed(42))
 	if err != nil {
 		t.Fatal(err)
 	}

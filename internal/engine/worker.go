@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"github.com/multiradio/chanalloc/internal/des"
 )
 
 // WorkerEnv is the environment marker that switches a re-exec'd binary into
@@ -39,7 +37,9 @@ type wireMsg struct {
 	Type string `json:"type"`
 	// job and result
 	Job int `json:"job"`
-	// job (Task doubles as the required-task announcement of a hello)
+	// job (Task doubles as the required-task announcement of a hello).
+	// Params rides only on the first job frame of a batch on a connection
+	// (protocol v2); an absent Params means "reuse the cached params".
 	Task   string          `json:"task,omitempty"`
 	Params json.RawMessage `json:"params,omitempty"`
 	Seed   uint64          `json:"seed"`
@@ -76,10 +76,12 @@ func RunWorkerIfRequested() {
 // ServeWorker runs the worker end of the protocol: decode one job frame,
 // run the named registered task with a PRNG seeded by the frame's seed
 // (derived by the coordinator as JobSeed(root, job)), reply with the
-// JSON-encoded value or the error text, repeat until EOF. Job failures are
-// replies, not transport failures — the worker keeps serving, which is what
-// lets a batch run every job even when some fail, exactly like the
-// in-process pool.
+// JSON-encoded value or the error text, repeat until EOF. The batch's params
+// ride only on the first job frame of a batch on a connection; the session
+// decodes them once and reuses the value for the params-less frames that
+// follow (see workerSession). Job failures are replies, not transport
+// failures — the worker keeps serving, which is what lets a batch run every
+// job even when some fail, exactly like the in-process pool.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	return serveWorker(json.NewDecoder(r), json.NewEncoder(w))
 }
@@ -88,6 +90,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 // listener hands in the handshake's decoder so bytes it buffered ahead are
 // not lost.
 func serveWorker(dec *json.Decoder, enc *json.Encoder) error {
+	var session workerSession
 	for {
 		var m wireMsg
 		if err := dec.Decode(&m); err != nil {
@@ -99,27 +102,8 @@ func serveWorker(dec *json.Decoder, enc *json.Encoder) error {
 		if m.Type != wireJob {
 			return fmt.Errorf("unexpected frame %q, want %q", m.Type, wireJob)
 		}
-		reply := executeJob(&m)
-		if err := enc.Encode(reply); err != nil {
+		if err := enc.Encode(session.execute(&m)); err != nil {
 			return fmt.Errorf("sending result for job %d: %w", m.Job, err)
 		}
 	}
-}
-
-// executeJob runs one job frame against the process-global task registry
-// and builds its result frame. Job failures are replies, never transport
-// failures — shared by the stdio/socket worker loop and the cluster
-// worker's pipelined executor.
-func executeJob(m *wireMsg) *wireMsg {
-	reply := &wireMsg{Type: wireResult, Job: m.Job}
-	if fn, ok := taskByName(m.Task); !ok {
-		reply.Error = fmt.Sprintf("unknown task %q (registered: %v)", m.Task, TaskNames())
-	} else if out, err := fn(m.Params, m.Job, des.NewRNG(m.Seed)); err != nil {
-		reply.Error = err.Error()
-	} else if value, err := json.Marshal(out); err != nil {
-		reply.Error = fmt.Sprintf("encoding result: %v", err)
-	} else {
-		reply.Value = value
-	}
-	return reply
 }
