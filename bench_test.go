@@ -698,7 +698,10 @@ func BenchmarkDistPolicy(b *testing.B) {
 // quiet verdicts across events (the allocd service path); the cold variant
 // voids them before each run, measuring the same trajectory with a full
 // sweep. Both end at bit-identical allocations — the committed metric is
-// the best-response DP invocations per churn event.
+// the best-response evaluations per churn event (dp/event) next to the DPs
+// the kernel actually executed once the (budget, row) memo has answered
+// the repeats (kernel-dp/event, from the workspace counters the sweep
+// flushes into kernel_dp_calls_total).
 func BenchmarkRequilibrate(b *testing.B) {
 	spec := chanalloc.DefaultChurnSpec(4, 6, 200, 7)
 	trace, err := chanalloc.GenerateChurnTrace(spec)
@@ -710,6 +713,8 @@ func BenchmarkRequilibrate(b *testing.B) {
 		b.Helper()
 		b.ReportAllocs()
 		var dpCalls, skipped float64
+		kernelDPs := chanalloc.NewObsCounter("kernel_dp_calls_total")
+		kernel0 := kernelDPs.Value()
 		for i := 0; i < b.N; i++ {
 			lg, err := chanalloc.NewLiveGame(spec.Channels, rate)
 			if err != nil {
@@ -745,6 +750,7 @@ func BenchmarkRequilibrate(b *testing.B) {
 		}
 		events := float64(b.N * len(trace))
 		b.ReportMetric(dpCalls/events, "dp/event")
+		b.ReportMetric(float64(kernelDPs.Value()-kernel0)/events, "kernel-dp/event")
 		b.ReportMetric(skipped/events, "skip/event")
 	}
 	b.Run("warm", func(b *testing.B) { replay(b, true) })

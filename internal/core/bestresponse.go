@@ -109,8 +109,7 @@ func BestResponseToLoadsInto(ws *Workspace, rate ratefn.Func, ext []int, k int) 
 	}
 	C := len(ext)
 	ws.ensure(C, k)
-	fillSharesFunc(ws, rate, ext, k)
-	row, val := bestResponseDP(ws, C, k)
+	row, val := bestResponseDP(ws, fillSharesFunc(ws, rate, ext, k), C, k)
 	return row, val, nil
 }
 

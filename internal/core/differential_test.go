@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -263,6 +264,49 @@ func TestDifferentialBestResponseMatchesReference(t *testing.T) {
 			}
 			if gotU, wantU := g.Utility(a, i), referenceUtility(g, a, i); gotU != wantU {
 				t.Fatalf("seed %d (%s) user %d: utility %v, reference %v", seed, rate.Name(), i, gotU, wantU)
+			}
+		}
+	}
+}
+
+// TestDifferentialBestResponseLayouts: the DP must give bit-identical rows
+// and values whether it reads its v rows in place from the share plane
+// (the game's own view), from rows built in the workspace because some
+// external load lies outside a smaller view's plane, or from a
+// passthrough view with no tables; and the value-only form must return
+// the full DP's value bit for bit.
+func TestDifferentialBestResponseLayouts(t *testing.T) {
+	rates := differentialRates(t)
+	ws := NewWorkspace()
+	for seed := uint64(0); seed < 200; seed++ {
+		rate := rates[int(seed)%len(rates)]
+		g, a, err := randomInstance(seed, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := g.Radios()
+		views := []*RateView{
+			NewRateView(rate, a.TotalRadios()/2+k, k), // some loads outside the plane
+			NewRateView(rate, -1, -1),                 // passthrough
+		}
+		for i := 0; i < g.Users(); i++ {
+			wantRow, wantVal, err := g.BestResponseInto(ws, a, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRow = append([]int(nil), wantRow...)
+			if got := g.View().BestResponseValueInto(ws, a, i, k); got != wantVal {
+				t.Fatalf("seed %d (%s) user %d: value-only DP %v, full DP %v", seed, rate.Name(), i, got, wantVal)
+			}
+			for j, view := range views {
+				row, val := view.BestResponseAllocInto(ws, a, i, k)
+				if val != wantVal || !slices.Equal(row, wantRow) {
+					t.Fatalf("seed %d (%s) user %d view %d: row %v value %v, game view row %v value %v",
+						seed, rate.Name(), i, j, row, val, wantRow, wantVal)
+				}
+				if got := view.BestResponseValueInto(ws, a, i, k); got != wantVal {
+					t.Fatalf("seed %d (%s) user %d view %d: value-only DP %v, want %v", seed, rate.Name(), i, j, got, wantVal)
+				}
 			}
 		}
 	}

@@ -61,6 +61,10 @@ func (g *Game) Channels() int { return g.channels }
 // Radios returns k, the per-user radio budget.
 func (g *Game) Radios() int { return g.radios }
 
+// Budget returns user i's radio budget: k for every user of the uniform
+// game.
+func (g *Game) Budget(i int) int { return g.radios }
+
 // Rate returns the game's rate function.
 func (g *Game) Rate() ratefn.Func { return g.rate }
 

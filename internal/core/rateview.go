@@ -179,21 +179,25 @@ func (rv *RateView) MovedRowValue(a *Alloc, i, from, to int) float64 {
 
 // Workspace holds the reusable scratch of the allocation-free kernels: the
 // best-response DP's per-channel value rows v and suffix-value slab f, the
-// welfare DP's rate/suffix/load slabs, external-load, strategy-row and
-// per-user utility buffers. All slabs are flat single allocations, grown on
-// demand and reused across calls, so the *Into / *With entry points run
-// with zero steady-state allocations. It also hosts the incremental screen
-// cache used by the canonical enumeration walks (see ResetScreenCache).
+// welfare DP's rate/suffix/load slabs, external-load, strategy-row,
+// per-user utility and int buffers. All slabs are flat single allocations,
+// grown on demand and reused across calls, so the *Into / *With entry
+// points run with zero steady-state allocations. It also hosts the
+// incremental screen cache used by the canonical enumeration walks (see
+// ResetScreenCache) and the (budget, row) memo of exchangeable users (see
+// RowRep).
 //
 // A Workspace is not safe for concurrent use: hold one per goroutine
 // (engine workers, dynamics runs, enumeration shards each own one).
 type Workspace struct {
 	v     []float64 // C rows of stride capK+1: v[c][x]
+	voff  []int     // start of channel c's v row in the plane the DP reads
 	f     []float64 // C+1 rows of stride capK+1: f[c][b]
 	ext   []int     // external loads, len capC
 	row   []int     // result strategy row, len capC
 	marks []bool    // per-user oracle bookkeeping, see userMarks
 	utils []float64 // per-user utility buffer, see Utils
+	ints  []int     // per-user int scratch, see UserInts
 	capC  int
 	capK  int
 
@@ -216,6 +220,11 @@ type Workspace struct {
 	scEpoch   []int64 // walk epoch at which the user's state was computed
 	loadEpoch []int64 // walk epoch at which each channel's load last changed
 	epoch     int64   // current walk epoch (advanced by ScreenStep)
+
+	// (budget, row) memo of exchangeable users (RowRep): hash → class
+	// representative, plus the users the memo did not answer.
+	rowReps map[uint64]rowRep
+	rowMiss []int
 
 	// obs accumulates kernel metrics locally (plain increments — the
 	// workspace is single-owner); FlushObs folds them into the global
@@ -308,8 +317,10 @@ func (ws *Workspace) ensure(C, k int) {
 	stride := ws.capK + 1
 	ws.v = make([]float64, ws.capC*stride)
 	ws.f = make([]float64, (ws.capC+1)*stride)
-	ws.ext = make([]int, ws.capC)
-	ws.row = make([]int, ws.capC)
+	ints := make([]int, 3*ws.capC)
+	ws.voff = ints[:ws.capC:ws.capC]
+	ws.ext = ints[ws.capC : 2*ws.capC : 2*ws.capC]
+	ws.row = ints[2*ws.capC:]
 }
 
 // Utils returns an n-length float64 scratch slice reused across calls: the
@@ -320,6 +331,16 @@ func (ws *Workspace) Utils(n int) []float64 {
 		ws.utils = make([]float64, n)
 	}
 	return ws.utils[:n]
+}
+
+// UserInts returns an n-length int scratch slice reused across calls: the
+// best-response sweep's visit order and quiet stamps. Contents are
+// unspecified on entry.
+func (ws *Workspace) UserInts(n int) []int {
+	if cap(ws.ints) < n {
+		ws.ints = make([]int, n)
+	}
+	return ws.ints[:n]
 }
 
 // ensureWelfare sizes the welfare-DP slabs for C channels placing total
@@ -349,14 +370,29 @@ func (rv *RateView) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
 	return out
 }
 
-// fillShares populates the workspace's v rows for the given external loads
-// and budget k: v[c][x] = share(x, ext[c]+x). Rows inside the view's share
-// plane are block-copied; the rest are computed on demand (bit-identical
-// either way).
-func (rv *RateView) fillShares(ws *Workspace, ext []int, k int) {
-	stride := ws.capK + 1
+// fillShares lays out the v rows for the given external loads and budget
+// k, v[c][x] = share(x, ext[c]+x): row c starts at ws.voff[c] in the
+// returned plane. When every row lies inside the view's share plane the DP
+// reads it in place; otherwise the rows are built in the workspace,
+// block-copied from the plane where they can be and computed on demand
+// elsewhere (bit-identical either way).
+func (rv *RateView) fillShares(ws *Workspace, ext []int, k int) []float64 {
+	off := ws.voff[:len(ext)]
 	shareStride := rv.maxOwn + 1
+	inPlane := rv.share != nil && k <= rv.maxOwn
 	for c, m := range ext {
+		if m > rv.maxExt {
+			inPlane = false
+			break
+		}
+		off[c] = m * shareStride
+	}
+	if inPlane {
+		return rv.share
+	}
+	stride := ws.capK + 1
+	for c, m := range ext {
+		off[c] = c * stride
 		vrow := ws.v[c*stride : c*stride+k+1]
 		if rv.share != nil && m <= rv.maxExt && k <= rv.maxOwn {
 			copy(vrow, rv.share[m*shareStride:m*shareStride+k+1])
@@ -367,35 +403,64 @@ func (rv *RateView) fillShares(ws *Workspace, ext []int, k int) {
 			vrow[x] = rv.ShareAt(x, m+x)
 		}
 	}
+	return ws.v
 }
 
 // fillSharesFunc is fillShares for a bare rate function (no view): the
-// generic path behind BestResponseToLoadsInto.
-func fillSharesFunc(ws *Workspace, rate ratefn.Func, ext []int, k int) {
+// generic path behind BestResponseToLoadsInto. The rows are always built
+// in the workspace.
+func fillSharesFunc(ws *Workspace, rate ratefn.Func, ext []int, k int) []float64 {
 	stride := ws.capK + 1
 	for c, m := range ext {
+		ws.voff[c] = c * stride
 		vrow := ws.v[c*stride : c*stride+k+1]
 		vrow[0] = 0
 		for x := 1; x <= k; x++ {
 			vrow[x] = share(x, m+x, rate)
 		}
 	}
+	return ws.v
 }
 
-// bestResponseDP runs the suffix dynamic program over the filled v rows and
-// backtracks one optimal row. The returned slice aliases the workspace and
-// is valid until the next call using it.
+// bestResponseDP runs the suffix dynamic program over the laid-out v rows
+// and backtracks one optimal row. The returned slice aliases the workspace
+// and is valid until the next call using it.
 //
-// The forward pass is a pure max-reduction: for each (c, b) it folds
-// vrow[x] + next[b-x] over x with no choice bookkeeping inside the O(C·k²)
-// hot loop — the accumulator stays in a register and the loop body is two
-// contiguous loads, an add and a compare, the shape gc's auto-vectoriser
-// and the CPU's out-of-order core both like. The optimal row is recovered
-// afterwards by an O(C·k) traceback that rescans each chosen cell for the
-// first x attaining its value; all candidates are <= the cell value and the
-// old strict-> scan kept the first argmax, so "first x with equality" picks
-// the same x and rows are bit-identical to the former choice-slab form.
-func bestResponseDP(ws *Workspace, C, k int) ([]int, float64) {
+// The forward pass (bestResponseFold) is a pure max-reduction: for each
+// (c, b) it folds vrow[x] + next[b-x] over x with no choice bookkeeping
+// inside the O(C·k²) hot loop — the accumulator stays in a register and
+// the loop body is two contiguous loads, an add and a compare, the shape
+// gc's auto-vectoriser and the CPU's out-of-order core both like. The
+// optimal row is recovered afterwards by an O(C·k) traceback that rescans
+// each chosen cell for the first x attaining its value; all candidates are
+// <= the cell value and the old strict-> scan kept the first argmax, so
+// "first x with equality" picks the same x and rows are bit-identical to
+// the former choice-slab form.
+func bestResponseDP(ws *Workspace, v []float64, C, k int) ([]int, float64) {
+	val := bestResponseFold(ws, v, C, k)
+	stride := ws.capK + 1
+	row := ws.row[:C]
+	b := k
+	for c := 0; c < C; c++ {
+		vrow := v[ws.voff[c]:]
+		next := ws.f[(c+1)*stride:]
+		target := ws.f[c*stride+b]
+		x := 0
+		for ; x < b; x++ {
+			if vrow[x]+next[b-x] == target {
+				break
+			}
+		}
+		row[c] = x
+		b -= x
+	}
+	return row, val
+}
+
+// bestResponseFold is the DP's forward pass: it fills the suffix-value
+// slab f and returns the optimum f[0][k]. BestResponseValueInto stops here
+// and skips the traceback.
+func bestResponseFold(ws *Workspace, v []float64, C, k int) float64 {
 	ws.obs.dpCalls++
 	stride := ws.capK + 1
 	fC := ws.f[C*stride : C*stride+k+1]
@@ -403,7 +468,7 @@ func bestResponseDP(ws *Workspace, C, k int) ([]int, float64) {
 		fC[b] = 0
 	}
 	for c := C - 1; c >= 0; c-- {
-		vrow := ws.v[c*stride : c*stride+k+1]
+		vrow := v[ws.voff[c] : ws.voff[c]+k+1]
 		next := ws.f[(c+1)*stride:]
 		cur := ws.f[c*stride:]
 		for b := 0; b <= k; b++ {
@@ -416,36 +481,33 @@ func bestResponseDP(ws *Workspace, C, k int) ([]int, float64) {
 			cur[b] = best
 		}
 	}
-	row := ws.row[:C]
-	b := k
-	for c := 0; c < C; c++ {
-		vrow := ws.v[c*stride:]
-		next := ws.f[(c+1)*stride:]
-		target := ws.f[c*stride+b]
-		x := 0
-		for ; x < b; x++ {
-			if vrow[x]+next[b-x] == target {
-				break
-			}
-		}
-		row[c] = x
-		b -= x
-	}
-	return row, ws.f[k]
+	return ws.f[k]
 }
 
 // BestResponseAllocInto computes the best response of user i with budget k
 // in allocation a (external loads are a's channel loads minus i's own
 // radios). The returned row aliases the workspace.
 func (rv *RateView) BestResponseAllocInto(ws *Workspace, a *Alloc, i, k int) ([]int, float64) {
+	return bestResponseDP(ws, rv.layoutDP(ws, a, i, k), a.Channels(), k)
+}
+
+// BestResponseValueInto is BestResponseAllocInto's value alone, bit for
+// bit, without tracing back the optimal row — all a deviation verdict
+// needs, since it compares the value against the current utility.
+func (rv *RateView) BestResponseValueInto(ws *Workspace, a *Alloc, i, k int) float64 {
+	return bestResponseFold(ws, rv.layoutDP(ws, a, i, k), a.Channels(), k)
+}
+
+// layoutDP sizes the workspace for user i's DP with budget k, computes the
+// external loads and lays out the v rows (see fillShares).
+func (rv *RateView) layoutDP(ws *Workspace, a *Alloc, i, k int) []float64 {
 	C := a.Channels()
 	ws.ensure(C, k)
 	ext := ws.ext[:C]
 	for c := 0; c < C; c++ {
 		ext[c] = a.Load(c) - a.Radios(i, c)
 	}
-	rv.fillShares(ws, ext, k)
-	return bestResponseDP(ws, C, k)
+	return rv.fillShares(ws, ext, k)
 }
 
 // UtilityOf computes U_i(S) per Eq. 3 with table-backed rates — the one

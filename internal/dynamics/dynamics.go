@@ -56,8 +56,11 @@ type Result struct {
 	Rounds int
 	// Moves counts strategy changes across the run.
 	Moves int
-	// DPCalls counts best-response DP invocations across the run (the
-	// dominant cost of a best-response sweep; radio-greedy runs report 0).
+	// DPCalls counts best-response evaluations across the run: users whose
+	// verdict was not already cached (radio-greedy runs report 0). An
+	// evaluation answered by the (budget, row) memo counts like one that
+	// ran the DP, so the number depends only on the move sequence; the DPs
+	// actually executed are the kernel_dp_calls_total counter.
 	// Warm-started re-equilibration exists to shrink this number — see
 	// Requilibrate.
 	DPCalls int
@@ -76,6 +79,7 @@ type Result struct {
 type Game interface {
 	Users() int
 	Channels() int
+	Budget(i int) int
 	Utility(a *core.Alloc, i int) float64
 	BestResponseInto(ws *core.Workspace, a *core.Alloc, i int) ([]int, float64, error)
 	Potential(a *core.Alloc) float64
@@ -211,12 +215,15 @@ func RunBestResponseHetero(g *hetero.Game, start *core.Alloc, opts ...Option) (R
 func bestResponseSweep(g Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
 	rng := des.NewRNG(cfg.seed)
 	// One workspace per run (injected or fresh): the whole convergence
-	// process is allocation-free apart from the trace. g.Potential reads
-	// the per-game rate table and is bit-identical to Potential(g.Rate(), a).
+	// process is allocation-free apart from the trace (and the per-round
+	// permutation of RandomOrder). g.Potential reads the per-game rate
+	// table and is bit-identical to Potential(g.Rate(), a).
 	ws := cfg.workspace()
 	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
 
-	order := make([]int, g.Users())
+	n := g.Users()
+	scratch := ws.UserInts(2 * n)
+	order, quietAt := scratch[:n:n], scratch[n:]
 	for i := range order {
 		order[i] = i
 	}
@@ -229,20 +236,31 @@ func bestResponseSweep(g Game, a *core.Alloc, cfg config, preQuiet []bool) (Resu
 	// only for users checked before the last accepted move. A mover is
 	// never marked quiet: its post-move utility comes from a different
 	// float grouping than the DP fold, so the verdict must be recomputed.
-	quietAt := make([]int, g.Users())
 	for i := range quietAt {
 		quietAt[i] = -1
 		if preQuiet != nil && preQuiet[i] {
 			quietAt[i] = 0
 		}
 	}
+	// The workspace's row memo holds the (budget, row) pairs proven quiet
+	// since the last move: a user sharing one faces the same external
+	// loads and has the same utility as the user proven quiet, so it is
+	// quiet too and its DP is skipped. Only quiet verdicts are reused —
+	// a pair's first user runs the DP and may move, and every move empties
+	// the memo.
+	ws.ResetRowMemo(n)
 	for round := 0; round < cfg.maxRounds; round++ {
 		if cfg.schedule == RandomOrder {
-			order = rng.Perm(g.Users())
+			order = rng.Perm(n)
 		}
 		improved := false
 		for _, i := range order {
 			if quietAt[i] == res.Moves {
+				continue
+			}
+			res.DPCalls++
+			if _, seen := ws.RowRep(a, i, g.Budget(i)); seen {
+				quietAt[i] = res.Moves
 				continue
 			}
 			current := g.Utility(a, i)
@@ -250,12 +268,12 @@ func bestResponseSweep(g Game, a *core.Alloc, cfg config, preQuiet []bool) (Resu
 			if err != nil {
 				return Result{}, fmt.Errorf("dynamics: best response for user %d: %w", i, err)
 			}
-			res.DPCalls++
 			if best > current+cfg.eps {
 				if err := a.SetRow(i, row); err != nil {
 					return Result{}, fmt.Errorf("dynamics: applying row for user %d: %w", i, err)
 				}
 				res.Moves++
+				ws.ResetRowMemo(n)
 				improved = true
 				continue
 			}

@@ -1,0 +1,251 @@
+package dynamics
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"github.com/multiradio/chanalloc/internal/core"
+	"github.com/multiradio/chanalloc/internal/des"
+	"github.com/multiradio/chanalloc/internal/hetero"
+	"github.com/multiradio/chanalloc/internal/obs"
+	"github.com/multiradio/chanalloc/internal/ratefn"
+)
+
+// refBestResponseSweep is the un-memoised best-response sweep, kept as the
+// differential reference for bestResponseSweep: every user whose quiet
+// verdict is not cached runs its own DP.
+func refBestResponseSweep(g Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
+	rng := des.NewRNG(cfg.seed)
+	ws := cfg.workspace()
+	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
+	order := make([]int, g.Users())
+	for i := range order {
+		order[i] = i
+	}
+	quietAt := make([]int, g.Users())
+	for i := range quietAt {
+		quietAt[i] = -1
+		if preQuiet != nil && preQuiet[i] {
+			quietAt[i] = 0
+		}
+	}
+	for round := 0; round < cfg.maxRounds; round++ {
+		if cfg.schedule == RandomOrder {
+			order = rng.Perm(g.Users())
+		}
+		improved := false
+		for _, i := range order {
+			if quietAt[i] == res.Moves {
+				continue
+			}
+			current := g.Utility(a, i)
+			row, best, err := g.BestResponseInto(ws, a, i)
+			if err != nil {
+				return Result{}, err
+			}
+			res.DPCalls++
+			if best > current+cfg.eps {
+				if err := a.SetRow(i, row); err != nil {
+					return Result{}, err
+				}
+				res.Moves++
+				improved = true
+				continue
+			}
+			quietAt[i] = res.Moves
+		}
+		res.Rounds++
+		res.PotentialTrace = append(res.PotentialTrace, g.Potential(a))
+		if !improved {
+			res.Converged = true
+			break
+		}
+	}
+	return res, nil
+}
+
+// refRequilibrate is Requilibrate over the reference sweep.
+func refRequilibrate(lg *hetero.LiveGame, opts ...Option) (ReqResult, error) {
+	cfg, err := buildConfig(opts)
+	if err != nil {
+		return ReqResult{}, err
+	}
+	wasQuiet := lg.Equilibrated()
+	churn := lg.TakeChurn()
+	if lg.Users() == 0 {
+		lg.MarkEquilibrated(true)
+		return ReqResult{
+			Result: Result{Converged: true, PotentialTrace: []float64{0}},
+			Events: churn.Events,
+		}, nil
+	}
+	preQuiet, skipped := warmQuiet(lg, lg.Alloc(), wasQuiet, churn)
+	res, err := refBestResponseSweep(lg.Frozen(), lg.Alloc(), cfg, preQuiet)
+	if err != nil {
+		return ReqResult{}, err
+	}
+	lg.MarkEquilibrated(res.Converged)
+	return ReqResult{Result: res, WarmSkipped: skipped, Events: churn.Events}, nil
+}
+
+// sameResult reports the first difference between a memoised and a
+// reference run, or "".
+func sameResult(got, want Result) string {
+	switch {
+	case got.Converged != want.Converged:
+		return fmt.Sprintf("converged %v, reference %v", got.Converged, want.Converged)
+	case got.Rounds != want.Rounds:
+		return fmt.Sprintf("rounds %d, reference %d", got.Rounds, want.Rounds)
+	case got.Moves != want.Moves:
+		return fmt.Sprintf("moves %d, reference %d", got.Moves, want.Moves)
+	case got.DPCalls != want.DPCalls:
+		return fmt.Sprintf("DP calls %d, reference %d", got.DPCalls, want.DPCalls)
+	case !slices.Equal(got.PotentialTrace, want.PotentialTrace):
+		return fmt.Sprintf("potential trace %v, reference %v", got.PotentialTrace, want.PotentialTrace)
+	case (got.Final == nil) != (want.Final == nil) || got.Final != nil && !got.Final.Equal(want.Final):
+		return "final allocations differ"
+	}
+	return ""
+}
+
+// churnTwin applies the same seeded mutation to two live games kept in
+// lockstep. Until the population reaches grow users every event is a join;
+// after that it joins, leaves or renegotiates a budget in [1, maxBudget].
+func churnTwin(t *testing.T, games [2]*hetero.LiveGame, rng *des.RNG, grow, maxBudget int) string {
+	t.Helper()
+	lg := games[0]
+	users := lg.Users()
+	var op func(*hetero.LiveGame) error
+	var kind string
+	switch {
+	case users < grow || rng.Float64() < 0.35:
+		k := 1 + rng.Intn(maxBudget)
+		kind = fmt.Sprintf("join(%d)", k)
+		op = func(g *hetero.LiveGame) error { _, err := g.Join(k); return err }
+	case rng.Float64() < 0.5:
+		id := lg.IDAt(rng.Intn(users))
+		kind = fmt.Sprintf("leave(%d)", id)
+		op = func(g *hetero.LiveGame) error { return g.Leave(id) }
+	default:
+		id := lg.IDAt(rng.Intn(users))
+		k := 1 + rng.Intn(maxBudget)
+		kind = fmt.Sprintf("budget(%d, %d)", id, k)
+		op = func(g *hetero.LiveGame) error { return g.SetBudget(id, k) }
+	}
+	for _, g := range games {
+		if err := op(g); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+	return kind
+}
+
+// kernelDPs counts the best-response DPs the kernel actually executed; the
+// sweep flushes its workspace's count into it at the end of every run.
+var kernelDPs = obs.NewCounter("kernel_dp_calls_total")
+
+// TestRequilibrateMemoDifferential pins the (budget, row) memo in the
+// sweep against the un-memoised reference: on every event of seeded churn
+// traces in the many-users, few-channels regime, the two give identical
+// rounds, moves, potential traces, DP call counts, warm skips and final
+// allocations, and both live games pass their invariant check.
+func TestRequilibrateMemoDifferential(t *testing.T) {
+	users, events := 256, 300
+	if testing.Short() {
+		users, events = 64, 60
+	}
+	for _, tc := range []struct {
+		name      string
+		seed      uint64
+		maxBudget int
+		opts      []Option
+	}{
+		{"seed1", 0x3e30_0001, 4, nil},
+		{"seed2", 0x3e30_0002, 4, nil},
+		{"seed3-wide-budgets", 0x3e30_0003, 16, nil},
+		{"random-order", 0x3e30_0004, 4, []Option{WithSchedule(RandomOrder), WithSeed(99)}},
+		{"eps", 0x3e30_0005, 4, []Option{WithEps(0.5)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var games [2]*hetero.LiveGame
+			for j := range games {
+				lg, err := hetero.NewLiveGame(16, ratefn.NewTDMA(54))
+				if err != nil {
+					t.Fatal(err)
+				}
+				games[j] = lg
+			}
+			ws := core.NewWorkspace()
+			rng := des.NewRNG(tc.seed)
+			hits := 0
+			for ev := 0; ev < users+events; ev++ {
+				kind := churnTwin(t, games, rng, users, tc.maxBudget)
+				opts := append(slices.Clone(tc.opts), WithWorkspace(ws))
+				dp0 := kernelDPs.Value()
+				got, err := Requilibrate(games[0], opts...)
+				executed := int(kernelDPs.Value() - dp0)
+				if err != nil {
+					t.Fatalf("event %d (%s): %v", ev, kind, err)
+				}
+				want, err := refRequilibrate(games[1], tc.opts...)
+				if err != nil {
+					t.Fatalf("event %d (%s): reference: %v", ev, kind, err)
+				}
+				if diff := sameResult(got.Result, want.Result); diff != "" {
+					t.Fatalf("event %d (%s): %s", ev, kind, diff)
+				}
+				if got.WarmSkipped != want.WarmSkipped || got.Events != want.Events {
+					t.Fatalf("event %d (%s): warm skipped %d events %d, reference %d and %d",
+						ev, kind, got.WarmSkipped, got.Events, want.WarmSkipped, want.Events)
+				}
+				for j, lg := range games {
+					if err := lg.Check(); err != nil {
+						t.Fatalf("event %d (%s): game %d: %v", ev, kind, j, err)
+					}
+				}
+				hits += got.DPCalls - executed
+			}
+			if hits == 0 {
+				t.Fatal("the memo answered no evaluation over the whole trace")
+			}
+		})
+	}
+}
+
+// TestBestResponseMemoDifferential covers the uniform game's sweep from
+// random cold starts, where many users share rows from the first round.
+func TestBestResponseMemoDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		users, channels, radios int
+		opts                    []Option
+	}{
+		{64, 4, 2, nil},
+		{128, 8, 3, []Option{WithSchedule(RandomOrder), WithSeed(5)}},
+		{96, 6, 2, []Option{WithEps(0.25)}},
+		{40, 16, 16, nil},
+	} {
+		g, err := core.NewGame(tc.users, tc.channels, tc.radios, ratefn.NewTDMA(54))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			start := RandomAlloc(g, seed)
+			got, err := RunBestResponse(g, start, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := buildConfig(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refBestResponseSweep(g, start.Clone(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameResult(got, want); diff != "" {
+				t.Fatalf("%dx%dx%d seed %d: %s", tc.users, tc.channels, tc.radios, seed, diff)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package dynamics
 import (
 	"fmt"
 
+	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/obs"
 )
@@ -62,28 +63,7 @@ func Requilibrate(lg *hetero.LiveGame, opts ...Option) (ReqResult, error) {
 		return ReqResult{}, fmt.Errorf("dynamics: live allocation invalid: %w", err)
 	}
 
-	var preQuiet []bool
-	skipped := 0
-	if wasQuiet && !churn.Decreased {
-		preQuiet = make([]bool, lg.Users())
-		for i := range preQuiet {
-			if churn.Suspects[lg.IDAt(i)] {
-				continue
-			}
-			onDirty := false
-			for c := 0; c < lg.Channels(); c++ {
-				if churn.Dirty[c] && a.Radios(i, c) > 0 {
-					onDirty = true
-					break
-				}
-			}
-			if !onDirty {
-				preQuiet[i] = true
-				skipped++
-			}
-		}
-	}
-
+	preQuiet, skipped := warmQuiet(lg, a, wasQuiet, churn)
 	res, err := bestResponseSweep(g, a, cfg, preQuiet)
 	if err != nil {
 		return ReqResult{}, err
@@ -93,4 +73,33 @@ func Requilibrate(lg *hetero.LiveGame, opts ...Option) (ReqResult, error) {
 	mWarmSkips.Add(uint64(skipped))
 	obs.Emit("requilibrate", "", int64(res.Rounds), int64(res.Moves), int64(skipped))
 	return ReqResult{Result: res, WarmSkipped: skipped, Events: churn.Events}, nil
+}
+
+// warmQuiet derives the warm start's carried quiet verdicts (see
+// Requilibrate) and how many users they cover: nil unless the allocation
+// was quiet before the churn and no load decreased; otherwise every user
+// that is not a churn suspect and occupies no dirty channel.
+func warmQuiet(lg *hetero.LiveGame, a *core.Alloc, wasQuiet bool, churn hetero.Churn) ([]bool, int) {
+	if !wasQuiet || churn.Decreased {
+		return nil, 0
+	}
+	preQuiet := make([]bool, lg.Users())
+	skipped := 0
+	for i := range preQuiet {
+		if churn.Suspects[lg.IDAt(i)] {
+			continue
+		}
+		onDirty := false
+		for c := 0; c < lg.Channels(); c++ {
+			if churn.Dirty[c] && a.Radios(i, c) > 0 {
+				onDirty = true
+				break
+			}
+		}
+		if !onDirty {
+			preQuiet[i] = true
+			skipped++
+		}
+	}
+	return preQuiet, skipped
 }

@@ -62,6 +62,9 @@ func TestRequilibrateDifferentialPin(t *testing.T) {
 			warmDP, coldDP := 0, 0
 			for ev := 0; ev < tc.events; ev++ {
 				kind := applyRandomChurn(t, lg, rng)
+				if err := lg.Check(); err != nil {
+					t.Fatalf("event %d (%s): %v", ev, kind, err)
+				}
 				if lg.Users() == 0 {
 					if res, err := Requilibrate(lg); err != nil || !res.Converged {
 						t.Fatalf("event %d (%s): empty requilibrate = %+v, %v", ev, kind, res, err)
@@ -76,6 +79,9 @@ func TestRequilibrateDifferentialPin(t *testing.T) {
 				res, err := Requilibrate(lg)
 				if err != nil {
 					t.Fatalf("event %d (%s): requilibrate: %v", ev, kind, err)
+				}
+				if err := lg.Check(); err != nil {
+					t.Fatalf("event %d (%s): %v", ev, kind, err)
 				}
 				if !res.Converged {
 					t.Fatalf("event %d (%s): did not converge in %d rounds", ev, kind, res.Rounds)

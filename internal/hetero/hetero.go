@@ -191,6 +191,18 @@ func (g *Game) BestResponseInto(ws *core.Workspace, a *core.Alloc, i int) ([]int
 	return row, val, nil
 }
 
+// BestResponseValueInto is BestResponseInto's value alone, bit for bit,
+// without tracing back the optimal row — all a deviation verdict needs.
+func (g *Game) BestResponseValueInto(ws *core.Workspace, a *core.Alloc, i int) (float64, error) {
+	if ws == nil {
+		return 0, fmt.Errorf("hetero: nil workspace")
+	}
+	if i < 0 || i >= g.Users() {
+		return 0, fmt.Errorf("hetero: user %d out of range [0, %d)", i, g.Users())
+	}
+	return g.view.BestResponseValueInto(ws, a, i, g.budgets[i]), nil
+}
+
 // FindDeviation returns a profitable unilateral deviation, or nil when a is
 // a Nash equilibrium within eps.
 func (g *Game) FindDeviation(a *core.Alloc, eps float64) (*core.Deviation, error) {

@@ -334,6 +334,76 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 	return nil
 }
 
+// Check verifies the live game's internal invariants and returns the first
+// violation found, or nil:
+//
+//   - every channel's load equals the column sum of the allocation (the
+//     row memo's premise: equal rows face equal external loads);
+//   - every row is non-negative and deploys at most its user's budget;
+//   - stable ids and dense rows map one to one;
+//   - the rate view covers the total radio budget and the largest
+//     per-user budget.
+//
+// It costs O(N·|C|) and mutates nothing; tests and fuzzers call it after
+// every event.
+func (lg *LiveGame) Check() error {
+	n := len(lg.ids)
+	if len(lg.budgets) != n || len(lg.rowOf) != n {
+		return fmt.Errorf("hetero: %d ids, %d budgets, %d id→row entries", n, len(lg.budgets), len(lg.rowOf))
+	}
+	if (lg.alloc == nil) != (n == 0) {
+		return fmt.Errorf("hetero: %d users but allocation present = %v", n, lg.alloc != nil)
+	}
+	for i, id := range lg.ids {
+		if id < 1 || id > lg.nextID {
+			return fmt.Errorf("hetero: row %d holds id %d outside [1, %d]", i, id, lg.nextID)
+		}
+		if row, ok := lg.rowOf[id]; !ok || row != i {
+			return fmt.Errorf("hetero: row %d holds id %d, which maps to row %d (present %v)", i, id, row, ok)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	a := lg.alloc
+	if a.Users() != n || a.Channels() != lg.channels {
+		return fmt.Errorf("hetero: allocation is %dx%d, game has %d users on %d channels",
+			a.Users(), a.Channels(), n, lg.channels)
+	}
+	total, maxBudget := 0, 0
+	for i, k := range lg.budgets {
+		if k < 1 || k > lg.channels {
+			return fmt.Errorf("hetero: user %d has budget %d outside [1, %d]", lg.ids[i], k, lg.channels)
+		}
+		deployed := 0
+		for c := 0; c < lg.channels; c++ {
+			if v := a.Radios(i, c); v < 0 {
+				return fmt.Errorf("hetero: user %d has %d radios on channel %d", lg.ids[i], v, c)
+			}
+			deployed += a.Radios(i, c)
+		}
+		if deployed > k {
+			return fmt.Errorf("hetero: user %d deploys %d radios, budget is %d", lg.ids[i], deployed, k)
+		}
+		total += k
+		maxBudget = max(maxBudget, k)
+	}
+	for c := 0; c < lg.channels; c++ {
+		sum := 0
+		for i := 0; i < n; i++ {
+			sum += a.Radios(i, c)
+		}
+		if a.Load(c) != sum {
+			return fmt.Errorf("hetero: channel %d load %d, column sum %d", c, a.Load(c), sum)
+		}
+	}
+	if lg.view == nil || lg.viewLoad < total || lg.viewOwn < maxBudget {
+		return fmt.Errorf("hetero: rate view covers load %d and budget %d, game needs %d and %d",
+			lg.viewLoad, lg.viewOwn, total, maxBudget)
+	}
+	return nil
+}
+
 // Frozen returns the immutable hetero.Game snapshot of the current
 // generation, memoised until the next mutation: the snapshot shares the
 // live RateView (superset domains read identical values) but owns a fresh

@@ -15,43 +15,21 @@ func mustLive(t *testing.T, channels int) *LiveGame {
 	return lg
 }
 
-// checkConsistent audits every invariant the mutations promise to keep:
-// id↔row maps inverse, budgets respected and fully deployed, loads equal
-// column sums, and the frozen snapshot agreeing with the live state.
+// checkConsistent audits the live game's invariants (Check) plus two
+// promises of the mutations themselves: without dynamics every budget is
+// deployed in full, and the frozen snapshot accepts the live allocation.
 func checkConsistent(t *testing.T, lg *LiveGame) {
 	t.Helper()
-	if len(lg.ids) != lg.Users() || len(lg.budgets) != lg.Users() || len(lg.rowOf) != lg.Users() {
-		t.Fatalf("bookkeeping sizes diverge: ids=%d budgets=%d rowOf=%d users=%d",
-			len(lg.ids), len(lg.budgets), len(lg.rowOf), lg.Users())
-	}
-	for row, id := range lg.ids {
-		got, ok := lg.RowOf(id)
-		if !ok || got != row {
-			t.Fatalf("id %d maps to row %d/%v, dense slot says %d", id, got, ok, row)
-		}
+	if err := lg.Check(); err != nil {
+		t.Fatal(err)
 	}
 	a := lg.Alloc()
-	if lg.Users() == 0 {
-		if a != nil {
-			t.Fatal("empty game keeps a non-nil allocation")
-		}
+	if a == nil {
 		return
-	}
-	if a.Users() != lg.Users() {
-		t.Fatalf("alloc has %d rows, game %d users", a.Users(), lg.Users())
 	}
 	for i := 0; i < lg.Users(); i++ {
 		if a.UserTotal(i) != lg.budgets[i] {
 			t.Fatalf("row %d deploys %d radios, budget %d", i, a.UserTotal(i), lg.budgets[i])
-		}
-	}
-	for c := 0; c < lg.Channels(); c++ {
-		sum := 0
-		for i := 0; i < lg.Users(); i++ {
-			sum += a.Radios(i, c)
-		}
-		if sum != a.Load(c) {
-			t.Fatalf("channel %d load %d, column sum %d", c, a.Load(c), sum)
 		}
 	}
 	g := lg.Frozen()
@@ -60,6 +38,39 @@ func checkConsistent(t *testing.T, lg *LiveGame) {
 	}
 	if err := g.CheckAlloc(a); err != nil {
 		t.Fatalf("frozen game rejects live allocation: %v", err)
+	}
+}
+
+// TestLiveGameCheckCatchesCorruption breaks each invariant Check guards
+// on an otherwise healthy game and expects it to be reported.
+func TestLiveGameCheckCatchesCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(lg *LiveGame)
+	}{
+		{"id maps to another row", func(lg *LiveGame) { lg.rowOf[lg.ids[0]] = 1 }},
+		{"duplicate id", func(lg *LiveGame) { lg.ids[1] = lg.ids[0] }},
+		{"id never issued", func(lg *LiveGame) { lg.nextID = 1 }},
+		{"missing budget", func(lg *LiveGame) { lg.budgets = lg.budgets[:1] }},
+		{"budget below deployment", func(lg *LiveGame) { lg.budgets[0] = 1 }},
+		{"view too small", func(lg *LiveGame) { lg.viewLoad = 1 }},
+		{"view budget domain too small", func(lg *LiveGame) { lg.viewOwn = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lg := mustLive(t, 4)
+			for _, k := range []int{3, 2, 1} {
+				if _, err := lg.Join(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lg.Check(); err != nil {
+				t.Fatalf("healthy game: %v", err)
+			}
+			tc.corrupt(lg)
+			if err := lg.Check(); err == nil {
+				t.Fatal("corruption not reported")
+			}
+		})
 	}
 }
 

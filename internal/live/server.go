@@ -276,7 +276,6 @@ func (s *Server) Apply(req Request) Response {
 	s.cfg.Totals.add(delta)
 	mEvents.Inc()
 	mConvRounds.Observe(int64(res.Rounds))
-	mEventLat.Observe(int64(time.Since(start)))
 	obs.Emit("churn", req.Op, int64(s.stats.Events), int64(id), 0)
 
 	u := &Update{
@@ -301,61 +300,73 @@ func (s *Server) Apply(req Request) Response {
 	} else if s.cfg.Verify {
 		u.Verified = true // the empty allocation is trivially an equilibrium
 	}
+	mEventLat.Observe(int64(time.Since(start)))
 	return Response{Type: "update", Update: u}
 }
 
 // verifyNE re-proves the current allocation is a Nash equilibrium with the
-// exact per-user best-response oracle, sharding users over the configured
-// workers. Each worker borrows a pooled DP workspace; the verdict is an
-// AND-reduce over independent per-user checks, so it is identical at any
-// worker count and the early exit on a found deviation only saves time.
+// exact best-response oracle; see verifyAlloc.
 func (s *Server) verifyNE() bool {
 	g := s.lg.Frozen()
-	a := s.lg.Alloc()
 	if g == nil {
 		return true
 	}
-	n := g.Users()
-	workers := s.cfg.Workers
+	return verifyAlloc(g, s.lg.Alloc(), s.cfg.Workers)
+}
+
+// verifyAlloc decides whether a is a Nash equilibrium of g with the exact
+// per-user best-response DP. Users with the same budget and the same row
+// face the same external loads and have the same utility, so their DP
+// results and verdicts are bit-identical: one serial pass groups users by
+// (budget, row) in a pooled workspace's row memo, and only one
+// representative per class runs the DP, sharded over the workers. Each
+// worker borrows its own pooled DP workspace. The verdict is an AND over
+// representatives, which equals the AND over all users, so it is the same
+// at any worker count, and the early exit on a found deviation only saves
+// time. No state is shared with the dynamics that produced a.
+func verifyAlloc(g *hetero.Game, a *core.Alloc, workers int) bool {
+	ws := core.Workspaces.Get()
+	defer core.Workspaces.Put(ws)
+	ws.ResetRowMemo(g.Users())
+	for i := 0; i < g.Users(); i++ {
+		ws.RowRep(a, i, g.Budget(i))
+	}
+	reps := ws.RowMisses()
+	n := len(reps)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		ws := core.Workspaces.Get()
-		defer core.Workspaces.Put(ws)
-		return verifyRange(g, a, ws, 0, n, nil)
+		return verifyUsers(g, a, ws, reps, nil)
 	}
 	var refuted atomic.Bool
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(users []int) {
 			defer wg.Done()
 			ws := core.Workspaces.Get()
 			defer core.Workspaces.Put(ws)
-			if !verifyRange(g, a, ws, lo, hi, &refuted) {
+			if !verifyUsers(g, a, ws, users, &refuted) {
 				refuted.Store(true)
 			}
-		}(lo, hi)
+		}(reps[lo:hi])
 	}
 	wg.Wait()
 	return !refuted.Load()
 }
 
-// verifyRange checks users [lo, hi) have no improving deviation at the
+// verifyUsers checks the listed users have no improving deviation at the
 // oracle tolerance. A non-nil refuted flag allows cross-shard early exit.
-func verifyRange(g *hetero.Game, a *core.Alloc, ws *core.Workspace, lo, hi int, refuted *atomic.Bool) bool {
-	for i := lo; i < hi; i++ {
+func verifyUsers(g *hetero.Game, a *core.Alloc, ws *core.Workspace, users []int, refuted *atomic.Bool) bool {
+	for _, i := range users {
 		if refuted != nil && refuted.Load() {
 			return true // some other shard already decided; verdict unaffected
 		}
 		current := g.Utility(a, i)
-		_, best, err := g.BestResponseInto(ws, a, i)
+		best, err := g.BestResponseValueInto(ws, a, i)
 		if err != nil || best > current+core.DefaultEps {
 			return false
 		}
