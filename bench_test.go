@@ -317,8 +317,8 @@ func BenchmarkWelfareOptimum(b *testing.B) {
 	}
 }
 
-// BenchmarkHeteroAlgorithm1 measures the heterogeneous-budget allocation
-// (experiment E11's engine).
+// BenchmarkHeteroAlgorithm1 measures Algorithm 1 on a game with per-user
+// budgets (experiment E11's engine).
 func BenchmarkHeteroAlgorithm1(b *testing.B) {
 	b.ReportAllocs()
 	budgets := make([]int, 64)
@@ -331,7 +331,7 @@ func BenchmarkHeteroAlgorithm1(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0); err != nil {
+		if _, err := chanalloc.Algorithm1(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -546,7 +546,7 @@ func BenchmarkEnumerateNESymmetry(b *testing.B) {
 }
 
 // BenchmarkScreenIncremental measures symmetry-reduced enumeration on a
-// mixed-budget heterogeneous game (budgets 1,2,2,3 over 4 channels): three
+// mixed-budget game (budgets 1,2,2,3 over 4 channels): three
 // exchangeability classes, so the orbit reduction is weak and the runtime
 // is dominated by the per-profile screen — the lever here is the
 // incremental screen cache (per-user verdicts invalidated only via the
@@ -559,7 +559,7 @@ func BenchmarkScreenIncremental(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reps, err := chanalloc.HeteroEnumerateNECanonical(g, 10_000_000)
+		reps, err := chanalloc.EnumerateNECanonical(g, 10_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -574,9 +574,10 @@ func BenchmarkScreenIncremental(b *testing.B) {
 // Pareto-optimal input, so every variant pays the worst case: the complete
 // walk of its search space with no early exit. "orbit" is the
 // symmetry-reduced search (one matching test per canonical representative,
-// ~13× fewer profiles than the 50625-profile grid), "unreduced" the direct
-// grid baseline it is differential-tested against, and "parallel" the
-// sharded orbit walk at NumCPU workers.
+// ~13× fewer profiles than the 50625-profile grid) and "parallel" the
+// sharded orbit walk at NumCPU workers. The direct grid baseline the orbit
+// search is differential-tested against is internal/core's
+// BenchmarkParetoImprovement/unreduced.
 func BenchmarkParetoImprovement(b *testing.B) {
 	b.ReportAllocs()
 	g := benchGame(b, 4, 4, 2, chanalloc.TDMA(1))
@@ -589,18 +590,6 @@ func BenchmarkParetoImprovement(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w, err := chanalloc.FindParetoImprovement(g, ne, chanalloc.DefaultEps, cap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if w != nil {
-				b.Fatal("Algorithm 1's NE must be Pareto-optimal")
-			}
-		}
-	})
-	b.Run("unreduced", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w, err := chanalloc.FindParetoImprovementUnreduced(g, ne, chanalloc.DefaultEps, cap)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -52,7 +52,8 @@ import (
 
 // Core game types, re-exported.
 type (
-	// Game fixes |N|, |C|, k and the rate function.
+	// Game fixes |N|, |C|, the radio budgets (k, or k_i per user; see
+	// NewHeteroGame) and the rate function.
 	Game = core.Game
 	// Alloc is a strategy matrix with cached channel loads.
 	Alloc = core.Alloc
@@ -165,9 +166,9 @@ func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
 }
 
 // OptimalLoadWelfare maximises Σ_{c : l_c > 0} R(l_c) over load vectors on
-// C channels placing exactly total radios — the welfare DP shared by the
-// uniform and heterogeneous benchmarks, exposed for callers that only know
-// aggregate loads. One-shot form of OptimalLoadWelfareInto.
+// C channels placing exactly total radios — the welfare DP behind
+// OptimalWelfareAllPlaced, exposed for callers that only know aggregate
+// loads. One-shot form of OptimalLoadWelfareInto.
 func OptimalLoadWelfare(rate RateFunc, C, total int) (float64, []int) {
 	return core.OptimalLoadWelfare(rate, C, total)
 }
@@ -195,17 +196,9 @@ func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
 // by the FULL unreduced profile count). The walk is symmetry-reduced over
 // exchangeable users: each orbit of permuted-row profiles is decided by a
 // single per-class utility matching test, so an improvement is found iff
-// the unreduced scan finds one — see FindParetoImprovementUnreduced for
-// the direct grid walk kept as the differential baseline.
+// the direct scan of every profile finds one.
 func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
 	return core.FindParetoImprovement(g, a, eps, maxProfiles)
-}
-
-// FindParetoImprovementUnreduced is the direct (unreduced) grid Pareto
-// search — the baseline the orbit-aware FindParetoImprovement is
-// differential-tested and benchmarked against.
-func FindParetoImprovementUnreduced(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
-	return core.FindParetoImprovementUnreduced(g, a, eps, maxProfiles)
 }
 
 // FindParetoImprovementParallel is FindParetoImprovement sharded over the

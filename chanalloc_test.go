@@ -114,7 +114,7 @@ func TestPublicScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Game == nil && s.Hetero == nil {
+		if s.Game == nil {
 			t.Fatalf("%s resolved without a game", name)
 		}
 	}

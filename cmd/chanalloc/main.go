@@ -112,30 +112,6 @@ func scenarioMode(out io.Writer, cfg *config) error {
 	}
 	fmt.Fprintf(out, "Scenario %s: %s\n", s.Name, s.Description)
 
-	if s.Hetero != nil {
-		a := s.Alloc
-		if a == nil {
-			if a, err = chanalloc.HeteroAlgorithm1(s.Hetero, cfg.tie, cfg.seed); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintln(out, "\nAllocation:")
-		fmt.Fprint(out, chanalloc.OccupancyDiagram(a))
-		fmt.Fprintln(out)
-		ne, err := s.Hetero.IsNashEquilibrium(a)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nBest-response oracle: NE=%v\n", ne)
-		fmt.Fprintf(out, "Load-balanced (δ<=1): %v\n", chanalloc.LoadBalanced(a))
-		fmt.Fprintln(out, "Per-user utilities:")
-		for i, u := range s.Hetero.Utilities(a) {
-			fmt.Fprintf(out, "  u%d (k=%d): %.4f\n", i+1, s.Hetero.Budget(i), u)
-		}
-		fmt.Fprintf(out, "Welfare: %.4f\n", s.Hetero.Welfare(a))
-		return nil
-	}
-
 	a := s.Alloc
 	if a == nil {
 		opts := []chanalloc.Algorithm1Option{
@@ -145,7 +121,32 @@ func scenarioMode(out io.Writer, cfg *config) error {
 			return err
 		}
 	}
+	if s.Game.Radios() == 0 {
+		// Mixed budgets: the paper's Theorem 1 audit does not apply.
+		return reportMixedBudgets(out, s.Game, a)
+	}
 	return report(out, s.Game, a)
+}
+
+// reportMixedBudgets prints the audit of a game whose users own different
+// radio budgets: the allocation, the best-response NE verdict, load
+// balance and per-user utilities.
+func reportMixedBudgets(out io.Writer, g *chanalloc.Game, a *chanalloc.Alloc) error {
+	fmt.Fprintln(out, "\nAllocation:")
+	fmt.Fprint(out, chanalloc.OccupancyDiagram(a))
+	fmt.Fprintln(out)
+	ne, err := g.IsNashEquilibrium(a)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nBest-response oracle: NE=%v\n", ne)
+	fmt.Fprintf(out, "Load-balanced (δ<=1): %v\n", chanalloc.LoadBalanced(a))
+	fmt.Fprintln(out, "Per-user utilities:")
+	for i, u := range g.Utilities(a) {
+		fmt.Fprintf(out, "  u%d (k=%d): %.4f\n", i+1, g.Budget(i), u)
+	}
+	fmt.Fprintf(out, "Welfare: %.4f\n", g.Welfare(a))
+	return nil
 }
 
 func allocate(out io.Writer, g *chanalloc.Game, cfg *config) error {

@@ -634,7 +634,7 @@ func expHetero(out io.Writer, env expEnv) error {
 			type verdict struct{ ne, balanced bool }
 			verdicts, _, err := chanalloc.ParallelMap(seeds, func(j int, rng *chanalloc.RNG) (verdict, error) {
 				var v verdict
-				a, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieRandom, rng.Uint64())
+				a, err := chanalloc.Algorithm1(g, chanalloc.WithTieBreak(chanalloc.TieRandom), chanalloc.WithSeed(rng.Uint64()))
 				if err != nil {
 					return v, err
 				}
@@ -660,18 +660,18 @@ func expHetero(out io.Writer, env expEnv) error {
 			// Welfare of the deterministic greedy NE against the
 			// heterogeneous all-placed optimum: the price of anarchy beyond
 			// uniform k.
-			a, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0)
+			a, err := chanalloc.Algorithm1(g)
 			if err != nil {
 				return err
 			}
-			opt, _ := chanalloc.HeteroOptimalWelfareAllPlaced(g)
+			opt, _ := chanalloc.OptimalWelfareAllPlaced(g)
 			welfare := g.Welfare(a)
 			// Exhaustive Pareto-optimality of the greedy NE, where the
 			// strategy space is small enough: the orbit-aware search under a
 			// tight cap on the unreduced profile count. Deployments over the
 			// cap report "-" rather than paying an exponential walk.
 			paretoOpt := "-"
-			w, perr := chanalloc.HeteroFindParetoImprovement(g, a, 1e-9, 200_000)
+			w, perr := chanalloc.FindParetoImprovement(g, a, 1e-9, 200_000)
 			switch {
 			case perr == nil:
 				paretoOpt = fmt.Sprintf("%v", w == nil)

@@ -35,7 +35,8 @@ const (
 )
 
 // RunBestResponse runs user-level best-response dynamics from start (which
-// is cloned, not modified). A converged run ends at a Nash equilibrium.
+// is cloned, not modified), each user's DP bounded by its own budget. A
+// converged run ends at a Nash equilibrium.
 func RunBestResponse(g *Game, start *Alloc, opts ...DynamicsOption) (DynamicsResult, error) {
 	return dynamics.RunBestResponse(g, start, opts...)
 }
@@ -86,9 +87,3 @@ func WithDynamicsSeed(seed uint64) DynamicsOption { return dynamics.WithSeed(see
 // batch runner automatically) to make steady-state convergence runs
 // allocation-free.
 func WithDynamicsWorkspace(ws *Workspace) DynamicsOption { return dynamics.WithWorkspace(ws) }
-
-// RunHeteroBestResponse is RunBestResponse over a heterogeneous-budget
-// game: the identical sweep and quiet caching with per-user radio budgets.
-func RunHeteroBestResponse(g *HeteroGame, start *Alloc, opts ...DynamicsOption) (DynamicsResult, error) {
-	return dynamics.RunBestResponseHetero(g, start, opts...)
-}

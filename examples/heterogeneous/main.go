@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	alloc, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0)
+	alloc, err := chanalloc.Algorithm1(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,85 +2,32 @@ package chanalloc
 
 import (
 	"github.com/multiradio/chanalloc/internal/core"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/spectrum"
 )
 
-// Heterogeneous-budget extension: per-user radio counts k_i (the paper's
-// model generalised beyond uniform k; see EXPERIMENTS.md E11).
+// Heterogeneous budgets: per-user radio counts k_i, the paper's model
+// generalised beyond uniform k (see EXPERIMENTS.md E11). A game with
+// per-user budgets is an ordinary Game — Algorithm1, the NE oracle,
+// EnumerateNE, the welfare optima, PriceOfAnarchy, FindParetoImprovement
+// and RunBestResponse all read each user's own budget.
 type (
-	// HeteroGame is a channel allocation game with per-user budgets.
-	HeteroGame = hetero.Game
+	// HeteroGame is a game built with per-user budgets; it is the same
+	// type as Game.
+	HeteroGame = core.Game
 )
 
 // NewHeteroGame builds a game where user i owns budgets[i] radios
 // (1 <= k_i <= channels).
 func NewHeteroGame(channels int, budgets []int, rate RateFunc) (*HeteroGame, error) {
-	return hetero.NewGame(channels, budgets, rate)
-}
-
-// HeteroAlgorithm1 runs the sequential greedy allocation with per-user
-// budgets; empirically it lands on exact Nash equilibria across rate
-// families (E11).
-func HeteroAlgorithm1(g *HeteroGame, tie TieBreak, seed uint64) (*Alloc, error) {
-	return hetero.Algorithm1(g, tie, seed)
+	return core.NewHeteroGame(channels, budgets, rate)
 }
 
 // LoadBalanced reports whether channel loads differ by at most one (the
-// generalised Proposition 1 property).
-func LoadBalanced(a *Alloc) bool { return hetero.LoadBalanced(a) }
-
-// HeteroOptimalWelfareAllPlaced computes the maximum total rate over load
-// vectors placing all Σ_i k_i radios — the heterogeneous analogue of
-// OptimalWelfareAllPlaced and the denominator of HeteroPriceOfAnarchy.
-func HeteroOptimalWelfareAllPlaced(g *HeteroGame) (float64, []int) {
-	return hetero.OptimalWelfareAllPlaced(g)
-}
-
-// HeteroOptimalWelfareIdleAllowed computes the maximum total rate when
-// radios may idle: min(|C|, Σ_i k_i) channels lit with one radio each.
-func HeteroOptimalWelfareIdleAllowed(g *HeteroGame) (float64, []int) {
-	return hetero.OptimalWelfareIdleAllowed(g)
-}
-
-// HeteroPriceOfAnarchy returns Welfare(a) divided by the all-placed
-// heterogeneous welfare optimum (1 means system-optimal; see E11).
-func HeteroPriceOfAnarchy(g *HeteroGame, a *Alloc) (float64, error) {
-	return hetero.PriceOfAnarchy(g, a)
-}
-
-// HeteroFindParetoImprovement searches for an allocation Pareto-dominating
-// a in a heterogeneous game (nil when a is Pareto-optimal over the full
-// strategy space). Symmetry-reduced over equal-budget user classes like
-// FindParetoImprovement; capped by the full unreduced profile count.
-func HeteroFindParetoImprovement(g *HeteroGame, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
-	return hetero.FindParetoImprovement(g, a, eps, maxProfiles)
-}
-
-// HeteroFindParetoImprovementUnreduced is the direct grid Pareto search —
-// the differential baseline for HeteroFindParetoImprovement.
-func HeteroFindParetoImprovementUnreduced(g *HeteroGame, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
-	return hetero.FindParetoImprovementUnreduced(g, a, eps, maxProfiles)
-}
-
-// HeteroEnumerateNE collects every exact Nash equilibrium of a tiny
-// heterogeneous game (capped by maxProfiles). Like EnumerateNE the search
-// is symmetry-reduced over equal-budget user classes.
-func HeteroEnumerateNE(g *HeteroGame, maxProfiles int64) ([]*Alloc, error) {
-	return hetero.EnumerateNE(g, maxProfiles)
-}
-
-// HeteroEnumerateNECanonical enumerates equilibrium orbits of a
-// heterogeneous game: one canonical representative per orbit with its
-// multiplicity (see CanonicalNE).
-func HeteroEnumerateNECanonical(g *HeteroGame, maxProfiles int64) ([]CanonicalNE, error) {
-	return hetero.EnumerateNECanonical(g, maxProfiles)
-}
-
-// HeteroExpandNEOrbits reconstructs the unreduced HeteroEnumerateNE output
-// from canonical representatives.
-func HeteroExpandNEOrbits(g *HeteroGame, reps []CanonicalNE) ([]*Alloc, error) {
-	return hetero.ExpandNEOrbits(g, reps)
+// Proposition 1 property, which survives per-user budgets).
+func LoadBalanced(a *Alloc) bool {
+	maxLoad, _ := a.MaxLoad()
+	minLoad, _ := a.MinLoad()
+	return maxLoad-minLoad <= 1
 }
 
 // Spectrum modelling: bands, channels, devices and radio-level assignments.

@@ -12,7 +12,7 @@ func TestPublicHeteroGame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0)
+	a, err := chanalloc.Algorithm1(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPublicDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := chanalloc.HeteroAlgorithm1(g, chanalloc.TieFirst, 0)
+	a, err := chanalloc.Algorithm1(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,11 +72,12 @@ func WithLiteralRule() Algorithm1Option {
 	return func(c *algorithm1Config) { c.literal = true }
 }
 
-// Algorithm1 runs the paper's Algorithm 1: users sequentially place their k
-// radios one at a time; each radio goes to a least-loaded channel, except
+// Algorithm1 runs the paper's Algorithm 1: users sequentially place their
+// k (or k_i) radios one at a time; each radio goes to a least-loaded channel, except
 // that when all loads are equal it goes to a channel the user does not
-// occupy yet. The result is always a Pareto-optimal Nash equilibrium
-// (Theorems 1 and 2).
+// occupy yet. With a common k the result is always a Pareto-optimal Nash
+// equilibrium (Theorems 1 and 2); with per-user budgets it empirically
+// still lands on an exact one (E11).
 func Algorithm1(g *Game, opts ...Algorithm1Option) (*Alloc, error) {
 	cfg := algorithm1Config{tie: TieFirst}
 	for _, opt := range opts {
@@ -102,8 +103,7 @@ func Algorithm1(g *Game, opts ...Algorithm1Option) (*Alloc, error) {
 	a := g.NewEmptyAlloc()
 	placer := Placer{Tie: cfg.tie, RNG: rng, Literal: cfg.literal}
 	for _, i := range order {
-		loads := a.Loads()
-		row, err := placer.Place(loads, g.Radios())
+		row, err := placer.Place(a.Loads(), g.Budget(i))
 		if err != nil {
 			return nil, fmt.Errorf("core: algorithm1 user %d: %w", i, err)
 		}

@@ -89,7 +89,7 @@ func TestAlgorithm1NeverStacksRadios(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,6 +12,23 @@
 //
 // All analysis code works for arbitrary non-increasing R; the paper's
 // headline regime (reservation TDMA / optimal CSMA-CA) is the constant R.
+//
+// Budgets may also differ across users (k_i <= |C|, NewHeteroGame): one
+// Game type serves both, with the uniform game the case of equal k_i. The
+// paper assumes a common k; empirically (see the package tests and
+// experiment E11) its results carry beyond that assumption:
+//
+//   - Lemma 1 (full deployment, CheckLemma1 against each k_i) and
+//     Proposition 1 (loads within one radio) remain necessary for Nash
+//     equilibria under positive constant rates;
+//   - the sequential greedy allocation (Algorithm 1 run with per-user
+//     budgets) still lands on an exact Nash equilibrium.
+//
+// Theorem 1's closed form is stated for a common k only; TheoremNE
+// refuses a mixed-budget game (see Game.Radios).
+//
+// The mutable form of the game, LiveGame, lets users join, leave and
+// change budgets while its derived state stays consistent.
 package core
 
 import (

@@ -32,7 +32,7 @@ func (d *Deviation) String() string {
 }
 
 // BestResponse computes a utility-maximising reallocation of user i's radios
-// (up to the budget k), holding all other users fixed. It returns an optimal
+// (up to its budget k_i), holding all other users fixed. It returns an optimal
 // strategy row and its utility.
 //
 // The optimisation is an exact dynamic program over channels: channels are
@@ -65,11 +65,23 @@ func (g *Game) BestResponseInto(ws *Workspace, a *Alloc, i int) ([]int, float64,
 	if ws == nil {
 		return nil, 0, fmt.Errorf("core: nil workspace")
 	}
-	if i < 0 || i >= g.users {
-		return nil, 0, fmt.Errorf("core: user %d out of range [0, %d)", i, g.users)
+	if i < 0 || i >= g.Users() {
+		return nil, 0, fmt.Errorf("core: user %d out of range [0, %d)", i, g.Users())
 	}
-	row, val := g.view.BestResponseAllocInto(ws, a, i, g.radios)
+	row, val := g.view.BestResponseAllocInto(ws, a, i, g.budgets[i])
 	return row, val, nil
+}
+
+// BestResponseValueInto is BestResponseInto's value alone, bit for bit,
+// without tracing back the optimal row — all a deviation verdict needs.
+func (g *Game) BestResponseValueInto(ws *Workspace, a *Alloc, i int) (float64, error) {
+	if ws == nil {
+		return 0, fmt.Errorf("core: nil workspace")
+	}
+	if i < 0 || i >= g.Users() {
+		return 0, fmt.Errorf("core: user %d out of range [0, %d)", i, g.Users())
+	}
+	return g.view.BestResponseValueInto(ws, a, i, g.budgets[i]), nil
 }
 
 // BestResponseToLoads computes the utility-maximising placement of up to k
@@ -133,7 +145,7 @@ func (g *Game) FindDeviation(a *Alloc, eps float64) (*Deviation, error) {
 // Zero allocations unless a deviation is found. The allocation is not
 // re-validated.
 func (g *Game) FindDeviationWith(ws *Workspace, a *Alloc, eps float64) (*Deviation, error) {
-	for i := 0; i < g.users; i++ {
+	for i := 0; i < g.Users(); i++ {
 		current := g.Utility(a, i)
 		row, best, err := g.BestResponseInto(ws, a, i)
 		if err != nil {
@@ -173,7 +185,7 @@ func (g *Game) IsNashEquilibriumWith(ws *Workspace, a *Alloc) (bool, error) {
 	if ws == nil {
 		return false, fmt.Errorf("core: nil workspace")
 	}
-	return g.view.ScreenedNE(ws, a, g.radios, nil, DefaultEps), nil
+	return g.view.ScreenedNE(ws, a, g.budgets, DefaultEps), nil
 }
 
 // UtilityRat computes U_i(S) exactly, if the game's rate function supports
@@ -207,10 +219,10 @@ func (g *Game) BestResponseRat(a *Alloc, i int) (row []int, util *big.Rat, ok bo
 	if err := g.CheckAlloc(a); err != nil {
 		return nil, nil, false, err
 	}
-	if i < 0 || i >= g.users {
-		return nil, nil, false, fmt.Errorf("core: user %d out of range [0, %d)", i, g.users)
+	if i < 0 || i >= g.Users() {
+		return nil, nil, false, fmt.Errorf("core: user %d out of range [0, %d)", i, g.Users())
 	}
-	k := g.radios
+	k := g.budgets[i]
 	C := g.channels
 
 	v := make([][]*big.Rat, C)
@@ -260,7 +272,7 @@ func (g *Game) BestResponseRat(a *Alloc, i int) (row []int, util *big.Rat, ok bo
 // ok=false means the rate function cannot be evaluated exactly; use the
 // floating-point oracle instead.
 func (g *Game) IsNashEquilibriumRat(a *Alloc) (isNE, ok bool, err error) {
-	for i := 0; i < g.users; i++ {
+	for i := 0; i < g.Users(); i++ {
 		current, exact := g.UtilityRat(a, i)
 		if !exact {
 			return false, false, nil

@@ -94,7 +94,7 @@ func TestBestResponseUsesAllRadiosWhenRatePositive(t *testing.T) {
 		}
 		return total == radios
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,6 +132,27 @@ func TestBestResponseErrors(t *testing.T) {
 	}
 	if _, _, err := g.BestResponse(small, 0); err == nil {
 		t.Error("mismatched alloc should error")
+	}
+}
+
+func TestHeteroBestResponseErrors(t *testing.T) {
+	g := mustHetero(t, 3, []int{2, 1}, ratefn.NewTDMA(1))
+	a := g.NewEmptyAlloc()
+	if _, _, err := g.BestResponse(a, -1); err == nil {
+		t.Error("negative user should error")
+	}
+	if _, _, err := g.BestResponse(a, 5); err == nil {
+		t.Error("out-of-range user should error")
+	}
+	wrong, err := NewAlloc(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.BestResponse(wrong, 0); err == nil {
+		t.Error("mismatched alloc should error")
+	}
+	if _, err := g.FindDeviation(a, -1); err == nil {
+		t.Error("negative eps should error")
 	}
 }
 
@@ -266,7 +287,7 @@ func TestExactAndFloatOraclesAgreeOnSmallGames(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		g := mustGame(t, cfg.users, cfg.channels, cfg.radios, cfg.rate)
-		err := ForEachAlloc(g, 1_000_000, func(a *Alloc) bool {
+		err := forEachAlloc(g, 1_000_000, func(a *Alloc) bool {
 			floatNE, err := g.IsNashEquilibrium(a)
 			if err != nil {
 				t.Fatal(err)
@@ -314,7 +335,7 @@ func TestTheorem1EquivalenceConstantRate(t *testing.T) {
 	for _, cfg := range configs {
 		g := mustGame(t, cfg.users, cfg.channels, cfg.radios, ratefn.NewTDMA(1))
 		checked, neCount := 0, 0
-		err := ForEachAlloc(g, 5_000_000, func(a *Alloc) bool {
+		err := forEachAlloc(g, 5_000_000, func(a *Alloc) bool {
 			checked++
 			thmNE, _ := TheoremNE(g, a)
 			oracleNE, ok, err := g.IsNashEquilibriumRat(a)

@@ -83,7 +83,7 @@ func referenceIsNE(g *Game, a *Alloc) bool {
 		for c := range ext {
 			ext[c] = a.Load(c) - a.Radios(i, c)
 		}
-		_, best := referenceBestResponseToLoads(g.Rate(), ext, g.Radios())
+		_, best := referenceBestResponseToLoads(g.Rate(), ext, g.Budget(i))
 		if best > referenceUtility(g, a, i)+DefaultEps {
 			return false
 		}
@@ -95,22 +95,19 @@ func referenceIsNE(g *Game, a *Alloc) bool {
 // odometer (every user re-set on every profile) plus referenceIsNE.
 func referenceEnumerateNE(t *testing.T, g *Game, maxProfiles int64) []*Alloc {
 	t.Helper()
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
 		t.Fatal(err)
 	}
 	a := g.NewEmptyAlloc()
 	sizes := make([]int, g.Users())
 	for i := range sizes {
-		sizes[i] = len(rows)
+		sizes[i] = len(rows[i])
 	}
 	var out []*Alloc
 	err = combin.Product(sizes, func(idx []int) bool {
 		for i, ri := range idx {
-			if err := a.SetRow(i, rows[ri]); err != nil {
+			if err := a.SetRow(i, rows[i][ri]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -225,7 +222,7 @@ func TestDifferentialOracleAgreesWithExactRat(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }

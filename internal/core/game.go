@@ -8,15 +8,20 @@ import (
 )
 
 // Game fixes the parameters of one channel allocation game: |N| users, |C|
-// channels, k radios per user and the common rate function R. Construction
-// precomputes a RateView — R(0..|N|·k) plus the best-response share plane —
-// so the hot paths (utilities, welfare, potential, the best-response DP)
-// read tables instead of calling through the rate interface. The rate
-// function must therefore be pure; it is sampled once in NewGame.
+// channels, a radio budget k_i <= |C| per user and the common rate function
+// R. The paper's model gives every user the same budget k (NewGame); the
+// per-user form (NewHeteroGame) is the same game with the budgets allowed
+// to differ, and every kernel — utilities, the best-response DP, the NE
+// oracle, Algorithm 1, welfare optima and the exhaustive searches — reads
+// Budget(i) or the budget total. Construction precomputes a RateView —
+// R(0..Σk_i) plus the best-response share plane — so the hot paths read
+// tables instead of calling through the rate interface. The rate function
+// must therefore be pure; it is sampled once at construction.
 type Game struct {
-	users    int
 	channels int
-	radios   int
+	budgets  []int
+	total    int // Σ_i k_i
+	common   int // the shared k when every budget is equal, else 0
 	rate     ratefn.Func
 	view     *RateView
 
@@ -28,8 +33,9 @@ type Game struct {
 	optLoads []int
 }
 
-// NewGame validates and constructs a game. The paper's standing assumption
-// k <= |C| is enforced here.
+// NewGame validates and constructs the paper's uniform game: every user
+// owns k = radios radios. The paper's standing assumption k <= |C| is
+// enforced here.
 func NewGame(users, channels, radios int, rate ratefn.Func) (*Game, error) {
 	switch {
 	case users < 1:
@@ -43,27 +49,70 @@ func NewGame(users, channels, radios int, rate ratefn.Func) (*Game, error) {
 	case rate == nil:
 		return nil, fmt.Errorf("core: nil rate function")
 	}
-	return &Game{
-		users:    users,
-		channels: channels,
-		radios:   radios,
-		rate:     rate,
-		view:     NewRateView(rate, users*radios, radios),
-	}, nil
+	budgets := make([]int, users)
+	for i := range budgets {
+		budgets[i] = radios
+	}
+	return newGame(channels, budgets, rate, nil), nil
+}
+
+// NewHeteroGame validates per-user budgets (1 <= k_i <= channels) and
+// builds a game where user i owns budgets[i] radios.
+func NewHeteroGame(channels int, budgets []int, rate ratefn.Func) (*Game, error) {
+	if channels < 1 {
+		return nil, fmt.Errorf("core: channels = %d, want >= 1", channels)
+	}
+	if len(budgets) == 0 {
+		return nil, fmt.Errorf("core: no users")
+	}
+	for i, k := range budgets {
+		if k < 1 {
+			return nil, fmt.Errorf("core: user %d budget %d, want >= 1", i, k)
+		}
+		if k > channels {
+			return nil, fmt.Errorf("core: user %d budget %d exceeds %d channels", i, k, channels)
+		}
+	}
+	if rate == nil {
+		return nil, fmt.Errorf("core: nil rate function")
+	}
+	return newGame(channels, append([]int(nil), budgets...), rate, nil), nil
+}
+
+// newGame assembles a game over validated, caller-owned budgets. A nil
+// view is built over the game's own load domain; LiveGame passes its
+// shared (superset-domain) view instead.
+func newGame(channels int, budgets []int, rate ratefn.Func, view *RateView) *Game {
+	total, maxBudget, common := 0, 0, budgets[0]
+	for _, k := range budgets {
+		total += k
+		maxBudget = max(maxBudget, k)
+		if k != common {
+			common = 0
+		}
+	}
+	if view == nil {
+		view = NewRateView(rate, total, maxBudget)
+	}
+	return &Game{channels: channels, budgets: budgets, total: total, common: common, rate: rate, view: view}
 }
 
 // Users returns |N|.
-func (g *Game) Users() int { return g.users }
+func (g *Game) Users() int { return len(g.budgets) }
 
 // Channels returns |C|.
 func (g *Game) Channels() int { return g.channels }
 
-// Radios returns k, the per-user radio budget.
-func (g *Game) Radios() int { return g.radios }
+// Radios returns the common per-user budget k, or 0 when budgets differ.
+// The paper's closed-form results (Theorem 1, Fact 1) and the distributed
+// protocol assume a common k; per-user code reads Budget(i).
+func (g *Game) Radios() int { return g.common }
 
-// Budget returns user i's radio budget: k for every user of the uniform
-// game.
-func (g *Game) Budget(i int) int { return g.radios }
+// Budget returns user i's radio budget k_i.
+func (g *Game) Budget(i int) int { return g.budgets[i] }
+
+// Budgets returns a copy of the budget vector.
+func (g *Game) Budgets() []int { return append([]int(nil), g.budgets...) }
 
 // Rate returns the game's rate function.
 func (g *Game) Rate() ratefn.Func { return g.rate }
@@ -73,33 +122,34 @@ func (g *Game) Rate() ratefn.Func { return g.rate }
 // goroutines.
 func (g *Game) View() *RateView { return g.view }
 
-// HasConflict reports whether |N|·k > |C|, the regime of the paper's §3
-// analysis (otherwise Fact 1 applies: radios simply spread out).
-func (g *Game) HasConflict() bool { return g.users*g.radios > g.channels }
+// HasConflict reports whether Σ_i k_i > |C| (|N|·k > |C| in the uniform
+// game), the regime of the paper's §3 analysis (otherwise Fact 1 applies:
+// radios simply spread out).
+func (g *Game) HasConflict() bool { return g.total > g.channels }
 
 // NewEmptyAlloc returns an all-zero allocation with this game's dimensions.
 func (g *Game) NewEmptyAlloc() *Alloc {
-	a, err := NewAlloc(g.users, g.channels)
+	a, err := NewAlloc(g.Users(), g.channels)
 	if err != nil {
-		// Game dimensions were validated in NewGame.
+		// Game dimensions were validated at construction.
 		panic("core: invalid game dimensions: " + err.Error())
 	}
 	return a
 }
 
 // CheckAlloc verifies that a is a legal strategy matrix for this game:
-// matching dimensions and every user within the k-radio budget.
+// matching dimensions and every user within its radio budget.
 func (g *Game) CheckAlloc(a *Alloc) error {
 	if a == nil {
 		return fmt.Errorf("core: nil allocation")
 	}
-	if a.Users() != g.users || a.Channels() != g.channels {
+	if a.Users() != g.Users() || a.Channels() != g.channels {
 		return fmt.Errorf("core: allocation is %dx%d, game is %dx%d",
-			a.Users(), a.Channels(), g.users, g.channels)
+			a.Users(), a.Channels(), g.Users(), g.channels)
 	}
-	for i := 0; i < g.users; i++ {
-		if total := a.UserTotal(i); total > g.radios {
-			return fmt.Errorf("core: user %d deploys %d radios, budget is %d", i, total, g.radios)
+	for i, k := range g.budgets {
+		if total := a.UserTotal(i); total > k {
+			return fmt.Errorf("core: user %d deploys %d radios, budget is %d", i, total, k)
 		}
 	}
 	return nil
@@ -134,7 +184,7 @@ func (g *Game) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
 // public OptimalWelfareAllPlaced copies.
 func (g *Game) allPlacedOptimum() (float64, []int) {
 	g.optOnce.Do(func() {
-		val, loads := OptimalLoadWelfareInto(NewWorkspace(), g.view.Frozen(), g.channels, g.users*g.radios)
+		val, loads := OptimalLoadWelfareInto(NewWorkspace(), g.view.Frozen(), g.channels, g.total)
 		g.optVal = val
 		g.optLoads = append([]int(nil), loads...)
 	})

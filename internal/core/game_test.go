@@ -61,6 +61,24 @@ func TestGameAccessors(t *testing.T) {
 	}
 }
 
+// TestHeteroGameAccessors: per-user budgets come back as a copied vector,
+// and the conflict test uses Σ_i k_i.
+func TestHeteroGameAccessors(t *testing.T) {
+	in := []int{3, 1, 2}
+	h := mustHetero(t, 4, in, ratefn.NewTDMA(1))
+	if h.Users() != 3 || h.Budget(0) != 3 || h.Budget(1) != 1 || h.Budget(2) != 2 {
+		t.Fatalf("per-user accessors wrong: %d users, budgets %v", h.Users(), h.Budgets())
+	}
+	in[0] = 99
+	h.Budgets()[1] = 99
+	if h.Budget(0) != 3 || h.Budget(1) != 1 {
+		t.Fatal("budget vector aliases caller storage")
+	}
+	if !h.HasConflict() {
+		t.Fatal("3+1+2 > 4 should be a conflict")
+	}
+}
+
 func TestCheckAlloc(t *testing.T) {
 	g, a := figure1Game(t)
 	if err := g.CheckAlloc(a); err != nil {
@@ -84,6 +102,20 @@ func TestCheckAlloc(t *testing.T) {
 	})
 	if err := g.CheckAlloc(over); err == nil {
 		t.Error("over-budget user should error")
+	}
+}
+
+func TestCheckAllocBudgets(t *testing.T) {
+	// Per-user budgets (2, 1): user 1 may deploy one radio, not two.
+	h := mustHetero(t, 3, []int{2, 1}, ratefn.NewTDMA(1))
+	if err := h.CheckAlloc(mustAlloc(t, [][]int{{1, 1, 0}, {0, 0, 1}})); err != nil {
+		t.Errorf("legal per-user allocation rejected: %v", err)
+	}
+	if err := h.CheckAlloc(mustAlloc(t, [][]int{{1, 1, 0}, {1, 0, 1}})); err == nil {
+		t.Error("user over its own budget should error")
+	}
+	if err := h.CheckAlloc(nil); err == nil {
+		t.Error("nil alloc should error")
 	}
 }
 
@@ -125,6 +157,34 @@ func TestUtilitySumEqualsWelfare(t *testing.T) {
 		}
 		if w := g.Welfare(a); math.Abs(sum-w) > 1e-9 {
 			t.Errorf("%s: ΣU = %v but welfare = %v", r.Name(), sum, w)
+		}
+	}
+}
+
+// TestHeteroUtilitySumEqualsWelfare: Σ_i U_i = welfare also holds with
+// per-user budgets, on Figure 1 (budgets = its row totals) and on an
+// Algorithm 1 outcome.
+func TestHeteroUtilitySumEqualsWelfare(t *testing.T) {
+	h := ratefn.Harmonic{R0: 2, Alpha: 0.5}
+	_, fig := figure1Game(t)
+	g := mustHetero(t, 4, []int{3, 1, 2}, h)
+	ne, err := Algorithm1(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		g *Game
+		a *Alloc
+	}{
+		{mustHetero(t, 5, []int{4, 3, 4, 2}, h), fig},
+		{g, ne},
+	} {
+		var sum float64
+		for i := 0; i < tc.g.Users(); i++ {
+			sum += tc.g.Utility(tc.a, i)
+		}
+		if w := tc.g.Welfare(tc.a); math.Abs(sum-w) > 1e-9 {
+			t.Errorf("budgets %v: ΣU = %v but welfare = %v", tc.g.Budgets(), sum, w)
 		}
 	}
 }

@@ -35,14 +35,15 @@ func (v *Violation) String() string {
 	return s
 }
 
-// CheckLemma1 tests the paper's Lemma 1: in a NE every user deploys all k
-// radios. It returns a witness for the first under-deploying user, or nil.
+// CheckLemma1 tests the paper's Lemma 1: in a NE every user deploys all
+// its radios (k, or k_i with per-user budgets). It returns a witness for
+// the first under-deploying user, or nil.
 func CheckLemma1(g *Game, a *Alloc) *Violation {
 	for i := 0; i < a.Users(); i++ {
-		if total := a.UserTotal(i); total < g.Radios() {
+		if total, k := a.UserTotal(i), g.Budget(i); total < k {
 			return &Violation{
 				Rule: "lemma1", User: i, ChannelB: -1, ChannelC: -1,
-				Detail: fmt.Sprintf("deploys %d of %d radios", total, g.Radios()),
+				Detail: fmt.Sprintf("deploys %d of %d radios", total, k),
 			}
 		}
 	}
@@ -154,7 +155,8 @@ func CheckAllLemmas(g *Game, a *Alloc) []*Violation {
 
 // TheoremNE applies Theorem 1 (plus Fact 1 for the no-conflict regime) to
 // decide whether a is a Nash equilibrium, returning a witness when it is
-// not.
+// not. The theorem is stated for a common budget k: a mixed-budget game
+// gets the "invalid" violation instead of a verdict.
 //
 // The theorem assumes a strictly positive rate function on every reachable
 // load; under that assumption it is exact for constant R. For strictly
@@ -173,6 +175,10 @@ func CheckAllLemmas(g *Game, a *Alloc) []*Violation {
 func TheoremNE(g *Game, a *Alloc) (bool, *Violation) {
 	if err := g.CheckAlloc(a); err != nil {
 		return false, &Violation{Rule: "invalid", User: -1, ChannelB: -1, ChannelC: -1, Detail: err.Error()}
+	}
+	if g.Radios() == 0 {
+		return false, &Violation{Rule: "invalid", User: -1, ChannelB: -1, ChannelC: -1,
+			Detail: "core: Theorem 1 needs a common radio budget; budgets differ"}
 	}
 	// Lemma 1 is a standing necessary condition in both regimes.
 	if v := CheckLemma1(g, a); v != nil {

@@ -407,3 +407,49 @@ func TestTheoremNEFlatAllocation(t *testing.T) {
 		t.Fatal("oracle claims NE for flat doubles")
 	}
 }
+
+// TestMixedBudgetGuards pins how the paper's common-k results treat a game
+// whose budgets differ: Radios reports 0, TheoremNE refuses with its
+// "invalid" violation instead of a verdict, and CheckLemma1 measures each
+// user against its own budget.
+func TestMixedBudgetGuards(t *testing.T) {
+	r := ratefn.NewTDMA(1)
+	mixed := mustHetero(t, 3, []int{2, 1}, r)
+	equal := mustHetero(t, 3, []int{2, 2}, r)
+	cases := []struct {
+		name       string
+		g          *Game
+		matrix     [][]int
+		wantRadios int
+		wantThm    string // TheoremNE's violation rule; "" means accepted
+		wantLemma1 int    // CheckLemma1's witness user; -1 means none
+	}{
+		{"mixed-full", mixed, [][]int{{1, 1, 0}, {0, 0, 1}}, 0, "invalid", -1},
+		{"mixed-idle-radio", mixed, [][]int{{1, 1, 0}, {0, 0, 0}}, 0, "invalid", 1},
+		{"mixed-short-of-k_0", mixed, [][]int{{1, 0, 0}, {0, 0, 1}}, 0, "invalid", 0},
+		{"equal-budgets-ne", equal, [][]int{{1, 1, 0}, {0, 1, 1}}, 2, "", -1},
+		{"equal-budgets-idle", equal, [][]int{{1, 1, 0}, {0, 0, 1}}, 2, "lemma1", 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := mustAlloc(t, tc.matrix)
+			if got := tc.g.Radios(); got != tc.wantRadios {
+				t.Errorf("Radios() = %d, want %d", got, tc.wantRadios)
+			}
+			ok, v := TheoremNE(tc.g, a)
+			switch {
+			case tc.wantThm == "" && (!ok || v != nil):
+				t.Errorf("TheoremNE = %v, %v; want accepted", ok, v)
+			case tc.wantThm != "" && (ok || v == nil || v.Rule != tc.wantThm):
+				t.Errorf("TheoremNE = %v, %v; want rule %q", ok, v, tc.wantThm)
+			}
+			v1 := CheckLemma1(tc.g, a)
+			switch {
+			case tc.wantLemma1 < 0 && v1 != nil:
+				t.Errorf("CheckLemma1 = %v, want none", v1)
+			case tc.wantLemma1 >= 0 && (v1 == nil || v1.User != tc.wantLemma1):
+				t.Errorf("CheckLemma1 = %v, want user %d", v1, tc.wantLemma1)
+			}
+		})
+	}
+}

@@ -1,9 +1,8 @@
-package hetero
+package core
 
 import (
 	"fmt"
 
-	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -30,23 +29,23 @@ type Churn struct {
 	Events int
 }
 
-// LiveGame is the mutable form of the heterogeneous channel allocation
-// game: users join, leave and change radio budgets while the derived state
-// — the dense allocation matrix, the precomputed RateView and the welfare
-// memo — is kept consistent incrementally instead of being rebuilt per
-// event.
+// LiveGame is the mutable form of the channel allocation game with
+// per-user budgets: users join, leave and change radio budgets while the
+// derived state — the dense allocation matrix, the precomputed RateView
+// and the welfare memo — is kept consistent incrementally instead of being
+// rebuilt per event.
 //
 //   - Stable IDs vs dense rows: every kernel (DP workspaces, orbit walks,
 //     the allocation matrix itself) indexes users 0..N-1 densely. A live
 //     population is sparse in identity space, so LiveGame owns the
 //     id↔row indirection; departures compact rows with a swap-with-last
-//     (core.Alloc.RemoveRowSwap) and remap the moved user.
+//     (Alloc.RemoveRowSwap) and remap the moved user.
 //   - RateView growth: the view's table domain covers total load 0..Σk_i.
 //     Joins grow the total, so the view is rebuilt with doubling headroom
 //     only when the domain is outgrown; every rebuild samples the same
 //     pure rate function, so table values are bit-identical across
 //     generations and the domain size never shows in results.
-//   - Welfare memo: hetero.Game memoises its all-placed optimum behind a
+//   - Welfare memo: Game memoises its all-placed optimum behind a
 //     sync.Once. LiveGame snapshots an immutable Game per generation
 //     (Frozen), so each mutation implicitly resets the memo — the
 //     generation counter bumps, the next Frozen builds a Game with a
@@ -63,9 +62,9 @@ type LiveGame struct {
 	rowOf   map[UserID]int // stable id -> dense row
 	nextID  UserID
 
-	alloc *core.Alloc // dense allocation; nil while the game is empty
+	alloc *Alloc // dense allocation; nil while the game is empty
 
-	view     *core.RateView
+	view     *RateView
 	viewLoad int // total-load domain the current view covers
 	viewOwn  int // per-user budget domain the current view covers
 
@@ -81,10 +80,10 @@ type LiveGame struct {
 // function. The empty allocation is trivially an equilibrium.
 func NewLiveGame(channels int, rate ratefn.Func) (*LiveGame, error) {
 	if channels < 1 {
-		return nil, fmt.Errorf("hetero: channels = %d, want >= 1", channels)
+		return nil, fmt.Errorf("core: channels = %d, want >= 1", channels)
 	}
 	if rate == nil {
-		return nil, fmt.Errorf("hetero: nil rate function")
+		return nil, fmt.Errorf("core: nil rate function")
 	}
 	lg := &LiveGame{
 		channels: channels,
@@ -113,7 +112,7 @@ func (lg *LiveGame) Generation() uint64 { return lg.gen }
 // Alloc returns the LIVE dense allocation (nil while empty). It is the
 // state dynamics.Requilibrate evolves in place; other callers must treat
 // it as read-only.
-func (lg *LiveGame) Alloc() *core.Alloc { return lg.alloc }
+func (lg *LiveGame) Alloc() *Alloc { return lg.alloc }
 
 // RowOf translates a stable user id to its current dense row.
 func (lg *LiveGame) RowOf(id UserID) (int, bool) {
@@ -164,7 +163,7 @@ func (lg *LiveGame) ensureView() {
 	if newOwn > newLoad {
 		newLoad = newOwn
 	}
-	lg.view = core.NewRateView(lg.rate, newLoad, newOwn)
+	lg.view = NewRateView(lg.rate, newLoad, newOwn)
 	lg.viewLoad, lg.viewOwn = newLoad, newOwn
 }
 
@@ -190,14 +189,14 @@ func (lg *LiveGame) bump() {
 // is a re-equilibration suspect.
 func (lg *LiveGame) Join(budget int) (UserID, error) {
 	if budget < 1 {
-		return 0, fmt.Errorf("hetero: join budget %d, want >= 1", budget)
+		return 0, fmt.Errorf("core: join budget %d, want >= 1", budget)
 	}
 	if budget > lg.channels {
-		return 0, fmt.Errorf("hetero: join budget %d exceeds %d channels", budget, lg.channels)
+		return 0, fmt.Errorf("core: join budget %d exceeds %d channels", budget, lg.channels)
 	}
 	var row int
 	if lg.alloc == nil {
-		a, err := core.NewAlloc(1, lg.channels)
+		a, err := NewAlloc(1, lg.channels)
 		if err != nil {
 			return 0, err
 		}
@@ -213,13 +212,13 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 	lg.rowOf[id] = row
 	lg.ensureView()
 
-	placer := core.Placer{Tie: core.TieFirst}
+	placer := Placer{Tie: TieFirst}
 	seeded, err := placer.Place(lg.alloc.Loads(), budget)
 	if err != nil {
-		return 0, fmt.Errorf("hetero: seeding joiner %d: %w", id, err)
+		return 0, fmt.Errorf("core: seeding joiner %d: %w", id, err)
 	}
 	if err := lg.alloc.SetRow(row, seeded); err != nil {
-		return 0, fmt.Errorf("hetero: seeding joiner %d: %w", id, err)
+		return 0, fmt.Errorf("core: seeding joiner %d: %w", id, err)
 	}
 	for c, v := range seeded {
 		if v > 0 {
@@ -239,7 +238,7 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 func (lg *LiveGame) Leave(id UserID) error {
 	row, ok := lg.rowOf[id]
 	if !ok {
-		return fmt.Errorf("hetero: leave: unknown user %d", id)
+		return fmt.Errorf("core: leave: unknown user %d", id)
 	}
 	for c := 0; c < lg.channels; c++ {
 		if lg.alloc.Radios(row, c) > 0 {
@@ -248,7 +247,7 @@ func (lg *LiveGame) Leave(id UserID) error {
 		}
 	}
 	if err := lg.alloc.RemoveRowSwap(row); err != nil {
-		return fmt.Errorf("hetero: leave user %d: %w", id, err)
+		return fmt.Errorf("core: leave user %d: %w", id, err)
 	}
 	last := len(lg.ids) - 1
 	if row != last {
@@ -276,13 +275,13 @@ func (lg *LiveGame) Leave(id UserID) error {
 func (lg *LiveGame) SetBudget(id UserID, k int) error {
 	row, ok := lg.rowOf[id]
 	if !ok {
-		return fmt.Errorf("hetero: budget: unknown user %d", id)
+		return fmt.Errorf("core: budget: unknown user %d", id)
 	}
 	if k < 1 {
-		return fmt.Errorf("hetero: budget %d for user %d, want >= 1", k, id)
+		return fmt.Errorf("core: budget %d for user %d, want >= 1", k, id)
 	}
 	if k > lg.channels {
-		return fmt.Errorf("hetero: budget %d for user %d exceeds %d channels", k, id, lg.channels)
+		return fmt.Errorf("core: budget %d for user %d exceeds %d channels", k, id, lg.channels)
 	}
 	old := lg.budgets[row]
 	if k == old {
@@ -307,7 +306,7 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 			}
 		}
 		if err := a.Add(row, best, 1); err != nil {
-			return fmt.Errorf("hetero: budget grow user %d: %w", id, err)
+			return fmt.Errorf("core: budget grow user %d: %w", id, err)
 		}
 		lg.pending.Dirty[best] = true
 	}
@@ -324,7 +323,7 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 			}
 		}
 		if err := a.Add(row, worst, -1); err != nil {
-			return fmt.Errorf("hetero: budget shrink user %d: %w", id, err)
+			return fmt.Errorf("core: budget shrink user %d: %w", id, err)
 		}
 		lg.pending.Dirty[worst] = true
 		lg.pending.Decreased = true
@@ -349,17 +348,17 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 func (lg *LiveGame) Check() error {
 	n := len(lg.ids)
 	if len(lg.budgets) != n || len(lg.rowOf) != n {
-		return fmt.Errorf("hetero: %d ids, %d budgets, %d id→row entries", n, len(lg.budgets), len(lg.rowOf))
+		return fmt.Errorf("core: %d ids, %d budgets, %d id→row entries", n, len(lg.budgets), len(lg.rowOf))
 	}
 	if (lg.alloc == nil) != (n == 0) {
-		return fmt.Errorf("hetero: %d users but allocation present = %v", n, lg.alloc != nil)
+		return fmt.Errorf("core: %d users but allocation present = %v", n, lg.alloc != nil)
 	}
 	for i, id := range lg.ids {
 		if id < 1 || id > lg.nextID {
-			return fmt.Errorf("hetero: row %d holds id %d outside [1, %d]", i, id, lg.nextID)
+			return fmt.Errorf("core: row %d holds id %d outside [1, %d]", i, id, lg.nextID)
 		}
 		if row, ok := lg.rowOf[id]; !ok || row != i {
-			return fmt.Errorf("hetero: row %d holds id %d, which maps to row %d (present %v)", i, id, row, ok)
+			return fmt.Errorf("core: row %d holds id %d, which maps to row %d (present %v)", i, id, row, ok)
 		}
 	}
 	if n == 0 {
@@ -367,23 +366,23 @@ func (lg *LiveGame) Check() error {
 	}
 	a := lg.alloc
 	if a.Users() != n || a.Channels() != lg.channels {
-		return fmt.Errorf("hetero: allocation is %dx%d, game has %d users on %d channels",
+		return fmt.Errorf("core: allocation is %dx%d, game has %d users on %d channels",
 			a.Users(), a.Channels(), n, lg.channels)
 	}
 	total, maxBudget := 0, 0
 	for i, k := range lg.budgets {
 		if k < 1 || k > lg.channels {
-			return fmt.Errorf("hetero: user %d has budget %d outside [1, %d]", lg.ids[i], k, lg.channels)
+			return fmt.Errorf("core: user %d has budget %d outside [1, %d]", lg.ids[i], k, lg.channels)
 		}
 		deployed := 0
 		for c := 0; c < lg.channels; c++ {
 			if v := a.Radios(i, c); v < 0 {
-				return fmt.Errorf("hetero: user %d has %d radios on channel %d", lg.ids[i], v, c)
+				return fmt.Errorf("core: user %d has %d radios on channel %d", lg.ids[i], v, c)
 			}
 			deployed += a.Radios(i, c)
 		}
 		if deployed > k {
-			return fmt.Errorf("hetero: user %d deploys %d radios, budget is %d", lg.ids[i], deployed, k)
+			return fmt.Errorf("core: user %d deploys %d radios, budget is %d", lg.ids[i], deployed, k)
 		}
 		total += k
 		maxBudget = max(maxBudget, k)
@@ -394,20 +393,19 @@ func (lg *LiveGame) Check() error {
 			sum += a.Radios(i, c)
 		}
 		if a.Load(c) != sum {
-			return fmt.Errorf("hetero: channel %d load %d, column sum %d", c, a.Load(c), sum)
+			return fmt.Errorf("core: channel %d load %d, column sum %d", c, a.Load(c), sum)
 		}
 	}
 	if lg.view == nil || lg.viewLoad < total || lg.viewOwn < maxBudget {
-		return fmt.Errorf("hetero: rate view covers load %d and budget %d, game needs %d and %d",
+		return fmt.Errorf("core: rate view covers load %d and budget %d, game needs %d and %d",
 			lg.viewLoad, lg.viewOwn, total, maxBudget)
 	}
 	return nil
 }
 
-// Frozen returns the immutable hetero.Game snapshot of the current
-// generation, memoised until the next mutation: the snapshot shares the
-// live RateView (superset domains read identical values) but owns a fresh
-// welfare memo, so OptimalWelfareAllPlaced / PriceOfAnarchy recompute at
+// Frozen returns the immutable Game snapshot of the current generation,
+// memoised until the next mutation: the snapshot shares the live RateView
+// (superset domains read identical values) but owns a fresh welfare memo, so OptimalWelfareAllPlaced / PriceOfAnarchy recompute at
 // most once per generation. Returns nil while the game is empty.
 func (lg *LiveGame) Frozen() *Game {
 	if lg.Users() == 0 {
@@ -416,12 +414,7 @@ func (lg *LiveGame) Frozen() *Game {
 	if lg.frozen != nil && lg.frozenGen == lg.gen {
 		return lg.frozen
 	}
-	lg.frozen = &Game{
-		channels: lg.channels,
-		budgets:  append([]int(nil), lg.budgets...),
-		rate:     lg.rate,
-		view:     lg.view,
-	}
+	lg.frozen = newGame(lg.channels, append([]int(nil), lg.budgets...), lg.rate, lg.view)
 	lg.frozenGen = lg.gen
 	return lg.frozen
 }

@@ -1,4 +1,4 @@
-package hetero
+package core
 
 import (
 	"testing"
@@ -248,7 +248,7 @@ func TestLiveGameFrozenMemo(t *testing.T) {
 
 	// The snapshot agrees with a from-scratch game on utilities and the
 	// welfare optimum (the view's larger domain must not show).
-	ref, err := NewGame(lg.Channels(), lg.Budgets(), lg.Rate())
+	ref, err := NewHeteroGame(lg.Channels(), lg.Budgets(), lg.Rate())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestLiveGameViewGrowth(t *testing.T) {
 		}
 		checkConsistent(t, lg)
 	}
-	ref, err := NewGame(lg.Channels(), lg.Budgets(), lg.Rate())
+	ref, err := NewHeteroGame(lg.Channels(), lg.Budgets(), lg.Rate())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,20 +32,19 @@ type CanonicalNE struct {
 	Orbit int64
 }
 
-// OrbitEnumerator runs symmetry-reduced NE enumeration for one game. It is
-// the engine shared by the uniform and heterogeneous enumerators, exactly
-// as ScreenedNE is their shared oracle. Exchangeability classes are the
-// groups of equal-budget users; RowsFor must return identical row tables
-// for users of equal budget (they have the same strategy space), and the
-// returned slices must be stable — the walk diffs old against new rows to
-// maintain the incremental screen cache's dirty-channel stamps.
+// OrbitEnumerator runs symmetry-reduced NE enumeration and Pareto search
+// for one game, with ScreenedNEIncremental as its oracle. Exchangeability
+// classes are the groups of equal-budget users; RowsFor must return
+// identical row tables for users of equal budget (they have the same
+// strategy space), and the returned slices must be stable — the walk diffs
+// old against new rows to maintain the incremental screen cache's
+// dirty-channel stamps.
 type OrbitEnumerator struct {
-	View      *RateView
-	Channels  int
-	Budgets   []int               // per-user radio budgets (exchangeability key)
-	RowsFor   func(u int) [][]int // user u's strategy rows; shared within a class
-	Eps       float64
-	ErrPrefix string
+	View     *RateView
+	Channels int
+	Budgets  []int               // per-user radio budgets (exchangeability key)
+	RowsFor  func(u int) [][]int // user u's strategy rows; shared within a class
+	Eps      float64
 }
 
 // orbitPred computes within-class predecessor links: pred[u] is the
@@ -178,11 +177,11 @@ func expandOrbitIdx(idx []int, classes [][]int, emit func([]int)) {
 // every successful SetRow with the digit's old index (-1 on first
 // assignment) — together they drive the incremental screen cache. fn
 // decides continuation, reading a and idx as read-only.
-func orbitWalk(a *Alloc, idx []int, offset int, sizes, pred []int, rowFor func(u, ri int) []int, errPrefix string, step func(), changed func(u, oldRi, newRi int), fn func() bool) error {
+func orbitWalk(a *Alloc, idx []int, offset int, sizes, pred []int, rowFor func(u, ri int) []int, step func(), changed func(u, oldRi, newRi int), fn func() bool) error {
 	n := len(idx)
 	setRow := func(u, oldRi, newRi int) error {
 		if err := a.SetRow(u, rowFor(u, newRi)); err != nil {
-			return fmt.Errorf("%s: setting row for user %d: %w", errPrefix, u, err)
+			return fmt.Errorf("core: setting row for user %d: %w", u, err)
 		}
 		if changed != nil {
 			changed(u, oldRi, newRi)
@@ -272,12 +271,12 @@ func (oe *OrbitEnumerator) enumerate(pinned []int) ([]CanonicalNE, error) {
 	}
 	a, err := NewAlloc(users, oe.Channels)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", oe.ErrPrefix, err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	idx := make([]int, users)
 	for u, ri := range pinned {
 		if ri < 0 || ri >= sizes[u] {
-			return nil, fmt.Errorf("%s: pinned digit %d out of range for user %d", oe.ErrPrefix, ri, u)
+			return nil, fmt.Errorf("core: pinned digit %d out of range for user %d", ri, u)
 		}
 		if p := pred[u]; p >= 0 && idx[p] > ri {
 			// Non-canonical prefix: empty shard. Its whole subgrid is
@@ -290,7 +289,7 @@ func (oe *OrbitEnumerator) enumerate(pinned []int) ([]CanonicalNE, error) {
 		}
 		idx[u] = ri
 		if err := a.SetRow(u, tables[u][ri]); err != nil {
-			return nil, fmt.Errorf("%s: setting pinned row for user %d: %w", oe.ErrPrefix, u, err)
+			return nil, fmt.Errorf("core: setting pinned row for user %d: %w", u, err)
 		}
 	}
 	ws := Workspaces.Get()
@@ -301,7 +300,6 @@ func (oe *OrbitEnumerator) enumerate(pinned []int) ([]CanonicalNE, error) {
 	visited := uint64(0)
 	err = orbitWalk(a, idx, len(pinned), sizes, pred,
 		func(u, ri int) []int { return tables[u][ri] },
-		oe.ErrPrefix,
 		ws.ScreenStep,
 		func(u, oldRi, newRi int) {
 			ws.MarkRowChanged(u)
@@ -324,7 +322,7 @@ func (oe *OrbitEnumerator) enumerate(pinned []int) ([]CanonicalNE, error) {
 		func() bool {
 			visited++
 			ws.obs.orbitProfiles++
-			if oe.View.ScreenedNEIncremental(ws, a, 0, oe.Budgets, oe.Eps) {
+			if oe.View.ScreenedNEIncremental(ws, a, oe.Budgets, oe.Eps) {
 				orbit, oerr := orbitSizeOf(idx, classes)
 				if oerr != nil {
 					innerErr = oerr
@@ -375,10 +373,10 @@ func (oe *OrbitEnumerator) CanonicalCount() (int64, error) {
 	for _, class := range classes {
 		n, err := combin.MultisetCount(len(oe.RowsFor(class[0])), len(class))
 		if err != nil {
-			return 0, fmt.Errorf("%s: canonical count: %w", oe.ErrPrefix, err)
+			return 0, fmt.Errorf("core: canonical count: %w", err)
 		}
 		if total > (1<<62)/n {
-			return 0, fmt.Errorf("%s: canonical count overflows int64", oe.ErrPrefix)
+			return 0, fmt.Errorf("core: canonical count overflows int64")
 		}
 		total *= n
 	}
@@ -435,7 +433,7 @@ func (oe *OrbitEnumerator) Expand(reps []CanonicalNE) ([]*Alloc, error) {
 			}
 			ri, found := m[rowKey(buf)]
 			if !found {
-				return nil, fmt.Errorf("%s: expand: user %d's row is not a strategy row of the game", oe.ErrPrefix, u)
+				return nil, fmt.Errorf("core: expand: user %d's row is not a strategy row of the game", u)
 			}
 			idx[u] = ri
 		}
@@ -456,11 +454,11 @@ func (oe *OrbitEnumerator) Expand(reps []CanonicalNE) ([]*Alloc, error) {
 	for i, v := range vecs {
 		a, err := NewAlloc(users, oe.Channels)
 		if err != nil {
-			return nil, fmt.Errorf("%s: expand: %w", oe.ErrPrefix, err)
+			return nil, fmt.Errorf("core: expand: %w", err)
 		}
 		for u, ri := range v {
 			if err := a.SetRow(u, tables[u][ri]); err != nil {
-				return nil, fmt.Errorf("%s: expand: setting row for user %d: %w", oe.ErrPrefix, u, err)
+				return nil, fmt.Errorf("core: expand: setting row for user %d: %w", u, err)
 			}
 		}
 		out[i] = a
@@ -468,36 +466,31 @@ func (oe *OrbitEnumerator) Expand(reps []CanonicalNE) ([]*Alloc, error) {
 	return out, nil
 }
 
-// orbitEnumerator builds the symmetry-reduction engine for a uniform-budget
-// game: one exchangeability class holding every user.
-func (g *Game) orbitEnumerator(rows [][]int) *OrbitEnumerator {
-	budgets := make([]int, g.users)
-	for i := range budgets {
-		budgets[i] = g.radios
-	}
+// orbitEnumerator builds the symmetry-reduction engine for g over its
+// per-user strategy rows (see strategyRows): exchangeability classes are
+// the equal-budget user groups, which in a mixed-budget game need not be
+// contiguous.
+func (g *Game) orbitEnumerator(rows [][][]int) *OrbitEnumerator {
 	return &OrbitEnumerator{
-		View:      g.view,
-		Channels:  g.channels,
-		Budgets:   budgets,
-		RowsFor:   func(int) [][]int { return rows },
-		Eps:       DefaultEps,
-		ErrPrefix: "core",
+		View:     g.view,
+		Channels: g.channels,
+		Budgets:  g.budgets,
+		RowsFor:  func(u int) [][]int { return rows[u] },
+		Eps:      DefaultEps,
 	}
 }
 
 // EnumerateNECanonical enumerates Nash equilibria over canonical orbit
 // representatives only: one allocation per equilibrium orbit plus the
-// orbit size, in lexicographic representative order. For an all-equal-k
-// game every within-orbit permutation is checked exactly once instead of
-// up to N! times. The profile cap guards the FULL unreduced space, so the
-// refusal behaviour is identical to ForEachAlloc/EnumerateNE even though
-// the reduced walk visits far fewer profiles.
+// orbit size, in lexicographic representative order. Users of equal budget
+// are exchangeable, so for an all-equal-k game every within-orbit
+// permutation is checked exactly once instead of up to N! times. The
+// profile cap guards the FULL unreduced space, so the refusal behaviour is
+// identical to the unreduced enumeration even though the reduced walk
+// visits far fewer profiles.
 func EnumerateNECanonical(g *Game, maxProfiles int64) ([]CanonicalNE, error) {
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
 		return nil, err
 	}
 	return g.orbitEnumerator(rows).Canonical()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/multiradio/chanalloc/internal/combin"
@@ -68,7 +69,7 @@ func TestOrbitSizesSumToFullProfileCount(t *testing.T) {
 		prev := make([]int, 0, users)
 		var visited, orbitSum int64
 		err = orbitWalk(a, idx, 0, sizes, pred,
-			func(u, ri int) []int { return rowsFor(u)[ri] }, "test", nil, nil,
+			func(u, ri int) []int { return rowsFor(u)[ri] }, nil, nil,
 			func() bool {
 				for u, ri := range idx {
 					if p := pred[u]; p >= 0 && idx[p] > ri {
@@ -99,7 +100,7 @@ func TestOrbitSizesSumToFullProfileCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oe := &OrbitEnumerator{Channels: tc.channels, Budgets: tc.budgets, RowsFor: rowsFor, ErrPrefix: "test"}
+		oe := &OrbitEnumerator{Channels: tc.channels, Budgets: tc.budgets, RowsFor: rowsFor}
 		want, err := oe.CanonicalCount()
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +118,8 @@ func TestOrbitSizesSumToFullProfileCount(t *testing.T) {
 // against the pre-refactor reference across every rate family (including
 // Table and MonotoneEnvelope): the expanded canonical output must equal
 // the unreduced enumeration allocation for allocation, in order, and the
-// orbit sizes must sum to the unreduced equilibrium count.
+// orbit sizes must sum to the unreduced equilibrium count. Uniform games
+// have one exchangeability class.
 func TestCanonicalNEMatchesUnreduced(t *testing.T) {
 	dims := []struct{ users, channels, radios int }{
 		{3, 3, 2},
@@ -127,37 +129,58 @@ func TestCanonicalNEMatchesUnreduced(t *testing.T) {
 	}
 	for _, rate := range differentialRates(t) {
 		for _, d := range dims {
-			g, err := NewGame(d.users, d.channels, d.radios, rate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := referenceEnumerateNE(t, g, 2_000_000)
-			reps, err := EnumerateNECanonical(g, 2_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var orbitSum int64
-			for _, rep := range reps {
-				orbitSum += rep.Orbit
-			}
-			if orbitSum != int64(len(want)) {
-				t.Fatalf("%s %dx%dx%d: orbit sizes sum to %d, unreduced enumeration has %d equilibria",
-					rate.Name(), d.users, d.channels, d.radios, orbitSum, len(want))
-			}
-			got, err := ExpandNEOrbits(g, reps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s %dx%dx%d: expanded %d equilibria, reference found %d",
-					rate.Name(), d.users, d.channels, d.radios, len(got), len(want))
-			}
-			for j := range got {
-				if !got[j].Equal(want[j]) {
-					t.Fatalf("%s %dx%dx%d: equilibrium %d differs from reference order\ngot:\n%v\nwant:\n%v",
-						rate.Name(), d.users, d.channels, d.radios, j, got[j], want[j])
-				}
-			}
+			checkCanonicalNEMatchesUnreduced(t, mustGame(t, d.users, d.channels, d.radios, rate))
+		}
+	}
+}
+
+// TestHeteroCanonicalMatchesUnreduced is TestCanonicalNEMatchesUnreduced
+// on mixed-budget games, which exercise contiguous, interleaved and
+// singleton exchangeability classes.
+func TestHeteroCanonicalMatchesUnreduced(t *testing.T) {
+	mixed := []struct {
+		channels int
+		budgets  []int
+	}{
+		{3, []int{2, 2, 1}},
+		{2, []int{1, 2, 1}}, // exchangeable users 0 and 2 straddle user 1
+		{3, []int{1, 2, 3}}, // no two users exchangeable
+		{3, []int{2, 1, 2, 1}},
+	}
+	for _, rate := range differentialRates(t) {
+		for _, m := range mixed {
+			checkCanonicalNEMatchesUnreduced(t, mustHetero(t, m.channels, m.budgets, rate))
+		}
+	}
+}
+
+func checkCanonicalNEMatchesUnreduced(t *testing.T, g *Game) {
+	t.Helper()
+	label := fmt.Sprintf("%s C=%d budgets %v", g.Rate().Name(), g.Channels(), g.Budgets())
+	want := referenceEnumerateNE(t, g, 2_000_000)
+	reps, err := EnumerateNECanonical(g, 2_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orbitSum int64
+	for _, rep := range reps {
+		orbitSum += rep.Orbit
+	}
+	if orbitSum != int64(len(want)) {
+		t.Fatalf("%s: orbit sizes sum to %d, unreduced enumeration has %d equilibria",
+			label, orbitSum, len(want))
+	}
+	got, err := ExpandNEOrbits(g, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: expanded %d equilibria, reference found %d", label, len(got), len(want))
+	}
+	for j := range got {
+		if !got[j].Equal(want[j]) {
+			t.Fatalf("%s: equilibrium %d differs from reference order\ngot:\n%v\nwant:\n%v",
+				label, j, got[j], want[j])
 		}
 	}
 }
@@ -195,7 +218,7 @@ func TestIncrementalScreenMatchesScreenedNE(t *testing.T) {
 		ws.ResetScreenCache(users, channels)
 		plain := NewWorkspace()
 		err = orbitWalk(a, idx, 0, sizes, pred,
-			func(u, ri int) []int { return rowsFor(u)[ri] }, "test",
+			func(u, ri int) []int { return rowsFor(u)[ri] },
 			ws.ScreenStep,
 			func(u, oldRi, newRi int) {
 				ws.MarkRowChanged(u)
@@ -216,8 +239,8 @@ func TestIncrementalScreenMatchesScreenedNE(t *testing.T) {
 				}
 			},
 			func() bool {
-				got := view.ScreenedNEIncremental(ws, a, 0, budgets, DefaultEps)
-				want := view.ScreenedNE(plain, a, 0, budgets, DefaultEps)
+				got := view.ScreenedNEIncremental(ws, a, budgets, DefaultEps)
+				want := view.ScreenedNE(plain, a, budgets, DefaultEps)
 				if got != want {
 					t.Fatalf("%s: incremental oracle says %v, stateless says %v at %v", rate.Name(), got, want, idx)
 				}

@@ -11,9 +11,9 @@ import (
 // EnumerateNEParallel is EnumerateNE sharded over the engine's worker
 // pool. The CANONICAL orbit space is partitioned by the first user's
 // pinned strategy row (the outermost digit of the serial canonical walk)
-// — or, when the game has fewer rows than twice the pool (few strategies
+// — or, when that user has fewer rows than twice the pool (few strategies
 // per user, the many-user regime), by the first two users' rows, which
-// squares the shard count and keeps every worker busy. Sharding the
+// multiplies the shard count and keeps every worker busy. Sharding the
 // canonical space rather than the raw row grid preserves the symmetry
 // reduction under parallelism: a pinned prefix that is not canonical
 // (second digit below the first within a class) is an empty shard and
@@ -23,38 +23,14 @@ import (
 // equilibrium for equilibrium, to the serial EnumerateNE regardless of
 // worker count or sharding depth. workers < 1 means runtime.NumCPU().
 func EnumerateNEParallel(g *Game, maxProfiles int64, workers int) ([]*Alloc, error) {
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
-		return nil, err
-	}
-	pool := workers
-	if pool < 1 {
-		pool = runtime.NumCPU()
-	}
-	// Shard on users 0 and 1 when single-row shards cannot fill the pool
-	// twice over (the "2×workers" rule keeps per-shard work comfortably
-	// above pool overhead while levelling uneven shard costs).
-	depth := 1
-	if g.Users() >= 2 && len(rows) < 2*pool {
-		depth = 2
-	}
-	shardCount := len(rows)
-	if depth == 2 {
-		shardCount = len(rows) * len(rows)
-	}
-
+	oe := g.orbitEnumerator(rows)
+	shardCount, digits := shardDigits(rows, workers)
 	shards, _, err := engine.Map(shardCount, func(job int, _ *des.RNG) ([]CanonicalNE, error) {
-		// Decode the shard's pinned leading digits (job is the serial
-		// walk's leading odometer reading).
-		digits := make([]int, depth)
-		digits[0] = job
-		if depth == 2 {
-			digits[0], digits[1] = job/len(rows), job%len(rows)
-		}
-		reps, err := g.orbitEnumerator(rows).CanonicalShard(digits)
+		reps, err := oe.CanonicalShard(digits(job))
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", job, err)
 		}
@@ -68,7 +44,26 @@ func EnumerateNEParallel(g *Game, maxProfiles int64, workers int) ([]*Alloc, err
 	for _, shard := range shards {
 		all = append(all, shard...)
 	}
-	return g.orbitEnumerator(rows).Expand(all)
+	return oe.Expand(all)
+}
+
+// shardDigits picks the sharding depth for the parallel searches and
+// returns the shard count plus the decoder from a job index to its pinned
+// leading digits (job is the serial walk's leading odometer reading).
+// Shard on users 0 and 1 when single-row shards cannot fill the pool
+// twice over (the "2×workers" rule keeps per-shard work comfortably above
+// pool overhead while levelling uneven shard costs).
+func shardDigits(rows [][][]int, workers int) (int, func(job int) []int) {
+	pool := workers
+	if pool < 1 {
+		pool = runtime.NumCPU()
+	}
+	first := len(rows[0])
+	if len(rows) < 2 || first >= 2*pool {
+		return first, func(job int) []int { return []int{job} }
+	}
+	second := len(rows[1])
+	return first * second, func(job int) []int { return []int{job / second, job % second} }
 }
 
 // FindParetoImprovementParallel is the orbit-aware FindParetoImprovement
@@ -83,34 +78,15 @@ func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles i
 	if err := g.CheckAlloc(a); err != nil {
 		return nil, err
 	}
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
-		return nil, err
-	}
 	base := g.Utilities(a)
-	pool := workers
-	if pool < 1 {
-		pool = runtime.NumCPU()
-	}
-	depth := 1
-	if g.Users() >= 2 && len(rows) < 2*pool {
-		depth = 2
-	}
-	shardCount := len(rows)
-	if depth == 2 {
-		shardCount = len(rows) * len(rows)
-	}
 	oe := g.orbitEnumerator(rows)
+	shardCount, digits := shardDigits(rows, workers)
 	shards, _, err := engine.Map(shardCount, func(job int, _ *des.RNG) (*Alloc, error) {
-		digits := make([]int, depth)
-		digits[0] = job
-		if depth == 2 {
-			digits[0], digits[1] = job/len(rows), job%len(rows)
-		}
-		w, err := oe.ParetoImprovementShard(digits, base, eps)
+		w, err := oe.ParetoImprovementShard(digits(job), base, eps)
 		if err != nil {
 			return nil, fmt.Errorf("core: pareto shard %d: %w", job, err)
 		}
@@ -125,13 +101,4 @@ func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles i
 		}
 	}
 	return nil, nil
-}
-
-// forEachRest walks the cartesian product of strategy rows for users
-// pinned..N-1 on top of a (users 0..pinned-1 already set), calling fn with
-// the reused allocation, which fn must treat as read-only. Matches the
-// serial ForEachAlloc iteration order for fixed leading digits, including
-// its odometer-awareness (see ProductWalk).
-func forEachRest(a *Alloc, rows [][]int, pinned int, sizes []int, fn func(*Alloc) bool) error {
-	return ProductWalk(a, pinned, sizes, func(_, ri int) []int { return rows[ri] }, "core", fn)
 }

@@ -121,8 +121,8 @@ func TestEnumerateNEParallelHonoursCap(t *testing.T) {
 	}
 }
 
-// TestForEachRestSurfacesSetRowError pins the error plumbing of the shard
-// walker: an invariant-breaking allocation (here, strategy rows whose
+// TestForEachRestSurfacesSetRowError pins the error plumbing of the
+// reference grid walker (productWalk): an invariant-breaking allocation (here, strategy rows whose
 // length does not match the game's channel count) must surface as an error
 // instead of silently truncating the enumeration.
 func TestForEachRestSurfacesSetRowError(t *testing.T) {
@@ -133,7 +133,8 @@ func TestForEachRestSurfacesSetRowError(t *testing.T) {
 	a := g.NewEmptyAlloc()
 	badRows := [][]int{{1, 1}} // two channels where the game has three
 	calls := 0
-	err = forEachRest(a, badRows, 0, []int{1, 1}, func(*Alloc) bool {
+	rowFor := func(_, ri int) []int { return badRows[ri] }
+	err = productWalk(a, 0, []int{1, 1}, rowFor, func(*Alloc) bool {
 		calls++
 		return true
 	})

@@ -228,7 +228,7 @@ func (oe *OrbitEnumerator) ParetoImprovementShard(pinned []int, base []float64, 
 func (oe *OrbitEnumerator) paretoSearch(pinned []int, base []float64, eps float64) (*Alloc, error) {
 	users := len(oe.Budgets)
 	if len(base) != users {
-		return nil, fmt.Errorf("%s: pareto: %d base utilities for %d users", oe.ErrPrefix, len(base), users)
+		return nil, fmt.Errorf("core: pareto: %d base utilities for %d users", len(base), users)
 	}
 	pred := orbitPred(oe.Budgets)
 	classes := orbitClasses(pred)
@@ -240,19 +240,19 @@ func (oe *OrbitEnumerator) paretoSearch(pinned []int, base []float64, eps float6
 	}
 	a, err := NewAlloc(users, oe.Channels)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", oe.ErrPrefix, err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	idx := make([]int, users)
 	for u, ri := range pinned {
 		if ri < 0 || ri >= sizes[u] {
-			return nil, fmt.Errorf("%s: pinned digit %d out of range for user %d", oe.ErrPrefix, ri, u)
+			return nil, fmt.Errorf("core: pinned digit %d out of range for user %d", ri, u)
 		}
 		if p := pred[u]; p >= 0 && idx[p] > ri {
 			return nil, nil // non-canonical prefix: empty shard
 		}
 		idx[u] = ri
 		if err := a.SetRow(u, tables[u][ri]); err != nil {
-			return nil, fmt.Errorf("%s: setting pinned row for user %d: %w", oe.ErrPrefix, u, err)
+			return nil, fmt.Errorf("core: setting pinned row for user %d: %w", u, err)
 		}
 	}
 	pm := newParetoMatcher(classes, base)
@@ -263,7 +263,7 @@ func (oe *OrbitEnumerator) paretoSearch(pinned []int, base []float64, eps float6
 	var innerErr error
 	err = orbitWalk(a, idx, len(pinned), sizes, pred,
 		func(u, ri int) []int { return tables[u][ri] },
-		oe.ErrPrefix, nil, nil,
+		nil, nil,
 		func() bool {
 			utils := ws.Utils(users)
 			// Reject-first: a utility below the class's smallest base
@@ -292,7 +292,7 @@ func (oe *OrbitEnumerator) paretoSearch(pinned []int, base []float64, eps float6
 		return nil, err
 	}
 	if innerErr != nil {
-		return nil, fmt.Errorf("%s: pareto witness: %w", oe.ErrPrefix, innerErr)
+		return nil, fmt.Errorf("core: pareto witness: %w", innerErr)
 	}
 	return witness, nil
 }

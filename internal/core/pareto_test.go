@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -35,14 +36,14 @@ func checkParetoWitness(t *testing.T, g *Game, base []float64, w *Alloc, eps flo
 func crossCheckPareto(t *testing.T, g *Game, eps float64, label string) {
 	t.Helper()
 	var bases []*Alloc
-	if err := ForEachAlloc(g, 5_000_000, func(b *Alloc) bool {
+	if err := forEachAlloc(g, 5_000_000, func(b *Alloc) bool {
 		bases = append(bases, b.Clone())
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range bases {
-		want, err := FindParetoImprovementUnreduced(g, a, eps, 5_000_000)
+		want, err := findParetoImprovementUnreduced(g, a, eps, 5_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,6 +83,27 @@ func TestParetoOrbitAgreesWithUnreducedExhaustive(t *testing.T) {
 	}
 }
 
+// TestHeteroParetoOrbitAgreesWithUnreduced is the same cross-check on
+// every profile of small mixed-budget games, including a deployment whose
+// exchangeability class is non-contiguous (budgets [2 1 2]: users 0 and 2
+// share a class around user 1).
+func TestHeteroParetoOrbitAgreesWithUnreduced(t *testing.T) {
+	mixed := []struct {
+		channels int
+		budgets  []int
+	}{
+		{2, []int{1, 2}},
+		{2, []int{1, 1, 2}},
+		{3, []int{2, 1, 2}},
+	}
+	for _, rate := range differentialRates(t) {
+		for _, m := range mixed {
+			g := mustHetero(t, m.channels, m.budgets, rate)
+			crossCheckPareto(t, g, DefaultEps, fmt.Sprintf("%s %v/%d", rate.Name(), m.budgets, m.channels))
+		}
+	}
+}
+
 // TestParetoOrbitEpsBoundaries stresses tolerances where utility
 // differences sit exactly at base-eps / base+eps: under TDMA(1) utilities
 // are small rationals (1, 1/2, 1/3, ...), so eps drawn from the same
@@ -104,11 +126,11 @@ func TestParetoOrbitEpsBoundaries(t *testing.T) {
 }
 
 // TestParetoOrbitHeteroClasses drives the shared matcher through games
-// with several exchangeability classes per profile via the hetero-style
-// enumerator on a uniform game split by hand: users 0 and 2 share a class
-// while user 1 is alone, so the canonical constraint chains through a
-// non-contiguous class exactly as mixed-budget games do. (The hetero
-// package cross-checks its own real mixed-budget games.)
+// with several exchangeability classes per profile on a uniform game split
+// by hand: users 0 and 2 share a class while user 1 is alone, so the
+// canonical constraint chains through a non-contiguous class exactly as
+// mixed-budget games do. (TestHeteroParetoOrbitAgreesWithUnreduced
+// cross-checks real mixed-budget games.)
 func TestParetoOrbitHeteroClasses(t *testing.T) {
 	g := mustGame(t, 3, 2, 2, ratefn.Harmonic{R0: 2, Alpha: 0.6})
 	rows, err := strategyRows(g)
@@ -119,22 +141,21 @@ func TestParetoOrbitHeteroClasses(t *testing.T) {
 	// profile is still a legal profile of g, but the orbit space now has
 	// two classes {0, 2} and {1}.
 	oe := &OrbitEnumerator{
-		View:      g.View(),
-		Budgets:   []int{2, 7, 2},
-		Channels:  g.Channels(),
-		RowsFor:   func(int) [][]int { return rows },
-		Eps:       DefaultEps,
-		ErrPrefix: "core-test",
+		View:     g.View(),
+		Budgets:  []int{2, 7, 2},
+		Channels: g.Channels(),
+		RowsFor:  func(u int) [][]int { return rows[u] },
+		Eps:      DefaultEps,
 	}
 	var bases []*Alloc
-	if err := ForEachAlloc(g, 5_000_000, func(b *Alloc) bool {
+	if err := forEachAlloc(g, 5_000_000, func(b *Alloc) bool {
 		bases = append(bases, b.Clone())
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range bases {
-		want, err := FindParetoImprovementUnreduced(g, a, DefaultEps, 5_000_000)
+		want, err := findParetoImprovementUnreduced(g, a, DefaultEps, 5_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestPropertyTheoremMatchesOracleConstantRate(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -78,7 +78,7 @@ func TestPropertyWelfareIdentity(t *testing.T) {
 		}
 		return math.Abs(sum-g.Welfare(a)) < 1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,7 +108,7 @@ func TestPropertyBestResponseIdempotent(t *testing.T) {
 		}
 		return again <= best+1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -149,7 +149,7 @@ func TestPropertyBestResponseBeatsSingleMoves(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,7 +191,7 @@ func TestPropertyAlgorithm1Invariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,7 +223,7 @@ func TestPropertyMoveConservation(t *testing.T) {
 		}
 		return a.TotalRadios() == before && a.UserTotal(i) == userBefore
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -254,7 +254,7 @@ func TestPropertyUtilityRatAgreesWithFloat(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -277,7 +277,7 @@ func TestPropertyOccupancyDiagramComplete(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -285,9 +285,8 @@ func (ws *Workspace) MarkRowChanged(u int) { ws.scState[u] = screenUnknown }
 func (ws *Workspace) MarkLoadChanged(c int) { ws.loadEpoch[c] = ws.epoch }
 
 // UserMarks returns an n-length, false-initialised per-user scratch slice,
-// reused across calls: the screened oracles (core and hetero) mark users
-// already cleared by the DP during the screen pass so the prove pass does
-// not repeat them.
+// reused across calls: the screened oracles mark users already cleared by
+// the DP during the screen pass so the prove pass does not repeat them.
 func (ws *Workspace) UserMarks(n int) []bool {
 	if cap(ws.marks) < n {
 		ws.marks = make([]bool, n)
@@ -360,7 +359,7 @@ func (ws *Workspace) ensureWelfare(C, total int) (rates, f []float64, loads []in
 }
 
 // UtilitiesInto computes every user's utility into the workspace's
-// reusable buffer — the allocation-free form of the games' Utilities. The
+// reusable buffer — the allocation-free form of Game.Utilities. The
 // returned slice aliases ws and is valid until its next Utils use.
 func (rv *RateView) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
 	out := ws.Utils(a.Users())
@@ -511,7 +510,7 @@ func (rv *RateView) layoutDP(ws *Workspace, a *Alloc, i, k int) []float64 {
 }
 
 // UtilityOf computes U_i(S) per Eq. 3 with table-backed rates — the one
-// implementation behind both the uniform and heterogeneous games' Utility.
+// implementation behind Game.Utility and the enumeration walks.
 func (rv *RateView) UtilityOf(a *Alloc, i int) float64 {
 	var u float64
 	for c := 0; c < a.Channels(); c++ {
@@ -533,9 +532,9 @@ func (rv *RateView) deviates(ws *Workspace, a *Alloc, i, k int, eps float64) boo
 	return best > current+eps
 }
 
-// ScreenedNE is the screen-then-prove NE oracle shared by the core and
-// hetero games, bit-identical in verdict to the exhaustive per-user DP
-// sweep with zero steady-state allocations:
+// ScreenedNE is the screen-then-prove NE oracle behind
+// Game.IsNashEquilibriumWith, bit-identical in verdict to the exhaustive
+// per-user DP sweep with zero steady-state allocations:
 //
 //   - screen: each user's Eq. 7 single-radio deltas (ScreenSingleMoves). A
 //     flagged candidate is confirmed by MovedRowValue — the DP optimum
@@ -544,16 +543,12 @@ func (rv *RateView) deviates(ws *Workspace, a *Alloc, i, k int, eps float64) boo
 //     are marked and skipped by the prove pass.
 //   - prove: remaining users pay the full O(|C|·k²) DP each.
 //
-// User i's budget is budgets[i] when budgets is non-nil, else uniformK.
-// The allocation is not validated; callers guarantee it is legal.
-func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, uniformK int, budgets []int, eps float64) bool {
+// User i's budget is budgets[i]. The allocation is not validated; callers
+// guarantee it is legal.
+func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, budgets []int, eps float64) bool {
 	users := a.Users()
 	cleared := ws.UserMarks(users)
-	for i := 0; i < users; i++ {
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
+	for i, k := range budgets[:users] {
 		from, to, ok := rv.ScreenSingleMoves(a, i, k, eps)
 		if !ok {
 			continue
@@ -568,14 +563,7 @@ func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, uniformK int, budgets []
 		cleared[i] = true
 	}
 	for i := 0; i < users; i++ {
-		if cleared[i] {
-			continue
-		}
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
-		if rv.deviates(ws, a, i, k, eps) {
+		if !cleared[i] && rv.deviates(ws, a, i, budgets[i], eps) {
 			return false
 		}
 	}
@@ -667,7 +655,7 @@ func (rv *RateView) rescreenDirty(ws *Workspace, a *Alloc, i, budget int, eps fl
 // walk, then per profile ScreenStep followed by MarkRowChanged /
 // MarkLoadChanged for each mutated digit and channel load. With a fresh
 // cache every state is unknown and the call degenerates to ScreenedNE.
-func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, uniformK int, budgets []int, eps float64) bool {
+func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, budgets []int, eps float64) bool {
 	users := a.Users()
 	// Cheapest rejection first: any user holding a still-fresh reject
 	// witness proves the profile is no NE in an O(|C|) epoch scan, before
@@ -681,11 +669,7 @@ func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, uniformK int,
 		}
 	}
 	cleared := ws.UserMarks(users)
-	for i := 0; i < users; i++ {
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
+	for i, k := range budgets[:users] {
 		var from, to int
 		var ok bool
 		switch ws.scState[i] {
@@ -722,14 +706,7 @@ func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, uniformK int,
 		cleared[i] = true
 	}
 	for i := 0; i < users; i++ {
-		if cleared[i] {
-			continue
-		}
-		k := uniformK
-		if budgets != nil {
-			k = budgets[i]
-		}
-		if rv.deviates(ws, a, i, k, eps) {
+		if !cleared[i] && rv.deviates(ws, a, i, budgets[i], eps) {
 			return false
 		}
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // OptimalWelfareAllPlaced computes the maximum achievable total rate
-// Σ_{c : l_c > 0} R(l_c) over load vectors that place all |N|·k radios
-// (Lemma 1 forces full deployment in equilibrium, so this is the natural
-// welfare benchmark for NE comparisons). It returns the optimum and one
+// Σ_{c : l_c > 0} R(l_c) over load vectors that place all Σ_i k_i radios
+// (|N|·k in the uniform game; Lemma 1 forces full deployment in
+// equilibrium, so this is the natural welfare benchmark for NE
+// comparisons). It returns the optimum and one
 // optimising load vector (a fresh copy). The DP runs once per game and is
 // memoised (see Game.allPlacedOptimum); repeated calls are a memo read.
 func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
@@ -21,8 +22,8 @@ func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
 
 // OptimalLoadWelfare maximises Σ_{c : l_c > 0} R(l_c) over load vectors on
 // C channels placing exactly total radios — the welfare optimum depends on
-// the load vector alone, so uniform-budget and heterogeneous games share
-// this dynamic program (total = |N|·k and Σ_i k_i respectively). It returns
+// the load vector alone, so every game shares this dynamic program with
+// total = Σ_i k_i. It returns
 // the optimum and one optimising load vector.
 //
 // One-shot convenience form of OptimalLoadWelfareInto: a fresh workspace
@@ -105,12 +106,9 @@ func OptimalLoadWelfareInto(ws *Workspace, rate ratefn.Func, C, total int) (floa
 
 // OptimalWelfareIdleAllowed computes the maximum total rate when radios may
 // be left idle. Because R is non-increasing with R(1) maximal, the optimum
-// simply lights up min(|C|, |N|·k) channels with one radio each.
+// simply lights up min(|C|, Σ_i k_i) channels with one radio each.
 func OptimalWelfareIdleAllowed(g *Game) (float64, []int) {
-	lit := g.Channels()
-	if t := g.Users() * g.Radios(); t < lit {
-		lit = t
-	}
+	lit := min(g.Channels(), g.total)
 	loads := make([]int, g.Channels())
 	for c := 0; c < lit; c++ {
 		loads[c] = 1
@@ -130,55 +128,64 @@ func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
 	return g.Welfare(a) / opt, nil
 }
 
-// enumerateRows enumerates every legal strategy row for one user: all
-// vectors over |C| channels with total radios between 0 and k. The callback
-// receives a reused buffer.
-func enumerateRows(g *Game, fn func([]int) bool) error {
-	for total := 0; total <= g.Radios(); total++ {
-		stop := false
-		err := combin.Compositions(total, g.Channels(), func(row []int) bool {
-			if !fn(row) {
-				stop = true
-				return false
+// strategyRows materialises every user's legal strategy rows: all radio
+// vectors over |C| channels with total between 0 and k_i. Equal-budget
+// users receive the SAME table slice, which is the exchangeability
+// contract of the symmetry-reduced enumerator and also trims redundant
+// composition walks.
+func strategyRows(g *Game) ([][][]int, error) {
+	byBudget := make(map[int][][]int, 4)
+	rowsPerUser := make([][][]int, g.Users())
+	for i, k := range g.budgets {
+		rows, ok := byBudget[k]
+		if !ok {
+			for total := 0; total <= k; total++ {
+				err := combin.Compositions(total, g.channels, func(row []int) bool {
+					rows = append(rows, append([]int(nil), row...))
+					return true
+				})
+				if err != nil {
+					return nil, err
+				}
 			}
-			return true
-		})
-		if err != nil {
-			return err
+			byBudget[k] = rows
 		}
-		if stop {
-			return nil
-		}
+		rowsPerUser[i] = rows
 	}
-	return nil
+	return rowsPerUser, nil
 }
 
-// strategyRows materialises every legal strategy row of one user (all
-// radio vectors with total between 0 and k).
-func strategyRows(g *Game) ([][]int, error) {
-	rows := make([][]int, 0, 64)
-	if err := enumerateRows(g, func(row []int) bool {
-		rows = append(rows, append([]int(nil), row...))
-		return true
-	}); err != nil {
+// cappedStrategyRows is strategyRows guarded by maxProfiles against the
+// FULL (unreduced) profile count, the refusal rule every exhaustive search
+// shares.
+func cappedStrategyRows(g *Game, maxProfiles int64) ([][][]int, error) {
+	rows, err := strategyRows(g)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int64, len(rows))
+	for u, r := range rows {
+		counts[u] = int64(len(r))
+	}
+	if err := checkProfileCap(counts, maxProfiles); err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
 
-// checkProfileCap verifies perUser^users stays within maxProfiles. The
-// guard divides instead of multiplying so the running product can never
-// overflow int64: totalProfiles > maxProfiles/perUser (integer division)
-// implies totalProfiles·perUser > maxProfiles, and otherwise the product is
-// at most maxProfiles. The former `maxProfiles/perUser+1` form admitted a
-// boundary multiply that wrapped negative for huge perUser and then passed
-// the final comparison.
-func checkProfileCap(users int, perUser, maxProfiles int64) error {
-	if perUser <= 0 {
-		return fmt.Errorf("core: non-positive strategy count %d per user", perUser)
-	}
+// checkProfileCap verifies the product of the per-user strategy counts
+// stays within maxProfiles. The guard divides instead of multiplying so the
+// running product can never overflow int64: totalProfiles >
+// maxProfiles/perUser (integer division) implies totalProfiles·perUser >
+// maxProfiles, and otherwise the product is at most maxProfiles. The
+// former `maxProfiles/perUser+1` form admitted a boundary multiply that
+// wrapped negative for huge perUser and then passed the final comparison.
+func checkProfileCap(counts []int64, maxProfiles int64) error {
 	totalProfiles := int64(1)
-	for i := 0; i < users; i++ {
+	for _, perUser := range counts {
+		if perUser <= 0 {
+			return fmt.Errorf("core: non-positive strategy count %d per user", perUser)
+		}
 		if totalProfiles > maxProfiles/perUser {
 			return fmt.Errorf("core: strategy space too large (> %d profiles)", maxProfiles)
 		}
@@ -190,77 +197,17 @@ func checkProfileCap(users int, perUser, maxProfiles int64) error {
 	return nil
 }
 
-// ForEachAlloc enumerates every legal strategy matrix of the game (all
-// users, all budgets up to k) and calls fn with a reused Alloc that fn must
-// treat as read-only. Returning false stops the enumeration. This is
-// exponential — it exists for the exhaustive oracles on tiny instances
-// (experiment E2) and refuses to run when the strategy space exceeds
-// maxProfiles.
-//
-// The walk is odometer-aware: between consecutive profiles only the user
-// rows whose odometer digit changed are re-set (usually just the last
-// user), instead of rewriting all |N| rows per profile.
-func ForEachAlloc(g *Game, maxProfiles int64, fn func(*Alloc) bool) error {
-	rows, err := strategyRows(g)
-	if err != nil {
-		return err
-	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
-		return err
-	}
-
-	a := g.NewEmptyAlloc()
-	sizes := make([]int, g.Users())
-	for i := range sizes {
-		sizes[i] = len(rows)
-	}
-	return ProductWalk(a, 0, sizes, func(_, ri int) []int { return rows[ri] }, "core", fn)
-}
-
-// ProductWalk enumerates the cartesian product of per-user strategy
-// indices, setting rows of a for users offset..offset+len(sizes)-1 and
-// calling fn with the reused allocation, which fn must treat as read-only.
-// The walk is odometer-aware: between consecutive profiles only rows whose
-// index changed are re-set (usually just the last user's). rowFor maps
-// (user, index) to that user's strategy row; errPrefix labels SetRow
-// failures — rows are pre-validated by callers, but an invariant-breaking
-// allocation must stop the walk loudly rather than truncate it. Shared by
-// ForEachAlloc, the parallel shards and the hetero enumerator.
-func ProductWalk(a *Alloc, offset int, sizes []int, rowFor func(user, idx int) []int, errPrefix string, fn func(*Alloc) bool) error {
-	prev := make([]int, len(sizes))
-	for i := range prev {
-		prev[i] = -1
-	}
-	var setErr error
-	err := combin.Product(sizes, func(idx []int) bool {
-		for u, ri := range idx {
-			if ri == prev[u] {
-				continue
-			}
-			if err := a.SetRow(u+offset, rowFor(u+offset, ri)); err != nil {
-				setErr = fmt.Errorf("%s: setting row for user %d: %w", errPrefix, u+offset, err)
-				return false
-			}
-			prev[u] = ri
-		}
-		return fn(a)
-	})
-	if err != nil {
-		return err
-	}
-	return setErr
-}
-
 // EnumerateNE collects every Nash equilibrium of a tiny game by exhaustive
 // best-response checking (results and order are identical to walking the
 // full profile grid and checking IsNashEquilibrium per profile). Intended
-// for cross-validation tests; guarded by maxProfiles like ForEachAlloc.
+// for cross-validation tests; guarded by maxProfiles against the full
+// profile count.
 //
 // Internally the search is symmetry-reduced: users of equal budget are
 // exchangeable, so only canonical orbit representatives are tested (see
 // EnumerateNECanonical) and the full equilibrium set is reconstructed by
 // orbit expansion — same allocations, same order, visiting a C(R+N-1, N)
-// canonical space instead of the R^N grid.
+// canonical space instead of the R^N grid in the uniform game.
 func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 	reps, err := EnumerateNECanonical(g, maxProfiles)
 	if err != nil {
@@ -274,8 +221,7 @@ func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 // (within tolerance eps on both comparisons, exactly as the unreduced
 // scan: hurt iff u < base-eps, strict iff u > base+eps). It returns nil if
 // a is Pareto-optimal over the full strategy space. Exponential; guarded
-// by maxProfiles against the FULL unreduced profile count, so refusal
-// behaviour matches ForEachAlloc.
+// by maxProfiles against the FULL unreduced profile count.
 //
 // The search is symmetry-reduced: equal-budget users are exchangeable, so
 // only canonical orbit representatives are visited and each whole orbit is
@@ -284,51 +230,15 @@ func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 // unreduced search finds one; the returned witness — the representative
 // with its rows permuted along the matching — is always a valid
 // improvement, though not necessarily the same orbit member the unreduced
-// scan would hit first. FindParetoImprovementUnreduced keeps the direct
-// grid walk as the differential baseline.
+// scan would hit first. The package tests keep the direct grid walk as the
+// differential baseline.
 func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
 	if err := g.CheckAlloc(a); err != nil {
 		return nil, err
 	}
-	rows, err := strategyRows(g)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkProfileCap(g.Users(), int64(len(rows)), maxProfiles); err != nil {
 		return nil, err
 	}
 	return g.orbitEnumerator(rows).ParetoImprovement(g.Utilities(a), eps)
-}
-
-// FindParetoImprovementUnreduced is the direct R^N-grid Pareto search:
-// every profile is tested user by user, bailing on the first hurt user.
-// Kept as the differential baseline and benchmark denominator for the
-// orbit-aware FindParetoImprovement.
-func FindParetoImprovementUnreduced(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
-	if err := g.CheckAlloc(a); err != nil {
-		return nil, err
-	}
-	base := g.Utilities(a)
-	var found *Alloc
-	err := ForEachAlloc(g, maxProfiles, func(b *Alloc) bool {
-		strict := false
-		for i := range base {
-			u := g.Utility(b, i)
-			if u < base[i]-eps {
-				return true // someone is hurt; keep searching
-			}
-			if u > base[i]+eps {
-				strict = true
-			}
-		}
-		if strict {
-			found = b.Clone()
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return found, nil
 }

@@ -120,7 +120,7 @@ func TestForEachAllocCountsProfiles(t *testing.T) {
 	// over 2 channels = 1 + 2 = 3; profiles = 9.
 	g := mustGame(t, 2, 2, 1, ratefn.NewTDMA(1))
 	count := 0
-	if err := ForEachAlloc(g, 1000, func(*Alloc) bool {
+	if err := forEachAlloc(g, 1000, func(*Alloc) bool {
 		count++
 		return true
 	}); err != nil {
@@ -131,10 +131,41 @@ func TestForEachAllocCountsProfiles(t *testing.T) {
 	}
 }
 
+func TestForEachAllocCount(t *testing.T) {
+	// Per-user budgets over 2 channels: budget 1 gives 3 rows (empty, c1,
+	// c2); budget 2 gives 6 (totals 0, 1 and 2 compose over 2 channels in
+	// 1 + 2 + 3 ways).
+	for _, tc := range []struct {
+		budgets []int
+		want    int
+	}{
+		{[]int{1, 1}, 9},
+		{[]int{2, 1}, 18},
+	} {
+		count := 0
+		if err := forEachAlloc(mustHetero(t, 2, tc.budgets, ratefn.NewTDMA(1)), 1000, func(*Alloc) bool {
+			count++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if count != tc.want {
+			t.Fatalf("budgets %v: enumerated %d profiles, want %d", tc.budgets, count, tc.want)
+		}
+	}
+}
+
 func TestForEachAllocCap(t *testing.T) {
 	g := mustGame(t, 4, 4, 4, ratefn.NewTDMA(1))
-	err := ForEachAlloc(g, 10, func(*Alloc) bool { return true })
+	err := forEachAlloc(g, 10, func(*Alloc) bool { return true })
 	if err == nil {
+		t.Fatal("profile cap should trigger")
+	}
+}
+
+func TestHeteroForEachAllocCap(t *testing.T) {
+	g := mustHetero(t, 4, []int{4, 4, 4}, ratefn.NewTDMA(1))
+	if err := forEachAlloc(g, 10, func(*Alloc) bool { return true }); err == nil {
 		t.Fatal("profile cap should trigger")
 	}
 }
@@ -142,7 +173,7 @@ func TestForEachAllocCap(t *testing.T) {
 func TestForEachAllocEarlyStop(t *testing.T) {
 	g := mustGame(t, 2, 2, 1, ratefn.NewTDMA(1))
 	count := 0
-	if err := ForEachAlloc(g, 1000, func(*Alloc) bool {
+	if err := forEachAlloc(g, 1000, func(*Alloc) bool {
 		count++
 		return count < 4
 	}); err != nil {
@@ -299,7 +330,11 @@ func TestCheckProfileCapOverflowEdges(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkProfileCap(tc.users, tc.perUser, tc.maxProfiles)
+			counts := make([]int64, tc.users)
+			for u := range counts {
+				counts[u] = tc.perUser
+			}
+			err := checkProfileCap(counts, tc.maxProfiles)
 			if tc.wantErr && err == nil {
 				t.Fatalf("checkProfileCap(%d, %d, %d) accepted, want error",
 					tc.users, tc.perUser, tc.maxProfiles)

@@ -42,10 +42,15 @@ func WithTimeout(d time.Duration) CoordinatorOption {
 	return func(c *Coordinator) { c.timeout = d }
 }
 
-// NewCoordinator builds a protocol coordinator for g.
+// NewCoordinator builds a protocol coordinator for g. The protocol's hello
+// frame carries one radio budget for every device, so g must give every
+// user the same budget.
 func NewCoordinator(g *core.Game, opts ...CoordinatorOption) (*Coordinator, error) {
 	if g == nil {
 		return nil, fmt.Errorf("dist: nil game")
+	}
+	if g.Radios() == 0 {
+		return nil, fmt.Errorf("dist: the protocol needs a common radio budget; budgets differ")
 	}
 	co := &Coordinator{g: g, maxRounds: 100, timeout: 10 * time.Second}
 	for _, opt := range opts {

@@ -17,6 +17,18 @@ func testGame(t *testing.T, n, c, k int) *core.Game {
 	return g
 }
 
+// TestCoordinatorRejectsMixedBudgets: the hello frame announces one budget
+// for every device, so a game whose budgets differ is refused up front.
+func TestCoordinatorRejectsMixedBudgets(t *testing.T) {
+	g, err := core.NewHeteroGame(4, []int{2, 1}, ratefn.NewTDMA(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(g); err == nil {
+		t.Fatal("mixed-budget game accepted")
+	}
+}
+
 // TestGreedyRingMatchesAlgorithm1 is the protocol's headline property: an
 // all-greedy ring reproduces the centralised Algorithm 1 exactly.
 func TestGreedyRingMatchesAlgorithm1(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -70,19 +69,6 @@ type Result struct {
 	// PotentialTrace records Φ after every round, starting with the initial
 	// value (so len == Rounds+1).
 	PotentialTrace []float64
-}
-
-// Game is the interface the sweeps drive: utilities, the workspace-backed
-// best-response DP and the congestion potential. Both *core.Game (uniform
-// budgets) and *hetero.Game (per-user budgets, and through it the live
-// game's frozen snapshots) satisfy it, so every runner works on either.
-type Game interface {
-	Users() int
-	Channels() int
-	Budget(i int) int
-	Utility(a *core.Alloc, i int) float64
-	BestResponseInto(ws *core.Workspace, a *core.Alloc, i int) ([]int, float64, error)
-	Potential(a *core.Alloc) float64
 }
 
 // Options configures a dynamics run.
@@ -171,9 +157,11 @@ func Potential(r ratefn.Func, a *core.Alloc) float64 {
 }
 
 // RunBestResponse runs user-level best-response dynamics from the given
-// starting allocation. The start is cloned; the caller's allocation is not
-// modified. Convergence (a full quiet round) yields a Nash equilibrium by
-// construction.
+// starting allocation, each user's DP bounded by its own budget. The start
+// is cloned; the caller's allocation is not modified. Convergence (a full
+// quiet round) yields a Nash equilibrium by construction. It is also the
+// cold-start baseline the warm-started Requilibrate is differentially
+// pinned against.
 func RunBestResponse(g *core.Game, start *core.Alloc, opts ...Option) (Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -185,25 +173,9 @@ func RunBestResponse(g *core.Game, start *core.Alloc, opts ...Option) (Result, e
 	return bestResponseSweep(g, start.Clone(), cfg, nil)
 }
 
-// RunBestResponseHetero is RunBestResponse over a heterogeneous-budget
-// game: the identical sweep, workspace reuse and quiet caching, with each
-// user's DP bounded by its own budget. It is also the cold-start baseline
-// the warm-started Requilibrate is differentially pinned against.
-func RunBestResponseHetero(g *hetero.Game, start *core.Alloc, opts ...Option) (Result, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := g.CheckAlloc(start); err != nil {
-		return Result{}, err
-	}
-	return bestResponseSweep(g, start.Clone(), cfg, nil)
-}
-
 // bestResponseSweep is the shared best-response loop behind
-// RunBestResponse, RunBestResponseHetero and Requilibrate. It evolves a IN
-// PLACE (callers clone when the input must survive) and returns it as
-// Result.Final.
+// RunBestResponse and Requilibrate. It evolves a IN PLACE (callers clone
+// when the input must survive) and returns it as Result.Final.
 //
 // preQuiet warm-starts the quiet cache: preQuiet[i] true asserts user i
 // provably has no improving deviation at the INITIAL allocation (move
@@ -212,7 +184,7 @@ func RunBestResponseHetero(g *hetero.Game, start *core.Alloc, opts ...Option) (R
 // no prior knowledge (every user is swept). Because a pre-quiet user is by
 // assertion a non-mover, the move sequence, trace and terminal allocation
 // are bit-identical to the preQuiet == nil run — only DPCalls differs.
-func bestResponseSweep(g Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
+func bestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
 	rng := des.NewRNG(cfg.seed)
 	// One workspace per run (injected or fresh): the whole convergence
 	// process is allocation-free apart from the trace (and the per-round
@@ -367,7 +339,7 @@ func RandomAlloc(g *core.Game, seed uint64) *core.Alloc {
 	rng := des.NewRNG(seed)
 	a := g.NewEmptyAlloc()
 	for i := 0; i < g.Users(); i++ {
-		for j := 0; j < g.Radios(); j++ {
+		for j := 0; j < g.Budget(i); j++ {
 			// Adding one radio to a valid allocation cannot fail.
 			if err := a.Add(i, rng.Intn(g.Channels()), 1); err != nil {
 				panic("dynamics: random placement failed: " + err.Error())

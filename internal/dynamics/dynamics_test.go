@@ -268,7 +268,7 @@ func TestRandomAllocProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

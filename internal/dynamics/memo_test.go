@@ -7,7 +7,6 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/obs"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
@@ -15,7 +14,7 @@ import (
 // refBestResponseSweep is the un-memoised best-response sweep, kept as the
 // differential reference for bestResponseSweep: every user whose quiet
 // verdict is not cached runs its own DP.
-func refBestResponseSweep(g Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
+func refBestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
 	rng := des.NewRNG(cfg.seed)
 	ws := cfg.workspace()
 	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
@@ -66,7 +65,7 @@ func refBestResponseSweep(g Game, a *core.Alloc, cfg config, preQuiet []bool) (R
 }
 
 // refRequilibrate is Requilibrate over the reference sweep.
-func refRequilibrate(lg *hetero.LiveGame, opts ...Option) (ReqResult, error) {
+func refRequilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
 		return ReqResult{}, err
@@ -112,26 +111,26 @@ func sameResult(got, want Result) string {
 // churnTwin applies the same seeded mutation to two live games kept in
 // lockstep. Until the population reaches grow users every event is a join;
 // after that it joins, leaves or renegotiates a budget in [1, maxBudget].
-func churnTwin(t *testing.T, games [2]*hetero.LiveGame, rng *des.RNG, grow, maxBudget int) string {
+func churnTwin(t *testing.T, games [2]*core.LiveGame, rng *des.RNG, grow, maxBudget int) string {
 	t.Helper()
 	lg := games[0]
 	users := lg.Users()
-	var op func(*hetero.LiveGame) error
+	var op func(*core.LiveGame) error
 	var kind string
 	switch {
 	case users < grow || rng.Float64() < 0.35:
 		k := 1 + rng.Intn(maxBudget)
 		kind = fmt.Sprintf("join(%d)", k)
-		op = func(g *hetero.LiveGame) error { _, err := g.Join(k); return err }
+		op = func(g *core.LiveGame) error { _, err := g.Join(k); return err }
 	case rng.Float64() < 0.5:
 		id := lg.IDAt(rng.Intn(users))
 		kind = fmt.Sprintf("leave(%d)", id)
-		op = func(g *hetero.LiveGame) error { return g.Leave(id) }
+		op = func(g *core.LiveGame) error { return g.Leave(id) }
 	default:
 		id := lg.IDAt(rng.Intn(users))
 		k := 1 + rng.Intn(maxBudget)
 		kind = fmt.Sprintf("budget(%d, %d)", id, k)
-		op = func(g *hetero.LiveGame) error { return g.SetBudget(id, k) }
+		op = func(g *core.LiveGame) error { return g.SetBudget(id, k) }
 	}
 	for _, g := range games {
 		if err := op(g); err != nil {
@@ -168,9 +167,9 @@ func TestRequilibrateMemoDifferential(t *testing.T) {
 		{"eps", 0x3e30_0005, 4, []Option{WithEps(0.5)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var games [2]*hetero.LiveGame
+			var games [2]*core.LiveGame
 			for j := range games {
-				lg, err := hetero.NewLiveGame(16, ratefn.NewTDMA(54))
+				lg, err := core.NewLiveGame(16, ratefn.NewTDMA(54))
 				if err != nil {
 					t.Fatal(err)
 				}

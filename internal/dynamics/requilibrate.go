@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/multiradio/chanalloc/internal/core"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/obs"
 )
 
@@ -38,8 +37,8 @@ type ReqResult struct {
 //
 // Because carried verdicts only skip DPs for provable non-movers, the move
 // sequence, rounds and terminal allocation are bit-identical to a cold
-// RunBestResponseHetero from the same start; only Result.DPCalls shrinks.
-func Requilibrate(lg *hetero.LiveGame, opts ...Option) (ReqResult, error) {
+// RunBestResponse from the same start; only Result.DPCalls shrinks.
+func Requilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 	if lg == nil {
 		return ReqResult{}, fmt.Errorf("dynamics: nil live game")
 	}
@@ -79,7 +78,7 @@ func Requilibrate(lg *hetero.LiveGame, opts ...Option) (ReqResult, error) {
 // Requilibrate) and how many users they cover: nil unless the allocation
 // was quiet before the churn and no load decreased; otherwise every user
 // that is not a churn suspect and occupies no dirty channel.
-func warmQuiet(lg *hetero.LiveGame, a *core.Alloc, wasQuiet bool, churn hetero.Churn) ([]bool, int) {
+func warmQuiet(lg *core.LiveGame, a *core.Alloc, wasQuiet bool, churn core.Churn) ([]bool, int) {
 	if !wasQuiet || churn.Decreased {
 		return nil, 0
 	}

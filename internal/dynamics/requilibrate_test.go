@@ -3,14 +3,14 @@ package dynamics
 import (
 	"testing"
 
+	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
 // applyRandomChurn applies one seeded random mutation to lg and reports a
 // short label for failure messages. Budgets stay within [1, channels].
-func applyRandomChurn(t *testing.T, lg *hetero.LiveGame, rng *des.RNG) string {
+func applyRandomChurn(t *testing.T, lg *core.LiveGame, rng *des.RNG) string {
 	t.Helper()
 	users := lg.Users()
 	switch {
@@ -54,7 +54,7 @@ func TestRequilibrateDifferentialPin(t *testing.T) {
 		{"6ch", 6, 0x5eed_0003, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lg, err := hetero.NewLiveGame(tc.channels, ratefn.NewTDMA(54))
+			lg, err := core.NewLiveGame(tc.channels, ratefn.NewTDMA(54))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestRequilibrateDifferentialPin(t *testing.T) {
 					t.Fatalf("event %d (%s): terminal allocation is not an exact NE", ev, kind)
 				}
 
-				cold, err := RunBestResponseHetero(g, start)
+				cold, err := RunBestResponse(g, start)
 				if err != nil {
 					t.Fatalf("event %d (%s): cold baseline: %v", ev, kind, err)
 				}
@@ -126,7 +126,7 @@ func TestRequilibrateEmptyAndErrors(t *testing.T) {
 	if _, err := Requilibrate(nil); err == nil {
 		t.Fatal("nil live game accepted")
 	}
-	lg, err := hetero.NewLiveGame(3, ratefn.NewTDMA(54))
+	lg, err := core.NewLiveGame(3, ratefn.NewTDMA(54))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRequilibrateEmptyAndErrors(t *testing.T) {
 // equilibrated game actually carries verdicts over (WarmSkipped > 0), and
 // that a load-decreasing event voids them all.
 func TestRequilibrateWarmSkipsSomething(t *testing.T) {
-	lg, err := hetero.NewLiveGame(6, ratefn.NewTDMA(54))
+	lg, err := core.NewLiveGame(6, ratefn.NewTDMA(54))
 	if err != nil {
 		t.Fatal(err)
 	}

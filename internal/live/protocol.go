@@ -1,5 +1,5 @@
 // Package live implements the long-lived allocation service: a mutable
-// channel-allocation game (hetero.LiveGame) behind a newline-delimited JSON
+// channel-allocation game (core.LiveGame) behind a newline-delimited JSON
 // protocol. Clients stream churn events — users joining, leaving, changing
 // radio budgets — and the server answers every event with the warm-started
 // re-equilibration's outcome (dynamics.Requilibrate): the new allocation

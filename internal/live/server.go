@@ -12,7 +12,6 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/dynamics"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/obs"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
@@ -50,7 +49,7 @@ type Config struct {
 // parallelism lives inside verification (and the dynamics workspace is
 // pooled). Not safe for concurrent Serve calls.
 type Server struct {
-	lg      *hetero.LiveGame
+	lg      *core.LiveGame
 	cfg     Config
 	dynOpts []dynamics.Option
 	stats   Stats
@@ -66,7 +65,7 @@ type Server struct {
 
 // NewServer builds a server with an empty live game.
 func NewServer(cfg Config) (*Server, error) {
-	lg, err := hetero.NewLiveGame(cfg.Channels, cfg.Rate)
+	lg, err := core.NewLiveGame(cfg.Channels, cfg.Rate)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +86,7 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // Game exposes the underlying live game (read-only for callers).
-func (s *Server) Game() *hetero.LiveGame { return s.lg }
+func (s *Server) Game() *core.LiveGame { return s.lg }
 
 // Stats returns a copy of the cumulative session statistics — this
 // server's own, or the shared lifetime totals when Config.Totals is set.
@@ -218,7 +217,7 @@ func (s *Server) Interrupted() bool {
 // update frame describes a settled allocation.
 func (s *Server) Apply(req Request) Response {
 	start := time.Now()
-	var id hetero.UserID
+	var id core.UserID
 	delta := Stats{Events: 1}
 	switch req.Op {
 	case "stats":
@@ -236,20 +235,20 @@ func (s *Server) Apply(req Request) Response {
 		delta.Joins = 1
 		mJoins.Inc()
 	case "leave":
-		if err := s.lg.Leave(hetero.UserID(req.ID)); err != nil {
+		if err := s.lg.Leave(core.UserID(req.ID)); err != nil {
 			mErrors.Inc()
 			return Response{Type: "error", Error: err.Error()}
 		}
-		id = hetero.UserID(req.ID)
+		id = core.UserID(req.ID)
 		s.stats.Leaves++
 		delta.Leaves = 1
 		mLeaves.Inc()
 	case "budget":
-		if err := s.lg.SetBudget(hetero.UserID(req.ID), req.Budget); err != nil {
+		if err := s.lg.SetBudget(core.UserID(req.ID), req.Budget); err != nil {
 			mErrors.Inc()
 			return Response{Type: "error", Error: err.Error()}
 		}
-		id = hetero.UserID(req.ID)
+		id = core.UserID(req.ID)
 		s.stats.BudgetOps++
 		delta.BudgetOps = 1
 		mBudgetOps.Inc()
@@ -324,7 +323,7 @@ func (s *Server) verifyNE() bool {
 // representatives, which equals the AND over all users, so it is the same
 // at any worker count, and the early exit on a found deviation only saves
 // time. No state is shared with the dynamics that produced a.
-func verifyAlloc(g *hetero.Game, a *core.Alloc, workers int) bool {
+func verifyAlloc(g *core.Game, a *core.Alloc, workers int) bool {
 	ws := core.Workspaces.Get()
 	defer core.Workspaces.Put(ws)
 	ws.ResetRowMemo(g.Users())
@@ -360,7 +359,7 @@ func verifyAlloc(g *hetero.Game, a *core.Alloc, workers int) bool {
 
 // verifyUsers checks the listed users have no improving deviation at the
 // oracle tolerance. A non-nil refuted flag allows cross-shard early exit.
-func verifyUsers(g *hetero.Game, a *core.Alloc, ws *core.Workspace, users []int, refuted *atomic.Bool) bool {
+func verifyUsers(g *core.Game, a *core.Alloc, ws *core.Workspace, users []int, refuted *atomic.Bool) bool {
 	for _, i := range users {
 		if refuted != nil && refuted.Load() {
 			return true // some other shard already decided; verdict unaffected

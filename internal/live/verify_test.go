@@ -10,13 +10,12 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
 // refVerifyNE is the per-user NE verifier the grouped verifyAlloc must
 // agree with: every user runs its own exact DP, serially.
-func refVerifyNE(g *hetero.Game, a *core.Alloc) bool {
+func refVerifyNE(g *core.Game, a *core.Alloc) bool {
 	if g == nil {
 		return true
 	}

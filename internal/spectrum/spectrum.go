@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"github.com/multiradio/chanalloc/internal/core"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -150,13 +149,14 @@ func (d *Deployment) Game(rate ratefn.Func) (*core.Game, error) {
 	return core.NewGame(len(d.devices), d.band.NumChannels, d.devices[0].Radios, rate)
 }
 
-// HeteroGame builds the heterogeneous-budget game for this deployment.
-func (d *Deployment) HeteroGame(rate ratefn.Func) (*hetero.Game, error) {
+// HeteroGame builds this deployment's game with one budget per device
+// (its radio count), mixed or not.
+func (d *Deployment) HeteroGame(rate ratefn.Func) (*core.Game, error) {
 	budgets := make([]int, len(d.devices))
 	for i, dev := range d.devices {
 		budgets[i] = dev.Radios
 	}
-	return hetero.NewGame(d.band.NumChannels, budgets, rate)
+	return core.NewHeteroGame(d.band.NumChannels, budgets, rate)
 }
 
 // Assignment maps one radio of one device to a concrete channel.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/multiradio/chanalloc/internal/core"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -186,7 +185,7 @@ func TestAssignmentsHeteroNE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := hetero.Algorithm1(hg, core.TieFirst, 0)
+	alloc, err := core.Algorithm1(hg)
 	if err != nil {
 		t.Fatal(err)
 	}

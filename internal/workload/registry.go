@@ -9,7 +9,6 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/dynamics"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -259,8 +258,8 @@ func generateBistritz(params string, r ratefn.Func) (*Scenario, error) {
 	}, nil
 }
 
-// generateHetero builds the hetero:C,k1,k2,... family; the scenario carries
-// a heterogeneous-budget game instead of a uniform one.
+// generateHetero builds the hetero:C,k1,k2,... family: a game with one
+// radio budget per user.
 func generateHetero(params string, r ratefn.Func) (*Scenario, error) {
 	vals, err := parseInts(params)
 	if err != nil {
@@ -269,14 +268,14 @@ func generateHetero(params string, r ratefn.Func) (*Scenario, error) {
 	if len(vals) < 2 {
 		return nil, fmt.Errorf("want hetero:C,k1,k2,...")
 	}
-	g, err := hetero.NewGame(vals[0], vals[1:], r)
+	g, err := core.NewHeteroGame(vals[0], vals[1:], r)
 	if err != nil {
 		return nil, err
 	}
 	return &Scenario{
 		Name:        "hetero:" + params,
 		Description: fmt.Sprintf("heterogeneous budgets %v over %d channels", vals[1:], vals[0]),
-		Hetero:      g,
+		Game:        g,
 	}, nil
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -23,13 +22,11 @@ type Scenario struct {
 	Name string
 	// Description says what the scenario models.
 	Description string
-	// Game is the uniform-budget instance; nil for heterogeneous scenarios.
-	// The paper's figures all use constant R, but callers may rebuild the
-	// game with another rate function via Rebuild.
+	// Game is the instance: a common budget k for the paper's families,
+	// per-user budgets for the hetero family. The paper's figures all use
+	// constant R, but callers may rebuild the game with another rate
+	// function via Rebuild.
 	Game *core.Game
-	// Hetero is the heterogeneous-budget instance for the hetero family;
-	// nil otherwise. Exactly one of Game and Hetero is set.
-	Hetero *hetero.Game
 	// Alloc is the pinned strategy matrix, or nil for generated scenarios.
 	Alloc *core.Alloc
 }
@@ -37,23 +34,15 @@ type Scenario struct {
 // Rebuild returns the same scenario with a different rate function (the
 // matrices are rate-independent; utilities are not).
 func (s *Scenario) Rebuild(r ratefn.Func) (*Scenario, error) {
-	out := *s
-	switch {
-	case s.Game != nil:
-		g, err := core.NewGame(s.Game.Users(), s.Game.Channels(), s.Game.Radios(), r)
-		if err != nil {
-			return nil, fmt.Errorf("workload: rebuilding %s: %w", s.Name, err)
-		}
-		out.Game = g
-	case s.Hetero != nil:
-		g, err := hetero.NewGame(s.Hetero.Channels(), s.Hetero.Budgets(), r)
-		if err != nil {
-			return nil, fmt.Errorf("workload: rebuilding %s: %w", s.Name, err)
-		}
-		out.Hetero = g
-	default:
+	if s.Game == nil {
 		return nil, fmt.Errorf("workload: scenario %s has no game", s.Name)
 	}
+	out := *s
+	g, err := core.NewHeteroGame(s.Game.Channels(), s.Game.Budgets(), r)
+	if err != nil {
+		return nil, fmt.Errorf("workload: rebuilding %s: %w", s.Name, err)
+	}
+	out.Game = g
 	if s.Alloc != nil {
 		out.Alloc = s.Alloc.Clone()
 	}

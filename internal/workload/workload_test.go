@@ -105,8 +105,8 @@ func TestByName(t *testing.T) {
 		if s.Description == "" {
 			t.Errorf("%s has no description", name)
 		}
-		if (s.Game == nil) == (s.Hetero == nil) {
-			t.Errorf("%s: want exactly one of Game and Hetero", name)
+		if s.Game == nil {
+			t.Errorf("%s: no game", name)
 		}
 	}
 	if _, err := ByName("nope", r); err == nil {
@@ -226,7 +226,7 @@ func TestParametricFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Hetero == nil || h.Hetero.Channels() != 6 || h.Hetero.Users() != 5 {
+	if h.Game.Channels() != 6 || h.Game.Users() != 5 || h.Game.Budget(0) != 4 || h.Game.Radios() != 0 {
 		t.Fatalf("hetero scenario wrong: %+v", h)
 	}
 

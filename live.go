@@ -5,7 +5,6 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/dynamics"
-	"github.com/multiradio/chanalloc/internal/hetero"
 	"github.com/multiradio/chanalloc/internal/live"
 )
 
@@ -13,15 +12,15 @@ import (
 // (users join, leave, renegotiate budgets) plus the warm-started
 // re-equilibration and the NDJSON service around them.
 type (
-	// LiveGame is a mutable heterogeneous game whose derived state — the
-	// dense allocation, the rate view and the welfare memo — stays
-	// consistent across mutations.
-	LiveGame = hetero.LiveGame
+	// LiveGame is a mutable game with per-user budgets whose derived
+	// state — the dense allocation, the rate view and the welfare memo —
+	// stays consistent across mutations.
+	LiveGame = core.LiveGame
 	// UserID is the stable identity of a live-game participant
 	// (sequential from 1, never reused).
-	UserID = hetero.UserID
+	UserID = core.UserID
 	// LiveChurn summarises mutations since the last re-equilibration.
-	LiveChurn = hetero.Churn
+	LiveChurn = core.Churn
 	// ReqResult reports a warm-started re-equilibration.
 	ReqResult = dynamics.ReqResult
 	// LiveConfig parameterises a live allocation server.
@@ -44,7 +43,7 @@ const LiveProtocolVersion = live.ProtocolVersion
 
 // NewLiveGame returns an empty mutable game over channels and rate.
 func NewLiveGame(channels int, rate RateFunc) (*LiveGame, error) {
-	return hetero.NewLiveGame(channels, rate)
+	return core.NewLiveGame(channels, rate)
 }
 
 // Requilibrate restores a live game to a Nash equilibrium after churn,

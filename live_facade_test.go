@@ -11,7 +11,7 @@ import (
 
 // TestLiveFacade drives the live-game surface end to end through the
 // facade: mutate, warm-start requilibrate with a borrowed workspace, and
-// cross-check the result against the heterogeneous cold-start runner.
+// cross-check the result against the cold-start best-response runner.
 func TestLiveFacade(t *testing.T) {
 	lg, err := chanalloc.NewLiveGame(4, chanalloc.TDMA(54))
 	if err != nil {
@@ -45,7 +45,7 @@ func TestLiveFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := chanalloc.RunHeteroBestResponse(g, start)
+	cold, err := chanalloc.RunBestResponse(g, start)
 	if err != nil {
 		t.Fatal(err)
 	}
