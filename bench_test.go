@@ -475,33 +475,35 @@ func benchDispatchBatch(b *testing.B, backend chanalloc.EngineBackend, jobs int)
 	}
 }
 
-// BenchmarkDispatch compares the remote backends' dispatch disciplines on a
-// 64-small-job batch over loopback TCP, one worker each: the socket
-// backend's lock-step send/receive pays one round-trip per job, the
-// cluster backend's pipelined dispatch pays roughly one per window
-// (EXPERIMENTS.md "Work-queue and window semantics"). cmd/benchjson and
-// cmd/benchdiff track these ops PR-over-PR like every other benchmark.
+// BenchmarkDispatch measures the shared remote dispatcher on a
+// 64-small-job batch over loopback TCP, one worker each, from its two
+// network peer sources: a dialled socket worker and a joined cluster
+// member, at windows 1 (lock-step: one round-trip per job), 8 and 32
+// (pipelined: roughly one round-trip per window; EXPERIMENTS.md
+// "Work-queue and window semantics"). cmd/benchjson and cmd/benchdiff
+// track these ops PR-over-PR like every other benchmark.
 func BenchmarkDispatch(b *testing.B) {
 	b.ReportAllocs()
 	const jobs = 64
-	b.Run("lockstep", func(b *testing.B) {
-		b.ReportAllocs()
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() { defer close(done); chanalloc.EngineServe(lis) }()
-		defer func() { lis.Close(); <-done }()
-		backend := chanalloc.NewSocketBackend(lis.Addr().String())
-		benchDispatchBatch(b, backend, jobs) // warm up the connection path
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			benchDispatchBatch(b, backend, jobs)
-		}
-	})
 	for _, window := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("pipelined/window%d", window), func(b *testing.B) {
+		b.Run(fmt.Sprintf("dial/window%d", window), func(b *testing.B) {
+			b.ReportAllocs()
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() { defer close(done); chanalloc.EngineServe(lis) }()
+			defer func() { lis.Close(); <-done }()
+			backend := chanalloc.NewSocketBackendWith([]string{lis.Addr().String()},
+				chanalloc.ClusterWindow(window))
+			benchDispatchBatch(b, backend, jobs) // warm up the connection path
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchDispatchBatch(b, backend, jobs)
+			}
+		})
+		b.Run(fmt.Sprintf("accept/window%d", window), func(b *testing.B) {
 			b.ReportAllocs()
 			backend, err := chanalloc.NewClusterBackend("127.0.0.1:0",
 				chanalloc.ClusterWindow(window))

@@ -1,7 +1,8 @@
 // Command engineworker is a long-lived worker for the engine's
 // cross-machine backends: it serves jobs of the library's registered engine
 // tasks (EXPERIMENTS.md documents the protocol) in either connection
-// direction:
+// direction. Both directions feed the same coordinator-side dispatcher, so
+// the worker answers a pipelined window of jobs in order either way:
 //
 //   - listen mode (socket backend): the worker listens, coordinators dial
 //     it and the connection opens with the wire protocol's version
@@ -13,8 +14,8 @@
 //   - join mode (cluster backend): the worker dials IN to a coordinator
 //     and registers — so it can live behind NAT, start before the
 //     coordinator exists, or join a sweep already mid-batch — then serves
-//     a pipelined window of jobs with heartbeats, rejoining whenever the
-//     coordinator goes away.
+//     its jobs with heartbeats, rejoining whenever the coordinator goes
+//     away.
 //
 //     sweep -backend cluster -listen-workers :9100   # the coordinator
 //     engineworker -join coordinator-host:9100       # on each worker host

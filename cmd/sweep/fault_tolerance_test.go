@@ -39,7 +39,7 @@ func TestJournalFlagValidation(t *testing.T) {
 	}{
 		{"journal without cluster",
 			[]string{"-journal", "j.ndjson"},
-			"-journal only applies to -backend cluster"},
+			"-journal only applies to the remote backends"},
 		{"resume without journal",
 			[]string{"-backend", "cluster", "-listen-workers", "127.0.0.1:0", "-resume"},
 			"-resume needs -journal"},
@@ -168,5 +168,55 @@ func TestClusterSweepResumeRefusesForeignJournal(t *testing.T) {
 	_, err = journalSweep(t, dir, coord+"2", journal, 8, true)
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("err = %v, want the batch-identity mismatch refusal", err)
+	}
+}
+
+// TestProcessSweepJournalResume: the journal belongs to the dispatcher
+// every remote backend shares, so a process-backend sweep checkpoints and
+// resumes exactly like a cluster sweep — byte-identical output, with the
+// rerun completing from the checkpoint alone.
+func TestProcessSweepJournalResume(t *testing.T) {
+	const seed = 7
+	baseOut, baseCSVs := sweepRun(t, "theorem1", seed, 2)
+	dir := t.TempDir()
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	for _, resume := range []bool{false, true} {
+		args := []string{"-exp", "theorem1", "-seed", fmt.Sprint(seed), "-workers", "2", "-out", dir,
+			"-backend", "process", "-shards", "2", "-window", "1", "-journal", journal}
+		if resume {
+			args = append(args, "-resume")
+		}
+		var b strings.Builder
+		if err := run(args, &b); err != nil {
+			t.Fatalf("resume=%v: %v", resume, err)
+		}
+		if b.String() != baseOut {
+			t.Fatalf("resume=%v changed stdout:\n--- inprocess\n%s\n--- process\n%s", resume, baseOut, b.String())
+		}
+		if data, err := os.ReadFile(journal); err != nil || len(data) == 0 {
+			t.Fatalf("resume=%v: journal not written: %v (%d bytes)", resume, err, len(data))
+		}
+	}
+	for name, want := range baseCSVs {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != want {
+			t.Fatalf("CSV %s diverged after resume (err %v)", name, err)
+		}
+	}
+}
+
+// TestWindowValidatedOnEveryRemoteBackend: -window configures the shared
+// dispatcher, so every remote backend rejects an out-of-range value loudly.
+func TestWindowValidatedOnEveryRemoteBackend(t *testing.T) {
+	for _, backend := range [][]string{
+		{"-backend", "process"},
+		{"-backend", "socket", "-addrs", "127.0.0.1:1"},
+		{"-backend", "cluster", "-listen-workers", "127.0.0.1:0"},
+	} {
+		var b strings.Builder
+		err := run(append([]string{"-exp", "lemmas", "-window", "0"}, backend...), &b)
+		if err == nil || !strings.Contains(err.Error(), "-window must be >= 1") {
+			t.Fatalf("%v: err = %v, want the -window rejection", backend, err)
+		}
 	}
 }

@@ -19,32 +19,36 @@
 //
 // The suite executes on the parallel experiment engine through a pluggable
 // backend: experiments run as jobs of a registered engine task, fanned out
-// over the in-process pool (default), over worker subprocesses (-backend
-// process -shards N; each shard is this binary re-exec'd in engine-worker
-// mode, speaking newline-delimited JSON over stdio), over socket workers
-// on other machines (-backend socket -addrs host:port,... — same wire
-// protocol, plus a version handshake per connection; see EXPERIMENTS.md
-// for the frame grammar), or over a worker cluster (-backend cluster
-// -listen-workers :9100 — the connection direction reverses: workers dial
-// in with `engineworker -join` or `sweep -join` and register, may join or
-// leave mid-batch, heartbeat for liveness, and receive a pipelined -window
-// of jobs each). Socket workers are sweep binaries started with -listen,
-// so the experiment task is registered on both ends; note that experiments
-// write CSVs on the machine that runs them, so -out expects a shared
-// filesystem when peers are remote. -auth-token arms a shared-secret check
-// in every handshake; -tls-cert/-tls-key (listening paths) and -tls-ca
-// (dialing paths) run the same wire protocol over TLS with frame bytes
-// unchanged. A cluster sweep can checkpoint progress with -journal path
-// and, after a coordinator crash, rerun with -resume to skip completed
-// jobs — the resumed output is byte-identical to an uninterrupted run (see
+// over the in-process pool (default) or one of three remote backends that
+// share one dispatcher and differ only in where their workers come from:
+// worker subprocesses (-backend process -shards N; each shard is this
+// binary re-exec'd in engine-worker mode, speaking newline-delimited JSON
+// over stdio), socket workers on other machines (-backend socket -addrs
+// host:port,... — the same frames, plus a version handshake per
+// connection; see EXPERIMENTS.md for the frame grammar), or a worker
+// cluster (-backend cluster -listen-workers :9100 — the connection
+// direction reverses: workers dial in with `engineworker -join` or `sweep
+// -join` and register, may join or leave mid-batch, and heartbeat for
+// liveness). Every remote backend streams a -window of outstanding jobs
+// to each worker — lock-step (1) on process and socket unless -window is
+// given, 8 on cluster — and requeues a dead worker's jobs to the
+// survivors.
+// Socket workers are sweep binaries started with -listen, so the
+// experiment task is registered on both ends; note that experiments write
+// CSVs on the machine that runs them, so -out expects a shared filesystem
+// when peers are remote. -auth-token arms a shared-secret check in every
+// handshake; -tls-cert/-tls-key (listening paths) and -tls-ca (dialing
+// paths) run the same wire protocol over TLS with frame bytes unchanged.
+// A remote sweep can checkpoint progress with -journal path and, after a
+// coordinator crash, rerun with -resume to skip completed jobs — the
+// resumed output is byte-identical to an uninterrupted run (see
 // EXPERIMENTS.md, "Fault tolerance"). The experiments' internal batch
-// paths (seed sweeps,
-// NE enumeration, dynamics replicates, batched protocol rings) each fan
-// out over their own -workers-sized in-process pool — nested fan-out, so
-// peak concurrency can exceed -workers. All randomness derives from -seed
-// through per-job PRNG streams, so output — stdout and CSVs — is
-// byte-identical for any -workers value AND any backend/shard/peer/window
-// combination.
+// paths (seed sweeps, NE enumeration, dynamics replicates, batched
+// protocol rings) each fan out over their own -workers-sized in-process
+// pool — nested fan-out, so peak concurrency can exceed -workers. All
+// randomness derives from -seed through per-job PRNG streams, so output —
+// stdout and CSVs — is byte-identical for any -workers value AND any
+// backend/shard/peer/window combination.
 //
 //	sweep -exp all                        # run everything (few minutes)
 //	sweep -exp boundary                   # one experiment
@@ -219,8 +223,8 @@ func run(args []string, out io.Writer) error {
 	listen := fs.String("listen", "", "serve as a socket worker on this address instead of running experiments")
 	join := fs.String("join", "", "serve as a cluster worker joined to this coordinator address instead of running experiments")
 	listenWorkers := fs.String("listen-workers", "", "accept cluster-worker joins on this address (-backend cluster)")
-	window := fs.Int("window", 8, "outstanding jobs per cluster worker (-backend cluster; 1 = lock-step)")
-	joinWait := fs.Duration("join-wait", 30*time.Second, "how long a cluster batch waits while no worker is joined")
+	window := fs.Int("window", 0, "outstanding jobs per worker on the remote backends, 1 = lock-step (unset: 1 on process and socket, 8 on cluster)")
+	joinWait := fs.Duration("join-wait", 30*time.Second, "how long a remote batch waits while no worker is serving it (a cluster nobody joins, a socket peer between redials)")
 	authToken := fs.String("auth-token", "", "shared secret checked in every worker handshake")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /trace and /debug/pprof on this address (empty disables)")
 	traceOut := fs.String("trace-out", "", "write the structured trace ring as NDJSON to this file when the run ends")
@@ -228,12 +232,14 @@ func run(args []string, out io.Writer) error {
 	tlsKey := fs.String("tls-key", "", "PEM private key for -tls-cert")
 	tlsCA := fs.String("tls-ca", "", "dial TLS on outgoing paths (-backend socket, -join) verifying against this PEM CA bundle")
 	tlsSkipVerify := fs.Bool("tls-skip-verify", false, "dial TLS without verifying the peer certificate (tests only)")
-	journalPath := fs.String("journal", "", "checkpoint cluster-batch progress to this NDJSON file (-backend cluster)")
+	journalPath := fs.String("journal", "", "checkpoint batch progress to this NDJSON file (-backend process, socket or cluster)")
 	resume := fs.Bool("resume", false, "recover completed jobs from -journal before dispatching (skipped jobs are never re-run)")
 	journalFsync := fs.Int("journal-fsync", 1, "fsync the journal every N completed jobs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	windowSet := false
+	fs.Visit(func(f *flag.Flag) { windowSet = windowSet || f.Name == "window" })
 
 	// TLS configs are built eagerly so a bad flag combination or unreadable
 	// file fails before any listener binds or worker dials.
@@ -252,8 +258,8 @@ func run(args []string, out io.Writer) error {
 		}
 		clientTLS = cfg
 	}
-	if *journalPath != "" && *backendName != "cluster" {
-		return fmt.Errorf("-journal only applies to -backend cluster (got -backend %s)", *backendName)
+	if *journalPath != "" && *backendName == "inprocess" {
+		return fmt.Errorf("-journal only applies to the remote backends process, socket and cluster (got -backend %s)", *backendName)
 	}
 	if *resume && *journalPath == "" {
 		return fmt.Errorf("-resume needs -journal path (there is nothing to resume from)")
@@ -300,53 +306,61 @@ func run(args []string, out io.Writer) error {
 	switch *backendName {
 	case "inprocess":
 		backend = chanalloc.NewInProcessBackend()
-	case "process":
-		backend = chanalloc.NewProcessBackend(*shards)
-	case "socket":
-		list, err := splitAddrs(*addrs)
-		if err != nil {
-			return err
-		}
-		if len(list) == 0 {
-			return fmt.Errorf("-backend socket needs -addrs host:port[,host:port...]")
-		}
-		sockOpts := []chanalloc.SocketOption{chanalloc.SocketAuthToken(*authToken)}
-		if clientTLS != nil {
-			sockOpts = append(sockOpts, chanalloc.SocketTLS(clientTLS))
-		}
-		backend = chanalloc.NewSocketBackendWith(list, sockOpts...)
-	case "cluster":
-		if *listenWorkers == "" {
-			return fmt.Errorf("-backend cluster needs -listen-workers addr (workers join it with `engineworker -join addr`)")
-		}
+	case "process", "socket", "cluster":
+		// The remote backends share one dispatcher and so one option set.
 		// Loud validation: the option constructors ignore out-of-range
 		// values, which would silently run the defaults instead.
-		if *window < 1 {
+		if windowSet && *window < 1 {
 			return fmt.Errorf("-window must be >= 1 (1 means lock-step dispatch), got %d", *window)
 		}
 		if *joinWait <= 0 {
 			return fmt.Errorf("-join-wait must be positive, got %v", *joinWait)
 		}
-		clusterOpts := []chanalloc.ClusterOption{
-			chanalloc.ClusterWindow(*window),
+		opts := []chanalloc.ClusterOption{
 			chanalloc.ClusterJoinWait(*joinWait),
 			chanalloc.ClusterAuthToken(*authToken),
 		}
-		if serverTLS != nil {
-			clusterOpts = append(clusterOpts, chanalloc.ClusterTLS(serverTLS))
+		if windowSet {
+			// Unset, each backend keeps its own default window.
+			opts = append(opts, chanalloc.ClusterWindow(*window))
 		}
 		if *journalPath != "" {
-			clusterOpts = append(clusterOpts,
+			opts = append(opts,
 				chanalloc.ClusterJournal(*journalPath),
 				chanalloc.ClusterResume(*resume),
 				chanalloc.ClusterJournalFsync(*journalFsync))
 		}
-		c, err := chanalloc.NewClusterBackend(*listenWorkers, clusterOpts...)
-		if err != nil {
-			return err
+		switch *backendName {
+		case "process":
+			backend = chanalloc.NewProcessBackend(*shards, opts...)
+		case "socket":
+			list, err := splitAddrs(*addrs)
+			if err != nil {
+				return err
+			}
+			if len(list) == 0 {
+				return fmt.Errorf("-backend socket needs -addrs host:port[,host:port...]")
+			}
+			// Socket coordinators dial out: the client side of TLS.
+			if clientTLS != nil {
+				opts = append(opts, chanalloc.ClusterTLS(clientTLS))
+			}
+			backend = chanalloc.NewSocketBackendWith(list, opts...)
+		case "cluster":
+			if *listenWorkers == "" {
+				return fmt.Errorf("-backend cluster needs -listen-workers addr (workers join it with `engineworker -join addr`)")
+			}
+			// Cluster coordinators accept joins: the server side of TLS.
+			if serverTLS != nil {
+				opts = append(opts, chanalloc.ClusterTLS(serverTLS))
+			}
+			c, err := chanalloc.NewClusterBackend(*listenWorkers, opts...)
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			backend = c
 		}
-		defer c.Close()
-		backend = c
 	default:
 		return fmt.Errorf("unknown backend %q (want inprocess, process, socket or cluster)", *backendName)
 	}

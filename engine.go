@@ -62,8 +62,11 @@ func EnumerateNEParallel(g *Game, maxProfiles int64, workers int) ([]*Alloc, err
 // named, registered task (closures cannot cross process boundaries) under
 // the engine's determinism contract: per-job PRNG streams seeded by
 // (root seed, job index) alone and index-ordered fan-in, so every backend
-// produces byte-identical results — the in-process pool and the
-// multi-process coordinator alike. See the internal/engine package
+// produces byte-identical results — the in-process pool and the remote
+// backends alike. The three remote backends (process, socket, cluster)
+// share one dispatcher — a window of outstanding jobs per worker, requeue
+// of a dead worker's jobs, an optional checkpoint journal — and differ only
+// in where their workers come from. See the internal/engine package
 // documentation.
 type (
 	// EngineBackend executes task batches under the determinism contract.
@@ -74,19 +77,17 @@ type (
 	// speaking newline-delimited JSON over stdio.
 	ProcessBackend = engine.Process
 	// SocketBackend dispatches batches over TCP or unix-socket connections
-	// to remote workers speaking the same wire protocol, with a version
-	// handshake per connection and requeue of a dead peer's in-flight job.
+	// it dials to remote workers speaking the same wire protocol, with a
+	// version handshake per connection.
 	SocketBackend = engine.Socket
 	// ClusterBackend is the membership backend: workers dial IN and
 	// register (joins are accepted mid-batch), heartbeats track liveness,
-	// silent workers are evicted with their in-flight jobs requeued, and
-	// dispatch streams a pipelined window of jobs per peer instead of
-	// lock-step send/receive.
+	// and silent workers are evicted with their in-flight jobs requeued.
 	ClusterBackend = engine.Cluster
-	// ClusterOption configures NewClusterBackend.
-	ClusterOption = engine.ClusterOption
-	// SocketOption configures NewSocketBackendWith.
-	SocketOption = engine.SocketOption
+	// ClusterOption configures the cluster backend's dispatcher, which
+	// every remote backend shares: NewProcessBackend, NewSocketBackendWith
+	// and NewClusterBackend all take the same set.
+	ClusterOption = engine.RemoteOption
 	// JoinOption configures EngineJoinAndServe.
 	JoinOption = engine.JoinOption
 	// ServeOption configures EngineServe / EngineListenAndServe.
@@ -104,8 +105,11 @@ func NewInProcessBackend() *InProcessBackend { return engine.NewInProcess() }
 // NewProcessBackend returns a multi-process backend sharding batches over
 // `shards` worker subprocesses (shards < 1 means one per CPU). Workers are
 // the current binary re-exec'd in engine-worker mode; call
-// RunEngineWorkerIfRequested first thing in main to enable that mode.
-func NewProcessBackend(shards int) *ProcessBackend { return engine.NewProcess(shards) }
+// RunEngineWorkerIfRequested first thing in main to enable that mode. A
+// dead shard's in-flight jobs are requeued for the survivors.
+func NewProcessBackend(shards int, opts ...ClusterOption) *ProcessBackend {
+	return engine.NewProcess(shards, opts...)
+}
 
 // NewSocketBackend returns a cross-machine backend dispatching batches over
 // one persistent connection per worker address. Addresses are "host:port"
@@ -116,17 +120,9 @@ func NewProcessBackend(shards int) *ProcessBackend { return engine.NewProcess(sh
 func NewSocketBackend(addrs ...string) *SocketBackend { return engine.NewSocket(addrs...) }
 
 // NewSocketBackendWith is NewSocketBackend plus options.
-func NewSocketBackendWith(addrs []string, opts ...SocketOption) *SocketBackend {
+func NewSocketBackendWith(addrs []string, opts ...ClusterOption) *SocketBackend {
 	return engine.NewSocketWith(addrs, opts...)
 }
-
-// SocketAuthToken sets the shared secret a socket coordinator announces in
-// its hello handshakes; the workers' -auth-token must match.
-func SocketAuthToken(token string) SocketOption { return engine.WithAuthToken(token) }
-
-// SocketTLS layers TLS client sessions under the socket backend's job
-// protocol; workers must listen with the matching ServeTLS / -tls-cert.
-func SocketTLS(cfg *tls.Config) SocketOption { return engine.WithSocketTLS(cfg) }
 
 // TLS plumbing, re-exported: every socket path of the engine — socket
 // workers, cluster coordinators, joining workers — can run its NDJSON
@@ -162,39 +158,44 @@ func NewClusterBackend(addr string, opts ...ClusterOption) (*ClusterBackend, err
 	return engine.NewCluster(addr, opts...)
 }
 
-// ClusterWindow sets the per-peer window of outstanding jobs (default 8);
-// window 1 degenerates to lock-step dispatch. The window never affects
-// results, only wall clock.
-func ClusterWindow(n int) ClusterOption { return engine.WithClusterWindow(n) }
+// ClusterWindow sets the per-worker window of outstanding jobs; window 1 is
+// lock-step dispatch, the default of the process and socket backends, and
+// the cluster backend defaults to 8. The window never affects results, only
+// wall clock.
+func ClusterWindow(n int) ClusterOption { return engine.WithWindow(n) }
 
-// ClusterAuthToken sets the shared secret every joining worker must
-// present; a mismatch rejects the join loudly, like version skew.
-func ClusterAuthToken(token string) ClusterOption { return engine.WithClusterAuthToken(token) }
+// ClusterAuthToken sets the shared secret of the connection handshake: a
+// socket coordinator announces it, a cluster coordinator requires it from
+// every joining worker. A mismatch fails loudly, like version skew.
+func ClusterAuthToken(token string) ClusterOption { return engine.WithAuthToken(token) }
 
-// ClusterJoinWait bounds the batch's accumulated time with no capable
-// worker connected (default 30s); only a completed job resets the budget,
-// so a crash-looping worker cannot keep a batch waiting forever.
+// ClusterJoinWait bounds the batch's accumulated time with no worker
+// serving it while more may still arrive (default 30s); only a completed
+// job resets the budget, so a crash-looping worker cannot keep a batch
+// waiting forever.
 func ClusterJoinWait(d time.Duration) ClusterOption { return engine.WithJoinWait(d) }
 
-// ClusterTLS makes the coordinator require a TLS handshake from every
-// joining worker; workers must dial with the matching JoinTLS / -tls-ca.
-func ClusterTLS(cfg *tls.Config) ClusterOption { return engine.WithClusterTLS(cfg) }
+// ClusterTLS layers TLS under the job protocol: a socket coordinator dials
+// with cfg as a client (workers listen with ServeTLS / -tls-cert), a
+// cluster coordinator answers joins with cfg as a server (workers dial with
+// JoinTLS / -tls-ca).
+func ClusterTLS(cfg *tls.Config) ClusterOption { return engine.WithTLS(cfg) }
 
 // ClusterJournal checkpoints batch progress to an append-only NDJSON file:
 // the batch's identity plus one entry per completed job with its exact
 // result bytes (see internal/journal). Journal write failures are logged,
 // never fatal.
-func ClusterJournal(path string) ClusterOption { return engine.WithClusterJournal(path) }
+func ClusterJournal(path string) ClusterOption { return engine.WithJournal(path) }
 
 // ClusterResume recovers an existing journal before dispatch: checkpointed
 // jobs are filled in from the file (EngineStats.Resumed) and only the
 // remainder runs. The journal's identity — task, params hash, seed, job
 // count — must match the batch exactly or the run fails loudly.
-func ClusterResume(on bool) ClusterOption { return engine.WithClusterResume(on) }
+func ClusterResume(on bool) ClusterOption { return engine.WithResume(on) }
 
 // ClusterJournalFsync sets the journal fsync cadence: sync after every n
 // entries (default 1).
-func ClusterJournalFsync(n int) ClusterOption { return engine.WithClusterJournalFsync(n) }
+func ClusterJournalFsync(n int) ClusterOption { return engine.WithJournalFsync(n) }
 
 // EngineJoinAndServe turns the process into a cluster worker: dial the
 // coordinator at addr, register this process's task registry, serve
@@ -229,7 +230,7 @@ func ServeAuthToken(token string) ServeOption { return engine.WithServeAuthToken
 
 // ServeTLS makes a listening socket worker answer every connection with a
 // TLS server handshake before the job protocol; coordinators must dial
-// with the matching SocketTLS / -tls-ca.
+// with the matching ClusterTLS / -tls-ca.
 func ServeTLS(cfg *tls.Config) ServeOption { return engine.WithServeTLS(cfg) }
 
 // ServeStop makes EngineServe / EngineListenAndServe shut down gracefully

@@ -192,7 +192,7 @@ func TestBinomialSymmetry(t *testing.T) {
 		b, errB := Binomial(nn, nn-kk)
 		return errA == nil && errB == nil && a == b
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

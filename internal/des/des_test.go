@@ -341,7 +341,7 @@ func TestRNGDeterministicStream(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,19 +20,18 @@ import (
 //
 // Under that contract a batch produces byte-identical results — including
 // which error surfaces on failure — whether it runs on the in-process pool,
-// sharded over worker subprocesses, or (in a future backend) across hosts.
+// sharded over worker subprocesses, or across hosts.
 // Only Stats, which report timings and pool shape, may differ. The
 // conformance suite in backend_conformance_test.go pins this for every
 // backend in the repository.
 type Backend interface {
-	// Name identifies the backend ("inprocess", "process") for logs, flags
-	// and error messages.
+	// Name identifies the backend ("inprocess", "process", "socket",
+	// "cluster") for logs, flags and error messages.
 	Name() string
 	// RunTask executes jobs 0..n-1 of the named task and returns their
 	// JSON-encoded results in job order. Option semantics: Seed sets the
-	// root seed; Workers sizes the in-process pool (process-sharded
-	// backends take their shard count at construction instead and ignore
-	// Workers).
+	// root seed; Workers sizes the in-process pool (the remote backends
+	// take their workers at construction instead and ignore Workers).
 	RunTask(task string, params json.RawMessage, n int, opts ...Option) ([]json.RawMessage, Stats, error)
 }
 
@@ -77,8 +76,8 @@ func (*InProcess) RunTask(task string, params json.RawMessage, n int, opts ...Op
 // collected batch: the lowest-indexed failing job's error surfaces first
 // (worded identically on every backend — the conformance suite pins the
 // bytes), then any job that silently ended up with neither a result nor a
-// recorded error is reported against the named backend. Shared by every
-// remote backend's fan-in.
+// recorded error is reported against the named backend. The fan-in of the
+// remote dispatcher (runRemote).
 func surfaceJobErrors(backend string, results []json.RawMessage, errs []string, failed []bool) error {
 	for job, msg := range errs {
 		if failed[job] {

@@ -109,21 +109,26 @@ func conformanceBackends(t *testing.T) []conformanceBackend {
 		{"inprocess/workers=4", NewInProcess(), []Option{Workers(4)}, 0},
 		{"process/shards=1", NewProcess(1), nil, 1},
 		{"process/shards=3", NewProcess(3), nil, 3},
+		// Process and Socket default to lock-step (window 1); the shared
+		// dispatcher's pipelined window must not show in their results
+		// either.
+		{"process/shards=2/window=4", NewProcess(2, WithWindow(4)), nil, 2},
 		{"socket/peers=1", NewSocket(tcp1), nil, 1},
 		// Three connections across two listeners: the same endpoint serving
 		// several peers concurrently must not show in the results.
 		{"socket/peers=3", NewSocket(tcp1, tcp2, tcp1), nil, 3},
 		{"socket/unix", NewSocket(unix), nil, 1},
+		{"socket/peers=2/window=8", NewSocketWith([]string{tcp1, tcp2}, WithWindow(8)), nil, 2},
 		// TLS under the framing: the conformance digest is the proof the
 		// frame bytes never changed.
-		{"socket/tls", NewSocketWith([]string{tcpTLS}, WithSocketTLS(tlsCli)), nil, 1},
+		{"socket/tls", NewSocketWith([]string{tcpTLS}, WithTLS(tlsCli)), nil, 1},
 		// Every pinned window size: lock-step (1), moderate (4) and deeper
 		// than most batches (32). Neither the window nor the worker count
 		// may show in the results.
-		{"cluster/window=1", startCluster(t, 1, WithClusterWindow(1)), nil, 1},
-		{"cluster/window=4/workers=2", startCluster(t, 2, WithClusterWindow(4)), nil, 2},
-		{"cluster/window=32", startCluster(t, 1, WithClusterWindow(32)), nil, 1},
-		{"cluster/tls", startTLSCluster(t, 2, tlsSrv, tlsCli, WithClusterWindow(4)), nil, 2},
+		{"cluster/window=1", startCluster(t, 1, WithWindow(1)), nil, 1},
+		{"cluster/window=4/workers=2", startCluster(t, 2, WithWindow(4)), nil, 2},
+		{"cluster/window=32", startCluster(t, 1, WithWindow(32)), nil, 1},
+		{"cluster/tls", startTLSCluster(t, 2, tlsSrv, tlsCli, WithWindow(4)), nil, 2},
 	}
 }
 
@@ -140,10 +145,10 @@ type conformanceBackend struct {
 // startCluster runs a loopback cluster coordinator with `workers` in-test
 // JoinAndServe workers dialed in and registered; the backend is torn down
 // with the test.
-func startCluster(t *testing.T, workers int, opts ...ClusterOption) *Cluster {
+func startCluster(t *testing.T, workers int, opts ...RemoteOption) *Cluster {
 	t.Helper()
 	c, err := NewCluster("127.0.0.1:0",
-		append([]ClusterOption{WithJoinWait(10 * time.Second)}, opts...)...)
+		append([]RemoteOption{WithJoinWait(10 * time.Second)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

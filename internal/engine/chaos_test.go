@@ -40,15 +40,14 @@ func chaosConfig(seed uint64) faultinject.Config {
 // injector (faults bite below TLS when tlsOpts add it) plus `workers`
 // redialing in-process workers.
 func startChaosCluster(t *testing.T, inj *faultinject.Injector, workers int,
-	clusterOpts []ClusterOption, joinOpts []JoinOption) *Cluster {
+	clusterOpts []RemoteOption, joinOpts []JoinOption) *Cluster {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClusterOn(inj.Listener(lis), append([]ClusterOption{
+	c := tunedCluster(t, inj.Listener(lis), 50*time.Millisecond, 0, append([]RemoteOption{
 		WithJoinWait(20 * time.Second),
-		WithClusterHeartbeat(50 * time.Millisecond),
 	}, clusterOpts...)...)
 	t.Cleanup(func() { c.Close() })
 	runWorkers(t, c.Addr(), workers, joinOpts...)
@@ -68,7 +67,7 @@ func TestChaosSeededFaultsByteIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
 			inj := faultinject.New(chaosConfig(uint64(window)*31 + 7))
 			c := startChaosCluster(t, inj, 3,
-				[]ClusterOption{WithClusterWindow(window)}, nil)
+				[]RemoteOption{WithWindow(window)}, nil)
 			got, stats, err := c.RunTask("conformance/draw", params, n, Seed(root))
 			if err != nil {
 				t.Fatal(err)
@@ -100,7 +99,7 @@ func TestChaosTLSByteIdentical(t *testing.T) {
 	srvCfg, cliCfg := testTLSPair(t)
 	inj := faultinject.New(chaosConfig(99))
 	c := startChaosCluster(t, inj, 2,
-		[]ClusterOption{WithClusterWindow(8), WithClusterTLS(srvCfg)},
+		[]RemoteOption{WithWindow(8), WithTLS(srvCfg)},
 		[]JoinOption{WithJoinTLS(cliCfg)})
 	got, _, err := c.RunTask("conformance/draw", params, n, Seed(root))
 	if err != nil {
@@ -123,13 +122,9 @@ func TestChaosWorkerKillSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster("127.0.0.1:0",
+	c := tunedCluster(t, nil, 50*time.Millisecond, 0,
 		WithJoinWait(20*time.Second),
-		WithClusterHeartbeat(50*time.Millisecond),
-		WithClusterWindow(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+		WithWindow(4))
 	defer c.Close()
 	// One stable worker guarantees progress; a second population churns on
 	// the kill schedule.
@@ -190,7 +185,7 @@ func TestChaosKillResumeUnderFaults(t *testing.T) {
 
 	inj1 := faultinject.New(chaosConfig(41))
 	c1 := startChaosCluster(t, inj1, 2,
-		[]ClusterOption{WithClusterWindow(4), WithClusterJournal(path)}, nil)
+		[]RemoteOption{WithWindow(4), WithJournal(path)}, nil)
 	go func() {
 		deadline := time.Now().Add(15 * time.Second)
 		for time.Now().Before(deadline) {
@@ -208,7 +203,7 @@ func TestChaosKillResumeUnderFaults(t *testing.T) {
 
 	inj2 := faultinject.New(chaosConfig(43))
 	c2 := startChaosCluster(t, inj2, 2,
-		[]ClusterOption{WithClusterWindow(4), WithClusterJournal(path), WithClusterResume(true)}, nil)
+		[]RemoteOption{WithWindow(4), WithJournal(path), WithResume(true)}, nil)
 	got, stats, err := c2.RunTask("chaos/slow", params, n, Seed(root))
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +321,7 @@ func TestClusterSeveredWorkerParamsOnFirstFrame(t *testing.T) {
 	}
 	inj := faultinject.New(faultinject.Config{Seed: 1, Sever: 1, Budget: 1})
 	tap := &tapListener{Listener: lis, inj: inj, severAfter: 3}
-	c := NewClusterOn(tap, WithClusterWindow(4), WithJoinWait(20*time.Second),
-		WithClusterHeartbeat(50*time.Millisecond))
+	c := tunedCluster(t, tap, 50*time.Millisecond, 0, WithWindow(4), WithJoinWait(20*time.Second))
 	t.Cleanup(func() { c.Close() })
 	awaitMembers := func(k int) {
 		deadline := time.Now().Add(5 * time.Second)

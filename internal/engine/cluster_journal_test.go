@@ -83,7 +83,7 @@ func TestClusterJournalFullResume(t *testing.T) {
 
 	before := obs.Snapshot()
 	c1, err := NewCluster("127.0.0.1:0",
-		WithClusterJournal(path), WithJoinWait(10*time.Second))
+		WithJournal(path), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestClusterJournalFullResume(t *testing.T) {
 
 	// Resume with NO workers: the journal alone must satisfy the batch.
 	c2, err := NewCluster("127.0.0.1:0",
-		WithClusterJournal(path), WithClusterResume(true), WithJoinWait(50*time.Millisecond))
+		WithJournal(path), WithResume(true), WithJoinWait(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestClusterJournalResumeSkipsExecution(t *testing.T) {
 	}
 
 	c, err := NewCluster("127.0.0.1:0",
-		WithClusterJournal(path), WithClusterResume(true), WithJoinWait(10*time.Second))
+		WithJournal(path), WithResume(true), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestClusterJournalResumeSkipsExecution(t *testing.T) {
 func TestClusterJournalMismatchFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	params := []byte(`{"mul":3}`)
-	c1, err := NewCluster("127.0.0.1:0", WithClusterJournal(path), WithJoinWait(10*time.Second))
+	c1, err := NewCluster("127.0.0.1:0", WithJournal(path), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestClusterJournalMismatchFails(t *testing.T) {
 	c1.Close()
 
 	c2, err := NewCluster("127.0.0.1:0",
-		WithClusterJournal(path), WithClusterResume(true), WithJoinWait(10*time.Second))
+		WithJournal(path), WithResume(true), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestClusterJournalMismatchFails(t *testing.T) {
 func TestClusterJournaledFailuresResume(t *testing.T) {
 	const want = "engine: job 3: job 3 boom"
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	c1, err := NewCluster("127.0.0.1:0", WithClusterJournal(path), WithJoinWait(10*time.Second))
+	c1, err := NewCluster("127.0.0.1:0", WithJournal(path), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestClusterJournaledFailuresResume(t *testing.T) {
 	c1.Close()
 
 	c2, err := NewCluster("127.0.0.1:0",
-		WithClusterJournal(path), WithClusterResume(true), WithJoinWait(50*time.Millisecond))
+		WithJournal(path), WithResume(true), WithJoinWait(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func journalLines(t *testing.T, path string) int {
 // journaled cluster batch killed mid-flight, then resumed by a fresh
 // coordinator, fans in byte-identical to the uninterrupted baseline — under
 // plain TCP and TLS alike.
-func killResumeRoundTrip(t *testing.T, clusterOpts []ClusterOption, joinOpts []JoinOption) {
+func killResumeRoundTrip(t *testing.T, clusterOpts []RemoteOption, joinOpts []JoinOption) {
 	const n, root = 40, 11
 	params := []byte(`{"mul":7,"label":"kill"}`)
 	want, _, err := NewInProcess().RunTask("chaos/slow", params, n, Seed(root))
@@ -272,8 +272,8 @@ func killResumeRoundTrip(t *testing.T, clusterOpts []ClusterOption, joinOpts []J
 	}
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
-	c1, err := NewCluster("127.0.0.1:0", append([]ClusterOption{
-		WithClusterJournal(path), WithJoinWait(10 * time.Second),
+	c1, err := NewCluster("127.0.0.1:0", append([]RemoteOption{
+		WithJournal(path), WithJoinWait(10 * time.Second),
 	}, clusterOpts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +303,8 @@ func killResumeRoundTrip(t *testing.T, clusterOpts []ClusterOption, joinOpts []J
 	}
 
 	before := obs.Snapshot()
-	c2, err := NewCluster("127.0.0.1:0", append([]ClusterOption{
-		WithClusterJournal(path), WithClusterResume(true), WithJoinWait(10 * time.Second),
+	c2, err := NewCluster("127.0.0.1:0", append([]RemoteOption{
+		WithJournal(path), WithResume(true), WithJoinWait(10 * time.Second),
 	}, clusterOpts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestClusterKillResumeByteIdentical(t *testing.T) {
 func TestClusterKillResumeByteIdenticalTLS(t *testing.T) {
 	srvCfg, cliCfg := testTLSPair(t)
 	killResumeRoundTrip(t,
-		[]ClusterOption{WithClusterTLS(srvCfg)},
+		[]RemoteOption{WithTLS(srvCfg)},
 		[]JoinOption{WithJoinTLS(cliCfg)})
 }
 
@@ -354,11 +354,7 @@ func TestClusterKillResumeByteIdenticalTLS(t *testing.T) {
 func TestClusterJoinWaitBoundedUnderFlap(t *testing.T) {
 	stuckHold.Store(true)
 	defer stuckHold.Store(false)
-	c, err := NewCluster("127.0.0.1:0",
-		WithJoinWait(200*time.Millisecond), WithClusterHeartbeat(20*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := tunedCluster(t, nil, 20*time.Millisecond, 0, WithJoinWait(200*time.Millisecond))
 	defer c.Close()
 
 	// The flapper: join, live 20ms without completing anything, die, rejoin.

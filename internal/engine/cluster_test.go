@@ -38,6 +38,22 @@ func joinWorker(t *testing.T, addr string, opts ...JoinOption) {
 	t.Cleanup(func() { close(stop); <-done })
 }
 
+// tunedCluster starts a coordinator on lis (a fresh loopback listener when
+// nil) with the liveness cadence shortened to heartbeat, evicting after
+// evict (4× heartbeat when 0), so silence and churn tests run fast.
+func tunedCluster(t *testing.T, lis net.Listener, heartbeat, evict time.Duration, opts ...RemoteOption) *Cluster {
+	t.Helper()
+	if lis == nil {
+		var err error
+		if lis, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newCluster(lis, opts)
+	c.heartbeat, c.evict = heartbeat, evict
+	return c.start()
+}
+
 // inprocessWant runs the reference batch on the in-process pool.
 func inprocessWant(t *testing.T, n int, seed uint64) ([]json.RawMessage, []byte) {
 	t.Helper()
@@ -106,7 +122,7 @@ func TestClusterSecondWorkerJoinsMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster("127.0.0.1:0", WithClusterWindow(2), WithJoinWait(10*time.Second))
+	c, err := NewCluster("127.0.0.1:0", WithWindow(2), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +194,9 @@ func startSilentClusterWorker(t *testing.T, addr string) *atomic.Int64 {
 func TestClusterHeartbeatEvictionRequeues(t *testing.T) {
 	const n = 23
 	want, params := inprocessWant(t, n, 42)
-	c, err := NewCluster("127.0.0.1:0",
-		WithClusterWindow(4),
-		WithClusterHeartbeat(25*time.Millisecond),
-		WithClusterEvictAfter(100*time.Millisecond),
+	c := tunedCluster(t, nil, 25*time.Millisecond, 100*time.Millisecond,
+		WithWindow(4),
 		WithJoinWait(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { c.Close() })
 
 	swallowed := startSilentClusterWorker(t, c.Addr())
@@ -273,7 +284,7 @@ func TestClusterKilledPeerMidWindowRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := NewCluster("127.0.0.1:0",
-		WithClusterWindow(8), WithJoinWait(10*time.Second))
+		WithWindow(8), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +332,7 @@ func TestClusterAuthToken(t *testing.T) {
 	const n = 9
 	want, params := inprocessWant(t, n, 7)
 	c, err := NewCluster("127.0.0.1:0",
-		WithClusterAuthToken("s3cret"), WithJoinWait(10*time.Second))
+		WithAuthToken("s3cret"), WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,10 +515,11 @@ func TestClusterUnknownTask(t *testing.T) {
 // and sends nothing must not pin Close — the coordinator tracks every live
 // connection, registered or not, and severs them all.
 func TestClusterCloseWithSilentProbe(t *testing.T) {
-	c, err := NewCluster("127.0.0.1:0", WithClusterTeardown(2*time.Second))
+	c, err := NewCluster("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.teardown = 2 * time.Second
 	probe, err := net.Dial("tcp", c.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +581,7 @@ func TestSocketBackendAuthToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := NewSocketWith([]string{lis.Addr().String()}, WithAuthToken("s3cret"), WithRedialWait(0))
+	good := quickSocket([]string{lis.Addr().String()}, 1, WithAuthToken("s3cret"))
 	got, _, err := good.RunTask("conformance/draw", params, 3, Seed(2))
 	if err != nil {
 		t.Fatal(err)
@@ -577,13 +589,12 @@ func TestSocketBackendAuthToken(t *testing.T) {
 	if !bytes.Equal(got[0], want[0]) {
 		t.Fatal("authenticated socket batch differs")
 	}
-	bad := NewSocketWith([]string{lis.Addr().String()}, WithAuthToken("wrong"),
-		WithRedialWait(0), WithRedials(0))
+	bad := quickSocket([]string{lis.Addr().String()}, 0, WithAuthToken("wrong"))
 	if _, _, err := bad.RunTask("conformance/draw", params, 3, Seed(2)); err == nil ||
 		!strings.Contains(err.Error(), "auth token mismatch") {
 		t.Fatalf("err = %v, want the auth rejection", err)
 	}
-	tokenless := NewSocketWith([]string{lis.Addr().String()}, WithRedialWait(0), WithRedials(0))
+	tokenless := quickSocket([]string{lis.Addr().String()}, 0)
 	if _, _, err := tokenless.RunTask("conformance/draw", params, 3, Seed(2)); err == nil ||
 		!strings.Contains(err.Error(), "auth token mismatch") {
 		t.Fatalf("err = %v, want the auth rejection for a token-less coordinator", err)

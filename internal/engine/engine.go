@@ -10,8 +10,10 @@
 // The fan-out/fan-in contract is pluggable (see Backend): Map and ForEach
 // run closures over the default in-process pool, while registered tasks
 // (RegisterTask) can run over any backend — the same pool (InProcess) or
-// worker subprocesses sharded by the Process backend — with byte-identical
-// results, because job seeds depend only on (root seed, job index).
+// one of the remote backends (Process, Socket, Cluster), which share one
+// windowed dispatcher and differ only in where their workers come from —
+// with byte-identical results, because job seeds depend only on (root
+// seed, job index).
 package engine
 
 import (
@@ -28,7 +30,10 @@ import (
 // Stats reports how a batch executed. Timings describe the run; they are
 // the only non-deterministic part of a Map result.
 type Stats struct {
-	// Workers is the pool size the batch actually used.
+	// Workers is the pool size the batch actually used: goroutines on the
+	// in-process pool, and on the remote backends the worker connections
+	// (shards, dialled peers, cluster members) that received at least one
+	// of the batch's jobs.
 	Workers int
 	// Jobs is the number of jobs executed (or aborted by a failure).
 	Jobs int
@@ -36,14 +41,14 @@ type Stats struct {
 	Wall time.Duration
 	// JobTimes holds per-job execution times, indexed by job.
 	JobTimes []time.Duration
-	// Requeues counts jobs returned to the work queue after a peer failed —
-	// a dial that never connected, a transport lost mid-job, or a cluster
-	// worker evicted for silence with a window of jobs in flight (Socket
-	// and Cluster backends only; always 0 elsewhere). Like the timings, it
-	// describes how the batch executed, never what it produced.
+	// Requeues counts jobs returned to the work queue after a worker
+	// failed — a shard that died, a dial that never connected, a transport
+	// lost mid-window, or a cluster member evicted for silence (remote
+	// backends only; always 0 in-process). Like the timings, it describes
+	// how the batch executed, never what it produced.
 	Requeues int
 	// Resumed counts jobs recovered from a checkpoint journal instead of
-	// executed (Cluster backend with WithClusterResume; always 0 elsewhere).
+	// executed (remote backends with WithResume; always 0 in-process).
 	// Recovered results ARE what an uninterrupted run would have produced —
 	// the journal stores the exact result bytes — so like Requeues this
 	// describes execution, not output.

@@ -8,10 +8,12 @@ import (
 	"time"
 )
 
-// ProtocolVersion is the version of the coordinator<->worker wire protocol
-// spoken over socket transports. It is exchanged in the hello handshake that
-// opens every connection, so binaries built from skewed revisions fail
-// loudly at connect time instead of silently misinterpreting frames.
+// ProtocolVersion is the version of the coordinator<->worker wire protocol.
+// Network connections exchange it in the handshake that opens them (hello
+// on dialled connections, register on joined ones), so binaries built from
+// skewed revisions fail loudly at connect time instead of silently
+// misinterpreting frames; stdio shards skip the handshake because parent
+// and child are the same binary.
 //
 // History:
 //

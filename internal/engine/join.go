@@ -31,7 +31,7 @@ type joinConfig struct {
 type JoinOption func(*joinConfig)
 
 // WithJoinAuthToken sets the shared secret presented at registration; it
-// must match the coordinator's WithClusterAuthToken / -auth-token or the
+// must match the coordinator's WithAuthToken / -auth-token or the
 // join is rejected loudly.
 func WithJoinAuthToken(token string) JoinOption {
 	return func(c *joinConfig) { c.token = token }
@@ -59,7 +59,7 @@ func WithJoinStop(stop <-chan struct{}) JoinOption {
 // WithJoinTLS layers a TLS client session under the register/job protocol:
 // the join dial handshakes with the given config (see ClientTLSConfig)
 // before the register frame is sent. The coordinator must be listening with
-// the matching WithClusterTLS / -tls-cert (default: plain connections).
+// the matching WithTLS / -tls-cert (default: plain connections).
 func WithJoinTLS(cfg *tls.Config) JoinOption {
 	return func(c *joinConfig) { c.tlsCfg = cfg }
 }

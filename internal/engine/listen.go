@@ -32,7 +32,7 @@ func WithServeAuthToken(token string) ServeOption {
 
 // WithServeTLS makes the worker answer every accepted connection with a TLS
 // server handshake (see ServerTLSConfig) before the hello exchange, so only
-// coordinators dialing with the matching WithSocketTLS / -tls-ca get as far
+// coordinators dialing with the matching WithTLS / -tls-ca get as far
 // as the protocol (default: plain connections).
 func WithServeTLS(cfg *tls.Config) ServeOption {
 	return func(c *serveConfig) { c.tlsCfg = cfg }

@@ -23,7 +23,7 @@ var (
 	// connection per batch on the remote backends.
 	mParamsFrames = obs.NewCounter("engine_params_frames_total")
 
-	// Checkpoint-journal traffic (Cluster backend with WithClusterJournal):
+	// Checkpoint-journal traffic (remote backends with WithJournal):
 	// entries appended vs. jobs skipped on resume. A resumed sweep should
 	// show journal_writes + resumed_jobs == the batch size.
 	mJournalWrites = obs.NewCounter("engine_journal_writes_total")

@@ -14,9 +14,9 @@ const defaultTeardownGrace = 5 * time.Second
 // read-until-EOF on a socket — and, if it has not returned within grace,
 // calls kill (process kill, forced connection close) to unblock it, then
 // keeps waiting for wait to return. grace <= 0 waits forever. This is the
-// kill-after-timeout escalation shared by the Process backend's shard
-// shutdown and the Socket backend's peer teardown: a hung worker must never
-// block the coordinator indefinitely.
+// kill-after-timeout escalation shared by every teardown path — a spawned
+// shard or dialled peer at batch end, Cluster.Close, Serve's drain: a hung
+// worker must never block the coordinator indefinitely.
 func reap(grace time.Duration, wait func() error, kill func() error) error {
 	if grace <= 0 {
 		return wait()

@@ -64,10 +64,10 @@ func startServeTLS(t *testing.T, srvCfg *tls.Config) string {
 
 // startTLSCluster mirrors startCluster with TLS on the coordinator listener
 // and every joining worker's dial.
-func startTLSCluster(t *testing.T, workers int, srvCfg, cliCfg *tls.Config, opts ...ClusterOption) *Cluster {
+func startTLSCluster(t *testing.T, workers int, srvCfg, cliCfg *tls.Config, opts ...RemoteOption) *Cluster {
 	t.Helper()
 	c, err := NewCluster("127.0.0.1:0",
-		append([]ClusterOption{WithJoinWait(10 * time.Second), WithClusterTLS(srvCfg)}, opts...)...)
+		append([]RemoteOption{WithJoinWait(10 * time.Second), WithTLS(srvCfg)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTLSSocketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := NewSocketWith([]string{addr}, WithSocketTLS(cliCfg)).
+	got, stats, err := NewSocketWith([]string{addr}, WithTLS(cliCfg)).
 		RunTask("conformance/draw", params, 11, Seed(9))
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestTLSBadCA(t *testing.T) {
 	srvCfg, _ := testTLSPair(t)
 	_, wrongCA := testTLSPair(t) // a different self-signed root
 	addr := startServeTLS(t, srvCfg)
-	_, _, err := NewSocketWith([]string{addr}, WithSocketTLS(wrongCA)).
+	_, _, err := NewSocketWith([]string{addr}, WithTLS(wrongCA)).
 		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
 	if err == nil {
 		t.Fatal("wrong CA verified")
@@ -188,7 +188,7 @@ func TestTLSExpiredCert(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := startServeTLS(t, srvCfg)
-	_, _, err = NewSocketWith([]string{addr}, WithSocketTLS(cliCfg)).
+	_, _, err = NewSocketWith([]string{addr}, WithTLS(cliCfg)).
 		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
 	if err == nil {
 		t.Fatal("expired certificate verified")
@@ -202,7 +202,7 @@ func TestTLSExpiredCert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewSocketWith([]string{addr}, WithSocketTLS(skip)).
+	if _, _, err := NewSocketWith([]string{addr}, WithTLS(skip)).
 		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1)); err != nil {
 		t.Fatalf("skip-verify dial failed: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestPlainDialsTLS(t *testing.T) {
 func TestTLSDialsPlain(t *testing.T) {
 	_, cliCfg := testTLSPair(t)
 	addr := startServe(t, "tcp", "127.0.0.1:0")
-	_, _, err := NewSocketWith([]string{addr}, WithSocketTLS(cliCfg)).
+	_, _, err := NewSocketWith([]string{addr}, WithTLS(cliCfg)).
 		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
 	if err == nil {
 		t.Fatal("TLS dial of a plain listener succeeded")
@@ -243,7 +243,7 @@ func TestTLSDialsPlain(t *testing.T) {
 func TestTLSClusterJoinBadCA(t *testing.T) {
 	srvCfg, _ := testTLSPair(t)
 	_, wrongCA := testTLSPair(t)
-	c, err := NewCluster("127.0.0.1:0", WithClusterTLS(srvCfg), WithJoinWait(time.Second))
+	c, err := NewCluster("127.0.0.1:0", WithTLS(srvCfg), WithJoinWait(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Package journal persists cluster-batch progress as an append-only NDJSON
+// Package journal persists remote-batch progress as an append-only NDJSON
 // checkpoint file, so a coordinator killed mid-sweep can restart, skip the
 // jobs it already completed, and fan in results byte-identical to an
 // uninterrupted run.
@@ -184,10 +184,19 @@ func (j *Journal) Close() error {
 // JSON, or failing its digest — is dropped silently; an invalid line with
 // valid lines AFTER it is corruption and a hard error.
 func Recover(path string) (Header, []Entry, error) {
+	h, entries, _, err := recoverLines(path)
+	return h, entries, err
+}
+
+// recoverLines is Recover plus each entry's line exactly as it was read, so
+// Resume can rewrite the recovered prefix byte for byte: re-encoding an
+// entry could change its value's bytes (spacing, escaping) and with them
+// its digest.
+func recoverLines(path string) (Header, []Entry, [][]byte, error) {
 	var h Header
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return h, nil, fmt.Errorf("journal: reading %s: %w", path, err)
+		return h, nil, nil, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
 	lines := bytes.Split(data, []byte("\n"))
 	// A well-formed file ends in '\n', so the final split element is empty;
@@ -199,18 +208,19 @@ func Recover(path string) (Header, []Entry, error) {
 		torn = true
 	}
 	if len(lines) == 0 {
-		return h, nil, fmt.Errorf("journal: %s is empty", path)
+		return h, nil, nil, fmt.Errorf("journal: %s is empty", path)
 	}
 	if err := json.Unmarshal(lines[0], &h); err != nil {
 		if len(lines) == 1 && torn {
-			return h, nil, fmt.Errorf("journal: %s: header line torn (crash during create?): %w", path, err)
+			return h, nil, nil, fmt.Errorf("journal: %s: header line torn (crash during create?): %w", path, err)
 		}
-		return h, nil, fmt.Errorf("journal: %s: parsing header: %w", path, err)
+		return h, nil, nil, fmt.Errorf("journal: %s: parsing header: %w", path, err)
 	}
 	if h.V != Version {
-		return h, nil, fmt.Errorf("journal: %s: format v%d, this binary speaks v%d", path, h.V, Version)
+		return h, nil, nil, fmt.Errorf("journal: %s: format v%d, this binary speaks v%d", path, h.V, Version)
 	}
 	var entries []Entry
+	var raw [][]byte
 	for i, line := range lines[1:] {
 		last := i == len(lines)-2
 		var e Entry
@@ -227,11 +237,12 @@ func Recover(path string) (Header, []Entry, error) {
 				// The coordinator died mid-append; the job just re-runs.
 				break
 			}
-			return h, nil, fmt.Errorf("journal: %s: line %d corrupt with valid lines after it (%s) — refusing to resume", path, i+2, bad)
+			return h, nil, nil, fmt.Errorf("journal: %s: line %d corrupt with valid lines after it (%s) — refusing to resume", path, i+2, bad)
 		}
 		entries = append(entries, e)
+		raw = append(raw, line)
 	}
-	return h, entries, nil
+	return h, entries, raw, nil
 }
 
 // ErrMismatch tags a resume against a journal whose header does not match
@@ -248,7 +259,7 @@ func Resume(path string, h Header, fsyncEvery int) (*Journal, []Entry, error) {
 		j, err := Create(path, h, fsyncEvery)
 		return j, nil, err
 	}
-	stored, entries, err := Recover(path)
+	stored, entries, lines, err := recoverLines(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -262,12 +273,14 @@ func Resume(path string, h Header, fsyncEvery int) (*Journal, []Entry, error) {
 	// appends that follow start on a clean line boundary.
 	seen := make(map[int]bool, len(entries))
 	kept := entries[:0]
-	for _, e := range entries {
+	keptLines := lines[:0]
+	for i, e := range entries {
 		if seen[e.Job] {
 			continue
 		}
 		seen[e.Job] = true
 		kept = append(kept, e)
+		keptLines = append(keptLines, lines[i])
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -284,12 +297,7 @@ func Resume(path string, h Header, fsyncEvery int) (*Journal, []Entry, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	for i := range kept {
-		line, err := json.Marshal(&kept[i])
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: re-encoding entry for job %d: %w", kept[i].Job, err)
-		}
+	for _, line := range keptLines {
 		if err := j.writeLine(line); err != nil {
 			f.Close()
 			return nil, nil, err

@@ -374,7 +374,7 @@ func TestHarmonicContractProperty(t *testing.T) {
 		}
 		return Validate(Harmonic{R0: r0, Alpha: alpha}, 32) == nil
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -388,7 +388,7 @@ func TestGeometricContractProperty(t *testing.T) {
 		}
 		return Validate(Geometric{R0: r0, Beta: beta}, 32) == nil
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -74,7 +74,7 @@ func TestRunningMatchesBatch(t *testing.T) {
 		scale := math.Max(1, math.Abs(mean))
 		return almostEqual(r.Mean(), mean, 1e-6*scale) && almostEqual(r.Variance(), v, 1e-4*math.Max(1, v))
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -182,7 +182,7 @@ func TestJainIndexRange(t *testing.T) {
 		n := float64(len(xs))
 		return j >= 1/n-1e-9 && j <= 1+1e-9
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
