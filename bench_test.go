@@ -690,9 +690,9 @@ func BenchmarkDistPolicy(b *testing.B) {
 // voids them before each run, measuring the same trajectory with a full
 // sweep. Both end at bit-identical allocations — the committed metric is
 // the best-response evaluations per churn event (dp/event) next to the DPs
-// the kernel actually executed once the (budget, row) memo has answered
-// the repeats (kernel-dp/event, from the workspace counters the sweep
-// flushes into kernel_dp_calls_total).
+// the kernel actually executed once the (budget, row) class index has
+// answered the repeats (kernel-dp/event, from the workspace counters the
+// sweep flushes into kernel_dp_calls_total).
 func BenchmarkRequilibrate(b *testing.B) {
 	spec := chanalloc.DefaultChurnSpec(4, 6, 200, 7)
 	trace, err := chanalloc.GenerateChurnTrace(spec)
@@ -781,6 +781,66 @@ func BenchmarkLiveServerChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trace)), "ns/event")
+}
+
+// BenchmarkLiveEventScaling measures how allocd's cost per churn event
+// grows with the population at a fixed channel count. Each size builds a
+// 16-channel live game of N users with budgets cycling 1..4 and
+// re-equilibrates it once; every op then applies a fixed event pair
+// through the server — user 1's budget up from 1 to 2 and back down —
+// with warm re-equilibration, welfare and single-worker NE verification.
+// It reports ns/event, the best-response DPs the kernel executed per event
+// (kernel-dp/event) and the number of distinct (budget, row) classes after
+// set-up. When the event cost follows the classes rather than N, the
+// N=4096 : N=1024 ns/event ratio stays well below 4.
+func BenchmarkLiveEventScaling(b *testing.B) {
+	for _, n := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			srv, err := chanalloc.NewLiveServer(chanalloc.LiveConfig{
+				Channels: 16, Rate: chanalloc.TDMA(54), RateName: "tdma:54",
+				Workers: 1, Verify: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lg := srv.Game()
+			for i := 0; i < n; i++ {
+				if _, err := lg.Join(1 + i%4); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ws := chanalloc.BorrowWorkspace()
+			res, err := chanalloc.Requilibrate(lg, chanalloc.WithDynamicsWorkspace(ws))
+			chanalloc.ReturnWorkspace(ws)
+			if err != nil || !res.Converged {
+				b.Fatalf("set-up re-equilibration: converged %v, %v", res.Converged, err)
+			}
+			classes := map[string]bool{}
+			for i := 0; i < lg.Users(); i++ {
+				k, _ := lg.BudgetOf(lg.IDAt(i))
+				classes[fmt.Sprint(k, lg.Alloc().Row(i))] = true
+			}
+			pair := [2]chanalloc.LiveRequest{
+				{Op: "budget", ID: 1, Budget: 2},
+				{Op: "budget", ID: 1, Budget: 1},
+			}
+			kernelDPs := chanalloc.NewObsCounter("kernel_dp_calls_total")
+			b.ReportAllocs()
+			b.ResetTimer()
+			kernel0 := kernelDPs.Value()
+			for i := 0; i < b.N; i++ {
+				for _, req := range pair {
+					if u := srv.Apply(req).Update; u == nil || !u.Converged || !u.Verified {
+						b.Fatalf("event %+v: update %+v", req, u)
+					}
+				}
+			}
+			events := float64(2 * b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(kernelDPs.Value()-kernel0)/events, "kernel-dp/event")
+			b.ReportMetric(float64(len(classes)), "classes")
+		})
+	}
 }
 
 // BenchmarkPooledWorkspaceBestResponse measures the shared-pool borrow /

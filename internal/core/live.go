@@ -31,15 +31,20 @@ type Churn struct {
 
 // LiveGame is the mutable form of the channel allocation game with
 // per-user budgets: users join, leave and change radio budgets while the
-// derived state — the dense allocation matrix, the precomputed RateView
-// and the welfare memo — is kept consistent incrementally instead of being
-// rebuilt per event.
+// derived state — the dense allocation matrix, the (budget, row) class
+// index, the precomputed RateView and the welfare memo — is kept
+// consistent incrementally instead of being rebuilt per event.
 //
 //   - Stable IDs vs dense rows: every kernel (DP workspaces, orbit walks,
 //     the allocation matrix itself) indexes users 0..N-1 densely. A live
 //     population is sparse in identity space, so LiveGame owns the
 //     id↔row indirection; departures compact rows with a swap-with-last
 //     (Alloc.RemoveRowSwap) and remap the moved user.
+//   - Class index: every user's exact (budget, row) is interned into a
+//     dense class id (see Classes). Join, Leave and SetBudget re-intern
+//     the one row they edit; dynamics.Requilibrate re-interns each row it
+//     moves. The sweep and the live verifier read a user's class with one
+//     array read instead of re-hashing all N rows per event.
 //   - RateView growth: the view's table domain covers total load 0..Σk_i.
 //     Joins grow the total, so the view is rebuilt with doubling headroom
 //     only when the domain is outgrown; every rebuild samples the same
@@ -62,7 +67,8 @@ type LiveGame struct {
 	rowOf   map[UserID]int // stable id -> dense row
 	nextID  UserID
 
-	alloc *Alloc // dense allocation; nil while the game is empty
+	alloc   *Alloc   // dense allocation; nil while the game is empty
+	classes *Classes // (budget, row) class of every dense row
 
 	view     *RateView
 	viewLoad int // total-load domain the current view covers
@@ -89,6 +95,7 @@ func NewLiveGame(channels int, rate ratefn.Func) (*LiveGame, error) {
 		channels: channels,
 		rate:     rate,
 		rowOf:    make(map[UserID]int),
+		classes:  newClasses(channels),
 		viewLoad: -1,
 		viewOwn:  -1,
 		quiet:    true,
@@ -113,6 +120,11 @@ func (lg *LiveGame) Generation() uint64 { return lg.gen }
 // state dynamics.Requilibrate evolves in place; other callers must treat
 // it as read-only.
 func (lg *LiveGame) Alloc() *Alloc { return lg.alloc }
+
+// Classes returns the LIVE (budget, row) class index of the dense rows.
+// dynamics.Requilibrate re-interns every row it moves; other callers must
+// treat it as read-only.
+func (lg *LiveGame) Classes() *Classes { return lg.classes }
 
 // RowOf translates a stable user id to its current dense row.
 func (lg *LiveGame) RowOf(id UserID) (int, bool) {
@@ -220,6 +232,7 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 	if err := lg.alloc.SetRow(row, seeded); err != nil {
 		return 0, fmt.Errorf("core: seeding joiner %d: %w", id, err)
 	}
+	lg.classes.Append(budget, seeded)
 	for c, v := range seeded {
 		if v > 0 {
 			lg.pending.Dirty[c] = true
@@ -249,6 +262,7 @@ func (lg *LiveGame) Leave(id UserID) error {
 	if err := lg.alloc.RemoveRowSwap(row); err != nil {
 		return fmt.Errorf("core: leave user %d: %w", id, err)
 	}
+	lg.classes.RemoveSwap(row)
 	last := len(lg.ids) - 1
 	if row != last {
 		moved := lg.ids[last]
@@ -328,6 +342,7 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 		lg.pending.Dirty[worst] = true
 		lg.pending.Decreased = true
 	}
+	lg.classes.Set(row, k, a.m[row])
 	lg.pending.Suspects[id] = true
 	lg.bump()
 	return nil
@@ -337,9 +352,13 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 // violation found, or nil:
 //
 //   - every channel's load equals the column sum of the allocation (the
-//     row memo's premise: equal rows face equal external loads);
+//     class index's premise: equal rows face equal external loads);
 //   - every row is non-negative and deploys at most its user's budget;
 //   - stable ids and dense rows map one to one;
+//   - the class index matches a fresh exact grouping of the rows: each
+//     user's class stores its budget and row, users share a class iff
+//     their (budget, row) agree, and member counts, intern map and free
+//     list are exact;
 //   - the rate view covers the total radio budget and the largest
 //     per-user budget.
 //
@@ -362,7 +381,7 @@ func (lg *LiveGame) Check() error {
 		}
 	}
 	if n == 0 {
-		return nil
+		return lg.classes.check(nil, nil)
 	}
 	a := lg.alloc
 	if a.Users() != n || a.Channels() != lg.channels {
@@ -395,6 +414,9 @@ func (lg *LiveGame) Check() error {
 		if a.Load(c) != sum {
 			return fmt.Errorf("core: channel %d load %d, column sum %d", c, a.Load(c), sum)
 		}
+	}
+	if err := lg.classes.check(a, lg.budgets); err != nil {
+		return err
 	}
 	if lg.view == nil || lg.viewLoad < total || lg.viewOwn < maxBudget {
 		return fmt.Errorf("core: rate view covers load %d and budget %d, game needs %d and %d",

@@ -184,8 +184,8 @@ func (rv *RateView) MovedRowValue(a *Alloc, i, from, to int) float64 {
 // grown on demand and reused across calls, so the *Into / *With entry
 // points run with zero steady-state allocations. It also hosts the
 // incremental screen cache used by the canonical enumeration walks (see
-// ResetScreenCache) and the (budget, row) memo of exchangeable users (see
-// RowRep).
+// ResetScreenCache). The (budget, row) index of exchangeable users is not
+// scratch: it mirrors one allocation's rows and lives with it (see Classes).
 //
 // A Workspace is not safe for concurrent use: hold one per goroutine
 // (engine workers, dynamics runs, enumeration shards each own one).
@@ -220,11 +220,6 @@ type Workspace struct {
 	scEpoch   []int64 // walk epoch at which the user's state was computed
 	loadEpoch []int64 // walk epoch at which each channel's load last changed
 	epoch     int64   // current walk epoch (advanced by ScreenStep)
-
-	// (budget, row) memo of exchangeable users (RowRep): hash → class
-	// representative, plus the users the memo did not answer.
-	rowReps map[uint64]rowRep
-	rowMiss []int
 
 	// obs accumulates kernel metrics locally (plain increments — the
 	// workspace is single-owner); FlushObs folds them into the global
@@ -333,8 +328,8 @@ func (ws *Workspace) Utils(n int) []float64 {
 }
 
 // UserInts returns an n-length int scratch slice reused across calls: the
-// best-response sweep's visit order and quiet stamps. Contents are
-// unspecified on entry.
+// best-response sweep's visit order and quiet stamps, the live verifier's
+// class representatives. Contents are unspecified on entry.
 func (ws *Workspace) UserInts(n int) []int {
 	if cap(ws.ints) < n {
 		ws.ints = make([]int, n)

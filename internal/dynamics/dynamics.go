@@ -57,9 +57,10 @@ type Result struct {
 	Moves int
 	// DPCalls counts best-response evaluations across the run: users whose
 	// verdict was not already cached (radio-greedy runs report 0). An
-	// evaluation answered by the (budget, row) memo counts like one that
-	// ran the DP, so the number depends only on the move sequence; the DPs
-	// actually executed are the kernel_dp_calls_total counter.
+	// evaluation answered by a (budget, row) class already proven quiet
+	// counts like one that ran the DP, so the number depends only on the
+	// move sequence; the DPs actually executed are the
+	// kernel_dp_calls_total counter.
 	// Warm-started re-equilibration exists to shrink this number — see
 	// Requilibrate.
 	DPCalls int
@@ -170,12 +171,14 @@ func RunBestResponse(g *core.Game, start *core.Alloc, opts ...Option) (Result, e
 	if err := g.CheckAlloc(start); err != nil {
 		return Result{}, err
 	}
-	return bestResponseSweep(g, start.Clone(), cfg, nil)
+	a := start.Clone()
+	return bestResponseSweep(g, a, core.NewClasses(g, a), cfg, nil)
 }
 
 // bestResponseSweep is the shared best-response loop behind
 // RunBestResponse and Requilibrate. It evolves a IN PLACE (callers clone
-// when the input must survive) and returns it as Result.Final.
+// when the input must survive) and returns it as Result.Final; cls is a's
+// (budget, row) class index, re-interned after every move.
 //
 // preQuiet warm-starts the quiet cache: preQuiet[i] true asserts user i
 // provably has no improving deviation at the INITIAL allocation (move
@@ -184,7 +187,7 @@ func RunBestResponse(g *core.Game, start *core.Alloc, opts ...Option) (Result, e
 // no prior knowledge (every user is swept). Because a pre-quiet user is by
 // assertion a non-mover, the move sequence, trace and terminal allocation
 // are bit-identical to the preQuiet == nil run — only DPCalls differs.
-func bestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
+func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg config, preQuiet []bool) (Result, error) {
 	rng := des.NewRNG(cfg.seed)
 	// One workspace per run (injected or fresh): the whole convergence
 	// process is allocation-free apart from the trace (and the per-round
@@ -194,8 +197,11 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool)
 	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
 
 	n := g.Users()
-	scratch := ws.UserInts(2 * n)
-	order, quietAt := scratch[:n:n], scratch[n:]
+	// A move re-interns one row without growing the class table beyond
+	// max(Size, n), so the per-class stamps fit for the whole run.
+	classes := max(cls.Size(), n)
+	scratch := ws.UserInts(2*n + classes)
+	order, quietAt, classQuietAt := scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
 	for i := range order {
 		order[i] = i
 	}
@@ -214,13 +220,16 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool)
 			quietAt[i] = 0
 		}
 	}
-	// The workspace's row memo holds the (budget, row) pairs proven quiet
-	// since the last move: a user sharing one faces the same external
-	// loads and has the same utility as the user proven quiet, so it is
-	// quiet too and its DP is skipped. Only quiet verdicts are reused —
-	// a pair's first user runs the DP and may move, and every move empties
-	// the memo.
-	ws.ResetRowMemo(n)
+	// classQuietAt[c] is the move count at which a member of class c was
+	// last proven quiet by its own DP, -1 if never: a user of the same
+	// (budget, row) faces the same external loads and has the same
+	// utility, so it is quiet too and its DP is skipped. Only quiet
+	// verdicts are reused — a class's first user runs the DP and may move.
+	// Every move bumps the count, so a stamp never outlives the allocation
+	// it was proven on, nor passes to a class that reuses a freed id.
+	for c := range classQuietAt {
+		classQuietAt[c] = -1
+	}
 	for round := 0; round < cfg.maxRounds; round++ {
 		if cfg.schedule == RandomOrder {
 			order = rng.Perm(n)
@@ -231,7 +240,8 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool)
 				continue
 			}
 			res.DPCalls++
-			if _, seen := ws.RowRep(a, i, g.Budget(i)); seen {
+			c := cls.Of(i)
+			if classQuietAt[c] == res.Moves {
 				quietAt[i] = res.Moves
 				continue
 			}
@@ -244,12 +254,13 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool)
 				if err := a.SetRow(i, row); err != nil {
 					return Result{}, fmt.Errorf("dynamics: applying row for user %d: %w", i, err)
 				}
+				cls.Set(i, g.Budget(i), row)
 				res.Moves++
-				ws.ResetRowMemo(n)
 				improved = true
 				continue
 			}
 			quietAt[i] = res.Moves
+			classQuietAt[c] = res.Moves
 		}
 		res.Rounds++
 		res.PotentialTrace = append(res.PotentialTrace, g.Potential(a))

@@ -11,10 +11,11 @@ import (
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
-// refBestResponseSweep is the un-memoised best-response sweep, kept as the
-// differential reference for bestResponseSweep: every user whose quiet
-// verdict is not cached runs its own DP.
-func refBestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bool) (Result, error) {
+// refBestResponseSweep is the best-response sweep without the class index,
+// kept as the differential reference for bestResponseSweep: every user
+// whose quiet verdict is not cached runs its own DP. A non-nil cls is kept
+// in step with the moves, as a live game's index must be, but never read.
+func refBestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg config, preQuiet []bool) (Result, error) {
 	rng := des.NewRNG(cfg.seed)
 	ws := cfg.workspace()
 	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
@@ -48,6 +49,9 @@ func refBestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bo
 				if err := a.SetRow(i, row); err != nil {
 					return Result{}, err
 				}
+				if cls != nil {
+					cls.Set(i, g.Budget(i), row)
+				}
 				res.Moves++
 				improved = true
 				continue
@@ -64,7 +68,34 @@ func refBestResponseSweep(g *core.Game, a *core.Alloc, cfg config, preQuiet []bo
 	return res, nil
 }
 
-// refRequilibrate is Requilibrate over the reference sweep.
+// refWarmQuiet is warmQuiet user by user: every user that is not a churn
+// suspect and occupies no dirty channel carries its quiet verdict over.
+func refWarmQuiet(lg *core.LiveGame, wasQuiet bool, churn core.Churn) ([]bool, int) {
+	if !wasQuiet || churn.Decreased {
+		return nil, 0
+	}
+	a := lg.Alloc()
+	preQuiet := make([]bool, lg.Users())
+	skipped := 0
+	for i := range preQuiet {
+		if churn.Suspects[lg.IDAt(i)] {
+			continue
+		}
+		onDirty := false
+		for c := 0; c < lg.Channels(); c++ {
+			if churn.Dirty[c] && a.Radios(i, c) > 0 {
+				onDirty = true
+			}
+		}
+		if !onDirty {
+			preQuiet[i] = true
+			skipped++
+		}
+	}
+	return preQuiet, skipped
+}
+
+// refRequilibrate is Requilibrate over the reference warm start and sweep.
 func refRequilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -79,8 +110,8 @@ func refRequilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 			Events: churn.Events,
 		}, nil
 	}
-	preQuiet, skipped := warmQuiet(lg, lg.Alloc(), wasQuiet, churn)
-	res, err := refBestResponseSweep(lg.Frozen(), lg.Alloc(), cfg, preQuiet)
+	preQuiet, skipped := refWarmQuiet(lg, wasQuiet, churn)
+	res, err := refBestResponseSweep(lg.Frozen(), lg.Alloc(), lg.Classes(), cfg, preQuiet)
 	if err != nil {
 		return ReqResult{}, err
 	}
@@ -88,7 +119,7 @@ func refRequilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 	return ReqResult{Result: res, WarmSkipped: skipped, Events: churn.Events}, nil
 }
 
-// sameResult reports the first difference between a memoised and a
+// sameResult reports the first difference between an indexed and a
 // reference run, or "".
 func sameResult(got, want Result) string {
 	switch {
@@ -144,11 +175,13 @@ func churnTwin(t *testing.T, games [2]*core.LiveGame, rng *des.RNG, grow, maxBud
 // sweep flushes its workspace's count into it at the end of every run.
 var kernelDPs = obs.NewCounter("kernel_dp_calls_total")
 
-// TestRequilibrateMemoDifferential pins the (budget, row) memo in the
-// sweep against the un-memoised reference: on every event of seeded churn
-// traces in the many-users, few-channels regime, the two give identical
-// rounds, moves, potential traces, DP call counts, warm skips and final
-// allocations, and both live games pass their invariant check.
+// TestRequilibrateMemoDifferential pins the warm start and the sweep over
+// the live game's (budget, row) class index against the per-user
+// reference: on every event of seeded churn traces in the many-users,
+// few-channels regime, the two give identical rounds, moves, potential
+// traces, DP call counts, warm skips and final allocations, the indexed
+// run executes no more DPs than it counts, and both live games (index
+// included) pass their invariant check.
 func TestRequilibrateMemoDifferential(t *testing.T) {
 	users, events := 256, 300
 	if testing.Short() {
@@ -203,10 +236,13 @@ func TestRequilibrateMemoDifferential(t *testing.T) {
 						t.Fatalf("event %d (%s): game %d: %v", ev, kind, j, err)
 					}
 				}
+				if executed > got.DPCalls {
+					t.Fatalf("event %d (%s): executed %d DPs for %d evaluations", ev, kind, executed, got.DPCalls)
+				}
 				hits += got.DPCalls - executed
 			}
 			if hits == 0 {
-				t.Fatal("the memo answered no evaluation over the whole trace")
+				t.Fatal("the class index answered no evaluation over the whole trace")
 			}
 		})
 	}
@@ -238,7 +274,7 @@ func TestBestResponseMemoDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := refBestResponseSweep(g, start.Clone(), cfg, nil)
+			want, err := refBestResponseSweep(g, start.Clone(), nil, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,8 +62,8 @@ func Requilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 		return ReqResult{}, fmt.Errorf("dynamics: live allocation invalid: %w", err)
 	}
 
-	preQuiet, skipped := warmQuiet(lg, a, wasQuiet, churn)
-	res, err := bestResponseSweep(g, a, cfg, preQuiet)
+	preQuiet, skipped := warmQuiet(lg, wasQuiet, churn)
+	res, err := bestResponseSweep(g, a, lg.Classes(), cfg, preQuiet)
 	if err != nil {
 		return ReqResult{}, err
 	}
@@ -77,27 +77,45 @@ func Requilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 // warmQuiet derives the warm start's carried quiet verdicts (see
 // Requilibrate) and how many users they cover: nil unless the allocation
 // was quiet before the churn and no load decreased; otherwise every user
-// that is not a churn suspect and occupies no dirty channel.
-func warmQuiet(lg *core.LiveGame, a *core.Alloc, wasQuiet bool, churn core.Churn) ([]bool, int) {
+// that is not a churn suspect and occupies no dirty channel. Members of a
+// class share their row, so "on a dirty channel" is decided once per
+// class, and the few suspects are cleared by walking the suspect set.
+func warmQuiet(lg *core.LiveGame, wasQuiet bool, churn core.Churn) ([]bool, int) {
 	if !wasQuiet || churn.Decreased {
 		return nil, 0
+	}
+	var dirty []int
+	for ch, d := range churn.Dirty {
+		if d {
+			dirty = append(dirty, ch)
+		}
+	}
+	cls := lg.Classes()
+	onDirty := make([]bool, cls.Size())
+	for c := range onDirty {
+		if cls.Count(c) == 0 {
+			continue
+		}
+		row := cls.Row(c)
+		for _, ch := range dirty {
+			if row[ch] > 0 {
+				onDirty[c] = true
+				break
+			}
+		}
 	}
 	preQuiet := make([]bool, lg.Users())
 	skipped := 0
 	for i := range preQuiet {
-		if churn.Suspects[lg.IDAt(i)] {
-			continue
-		}
-		onDirty := false
-		for c := 0; c < lg.Channels(); c++ {
-			if churn.Dirty[c] && a.Radios(i, c) > 0 {
-				onDirty = true
-				break
-			}
-		}
-		if !onDirty {
+		if !onDirty[cls.Of(i)] {
 			preQuiet[i] = true
 			skipped++
+		}
+	}
+	for id := range churn.Suspects {
+		if i, ok := lg.RowOf(id); ok && preQuiet[i] {
+			preQuiet[i] = false
+			skipped--
 		}
 	}
 	return preQuiet, skipped

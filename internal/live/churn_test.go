@@ -30,6 +30,31 @@ func TestParseChurnSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseChurnSpec feeds arbitrary strings to allocd's churn-spec
+// grammar. Nothing may panic, every accepted spec passes Validate, and a
+// small accepted spec generates exactly its number of requests.
+func FuzzParseChurnSpec(f *testing.F) {
+	for _, s := range []string{"4,6,200,7", "8, 5, 50", "16,1024,7024,2006", "0,5,6", "4,-1,6", "4,5,6,-1", "x", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseChurnSpec(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%q parsed to %+v, which fails Validate: %v", s, spec, err)
+		}
+		if spec.Initial > 64 || spec.Events > 256 {
+			return
+		}
+		trace, err := GenerateTrace(spec)
+		if err != nil || len(trace) != spec.Events {
+			t.Fatalf("%q: %d requests, want %d (%v)", s, len(trace), spec.Events, err)
+		}
+	})
+}
+
 // TestGenerateTraceDeterministicAndValid pins the two properties the
 // golden-transcript tests build on: same seed, same trace — and every
 // leave/budget request names a user that is live at that point given

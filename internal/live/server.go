@@ -310,27 +310,36 @@ func (s *Server) verifyNE() bool {
 	if g == nil {
 		return true
 	}
-	return verifyAlloc(g, s.lg.Alloc(), s.cfg.Workers)
+	return verifyAlloc(g, s.lg.Alloc(), s.lg.Classes(), s.cfg.Workers)
 }
 
 // verifyAlloc decides whether a is a Nash equilibrium of g with the exact
 // per-user best-response DP. Users with the same budget and the same row
 // face the same external loads and have the same utility, so their DP
-// results and verdicts are bit-identical: one serial pass groups users by
-// (budget, row) in a pooled workspace's row memo, and only one
-// representative per class runs the DP, sharded over the workers. Each
-// worker borrows its own pooled DP workspace. The verdict is an AND over
+// results and verdicts are bit-identical: cls, a's (budget, row) class
+// index, groups them, and one serial stamp pass over the users' class ids
+// picks each class's first user as its representative. Only the
+// representatives run the DP, sharded over the workers; each worker
+// borrows its own pooled DP workspace. The verdict is an AND over
 // representatives, which equals the AND over all users, so it is the same
 // at any worker count, and the early exit on a found deviation only saves
-// time. No state is shared with the dynamics that produced a.
-func verifyAlloc(g *core.Game, a *core.Alloc, workers int) bool {
+// time. Only the grouping is shared with the dynamics that produced a:
+// every representative's utility and DP are computed here.
+func verifyAlloc(g *core.Game, a *core.Alloc, cls *core.Classes, workers int) bool {
 	ws := core.Workspaces.Get()
 	defer core.Workspaces.Put(ws)
-	ws.ResetRowMemo(g.Users())
-	for i := 0; i < g.Users(); i++ {
-		ws.RowRep(a, i, g.Budget(i))
+	users, size := g.Users(), cls.Size()
+	scratch := ws.UserInts(size + users)
+	seen, reps := scratch[:size:size], scratch[size:size]
+	for c := range seen {
+		seen[c] = 0
 	}
-	reps := ws.RowMisses()
+	for i := 0; i < users; i++ {
+		if c := cls.Of(i); seen[c] == 0 {
+			seen[c] = 1
+			reps = append(reps, i)
+		}
+	}
 	n := len(reps)
 	if workers > n {
 		workers = n

@@ -47,11 +47,12 @@ func worsen(t *testing.T, a *core.Alloc, i int) {
 	}
 }
 
-// TestVerifyGroupedDifferential pins the (budget, row)-grouped verifier
-// against the per-user reference on every event of seeded churn traces in
-// the many-users, few-channels regime, at several worker counts, and on a
-// perturbed copy of each allocation (one row moved to a worse placement)
-// so that false verdicts must agree too. The live game's invariant check
+// TestVerifyGroupedDifferential pins the verifier grouped by the (budget,
+// row) class index against the per-user reference on every event of
+// seeded churn traces in the many-users, few-channels regime, at several
+// worker counts, and on a perturbed copy of each allocation (one row moved
+// to a worse placement, grouped by a fresh index) so that false verdicts
+// must agree too. The live game's invariant check, class index included,
 // runs after every event.
 func TestVerifyGroupedDifferential(t *testing.T) {
 	users, events := 256, 200
@@ -87,15 +88,16 @@ func TestVerifyGroupedDifferential(t *testing.T) {
 			}
 			bad := a.Clone()
 			worsen(t, bad, rng.Intn(bad.Users()))
+			badClasses := core.NewClasses(g, bad)
 			want := refVerifyNE(g, bad)
 			if !want {
 				falses++
 			}
 			for _, workers := range []int{1, 2, 5} {
-				if got := verifyAlloc(g, a, workers); !got {
+				if got := verifyAlloc(g, a, lg.Classes(), workers); !got {
 					t.Fatalf("seed %d event %d: workers=%d refuted the equilibrium", seed, ev, workers)
 				}
-				if got := verifyAlloc(g, bad, workers); got != want {
+				if got := verifyAlloc(g, bad, badClasses, workers); got != want {
 					t.Fatalf("seed %d event %d: workers=%d perturbed verdict %v, reference %v", seed, ev, workers, got, want)
 				}
 			}

@@ -2,6 +2,7 @@ package chanalloc
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -18,6 +19,9 @@ import (
 //	geometric:R0:beta            R0 · beta^(k-1)
 //	csma-practical[:1mbps|:80211b]  Bianchi DCF saturation throughput
 //	csma-optimal[:1mbps|:80211b]    optimal-backoff throughput
+//
+// Every numeric parameter must be finite: NaN passes no range check and
+// an infinite one makes R(k) NaN or +Inf.
 func ParseRate(spec string) (RateFunc, error) {
 	parts := strings.Split(spec, ":")
 	switch parts[0] {
@@ -25,7 +29,7 @@ func ParseRate(spec string) (RateFunc, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("rate %q: want tdma:R0", spec)
 		}
-		r0, err := strconv.ParseFloat(parts[1], 64)
+		r0, err := parseFinite(parts[1])
 		if err != nil || r0 <= 0 {
 			return nil, fmt.Errorf("rate %q: bad R0", spec)
 		}
@@ -34,8 +38,8 @@ func ParseRate(spec string) (RateFunc, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("rate %q: want harmonic:R0:alpha", spec)
 		}
-		r0, err1 := strconv.ParseFloat(parts[1], 64)
-		alpha, err2 := strconv.ParseFloat(parts[2], 64)
+		r0, err1 := parseFinite(parts[1])
+		alpha, err2 := parseFinite(parts[2])
 		if err1 != nil || err2 != nil || r0 <= 0 || alpha < 0 {
 			return nil, fmt.Errorf("rate %q: bad parameters", spec)
 		}
@@ -44,8 +48,8 @@ func ParseRate(spec string) (RateFunc, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("rate %q: want geometric:R0:beta", spec)
 		}
-		r0, err1 := strconv.ParseFloat(parts[1], 64)
-		beta, err2 := strconv.ParseFloat(parts[2], 64)
+		r0, err1 := parseFinite(parts[1])
+		beta, err2 := parseFinite(parts[2])
 		if err1 != nil || err2 != nil || r0 <= 0 || beta <= 0 || beta > 1 {
 			return nil, fmt.Errorf("rate %q: bad parameters", spec)
 		}
@@ -71,6 +75,15 @@ func ParseRate(spec string) (RateFunc, error) {
 	default:
 		return nil, fmt.Errorf("unknown rate function %q", spec)
 	}
+}
+
+// parseFinite parses a rate parameter, refusing NaN and ±Inf.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not finite", s)
+	}
+	return v, err
 }
 
 // TDMA returns the reservation-TDMA rate function: R(k) = r0 for every
