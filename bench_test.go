@@ -186,7 +186,7 @@ func BenchmarkBestResponseDP(b *testing.B) {
 }
 
 // BenchmarkBestResponseDPOneShot is the allocating convenience form, kept
-// so the benchdiff trajectory shows the one-shot vs workspace gap.
+// so a benchdiff comparison shows the one-shot vs workspace gap.
 func BenchmarkBestResponseDPOneShot(b *testing.B) {
 	b.ReportAllocs()
 	ext := make([]int, 16)
@@ -480,8 +480,8 @@ func benchDispatchBatch(b *testing.B, backend chanalloc.EngineBackend, jobs int)
 // network peer sources: a dialled socket worker and a joined cluster
 // member, at windows 1 (lock-step: one round-trip per job), 8 and 32
 // (pipelined: roughly one round-trip per window; EXPERIMENTS.md
-// "Work-queue and window semantics"). cmd/benchjson and cmd/benchdiff
-// track these ops PR-over-PR like every other benchmark.
+// "Work-queue and window semantics"). Compare two commits' -count runs
+// of these ops with cmd/benchdiff like any other benchmark.
 func BenchmarkDispatch(b *testing.B) {
 	b.ReportAllocs()
 	const jobs = 64

@@ -1,348 +1,414 @@
-// Command benchdiff compares two BENCH_<date>.json reports (the artifacts
-// cmd/benchjson writes in CI) and flags ns/op and allocs/op regressions,
-// closing the benchmark-trajectory loop: every CI run diffs its numbers
-// against the previous run's artifact and annotates regressions without
-// blocking the build.
+// Command benchdiff compares two `go test -bench` outputs, benchstat
+// style, and flags regressions. It attributes an end-to-end change to one
+// layer (the best-response DP, the Eq. 7 screen, NE enumeration, ...):
 //
-//	benchdiff old.json new.json                 # human-readable table
-//	benchdiff -threshold 0.1 old.json new.json  # flag >10% slowdowns
-//	benchdiff -annotate old.json new.json       # ::warning:: lines for CI
-//	benchdiff -fail old.json new.json           # exit 1 when flagged
-//	benchdiff -history dev/bench new.json       # diff vs committed history
+//	go test -run xxx -bench X -count 10 ./pkg > parent.txt   # at the parent commit
+//	go test -run xxx -bench X -count 10 ./pkg > change.txt   # at the change
+//	go run ./cmd/benchdiff parent.txt change.txt
 //
-// Benchmarks are matched by (name, procs). In two-file mode, entries
-// present on only one side are reported as added/removed, never flagged —
-// a renamed benchmark is not a regression. With -history the removal case
-// IS flagged: a benchmark present in the latest committed artifact but
-// absent from the new report is marked MISSING and counted as a
-// regression, because a benchmark silently vanishing from the stream is
-// how a perf gate goes blind. Allocation counts are compared when both sides
-// carry them (b.ReportAllocs() / -benchmem runs): a >threshold increase —
-// or any allocations appearing where the old run measured zero — is
-// flagged like an ns/op regression, so an allocation-free kernel stays
-// allocation-free. Exit status is 0 unless -fail is given and at least one
-// regression exceeds the threshold.
+// Results are keyed by (pkg, name, procs): the `pkg:` line above a result
+// scopes it, and the lines a -count run repeats become that key's
+// samples. Every other `key: value` config line (goos, goarch, cpu, ...)
+// must agree between the two files, or benchdiff refuses to compare them.
 //
-// With -history DIR the single positional argument is the new report and
-// the baseline is the committed trajectory: every BENCH_*.json under DIR,
-// in filename (= date) order. The new run is diffed against the latest
-// artifact exactly as in two-file mode, and additionally against each
-// benchmark's best-ever ns/op and its rolling median over the last
-// -window artifacts. A run more than threshold above best-ever or the
-// median is flagged DRIFT>BEST / DRIFT>MEDIAN even when the step from the
-// previous artifact is small — the failure mode of a previous-run-only
-// diff, where a sequence of +5% PRs never trips a +20% gate.
+// A key's time is judged only when both sides have at least 5 samples and
+// every sample ran more than one iteration: a one-iteration time
+// (-benchtime=1x) is a smoke run, not a measurement. A judged time is a
+// REGRESSION when the median ns/op grew by more than -threshold and a
+// two-sided Mann–Whitney U test of the samples gives p < 0.05. Allocs/op
+// is compared on medians at any sample count: growth past -threshold, or
+// any allocation where the parent measured zero, is an ALLOC-REGRESSION.
+// Keys present on one side only are listed as added or removed, never
+// flagged: a renamed benchmark is not a regression.
+//
+// Exit status: 0 when nothing is flagged, 1 when a regression is flagged,
+// 2 on a usage or input error.
 package main
 
 import (
-	"encoding/json"
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
+	"unicode"
+
+	"github.com/multiradio/chanalloc/internal/stats"
 )
 
-// Entry and Report mirror cmd/benchjson's JSON document (kept in sync by
-// the shared format test fixtures; only the fields benchdiff reads).
-type Entry struct {
-	Name    string  `json:"name"`
-	Procs   int     `json:"procs"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is nil for entries recorded without memory reporting;
-	// older reports carried the figure only in the metrics map, which is
-	// read as a fallback.
-	AllocsPerOp *float64           `json:"allocs_per_op"`
-	BytesPerOp  *float64           `json:"bytes_per_op"`
-	Metrics     map[string]float64 `json:"metrics"`
-}
-
-// allocs returns the entry's allocs/op and whether it was recorded,
-// preferring the first-class field over the legacy metrics map.
-func (e Entry) allocs() (float64, bool) {
-	if e.AllocsPerOp != nil {
-		return *e.AllocsPerOp, true
-	}
-	v, ok := e.Metrics["allocs/op"]
-	return v, ok
-}
-
-// Report is the decoded BENCH_<date>.json document.
-type Report struct {
-	Date    string  `json:"date"`
-	Entries []Entry `json:"entries"`
-}
+const (
+	// alpha is the significance level of the time test.
+	alpha = 0.05
+	// minSamples is the per-side sample count below which a time is not
+	// judged; 5-vs-5 is the smallest design whose exact p can reach 0.05
+	// with room to spare (2/252 at full separation).
+	minSamples = 5
+)
 
 func main() {
-	regressions, err := run(os.Args[1:], os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	if regressions > 0 && failFlagged {
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// failFlagged records the -fail flag for main; run itself stays exit-free
-// for tests.
-var failFlagged bool
+// entry is one parsed benchmark result line.
+type entry struct {
+	pkg string
+	// name drops the "Benchmark" prefix and the -P GOMAXPROCS suffix.
+	name    string
+	procs   int
+	iters   int64
+	nsPerOp float64
+	// hasAllocs distinguishes a measured zero allocs/op from a line
+	// without memory reporting.
+	allocs    float64
+	hasAllocs bool
+}
 
-// key identifies a benchmark across reports.
+// benchFile is one parsed `go test -bench` output.
+type benchFile struct {
+	// config holds every config line but pkg, which scopes entries.
+	config  map[string]string
+	entries []entry
+	// skipped counts lines starting with "Benchmark" that did not parse.
+	skipped int
+}
+
 type key struct {
-	name  string
-	procs int
+	pkg, name string
+	procs     int
 }
 
-// histStat summarises one benchmark's committed trajectory: the best-ever
-// ns/op across all artifacts and the median over the most recent window.
-type histStat struct {
-	best   float64
-	median float64
-	runs   int
+// samples gathers one key's repeated results.
+type samples struct {
+	ns, allocs []float64
+	minIters   int64
 }
 
-func run(args []string, out io.Writer) (regressions int, err error) {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	threshold := fs.Float64("threshold", 0.20, "flag ns/op increases above this fraction (0.20 = +20%)")
-	annotate := fs.Bool("annotate", false, "emit GitHub ::warning:: annotations for regressions")
-	fail := fs.Bool("fail", false, "exit 1 when any regression exceeds the threshold")
-	historyDir := fs.String("history", "", "directory of committed BENCH_*.json artifacts; compare the single NEW report against the latest, best-ever and rolling-median of that history")
-	window := fs.Int("window", 8, "rolling-median window: number of most recent history artifacts (with -history)")
+	fs.SetOutput(stderr)
+	threshold := fs.Float64("threshold", 0.20, "flag median ns/op and allocs/op increases above this fraction (0.20 = +20%)")
 	if err := fs.Parse(args); err != nil {
-		return 0, err
+		return 2
 	}
-	failFlagged = *fail
-
-	var oldRep, newRep Report
-	var oldLabel string
-	hist := map[key]histStat{}
-	if *historyDir != "" {
-		if fs.NArg() != 1 {
-			return 0, fmt.Errorf("want exactly one report with -history: benchdiff -history dir new.json")
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
+	}
+	if fs.NArg() != 2 {
+		return fail(fmt.Errorf("want exactly two files: benchdiff [-threshold f] parent.txt change.txt"))
+	}
+	if !(*threshold >= 0) || math.IsInf(*threshold, 1) {
+		return fail(fmt.Errorf("-threshold %v: want a finite fraction >= 0", *threshold))
+	}
+	var files [2]benchFile
+	for i, path := range fs.Args() {
+		var err error
+		if files[i], err = readBench(path); err != nil {
+			return fail(err)
 		}
-		reports, paths, err := readHistory(*historyDir)
-		if err != nil {
-			return 0, err
-		}
-		newRep, err = readReport(fs.Arg(0))
-		if err != nil {
-			return 0, err
-		}
-		oldRep = reports[len(reports)-1]
-		oldLabel = labelOr(oldRep.Date, paths[len(paths)-1])
-		hist = historyStats(reports, *window)
-		fmt.Fprintf(out, "history: %d artifact(s) under %s, rolling-median window %d\n",
-			len(reports), *historyDir, *window)
-	} else {
-		if fs.NArg() != 2 {
-			return 0, fmt.Errorf("want exactly two reports: benchdiff old.json new.json")
-		}
-		oldRep, err = readReport(fs.Arg(0))
-		if err != nil {
-			return 0, err
-		}
-		newRep, err = readReport(fs.Arg(1))
-		if err != nil {
-			return 0, err
-		}
-		oldLabel = labelOr(oldRep.Date, fs.Arg(0))
+	}
+	if err := sameConfig(files[0].config, files[1].config); err != nil {
+		return fail(err)
 	}
 
-	oldBy := map[key]Entry{}
-	for _, e := range oldRep.Entries {
-		oldBy[key{e.Name, e.Procs}] = e
+	fmt.Fprintf(stdout, "benchdiff %s -> %s (threshold %+.0f%%, p < %.2f; time judged at n >= %d and iters > 1)\n",
+		fs.Arg(0), fs.Arg(1), *threshold*100, alpha, minSamples)
+	for i, f := range files {
+		fmt.Fprintf(stdout, "%s: %d result line(s), %d skipped Benchmark line(s)\n", fs.Arg(i), len(f.entries), f.skipped)
 	}
-	newBy := map[key]Entry{}
-	for _, e := range newRep.Entries {
-		newBy[key{e.Name, e.Procs}] = e
+	for _, k := range sortedKeys(files[0].config) {
+		fmt.Fprintf(stdout, "%s: %s\n", k, files[0].config[k])
 	}
-	keys := make([]key, 0, len(oldBy)+len(newBy))
-	for k := range oldBy {
+
+	old, cur := group(files[0].entries), group(files[1].entries)
+	keys := make([]key, 0, len(old)+len(cur))
+	for k := range old {
 		keys = append(keys, k)
 	}
-	for k := range newBy {
-		if _, dup := oldBy[k]; !dup {
+	for k := range cur {
+		if old[k] == nil {
 			keys = append(keys, k)
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
+		a, b := keys[i], keys[j]
+		if a.pkg != b.pkg {
+			return a.pkg < b.pkg
 		}
-		return keys[i].procs < keys[j].procs
+		if a.name != b.name {
+			return a.name < b.name
+		}
+		return a.procs < b.procs
 	})
 
-	fmt.Fprintf(out, "benchdiff %s -> %s (threshold %+.0f%%)\n",
-		oldLabel, labelOr(newRep.Date, fs.Arg(fs.NArg()-1)), *threshold*100)
-	for _, k := range keys {
-		oldE, inOld := oldBy[k]
-		newE, inNew := newBy[k]
-		name := fmt.Sprintf("%s-%d", k.name, k.procs)
-		histNote := ""
-		if h, ok := hist[k]; ok && inNew {
-			histNote = fmt.Sprintf("  best %.0f  median %.0f", h.best, h.median)
-			if h.best > 0 && newE.NsPerOp/h.best-1 > *threshold {
-				histNote += "  DRIFT>BEST"
-				regressions++
-				if *annotate {
-					fmt.Fprintf(out, "::warning title=bench drift::%s ns/op %.0f is %+.1f%% above best-ever %.0f\n",
-						name, newE.NsPerOp, (newE.NsPerOp/h.best-1)*100, h.best)
-				}
-			}
-			if h.median > 0 && newE.NsPerOp/h.median-1 > *threshold {
-				histNote += "  DRIFT>MEDIAN"
-				regressions++
-				if *annotate {
-					fmt.Fprintf(out, "::warning title=bench drift::%s ns/op %.0f is %+.1f%% above rolling median %.0f\n",
-						name, newE.NsPerOp, (newE.NsPerOp/h.median-1)*100, h.median)
-				}
-			}
+	regressions := 0
+	for i, k := range keys {
+		if (i == 0 || k.pkg != keys[i-1].pkg) && k.pkg != "" {
+			fmt.Fprintf(stdout, "pkg: %s\n", k.pkg)
 		}
+		name := k.name
+		if k.procs > 1 {
+			name = fmt.Sprintf("%s-%d", k.name, k.procs)
+		}
+		o, c := old[k], cur[k]
 		switch {
-		case !inOld:
-			fmt.Fprintf(out, "  %-60s %14s %12.0f ns/op  (added)%s\n", name, "", newE.NsPerOp, histNote)
-		case !inNew:
-			// In two-file mode a one-sided entry is a rename, not a
-			// regression. Against committed history the judgement flips: a
-			// benchmark in the latest artifact that the new run no longer
-			// reports has silently dropped out of the trajectory — exactly
-			// the failure a drift gate cannot see — so flag it.
-			if *historyDir != "" {
-				fmt.Fprintf(out, "  %-60s %12.0f ns/op %12s  MISSING\n", name, oldE.NsPerOp, "")
-				regressions++
-				if *annotate {
-					fmt.Fprintf(out, "::warning title=bench missing::%s present in %s but absent from the new report\n",
-						name, oldLabel)
-				}
-				continue
-			}
-			fmt.Fprintf(out, "  %-60s %12.0f ns/op %12s  (removed)\n", name, oldE.NsPerOp, "")
-		case oldE.NsPerOp <= 0:
-			fmt.Fprintf(out, "  %-60s %12.0f -> %9.0f ns/op  (old is zero; skipped)\n", name, oldE.NsPerOp, newE.NsPerOp)
+		case o == nil:
+			fmt.Fprintf(stdout, "  %-56s %12s    %9.0f ns/op  (added)\n", name, "", median(c.ns))
+		case c == nil:
+			fmt.Fprintf(stdout, "  %-56s %12.0f    %9s ns/op  (removed)\n", name, median(o.ns), "")
 		default:
-			delta := newE.NsPerOp/oldE.NsPerOp - 1
-			flag := ""
-			if delta > *threshold {
-				flag = "  REGRESSION"
-				regressions++
-				if *annotate {
-					fmt.Fprintf(out, "::warning title=bench regression::%s ns/op %+.1f%% (%.0f -> %.0f)\n",
-						name, delta*100, oldE.NsPerOp, newE.NsPerOp)
-				}
-			}
-			allocNote := ""
-			if oldA, okOld := oldE.allocs(); okOld {
-				if newA, okNew := newE.allocs(); okNew {
-					worse := (oldA == 0 && newA > 0) ||
-						(oldA > 0 && newA/oldA-1 > *threshold)
-					allocNote = fmt.Sprintf("  allocs %.0f -> %.0f", oldA, newA)
-					if worse {
-						allocNote += "  ALLOC-REGRESSION"
-						regressions++
-						if *annotate {
-							fmt.Fprintf(out, "::warning title=alloc regression::%s allocs/op %.0f -> %.0f\n",
-								name, oldA, newA)
-						}
-					}
-				}
-			}
-			fmt.Fprintf(out, "  %-60s %12.0f -> %9.0f ns/op  %+7.1f%%%s%s%s\n",
-				name, oldE.NsPerOp, newE.NsPerOp, delta*100, flag, allocNote, histNote)
+			line, flagged := compare(o, c, *threshold)
+			regressions += flagged
+			fmt.Fprintf(stdout, "  %-56s %s\n", name, line)
 		}
 	}
-	fmt.Fprintf(out, "%d benchmark(s) compared, %d regression(s) above %+.0f%%\n",
-		len(keys), regressions, *threshold*100)
-	return regressions, nil
+	fmt.Fprintf(stdout, "%d benchmark(s) compared, %d regression(s)\n", len(keys), regressions)
+	if regressions > 0 {
+		return 1
+	}
+	return 0
 }
 
-// readHistory loads every BENCH_*.json under dir in filename order.
-// Artifact names embed ISO dates, so lexicographic order is chronological.
-func readHistory(dir string) ([]Report, []string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("globbing history: %w", err)
+// compare renders one key present on both sides and counts its flags.
+func compare(o, c *samples, threshold float64) (string, int) {
+	oldNs, newNs := median(o.ns), median(c.ns)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%12.0f -> %9.0f ns/op", oldNs, newNs)
+	delta := math.NaN()
+	if oldNs > 0 {
+		delta = newNs/oldNs - 1
+		fmt.Fprintf(&b, "  %+7.1f%%", delta*100)
 	}
-	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("no BENCH_*.json artifacts under %s", dir)
-	}
-	sort.Strings(paths)
-	reports := make([]Report, 0, len(paths))
-	for _, p := range paths {
-		r, err := readReport(p)
+	flagged := 0
+	if len(o.ns) >= minSamples && len(c.ns) >= minSamples && o.minIters > 1 && c.minIters > 1 {
+		_, p, err := stats.MannWhitneyU(o.ns, c.ns)
 		if err != nil {
-			return nil, nil, err
+			panic(err) // unreachable: both sides hold >= minSamples finite values
 		}
-		reports = append(reports, r)
+		fmt.Fprintf(&b, "  p=%.3f n=%d+%d", p, len(o.ns), len(c.ns))
+		if delta > threshold && p < alpha {
+			b.WriteString("  REGRESSION")
+			flagged++
+		}
+	} else {
+		fmt.Fprintf(&b, "  (time not judged: n=%d+%d, iters>=%d+%d)", len(o.ns), len(c.ns), o.minIters, c.minIters)
 	}
-	return reports, paths, nil
+	if len(o.allocs) > 0 && len(c.allocs) > 0 {
+		oldA, newA := median(o.allocs), median(c.allocs)
+		fmt.Fprintf(&b, "  allocs %.0f -> %.0f", oldA, newA)
+		if (oldA == 0 && newA > 0) || (oldA > 0 && newA/oldA-1 > threshold) {
+			b.WriteString("  ALLOC-REGRESSION")
+			flagged++
+		}
+	}
+	return b.String(), flagged
 }
 
-// historyStats folds the trajectory into per-benchmark best-ever and
-// rolling-median figures. Zero/negative ns/op entries are dropped (a
-// malformed artifact must not become an unbeatable best), and the median
-// covers only the artifacts that actually carry the benchmark, so a
-// benchmark added mid-history is judged against its own runs.
-func historyStats(reports []Report, window int) map[key]histStat {
-	series := map[key][]float64{}
-	for _, r := range reports {
-		for _, e := range r.Entries {
-			if e.NsPerOp <= 0 {
-				continue
-			}
-			k := key{e.Name, e.Procs}
-			series[k] = append(series[k], e.NsPerOp)
+// group collects each key's samples in input order.
+func group(entries []entry) map[key]*samples {
+	out := map[key]*samples{}
+	for _, e := range entries {
+		k := key{e.pkg, e.name, e.procs}
+		s := out[k]
+		if s == nil {
+			s = &samples{minIters: e.iters}
+			out[k] = s
 		}
-	}
-	out := make(map[key]histStat, len(series))
-	for k, vs := range series {
-		best := vs[0]
-		for _, v := range vs {
-			if v < best {
-				best = v
-			}
+		s.ns = append(s.ns, e.nsPerOp)
+		s.minIters = min(s.minIters, e.iters)
+		if e.hasAllocs {
+			s.allocs = append(s.allocs, e.allocs)
 		}
-		recent := vs
-		if window > 0 && len(recent) > window {
-			recent = recent[len(recent)-window:]
-		}
-		out[k] = histStat{best: best, median: median(recent), runs: len(vs)}
 	}
 	return out
 }
 
-// median returns the middle value of vs (mean of the two middles when even).
-func median(vs []float64) float64 {
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-// readReport loads one BENCH_<date>.json document.
-func readReport(path string) (Report, error) {
-	var r Report
-	data, err := os.ReadFile(path)
+func median(xs []float64) float64 {
+	m, err := stats.Median(xs)
 	if err != nil {
-		return r, fmt.Errorf("reading report: %w", err)
+		panic(err) // unreachable: every key holds at least one sample
 	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("decoding %s: %w", path, err)
-	}
-	return r, nil
+	return m
 }
 
-// labelOr prefers the report's date stamp over its filename.
-func labelOr(date, path string) string {
-	if date != "" {
-		return date
+// sameConfig refuses a comparison across different setups.
+func sameConfig(a, b map[string]string) error {
+	for _, m := range []map[string]string{a, b} {
+		for _, k := range sortedKeys(m) {
+			if a[k] != b[k] {
+				return fmt.Errorf("config line %q differs: %q vs %q; results from different setups do not compare", k, a[k], b[k])
+			}
+		}
 	}
-	return path
+	return nil
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func readBench(path string) (benchFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return benchFile{}, err
+	}
+	defer f.Close()
+	bf, err := parseBench(f)
+	if err != nil {
+		return bf, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(bf.entries) == 0 {
+		return bf, fmt.Errorf("%s: no benchmark results", path)
+	}
+	return bf, nil
+}
+
+// parseBench reads a raw `go test -bench` stream. Headers, PASS/ok
+// trailers and test failures are ignored; config lines set the package
+// scope or the file's config, which may not change mid-file.
+func parseBench(r io.Reader) (benchFile, error) {
+	bf := benchFile{config: map[string]string{}}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		if k, v, ok := configLine(line); ok {
+			if k == "pkg" {
+				pkg = v
+			} else if was, seen := bf.config[k]; seen && was != v {
+				return bf, fmt.Errorf("config line %q changes mid-file (%q, then %q)", k, was, v)
+			} else {
+				bf.config[k] = v
+			}
+			continue
+		}
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue
+		}
+		e, ok := parseLine(line)
+		if !ok {
+			bf.skipped++
+			continue
+		}
+		e.pkg = pkg
+		bf.entries = append(bf.entries, e)
+	}
+	if err := sc.Err(); err != nil {
+		return bf, fmt.Errorf("reading benchmark output: %w", err)
+	}
+	resolveProcsSuffixes(bf.entries)
+	return bf, nil
+}
+
+// configLine reports whether line is a `key: value` config line: the key
+// starts with a lower-case letter and holds no space or upper-case letter
+// (the Go benchmark format's rule).
+func configLine(line string) (key, value string, ok bool) {
+	key, value, found := strings.Cut(line, ":")
+	if !found || key == "" || (value != "" && value[0] != ' ' && value[0] != '\t') {
+		return "", "", false
+	}
+	for i, r := range key {
+		if (i == 0 && !unicode.IsLower(r)) || unicode.IsSpace(r) || unicode.IsUpper(r) {
+			return "", "", false
+		}
+	}
+	return key, strings.TrimSpace(value), true
+}
+
+// parseLine parses one result line
+//
+//	BenchmarkEnumerateNEParallel/workers8-16  	  42	  123456 ns/op	  9 B/op	 1 allocs/op
+//
+// into name, iterations, ns/op and allocs/op; further "value unit" pairs
+// are read past. ok is false unless iters >= 1 and ns/op is present,
+// finite and non-negative. A non-finite or negative allocs/op is not a
+// measurement: it is dropped and the line kept.
+func parseLine(line string) (entry, bool) {
+	fields := strings.Fields(line)
+	// Minimum shape: name, iters, value, "ns/op".
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+		return entry{}, false
+	}
+	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil || iters < 1 {
+		return entry{}, false
+	}
+	e := entry{name: strings.TrimPrefix(fields[0], "Benchmark"), procs: 1, iters: iters, nsPerOp: -1}
+	for i := 2; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return entry{}, false
+		}
+		switch fields[i+1] {
+		case "ns/op":
+			e.nsPerOp = v
+		case "allocs/op":
+			e.allocs, e.hasAllocs = v, v >= 0 && !math.IsInf(v, 1)
+		}
+	}
+	if !(e.nsPerOp >= 0) || math.IsInf(e.nsPerOp, 1) {
+		return entry{}, false // missing, negative, NaN or +Inf
+	}
+	return e, true
+}
+
+// procsSuffix splits a trailing "-<digits>" GOMAXPROCS marker off the last
+// path segment of a benchmark name.
+func procsSuffix(name string) (base string, procs int, ok bool) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || strings.Contains(name[i:], "/") {
+		return name, 0, false
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil || procs <= 0 {
+		return name, 0, false
+	}
+	return name[:i], procs, true
+}
+
+// resolveProcsSuffixes decides, for the whole stream at once, whether
+// trailing "-<digits>" on benchmark names are GOMAXPROCS markers to strip.
+// `go test` appends the marker to every benchmark when GOMAXPROCS > 1 (or a
+// -cpu list entry > 1) and to none when GOMAXPROCS is 1 — so a subtest name
+// that legitimately ends in digits (BenchmarkDist/n-2 under GOMAXPROCS=1)
+// only looks like a marker line by line, never stream-wide. The rules:
+//
+//   - every entry suffixed (GOMAXPROCS > 1, or -cpu without 1): strip each
+//     entry's own suffix;
+//   - mixed stream (-cpu list containing 1): strip a suffix only when its
+//     base name also appears unsuffixed in the stream — the cpu=1 twin that
+//     proves the trailing digits are a marker, not part of the name;
+//   - no suffixes at all: nothing to do.
+//
+// One shape stays ambiguous: a GOMAXPROCS=1 stream in which every name
+// ends in digits (a -bench filter can produce one, e.g. only Dist/n-2 and
+// Dist/n-4) is byte-identical to a -cpu run of the base names, and is read
+// as the latter. Both files of a comparison are read the same way, so
+// their keys still match; widen the -bench pattern to keep a literal name.
+func resolveProcsSuffixes(entries []entry) {
+	allSuffixed := true
+	bare := map[string]bool{}
+	for i := range entries {
+		if _, _, ok := procsSuffix(entries[i].name); !ok {
+			allSuffixed = false
+			bare[entries[i].name] = true
+		}
+	}
+	for i := range entries {
+		base, procs, ok := procsSuffix(entries[i].name)
+		if ok && (allSuffixed || bare[base]) {
+			entries[i].name, entries[i].procs = base, procs
+		}
+	}
 }
