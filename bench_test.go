@@ -283,8 +283,8 @@ func BenchmarkBestResponseDynamics(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedProtocol measures a full token-ring run over
-// in-process pipes (experiment E7's engine).
+// BenchmarkDistributedProtocol measures a full in-process token-ring run
+// (experiment E7's engine).
 func BenchmarkDistributedProtocol(b *testing.B) {
 	b.ReportAllocs()
 	r := chanalloc.TDMA(1)

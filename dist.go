@@ -52,7 +52,9 @@ func NewCoordinator(g *Game, opts ...CoordinatorOption) (*Coordinator, error) {
 // WithDistMaxRounds caps token-ring sweeps.
 func WithDistMaxRounds(n int) CoordinatorOption { return dist.WithMaxRounds(n) }
 
-// WithDistTimeout bounds each protocol message wait.
+// WithDistTimeout bounds each protocol message wait on a connection
+// (Coordinator.Run); RunDistributed calls its agents directly and never
+// waits on a message.
 func WithDistTimeout(d time.Duration) CoordinatorOption { return dist.WithTimeout(d) }
 
 // RunAgent drives one device end of the protocol over conn until the
@@ -61,8 +63,9 @@ func RunAgent(conn net.Conn, policy Policy, timeout time.Duration) (AgentResult,
 	return dist.RunAgent(conn, policy, timeout)
 }
 
-// RunDistributed wires one agent per user to a coordinator over in-process
-// pipes and runs the protocol to completion.
+// RunDistributed runs the protocol to completion with one in-process agent
+// per user, handing each agent its frames by direct call rather than over
+// a connection.
 func RunDistributed(g *Game, policies []Policy, opts ...CoordinatorOption) (*DistResult, error) {
 	return dist.RunLocal(g, policies, opts...)
 }

@@ -36,8 +36,9 @@ func WithMaxRounds(n int) CoordinatorOption {
 	return func(c *Coordinator) { c.maxRounds = n }
 }
 
-// WithTimeout bounds each protocol message wait (default 10s; <= 0 waits
-// forever).
+// WithTimeout bounds each protocol message wait on a connection (default
+// 10s; <= 0 waits forever). It applies to Coordinator.Run; RunLocal calls
+// its agents directly and never waits on a message.
 func WithTimeout(d time.Duration) CoordinatorOption {
 	return func(c *Coordinator) { c.timeout = d }
 }
@@ -69,13 +70,21 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 	if len(conns) != co.g.Users() {
 		return nil, stats, fmt.Errorf("dist: %d connections for %d users", len(conns), co.g.Users())
 	}
-	peers := make([]*peer, len(conns))
+	peers := make([]link, len(conns))
 	for i, conn := range conns {
 		if conn == nil {
 			return nil, stats, fmt.Errorf("dist: nil connection for user %d", i)
 		}
 		peers[i] = newPeer(conn, co.timeout)
 	}
+	return co.run(peers)
+}
+
+// run drives the protocol over one link per user: hellos, token rounds
+// until a quiet round or the round cap, then the final broadcast and its
+// acknowledgements.
+func (co *Coordinator) run(peers []link) (*core.Alloc, Stats, error) {
+	var stats Stats
 	for i, p := range peers {
 		err := p.send(&message{
 			Type:     msgHello,
@@ -107,7 +116,7 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 				return nil, stats, err
 			}
 			stats.Messages++
-			if err := co.checkRow(reply.Row); err != nil {
+			if err := checkRow(reply.Row, co.g.Channels(), co.g.Radios()); err != nil {
 				return nil, stats, fmt.Errorf("dist: user %d: %w", i, err)
 			}
 			if !equalRows(reply.Row, current) {
@@ -150,25 +159,6 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 		stats.Messages++
 	}
 	return a, stats, nil
-}
-
-// checkRow validates a device's proposal against the game's dimensions and
-// radio budget.
-func (co *Coordinator) checkRow(row []int) error {
-	if len(row) != co.g.Channels() {
-		return fmt.Errorf("row has %d channels, want %d", len(row), co.g.Channels())
-	}
-	total := 0
-	for c, v := range row {
-		if v < 0 {
-			return fmt.Errorf("negative radio count %d on channel %d", v, c)
-		}
-		total += v
-	}
-	if total > co.g.Radios() {
-		return fmt.Errorf("row places %d radios, budget is %d", total, co.g.Radios())
-	}
-	return nil
 }
 
 func equalRows(a, b []int) bool {

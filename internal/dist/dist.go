@@ -16,9 +16,11 @@
 //     whenever that strictly improves its utility. The game is a potential
 //     game, so the ring converges to a Nash equilibrium.
 //
-// The wire protocol is newline-delimited JSON over any net.Conn; agents
-// and coordinator may live in one process (RunLocal, over net.Pipe) or on
-// real sockets (examples/distributed).
+// The wire protocol is newline-delimited JSON over any net.Conn, for
+// coordinator and agents on real sockets (Coordinator.Run, RunAgent,
+// examples/distributed). RunLocal keeps every agent in one process and
+// hands each its frames by direct call; the agent state machine, its frame
+// checks and the coordinator loop are the same code on both carriers.
 package dist
 
 import (
@@ -73,8 +75,8 @@ type BestResponsePolicy struct {
 	Eps float64
 
 	// ws is the device's reusable DP scratch, created on first Propose.
-	// Policies are per-device state (one goroutine each in the ring), so
-	// the workspace is never shared.
+	// Policies are per-device state (each device owns its own), so the
+	// workspace is never shared.
 	ws *core.Workspace
 }
 

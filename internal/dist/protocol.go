@@ -42,6 +42,14 @@ type message struct {
 	Moves     int     `json:"moves,omitempty"`
 }
 
+// link carries protocol frames between the coordinator and one agent. A
+// peer carries them as JSON over a connection; a localLink hands them to an
+// in-process agent by direct call.
+type link interface {
+	send(m *message) error
+	recv(wantType string) (*message, error)
+}
+
 // peer wraps one conn with JSON framing and a per-message deadline.
 type peer struct {
 	conn    net.Conn
@@ -72,6 +80,19 @@ func (p *peer) send(m *message) error {
 }
 
 func (p *peer) recv(wantType string) (*message, error) {
+	m, err := p.read(wantType)
+	if err != nil {
+		return nil, err
+	}
+	if m.Type != wantType {
+		return nil, fmt.Errorf("dist: got %q, want %q", m.Type, wantType)
+	}
+	return m, nil
+}
+
+// read decodes the next frame whatever its type; awaiting names the frame
+// expected, for the error.
+func (p *peer) read(awaiting string) (*message, error) {
 	if p.timeout > 0 {
 		if err := p.conn.SetReadDeadline(time.Now().Add(p.timeout)); err != nil {
 			return nil, fmt.Errorf("dist: setting read deadline: %w", err)
@@ -79,10 +100,44 @@ func (p *peer) recv(wantType string) (*message, error) {
 	}
 	var m message
 	if err := p.dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("dist: awaiting %s: %w", wantType, err)
-	}
-	if m.Type != wantType {
-		return nil, fmt.Errorf("dist: got %q, want %q", m.Type, wantType)
+		return nil, fmt.Errorf("dist: awaiting %s: %w", awaiting, err)
 	}
 	return &m, nil
 }
+
+// checkRow validates a row against the game's dimensions and radio
+// budget. Both ends run it: the coordinator on every proposal it receives,
+// an agent on the current row of every token.
+func checkRow(row []int, channels, radios int) error {
+	if len(row) != channels {
+		return fmt.Errorf("row has %d channels, want %d", len(row), channels)
+	}
+	total := 0
+	for c, v := range row {
+		if v < 0 {
+			return fmt.Errorf("negative radio count %d on channel %d", v, c)
+		}
+		total += v
+	}
+	if total > radios {
+		return fmt.Errorf("row places %d radios, budget is %d", total, radios)
+	}
+	return nil
+}
+
+// clone deep-copies a frame, so an in-process receiver shares no slice
+// with its sender, just as a wire round trip guarantees.
+func (m *message) clone() *message {
+	out := *m
+	out.Loads = cloneInts(m.Loads)
+	out.Row = cloneInts(m.Row)
+	if len(m.Matrix) > 0 {
+		out.Matrix = make([][]int, len(m.Matrix))
+		for i, row := range m.Matrix {
+			out.Matrix[i] = cloneInts(row)
+		}
+	}
+	return &out
+}
+
+func cloneInts(s []int) []int { return append([]int(nil), s...) }

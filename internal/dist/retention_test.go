@@ -6,11 +6,11 @@ import (
 )
 
 // TestRunLocalReleasesPipes pins that a finished ring leaves nothing
-// reachable behind it. RunLocal arms 10 s read/write deadlines on both ends
-// of every net.Pipe; a pipe deadline is a pending timer whose callback
-// references the pipe, so unless the deadlines are cleared before Close
-// every finished ring's pipes stay live for ten seconds, and a sweep's heap
-// grows with its ring throughput.
+// reachable behind it, so a sweep's heap does not grow with its ring
+// throughput. RunLocal once ran each agent over a net.Pipe whose 10 s
+// deadline timers kept every finished ring live for ten seconds; it now
+// calls its agents directly, and this guards against any carrier state — a
+// timer, a goroutine, a cache keyed by ring — outliving the run again.
 func TestRunLocalReleasesPipes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2000 rings")
