@@ -659,8 +659,8 @@ func BenchmarkWelfareDP(b *testing.B) {
 
 // BenchmarkDistPolicy measures one best-response Propose against announced
 // loads — the device-side hot path of the distributed protocol. The
-// steady-state (no-move) reply must stay allocation-free now that the
-// policy owns a reusable DP workspace.
+// steady-state (no-move) reply must stay allocation-free: the policy
+// borrows its DP workspace from the shared pool for the call.
 func BenchmarkDistPolicy(b *testing.B) {
 	b.ReportAllocs()
 	r := chanalloc.TDMA(1)

@@ -16,7 +16,9 @@ type (
 	CoordinatorOption = dist.CoordinatorOption
 	// DistStats summarises a protocol run.
 	DistStats = dist.Stats
-	// Policy chooses a device's row when it holds the token.
+	// Policy chooses a device's row when it holds the token. The ext and
+	// current arguments of Propose are valid only for the call; a policy
+	// that keeps them must copy them.
 	Policy = dist.Policy
 	// GreedyPolicy reproduces Algorithm 1's placement over messages.
 	GreedyPolicy = dist.GreedyPolicy

@@ -82,32 +82,33 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 
 // run drives the protocol over one link per user: hellos, token rounds
 // until a quiet round or the round cap, then the final broadcast and its
-// acknowledgements.
+// acknowledgements. Every frame it sends is one reused message, and each
+// token's loads and row are filled in place, so a quiet token visit
+// allocates nothing here; a link must copy or encode a frame before send
+// returns.
 func (co *Coordinator) run(peers []link) (*core.Alloc, Stats, error) {
 	var stats Stats
+	C := co.g.Channels()
+	m := &message{}
 	for i, p := range peers {
-		err := p.send(&message{
-			Type:     msgHello,
-			User:     i,
-			Channels: co.g.Channels(),
-			Radios:   co.g.Radios(),
-		})
-		if err != nil {
+		*m = message{Type: msgHello, User: i, Channels: C, Radios: co.g.Radios()}
+		if err := p.send(m); err != nil {
 			return nil, stats, err
 		}
 		stats.Messages++
 	}
 
 	a := co.g.NewEmptyAlloc()
+	ext, current := make([]int, C), make([]int, C)
 	for round := 0; round < co.maxRounds; round++ {
 		changed := false
 		for i, p := range peers {
-			current := a.Row(i)
-			ext := a.Loads()
-			for c, own := range current {
-				ext[c] -= own
+			for c := range current {
+				current[c] = a.Radios(i, c)
+				ext[c] = a.Load(c) - current[c]
 			}
-			if err := p.send(&message{Type: msgToken, Loads: ext, Row: current}); err != nil {
+			*m = message{Type: msgToken, Loads: ext, Row: current}
+			if err := p.send(m); err != nil {
 				return nil, stats, err
 			}
 			stats.Messages++
@@ -116,7 +117,7 @@ func (co *Coordinator) run(peers []link) (*core.Alloc, Stats, error) {
 				return nil, stats, err
 			}
 			stats.Messages++
-			if err := checkRow(reply.Row, co.g.Channels(), co.g.Radios()); err != nil {
+			if err := checkRow(reply.Row, C, co.g.Radios()); err != nil {
 				return nil, stats, fmt.Errorf("dist: user %d: %w", i, err)
 			}
 			if !equalRows(reply.Row, current) {
@@ -134,11 +135,16 @@ func (co *Coordinator) run(peers []link) (*core.Alloc, Stats, error) {
 		}
 	}
 
-	ne, err := co.g.IsNashEquilibrium(a)
+	if err := co.g.CheckAlloc(a); err != nil {
+		return nil, stats, err
+	}
+	ws := core.Workspaces.Get()
+	ne, err := co.g.IsNashEquilibriumWith(ws, a)
+	core.Workspaces.Put(ws)
 	if err != nil {
 		return nil, stats, err
 	}
-	done := &message{
+	*m = message{
 		Type:      msgDone,
 		Matrix:    a.Matrix(),
 		NE:        ne,
@@ -147,7 +153,7 @@ func (co *Coordinator) run(peers []link) (*core.Alloc, Stats, error) {
 		Moves:     stats.Moves,
 	}
 	for _, p := range peers {
-		if err := p.send(done); err != nil {
+		if err := p.send(m); err != nil {
 			return nil, stats, err
 		}
 		stats.Messages++

@@ -36,6 +36,12 @@ type Policy interface {
 	// Propose returns the row the device wants to play given the external
 	// channel loads ext (its own radios excluded), its current row and its
 	// radio budget. Returning a row equal to current counts as "no move".
+	//
+	// ext and current are valid only for the length of the call: the
+	// carrier reuses their storage for the next frame, so a policy that
+	// keeps them must copy them. The returned row may be current itself
+	// or a slice the policy keeps; the carrier copies or encodes it before
+	// the next call.
 	Propose(ext, current []int, radios int) ([]int, error)
 }
 
@@ -73,17 +79,12 @@ type BestResponsePolicy struct {
 	// Eps is the minimum strict improvement for a move; zero means
 	// core.DefaultEps.
 	Eps float64
-
-	// ws is the device's reusable DP scratch, created on first Propose.
-	// Policies are per-device state (each device owns its own), so the
-	// workspace is never shared.
-	ws *core.Workspace
 }
 
-// Propose implements Policy. The DP runs in the policy's own workspace, so
-// the steady-state token round (no move) allocates nothing; a move copies
-// the proposed row out of the workspace, since the caller may retain it
-// past the next Propose.
+// Propose implements Policy. The DP runs in a workspace borrowed from
+// core.Workspaces for the call, so the steady-state token round (no move)
+// allocates nothing; a move copies the proposed row out of the workspace
+// before returning it.
 func (p *BestResponsePolicy) Propose(ext, current []int, radios int) ([]int, error) {
 	if p.Rate == nil {
 		return nil, fmt.Errorf("dist: BestResponsePolicy needs a rate function")
@@ -92,10 +93,9 @@ func (p *BestResponsePolicy) Propose(ext, current []int, radios int) ([]int, err
 	if eps == 0 {
 		eps = core.DefaultEps
 	}
-	if p.ws == nil {
-		p.ws = core.NewWorkspace()
-	}
-	row, best, err := core.BestResponseToLoadsInto(p.ws, p.Rate, ext, radios)
+	ws := core.Workspaces.Get()
+	defer core.Workspaces.Put(ws)
+	row, best, err := core.BestResponseToLoadsInto(ws, p.Rate, ext, radios)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,10 @@ func FuzzRunAgent(f *testing.F) {
 `))
 	const timeout = 2 * time.Second
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The DP a valid hello and token can ask for grows with the frame;
-		// a kilobyte keeps each run's best response well under the timeout.
-		if len(data) > 1024 {
+		// The hello bound (maxHelloDP) caps the DP a valid hello can ask
+		// for at a few milliseconds, so the stream size only bounds how
+		// many tokens arrive; 64 KB of them stays well under the timeout.
+		if len(data) > 64<<10 {
 			return
 		}
 		coord, end := net.Pipe()

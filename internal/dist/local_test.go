@@ -306,6 +306,97 @@ func TestRunLocalIsolatesFrames(t *testing.T) {
 	}
 }
 
+// keepPolicy plays best responses but breaks Propose's argument lifetime:
+// it keeps the ext and current slices of its first call and writes over
+// them on every later call, once it has proposed. Over a wire the kept
+// slices are a dead frame's; in process they are the link's inbound
+// buffer, which must not carry the writes to the coordinator.
+type keepPolicy struct {
+	inner    BestResponsePolicy
+	ext, cur []int
+	calls    int
+}
+
+func (p *keepPolicy) Propose(ext, current []int, radios int) ([]int, error) {
+	p.calls++
+	if p.ext == nil {
+		p.ext, p.cur = ext, current
+	}
+	row, err := p.inner.Propose(ext, current, radios)
+	if err != nil {
+		return nil, err
+	}
+	out := append([]int(nil), row...)
+	if p.calls > 1 {
+		for c := range p.ext {
+			p.ext[c], p.cur[c] = 888+p.calls, 888+p.calls
+		}
+	}
+	return out, nil
+}
+
+// TestRunLocalIgnoresKeptArguments: a policy that keeps its first call's
+// arguments and writes to them later leaves the allocation, the stats and
+// every agent's matrix as they are over pipes.
+func TestRunLocalIgnoresKeptArguments(t *testing.T) {
+	for _, r := range []ratefn.Func{ratefn.NewTDMA(1), ratefn.Harmonic{R0: 1, Alpha: 0.3}} {
+		g, err := core.NewGame(6, 5, 3, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func() []Policy {
+			return UniformPolicies(g.Users(), func(int) Policy {
+				return &keepPolicy{inner: BestResponsePolicy{Rate: r}}
+			})
+		}
+		want, err := runOverPipes(g, build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		policies := build()
+		got, err := RunLocal(g, policies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range policies {
+			if p.(*keepPolicy).calls < 2 {
+				t.Fatalf("%s: a policy ran %d times; the test needs later calls", r.Name(), p.(*keepPolicy).calls)
+			}
+		}
+		sameResult(t, "kept arguments/"+r.Name(), got, want)
+	}
+}
+
+// TestRunLocalAllocs pins the heap work of BenchmarkDistributedProtocol's
+// ring: 8 best-response users on 6 channels with 3 radios each, TDMA.
+// Frames travel in per-link buffers, the DP borrows pooled workspaces and
+// a quiet token visit allocates nothing; a deep copy of every frame, or a
+// workspace per device, breaks the bound.
+func TestRunLocalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool and adds allocations")
+	}
+	r := ratefn.NewTDMA(1)
+	g, err := core.NewGame(8, 6, 3, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		policies := UniformPolicies(g.Users(), func(int) Policy { return &BestResponsePolicy{Rate: r} })
+		res, err := RunLocal(g, policies)
+		if err != nil || !res.Stats.Converged {
+			t.Fatalf("ring: converged %v, err %v", res != nil && res.Stats.Converged, err)
+		}
+	}
+	run() // fill the workspace pool
+	const bound = 120
+	allocs := testing.AllocsPerRun(20, run)
+	t.Logf("%.1f allocations per ring", allocs)
+	if allocs > bound {
+		t.Fatalf("RunLocal made %.0f allocations per ring, want <= %d", allocs, bound)
+	}
+}
+
 type failPolicy struct{}
 
 var errPolicyFailed = errors.New("policy failed")
@@ -345,6 +436,10 @@ func TestAgentRefusesMalformedFrames(t *testing.T) {
 		{"zero channels", []message{{Type: msgHello, Channels: 0, Radios: 1}}, "radios"},
 		{"zero radios", []message{{Type: msgHello, Channels: 2, Radios: 0}}, "radios"},
 		{"more radios than channels", []message{{Type: msgHello, Channels: 2, Radios: 3}}, "radios"},
+		// A valid hello whose DP would cost seconds and tens of MB per
+		// token: refused before any token arrives.
+		{"DP past the bound", []message{{Type: msgHello, Channels: 2000, Radios: 2000}}, "DP bound channels·(radios+1)² <= 4194304"},
+		{"radios past the bound", []message{{Type: msgHello, Channels: 1 << 62, Radios: 1 << 62}}, "DP bound"},
 		{"second hello", []message{hello, hello}, "unexpected frame"},
 		{"short loads", []message{hello, token([]int{1}, []int{0, 1})}, "1 loads"},
 		{"short row", []message{hello, token([]int{1, 0}, []int{0})}, "row has 1 channels"},
@@ -360,7 +455,7 @@ func TestAgentRefusesMalformedFrames(t *testing.T) {
 	} {
 		ag := agent{policy: &BestResponsePolicy{Rate: ratefn.NewTDMA(1)}}
 		for i, m := range tc.frames {
-			_, err := ag.handle(m.clone())
+			_, err := ag.handle(&m)
 			last := i == len(tc.frames)-1
 			if !last && err != nil {
 				t.Fatalf("%s: frame %d refused early: %v", tc.desc, i, err)

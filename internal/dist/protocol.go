@@ -105,6 +105,29 @@ func (p *peer) read(awaiting string) (*message, error) {
 	return &m, nil
 }
 
+// maxHelloDP bounds the best-response DP a hello may ask of an agent. The
+// DP over C channels and a budget of k radios fills C·(k+1) cells of
+// k+1 candidates each, so its time grows as C·(k+1)² and its workspace
+// as C·(k+1); a hello past the bound is refused before any DP runs. The
+// bound is far above every game the experiments negotiate (32 channels and
+// 32 radios need about 35k).
+const maxHelloDP = 1 << 22
+
+// checkHello validates a hello's game dimensions: 1 <= radios <= channels
+// and channels·(radios+1)² <= maxHelloDP.
+func checkHello(channels, radios int) error {
+	if channels < 1 || radios < 1 || radios > channels {
+		return fmt.Errorf("hello announces %d radios on %d channels, want 1 <= radios <= channels",
+			radios, channels)
+	}
+	// radios < maxHelloDP keeps (radios+1)² from overflowing.
+	if r := radios + 1; radios >= maxHelloDP || channels > maxHelloDP/(r*r) {
+		return fmt.Errorf("hello announces %d radios on %d channels, past the DP bound channels·(radios+1)² <= %d",
+			radios, channels, maxHelloDP)
+	}
+	return nil
+}
+
 // checkRow validates a row against the game's dimensions and radio
 // budget. Both ends run it: the coordinator on every proposal it receives,
 // an agent on the current row of every token.
@@ -124,20 +147,3 @@ func checkRow(row []int, channels, radios int) error {
 	}
 	return nil
 }
-
-// clone deep-copies a frame, so an in-process receiver shares no slice
-// with its sender, just as a wire round trip guarantees.
-func (m *message) clone() *message {
-	out := *m
-	out.Loads = cloneInts(m.Loads)
-	out.Row = cloneInts(m.Row)
-	if len(m.Matrix) > 0 {
-		out.Matrix = make([][]int, len(m.Matrix))
-		for i, row := range m.Matrix {
-			out.Matrix[i] = cloneInts(row)
-		}
-	}
-	return &out
-}
-
-func cloneInts(s []int) []int { return append([]int(nil), s...) }

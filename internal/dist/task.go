@@ -129,9 +129,13 @@ func runRingSpec(spec RingSpec, rng *des.RNG) (RingResult, error) {
 	if len(names) != spec.Users {
 		return res, fmt.Errorf("dist: %d policies for %d users", len(names), spec.Users)
 	}
+	// The policies read rates through the game's table: the same values
+	// as rate itself (NewGame tabulates rate.Rate), without recomputing
+	// them on every DP.
+	frozen := g.View().Frozen()
 	policies := make([]Policy, len(names))
 	for i, name := range names {
-		if policies[i], err = buildPolicy(name, rate, rng); err != nil {
+		if policies[i], err = buildPolicy(name, frozen, rng); err != nil {
 			return res, err
 		}
 	}
