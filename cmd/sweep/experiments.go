@@ -703,6 +703,13 @@ func expHetero(out io.Writer, env expEnv) error {
 
 // writeCSV writes rows to csvDir/name when csvDir is set.
 func writeCSV(csvDir, name string, headers []string, rows [][]string) error {
+	return writeFile(csvDir, name, func(w io.Writer) error {
+		return textplot.WriteCSV(w, headers, rows)
+	})
+}
+
+// writeFile creates csvDir/name and fills it with write when csvDir is set.
+func writeFile(csvDir, name string, write func(io.Writer) error) error {
 	if csvDir == "" {
 		return nil
 	}
@@ -711,5 +718,5 @@ func writeCSV(csvDir, name string, headers []string, rows [][]string) error {
 		return fmt.Errorf("creating %s: %w", name, err)
 	}
 	defer f.Close()
-	return textplot.WriteCSV(f, headers, rows)
+	return write(f)
 }

@@ -17,6 +17,19 @@
 //	E12 distbatch — E7 at scale: a (game × policy-mix) grid of token rings
 //	                batched over the engine (dist.RunBatch)
 //
+// The paper's figures follow, each writing figureN.csv with -out:
+//
+//	fig1        — Figure 1: the worked example allocation as occupancy
+//	fig2        — Figure 2: its strategy matrix (no CSV)
+//	fig3        — Figure 3: R(k_c) for TDMA, optimal and practical CSMA/CA,
+//	              k_c = 1..20, Bianchi's 1 Mbit/s PHY
+//	fig3-80211b — the same curves on the 802.11b 11 Mbit/s PHY
+//	              (figure3_80211b.csv)
+//	fig3-sim    — fig3 plus a slot-level simulation estimate seeded from
+//	              -seed (figure3_sim.csv)
+//	fig4        — Figure 4: a NE with exception user u1, with both verdicts
+//	fig5        — Figure 5: a NE with no exception user
+//
 // The suite executes on the parallel experiment engine through a pluggable
 // backend: experiments run as jobs of a registered engine task, fanned out
 // over the in-process pool (default) or one of three remote backends that
@@ -50,7 +63,7 @@
 // stdout and CSVs — is byte-identical for any -workers value AND any
 // backend/shard/peer/window combination.
 //
-//	sweep -exp all                        # run everything (few minutes)
+//	sweep -exp all                        # run everything (~0.7 s, 2 vCPU)
 //	sweep -exp boundary                   # one experiment
 //	sweep -exp all -out data/             # also write CSVs
 //	sweep -exp all -seed 7 -workers 4     # reproducible, 4 workers
@@ -69,45 +82,48 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/multiradio/chanalloc"
 )
 
-// experiment names in execution (and output) order.
-var experimentOrder = []string{
-	"lemmas", "theorem1", "pareto", "alg1", "fairshare",
-	"dynamics", "dist", "boundary", "poa", "literal", "hetero",
-	"distbatch",
+// experiments is the suite in execution (and output) order. An
+// experiment's index is its seed index: its private seed derives from the
+// -seed root and this position, so the stream it sees does not depend on
+// which subset runs, or on which backend shard runs it. New experiments go
+// at the end, which keeps every earlier experiment's output unchanged.
+var experiments = []experiment{
+	{"lemmas", expLemmas},
+	{"theorem1", expTheorem1},
+	{"pareto", expPareto},
+	{"alg1", expAlg1},
+	{"fairshare", expFairShare},
+	{"dynamics", expDynamics},
+	{"dist", expDist},
+	{"boundary", expBoundary},
+	{"poa", expPoA},
+	{"literal", expLiteral},
+	{"hetero", expHetero},
+	{"distbatch", expDistBatch},
+	{"fig1", expFigure1},
+	{"fig2", expFigure2},
+	{"fig3", expFigure3("bianchi", false, "figure3.csv")},
+	{"fig3-80211b", expFigure3("80211b", false, "figure3_80211b.csv")},
+	{"fig3-sim", expFigure3("bianchi", true, "figure3_sim.csv")},
+	{"fig4", expFigureNE("4", chanalloc.ScenarioFigure4)},
+	{"fig5", expFigureNE("5", chanalloc.ScenarioFigure5)},
 }
 
-var experiments = map[string]func(io.Writer, expEnv) error{
-	"lemmas":    expLemmas,
-	"theorem1":  expTheorem1,
-	"pareto":    expPareto,
-	"alg1":      expAlg1,
-	"fairshare": expFairShare,
-	"dynamics":  expDynamics,
-	"dist":      expDist,
-	"boundary":  expBoundary,
-	"poa":       expPoA,
-	"literal":   expLiteral,
-	"hetero":    expHetero,
-	"distbatch": expDistBatch,
+type experiment struct {
+	name string
+	run  func(io.Writer, expEnv) error
 }
 
-// experimentIndex returns an experiment's fixed position in
-// experimentOrder. Per-experiment seeds derive from this index, so the
-// stream an experiment sees does not depend on which subset runs — or on
-// which backend shard runs it.
+// experimentIndex returns name's position in experiments, or -1.
 func experimentIndex(name string) int {
-	for i, n := range experimentOrder {
-		if n == name {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
 }
 
 // expTask is the engine task name the suite runs under; registering the
@@ -146,18 +162,18 @@ func init() {
 				return nil, fmt.Errorf("job %d outside %d experiments", job, len(p.Exps))
 			}
 			name := p.Exps[job]
-			fn, ok := experiments[name]
-			if !ok {
+			i := experimentIndex(name)
+			if i < 0 {
 				return nil, fmt.Errorf("unknown experiment %q", name)
 			}
 			env := expEnv{
 				csvDir:  p.CSVDir,
-				seed:    chanalloc.EngineJobSeed(p.Seed, experimentIndex(name)),
+				seed:    chanalloc.EngineJobSeed(p.Seed, i),
 				workers: p.Workers,
 			}
 			var out expOutput
 			var buf bytes.Buffer
-			if err := fn(&buf, env); err != nil {
+			if err := experiments[i].run(&buf, env); err != nil {
 				out.Err = fmt.Sprintf("experiment %s: %v", name, err)
 			}
 			out.Output = buf.String()
@@ -369,12 +385,16 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("creating output dir: %w", err)
 		}
 	}
-	names := experimentOrder
-	if *exp != "all" {
-		if _, ok := experiments[*exp]; !ok {
-			return fmt.Errorf("unknown experiment %q", *exp)
+	var names []string
+	switch {
+	case *exp == "all":
+		for _, e := range experiments {
+			names = append(names, e.name)
 		}
+	case experimentIndex(*exp) >= 0:
 		names = []string{*exp}
+	default:
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 
 	// Experiments are jobs of one engine-task batch over the selected

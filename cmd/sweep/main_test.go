@@ -1,6 +1,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"net"
 	"os"
@@ -23,7 +24,8 @@ func TestMain(m *testing.M) {
 
 // fastExperiments are the ones cheap enough to run in unit tests; the heavy
 // ones (literal, fairshare) get dedicated smoke tests below.
-var fastExperiments = []string{"lemmas", "theorem1", "pareto", "dynamics", "dist", "boundary", "poa", "distbatch"}
+var fastExperiments = []string{"lemmas", "theorem1", "pareto", "dynamics", "dist", "boundary", "poa", "distbatch",
+	"fig1", "fig2", "fig3", "fig3-80211b", "fig4", "fig5"}
 
 func TestFastExperiments(t *testing.T) {
 	for _, exp := range fastExperiments {
@@ -52,6 +54,54 @@ func TestExperimentCSVOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "alpha,") {
 		t.Fatalf("unexpected CSV header: %q", string(data[:20]))
+	}
+}
+
+// TestFigureCSVBytes pins the figure experiments' CSVs to the bytes the
+// paper's figures have been written with since they were first reproduced,
+// one SHA-256 per file (fig2 writes none).
+func TestFigureCSVBytes(t *testing.T) {
+	want := map[string]string{
+		"figure1.csv": "30eb6830c2689e87c864214d6a703c8234f91d21f5699b69fe03461eb333daaf",
+		"figure3.csv": "668d0275f31739a820ab7e0a8f8c199cf0c48034adb602b1f07184908ad35bed",
+		"figure4.csv": "153dea0d0007c49b61c1516f710928470c26bab677e3ad2a69b05f7184c86740",
+		"figure5.csv": "d5bde6e333300c74ecd9050ce362f352e2246b0cefe8669336fe3d1ed7f6d3ed",
+	}
+	got := map[string]string{}
+	for _, exp := range []string{"fig1", "fig2", "fig3", "fig4", "fig5"} {
+		_, csvs := sweepRun(t, exp, 0, 1)
+		for name, data := range csvs {
+			got[name] = fmt.Sprintf("%x", sha256.Sum256([]byte(data)))
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("wrote %d CSVs %v, want %d", len(got), got, len(want))
+	}
+	for name, sum := range want {
+		if got[name] != sum {
+			t.Errorf("%s: sha256 %s, want %s", name, got[name], sum)
+		}
+	}
+}
+
+// TestFigureVerdicts checks what the figures say: Figures 4 and 5 are NE
+// by both checkers, and each Figure 3 variant names its PHY.
+func TestFigureVerdicts(t *testing.T) {
+	for exp, wants := range map[string][]string{
+		"fig4":        {"Theorem 1 verdict: NE=true", "Best-response oracle: NE=true"},
+		"fig5":        {"Theorem 1 verdict: NE=true", "Best-response oracle: NE=true"},
+		"fig3":        {"bianchi PHY", "practical CSMA/CA"},
+		"fig3-80211b": {"80211b PHY", "practical CSMA/CA"},
+	} {
+		var b strings.Builder
+		if err := run([]string{"-exp", exp}, &b); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(b.String(), want) {
+				t.Errorf("%s output missing %q", exp, want)
+			}
+		}
 	}
 }
 
@@ -171,7 +221,7 @@ func sweepRun(t *testing.T, exp string, seed uint64, workers int, extraArgs ...s
 // It covers every randomised, engine-sharded experiment (the deterministic
 // ones trivially satisfy it).
 func TestWorkersDoNotChangeOutput(t *testing.T) {
-	for _, exp := range []string{"theorem1", "alg1", "dynamics", "literal", "hetero"} {
+	for _, exp := range []string{"theorem1", "alg1", "dynamics", "literal", "hetero", "fig3-sim"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
 			const seed = 7
@@ -416,10 +466,12 @@ func TestSocketBackendNeedsAddrs(t *testing.T) {
 // TestSeedChangesRandomisedOutput guards against the seed being ignored:
 // different roots must shuffle the randomised experiments' streams.
 func TestSeedChangesRandomisedOutput(t *testing.T) {
-	a, _ := sweepRun(t, "dynamics", 1, 1)
-	b, _ := sweepRun(t, "dynamics", 2, 1)
-	if a == b {
-		t.Fatal("dynamics output identical across different -seed values")
+	for _, exp := range []string{"dynamics", "fig3-sim"} {
+		a, _ := sweepRun(t, exp, 1, 1)
+		b, _ := sweepRun(t, exp, 2, 1)
+		if a == b {
+			t.Errorf("%s output identical across different -seed values", exp)
+		}
 	}
 }
 
@@ -430,16 +482,5 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}, &b); err == nil {
 		t.Fatal("bad flag should error")
-	}
-}
-
-func TestAllExperimentNamesRegistered(t *testing.T) {
-	for _, name := range experimentOrder {
-		if _, ok := experiments[name]; !ok {
-			t.Errorf("experiment %q in order list but not registered", name)
-		}
-	}
-	if len(experimentOrder) != len(experiments) {
-		t.Errorf("order lists %d experiments, map has %d", len(experimentOrder), len(experiments))
 	}
 }

@@ -129,6 +129,9 @@ func generateCogMOO(params string, r ratefn.Func) (*Scenario, error) {
 		}
 		seed = uint64(vals[2])
 	}
+	if err := checkCells(users, channels); err != nil {
+		return nil, err
+	}
 	if _, err := NewCogMOOObjectives(users, channels, seed); err != nil {
 		return nil, err
 	}

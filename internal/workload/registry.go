@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -167,6 +168,26 @@ func init() {
 	}, generateCognitive)
 }
 
+// MaxCells bounds users·channels for every parametric family. The
+// strategy matrix holds one int per cell and the per-user rows and objective
+// matrices scale with it too, so the bound caps a scenario's memory (at
+// 1<<22 cells, under 300 MB in the worst shape) before anything is
+// allocated.
+const MaxCells = 1 << 22
+
+// ErrTooLarge reports a scenario whose users·channels exceeds MaxCells.
+var ErrTooLarge = errors.New("scenario too large")
+
+// checkCells refuses users·channels > MaxCells without overflowing.
+// Non-positive dimensions pass: the game constructors name those.
+func checkCells(users, channels int) error {
+	if users > 0 && channels > 0 && users > MaxCells/channels {
+		return fmt.Errorf("%w: %d users x %d channels exceeds %d cells",
+			ErrTooLarge, users, channels, MaxCells)
+	}
+	return nil
+}
+
 // parseInts parses a comma-separated list of integers.
 func parseInts(params string) ([]int, error) {
 	if params == "" {
@@ -200,6 +221,9 @@ func generateRandom(params string, r ratefn.Func) (*Scenario, error) {
 			return nil, fmt.Errorf("negative seed %d", vals[3])
 		}
 		seed = uint64(vals[3])
+	}
+	if err := checkCells(vals[0], vals[1]); err != nil {
+		return nil, err
 	}
 	g, err := core.NewGame(vals[0], vals[1], vals[2], r)
 	if err != nil {
@@ -244,6 +268,9 @@ func generateBistritz(params string, r ratefn.Func) (*Scenario, error) {
 		}
 		seed = uint64(vals[2])
 	}
+	if err := checkCells(users, channels); err != nil {
+		return nil, err
+	}
 	g, err := core.NewGame(users, channels, 1, r)
 	if err != nil {
 		return nil, err
@@ -267,6 +294,9 @@ func generateHetero(params string, r ratefn.Func) (*Scenario, error) {
 	}
 	if len(vals) < 2 {
 		return nil, fmt.Errorf("want hetero:C,k1,k2,...")
+	}
+	if err := checkCells(len(vals)-1, vals[0]); err != nil {
+		return nil, err
 	}
 	g, err := core.NewHeteroGame(vals[0], vals[1:], r)
 	if err != nil {
@@ -293,6 +323,9 @@ func generateMesh(params string, r ratefn.Func) (*Scenario, error) {
 			return nil, fmt.Errorf("want mesh:routers,channels,radios")
 		}
 		dims = vals
+	}
+	if err := checkCells(dims[0], dims[1]); err != nil {
+		return nil, err
 	}
 	g, err := core.NewGame(dims[0], dims[1], dims[2], r)
 	if err != nil {
@@ -334,6 +367,9 @@ func generateCognitive(params string, r ratefn.Func) (*Scenario, error) {
 			return nil, fmt.Errorf("want cognitive:users,channels,radios")
 		}
 		dims = vals
+	}
+	if err := checkCells(dims[0], dims[1]); err != nil {
+		return nil, err
 	}
 	g, err := core.NewGame(dims[0], dims[1], dims[2], r)
 	if err != nil {

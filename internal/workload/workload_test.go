@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -441,3 +442,68 @@ var errStop = &stopError{}
 type stopError struct{}
 
 func (*stopError) Error() string { return "stop" }
+
+// TestScenarioCellBound pins the grammar's size bound: every parametric
+// family refuses users·channels > MaxCells with ErrTooLarge before it
+// allocates, overflowing products included, and accepts the bound itself.
+func TestScenarioCellBound(t *testing.T) {
+	r := ratefn.NewTDMA(1)
+	for _, name := range []string{
+		"random:4000000000,4000000000,1",
+		"random:9223372036854775807,9223372036854775807,1",
+		"random:4097,1024,1",
+		"hetero:4000000000,1",
+		"hetero:4194305,1",
+		"bistritz:2049,2049",
+		"cogmoo:4194305,1",
+		"cogmoo:1,4194305",
+		"mesh:4194305,1,1",
+		"cognitive:2,2097153,1",
+	} {
+		_, err := ByName(name, r)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: err = %v, want ErrTooLarge", name, err)
+		}
+	}
+	s, err := ByName("random:1024,4096,1", r)
+	if err != nil {
+		t.Fatalf("random:1024,4096,1 sits on the bound: %v", err)
+	}
+	if cells := s.Game.Users() * s.Game.Channels(); cells != MaxCells {
+		t.Fatalf("cells = %d, want %d", cells, MaxCells)
+	}
+}
+
+// FuzzScenarioByName feeds arbitrary names to the scenario grammar.
+// Nothing may panic, and an accepted scenario stays within MaxCells and
+// pins only a legal allocation, so no name can make ByName allocate
+// without bound.
+func FuzzScenarioByName(f *testing.F) {
+	for _, name := range []string{
+		"fig1", "fig4", "fig5", "fig1:", "random:8,6,3", "random:8,6,3,7",
+		"hetero:6,4,4,2,1", "bistritz:4,6", "bistritz:4,6,2", "cogmoo:5,3,2",
+		"mesh", "mesh:9,6,3", "cognitive", "cognitive:10,8,3",
+		"random:4000000000,4000000000,1", "hetero:4000000000,1", "random:-1,2,3",
+		"nope",
+	} {
+		f.Add(name)
+	}
+	r := ratefn.NewTDMA(1)
+	f.Fuzz(func(t *testing.T, name string) {
+		s, err := ByName(name, r)
+		if err != nil {
+			return
+		}
+		if s.Game == nil {
+			t.Fatalf("%q: accepted without a game", name)
+		}
+		if cells := s.Game.Users() * s.Game.Channels(); cells > MaxCells {
+			t.Fatalf("%q: %d cells accepted, bound is %d", name, cells, MaxCells)
+		}
+		if s.Alloc != nil {
+			if err := s.Game.CheckAlloc(s.Alloc); err != nil {
+				t.Fatalf("%q: pinned allocation: %v", name, err)
+			}
+		}
+	})
+}
