@@ -547,12 +547,12 @@ func BenchmarkEnumerateNESymmetry(b *testing.B) {
 	}
 }
 
-// BenchmarkScreenIncremental measures symmetry-reduced enumeration on a
-// mixed-budget game (budgets 1,2,2,3 over 4 channels): three
-// exchangeability classes, so the orbit reduction is weak and the runtime
-// is dominated by the per-profile screen — the lever here is the
-// incremental screen cache (per-user verdicts invalidated only via the
-// walk's dirty-channel stamps) rather than orbit collapsing.
+// BenchmarkScreenIncremental measures a mixed-budget canonical walk
+// (budgets 1,2,2,3 over 4 channels) in which the orbit reduction is weak:
+// three exchangeability classes, only one of them a pair, so the walk
+// still visits about half of the unreduced grid and the runtime is
+// dominated by the per-profile ScreenedNE oracle rather than by orbit
+// collapsing.
 func BenchmarkScreenIncremental(b *testing.B) {
 	b.ReportAllocs()
 	g, err := chanalloc.NewHeteroGame(4, []int{1, 2, 2, 3}, chanalloc.TDMA(1))

@@ -13,24 +13,22 @@ import "github.com/multiradio/chanalloc/internal/obs"
 // flushed simply keeps its counts local — metrics are a side channel, and
 // a one-shot call that skips them costs nothing.
 var (
-	mDPCalls         = obs.NewCounter("kernel_dp_calls_total")
-	mScreenAccepts   = obs.NewCounter("kernel_screen_accepts_total")
-	mScreenRejects   = obs.NewCounter("kernel_screen_rejects_total")
-	mScreenCacheHits = obs.NewCounter("kernel_screen_cache_hits_total")
-	mOrbitProfiles   = obs.NewCounter("kernel_orbit_profiles_total")
-	mOrbitSkips      = obs.NewCounter("kernel_orbit_skips_total")
-	mPoolHits        = obs.NewCounter("workspace_pool_hits_total")
-	mPoolMisses      = obs.NewCounter("workspace_pool_misses_total")
+	mDPCalls       = obs.NewCounter("kernel_dp_calls_total")
+	mScreenAccepts = obs.NewCounter("kernel_screen_accepts_total")
+	mScreenRejects = obs.NewCounter("kernel_screen_rejects_total")
+	mOrbitProfiles = obs.NewCounter("kernel_orbit_profiles_total")
+	mOrbitSkips    = obs.NewCounter("kernel_orbit_skips_total")
+	mPoolHits      = obs.NewCounter("workspace_pool_hits_total")
+	mPoolMisses    = obs.NewCounter("workspace_pool_misses_total")
 )
 
 // wsCounts is the workspace-local accumulator behind the kernel counters.
 // Fields mirror the kernel_* metrics one to one.
 type wsCounts struct {
-	dpCalls         uint64 // best-response DP folds executed
-	screenAccepts   uint64 // profiles the screened oracle accepted as NE
-	screenRejects   uint64 // profiles rejected by the Eq. 7 screen (no DP)
-	screenCacheHits uint64 // rejects served from a fresh cached witness
-	orbitProfiles   uint64 // canonical orbit representatives visited
+	dpCalls       uint64 // best-response DP folds executed
+	screenAccepts uint64 // profiles the screened oracle accepted as NE
+	screenRejects uint64 // profiles rejected by the Eq. 7 screen (no DP)
+	orbitProfiles uint64 // canonical orbit representatives visited
 }
 
 // FlushObs folds the workspace's accumulated kernel counts into the
@@ -46,9 +44,6 @@ func (ws *Workspace) FlushObs() {
 	}
 	if ws.obs.screenRejects != 0 {
 		mScreenRejects.Add(ws.obs.screenRejects)
-	}
-	if ws.obs.screenCacheHits != 0 {
-		mScreenCacheHits.Add(ws.obs.screenCacheHits)
 	}
 	if ws.obs.orbitProfiles != 0 {
 		mOrbitProfiles.Add(ws.obs.orbitProfiles)

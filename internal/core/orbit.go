@@ -33,12 +33,9 @@ type CanonicalNE struct {
 }
 
 // OrbitEnumerator runs symmetry-reduced NE enumeration and Pareto search
-// for one game, with ScreenedNEIncremental as its oracle. Exchangeability
-// classes are the groups of equal-budget users; RowsFor must return
-// identical row tables for users of equal budget (they have the same
-// strategy space), and the returned slices must be stable — the walk diffs
-// old against new rows to maintain the incremental screen cache's
-// dirty-channel stamps.
+// for one game, with ScreenedNE as its oracle. Exchangeability classes are
+// the groups of equal-budget users; RowsFor must return identical row
+// tables for users of equal budget (they have the same strategy space).
 type OrbitEnumerator struct {
 	View     *RateView
 	Channels int
@@ -172,24 +169,15 @@ func expandOrbitIdx(idx []int, classes [][]int, emit func([]int)) {
 // for every u — in lexicographic order, keeping the allocation's rows in
 // step with the digits. Entries idx[0..offset-1] are pinned by the caller
 // (rows already set); the walk covers digits offset..len(idx)-1, starting
-// each at its class minimum. step (if non-nil) runs once per profile
-// before that profile's row mutations; changed (if non-nil) runs after
-// every successful SetRow with the digit's old index (-1 on first
-// assignment) — together they drive the incremental screen cache. fn
-// decides continuation, reading a and idx as read-only.
-func orbitWalk(a *Alloc, idx []int, offset int, sizes, pred []int, rowFor func(u, ri int) []int, step func(), changed func(u, oldRi, newRi int), fn func() bool) error {
+// each at its class minimum. fn decides continuation, reading a and idx
+// as read-only.
+func orbitWalk(a *Alloc, idx []int, offset int, sizes, pred []int, rowFor func(u, ri int) []int, fn func() bool) error {
 	n := len(idx)
-	setRow := func(u, oldRi, newRi int) error {
-		if err := a.SetRow(u, rowFor(u, newRi)); err != nil {
+	setRow := func(u, ri int) error {
+		if err := a.SetRow(u, rowFor(u, ri)); err != nil {
 			return fmt.Errorf("core: setting row for user %d: %w", u, err)
 		}
-		if changed != nil {
-			changed(u, oldRi, newRi)
-		}
 		return nil
-	}
-	if step != nil {
-		step()
 	}
 	for u := offset; u < n; u++ {
 		min := 0
@@ -197,7 +185,7 @@ func orbitWalk(a *Alloc, idx []int, offset int, sizes, pred []int, rowFor func(u
 			min = idx[p]
 		}
 		idx[u] = min
-		if err := setRow(u, -1, min); err != nil {
+		if err := setRow(u, min); err != nil {
 			return err
 		}
 	}
@@ -218,12 +206,8 @@ func orbitWalk(a *Alloc, idx []int, offset int, sizes, pred []int, rowFor func(u
 		if u < offset {
 			return nil
 		}
-		if step != nil {
-			step()
-		}
-		old := idx[u]
-		idx[u] = old + 1
-		if err := setRow(u, old, old+1); err != nil {
+		idx[u]++
+		if err := setRow(u, idx[u]); err != nil {
 			return err
 		}
 		for w := u + 1; w < n; w++ {
@@ -234,9 +218,8 @@ func orbitWalk(a *Alloc, idx []int, offset int, sizes, pred []int, rowFor func(u
 			if idx[w] == min {
 				continue
 			}
-			oldW := idx[w]
 			idx[w] = min
-			if err := setRow(w, oldW, min); err != nil {
+			if err := setRow(w, min); err != nil {
 				return err
 			}
 		}
@@ -294,35 +277,15 @@ func (oe *OrbitEnumerator) enumerate(pinned []int) ([]CanonicalNE, error) {
 	}
 	ws := Workspaces.Get()
 	defer Workspaces.Put(ws)
-	ws.ResetScreenCache(users, oe.Channels)
 	var out []CanonicalNE
 	var innerErr error
 	visited := uint64(0)
 	err = orbitWalk(a, idx, len(pinned), sizes, pred,
 		func(u, ri int) []int { return tables[u][ri] },
-		ws.ScreenStep,
-		func(u, oldRi, newRi int) {
-			ws.MarkRowChanged(u)
-			newRow := tables[u][newRi]
-			if oldRi < 0 {
-				for c, v := range newRow {
-					if v != 0 {
-						ws.MarkLoadChanged(c)
-					}
-				}
-				return
-			}
-			oldRow := tables[u][oldRi]
-			for c, v := range newRow {
-				if v != oldRow[c] {
-					ws.MarkLoadChanged(c)
-				}
-			}
-		},
 		func() bool {
 			visited++
 			ws.obs.orbitProfiles++
-			if oe.View.ScreenedNEIncremental(ws, a, oe.Budgets, oe.Eps) {
+			if oe.View.ScreenedNE(ws, a, oe.Budgets, oe.Eps) {
 				orbit, oerr := orbitSizeOf(idx, classes)
 				if oerr != nil {
 					innerErr = oerr

@@ -263,7 +263,6 @@ func (oe *OrbitEnumerator) paretoSearch(pinned []int, base []float64, eps float6
 	var innerErr error
 	err = orbitWalk(a, idx, len(pinned), sizes, pred,
 		func(u, ri int) []int { return tables[u][ri] },
-		nil, nil,
 		func() bool {
 			utils := ws.Utils(users)
 			// Reject-first: a utility below the class's smallest base

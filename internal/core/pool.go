@@ -42,11 +42,10 @@ func (wp *WorkspacePool) Get() *Workspace {
 }
 
 // Put returns a workspace to the pool. The workspace must not be used after
-// Put; nil is ignored. Cached screen state is NOT reset here — every screen
-// consumer calls ResetScreenCache before a walk, and the DP slabs carry no
-// cross-call semantics. Accumulated kernel counts are flushed to the
-// global obs counters on the way in, so pooled hot paths report without
-// paying a single atomic inside their loops.
+// Put; nil is ignored. The DP slabs carry no cross-call semantics, so
+// nothing is reset. Accumulated kernel counts are flushed to the global
+// obs counters on the way in, so pooled hot paths report without paying a
+// single atomic inside their loops.
 func (wp *WorkspacePool) Put(ws *Workspace) {
 	if ws != nil {
 		ws.FlushObs()

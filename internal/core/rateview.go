@@ -182,10 +182,9 @@ func (rv *RateView) MovedRowValue(a *Alloc, i, from, to int) float64 {
 // welfare DP's rate/suffix/load slabs, external-load, strategy-row,
 // per-user utility and int buffers. All slabs are flat single allocations,
 // grown on demand and reused across calls, so the *Into / *With entry
-// points run with zero steady-state allocations. It also hosts the
-// incremental screen cache used by the canonical enumeration walks (see
-// ResetScreenCache). The (budget, row) index of exchangeable users is not
-// scratch: it mirrors one allocation's rows and lives with it (see Classes).
+// points run with zero steady-state allocations. The (budget, row) index
+// of exchangeable users is not scratch: it mirrors one allocation's rows
+// and lives with it (see Classes).
 //
 // A Workspace is not safe for concurrent use: hold one per goroutine
 // (engine workers, dynamics runs, enumeration shards each own one).
@@ -209,18 +208,6 @@ type Workspace struct {
 	wf    []float64
 	wload []int
 
-	// Incremental screen cache (ScreenedNEIncremental). A walker that
-	// mutates one row at a time calls ScreenStep once per profile, then
-	// MarkRowChanged / MarkLoadChanged for every digit and channel the
-	// step touched; the oracle then revalidates only the cached per-user
-	// screen states those changes could have disturbed.
-	scState   []uint8 // per-user state: unknown / clean / confirmed reject
-	scFrom    []int   // reject witness: source channel (-1 = spare radio)
-	scTo      []int   // reject witness: target channel
-	scEpoch   []int64 // walk epoch at which the user's state was computed
-	loadEpoch []int64 // walk epoch at which each channel's load last changed
-	epoch     int64   // current walk epoch (advanced by ScreenStep)
-
 	// obs accumulates kernel metrics locally (plain increments — the
 	// workspace is single-owner); FlushObs folds them into the global
 	// counters. poolFresh marks a workspace born inside WorkspacePool.Get
@@ -229,58 +216,8 @@ type Workspace struct {
 	poolFresh bool
 }
 
-// Incremental screen states.
-const (
-	screenUnknown uint8 = iota // no reusable verdict; full screen required
-	screenClean                // screen found no candidate at epoch scEpoch
-	screenReject               // MovedRowValue-confirmed witness (scFrom, scTo)
-)
-
-// ResetScreenCache prepares the workspace's incremental screen cache for a
-// fresh enumeration walk over users × channels: every per-user state is
-// unknown and the epoch counters restart. Must be called before the first
-// ScreenedNEIncremental of a walk; states cached by an earlier walk are
-// meaningless against a different allocation sequence.
-func (ws *Workspace) ResetScreenCache(users, channels int) {
-	if cap(ws.scState) < users {
-		ws.scState = make([]uint8, users)
-		ws.scFrom = make([]int, users)
-		ws.scTo = make([]int, users)
-		ws.scEpoch = make([]int64, users)
-	}
-	ws.scState = ws.scState[:users]
-	ws.scFrom = ws.scFrom[:users]
-	ws.scTo = ws.scTo[:users]
-	ws.scEpoch = ws.scEpoch[:users]
-	for i := 0; i < users; i++ {
-		ws.scState[i] = screenUnknown
-		ws.scEpoch[i] = 0
-	}
-	if cap(ws.loadEpoch) < channels {
-		ws.loadEpoch = make([]int64, channels)
-	}
-	ws.loadEpoch = ws.loadEpoch[:channels]
-	for c := range ws.loadEpoch {
-		ws.loadEpoch[c] = 0
-	}
-	ws.epoch = 0
-}
-
-// ScreenStep advances the walk epoch. The walker calls it once per profile
-// BEFORE applying that profile's row mutations, so the MarkLoadChanged
-// stamps land on the new epoch and invalidate states computed earlier.
-func (ws *Workspace) ScreenStep() { ws.epoch++ }
-
-// MarkRowChanged discards user u's cached screen state: a changed strategy
-// row invalidates every screen quantity of that user.
-func (ws *Workspace) MarkRowChanged(u int) { ws.scState[u] = screenUnknown }
-
-// MarkLoadChanged stamps channel c's load as modified at the current
-// epoch; cached states that depend on it revalidate before reuse.
-func (ws *Workspace) MarkLoadChanged(c int) { ws.loadEpoch[c] = ws.epoch }
-
 // UserMarks returns an n-length, false-initialised per-user scratch slice,
-// reused across calls: the screened oracles mark users already cleared by
+// reused across calls: the screened oracle marks users already cleared by
 // the DP during the screen pass so the prove pass does not repeat them.
 func (ws *Workspace) UserMarks(n int) []bool {
 	if cap(ws.marks) < n {
@@ -552,149 +489,6 @@ func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, budgets []int, eps float
 			ws.obs.screenRejects++
 			return false
 		}
-		if rv.deviates(ws, a, i, k, eps) {
-			return false
-		}
-		cleared[i] = true
-	}
-	for i := 0; i < users; i++ {
-		if !cleared[i] && rv.deviates(ws, a, i, budgets[i], eps) {
-			return false
-		}
-	}
-	ws.obs.screenAccepts++
-	return true
-}
-
-// rejectWitnessFresh reports whether user i's cached reject witness still
-// proves a profitable deviation at the current profile. The witness is the
-// comparison MovedRowValue(a, i, from, to) > UtilityOf(a, i) + eps: both
-// sides fold only over channels where the (possibly moved) row deploys
-// radios — unoccupied channels contribute an exact 0.0 to either sum — so
-// the comparison depends solely on user i's row (unchanged, or the state
-// would be screenUnknown) and the loads of occupied(i) ∪ {to}. The witness
-// is fresh iff none of those loads changed after epoch scEpoch[i].
-func (ws *Workspace) rejectWitnessFresh(a *Alloc, i int) bool {
-	se := ws.scEpoch[i]
-	to := ws.scTo[i]
-	for c := 0; c < a.Channels(); c++ {
-		if (a.Radios(i, c) > 0 || c == to) && ws.loadEpoch[c] > se {
-			return false
-		}
-	}
-	return true
-}
-
-// rescreenDirty re-runs the Eq. 7 screen for user i restricted to move
-// pairs whose deltas could have changed since the user was last screened
-// clean at epoch ws.scEpoch[i]: pairs (b, c) where b or c carries a load
-// modified after that epoch. The user's own row is unchanged (a changed
-// row resets the state to unknown), so a pair of two unmodified channels
-// has a bit-identical delta to the one the clean screen already bounded by
-// eps and needs no recheck; the same argument covers spare-radio gains,
-// which depend on the target channel's load alone. Candidates may surface
-// in a different order than ScreenSingleMoves would visit them, but the
-// oracle's verdict never depends on which candidate is confirmed — only
-// on whether some confirmed or DP-proven deviation exists.
-func (rv *RateView) rescreenDirty(ws *Workspace, a *Alloc, i, budget int, eps float64) (from, to int, ok bool) {
-	C := a.Channels()
-	se := ws.scEpoch[i]
-	total := 0
-	for b := 0; b < C; b++ {
-		kib := a.Radios(i, b)
-		if kib == 0 {
-			continue
-		}
-		total += kib
-		bDirty := ws.loadEpoch[b] > se
-		kb := a.Load(b)
-		lossB := rv.ShareAt(kib-1, kb-1) - rv.ShareAt(kib, kb)
-		for c := 0; c < C; c++ {
-			if c == b || (!bDirty && ws.loadEpoch[c] <= se) {
-				continue
-			}
-			kic := a.Radios(i, c)
-			kc := a.Load(c)
-			if lossB+rv.ShareAt(kic+1, kc+1)-rv.ShareAt(kic, kc) > eps {
-				return b, c, true
-			}
-		}
-	}
-	if total < budget {
-		for c := 0; c < C; c++ {
-			if ws.loadEpoch[c] <= se {
-				continue
-			}
-			kic := a.Radios(i, c)
-			kc := a.Load(c)
-			if rv.ShareAt(kic+1, kc+1)-rv.ShareAt(kic, kc) > eps {
-				return -1, c, true
-			}
-		}
-	}
-	return -1, -1, false
-}
-
-// ScreenedNEIncremental is ScreenedNE with a per-user screen cache: when
-// the caller walks profiles that differ in few rows (the canonical
-// enumeration odometer), users whose relevant channel loads are untouched
-// since their last screen reuse that screen's outcome instead of paying
-// the full O(|C|²) pair sweep again. Verdicts are bit-identical to
-// ScreenedNE — and hence to the exhaustive per-user DP sweep — because
-// only screen outcomes are cached (clean states re-check exactly the
-// dirtied pairs, reject witnesses revalidate their load dependencies and
-// remain MovedRowValue-confirmed), while DP verdicts, whose inputs span
-// every channel and are dirtied by every step, are always recomputed.
-//
-// The caller must drive the cache protocol: ResetScreenCache before the
-// walk, then per profile ScreenStep followed by MarkRowChanged /
-// MarkLoadChanged for each mutated digit and channel load. With a fresh
-// cache every state is unknown and the call degenerates to ScreenedNE.
-func (rv *RateView) ScreenedNEIncremental(ws *Workspace, a *Alloc, budgets []int, eps float64) bool {
-	users := a.Users()
-	// Cheapest rejection first: any user holding a still-fresh reject
-	// witness proves the profile is no NE in an O(|C|) epoch scan, before
-	// any screen or DP runs. The oracle's verdict is a conjunction over
-	// users, so checking them out of order cannot change it.
-	for i := 0; i < users; i++ {
-		if ws.scState[i] == screenReject && ws.rejectWitnessFresh(a, i) {
-			ws.obs.screenCacheHits++
-			ws.obs.screenRejects++
-			return false
-		}
-	}
-	cleared := ws.UserMarks(users)
-	for i, k := range budgets[:users] {
-		var from, to int
-		var ok bool
-		switch ws.scState[i] {
-		case screenReject:
-			if ws.rejectWitnessFresh(a, i) {
-				ws.obs.screenCacheHits++
-				ws.obs.screenRejects++
-				return false
-			}
-			from, to, ok = rv.ScreenSingleMoves(a, i, k, eps)
-		case screenClean:
-			from, to, ok = rv.rescreenDirty(ws, a, i, k, eps)
-		default:
-			from, to, ok = rv.ScreenSingleMoves(a, i, k, eps)
-		}
-		if !ok {
-			ws.scState[i] = screenClean
-			ws.scEpoch[i] = ws.epoch
-			continue
-		}
-		if rv.MovedRowValue(a, i, from, to) > rv.UtilityOf(a, i)+eps {
-			ws.scState[i] = screenReject
-			ws.scFrom[i], ws.scTo[i] = from, to
-			ws.scEpoch[i] = ws.epoch
-			ws.obs.screenRejects++
-			return false
-		}
-		// The DP fallback's verdict depends on every channel load and is
-		// dirtied by every odometer step — never cached.
-		ws.scState[i] = screenUnknown
 		if rv.deviates(ws, a, i, k, eps) {
 			return false
 		}

@@ -153,11 +153,6 @@ func (c *Cluster) closeConns() {
 	}
 }
 
-// registerGrace bounds how long a fresh connection may sit silent before
-// sending its register frame: a port scan, health-check probe or half-open
-// client must not pin an admit goroutine (and, at teardown, Close) forever.
-const registerGrace = 30 * time.Second
-
 // acceptLoop admits joining workers until the listener closes, riding out
 // transient accept failures via the shared acceptConns helper.
 func (c *Cluster) acceptLoop() {
@@ -186,7 +181,7 @@ func (c *Cluster) admit(conn net.Conn) {
 	}()
 	enc := json.NewEncoder(conn)
 	dec := json.NewDecoder(conn)
-	conn.SetReadDeadline(time.Now().Add(registerGrace))
+	conn.SetReadDeadline(time.Now().Add(handshakeGrace))
 	tasks, err := acceptRegistration(enc, dec, c.cfg.token, c.heartbeat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "engine cluster: %s: %v\n", remoteName(conn), err)

@@ -32,6 +32,13 @@ import (
 // need a bump: unknown fields are ignored by both ends.
 const ProtocolVersion = 2
 
+// handshakeGrace bounds how long a fresh connection may sit silent before
+// completing its opening frame — the hello a socket worker awaits, the
+// register a cluster coordinator awaits: a port scan, health-check probe
+// or half-open client must not pin a goroutine and a descriptor (and, at
+// teardown, Close) forever. A variable only so tests can shorten it.
+var handshakeGrace = 30 * time.Second
+
 // rejectAuthToken is the loud-but-secret-free reason a token mismatch
 // reports: the token value itself never crosses the wire in an error.
 const rejectAuthToken = "auth token mismatch (coordinator and worker -auth-token must agree)"

@@ -157,7 +157,7 @@ func joinOnce(network, address string, cfg *joinConfig) error {
 	}
 	enc := json.NewEncoder(conn)
 	dec := json.NewDecoder(conn)
-	// Bound the handshake like the coordinator bounds its registerGrace: a
+	// Bound the handshake as the coordinator does with handshakeGrace: a
 	// peer that accepts and goes mute must not pin the join loop. The
 	// deadline error is a net.Error — transient, so the loop retries.
 	conn.SetDeadline(time.Now().Add(cfg.dialTimeout))

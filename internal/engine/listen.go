@@ -113,10 +113,12 @@ func Serve(lis net.Listener, opts ...ServeOption) error {
 			}()
 			enc := json.NewEncoder(conn)
 			dec := json.NewDecoder(conn)
+			conn.SetReadDeadline(time.Now().Add(handshakeGrace))
 			if err := serverHandshake(enc, dec, cfg.token); err != nil {
 				fmt.Fprintf(os.Stderr, "engine worker: %s: %v\n", remoteName(conn), err)
 				return
 			}
+			conn.SetReadDeadline(time.Time{})
 			if err := serveConn(conn, dec); err != nil {
 				fmt.Fprintf(os.Stderr, "engine worker: %s: %v\n", remoteName(conn), err)
 			}

@@ -275,6 +275,35 @@ func TestSocketRejectsLegacyWorker(t *testing.T) {
 	}
 }
 
+// TestServeClosesSilentHandshake: a peer that connects, sends half a hello
+// line and goes quiet is closed by the worker once handshakeGrace passes,
+// instead of holding a goroutine and a descriptor until Serve stops.
+func TestServeClosesSilentHandshake(t *testing.T) {
+	// Registered before startServe so it runs after Serve has returned and
+	// every connection goroutine that read the grace has finished.
+	grace := handshakeGrace
+	t.Cleanup(func() { handshakeGrace = grace })
+	handshakeGrace = 100 * time.Millisecond
+	addr := startServe(t, "tcp", "127.0.0.1:0")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"type":"hello","version":`)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("worker still holds a connection whose hello never completed")
+	}
+	if err == nil {
+		t.Fatalf("worker wrote %d byte(s) to a peer that never finished its hello", n)
+	}
+}
+
 // TestSocketNoAddresses: constructing a batch with no peers is a
 // configuration error, caught before any work is attempted.
 func TestSocketNoAddresses(t *testing.T) {
