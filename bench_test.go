@@ -573,13 +573,11 @@ func BenchmarkScreenIncremental(b *testing.B) {
 
 // BenchmarkParetoImprovement measures the exhaustive Pareto-optimality
 // scan on the 4×4×2 reference game from an Algorithm 1 equilibrium — a
-// Pareto-optimal input, so every variant pays the worst case: the complete
-// walk of its search space with no early exit. "orbit" is the
-// symmetry-reduced search (one matching test per canonical representative,
-// ~13× fewer profiles than the 50625-profile grid) and "parallel" the
-// sharded orbit walk at NumCPU workers. The direct grid baseline the orbit
-// search is differential-tested against is internal/core's
-// BenchmarkParetoImprovement/unreduced.
+// Pareto-optimal input, so both variants pay the worst case: the complete
+// walk of the 50625-profile grid with no early exit. "orbit" is the serial
+// grid walk, still named for the orbit-reduced search it replaced so that
+// benchdiff pairs it across that change, and "parallel" the same walk
+// sharded by leading rows at NumCPU workers.
 func BenchmarkParetoImprovement(b *testing.B) {
 	b.ReportAllocs()
 	g := benchGame(b, 4, 4, 2, chanalloc.TDMA(1))

@@ -193,17 +193,15 @@ func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
 // FindParetoImprovement searches for an allocation Pareto-dominating a,
 // returning nil when a is Pareto-optimal over the full strategy space.
 // Exponential; intended for small instances (maxProfiles caps the search
-// by the FULL unreduced profile count). The walk is symmetry-reduced over
-// exchangeable users: each orbit of permuted-row profiles is decided by a
-// single per-class utility matching test, so an improvement is found iff
-// the direct scan of every profile finds one.
+// by the full profile count). It walks every profile in odometer order and
+// returns the first one that dominates a.
 func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
 	return core.FindParetoImprovement(g, a, eps, maxProfiles)
 }
 
 // FindParetoImprovementParallel is FindParetoImprovement sharded over the
-// deterministic worker pool by pinned leading canonical digits (like
-// EnumerateNEParallel): byte-identical results at any worker count.
+// deterministic worker pool by pinned leading rows of the profile grid
+// (like EnumerateNEParallel): the serial witness at any worker count.
 // workers < 1 means runtime.NumCPU().
 func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles int64, workers int) (*Alloc, error) {
 	return core.FindParetoImprovementParallel(g, a, eps, maxProfiles, workers)

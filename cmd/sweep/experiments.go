@@ -667,9 +667,9 @@ func expHetero(out io.Writer, env expEnv) error {
 			opt, _ := chanalloc.OptimalWelfareAllPlaced(g)
 			welfare := g.Welfare(a)
 			// Exhaustive Pareto-optimality of the greedy NE, where the
-			// strategy space is small enough: the orbit-aware search under a
-			// tight cap on the unreduced profile count. Deployments over the
-			// cap report "-" rather than paying an exponential walk.
+			// strategy space is small enough: the grid walk under a tight
+			// cap on the profile count. Deployments over the cap report "-"
+			// rather than paying an exponential walk.
 			paretoOpt := "-"
 			w, perr := chanalloc.FindParetoImprovement(g, a, 1e-9, 200_000)
 			switch {

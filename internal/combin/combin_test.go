@@ -305,12 +305,12 @@ func TestMultinomial(t *testing.T) {
 		{[]int{5}, 1},
 		{[]int{1, 1}, 2},
 		{[]int{2, 1}, 3},
-		{[]int{1, 1, 1, 1}, 24},    // 4 distinct rows: full 4! orbit
-		{[]int{2, 2}, 6},           // 4!/(2!·2!)
-		{[]int{3, 1}, 4},           // 4!/3!
-		{[]int{4}, 1},              // all four users on the same row
-		{[]int{2, 3, 1}, 60},       // 6!/(2!·3!·1!)
-		{[]int{0, 2, 0, 1}, 3},     // zero multiplicities are inert
+		{[]int{1, 1, 1, 1}, 24},            // 4 distinct rows: full 4! orbit
+		{[]int{2, 2}, 6},                   // 4!/(2!·2!)
+		{[]int{3, 1}, 4},                   // 4!/3!
+		{[]int{4}, 1},                      // all four users on the same row
+		{[]int{2, 3, 1}, 60},               // 6!/(2!·3!·1!)
+		{[]int{0, 2, 0, 1}, 3},             // zero multiplicities are inert
 		{[]int{10, 10, 10}, 5550996791340}, // 30!/(10!)^3
 	}
 	for _, tc := range cases {
@@ -396,7 +396,7 @@ func TestMultisetCount(t *testing.T) {
 	if _, err := MultisetCount(3, -1); err == nil {
 		t.Fatal("negative size should error")
 	}
-	if _, err := MultisetCount(1 << 40, 1<<40); err == nil {
+	if _, err := MultisetCount(1<<40, 1<<40); err == nil {
 		t.Fatal("overflowing multiset count should error")
 	}
 }

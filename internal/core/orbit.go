@@ -32,10 +32,10 @@ type CanonicalNE struct {
 	Orbit int64
 }
 
-// OrbitEnumerator runs symmetry-reduced NE enumeration and Pareto search
-// for one game, with ScreenedNE as its oracle. Exchangeability classes are
-// the groups of equal-budget users; RowsFor must return identical row
-// tables for users of equal budget (they have the same strategy space).
+// OrbitEnumerator runs symmetry-reduced NE enumeration for one game, with
+// ScreenedNE as its oracle. Exchangeability classes are the groups of
+// equal-budget users; RowsFor must return identical row tables for users
+// of equal budget (they have the same strategy space).
 type OrbitEnumerator struct {
 	View     *RateView
 	Channels int

@@ -66,14 +66,14 @@ func shardDigits(rows [][][]int, workers int) (int, func(job int) []int) {
 	return first * second, func(job int) []int { return []int{job / second, job % second} }
 }
 
-// FindParetoImprovementParallel is the orbit-aware FindParetoImprovement
-// sharded over the engine's worker pool by pinned leading canonical digits,
-// with the same depth rule as EnumerateNEParallel. Every shard returns its
-// lexicographically first dominating orbit's witness (or nil); the overall
-// result is the witness of the lowest-numbered non-empty shard. Shards
-// with lower indices hold lexicographically smaller representatives, so
-// that witness is exactly the serial search's — byte-identical at any
-// worker count. workers < 1 means runtime.NumCPU().
+// FindParetoImprovementParallel is FindParetoImprovement sharded over the
+// engine's worker pool by pinned leading rows of the profile grid, with
+// the same depth rule as EnumerateNEParallel. Every shard returns its
+// first dominating profile in odometer order (or nil); the overall result
+// is the witness of the lowest-numbered non-empty shard. User 0 is the
+// grid's most significant digit, so lower shards hold earlier profiles and
+// that witness is exactly the serial search's at any worker count.
+// workers < 1 means runtime.NumCPU().
 func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles int64, workers int) (*Alloc, error) {
 	if err := g.CheckAlloc(a); err != nil {
 		return nil, err
@@ -83,10 +83,9 @@ func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles i
 		return nil, err
 	}
 	base := g.Utilities(a)
-	oe := g.orbitEnumerator(rows)
 	shardCount, digits := shardDigits(rows, workers)
 	shards, _, err := engine.Map(shardCount, func(job int, _ *des.RNG) (*Alloc, error) {
-		w, err := oe.ParetoImprovementShard(digits(job), base, eps)
+		w, err := paretoShard(g, rows, base, eps, digits(job))
 		if err != nil {
 			return nil, fmt.Errorf("core: pareto shard %d: %w", job, err)
 		}

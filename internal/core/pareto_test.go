@@ -9,7 +9,7 @@ import (
 )
 
 // checkParetoWitness asserts that w is a legal allocation Pareto-dominating
-// the base utilities under the unreduced scan's exact comparisons.
+// the base utilities under the search's exact comparisons.
 func checkParetoWitness(t *testing.T, g *Game, base []float64, w *Alloc, eps float64) {
 	t.Helper()
 	if err := g.CheckAlloc(w); err != nil {
@@ -30,10 +30,165 @@ func checkParetoWitness(t *testing.T, g *Game, base []float64, w *Alloc, eps flo
 	}
 }
 
-// crossCheckPareto runs the orbit-aware and unreduced searches from every
-// profile of g as the base allocation: existence must agree exactly, and
-// every returned witness must be a valid improvement.
-func crossCheckPareto(t *testing.T, g *Game, eps float64, label string) {
+// TestParetoVerdictCounts pins, for every (rate family, game, eps) input,
+// how many of the game's profiles admit a Pareto improvement when taken as
+// the base allocation, and checks every witness. The counts were recorded
+// while the search was still orbit-reduced, where they agreed with the
+// grid walk on every base. The subtests keep that search's cross-check
+// suites: small uniform games, mixed-budget games (budgets [2 1 2] put users 0 and 2 in one class
+// around user 1), and tolerances on the TDMA(1) utility lattice, where
+// u-base lands exactly on ±eps.
+func TestParetoVerdictCounts(t *testing.T) {
+	rates := differentialRates(t)
+	tdma := []ratefn.Func{ratefn.NewTDMA(1)}
+	def := []float64{DefaultEps}
+	cases := []struct {
+		group    string
+		rates    []ratefn.Func
+		channels int
+		budgets  []int
+		eps      []float64
+		bases    int
+		want     []int // improvable bases, per rate then per eps
+	}{
+		{"uniform", rates, 2, []int{1, 1}, def, 9, []int{7, 7, 7, 7, 7, 7, 7, 7}},
+		{"uniform", rates, 2, []int{2, 2}, def, 36, []int{17, 28, 28, 28, 21, 24, 28, 24}},
+		{"uniform", rates, 3, []int{2, 2}, def, 100, []int{82, 88, 88, 88, 82, 88, 88, 88}},
+		{"uniform", rates, 2, []int{2, 2, 2}, def, 216, []int{53, 159, 159, 177, 144, 116, 153, 116}},
+		{"hetero", rates, 2, []int{1, 2}, def, 18, []int{11, 13, 13, 13, 11, 13, 13, 13}},
+		{"hetero", rates, 2, []int{1, 1, 2}, def, 54, []int{23, 35, 35, 35, 27, 31, 35, 31}},
+		{"hetero", rates, 3, []int{2, 1, 2}, def, 400, []int{271, 340, 340, 340, 289, 322, 340, 322}},
+		{"eps-boundary", tdma, 2, []int{1, 1}, []float64{0, 0.25, 0.5, 1}, 9, []int{7, 7, 5, 0}},
+		{"eps-boundary", tdma, 3, []int{1, 1, 1}, []float64{0, 1.0 / 6, 1.0 / 3, 0.5}, 64, []int{58, 58, 58, 40}},
+	}
+	for _, group := range []string{"uniform", "hetero", "eps-boundary"} {
+		t.Run(group, func(t *testing.T) {
+			for _, tc := range cases {
+				if tc.group != group {
+					continue
+				}
+				for ri, rate := range tc.rates {
+					g := mustHetero(t, tc.channels, tc.budgets, rate)
+					var bases []*Alloc
+					if err := forEachAlloc(g, 5_000_000, func(b *Alloc) bool {
+						bases = append(bases, b.Clone())
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if len(bases) != tc.bases {
+						t.Fatalf("%s %v/%d: %d profiles, want %d", rate.Name(), tc.budgets, tc.channels, len(bases), tc.bases)
+					}
+					for ei, eps := range tc.eps {
+						got := 0
+						for _, a := range bases {
+							w, err := FindParetoImprovement(g, a, eps, 5_000_000)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if w != nil {
+								checkParetoWitness(t, g, g.Utilities(a), w, eps)
+								got++
+							}
+						}
+						if want := tc.want[ri*len(tc.eps)+ei]; got != want {
+							t.Errorf("%s %v/%d eps=%v: %d of %d bases improvable, want %d",
+								rate.Name(), tc.budgets, tc.channels, eps, got, len(bases), want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int(nil), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// relabel returns a copy of a in which user i's row belongs to user
+// users[i] and channel c's radios sit on channel chans[c].
+func relabel(t *testing.T, a *Alloc, users, chans []int) *Alloc {
+	t.Helper()
+	m := make([][]int, a.Users())
+	for i := range m {
+		m[users[i]] = make([]int, a.Channels())
+	}
+	for i := range m {
+		for c, to := range chans {
+			m[users[i]][to] = a.Radios(i, c)
+		}
+	}
+	b, err := AllocFromMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// classPermutations returns every user relabelling that maps each class
+// of users onto itself.
+func classPermutations(users int, classes [][]int) [][]int {
+	out := [][]int{make([]int, users)}
+	for u := range out[0] {
+		out[0][u] = u
+	}
+	for _, class := range classes {
+		var next [][]int
+		for _, p := range out {
+			for _, q := range permutations(len(class)) {
+				r := append([]int(nil), p...)
+				for k, u := range class {
+					r[u] = class[q[k]]
+				}
+				next = append(next, r)
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// unreducedParetoWitness scans every profile of g in odometer order,
+// scoring all users of each, and returns a clone of the first that hurts
+// nobody and helps someone, or nil.
+func unreducedParetoWitness(t *testing.T, g *Game, base []float64, eps float64) *Alloc {
+	t.Helper()
+	var found *Alloc
+	if err := forEachAlloc(g, 5_000_000, func(b *Alloc) bool {
+		hurt, strict := false, false
+		for i, u := range g.Utilities(b) {
+			hurt = hurt || u < base[i]-eps
+			strict = strict || u > base[i]+eps
+		}
+		if !hurt && strict {
+			found = b.Clone()
+			return false
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return found
+}
+
+// checkParetoOrbits runs the search from every profile of g as the base:
+// its witness must be exactly the unreduced scan's, and every relabelling
+// of the base by a user permutation in perms and any channel permutation
+// (the base's orbit under g's symmetries) must get the same verdict, with
+// a valid witness.
+func checkParetoOrbits(t *testing.T, g *Game, perms [][]int, label string) {
 	t.Helper()
 	var bases []*Alloc
 	if err := forEachAlloc(g, 5_000_000, func(b *Alloc) bool {
@@ -42,33 +197,42 @@ func crossCheckPareto(t *testing.T, g *Game, eps float64, label string) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	chanPerms := permutations(g.Channels())
 	for _, a := range bases {
-		want, err := findParetoImprovementUnreduced(g, a, eps, 5_000_000)
+		base := g.Utilities(a)
+		got, err := FindParetoImprovement(g, a, DefaultEps, 5_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FindParetoImprovement(g, a, eps, 5_000_000)
-		if err != nil {
-			t.Fatal(err)
+		want := unreducedParetoWitness(t, g, base, DefaultEps)
+		if (got == nil) != (want == nil) || (got != nil && !got.Equal(want)) {
+			t.Fatalf("%s: search found %v, unreduced scan found %v for base\n%v", label, got, want, a)
 		}
-		if (want == nil) != (got == nil) {
-			t.Fatalf("%s eps=%v: orbit search found %v, unreduced found %v for base\n%v",
-				label, eps, got != nil, want != nil, a)
-		}
-		if got != nil {
-			checkParetoWitness(t, g, g.Utilities(a), got, eps)
+		for _, up := range perms {
+			for _, cp := range chanPerms {
+				b := relabel(t, a, up, cp)
+				w, err := FindParetoImprovement(g, b, DefaultEps, 5_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (w == nil) != (got == nil) {
+					t.Fatalf("%s: base improvable %v but its relabelling (users %v, channels %v) improvable %v\n%v\n%v",
+						label, got != nil, up, cp, w != nil, a, b)
+				}
+				if w != nil {
+					checkParetoWitness(t, g, g.Utilities(b), w, DefaultEps)
+				}
+			}
 		}
 	}
 }
 
 // TestParetoOrbitAgreesWithUnreducedExhaustive: on every profile of small
-// games across every ratefn family (Table and MonotoneEnvelope included),
-// the orbit-aware search finds an improvement iff the unreduced search
-// does, and its witness is a valid improvement.
+// uniform games across every ratefn family (Table and MonotoneEnvelope
+// included), the search's witness is the unreduced scan's, and the verdict
+// is the same on every profile of the base's orbit under any relabelling
+// of users and channels.
 func TestParetoOrbitAgreesWithUnreducedExhaustive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive Pareto cross-check")
-	}
 	configs := []struct{ users, channels, radios int }{
 		{2, 2, 1},
 		{2, 2, 2},
@@ -78,16 +242,21 @@ func TestParetoOrbitAgreesWithUnreducedExhaustive(t *testing.T) {
 	for _, rate := range differentialRates(t) {
 		for _, cfg := range configs {
 			g := mustGame(t, cfg.users, cfg.channels, cfg.radios, rate)
-			crossCheckPareto(t, g, DefaultEps, rate.Name())
+			checkParetoOrbits(t, g, permutations(cfg.users), rate.Name())
 		}
 	}
 }
 
-// TestHeteroParetoOrbitAgreesWithUnreduced is the same cross-check on
-// every profile of small mixed-budget games, including a deployment whose
-// exchangeability class is non-contiguous (budgets [2 1 2]: users 0 and 2
-// share a class around user 1).
-func TestHeteroParetoOrbitAgreesWithUnreduced(t *testing.T) {
+// TestParetoOrbitHeteroClasses is the same check where the users form
+// several exchangeability classes: relabellings keep each class (from
+// orbitClasses) onto itself, including non-contiguous ones (budgets
+// [2 1 2]: users 0 and 2 share a class around user 1). The uniform
+// 3-user, 2-channel, 2-radio harmonic(2,α=0.6) game is also split by hand
+// into the classes {0, 2} and {1}.
+func TestParetoOrbitHeteroClasses(t *testing.T) {
+	rate := ratefn.Harmonic{R0: 2, Alpha: 0.6}
+	split := mustGame(t, 3, 2, 2, rate)
+	checkParetoOrbits(t, split, classPermutations(3, [][]int{{0, 2}, {1}}), "split-class")
 	mixed := []struct {
 		channels int
 		budgets  []int
@@ -96,86 +265,49 @@ func TestHeteroParetoOrbitAgreesWithUnreduced(t *testing.T) {
 		{2, []int{1, 1, 2}},
 		{3, []int{2, 1, 2}},
 	}
-	for _, rate := range differentialRates(t) {
-		for _, m := range mixed {
-			g := mustHetero(t, m.channels, m.budgets, rate)
-			crossCheckPareto(t, g, DefaultEps, fmt.Sprintf("%s %v/%d", rate.Name(), m.budgets, m.channels))
-		}
+	for _, m := range mixed {
+		g := mustHetero(t, m.channels, m.budgets, rate)
+		perms := classPermutations(len(m.budgets), orbitClasses(orbitPred(m.budgets)))
+		checkParetoOrbits(t, g, perms, fmt.Sprintf("%v/%d", m.budgets, m.channels))
 	}
 }
 
-// TestParetoOrbitEpsBoundaries stresses tolerances where utility
-// differences sit exactly at base-eps / base+eps: under TDMA(1) utilities
-// are small rationals (1, 1/2, 1/3, ...), so eps drawn from the same
-// lattice lands comparisons on the boundary, where > and < must agree
-// between the orbit matching test and the unreduced scan bit for bit.
-func TestParetoOrbitEpsBoundaries(t *testing.T) {
-	cases := []struct {
-		users, channels, radios int
-		eps                     []float64
-	}{
-		{2, 2, 1, []float64{0, 0.25, 0.5, 1}},
-		{3, 3, 1, []float64{0, 1.0 / 6, 1.0 / 3, 0.5}},
-	}
-	for _, tc := range cases {
-		g := mustGame(t, tc.users, tc.channels, tc.radios, ratefn.NewTDMA(1))
-		for _, eps := range tc.eps {
-			crossCheckPareto(t, g, eps, "tdma-boundary")
-		}
-	}
-}
-
-// TestParetoOrbitHeteroClasses drives the shared matcher through games
-// with several exchangeability classes per profile on a uniform game split
-// by hand: users 0 and 2 share a class while user 1 is alone, so the
-// canonical constraint chains through a non-contiguous class exactly as
-// mixed-budget games do. (TestHeteroParetoOrbitAgreesWithUnreduced
-// cross-checks real mixed-budget games.)
-func TestParetoOrbitHeteroClasses(t *testing.T) {
-	g := mustGame(t, 3, 2, 2, ratefn.Harmonic{R0: 2, Alpha: 0.6})
-	rows, err := strategyRows(g)
+// TestFindParetoImprovementWitnessIsOdometerFirst pins the exact witness
+// on a hand-worked case. Three one-radio users on two TDMA(1) channels:
+// users 0 and 1 share channel 1 (1/2 each) and user 2 is idle (0). Each
+// user's rows are idle, {0 1}, {1 0}, and user 0 is the most significant
+// digit. Every profile with user 0 idle hurts user 0, and every one with
+// user 0 on channel 2 and user 1 idle hurts user 1. With users 0 and 1 on
+// channel 2, user 2 idle improves nobody, user 2 on channel 2 hurts all
+// three, and user 2 alone on channel 1 gains 1 while the others keep 1/2.
+// That is the first dominating profile, ahead of e.g. users 0, 1 and 2 on
+// channels 2, 1 and none, which also dominates.
+func TestFindParetoImprovementWitnessIsOdometerFirst(t *testing.T) {
+	g := mustGame(t, 3, 2, 1, ratefn.NewTDMA(1))
+	base := mustAlloc(t, [][]int{
+		{1, 0},
+		{1, 0},
+		{0, 0},
+	})
+	want := mustAlloc(t, [][]int{
+		{0, 1},
+		{0, 1},
+		{1, 0},
+	})
+	got, err := FindParetoImprovement(g, base, DefaultEps, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pretend user 1 has a different class key: same row table, so every
-	// profile is still a legal profile of g, but the orbit space now has
-	// two classes {0, 2} and {1}.
-	oe := &OrbitEnumerator{
-		View:     g.View(),
-		Budgets:  []int{2, 7, 2},
-		Channels: g.Channels(),
-		RowsFor:  func(u int) [][]int { return rows[u] },
-		Eps:      DefaultEps,
-	}
-	var bases []*Alloc
-	if err := forEachAlloc(g, 5_000_000, func(b *Alloc) bool {
-		bases = append(bases, b.Clone())
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range bases {
-		want, err := findParetoImprovementUnreduced(g, a, DefaultEps, 5_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := oe.ParetoImprovement(g.Utilities(a), DefaultEps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (want == nil) != (got == nil) {
-			t.Fatalf("split-class orbit search found %v, unreduced found %v for base\n%v",
-				got != nil, want != nil, a)
-		}
-		if got != nil {
-			checkParetoWitness(t, g, g.Utilities(a), got, DefaultEps)
-		}
+	if !want.Equal(got) {
+		t.Fatalf("witness\n%v\nwant the first dominating profile in odometer order\n%v", got, want)
 	}
 }
 
 // TestFindParetoImprovementParallelMatchesSerial: the sharded search must
-// return byte-identical results to the serial orbit-aware search at every
-// worker count, witness included.
+// return the serial search's result at every worker count, witness
+// included. The 3×3×2 game has 10 rows per user, so workers 1–5 shard on
+// user 0's row alone and workers 8 on users 0 and 1 (10 < 2·8); the
+// one-user game pins every digit of its single-digit shards.
 func TestFindParetoImprovementParallelMatchesSerial(t *testing.T) {
 	rates := []ratefn.Func{ratefn.NewTDMA(1), ratefn.Harmonic{R0: 2, Alpha: 0.6}}
 	for _, rate := range rates {
@@ -189,14 +321,25 @@ func TestFindParetoImprovementParallelMatchesSerial(t *testing.T) {
 			{2, 0, 0},
 			{2, 0, 0},
 		})
-		bases := []*Alloc{ne, crowded, g.NewEmptyAlloc()}
-		for bi, a := range bases {
-			serial, err := FindParetoImprovement(g, a, DefaultEps, 5_000_000)
+		solo := mustGame(t, 1, 3, 2, rate)
+		soloNE, err := Algorithm1(solo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			g    *Game
+			base *Alloc
+		}{
+			{g, ne}, {g, crowded}, {g, g.NewEmptyAlloc()},
+			{solo, soloNE}, {solo, mustAlloc(t, [][]int{{1, 0, 0}})}, {solo, solo.NewEmptyAlloc()},
+		}
+		for bi, tc := range cases {
+			serial, err := FindParetoImprovement(tc.g, tc.base, DefaultEps, 5_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 3, 5} {
-				par, err := FindParetoImprovementParallel(g, a, DefaultEps, 5_000_000, workers)
+			for _, workers := range []int{1, 2, 3, 5, 8} {
+				par, err := FindParetoImprovementParallel(tc.g, tc.base, DefaultEps, 5_000_000, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

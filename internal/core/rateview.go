@@ -255,8 +255,7 @@ func (ws *Workspace) ensure(C, k int) {
 }
 
 // Utils returns an n-length float64 scratch slice reused across calls: the
-// backing store of UtilitiesInto and the orbit Pareto matcher's per-profile
-// utility vectors. Contents are unspecified on entry.
+// backing store of UtilitiesInto. Contents are unspecified on entry.
 func (ws *Workspace) Utils(n int) []float64 {
 	if cap(ws.utils) < n {
 		ws.utils = make([]float64, n)

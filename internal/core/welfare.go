@@ -218,20 +218,15 @@ func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 
 // FindParetoImprovement searches for an allocation that makes every user
 // at least as well off as in a and at least one user strictly better
-// (within tolerance eps on both comparisons, exactly as the unreduced
-// scan: hurt iff u < base-eps, strict iff u > base+eps). It returns nil if
-// a is Pareto-optimal over the full strategy space. Exponential; guarded
-// by maxProfiles against the FULL unreduced profile count.
+// (within tolerance eps on both comparisons: hurt iff u < base-eps, strict
+// iff u > base+eps). It returns nil if a is Pareto-optimal over the full
+// strategy space. Exponential; guarded by maxProfiles against the full
+// profile count.
 //
-// The search is symmetry-reduced: equal-budget users are exchangeable, so
-// only canonical orbit representatives are visited and each whole orbit is
-// decided by one per-class utility matching test (see
-// OrbitEnumerator.ParetoImprovement). An improvement is found iff the
-// unreduced search finds one; the returned witness — the representative
-// with its rows permuted along the matching — is always a valid
-// improvement, though not necessarily the same orbit member the unreduced
-// scan would hit first. The package tests keep the direct grid walk as the
-// differential baseline.
+// The search walks the whole profile grid in odometer order (user 0 the
+// most significant digit, each user's rows in strategyRows order) and
+// returns the first dominating profile it meets, so the witness is
+// deterministic.
 func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
 	if err := g.CheckAlloc(a); err != nil {
 		return nil, err
@@ -240,5 +235,5 @@ func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*
 	if err != nil {
 		return nil, err
 	}
-	return g.orbitEnumerator(rows).ParetoImprovement(g.Utilities(a), eps)
+	return paretoShard(g, rows, g.Utilities(a), eps, nil)
 }

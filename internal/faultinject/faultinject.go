@@ -175,7 +175,9 @@ type faultConn struct {
 // exactly like a peer reset.
 type errSevered struct{ op string }
 
-func (e *errSevered) Error() string   { return fmt.Sprintf("faultinject: connection severed during %s", e.op) }
+func (e *errSevered) Error() string {
+	return fmt.Sprintf("faultinject: connection severed during %s", e.op)
+}
 func (e *errSevered) Timeout() bool   { return false }
 func (e *errSevered) Temporary() bool { return false }
 
