@@ -612,11 +612,9 @@ func BenchmarkParetoImprovement(b *testing.B) {
 	})
 }
 
-// BenchmarkWelfareDP measures the welfare dynamic program's two steady
-// states: "into" is the slab DP in a reused workspace (the acceptance bar
-// is 0 allocs/op), "memoised" the per-game cache serving repeated
-// PriceOfAnarchy calls, and "oneshot" the allocating form kept as the
-// trajectory baseline.
+// BenchmarkWelfareDP measures the welfare dynamic program: "into" is the
+// slab DP in a reused workspace (the acceptance bar is 0 allocs/op), and
+// "oneshot" the allocating form kept as the trajectory baseline.
 func BenchmarkWelfareDP(b *testing.B) {
 	b.ReportAllocs()
 	r := chanalloc.HarmonicRate(1, 0.5)
@@ -636,20 +634,6 @@ func BenchmarkWelfareDP(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if opt, _ := chanalloc.OptimalLoadWelfare(r, 16, 128); opt <= 0 {
 				b.Fatal("degenerate optimum")
-			}
-		}
-	})
-	b.Run("memoised", func(b *testing.B) {
-		b.ReportAllocs()
-		g := benchGame(b, 16, 12, 8, r)
-		ne, err := chanalloc.Algorithm1(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if poa, err := chanalloc.PriceOfAnarchy(g, ne); err != nil || poa <= 0 {
-				b.Fatalf("poa %v err %v", poa, err)
 			}
 		}
 	})

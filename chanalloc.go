@@ -159,8 +159,8 @@ func BestResponseToLoadsInto(ws *Workspace, rate RateFunc, ext []int, k int) ([]
 }
 
 // OptimalWelfareAllPlaced computes the maximum total rate over allocations
-// that deploy every radio, with one optimising load vector. The welfare DP
-// runs once per game and is memoised; repeated calls are a memo read.
+// that deploy every radio, with one optimising load vector (a fresh copy).
+// Each call runs the welfare DP over the game's rate table.
 func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
 	return core.OptimalWelfareAllPlaced(g)
 }
@@ -185,7 +185,8 @@ func OptimalWelfareIdleAllowed(g *Game) (float64, []int) {
 	return core.OptimalWelfareIdleAllowed(g)
 }
 
-// PriceOfAnarchy returns welfare(a) divided by the all-placed optimum.
+// PriceOfAnarchy returns welfare(a) divided by the all-placed optimum, or
+// an error when a is not a legal allocation of g.
 func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
 	return core.PriceOfAnarchy(g, a)
 }

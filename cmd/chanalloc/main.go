@@ -46,6 +46,7 @@ import (
 	"strings"
 
 	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 func main() {
@@ -63,15 +64,11 @@ func run(args []string, out io.Writer) error {
 	if cfg.mode == "scenario" {
 		return scenarioMode(out, cfg)
 	}
-	// The game bounds every channel load by |N|·k, so expensive rates (the
-	// memoised CSMA fixed points) are frozen into a lock-free table before
-	// the hot paths: identical values, no per-call locking. Huge dimensions
-	// skip the freeze — eagerly sampling millions of rate values would cost
-	// more than it saves (NewGame's own view applies the same cap).
-	if maxK := cfg.users * cfg.radios; maxK <= 1<<21 {
-		if frozen, err := chanalloc.FreezeRate(cfg.rate, maxK); err == nil {
-			cfg.rate = frozen
-		}
+	// The strategy matrix holds users·channels cells, and NewGame tabulates
+	// R up front over Σk_i <= users·channels loads: the scenario grammar's
+	// bound keeps both finite.
+	if err := workload.CheckCells(cfg.users, cfg.channels); err != nil {
+		return err
 	}
 	g, err := chanalloc.NewGame(cfg.users, cfg.channels, cfg.radios, cfg.rate)
 	if err != nil {
@@ -173,6 +170,9 @@ func verify(out io.Writer, g *chanalloc.Game, cfg *config) error {
 	if err != nil {
 		return err
 	}
+	if err := g.CheckAlloc(a); err != nil {
+		return err
+	}
 	fmt.Fprintln(out, "Lemma audit:")
 	violations := chanalloc.CheckAllLemmas(g, a)
 	if len(violations) == 0 {
@@ -216,7 +216,7 @@ func distributed(out io.Writer, g *chanalloc.Game, cfg *config) error {
 		if cfg.policy == "greedy" {
 			return &chanalloc.GreedyPolicy{Tie: cfg.tie, Seed: cfg.seed}
 		}
-		return &chanalloc.BestResponsePolicy{Rate: g.Rate()}
+		return &chanalloc.BestResponsePolicy{Rate: g.View().Frozen()}
 	})
 	res, err := chanalloc.RunDistributed(g, policies)
 	if err != nil {

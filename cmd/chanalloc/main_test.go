@@ -1,12 +1,16 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 func TestRunAllocate(t *testing.T) {
@@ -210,4 +214,83 @@ func TestReadMatrixErrors(t *testing.T) {
 	if _, err := readMatrix(filepath.Join(dir, "missing.txt")); err == nil {
 		t.Error("missing file should error")
 	}
+}
+
+// TestRunRefusesIllegalInput: a verify matrix that does not fit the game,
+// and game flags past workload.MaxCells, exit with an error before any
+// audit, drawing or table allocation. Without the checks the first matrix
+// panics in the lemma audit, the second exhausts memory drawing 9e9
+// occupancy levels, the third prints "no lemma violations" before failing,
+// and the two flag sets panic in makeslice or exhaust memory.
+func TestRunRefusesIllegalInput(t *testing.T) {
+	dims := []string{"-users", "2", "-channels", "2", "-radios", "2"}
+	for _, tc := range []struct {
+		name   string
+		matrix string // verify input; empty for the flag cases
+		args   []string
+		want   string
+	}{
+		{"extra-row", "1 0\n0 1\n1 1\n", dims, "allocation is 3x2, game is 2x2"},
+		{"huge-cell", "9000000000 0\n1 1\n", dims, "user 0 deploys more than its budget"},
+		{"over-budget", "5 5\n1 1\n", dims, "user 0 deploys more than its budget"},
+		{"wrapping-cells", "4611686018427387904 4611686018427387904\n0 0\n", dims, "user 0 deploys more than its budget"},
+		{"huge-channels", "", []string{"-users", "2", "-channels", "4611686018427387904", "-radios", "4611686018427387904"}, "scenario too large"},
+		{"huge-grid", "", []string{"-users", "100000", "-channels", "100000", "-radios", "1"}, "scenario too large"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := tc.args
+			if tc.matrix != "" {
+				path := filepath.Join(t.TempDir(), "matrix.txt")
+				if err := os.WriteFile(path, []byte(tc.matrix), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				args = append([]string{"-mode", "verify", "-in", path}, args...)
+			}
+			var b strings.Builder
+			err := run(args, &b)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run error %v, want one containing %q", err, tc.want)
+			}
+			if tc.matrix == "" && !errors.Is(err, workload.ErrTooLarge) {
+				t.Fatalf("run error %v does not wrap workload.ErrTooLarge", err)
+			}
+			if b.Len() != 0 {
+				t.Fatalf("run printed before refusing:\n%s", b.String())
+			}
+		})
+	}
+}
+
+// FuzzVerifyMatrix feeds arbitrary bytes to -mode verify as the matrix
+// file of a 2-user, 3-channel, 2-radio game. No input may panic, and the
+// run may allocate no more than a fixed budget plus a multiple of the
+// input size: a matrix that fits the game is small, and anything else
+// must be refused before it is audited or drawn.
+func FuzzVerifyMatrix(f *testing.F) {
+	for _, seed := range []string{
+		"1 1 0\n0 1 1\n",
+		"1 0\n0 1\n1 1\n",
+		"9000000000 0\n1 1\n",
+		"5 5\n1 1\n",
+		"# comment\n\n2 0 0\n0 0 2\n",
+		"4611686018427387904 4611686018427387904 0\n0 0 0\n",
+		"9223372036854775807 9223372036854775807 2\n0 0 0\n",
+		"-1 0 0\n0 0 0\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "matrix.txt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = run([]string{"-mode", "verify", "-users", "2", "-channels", "3", "-radios", "2", "-in", path}, io.Discard)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<20+64*len(data)); got > limit {
+			t.Fatalf("verify of a %d-byte matrix allocated %d bytes, limit %d", len(data), got, limit)
+		}
+	})
 }

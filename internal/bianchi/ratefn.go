@@ -8,7 +8,8 @@ import (
 // game's rate-function interface (the "practical CSMA/CA" curve of the
 // paper's Figure 3). The result is wrapped in a monotone envelope — Bianchi
 // throughput can rise marginally between n=1 and n=2 for some parameter sets
-// — and memoised, because each evaluation solves a fixed point.
+// — which also stores every value it computes, because each evaluation
+// solves a fixed point.
 //
 // Rate(k) is the aggregate MAC throughput in Mbit/s when k saturated radios
 // share the channel.
@@ -17,7 +18,7 @@ func PracticalRate(p Params) (ratefn.Func, error) {
 		return nil, err
 	}
 	inner := &solverFunc{params: p, name: "csma-practical", solve: Solve}
-	return ratefn.NewMemo(ratefn.NewMonotoneEnvelope(inner)), nil
+	return ratefn.NewMonotoneEnvelope(inner), nil
 }
 
 // OptimalRate adapts the optimal-backoff throughput to the rate-function
@@ -27,7 +28,7 @@ func OptimalRate(p Params) (ratefn.Func, error) {
 		return nil, err
 	}
 	inner := &solverFunc{params: p, name: "csma-optimal", solve: SolveOptimal}
-	return ratefn.NewMemo(ratefn.NewMonotoneEnvelope(inner)), nil
+	return ratefn.NewMonotoneEnvelope(inner), nil
 }
 
 // solverFunc is the raw (pre-envelope) adapter.

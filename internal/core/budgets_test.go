@@ -273,15 +273,15 @@ func TestMixedBudgetOptimalWelfareIdleAllowed(t *testing.T) {
 	}
 }
 
-// TestHeteroWelfareMemo: the all-placed optimum is memoised per game; the
-// returned loads are copies and the price of anarchy is stable under
-// repetition.
-func TestHeteroWelfareMemo(t *testing.T) {
+// TestHeteroWelfareFreshLoads: the all-placed optimum of a mixed-budget
+// game matches the direct DP, the returned loads are fresh on every call
+// and the price of anarchy is stable under repetition.
+func TestHeteroWelfareFreshLoads(t *testing.T) {
 	g := mustHetero(t, 3, []int{2, 1, 2}, ratefn.Harmonic{R0: 1, Alpha: 1})
 	wantVal, wantLoads := OptimalLoadWelfare(g.View().Frozen(), g.Channels(), 5)
 	opt1, loads1 := OptimalWelfareAllPlaced(g)
 	if opt1 != wantVal {
-		t.Fatalf("memoised optimum %v, direct DP %v", opt1, wantVal)
+		t.Fatalf("optimum %v, direct DP %v", opt1, wantVal)
 	}
 	loads1[0] = 99
 	opt2, loads2 := OptimalWelfareAllPlaced(g)
@@ -290,7 +290,7 @@ func TestHeteroWelfareMemo(t *testing.T) {
 	}
 	for c := range wantLoads {
 		if loads2[c] != wantLoads[c] {
-			t.Fatalf("memo loads corrupted: %v, want %v", loads2, wantLoads)
+			t.Fatalf("second call loads %v, want %v", loads2, wantLoads)
 		}
 	}
 	ne, err := Algorithm1(g, WithSeed(1))

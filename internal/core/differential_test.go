@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -123,8 +124,8 @@ func referenceEnumerateNE(t *testing.T, g *Game, maxProfiles int64) []*Alloc {
 }
 
 // differentialRates covers every ratefn family, including the Table and
-// MonotoneEnvelope forms named by the refactor issue. The envelope wraps a
-// non-monotone inner curve so its lazy memoisation actually engages.
+// MonotoneEnvelope forms. The envelope wraps a non-monotone inner curve so
+// its running minimum actually engages.
 func differentialRates(t *testing.T) []ratefn.Func {
 	t.Helper()
 	table, err := ratefn.NewTable("meas", []float64{5, 5, 3.5, 2.25, 2.25, 1, 0.5})
@@ -143,7 +144,7 @@ func differentialRates(t *testing.T) []ratefn.Func {
 		table,
 		frozen,
 		ratefn.NewMonotoneEnvelope(bumpy{}),
-		ratefn.NewMemo(ratefn.Harmonic{R0: 4, Alpha: 0.25}),
+		ratefn.Harmonic{R0: 4, Alpha: 0.25},
 	}
 }
 
@@ -268,44 +269,154 @@ func TestDifferentialBestResponseMatchesReference(t *testing.T) {
 
 // TestDifferentialBestResponseLayouts: the DP must give bit-identical rows
 // and values whether it reads its v rows in place from the share plane
-// (the game's own view), from rows built in the workspace because some
-// external load lies outside a smaller view's plane, or from a
-// passthrough view with no tables; and the value-only form must return
-// the full DP's value bit for bit.
+// (the game's own view) or builds them in the workspace from the rate
+// table (a view over the same game with the plane cap forced to zero), and
+// both must match the reference DP; the value-only form must return the
+// full DP's value bit for bit. The games include mixed budgets where a
+// small-budget user faces an external load above Σk_i − max k_i, the rows
+// a plane sized for the largest budget alone would not cover.
 func TestDifferentialBestResponseLayouts(t *testing.T) {
 	rates := differentialRates(t)
 	ws := NewWorkspace()
+	beyond := 0 // DPs of a user with k < max k_i facing a load above Σk_i − max k_i
+	check := func(name string, rate ratefn.Func, budgets []int, a *Alloc) {
+		t.Helper()
+		g, err := NewHeteroGame(a.Channels(), budgets, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxK := slices.Max(budgets)
+		if err := g.CheckAlloc(a); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		saved := maxShareTableLen
+		maxShareTableLen = 0 // the same game, its view built without a plane
+		planeless := newGame(g.channels, g.budgets, rate, nil)
+		maxShareTableLen = saved
+		if g.View().share == nil || planeless.View().share != nil {
+			t.Fatalf("%s: plane present %v / %v, want true / false", name, g.View().share != nil, planeless.View().share != nil)
+		}
+		for i, k := range budgets {
+			ext := make([]int, a.Channels())
+			for c := range ext {
+				ext[c] = a.Load(c) - a.Radios(i, c)
+			}
+			if k < maxK && slices.Max(ext) > g.total-maxK {
+				beyond++
+			}
+			wantRow, wantVal := referenceBestResponseToLoads(rate, ext, k)
+			for _, game := range []*Game{g, planeless} {
+				layout := "plane"
+				if game.View().share == nil {
+					layout = "table"
+				}
+				row, val, err := game.BestResponseInto(ws, a, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if val != wantVal || !slices.Equal(row, wantRow) {
+					t.Fatalf("%s (%s) user %d (k=%d, ext %v) %s rows: row %v value %v, reference row %v value %v",
+						name, rate.Name(), i, k, ext, layout, row, val, wantRow, wantVal)
+				}
+				if got, err := game.BestResponseValueInto(ws, a, i); err != nil || got != wantVal {
+					t.Fatalf("%s (%s) user %d %s rows: value-only DP %v (%v), want %v", name, rate.Name(), i, layout, got, err, wantVal)
+				}
+			}
+		}
+		for _, game := range []*Game{g, planeless} {
+			if got, err := game.IsNashEquilibrium(a); err != nil || got != referenceIsNE(g, a) {
+				t.Fatalf("%s (%s): NE verdict %v (%v), reference %v", name, rate.Name(), got, err, referenceIsNE(g, a))
+			}
+		}
+	}
 	for seed := uint64(0); seed < 200; seed++ {
 		rate := rates[int(seed)%len(rates)]
 		g, a, err := randomInstance(seed, rate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := g.Radios()
-		views := []*RateView{
-			NewRateView(rate, a.TotalRadios()/2+k, k), // some loads outside the plane
-			NewRateView(rate, -1, -1),                 // passthrough
+		check(fmt.Sprintf("uniform seed %d", seed), rate, g.Budgets(), a)
+	}
+	// Mixed budgets: one user owns a single radio, the others up to |C|,
+	// and each user deploys all or all but one of its radios, half of them
+	// stacked on channel 0, so external loads up to Σk_i − 1 occur.
+	for seed := uint64(0); seed < 200; seed++ {
+		rate := rates[int(seed)%len(rates)]
+		rng := des.NewRNG(seed)
+		channels := 2 + rng.Intn(3)
+		budgets := []int{1}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			budgets = append(budgets, 1+rng.Intn(channels))
 		}
-		for i := 0; i < g.Users(); i++ {
-			wantRow, wantVal, err := g.BestResponseInto(ws, a, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRow = append([]int(nil), wantRow...)
-			if got := g.View().BestResponseValueInto(ws, a, i, k); got != wantVal {
-				t.Fatalf("seed %d (%s) user %d: value-only DP %v, full DP %v", seed, rate.Name(), i, got, wantVal)
-			}
-			for j, view := range views {
-				row, val := view.BestResponseAllocInto(ws, a, i, k)
-				if val != wantVal || !slices.Equal(row, wantRow) {
-					t.Fatalf("seed %d (%s) user %d view %d: row %v value %v, game view row %v value %v",
-						seed, rate.Name(), i, j, row, val, wantRow, wantVal)
+		a, err := NewAlloc(len(budgets), channels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range budgets {
+			for r := k - rng.Intn(2); r > 0; r-- {
+				c := rng.Intn(2 * channels) // channel 0 half the time
+				if c >= channels {
+					c = 0
 				}
-				if got := view.BestResponseValueInto(ws, a, i, k); got != wantVal {
-					t.Fatalf("seed %d (%s) user %d view %d: value-only DP %v, want %v", seed, rate.Name(), i, j, got, wantVal)
+				if err := a.Add(i, c, 1); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
+		check(fmt.Sprintf("mixed seed %d", seed), rate, budgets, a)
+	}
+	// The hand case: Σk_i = 7, max k_i = 3, and the one-radio user faces
+	// external load 6 on channel 1.
+	for _, rate := range rates {
+		check("stacked", rate, []int{1, 3, 3}, mustAlloc(t, [][]int{{1, 0, 0}, {0, 3, 0}, {0, 3, 0}}))
+	}
+	if beyond < 50 {
+		t.Fatalf("only %d DPs faced a load above Σk_i − max k_i with a small budget; the cases no longer cover them", beyond)
+	}
+	t.Logf("%d DPs faced a load above Σk_i − max k_i with a small budget", beyond)
+}
+
+// TestIllegalAllocErrors: a channel loaded beyond the game's radio total
+// lies outside the rate table, so the checked entry points must refuse the
+// allocation instead of reading past it. PriceOfAnarchy runs CheckAlloc,
+// which must also catch cell values whose sum wraps; BenefitOfMove checks
+// the two loads it reads.
+func TestIllegalAllocErrors(t *testing.T) {
+	g := mustHetero(t, 3, []int{1, 2}, ratefn.Harmonic{R0: 1, Alpha: 0.5})
+	over := mustAlloc(t, [][]int{{3, 0, 0}, {2, 0, 0}}) // both over budget, load 5 > 3
+	if poa, err := PriceOfAnarchy(g, over); err == nil {
+		t.Fatalf("PriceOfAnarchy of an over-budget allocation = %v, want an error", poa)
+	}
+	if d, err := g.BenefitOfMove(over, 0, 0, 1); err == nil {
+		t.Fatalf("BenefitOfMove from a channel with load 5 = %v, want an error", d)
+	}
+	// User 1 is over budget onto the target channel: kc+1 = 4 > Σk_i.
+	target := mustAlloc(t, [][]int{{1, 0, 0}, {0, 3, 0}})
+	if d, err := g.BenefitOfMove(target, 0, 0, 1); err == nil {
+		t.Fatalf("BenefitOfMove onto a channel with load 3 = %v, want an error", d)
+	}
+	// A load wrapped negative by huge cells is outside the domain too.
+	negative := mustAlloc(t, [][]int{{math.MaxInt, 0, 0}, {1, 0, 0}})
+	if d, err := g.BenefitOfMove(negative, 1, 0, 1); err == nil {
+		t.Fatalf("BenefitOfMove from a channel with load %d = %v, want an error", negative.Load(0), d)
+	}
+	// Cells that wrap the row sum to 0 are still over budget.
+	wrapped := mustAlloc(t, [][]int{{math.MaxInt, math.MaxInt, 2}, {0, 0, 0}})
+	if err := g.CheckAlloc(wrapped); err == nil {
+		t.Fatal("CheckAlloc accepted a row whose cells wrap its sum to 0")
+	}
+	// At the edge of the domain a legal allocation is still served.
+	legal := mustAlloc(t, [][]int{{1, 0, 0}, {0, 2, 0}})
+	d, err := g.BenefitOfMove(legal, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := g.Rate()
+	if want := -r.Rate(1) + 1.0/3*r.Rate(3); d != want {
+		t.Fatalf("BenefitOfMove = %v, want %v", d, want)
+	}
+	if _, err := PriceOfAnarchy(g, legal); err != nil {
+		t.Fatal(err)
 	}
 }
 

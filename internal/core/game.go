@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
@@ -14,9 +13,10 @@ import (
 // to differ, and every kernel — utilities, the best-response DP, the NE
 // oracle, Algorithm 1, welfare optima and the exhaustive searches — reads
 // Budget(i) or the budget total. Construction precomputes a RateView —
-// R(0..Σk_i) plus the best-response share plane — so the hot paths read
-// tables instead of calling through the rate interface. The rate function
-// must therefore be pure; it is sampled once at construction.
+// R(0..Σk_i+max k_i) plus the best-response share plane — so the hot paths
+// read tables instead of calling through the rate interface. The rate
+// function must therefore be pure; it is sampled once at construction, and
+// the view is the game's only cache of R.
 type Game struct {
 	channels int
 	budgets  []int
@@ -24,13 +24,6 @@ type Game struct {
 	common   int // the shared k when every budget is equal, else 0
 	rate     ratefn.Func
 	view     *RateView
-
-	// All-placed welfare optimum, memoised on first use (see
-	// allPlacedOptimum): written once under optOnce, read lock-free after,
-	// like the rate view tables.
-	optOnce  sync.Once
-	optVal   float64
-	optLoads []int
 }
 
 // NewGame validates and constructs the paper's uniform game: every user
@@ -138,7 +131,8 @@ func (g *Game) NewEmptyAlloc() *Alloc {
 }
 
 // CheckAlloc verifies that a is a legal strategy matrix for this game:
-// matching dimensions and every user within its radio budget.
+// matching dimensions and every user within its radio budget. A legal
+// allocation loads no channel beyond Σk_i, the domain of the rate view.
 func (g *Game) CheckAlloc(a *Alloc) error {
 	if a == nil {
 		return fmt.Errorf("core: nil allocation")
@@ -148,20 +142,32 @@ func (g *Game) CheckAlloc(a *Alloc) error {
 			a.Users(), a.Channels(), g.Users(), g.channels)
 	}
 	for i, k := range g.budgets {
-		if total := a.UserTotal(i); total > k {
-			return fmt.Errorf("core: user %d deploys %d radios, budget is %d", i, total, k)
+		// Cells are non-negative, so their OR is at least every cell and
+		// at most their sum: a row within budget passes, and a row with a
+		// cell above k fails even when its sum wraps. With every cell at
+		// most k <= |C|, the sum is at most |C|² and cannot wrap.
+		total, bits := 0, 0
+		for _, v := range a.m[i] {
+			total += v
+			bits |= v
+		}
+		if total > k || bits > k {
+			return fmt.Errorf("core: user %d deploys more than its budget of %d radios", i, k)
 		}
 	}
 	return nil
 }
 
 // Utility computes U_i(S) per Eq. 3: Σ_c k_{i,c}/k_c · R(k_c). Rates come
-// from the precomputed table (identical values to calling R directly).
+// from the precomputed table (identical values to calling R directly), so a
+// must be a legal allocation of g (CheckAlloc); a channel loaded beyond the
+// game's radio total is outside the table.
 func (g *Game) Utility(a *Alloc, i int) float64 {
 	return g.view.UtilityOf(a, i)
 }
 
-// Utilities computes every user's utility.
+// Utilities computes every user's utility. Like Utility, it requires a
+// legal allocation of g.
 func (g *Game) Utilities(a *Alloc) []float64 {
 	out := make([]float64, a.Users())
 	for i := range out {
@@ -177,22 +183,9 @@ func (g *Game) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
 	return g.view.UtilitiesInto(ws, a)
 }
 
-// allPlacedOptimum computes the all-placed welfare optimum once per game
-// and serves the memo afterwards: PriceOfAnarchy sweeps over many
-// allocations of one game pay the O(|C|·T²) DP a single time. The returned
-// load slice is the memo itself — internal callers must not mutate it; the
-// public OptimalWelfareAllPlaced copies.
-func (g *Game) allPlacedOptimum() (float64, []int) {
-	g.optOnce.Do(func() {
-		val, loads := OptimalLoadWelfareInto(NewWorkspace(), g.view.Frozen(), g.channels, g.total)
-		g.optVal = val
-		g.optLoads = append([]int(nil), loads...)
-	})
-	return g.optVal, g.optLoads
-}
-
 // Welfare computes the total rate achieved by all users,
-// Σ_{c : k_c > 0} R(k_c), which equals Σ_i U_i(S).
+// Σ_{c : k_c > 0} R(k_c), which equals Σ_i U_i(S). It requires a legal
+// allocation of g (see Utility).
 func (g *Game) Welfare(a *Alloc) float64 {
 	var w float64
 	for c := 0; c < a.Channels(); c++ {
@@ -206,7 +199,8 @@ func (g *Game) Welfare(a *Alloc) float64 {
 // Potential evaluates the exact congestion potential
 // Φ(S) = Σ_c Σ_{j=1}^{k_c} R(j)/j via the precomputed rate table, in the
 // same term order (and hence bit-identical) as dynamics.Potential with the
-// game's own rate function.
+// game's own rate function. It requires a legal allocation of g (see
+// Utility).
 func (g *Game) Potential(a *Alloc) float64 {
 	var phi float64
 	for c := 0; c < a.Channels(); c++ {
@@ -219,7 +213,10 @@ func (g *Game) Potential(a *Alloc) float64 {
 
 // BenefitOfMove computes Δ of Eq. 7: the utility change for user i from
 // moving one radio from channel b to channel c, holding everyone else fixed.
-// It requires k_{i,b} > 0 and b != c.
+// It requires k_{i,b} > 0 and b != c. The allocation is not re-validated
+// (the dynamics call this O(N·|C|²) times per round), but a load outside
+// the game's domain, which only an illegal allocation can have, is an
+// error: k_b must lie in 1..Σk_i and k_c in 0..Σk_i−1.
 func (g *Game) BenefitOfMove(a *Alloc, i, b, c int) (float64, error) {
 	if b == c {
 		return 0, fmt.Errorf("core: benefit of moving %d -> %d: channels must differ", b, c)
@@ -236,6 +233,10 @@ func (g *Game) BenefitOfMove(a *Alloc, i, b, c int) (float64, error) {
 	}
 	kic := a.Radios(i, c)
 	kb, kc := a.Load(b), a.Load(c)
+	// The reads below index the rate table at kb, kb-1, kc and kc+1.
+	if uint(kb-1) >= uint(g.total) || uint(kc) >= uint(g.total) {
+		return 0, fmt.Errorf("core: channel loads %d and %d outside the game's %d radios; not a legal allocation", kb, kc, g.total)
+	}
 
 	delta := -g.view.ShareAt(kib, kb) - g.view.ShareAt(kic, kc)
 	delta += g.view.ShareAt(kib-1, kb-1) + g.view.ShareAt(kic+1, kc+1)

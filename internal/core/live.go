@@ -32,8 +32,8 @@ type Churn struct {
 // LiveGame is the mutable form of the channel allocation game with
 // per-user budgets: users join, leave and change radio budgets while the
 // derived state — the dense allocation matrix, the (budget, row) class
-// index, the precomputed RateView and the welfare memo — is kept
-// consistent incrementally instead of being rebuilt per event.
+// index and the precomputed RateView — is kept consistent incrementally
+// instead of being rebuilt per event.
 //
 //   - Stable IDs vs dense rows: every kernel (DP workspaces, orbit walks,
 //     the allocation matrix itself) indexes users 0..N-1 densely. A live
@@ -45,16 +45,15 @@ type Churn struct {
 //     the one row they edit; dynamics.Requilibrate re-interns each row it
 //     moves. The sweep and the live verifier read a user's class with one
 //     array read instead of re-hashing all N rows per event.
-//   - RateView growth: the view's table domain covers total load 0..Σk_i.
-//     Joins grow the total, so the view is rebuilt with doubling headroom
-//     only when the domain is outgrown; every rebuild samples the same
-//     pure rate function, so table values are bit-identical across
-//     generations and the domain size never shows in results.
-//   - Welfare memo: Game memoises its all-placed optimum behind a
-//     sync.Once. LiveGame snapshots an immutable Game per generation
-//     (Frozen), so each mutation implicitly resets the memo — the
-//     generation counter bumps, the next Frozen builds a Game with a
-//     fresh Once sharing the already-built view.
+//   - RateView growth: the view's domain covers total load 0..Σk_i and
+//     budgets up to max k_i. Joins grow the total, so the view is rebuilt
+//     with doubling headroom only when the domain is outgrown; every
+//     rebuild samples the same pure rate function, so table values are
+//     bit-identical across generations and the domain size never shows in
+//     results.
+//   - Snapshots: LiveGame hands out an immutable Game per generation
+//     (Frozen), sharing the already-built view; each mutation bumps the
+//     generation counter, so the next Frozen builds a new snapshot.
 //
 // A LiveGame is not safe for concurrent use; the live server serialises
 // events (mutations per event are O(|C|) plus re-equilibration).
@@ -426,9 +425,9 @@ func (lg *LiveGame) Check() error {
 }
 
 // Frozen returns the immutable Game snapshot of the current generation,
-// memoised until the next mutation: the snapshot shares the live RateView
-// (superset domains read identical values) but owns a fresh welfare memo, so OptimalWelfareAllPlaced / PriceOfAnarchy recompute at
-// most once per generation. Returns nil while the game is empty.
+// kept until the next mutation: the snapshot shares the live RateView
+// (superset domains read identical values) and owns a copy of the budget
+// vector. Returns nil while the game is empty.
 func (lg *LiveGame) Frozen() *Game {
 	if lg.Users() == 0 {
 		return nil

@@ -223,7 +223,7 @@ func TestLiveGameChurnRecord(t *testing.T) {
 }
 
 // TestLiveGameFrozenMemo pins the generation-counter semantics: one frozen
-// snapshot per generation, a fresh welfare memo after every mutation.
+// snapshot per generation, a new snapshot after every mutation.
 func TestLiveGameFrozenMemo(t *testing.T) {
 	lg := mustLive(t, 3)
 	if _, err := lg.Join(2); err != nil {

@@ -381,23 +381,24 @@ func TestUtilitiesIntoMatchesUtilities(t *testing.T) {
 	}
 }
 
-// TestOptimalWelfareMemo: the game-level memo must survive mutation of the
-// returned loads and serve identical values concurrently.
-func TestOptimalWelfareMemo(t *testing.T) {
+// TestOptimalWelfareFreshLoads: every call returns a fresh load slice, so
+// mutating one result cannot change the next, and concurrent callers of
+// one game get identical values.
+func TestOptimalWelfareFreshLoads(t *testing.T) {
 	g := mustGame(t, 3, 3, 2, ratefn.Harmonic{R0: 1, Alpha: 1})
 	opt1, loads1 := OptimalWelfareAllPlaced(g)
 	wantVal, wantLoads := OptimalLoadWelfare(g.View().Frozen(), g.Channels(), g.Users()*g.Radios())
 	if opt1 != wantVal {
-		t.Fatalf("memoised optimum %v, direct DP %v", opt1, wantVal)
+		t.Fatalf("optimum %v, direct DP %v", opt1, wantVal)
 	}
-	loads1[0] = 99 // returned copy must not corrupt the memo
+	loads1[0] = 99 // the returned slice is the caller's
 	opt2, loads2 := OptimalWelfareAllPlaced(g)
 	if opt2 != wantVal {
 		t.Fatalf("second call optimum %v, want %v", opt2, wantVal)
 	}
 	for c := range wantLoads {
 		if loads2[c] != wantLoads[c] {
-			t.Fatalf("memo loads corrupted: %v, want %v", loads2, wantLoads)
+			t.Fatalf("second call loads %v, want %v", loads2, wantLoads)
 		}
 	}
 	ne, err := Algorithm1(g)

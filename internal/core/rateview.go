@@ -4,65 +4,55 @@ import (
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
-// Table-size caps for the precomputed views. A game whose load domain (or
-// share plane) exceeds the cap keeps a passthrough view that falls back to
-// the rate function's own method — the fast paths stay correct, they just
-// lose the table reads. The caps are far above every practical game in the
-// experiment suite (256 users × 32 radios needs ~270k share entries).
-const (
-	maxRateTableLen  = 1 << 21
-	maxShareTableLen = 1 << 22
-)
+// maxShareTableLen caps the share plane. A view whose plane would exceed
+// it keeps the rate table alone and builds each DP's rows from the table
+// (bit-identical values, one division per entry instead of a slice read).
+// The cap is far above every practical game in the experiment suite (256
+// users × 32 radios needs ~270k share entries). A variable so that tests
+// can force the plane-less layout on small games.
+var maxShareTableLen = 1 << 22
 
 // RateView is a read-only precomputed view of a rate function over the
 // bounded load domain of one game. The total load on any channel of a legal
-// allocation never exceeds the total number of radios, so R(0..maxLoad) and
-// the per-channel DP values v(m, x) = x/(m+x) · R(m+x) (own radios x against
-// external load m) both live in finite tables computed once at game
-// construction. Lookups are plain slice reads with no locking, so one view
-// is shared read-only across all engine workers; every tabulated value is
-// produced by the same floating-point expression as the on-demand code
-// path, keeping results bit-identical whether or not the table is hit.
+// allocation never exceeds the total number of radios, so R over that
+// domain and the per-channel DP values v(m, x) = x/(m+x) · R(m+x) (own
+// radios x against external load m) both live in finite tables computed
+// once at game construction. Lookups are plain slice reads with no
+// locking, so one view is shared read-only across all engine workers; every
+// tabulated value is produced by the same floating-point expression as the
+// generic rate-function code path, keeping results bit-identical.
+//
+// The view is the one cache of R: reads outside its domain are a caller
+// error (an allocation that fails Game.CheckAlloc) and panic.
 //
 // Rate functions are assumed pure (the ratefn.Func contract): the view
 // samples R once and serves the sampled values forever.
 type RateView struct {
-	rate    ratefn.Func
-	maxLoad int // table covers loads 0..maxLoad; -1 when passthrough
-	maxOwn  int // share rows cover own radios 0..maxOwn
-	maxExt  int // share rows cover external loads 0..maxExt; -1 when absent
-	table   []float64
-	share   []float64 // row m, entry x: share(x, m+x); stride maxOwn+1
+	rate   ratefn.Func
+	maxOwn int       // share rows cover own radios 0..maxOwn
+	table  []float64 // R(0..maxLoad+maxOwn)
+	share  []float64 // row m, entry x: share(x, m+x); stride maxOwn+1; nil when over the cap
 }
 
-// NewRateView precomputes R(0..maxLoad) and the share plane for up to
-// maxOwn own radios against external loads 0..maxLoad-maxOwn. Either table
-// is skipped (falling back to direct evaluation) when its size would exceed
-// the internal caps or when the bounds are non-positive.
+// NewRateView tabulates R over loads 0..maxLoad+maxOwn and the share plane
+// for up to maxOwn own radios against external loads 0..maxLoad; the plane
+// is left out when its size would exceed maxShareTableLen. A game passes
+// its radio total Σk_i and largest budget, so every load a legal
+// allocation reaches, and every DP row of a user, is in the tables.
 func NewRateView(rate ratefn.Func, maxLoad, maxOwn int) *RateView {
-	rv := &RateView{rate: rate, maxLoad: -1, maxOwn: maxOwn, maxExt: -1}
-	if rate == nil || maxLoad < 0 || maxLoad+1 > maxRateTableLen {
-		return rv
-	}
-	rv.maxLoad = maxLoad
-	rv.table = make([]float64, maxLoad+1)
-	for l := 0; l <= maxLoad; l++ {
+	rv := &RateView{rate: rate, maxOwn: maxOwn, table: make([]float64, maxLoad+maxOwn+1)}
+	for l := range rv.table {
 		rv.table[l] = rate.Rate(l)
 	}
-	if maxOwn < 0 || maxOwn > maxLoad {
-		return rv
-	}
-	maxExt := maxLoad - maxOwn
 	stride := maxOwn + 1
-	if (maxExt+1)*stride > maxShareTableLen {
+	if maxLoad+1 > maxShareTableLen/stride {
 		return rv
 	}
-	rv.maxExt = maxExt
-	rv.share = make([]float64, (maxExt+1)*stride)
-	for m := 0; m <= maxExt; m++ {
+	rv.share = make([]float64, (maxLoad+1)*stride)
+	for m := 0; m <= maxLoad; m++ {
 		row := rv.share[m*stride : (m+1)*stride]
 		for x := 1; x <= maxOwn; x++ {
-			// Same expression as ShareAt's table path: bit-identical to
+			// Same expression as ShareAt: bit-identical to
 			// share(x, m+x, rate) because table[m+x] is rate.Rate(m+x).
 			row[x] = float64(x) / float64(m+x) * rv.table[m+x]
 		}
@@ -74,36 +64,27 @@ func NewRateView(rate ratefn.Func, maxLoad, maxOwn int) *RateView {
 func (rv *RateView) Rate() ratefn.Func { return rv.rate }
 
 // frozenFunc adapts a RateView to ratefn.Func for code that consumes a rate
-// function (the welfare DP, the potential): table-backed reads, identical
-// values to the underlying function.
+// function (the welfare DP, the distributed policies): table reads,
+// identical values to the underlying function.
 type frozenFunc struct{ rv *RateView }
 
 func (f frozenFunc) Rate(k int) float64 { return f.rv.RateAt(k) }
 func (f frozenFunc) Name() string       { return f.rv.rate.Name() }
 
 // Frozen returns the view as a lock-free ratefn.Func: every Rate call is a
-// table read within the view's domain (and a passthrough beyond it).
+// table read, so it is defined only on the view's load domain.
 func (rv *RateView) Frozen() ratefn.Func { return frozenFunc{rv} }
 
-// RateAt returns R(l), reading the precomputed table when l is within the
-// view's domain and falling back to the rate function otherwise.
-func (rv *RateView) RateAt(l int) float64 {
-	if uint(l) < uint(len(rv.table)) {
-		return rv.table[l]
-	}
-	return rv.rate.Rate(l)
-}
+// RateAt returns R(l) from the table; l must lie in the view's domain.
+func (rv *RateView) RateAt(l int) float64 { return rv.table[l] }
 
 // ShareAt returns own/total · R(total) with the share(0,·)=share(·,0)=0
-// convention, using the rate table when total is within the domain.
+// convention; total must lie in the view's domain.
 func (rv *RateView) ShareAt(own, total int) float64 {
 	if own == 0 || total == 0 {
 		return 0
 	}
-	if uint(total) < uint(len(rv.table)) {
-		return float64(own) / float64(total) * rv.table[total]
-	}
-	return share(own, total, rv.rate)
+	return float64(own) / float64(total) * rv.table[total]
 }
 
 // ScreenSingleMoves is the Eq. 7 screen: it looks for a single-radio
@@ -302,43 +283,24 @@ func (rv *RateView) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
 
 // fillShares lays out the v rows for the given external loads and budget
 // k, v[c][x] = share(x, ext[c]+x): row c starts at ws.voff[c] in the
-// returned plane. When every row lies inside the view's share plane the DP
-// reads it in place; otherwise the rows are built in the workspace,
-// block-copied from the plane where they can be and computed on demand
-// elsewhere (bit-identical either way).
+// returned plane. The DP reads the rows in place from the view's share
+// plane; a view without a plane builds them in the workspace from the rate
+// table (bit-identical either way). The loads and budget come from a legal
+// allocation of the view's game, so they lie inside the plane.
 func (rv *RateView) fillShares(ws *Workspace, ext []int, k int) []float64 {
-	off := ws.voff[:len(ext)]
-	shareStride := rv.maxOwn + 1
-	inPlane := rv.share != nil && k <= rv.maxOwn
+	if rv.share == nil {
+		return fillSharesFunc(ws, rv.Frozen(), ext, k)
+	}
+	stride := rv.maxOwn + 1
 	for c, m := range ext {
-		if m > rv.maxExt {
-			inPlane = false
-			break
-		}
-		off[c] = m * shareStride
+		ws.voff[c] = m * stride
 	}
-	if inPlane {
-		return rv.share
-	}
-	stride := ws.capK + 1
-	for c, m := range ext {
-		off[c] = c * stride
-		vrow := ws.v[c*stride : c*stride+k+1]
-		if rv.share != nil && m <= rv.maxExt && k <= rv.maxOwn {
-			copy(vrow, rv.share[m*shareStride:m*shareStride+k+1])
-			continue
-		}
-		vrow[0] = 0
-		for x := 1; x <= k; x++ {
-			vrow[x] = rv.ShareAt(x, m+x)
-		}
-	}
-	return ws.v
+	return rv.share
 }
 
-// fillSharesFunc is fillShares for a bare rate function (no view): the
-// generic path behind BestResponseToLoadsInto. The rows are always built
-// in the workspace.
+// fillSharesFunc builds the v rows in the workspace from a rate function:
+// the generic path behind BestResponseToLoadsInto, and fillShares' path for
+// a view without a share plane.
 func fillSharesFunc(ws *Workspace, rate ratefn.Func, ext []int, k int) []float64 {
 	stride := ws.capK + 1
 	for c, m := range ext {

@@ -13,11 +13,10 @@ import (
 // (|N|·k in the uniform game; Lemma 1 forces full deployment in
 // equilibrium, so this is the natural welfare benchmark for NE
 // comparisons). It returns the optimum and one
-// optimising load vector (a fresh copy). The DP runs once per game and is
-// memoised (see Game.allPlacedOptimum); repeated calls are a memo read.
+// optimising load vector (a fresh copy). Each call runs the welfare DP over
+// the game's rate table.
 func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
-	opt, loads := g.allPlacedOptimum()
-	return opt, append([]int(nil), loads...)
+	return OptimalLoadWelfare(g.view.Frozen(), g.channels, g.total)
 }
 
 // OptimalLoadWelfare maximises Σ_{c : l_c > 0} R(l_c) over load vectors on
@@ -118,10 +117,13 @@ func OptimalWelfareIdleAllowed(g *Game) (float64, []int) {
 
 // PriceOfAnarchy returns welfare(a) / optimalWelfare for the all-placed
 // benchmark. 1 means the allocation is system-optimal. Returns an error if
-// the optimum is non-positive (degenerate rate function). The optimum is
-// the game's memo, so per-allocation cost is one O(|C|) welfare fold.
+// a is not a legal allocation of g or the optimum is non-positive
+// (degenerate rate function). Each call runs the O(|C|·T²) welfare DP.
 func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
-	opt, _ := g.allPlacedOptimum()
+	if err := g.CheckAlloc(a); err != nil {
+		return 0, err
+	}
+	opt, _ := OptimalLoadWelfareInto(NewWorkspace(), g.view.Frozen(), g.channels, g.total)
 	if opt <= 0 {
 		return 0, fmt.Errorf("core: degenerate optimum %v; rate function is zero everywhere", opt)
 	}

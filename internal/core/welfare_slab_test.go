@@ -148,7 +148,7 @@ func referenceFirst(rate ratefn.Func, C, total int) float64 {
 
 // TestOptimalLoadWelfareIntoAliasing: the returned loads alias the
 // workspace, so the next call overwrites them — documented behaviour the
-// memo and one-shot wrappers must defend against by copying.
+// one-shot wrappers must defend against by copying.
 func TestOptimalLoadWelfareIntoAliasing(t *testing.T) {
 	rate := ratefn.Harmonic{R0: 2, Alpha: 0.6}
 	ws := NewWorkspace()

@@ -305,16 +305,13 @@ func (m *MonotoneEnvelope) Rate(k int) float64 {
 // Name implements Func.
 func (m *MonotoneEnvelope) Name() string { return "monotone(" + m.inner.Name() + ")" }
 
-// Freeze samples inner on 1..maxK and returns a Table snapshot: a lock-free
-// precomputed alternative to Memo for bounded load domains. Where Memo pays
-// an RWMutex acquisition on every call (contended when many engine workers
-// share one curve), a frozen Table is a plain slice read, safe for
-// concurrent use with no synchronisation at all. Game constructions bound
-// the load by the total number of radios, so maxK = Σ_i k_i freezes every
-// value a game can ever ask for; beyond maxK the table saturates at its
-// last value (the Table tail convention), so choose maxK to cover the
-// domain. The snapshot validates the rate-function contract and keeps
-// inner's name.
+// Freeze samples inner on 1..maxK and returns a Table snapshot: a plain
+// slice read, safe for concurrent use with no synchronisation at all.
+// Beyond maxK the table saturates at its last value (the Table tail
+// convention), so choose maxK to cover the loads the caller will ask for.
+// The snapshot validates the rate-function contract and keeps inner's
+// name. (A Game needs no snapshot: its RateView tabulates R over the
+// game's load domain at construction.)
 func Freeze(inner Func, maxK int) (*Table, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("ratefn: Freeze of nil Func")
@@ -328,43 +325,6 @@ func Freeze(inner Func, maxK int) (*Table, error) {
 	}
 	return NewTable(inner.Name(), values)
 }
-
-// Memo caches Rate lookups of an expensive inner function (such as the
-// Bianchi fixed point). It is safe for concurrent use.
-type Memo struct {
-	inner Func
-
-	mu    sync.RWMutex
-	cache map[int]float64
-}
-
-var _ Func = (*Memo)(nil)
-
-// NewMemo wraps inner with a concurrency-safe cache.
-func NewMemo(inner Func) *Memo {
-	return &Memo{inner: inner, cache: make(map[int]float64)}
-}
-
-// Rate implements Func.
-func (m *Memo) Rate(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	m.mu.RLock()
-	v, ok := m.cache[k]
-	m.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = m.inner.Rate(k)
-	m.mu.Lock()
-	m.cache[k] = v
-	m.mu.Unlock()
-	return v
-}
-
-// Name implements Func.
-func (m *Memo) Name() string { return m.inner.Name() }
 
 // floatRat converts a float64 to an exact big.Rat. Rate parameters are
 // finite by construction; a non-finite value maps to zero.

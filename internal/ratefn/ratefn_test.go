@@ -313,41 +313,29 @@ func (c *countingFunc) Rate(k int) float64 {
 }
 func (c *countingFunc) Name() string { return "counting" }
 
-func TestMemoCaches(t *testing.T) {
+// TestMonotoneEnvelopeCaches: the envelope evaluates each inner value
+// once (the Bianchi rates rely on it, since each evaluation solves a fixed
+// point), and never consults inner for k <= 0.
+func TestMonotoneEnvelopeCaches(t *testing.T) {
 	inner := &countingFunc{}
-	m := NewMemo(inner)
+	env := NewMonotoneEnvelope(inner)
 	for i := 0; i < 10; i++ {
-		if got := m.Rate(3); got != 1 {
+		if got := env.Rate(3); got != 1 {
 			t.Fatalf("Rate(3) = %v, want 1", got)
 		}
 	}
-	if inner.calls != 1 {
-		t.Fatalf("inner called %d times, want 1", inner.calls)
+	if got := env.Rate(2); got != 1 {
+		t.Fatalf("Rate(2) = %v, want 1", got)
 	}
-	if got := m.Rate(0); got != 0 {
+	if inner.calls != 3 {
+		t.Fatalf("inner called %d times, want 3 (once for each of 1..3)", inner.calls)
+	}
+	if got := env.Rate(0); got != 0 {
 		t.Fatalf("Rate(0) = %v, want 0", got)
 	}
-	if inner.calls != 1 {
+	if inner.calls != 3 {
 		t.Fatalf("Rate(0) must not consult inner; calls = %d", inner.calls)
 	}
-}
-
-func TestMemoConcurrent(t *testing.T) {
-	inner := &countingFunc{}
-	m := NewMemo(inner)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 1; k <= 20; k++ {
-				if got := m.Rate(k); got != 1 {
-					t.Errorf("Rate(%d) = %v, want 1", k, got)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestNames(t *testing.T) {
@@ -356,7 +344,6 @@ func TestNames(t *testing.T) {
 		Harmonic{R0: 1, Alpha: 1},
 		Geometric{R0: 1, Beta: 0.5},
 		NewMonotoneEnvelope(NewTDMA(1)),
-		NewMemo(NewTDMA(1)),
 	}
 	for _, f := range fns {
 		if f.Name() == "" {
@@ -449,44 +436,34 @@ func TestFreezeErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkRateLookup pits the RWMutex Memo against the lock-free frozen
-// Table on the access pattern of the game hot loops (sequential loads),
-// serial and under parallel workers — the regime the Memo's read lock
-// contends in.
+// BenchmarkRateLookup times the lock-free frozen Table on the access
+// pattern of the game hot loops (sequential loads), serial and under
+// parallel workers.
 func BenchmarkRateLookup(b *testing.B) {
 	inner := Harmonic{R0: 54, Alpha: 0.4}
 	const maxK = 64
-	memo := NewMemo(inner)
 	frozen, err := Freeze(inner, maxK)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		f    Func
-	}{
-		{"memo", memo},
-		{"frozen", frozen},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if bc.f.Rate(1+i%maxK) <= 0 {
+	b.Run("frozen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if frozen.Rate(1+i%maxK) <= 0 {
+				b.Fatal("degenerate rate")
+			}
+		}
+	})
+	b.Run("frozen/parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			k := 0
+			for pb.Next() {
+				k++
+				if frozen.Rate(1+k%maxK) <= 0 {
 					b.Fatal("degenerate rate")
 				}
 			}
 		})
-		b.Run(bc.name+"/parallel", func(b *testing.B) {
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				k := 0
-				for pb.Next() {
-					k++
-					if bc.f.Rate(1+k%maxK) <= 0 {
-						b.Fatal("degenerate rate")
-					}
-				}
-			})
-		})
-	}
+	})
 }

@@ -129,7 +129,7 @@ func generateCogMOO(params string, r ratefn.Func) (*Scenario, error) {
 		}
 		seed = uint64(vals[2])
 	}
-	if err := checkCells(users, channels); err != nil {
+	if err := CheckCells(users, channels); err != nil {
 		return nil, err
 	}
 	if _, err := NewCogMOOObjectives(users, channels, seed); err != nil {

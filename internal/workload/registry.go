@@ -178,9 +178,10 @@ const MaxCells = 1 << 22
 // ErrTooLarge reports a scenario whose users·channels exceeds MaxCells.
 var ErrTooLarge = errors.New("scenario too large")
 
-// checkCells refuses users·channels > MaxCells without overflowing.
+// CheckCells refuses users·channels > MaxCells without overflowing, with
+// an error wrapping ErrTooLarge; chanalloc applies it to its game flags.
 // Non-positive dimensions pass: the game constructors name those.
-func checkCells(users, channels int) error {
+func CheckCells(users, channels int) error {
 	if users > 0 && channels > 0 && users > MaxCells/channels {
 		return fmt.Errorf("%w: %d users x %d channels exceeds %d cells",
 			ErrTooLarge, users, channels, MaxCells)
@@ -222,7 +223,7 @@ func generateRandom(params string, r ratefn.Func) (*Scenario, error) {
 		}
 		seed = uint64(vals[3])
 	}
-	if err := checkCells(vals[0], vals[1]); err != nil {
+	if err := CheckCells(vals[0], vals[1]); err != nil {
 		return nil, err
 	}
 	g, err := core.NewGame(vals[0], vals[1], vals[2], r)
@@ -268,7 +269,7 @@ func generateBistritz(params string, r ratefn.Func) (*Scenario, error) {
 		}
 		seed = uint64(vals[2])
 	}
-	if err := checkCells(users, channels); err != nil {
+	if err := CheckCells(users, channels); err != nil {
 		return nil, err
 	}
 	g, err := core.NewGame(users, channels, 1, r)
@@ -295,7 +296,7 @@ func generateHetero(params string, r ratefn.Func) (*Scenario, error) {
 	if len(vals) < 2 {
 		return nil, fmt.Errorf("want hetero:C,k1,k2,...")
 	}
-	if err := checkCells(len(vals)-1, vals[0]); err != nil {
+	if err := CheckCells(len(vals)-1, vals[0]); err != nil {
 		return nil, err
 	}
 	g, err := core.NewHeteroGame(vals[0], vals[1:], r)
@@ -324,7 +325,7 @@ func generateMesh(params string, r ratefn.Func) (*Scenario, error) {
 		}
 		dims = vals
 	}
-	if err := checkCells(dims[0], dims[1]); err != nil {
+	if err := CheckCells(dims[0], dims[1]); err != nil {
 		return nil, err
 	}
 	g, err := core.NewGame(dims[0], dims[1], dims[2], r)
@@ -368,7 +369,7 @@ func generateCognitive(params string, r ratefn.Func) (*Scenario, error) {
 		}
 		dims = vals
 	}
-	if err := checkCells(dims[0], dims[1]); err != nil {
+	if err := CheckCells(dims[0], dims[1]); err != nil {
 		return nil, err
 	}
 	g, err := core.NewGame(dims[0], dims[1], dims[2], r)

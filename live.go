@@ -13,8 +13,9 @@ import (
 // re-equilibration and the NDJSON service around them.
 type (
 	// LiveGame is a mutable game with per-user budgets whose derived
-	// state — the dense allocation, the (budget, row) class index, the
-	// rate view and the welfare memo — stays consistent across mutations.
+	// state — the dense allocation, the (budget, row) class index and the
+	// rate view — stays consistent across mutations; Frozen hands out an
+	// immutable Game snapshot per generation.
 	LiveGame = core.LiveGame
 	// UserID is the stable identity of a live-game participant
 	// (sequential from 1, never reused).

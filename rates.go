@@ -112,11 +112,10 @@ func TableRate(name string, values []float64) (RateFunc, error) {
 // non-increasing) for k in [1, maxK].
 func ValidateRate(f RateFunc, maxK int) error { return ratefn.Validate(f, maxK) }
 
-// FreezeRate samples f on 1..maxK into a lock-free table snapshot — the
-// fast alternative to the memoised CSMA rates when the load domain is
-// bounded (a game can never load a channel beyond its total radio count,
-// so maxK = |N|·k covers everything). Beyond maxK the table saturates at
-// its last value.
+// FreezeRate samples f on 1..maxK into a lock-free table snapshot, for
+// code that reads a rate function outside a game. A Game needs none: it
+// tabulates R over its own load domain at construction. Beyond maxK the
+// table saturates at its last value.
 func FreezeRate(f RateFunc, maxK int) (RateFunc, error) { return ratefn.Freeze(f, maxK) }
 
 // DCFParams parameterises Bianchi's 802.11 DCF model.
@@ -142,7 +141,7 @@ func SolveDCF(p DCFParams, n int) (DCFResult, error) { return bianchi.Solve(p, n
 func SolveDCFOptimal(p DCFParams, n int) (DCFResult, error) { return bianchi.SolveOptimal(p, n) }
 
 // PracticalCSMA adapts the practical-DCF saturation throughput to a game
-// rate function (monotone envelope + memoisation applied).
+// rate function (a monotone envelope, which stores every value it solves).
 func PracticalCSMA(p DCFParams) (RateFunc, error) { return bianchi.PracticalRate(p) }
 
 // OptimalCSMA adapts the optimal-backoff throughput to a game rate function.
