@@ -209,32 +209,10 @@ func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles i
 }
 
 // EnumerateNE collects every Nash equilibrium of a tiny game by exhaustive
-// search (capped by maxProfiles). The search is symmetry-reduced over
-// exchangeable (equal-budget) users and the full set reconstructed by
-// orbit expansion; results and order match the unreduced enumeration.
+// search over the full profile grid (capped by maxProfiles), in odometer
+// order: user 0 is the most significant digit.
 func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 	return core.EnumerateNE(g, maxProfiles)
-}
-
-// CanonicalNE is one equilibrium orbit of the symmetry-reduced
-// enumeration: a canonical representative (row indices non-decreasing
-// within each class of exchangeable users) plus the orbit size — the
-// number of distinct equilibria obtained by permuting rows among
-// exchangeable users.
-type CanonicalNE = core.CanonicalNE
-
-// EnumerateNECanonical enumerates Nash equilibria over canonical orbit
-// representatives only — one allocation per equilibrium orbit with its
-// multiplicity, instead of every permuted copy. Use ExpandNEOrbits to
-// reconstruct the full EnumerateNE output.
-func EnumerateNECanonical(g *Game, maxProfiles int64) ([]CanonicalNE, error) {
-	return core.EnumerateNECanonical(g, maxProfiles)
-}
-
-// ExpandNEOrbits reconstructs the unreduced EnumerateNE output (every
-// orbit member, enumeration order) from canonical representatives.
-func ExpandNEOrbits(g *Game, reps []CanonicalNE) ([]*Alloc, error) {
-	return core.ExpandNEOrbits(g, reps)
 }
 
 // OccupancyDiagram renders an allocation in the style of the paper's

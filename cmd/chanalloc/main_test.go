@@ -233,7 +233,7 @@ func TestRunRefusesIllegalInput(t *testing.T) {
 		{"extra-row", "1 0\n0 1\n1 1\n", dims, "allocation is 3x2, game is 2x2"},
 		{"huge-cell", "9000000000 0\n1 1\n", dims, "user 0 deploys more than its budget"},
 		{"over-budget", "5 5\n1 1\n", dims, "user 0 deploys more than its budget"},
-		{"wrapping-cells", "4611686018427387904 4611686018427387904\n0 0\n", dims, "user 0 deploys more than its budget"},
+		{"wrapping-cells", "4611686018427387904 4611686018427387904\n0 0\n", dims, "overflows the matrix total"},
 		{"huge-channels", "", []string{"-users", "2", "-channels", "4611686018427387904", "-radios", "4611686018427387904"}, "scenario too large"},
 		{"huge-grid", "", []string{"-users", "100000", "-channels", "100000", "-radios", "1"}, "scenario too large"},
 	} {

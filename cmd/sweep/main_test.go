@@ -60,8 +60,10 @@ func TestExperimentCSVOutput(t *testing.T) {
 // TestPinnedCSVBytes pins CSVs to known bytes, one SHA-256 per file: the
 // figure experiments' CSVs as the paper's figures have been written since
 // they were first reproduced (fig2 writes none), and the CSVs of the
-// experiments that run the canonical orbit walk (E2, E11) and the Pareto
-// search (E3). The pinned bytes do not depend on -seed.
+// experiments that run the exhaustive NE enumeration (E2, E3) and the
+// Pareto search (E3, E11). The pinned bytes do not depend on -seed. It
+// also pins the stdout of the whole paper run, `-exp all -seed 2006`,
+// which is the same at every -workers.
 func TestPinnedCSVBytes(t *testing.T) {
 	want := map[string]string{
 		"figure1.csv":     "30eb6830c2689e87c864214d6a703c8234f91d21f5699b69fe03461eb333daaf",
@@ -86,6 +88,11 @@ func TestPinnedCSVBytes(t *testing.T) {
 		if got[name] != sum {
 			t.Errorf("%s: sha256 %s, want %s", name, got[name], sum)
 		}
+	}
+	const wantStdout = "cc94fb75faeaf92a814fe968b590200d4057e404c1b4d465a96d111a5514e6e6"
+	stdout, _ := sweepRun(t, "all", 2006, 1)
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); sum != wantStdout {
+		t.Errorf("-exp all -seed 2006 stdout: sha256 %s, want %s", sum, wantStdout)
 	}
 }
 

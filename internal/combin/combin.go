@@ -119,51 +119,6 @@ func Binomial(n, k int) (int64, error) {
 	return result, nil
 }
 
-// Multinomial returns n! / (counts[0]! · counts[1]! · ...) where n is the
-// sum of the counts — the number of distinct arrangements of a multiset
-// with the given multiplicities, i.e. the orbit size of a sorted strategy
-// tuple under permutations of exchangeable users. It is evaluated as a
-// product of binomials, Π_j C(s_j, counts[j]) with s_j the prefix sums, so
-// every intermediate value is an exact count; the running product is
-// guarded by division before each multiply (multiplying first could wrap
-// negative near the int64 boundary and slip past a post-hoc comparison —
-// the same bug shape checkProfileCap fixed) and errors on overflow rather
-// than wrapping.
-func Multinomial(counts []int) (int64, error) {
-	prefix := 0
-	result := int64(1)
-	for i, c := range counts {
-		if c < 0 {
-			return 0, fmt.Errorf("combin: negative multiplicity %d at %d", c, i)
-		}
-		if c > (1<<62)-prefix {
-			return 0, fmt.Errorf("combin: multinomial total overflows int64")
-		}
-		prefix += c
-		b, err := Binomial(prefix, c)
-		if err != nil {
-			return 0, fmt.Errorf("combin: multinomial: %w", err)
-		}
-		if b != 0 && result > (1<<62)/b {
-			return 0, fmt.Errorf("combin: multinomial(%v) overflows int64", counts)
-		}
-		result *= b
-	}
-	return result, nil
-}
-
-// MultisetCount returns the number of multisets of size size drawn from
-// options distinct elements, C(options+size-1, size) — the number of
-// canonical (sorted) strategy tuples for a class of size exchangeable
-// users with options strategy rows each. Errors on overflow or invalid
-// arguments.
-func MultisetCount(options, size int) (int64, error) {
-	if options <= 0 || size < 0 {
-		return 0, fmt.Errorf("combin: invalid multiset count(%d, %d)", options, size)
-	}
-	return Binomial(options+size-1, size)
-}
-
 // Product enumerates the cartesian product of index spaces with the given
 // sizes: every vector v with 0 <= v[i] < sizes[i]. fn receives a reused
 // buffer; returning false stops enumeration early. An empty sizes slice

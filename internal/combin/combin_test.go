@@ -294,109 +294,3 @@ func TestCollectCompositionsError(t *testing.T) {
 		t.Fatal("invalid args should error")
 	}
 }
-
-func TestMultinomial(t *testing.T) {
-	cases := []struct {
-		counts []int
-		want   int64
-	}{
-		{nil, 1},
-		{[]int{0}, 1},
-		{[]int{5}, 1},
-		{[]int{1, 1}, 2},
-		{[]int{2, 1}, 3},
-		{[]int{1, 1, 1, 1}, 24},            // 4 distinct rows: full 4! orbit
-		{[]int{2, 2}, 6},                   // 4!/(2!·2!)
-		{[]int{3, 1}, 4},                   // 4!/3!
-		{[]int{4}, 1},                      // all four users on the same row
-		{[]int{2, 3, 1}, 60},               // 6!/(2!·3!·1!)
-		{[]int{0, 2, 0, 1}, 3},             // zero multiplicities are inert
-		{[]int{10, 10, 10}, 5550996791340}, // 30!/(10!)^3
-	}
-	for _, tc := range cases {
-		got, err := Multinomial(tc.counts)
-		if err != nil {
-			t.Fatalf("Multinomial(%v): %v", tc.counts, err)
-		}
-		if got != tc.want {
-			t.Fatalf("Multinomial(%v) = %d, want %d", tc.counts, got, tc.want)
-		}
-	}
-}
-
-func TestMultinomialRejectsNegative(t *testing.T) {
-	if _, err := Multinomial([]int{2, -1}); err == nil {
-		t.Fatal("negative multiplicity should error")
-	}
-}
-
-// TestMultinomialOverflowBoundary pins the int64 boundary behaviour: the
-// largest balanced two-part multinomials that fit must succeed exactly,
-// and the first that does not must error rather than wrap negative (the
-// guard divides before multiplying, the checkProfileCap bug shape).
-func TestMultinomialOverflowBoundary(t *testing.T) {
-	// C(64,32) ≈ 1.8e18 fits under the 2^62 guard; C(66,33) ≈ 7.2e18 does
-	// not. Find the largest n that succeeds and check failure past it.
-	lastOK := -1
-	for n := 1; n <= 40; n++ {
-		v, err := Multinomial([]int{n, n})
-		if err != nil {
-			break
-		}
-		if v <= 0 {
-			t.Fatalf("Multinomial(%d,%d) = %d wrapped non-positive instead of erroring", n, n, v)
-		}
-		lastOK = n
-	}
-	if lastOK < 30 || lastOK > 35 {
-		t.Fatalf("largest fitting C(2n,n) at n = %d, want the int64 boundary near 31-33", lastOK)
-	}
-	if _, err := Multinomial([]int{lastOK + 1, lastOK + 1}); err == nil {
-		t.Fatalf("Multinomial(%d,%d) beyond the boundary should error", lastOK+1, lastOK+1)
-	}
-	// A huge total must error on the prefix-sum guard, not wrap.
-	if _, err := Multinomial([]int{1 << 62, 1 << 62}); err == nil {
-		t.Fatal("prefix-sum overflow should error")
-	}
-	// Many unit multiplicities: 21! > 2^62 must error, 20! must not.
-	fits := make([]int, 20)
-	for i := range fits {
-		fits[i] = 1
-	}
-	if v, err := Multinomial(fits); err != nil || v != 2432902008176640000 {
-		t.Fatalf("20! = %d, %v; want 2432902008176640000", v, err)
-	}
-	if _, err := Multinomial(append(fits, 1)); err == nil {
-		t.Fatal("21! overflows int64 and should error")
-	}
-}
-
-func TestMultisetCount(t *testing.T) {
-	cases := []struct {
-		options, size int
-		want          int64
-	}{
-		{1, 0, 1},
-		{1, 5, 1},
-		{3, 2, 6},
-		{15, 4, 3060}, // the 4x4x2 benchmark game's canonical profile count
-	}
-	for _, tc := range cases {
-		got, err := MultisetCount(tc.options, tc.size)
-		if err != nil {
-			t.Fatalf("MultisetCount(%d, %d): %v", tc.options, tc.size, err)
-		}
-		if got != tc.want {
-			t.Fatalf("MultisetCount(%d, %d) = %d, want %d", tc.options, tc.size, got, tc.want)
-		}
-	}
-	if _, err := MultisetCount(0, 3); err == nil {
-		t.Fatal("zero options should error")
-	}
-	if _, err := MultisetCount(3, -1); err == nil {
-		t.Fatal("negative size should error")
-	}
-	if _, err := MultisetCount(1<<40, 1<<40); err == nil {
-		t.Fatal("overflowing multiset count should error")
-	}
-}

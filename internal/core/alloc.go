@@ -33,6 +33,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -68,7 +69,9 @@ func NewAlloc(users, channels int) (*Alloc, error) {
 }
 
 // AllocFromMatrix builds an allocation from an explicit strategy matrix.
-// The matrix is copied; rows must be equal length and entries non-negative.
+// The matrix is copied; rows must be equal length and entries non-negative,
+// and their sum must fit in an int. Cells are non-negative, so that one
+// bound also keeps every user total and every channel load from wrapping.
 func AllocFromMatrix(matrix [][]int) (*Alloc, error) {
 	if len(matrix) == 0 || len(matrix[0]) == 0 {
 		return nil, fmt.Errorf("core: empty strategy matrix")
@@ -77,6 +80,7 @@ func AllocFromMatrix(matrix [][]int) (*Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
+	total := 0
 	for i, row := range matrix {
 		if len(row) != a.channels {
 			return nil, fmt.Errorf("core: row %d has %d channels, want %d", i, len(row), a.channels)
@@ -85,6 +89,10 @@ func AllocFromMatrix(matrix [][]int) (*Alloc, error) {
 			if v < 0 {
 				return nil, fmt.Errorf("core: negative radio count %d at (%d, %d)", v, i, c)
 			}
+			if v > math.MaxInt-total {
+				return nil, fmt.Errorf("core: radio count %d at (%d, %d) overflows the matrix total", v, i, c)
+			}
+			total += v
 			a.m[i][c] = v
 			a.load[c] += v
 		}

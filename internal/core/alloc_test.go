@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,31 @@ func TestAllocFromMatrixErrors(t *testing.T) {
 	}
 	if _, err := AllocFromMatrix([][]int{{-1}}); err == nil {
 		t.Error("negative entry should error")
+	}
+}
+
+// TestAllocFromMatrixRejectsOverflow: a matrix whose cells sum past
+// math.MaxInt is refused with the cell named, instead of carrying wrapped
+// (negative) channel loads or radio totals.
+func TestAllocFromMatrixRejectsOverflow(t *testing.T) {
+	for _, m := range [][][]int{
+		{{math.MaxInt, 0}, {1, 0}},                       // one channel load wraps
+		{{math.MaxInt/2 + 1, 0}, {0, math.MaxInt/2 + 1}}, // only the total wraps
+	} {
+		a, err := AllocFromMatrix(m)
+		if err == nil {
+			t.Fatalf("%v accepted: loads %v, total %d", m, a.Loads(), a.TotalRadios())
+		}
+		if !strings.Contains(err.Error(), "(1, ") {
+			t.Errorf("%v: error %q does not name the cell in row 1", m, err)
+		}
+	}
+	a, err := AllocFromMatrix([][]int{{math.MaxInt - 1, 0}, {0, 1}})
+	if err != nil {
+		t.Fatalf("a total of exactly math.MaxInt must fit: %v", err)
+	}
+	if a.TotalRadios() != math.MaxInt {
+		t.Fatalf("total %d, want math.MaxInt", a.TotalRadios())
 	}
 }
 

@@ -161,7 +161,9 @@ func (bumpy) Name() string { return "bumpy" }
 
 // TestDifferentialEnumerateNEMatchesReference: the screened workspace
 // enumeration must reproduce the pre-refactor serial output exactly —
-// same equilibria, same order — across all rate families.
+// same equilibria, same order — across all rate families, on random
+// uniform games, on fixed uniform dimensions and on mixed-budget games
+// whose equal-budget users are contiguous, interleaved or singletons.
 func TestDifferentialEnumerateNEMatchesReference(t *testing.T) {
 	rates := differentialRates(t)
 	for seed := uint64(0); seed < 24; seed++ {
@@ -170,24 +172,49 @@ func TestDifferentialEnumerateNEMatchesReference(t *testing.T) {
 		users := 1 + rng.Intn(3)
 		channels := 1 + rng.Intn(3)
 		radios := 1 + rng.Intn(channels)
-		g, err := NewGame(users, channels, radios, rate)
-		if err != nil {
-			t.Fatal(err)
+		checkEnumerateNEMatchesReference(t, mustGame(t, users, channels, radios, rate), fmt.Sprintf("seed %d", seed))
+	}
+	dims := []struct{ users, channels, radios int }{
+		{3, 3, 2},
+		{4, 3, 1},
+		{4, 2, 2},
+		{2, 3, 3},
+	}
+	mixed := []struct {
+		channels int
+		budgets  []int
+	}{
+		{3, []int{2, 2, 1}},
+		{2, []int{1, 2, 1}}, // equal-budget users 0 and 2 straddle user 1
+		{3, []int{1, 2, 3}}, // no two budgets equal
+		{3, []int{2, 1, 2, 1}},
+		{3, []int{1, 2, 2, 3}}, // one equal-budget pair among two singletons
+	}
+	for _, rate := range rates {
+		for _, d := range dims {
+			checkEnumerateNEMatchesReference(t, mustGame(t, d.users, d.channels, d.radios, rate), "uniform")
 		}
-		want := referenceEnumerateNE(t, g, 2_000_000)
-		got, err := EnumerateNE(g, 2_000_000)
-		if err != nil {
-			t.Fatal(err)
+		for _, m := range mixed {
+			checkEnumerateNEMatchesReference(t, mustHetero(t, m.channels, m.budgets, rate), "mixed")
 		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d (%s, %dx%dx%d): %d equilibria, reference found %d",
-				seed, rate.Name(), users, channels, radios, len(got), len(want))
-		}
-		for j := range got {
-			if !got[j].Equal(want[j]) {
-				t.Fatalf("seed %d (%s): equilibrium %d differs from reference order\ngot:\n%v\nwant:\n%v",
-					seed, rate.Name(), j, got[j], want[j])
-			}
+	}
+}
+
+func checkEnumerateNEMatchesReference(t *testing.T, g *Game, label string) {
+	t.Helper()
+	label = fmt.Sprintf("%s (%s, C=%d, budgets %v)", label, g.Rate().Name(), g.Channels(), g.Budgets())
+	want := referenceEnumerateNE(t, g, 2_000_000)
+	got, err := EnumerateNE(g, 2_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d equilibria, reference found %d", label, len(got), len(want))
+	}
+	for j := range got {
+		if !got[j].Equal(want[j]) {
+			t.Fatalf("%s: equilibrium %d differs from reference order\ngot:\n%v\nwant:\n%v",
+				label, j, got[j], want[j])
 		}
 	}
 }
@@ -379,8 +406,8 @@ func TestDifferentialBestResponseLayouts(t *testing.T) {
 // TestIllegalAllocErrors: a channel loaded beyond the game's radio total
 // lies outside the rate table, so the checked entry points must refuse the
 // allocation instead of reading past it. PriceOfAnarchy runs CheckAlloc,
-// which must also catch cell values whose sum wraps; BenefitOfMove checks
-// the two loads it reads.
+// which must also catch cell values whose sum wraps (SetRow can build
+// them); BenefitOfMove checks the two loads it reads.
 func TestIllegalAllocErrors(t *testing.T) {
 	g := mustHetero(t, 3, []int{1, 2}, ratefn.Harmonic{R0: 1, Alpha: 0.5})
 	over := mustAlloc(t, [][]int{{3, 0, 0}, {2, 0, 0}}) // both over budget, load 5 > 3
@@ -395,13 +422,24 @@ func TestIllegalAllocErrors(t *testing.T) {
 	if d, err := g.BenefitOfMove(target, 0, 0, 1); err == nil {
 		t.Fatalf("BenefitOfMove onto a channel with load 3 = %v, want an error", d)
 	}
+	// AllocFromMatrix refuses cells whose sum wraps, but SetRow does not,
+	// so the checked entry points still guard against them.
+	setRows := func(rows [][]int) *Alloc {
+		a := g.NewEmptyAlloc()
+		for i, row := range rows {
+			if err := a.SetRow(i, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return a
+	}
 	// A load wrapped negative by huge cells is outside the domain too.
-	negative := mustAlloc(t, [][]int{{math.MaxInt, 0, 0}, {1, 0, 0}})
+	negative := setRows([][]int{{math.MaxInt, 0, 0}, {1, 0, 0}})
 	if d, err := g.BenefitOfMove(negative, 1, 0, 1); err == nil {
 		t.Fatalf("BenefitOfMove from a channel with load %d = %v, want an error", negative.Load(0), d)
 	}
 	// Cells that wrap the row sum to 0 are still over budget.
-	wrapped := mustAlloc(t, [][]int{{math.MaxInt, math.MaxInt, 2}, {0, 0, 0}})
+	wrapped := setRows([][]int{{math.MaxInt, math.MaxInt, 2}, {0, 0, 0}})
 	if err := g.CheckAlloc(wrapped); err == nil {
 		t.Fatal("CheckAlloc accepted a row whose cells wrap its sum to 0")
 	}

@@ -35,7 +35,7 @@ type Churn struct {
 // index and the precomputed RateView — is kept consistent incrementally
 // instead of being rebuilt per event.
 //
-//   - Stable IDs vs dense rows: every kernel (DP workspaces, orbit walks,
+//   - Stable IDs vs dense rows: every kernel (DP workspaces, grid walks,
 //     the allocation matrix itself) indexes users 0..N-1 densely. A live
 //     population is sparse in identity space, so LiveGame owns the
 //     id↔row indirection; departures compact rows with a swap-with-last

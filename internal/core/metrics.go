@@ -16,8 +16,6 @@ var (
 	mDPCalls       = obs.NewCounter("kernel_dp_calls_total")
 	mScreenAccepts = obs.NewCounter("kernel_screen_accepts_total")
 	mScreenRejects = obs.NewCounter("kernel_screen_rejects_total")
-	mOrbitProfiles = obs.NewCounter("kernel_orbit_profiles_total")
-	mOrbitSkips    = obs.NewCounter("kernel_orbit_skips_total")
 	mPoolHits      = obs.NewCounter("workspace_pool_hits_total")
 	mPoolMisses    = obs.NewCounter("workspace_pool_misses_total")
 )
@@ -28,7 +26,6 @@ type wsCounts struct {
 	dpCalls       uint64 // best-response DP folds executed
 	screenAccepts uint64 // profiles the screened oracle accepted as NE
 	screenRejects uint64 // profiles rejected by the Eq. 7 screen (no DP)
-	orbitProfiles uint64 // canonical orbit representatives visited
 }
 
 // FlushObs folds the workspace's accumulated kernel counts into the
@@ -44,9 +41,6 @@ func (ws *Workspace) FlushObs() {
 	}
 	if ws.obs.screenRejects != 0 {
 		mScreenRejects.Add(ws.obs.screenRejects)
-	}
-	if ws.obs.orbitProfiles != 0 {
-		mOrbitProfiles.Add(ws.obs.orbitProfiles)
 	}
 	ws.obs = wsCounts{}
 }

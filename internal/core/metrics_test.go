@@ -10,12 +10,10 @@ func TestWorkspaceFlushObs(t *testing.T) {
 	ws.obs.dpCalls += 5
 	ws.obs.screenAccepts += 3
 	ws.obs.screenRejects += 2
-	ws.obs.orbitProfiles += 4
 
 	dp := mDPCalls.Value()
 	acc := mScreenAccepts.Value()
 	rej := mScreenRejects.Value()
-	orb := mOrbitProfiles.Value()
 	ws.FlushObs()
 	// Deltas are >= because parallel tests share the process globals.
 	if got := mDPCalls.Value() - dp; got < 5 {
@@ -26,9 +24,6 @@ func TestWorkspaceFlushObs(t *testing.T) {
 	}
 	if got := mScreenRejects.Value() - rej; got < 2 {
 		t.Errorf("screen rejects flushed %d, want >= 2", got)
-	}
-	if got := mOrbitProfiles.Value() - orb; got < 4 {
-		t.Errorf("orbit profiles flushed %d, want >= 4", got)
 	}
 	if ws.obs != (wsCounts{}) {
 		t.Errorf("flush must zero the workspace counts, got %+v", ws.obs)

@@ -9,42 +9,32 @@ import (
 )
 
 // EnumerateNEParallel is EnumerateNE sharded over the engine's worker
-// pool. The CANONICAL orbit space is partitioned by the first user's
-// pinned strategy row (the outermost digit of the serial canonical walk)
-// — or, when that user has fewer rows than twice the pool (few strategies
-// per user, the many-user regime), by the first two users' rows, which
-// multiplies the shard count and keeps every worker busy. Sharding the
-// canonical space rather than the raw row grid preserves the symmetry
-// reduction under parallelism: a pinned prefix that is not canonical
-// (second digit below the first within a class) is an empty shard and
-// returns immediately instead of re-walking orbits another shard owns.
-// Shard results are concatenated in digit order and expanded to the
-// unreduced output once at the end — so the output is identical,
-// equilibrium for equilibrium, to the serial EnumerateNE regardless of
-// worker count or sharding depth. workers < 1 means runtime.NumCPU().
+// pool by pinned leading rows of the profile grid (see shardDigits). User
+// 0 is the grid's most significant digit, so concatenating the shard
+// results in digit order reproduces the serial odometer order: the output
+// is identical, equilibrium for equilibrium, to the serial EnumerateNE at
+// any worker count or sharding depth. workers < 1 means runtime.NumCPU().
 func EnumerateNEParallel(g *Game, maxProfiles int64, workers int) ([]*Alloc, error) {
 	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
 		return nil, err
 	}
-	oe := g.orbitEnumerator(rows)
 	shardCount, digits := shardDigits(rows, workers)
-	shards, _, err := engine.Map(shardCount, func(job int, _ *des.RNG) ([]CanonicalNE, error) {
-		reps, err := oe.CanonicalShard(digits(job))
+	shards, _, err := engine.Map(shardCount, func(job int, _ *des.RNG) ([]*Alloc, error) {
+		nes, err := neShard(g, rows, digits(job))
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", job, err)
 		}
-		return reps, nil
+		return nes, nil
 	}, engine.Workers(workers))
 	if err != nil {
 		return nil, err
 	}
-
-	var all []CanonicalNE
+	var all []*Alloc
 	for _, shard := range shards {
 		all = append(all, shard...)
 	}
-	return oe.Expand(all)
+	return all, nil
 }
 
 // shardDigits picks the sharding depth for the parallel searches and

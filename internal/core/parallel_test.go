@@ -9,18 +9,26 @@ import (
 )
 
 // TestEnumerateNEParallelMatchesSerial is the sharding contract: identical
-// NE list — same equilibria, same order — for every worker count.
+// NE list — same equilibria, same order — for every worker count, on
+// uniform games and on mixed-budget games, whose users' row tables differ
+// in length from shard digit to shard digit.
 func TestEnumerateNEParallelMatchesSerial(t *testing.T) {
+	var games []*Game
 	for _, cfg := range []struct{ n, c, k int }{
 		{1, 3, 2}, {2, 2, 2}, {2, 3, 2}, {3, 2, 2}, {3, 3, 2},
 	} {
-		g, err := NewGame(cfg.n, cfg.c, cfg.k, ratefn.NewTDMA(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		games = append(games, mustGame(t, cfg.n, cfg.c, cfg.k, ratefn.NewTDMA(1)))
+	}
+	for _, budgets := range [][]int{{2, 2, 1}, {1, 2, 2, 3}} {
+		games = append(games, mustHetero(t, 3, budgets, ratefn.NewTDMA(1)))
+	}
+	for _, g := range games {
 		serial, err := EnumerateNE(g, 10_000_000)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(serial) == 0 {
+			t.Fatalf("C=%d budgets %v: no NE found", g.Channels(), g.Budgets())
 		}
 		for _, workers := range []int{1, 4, runtime.NumCPU()} {
 			parallel, err := EnumerateNEParallel(g, 10_000_000, workers)
@@ -28,13 +36,13 @@ func TestEnumerateNEParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(parallel) != len(serial) {
-				t.Fatalf("%dx%dx%d workers=%d: %d NE, serial found %d",
-					cfg.n, cfg.c, cfg.k, workers, len(parallel), len(serial))
+				t.Fatalf("C=%d budgets %v workers=%d: %d NE, serial found %d",
+					g.Channels(), g.Budgets(), workers, len(parallel), len(serial))
 			}
 			for i := range serial {
 				if !serial[i].Equal(parallel[i]) {
-					t.Fatalf("%dx%dx%d workers=%d: NE %d differs from serial",
-						cfg.n, cfg.c, cfg.k, workers, i)
+					t.Fatalf("C=%d budgets %v workers=%d: NE %d differs from serial",
+						g.Channels(), g.Budgets(), workers, i)
 				}
 			}
 		}

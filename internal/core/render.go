@@ -7,11 +7,18 @@ import (
 
 // OccupancyDiagram renders the allocation in the style of the paper's
 // Figure 1: one column per channel, user labels stacked by radio. A user
-// with multiple radios on a channel appears once per radio.
+// with multiple radios on a channel appears once per radio. Every game
+// caps a user's budget at |C|, so no legal allocation loads a channel
+// with more than users·channels radios; past that bound the diagram, one
+// line per load level, would be as large as the cell values, and a single
+// line saying so is returned instead.
 func OccupancyDiagram(a *Alloc) string {
-	maxLoad, _ := a.MaxLoad()
+	maxLoad, busiest := a.MaxLoad()
 	if maxLoad == 0 {
 		return "(empty allocation)\n"
+	}
+	if bound := a.Users() * a.Channels(); maxLoad > bound {
+		return fmt.Sprintf("(allocation not drawable: channel c%d has load %d, above users·channels = %d)\n", busiest+1, maxLoad, bound)
 	}
 	// columns[c] lists the user label of each radio on channel c,
 	// bottom-up, grouped by user for readability.

@@ -49,3 +49,19 @@ func TestOccupancyDiagramEmpty(t *testing.T) {
 		t.Fatalf("empty allocation should say so: %q", out)
 	}
 }
+
+// TestOccupancyDiagramRefusesOversizedLoad: a channel load above
+// users·channels, which no game admits, is reported in one line instead of
+// drawn one line per load level.
+func TestOccupancyDiagramRefusesOversizedLoad(t *testing.T) {
+	a := mustAlloc(t, [][]int{{300, 0}})
+	out := OccupancyDiagram(a)
+	if strings.Count(out, "\n") != 1 || !strings.Contains(out, "not drawable") {
+		t.Fatalf("want one not-drawable line, got %d lines:\n%.200s", strings.Count(out, "\n"), out)
+	}
+	// At the bound the allocation is still drawn: 2 levels plus axis and labels.
+	a = mustAlloc(t, [][]int{{2, 0}})
+	if out := OccupancyDiagram(a); strings.Count(out, "\n") != 4 {
+		t.Fatalf("load at the bound should be drawn:\n%s", out)
+	}
+}

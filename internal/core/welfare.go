@@ -131,10 +131,9 @@ func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
 }
 
 // strategyRows materialises every user's legal strategy rows: all radio
-// vectors over |C| channels with total between 0 and k_i. Equal-budget
-// users receive the SAME table slice, which is the exchangeability
-// contract of the symmetry-reduced enumerator and also trims redundant
-// composition walks.
+// vectors over |C| channels with total between 0 and k_i, in the order
+// the exhaustive searches walk them. Equal-budget users share one table,
+// so each distinct budget's compositions are generated once.
 func strategyRows(g *Game) ([][][]int, error) {
 	byBudget := make(map[int][][]int, 4)
 	rowsPerUser := make([][][]int, g.Users())
@@ -158,8 +157,8 @@ func strategyRows(g *Game) ([][][]int, error) {
 }
 
 // cappedStrategyRows is strategyRows guarded by maxProfiles against the
-// FULL (unreduced) profile count, the refusal rule every exhaustive search
-// shares.
+// full profile count Π_u |rows_u|, the refusal rule every exhaustive
+// search shares.
 func cappedStrategyRows(g *Game, maxProfiles int64) ([][][]int, error) {
 	rows, err := strategyRows(g)
 	if err != nil {
@@ -200,22 +199,17 @@ func checkProfileCap(counts []int64, maxProfiles int64) error {
 }
 
 // EnumerateNE collects every Nash equilibrium of a tiny game by exhaustive
-// best-response checking (results and order are identical to walking the
-// full profile grid and checking IsNashEquilibrium per profile). Intended
-// for cross-validation tests; guarded by maxProfiles against the full
-// profile count.
-//
-// Internally the search is symmetry-reduced: users of equal budget are
-// exchangeable, so only canonical orbit representatives are tested (see
-// EnumerateNECanonical) and the full equilibrium set is reconstructed by
-// orbit expansion — same allocations, same order, visiting a C(R+N-1, N)
-// canonical space instead of the R^N grid in the uniform game.
+// search: it walks the whole profile grid in odometer order (user 0 the
+// most significant digit, each user's rows in strategyRows order) and
+// keeps every profile the screened NE oracle accepts, in that order.
+// Intended for cross-validation tests; guarded by maxProfiles against the
+// full profile count.
 func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
-	reps, err := EnumerateNECanonical(g, maxProfiles)
+	rows, err := cappedStrategyRows(g, maxProfiles)
 	if err != nil {
 		return nil, err
 	}
-	return ExpandNEOrbits(g, reps)
+	return neShard(g, rows, nil)
 }
 
 // FindParetoImprovement searches for an allocation that makes every user
