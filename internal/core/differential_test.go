@@ -161,9 +161,7 @@ func (bumpy) Name() string { return "bumpy" }
 
 // TestDifferentialEnumerateNEMatchesReference: the screened workspace
 // enumeration must reproduce the pre-refactor serial output exactly —
-// same equilibria, same order — across all rate families, on random
-// uniform games, on fixed uniform dimensions and on mixed-budget games
-// whose equal-budget users are contiguous, interleaved or singletons.
+// same equilibria, same order — across all rate families.
 func TestDifferentialEnumerateNEMatchesReference(t *testing.T) {
 	rates := differentialRates(t)
 	for seed := uint64(0); seed < 24; seed++ {
@@ -174,12 +172,31 @@ func TestDifferentialEnumerateNEMatchesReference(t *testing.T) {
 		radios := 1 + rng.Intn(channels)
 		checkEnumerateNEMatchesReference(t, mustGame(t, users, channels, radios, rate), fmt.Sprintf("seed %d", seed))
 	}
+}
+
+// TestCanonicalNEMatchesUnreduced checks EnumerateNE against the unreduced
+// reference enumeration, allocation for allocation and in order, on fixed
+// uniform games under every rate family (including Table and
+// MonotoneEnvelope). The name dates from the symmetry-reduced enumerator
+// these games were chosen for; they stay as larger inputs of the grid walk.
+func TestCanonicalNEMatchesUnreduced(t *testing.T) {
 	dims := []struct{ users, channels, radios int }{
 		{3, 3, 2},
 		{4, 3, 1},
 		{4, 2, 2},
 		{2, 3, 3},
 	}
+	for _, rate := range differentialRates(t) {
+		for _, d := range dims {
+			checkEnumerateNEMatchesReference(t, mustGame(t, d.users, d.channels, d.radios, rate), "uniform")
+		}
+	}
+}
+
+// TestHeteroCanonicalMatchesUnreduced is TestCanonicalNEMatchesUnreduced
+// on mixed-budget games whose equal-budget users are contiguous,
+// interleaved or singletons.
+func TestHeteroCanonicalMatchesUnreduced(t *testing.T) {
 	mixed := []struct {
 		channels int
 		budgets  []int
@@ -190,10 +207,7 @@ func TestDifferentialEnumerateNEMatchesReference(t *testing.T) {
 		{3, []int{2, 1, 2, 1}},
 		{3, []int{1, 2, 2, 3}}, // one equal-budget pair among two singletons
 	}
-	for _, rate := range rates {
-		for _, d := range dims {
-			checkEnumerateNEMatchesReference(t, mustGame(t, d.users, d.channels, d.radios, rate), "uniform")
-		}
+	for _, rate := range differentialRates(t) {
 		for _, m := range mixed {
 			checkEnumerateNEMatchesReference(t, mustHetero(t, m.channels, m.budgets, rate), "mixed")
 		}
