@@ -61,8 +61,10 @@ func TestExperimentCSVOutput(t *testing.T) {
 // figure experiments' CSVs as the paper's figures have been written since
 // they were first reproduced (fig2 writes none), and the CSVs of the
 // experiments that run the exhaustive NE enumeration (E2, E3) and the
-// Pareto search (E3, E11). The pinned bytes do not depend on -seed. It
-// also pins the stdout of the whole paper run, `-exp all -seed 2006`,
+// Pareto search (E3, E11); those bytes do not depend on -seed. It also
+// pins the CSVs of the two experiments that run the slot-level CSMA/CA
+// simulator (fig3-sim, E5 fairshare), whose bytes do depend on -seed, at
+// -seed 2006, and the stdout of the whole paper run, `-exp all -seed 2006`,
 // which is the same at every -workers.
 func TestPinnedCSVBytes(t *testing.T) {
 	want := map[string]string{
@@ -90,9 +92,18 @@ func TestPinnedCSVBytes(t *testing.T) {
 		}
 	}
 	const wantStdout = "cc94fb75faeaf92a814fe968b590200d4057e404c1b4d465a96d111a5514e6e6"
-	stdout, _ := sweepRun(t, "all", 2006, 1)
+	stdout, csvs := sweepRun(t, "all", 2006, 1)
 	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); sum != wantStdout {
 		t.Errorf("-exp all -seed 2006 stdout: sha256 %s, want %s", sum, wantStdout)
+	}
+	seeded := map[string]string{
+		"figure3_sim.csv":  "68356021f73815e339d8b6a3b0a68385f12d9a2d82d7a23bb51de3eac7f9e3cb",
+		"e5_fairshare.csv": "91c2c2983eb262d84a0d7d4de154d9ed5e91a3efa4bafda5f86ab7cb8e2f4bc1",
+	}
+	for name, sum := range seeded {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(csvs[name]))); got != sum {
+			t.Errorf("-seed 2006 %s: sha256 %s, want %s", name, got, sum)
+		}
 	}
 }
 

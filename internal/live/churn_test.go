@@ -1,6 +1,9 @@
 package live
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -116,6 +119,38 @@ func TestGenerateTraceDeterministicAndValid(t *testing.T) {
 	for _, op := range []string{"join", "leave", "budget"} {
 		if kinds[op] == 0 {
 			t.Fatalf("trace has no %q events: %v", op, kinds)
+		}
+	}
+}
+
+// TestGenerateTracePinned pins the exact bytes of GenerateTrace for the
+// shapes the churn benchmark workloads and allocd serve, plus a spec with no
+// initial users and one with budget renegotiation switched off. The SHA-256
+// is over the JSON encoding of the whole trace.
+func TestGenerateTracePinned(t *testing.T) {
+	noBudget := DefaultChurnSpec(4, 6, 3000, 11)
+	noBudget.BudgetRate = 0
+	pair := DefaultChurnSpec(2, 3, 300, 5)
+	for _, tc := range []struct {
+		spec ChurnSpec
+		want string
+	}{
+		{DefaultChurnSpec(4, 8, 20000, 2006), "d1585362317e1678bc6ef371087cb774f264bdb706a01ab3e5d8323676b8aa0c"},
+		{DefaultChurnSpec(16, 1024, 5024, 2006), "5439c0521d54215c5c226ff98e232b41593487022bcdcd58d3a43b90af921439"},
+		{DefaultChurnSpec(4, 0, 500, 7), "e6e5115fce365d9707222888489497fd9d1e80fb5329093799754cee4af3ca46"},
+		{noBudget, "97678b67306526ac31ac8a5783c7c0bd4d2e11d5492fc7e4ce137dfe571324e9"},
+		{pair, "fe45af7c3b686e6ca032e94d69313be6741dead1722c09ff15450d3e3afc5051"},
+	} {
+		trace, err := GenerateTrace(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want {
+			t.Errorf("%+v: trace sha256 %s, want %s", tc.spec, got, tc.want)
 		}
 	}
 }

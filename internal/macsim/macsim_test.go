@@ -2,6 +2,7 @@ package macsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/multiradio/chanalloc/internal/bianchi"
@@ -284,5 +285,50 @@ func TestEmpiricalCSMARateErrors(t *testing.T) {
 	}
 	if _, err := EmpiricalCSMARate(p, 1, 0, 1); err == nil {
 		t.Error("cycles=0 should error")
+	}
+}
+
+// float64Bits renders each value's IEEE-754 bits, so a pin compares exact
+// simulator output rather than output within a tolerance.
+func float64Bits(vs ...float64) []uint64 {
+	bits := make([]uint64, len(vs))
+	for i, v := range vs {
+		bits[i] = math.Float64bits(v)
+	}
+	return bits
+}
+
+// TestSimulateTDMAPinned pins the exact float results of a long guarded
+// TDMA run: each radio's bits are summed slot by slot in frame order.
+func TestSimulateTDMAPinned(t *testing.T) {
+	res, err := SimulateTDMA(TDMAConfig{Radios: 5, SlotTime: 333.3, Guard: 12.7, DataRate: 5.5, Frames: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64Bits(append([]float64{res.SimTime, res.Throughput}, res.PerRadio...)...)
+	want := []uint64{0x4143cc5c00000000, 0x40153146bba279e0, 0x3ff0f438961b94b3, 0x3ff0f438961b94b3,
+		0x3ff0f438961b94b3, 0x3ff0f438961b94b3, 0x3ff0f438961b94b3}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SimTime, Throughput, PerRadio bits %#v, want %#v", got, want)
+	}
+}
+
+// TestSimulateCSMAFreezePinned pins the exact results of a seeded run
+// under freeze semantics, which no experiment exercises.
+func TestSimulateCSMAFreezePinned(t *testing.T) {
+	res, err := SimulateCSMAWith(bianchi.Default80211b(), 5, 20000, 2006, CSMAOptions{Freeze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64Bits(append([]float64{res.SimTime, res.Throughput}, res.PerStation...)...)
+	want := []uint64{0x4153b80b6e8ba26d, 0x4015834a5956d5c5, 0x3ff1878abb31bb13, 0x3ff25092cbb80727,
+		0x3feff7ed776bb617, 0x3ff1a17b41749b9a, 0x3ff09799e1471e34}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SimTime, Throughput, PerStation bits %#v, want %#v", got, want)
+	}
+	counts := append([]int64{res.Collisions, res.IdleSlots}, res.Successes...)
+	wantCounts := []int64{333, 16270, 692, 723, 631, 696, 655}
+	if !reflect.DeepEqual(counts, wantCounts) {
+		t.Errorf("Collisions, IdleSlots, Successes %v, want %v", counts, wantCounts)
 	}
 }
