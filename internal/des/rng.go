@@ -1,3 +1,9 @@
+// Package des holds RNG, the seeded SplitMix64 generator behind every
+// random draw in the module, from the slot-level MAC simulators (package
+// macsim) and the churn traces (package live) to the dynamics and the
+// engine's per-job streams. Seeding is explicit, so a seed fixes a run bit
+// for bit. The package is named after the discrete-event engine it once
+// also held.
 package des
 
 import "math"

@@ -1,0 +1,98 @@
+package des
+
+import (
+	"math"
+	"testing"
+	"testing/quick"
+)
+
+func TestRNGFloat64Range(t *testing.T) {
+	r := NewRNG(7)
+	for i := 0; i < 10000; i++ {
+		v := r.Float64()
+		if v < 0 || v >= 1 {
+			t.Fatalf("Float64 out of range: %v", v)
+		}
+	}
+}
+
+func TestRNGIntnUniform(t *testing.T) {
+	r := NewRNG(9)
+	const n, draws = 10, 100000
+	counts := make([]int, n)
+	for i := 0; i < draws; i++ {
+		counts[r.Intn(n)]++
+	}
+	want := draws / n
+	for i, c := range counts {
+		if math.Abs(float64(c-want)) > 0.1*float64(want) {
+			t.Errorf("bucket %d count %d deviates more than 10%% from %d", i, c, want)
+		}
+	}
+}
+
+func TestRNGIntnPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Intn(0) should panic")
+		}
+	}()
+	NewRNG(1).Intn(0)
+}
+
+func TestRNGPerm(t *testing.T) {
+	r := NewRNG(11)
+	p := r.Perm(20)
+	seen := make(map[int]bool, 20)
+	for _, v := range p {
+		if v < 0 || v >= 20 || seen[v] {
+			t.Fatalf("invalid permutation %v", p)
+		}
+		seen[v] = true
+	}
+}
+
+func TestRNGPermIsShuffled(t *testing.T) {
+	// With 100 elements the probability of the identity permutation is
+	// negligible; the test guards Perm actually shuffling.
+	r := NewRNG(12)
+	p := r.Perm(100)
+	identity := true
+	for i, v := range p {
+		if v != i {
+			identity = false
+			break
+		}
+	}
+	if identity {
+		t.Fatal("Perm returned identity permutation")
+	}
+}
+
+func TestRNGExpMean(t *testing.T) {
+	r := NewRNG(13)
+	const draws = 200000
+	sum := 0.0
+	for i := 0; i < draws; i++ {
+		sum += r.ExpFloat64()
+	}
+	mean := sum / draws
+	if math.Abs(mean-1) > 0.02 {
+		t.Fatalf("Exp mean = %v, want ~1", mean)
+	}
+}
+
+func TestRNGDeterministicStream(t *testing.T) {
+	f := func(seed uint64) bool {
+		a, b := NewRNG(seed), NewRNG(seed)
+		for i := 0; i < 100; i++ {
+			if a.Uint64() != b.Uint64() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
+		t.Fatal(err)
+	}
+}

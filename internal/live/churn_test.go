@@ -3,9 +3,13 @@ package live
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
+
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 func TestParseChurnSpec(t *testing.T) {
@@ -26,18 +30,48 @@ func TestParseChurnSpec(t *testing.T) {
 	if spec.Seed != 1 || spec.MaxBudget != 4 {
 		t.Fatalf("defaulted spec %+v, want seed 1, max budget 4", spec)
 	}
-	for _, bad := range []string{"", "4", "4,5", "4,5,6,7,8", "x,5,6", "4,5,0", "0,5,6", "4,-1,6", "4,5,6,-1"} {
+	for _, bad := range []string{"", "4", "4,5", "4,5,6,7,8", "x,5,6", "4,5,0", "0,5,6", "4,-1,6", "4,5,6,-1",
+		"4,6,9000000000000000000,1", "4,9000000000000000000,6", "2,2097152,1", "9223372036854775807,1,1"} {
 		if _, err := ParseChurnSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
+		}
+	}
+	// The cell bound is inclusive: (initial+events)·channels == MaxCells passes.
+	if _, err := ParseChurnSpec("2,2097151,1"); err != nil {
+		t.Errorf("spec at the cell bound refused: %v", err)
+	}
+	_, err = ParseChurnSpec("4,6,9000000000000000000,1")
+	if !errors.Is(err, workload.ErrTooLarge) {
+		t.Errorf("oversized spec: error %v, want one wrapping workload.ErrTooLarge", err)
+	}
+}
+
+// TestChurnSpecValidateRejectsNaN: a NaN rate passes a plain "<= 0" test,
+// and its NaN delays would leave the trace's event order undefined.
+func TestChurnSpecValidateRejectsNaN(t *testing.T) {
+	for name, set := range map[string]func(*ChurnSpec){
+		"arrival":  func(s *ChurnSpec) { s.ArrivalRate = math.NaN() },
+		"lifetime": func(s *ChurnSpec) { s.MeanLifetime = math.NaN() },
+		"budget":   func(s *ChurnSpec) { s.BudgetRate = math.NaN() },
+	} {
+		spec := DefaultChurnSpec(4, 6, 50, 1)
+		set(&spec)
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s rate NaN passed Validate", name)
+		}
+		if _, err := GenerateTrace(spec); err == nil {
+			t.Errorf("%s rate NaN generated a trace", name)
 		}
 	}
 }
 
 // FuzzParseChurnSpec feeds arbitrary strings to allocd's churn-spec
-// grammar. Nothing may panic, every accepted spec passes Validate, and a
-// small accepted spec generates exactly its number of requests.
+// grammar. Nothing may panic, every accepted spec passes Validate and
+// keeps (initial+events)·channels within workload.MaxCells, and a small
+// accepted spec generates exactly its number of requests.
 func FuzzParseChurnSpec(f *testing.F) {
-	for _, s := range []string{"4,6,200,7", "8, 5, 50", "16,1024,7024,2006", "0,5,6", "4,-1,6", "4,5,6,-1", "x", ""} {
+	for _, s := range []string{"4,6,200,7", "8, 5, 50", "16,1024,7024,2006", "0,5,6", "4,-1,6", "4,5,6,-1", "x", "",
+		"4,6,9000000000000000000,1"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -47,6 +81,11 @@ func FuzzParseChurnSpec(f *testing.F) {
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%q parsed to %+v, which fails Validate: %v", s, spec, err)
+		}
+		// Counts up to 2^22 sum exactly; the float product cannot wrap.
+		if spec.Initial > workload.MaxCells || spec.Events > workload.MaxCells ||
+			float64(spec.Initial+spec.Events)*float64(spec.Channels) > workload.MaxCells {
+			t.Fatalf("%q parsed to %+v: (initial+events)·channels exceeds %d", s, spec, workload.MaxCells)
 		}
 		if spec.Initial > 64 || spec.Events > 256 {
 			return

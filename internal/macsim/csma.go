@@ -7,9 +7,11 @@
 //     collisions make the total rate a decreasing function of the number of
 //     radios but the long-run per-radio shares remain equal.
 //
-// The simulators drive package des and are validated against package
-// bianchi's analytical model; together they justify the game's fair-share
-// utility (paper Eq. 3) and the R(k_c) shapes of Figure 3.
+// Each simulator is a plain loop: CSMA/CA over channel slots, drawing its
+// backoffs from package des's seeded RNG, and TDMA over frames. They are
+// validated against package bianchi's analytical model; together they
+// justify the game's fair-share utility (paper Eq. 3) and the R(k_c)
+// shapes of Figure 3.
 package macsim
 
 import (
@@ -81,29 +83,11 @@ func SimulateCSMAWith(p bianchi.Params, n int, cycles int64, seed uint64, opts C
 	if cycles < 1 {
 		return CSMAResult{}, fmt.Errorf("macsim: cycles = %d, want >= 1", cycles)
 	}
-	sim := des.New(seed)
-	ch := newCSMAChannel(p, n, sim.RNG())
+	rng := des.NewRNG(seed)
+	ch := newCSMAChannel(p, n, rng)
 	ch.freeze = opts.Freeze
-
-	var remaining = cycles
-	var step func(*des.Simulator)
-	step = func(s *des.Simulator) {
-		dur := ch.cycle(s.RNG())
-		remaining--
-		if remaining <= 0 {
-			return
-		}
-		if _, err := s.After(dur, step); err != nil {
-			// Durations are non-negative by construction; an error here is
-			// a programming bug surfaced loudly in tests via zero results.
-			s.Stop()
-		}
-	}
-	if _, err := sim.Schedule(0, step); err != nil {
-		return CSMAResult{}, fmt.Errorf("macsim: scheduling first slot: %w", err)
-	}
-	if err := sim.RunAll(); err != nil {
-		return CSMAResult{}, fmt.Errorf("macsim: run: %w", err)
+	for i := int64(0); i < cycles; i++ {
+		ch.cycle(rng)
 	}
 
 	res := CSMAResult{
@@ -140,15 +124,9 @@ func newCSMAChannel(p bianchi.Params, n int, rng *des.RNG) *csmaChannel {
 	return ch
 }
 
-// cycleElapsed charges d µs of simulated time and returns it, so cycle can
-// account and return in one expression.
-func (c *csmaChannel) cycleElapsed(d float64) float64 {
-	c.elapsed += d
-	return d
-}
-
 // cycle advances the channel by one virtual slot (idle backoff slot,
-// successful transmission, or collision) and returns its duration in µs.
+// successful transmission, or collision) and charges its duration to
+// c.elapsed.
 //
 // Backoff counters follow Bianchi's virtual-slot semantics: every
 // non-transmitting station decrements once per cycle whether the cycle was
@@ -156,7 +134,7 @@ func (c *csmaChannel) cycleElapsed(d float64) float64 {
 // which is the point — the simulator validates the model. (Real 802.11
 // freezes counters during busy periods; that shifts absolute throughput by
 // a few percent without changing the shape of R(k).)
-func (c *csmaChannel) cycle(rng *des.RNG) float64 {
+func (c *csmaChannel) cycle(rng *des.RNG) {
 	c.txBuf = c.txBuf[:0]
 	for i := range c.stations {
 		if c.stations[i].backoff == 0 {
@@ -175,7 +153,7 @@ func (c *csmaChannel) cycle(rng *des.RNG) float64 {
 	switch len(c.txBuf) {
 	case 0:
 		c.idleSlots++
-		return c.cycleElapsed(c.params.SlotTime)
+		c.elapsed += c.params.SlotTime
 	case 1:
 		// Success.
 		i := c.txBuf[0]
@@ -184,7 +162,7 @@ func (c *csmaChannel) cycle(rng *des.RNG) float64 {
 		st.wins++
 		st.stage = 0
 		st.backoff = rng.Intn(c.params.CWmin)
-		return c.cycleElapsed(c.ts)
+		c.elapsed += c.ts
 	default:
 		// Collision: every transmitter escalates.
 		for _, i := range c.txBuf {
@@ -195,6 +173,6 @@ func (c *csmaChannel) cycle(rng *des.RNG) float64 {
 			st.backoff = rng.Intn(c.params.CWmin << st.stage)
 		}
 		c.collisions++
-		return c.cycleElapsed(c.tc)
+		c.elapsed += c.tc
 	}
 }

@@ -1,10 +1,6 @@
 package macsim
 
-import (
-	"fmt"
-
-	"github.com/multiradio/chanalloc/internal/des"
-)
+import "fmt"
 
 // TDMAConfig parameterises the reservation-TDMA frame simulator.
 type TDMAConfig struct {
@@ -54,35 +50,13 @@ func SimulateTDMA(cfg TDMAConfig) (TDMAResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return TDMAResult{}, err
 	}
-	sim := des.New(0) // schedule is deterministic; the seed is irrelevant
 	bits := make([]float64, cfg.Radios)
-
-	frame := 0
-	var startFrame func(*des.Simulator)
-	startFrame = func(s *des.Simulator) {
-		for r := 0; r < cfg.Radios; r++ {
-			r := r
-			offset := float64(r) * (cfg.SlotTime + cfg.Guard)
-			if _, err := s.After(offset+cfg.SlotTime, func(*des.Simulator) {
-				bits[r] += cfg.SlotTime * cfg.DataRate // bits = µs · Mbit/s
-			}); err != nil {
-				s.Stop()
-				return
-			}
+	// Each radio's bits are added slot by slot in frame order, as the slots
+	// are served; one product per radio would round differently.
+	for frame := 0; frame < cfg.Frames; frame++ {
+		for r := range bits {
+			bits[r] += cfg.SlotTime * cfg.DataRate // bits = µs · Mbit/s
 		}
-		frame++
-		if frame < cfg.Frames {
-			frameDur := float64(cfg.Radios) * (cfg.SlotTime + cfg.Guard)
-			if _, err := s.After(frameDur, startFrame); err != nil {
-				s.Stop()
-			}
-		}
-	}
-	if _, err := sim.Schedule(0, startFrame); err != nil {
-		return TDMAResult{}, fmt.Errorf("macsim: scheduling first frame: %w", err)
-	}
-	if err := sim.RunAll(); err != nil {
-		return TDMAResult{}, fmt.Errorf("macsim: tdma run: %w", err)
 	}
 
 	simTime := float64(cfg.Frames) * float64(cfg.Radios) * (cfg.SlotTime + cfg.Guard)
