@@ -137,7 +137,10 @@ func (a *Alloc) TotalRadios() int {
 func (a *Alloc) Row(i int) []int { return append([]int(nil), a.m[i]...) }
 
 // SetRow replaces user i's strategy vector, updating channel loads. The row
-// is copied; entries must be non-negative and the length must match.
+// is copied; entries must be non-negative, the length must match, and the
+// allocation's total must still fit in an int, the bound AllocFromMatrix
+// enforces (it also keeps every channel load from wrapping). A refused row
+// leaves the allocation untouched.
 func (a *Alloc) SetRow(i int, row []int) error {
 	if i < 0 || i >= a.users {
 		return fmt.Errorf("core: user %d out of range [0, %d)", i, a.users)
@@ -145,10 +148,15 @@ func (a *Alloc) SetRow(i int, row []int) error {
 	if len(row) != a.channels {
 		return fmt.Errorf("core: row has %d channels, want %d", len(row), a.channels)
 	}
+	total := a.TotalRadios() - a.UserTotal(i)
 	for c, v := range row {
 		if v < 0 {
 			return fmt.Errorf("core: negative radio count %d at channel %d", v, c)
 		}
+		if v > math.MaxInt-total {
+			return fmt.Errorf("core: radio count %d at channel %d overflows the allocation total", v, c)
+		}
+		total += v
 	}
 	for c, v := range row {
 		a.load[c] += v - a.m[i][c]
@@ -158,12 +166,17 @@ func (a *Alloc) SetRow(i int, row []int) error {
 }
 
 // Add adjusts k_{i,c} by delta (which may be negative), updating the load.
+// Like SetRow it refuses, leaving the allocation untouched, a change that
+// would push the allocation's total past math.MaxInt.
 func (a *Alloc) Add(i, c, delta int) error {
 	if i < 0 || i >= a.users {
 		return fmt.Errorf("core: user %d out of range [0, %d)", i, a.users)
 	}
 	if c < 0 || c >= a.channels {
 		return fmt.Errorf("core: channel %d out of range [0, %d)", c, a.channels)
+	}
+	if delta > 0 && delta > math.MaxInt-a.TotalRadios() {
+		return fmt.Errorf("core: adding %d radios at (%d, %d) overflows the allocation total", delta, i, c)
 	}
 	if a.m[i][c]+delta < 0 {
 		return fmt.Errorf("core: user %d channel %d would go negative (%d%+d)", i, c, a.m[i][c], delta)

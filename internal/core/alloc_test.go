@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -113,6 +114,54 @@ func TestAllocFromMatrixRejectsOverflow(t *testing.T) {
 	}
 	if a.TotalRadios() != math.MaxInt {
 		t.Fatalf("total %d, want math.MaxInt", a.TotalRadios())
+	}
+}
+
+// TestSetRowAndAddRejectOverflow holds SetRow and Add to the bound
+// AllocFromMatrix enforces: no change may push a channel load or the
+// allocation's total past math.MaxInt, and a refused change leaves the
+// allocation untouched.
+func TestSetRowAndAddRejectOverflow(t *testing.T) {
+	fill := func() *Alloc { // rows {{MaxInt,0,0},{0,0,0}}
+		a := mustAlloc(t, [][]int{{0, 0, 0}, {0, 0, 0}})
+		if err := a.SetRow(0, []int{math.MaxInt, 0, 0}); err != nil {
+			t.Fatalf("a total of exactly math.MaxInt must fit: %v", err)
+		}
+		return a
+	}
+	untouched := func(a *Alloc, what string) {
+		t.Helper()
+		if want := [][]int{{math.MaxInt, 0, 0}, {0, 0, 0}}; !a.Equal(mustAlloc(t, want)) {
+			t.Errorf("refused %s changed the matrix:\n%v", what, a.Matrix())
+		}
+		if loads := a.Loads(); loads[0] != math.MaxInt || loads[1] != 0 || loads[2] != 0 {
+			t.Errorf("refused %s changed the loads to %v", what, loads)
+		}
+	}
+	for _, row := range [][]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 3}} {
+		a := fill()
+		if err := a.SetRow(1, row); err == nil {
+			t.Errorf("SetRow(1, %v) onto a total of math.MaxInt accepted: loads %v", row, a.Loads())
+		}
+		untouched(a, fmt.Sprintf("SetRow(1, %v)", row))
+	}
+	for _, c := range []int{0, 1} {
+		a := fill()
+		if err := a.Add(1, c, 1); err == nil {
+			t.Errorf("Add(1, %d, 1) onto a total of math.MaxInt accepted: loads %v", c, a.Loads())
+		}
+		untouched(a, fmt.Sprintf("Add(1, %d, 1)", c))
+	}
+	// Replacing the full row itself, or taking radios away, still works.
+	a := fill()
+	if err := a.SetRow(0, []int{0, math.MaxInt, 0}); err != nil {
+		t.Errorf("SetRow replacing the full row: %v", err)
+	}
+	if err := a.Add(0, 1, -1); err != nil {
+		t.Errorf("Add(0, 1, -1): %v", err)
+	}
+	if err := a.Add(1, 2, 1); err != nil || a.TotalRadios() != math.MaxInt {
+		t.Errorf("Add back to exactly math.MaxInt: %v, total %d", err, a.TotalRadios())
 	}
 }
 

@@ -436,13 +436,15 @@ func TestIllegalAllocErrors(t *testing.T) {
 	if d, err := g.BenefitOfMove(target, 0, 0, 1); err == nil {
 		t.Fatalf("BenefitOfMove onto a channel with load 3 = %v, want an error", d)
 	}
-	// AllocFromMatrix refuses cells whose sum wraps, but SetRow does not,
-	// so the checked entry points still guard against them.
+	// AllocFromMatrix, SetRow and Add refuse cells whose sum wraps; an
+	// allocation written cell by cell in-package can still hold them, so
+	// the checked entry points guard against them too.
 	setRows := func(rows [][]int) *Alloc {
 		a := g.NewEmptyAlloc()
 		for i, row := range rows {
-			if err := a.SetRow(i, row); err != nil {
-				t.Fatal(err)
+			for c, v := range row {
+				a.m[i][c] = v
+				a.load[c] += v
 			}
 		}
 		return a
