@@ -299,36 +299,3 @@ func SolveOptimal(p Params, n int) (Result, error) {
 	pColl := 1 - math.Pow(1-tau, float64(n-1))
 	return p.throughputAt(n, tau, pColl), nil
 }
-
-// Curve evaluates Solve for n = 1..maxN and returns the throughputs in
-// Mbit/s, index i holding n = i+1.
-func Curve(p Params, maxN int) ([]float64, error) {
-	if maxN < 1 {
-		return nil, fmt.Errorf("bianchi: maxN = %d, want >= 1", maxN)
-	}
-	out := make([]float64, maxN)
-	for n := 1; n <= maxN; n++ {
-		r, err := Solve(p, n)
-		if err != nil {
-			return nil, fmt.Errorf("bianchi: curve at n=%d: %w", n, err)
-		}
-		out[n-1] = r.Throughput
-	}
-	return out, nil
-}
-
-// OptimalCurve evaluates SolveOptimal for n = 1..maxN.
-func OptimalCurve(p Params, maxN int) ([]float64, error) {
-	if maxN < 1 {
-		return nil, fmt.Errorf("bianchi: maxN = %d, want >= 1", maxN)
-	}
-	out := make([]float64, maxN)
-	for n := 1; n <= maxN; n++ {
-		r, err := SolveOptimal(p, n)
-		if err != nil {
-			return nil, fmt.Errorf("bianchi: optimal curve at n=%d: %w", n, err)
-		}
-		out[n-1] = r.Throughput
-	}
-	return out, nil
-}

@@ -198,38 +198,6 @@ func TestSolveOptimalErrors(t *testing.T) {
 	}
 }
 
-func TestCurves(t *testing.T) {
-	p := Default80211b()
-	curve, err := Curve(p, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 12 {
-		t.Fatalf("curve length %d, want 12", len(curve))
-	}
-	opt, err := OptimalCurve(p, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opt) != 12 {
-		t.Fatalf("optimal curve length %d, want 12", len(opt))
-	}
-	for i := range curve {
-		if curve[i] <= 0 || opt[i] <= 0 {
-			t.Errorf("non-positive throughput at n=%d", i+1)
-		}
-	}
-}
-
-func TestCurveErrors(t *testing.T) {
-	if _, err := Curve(Default80211b(), 0); err == nil {
-		t.Error("maxN=0 should error")
-	}
-	if _, err := OptimalCurve(Default80211b(), 0); err == nil {
-		t.Error("maxN=0 should error")
-	}
-}
-
 func TestPracticalRateContract(t *testing.T) {
 	f, err := PracticalRate(Default80211b())
 	if err != nil {
