@@ -36,7 +36,10 @@ type ChurnSpec struct {
 
 // Validate checks the spec is generable. The rate comparisons are written
 // so that a NaN rate fails them: a NaN delay would leave the event order
-// undefined.
+// undefined. The trace holds initial+events requests and its game at most
+// that many users, so a spec whose (initial+events)·channels exceeds
+// workload.MaxCells, the scenario grammar's bound, is refused with an error
+// wrapping workload.ErrTooLarge before anything is allocated.
 func (spec ChurnSpec) Validate() error {
 	if spec.Channels < 1 {
 		return fmt.Errorf("live: churn channels = %d, want >= 1", spec.Channels)
@@ -59,6 +62,13 @@ func (spec ChurnSpec) Validate() error {
 	}
 	if !(spec.BudgetRate >= 0) {
 		return fmt.Errorf("live: churn budget rate %v, want >= 0", spec.BudgetRate)
+	}
+	// Channels >= 1 and initial, events >= 0 hold here; bounding each count
+	// first keeps their sum from overflowing.
+	const maxCells = workload.MaxCells
+	if spec.Initial > maxCells || spec.Events > maxCells || spec.Initial+spec.Events > maxCells/spec.Channels {
+		return fmt.Errorf("live: churn spec: %w: (%d initial + %d events) x %d channels exceeds %d cells",
+			workload.ErrTooLarge, spec.Initial, spec.Events, spec.Channels, maxCells)
 	}
 	return nil
 }
@@ -91,10 +101,9 @@ func DefaultChurnSpec(channels, initial, events int, seed uint64) ChurnSpec {
 
 // ParseChurnSpec parses the compact form "channels,initial,events[,seed]"
 // (seed defaults to 1); the remaining parameters come from
-// DefaultChurnSpec. The trace holds initial+events requests and its game
-// at most that many users, so a spec whose (initial+events)·channels
-// exceeds workload.MaxCells, the scenario grammar's bound, is refused with
-// an error wrapping workload.ErrTooLarge.
+// DefaultChurnSpec, and the result must pass Validate (so a spec over the
+// workload.MaxCells bound is refused with an error wrapping
+// workload.ErrTooLarge).
 func ParseChurnSpec(s string) (ChurnSpec, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 3 && len(parts) != 4 {
@@ -119,13 +128,6 @@ func ParseChurnSpec(s string) (ChurnSpec, error) {
 	spec := DefaultChurnSpec(nums[0], nums[1], nums[2], seed)
 	if err := spec.Validate(); err != nil {
 		return ChurnSpec{}, err
-	}
-	// Validate leaves channels >= 1 and initial, events >= 0; bounding each
-	// count first keeps their sum from overflowing.
-	const maxCells = workload.MaxCells
-	if spec.Initial > maxCells || spec.Events > maxCells || spec.Initial+spec.Events > maxCells/spec.Channels {
-		return ChurnSpec{}, fmt.Errorf("live: churn spec %q: %w: (%d initial + %d events) x %d channels exceeds %d cells",
-			s, workload.ErrTooLarge, spec.Initial, spec.Events, spec.Channels, maxCells)
 	}
 	return spec, nil
 }

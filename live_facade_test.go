@@ -3,10 +3,12 @@ package chanalloc_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
 	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 // TestLiveFacade drives the live-game surface end to end through the
@@ -55,6 +57,27 @@ func TestLiveFacade(t *testing.T) {
 	ne, err := g.IsNashEquilibrium(lg.Alloc())
 	if err != nil || !ne {
 		t.Fatalf("terminal allocation not NE: %v %v", ne, err)
+	}
+}
+
+// TestGenerateChurnTraceRefusesOversizedSpec: a spec built directly, not
+// parsed from the churn grammar, meets the same (initial+events)·channels
+// cell bound, so the generator refuses it with an error before sizing its
+// queue or trace. The bound is inclusive.
+func TestGenerateChurnTraceRefusesOversizedSpec(t *testing.T) {
+	for _, spec := range []chanalloc.ChurnSpec{
+		chanalloc.DefaultChurnSpec(4, 6, 9000000000000000000, 1),
+		chanalloc.DefaultChurnSpec(4, 9000000000000000000, 6, 1),
+		chanalloc.DefaultChurnSpec(2, 2097152, 1, 1),
+	} {
+		trace, err := chanalloc.GenerateChurnTrace(spec)
+		if !errors.Is(err, workload.ErrTooLarge) || trace != nil {
+			t.Errorf("spec %d initial + %d events x %d channels: %d requests, error %v, want one wrapping workload.ErrTooLarge",
+				spec.Initial, spec.Events, spec.Channels, len(trace), err)
+		}
+	}
+	if err := chanalloc.DefaultChurnSpec(2, 2097151, 1, 1).Validate(); err != nil {
+		t.Errorf("spec at the cell bound refused: %v", err)
 	}
 }
 
