@@ -185,6 +185,63 @@ func BenchmarkBestResponseDP(b *testing.B) {
 	}
 }
 
+// BenchmarkQuietScreen measures the deviation test on a quiet user at the
+// sizes of BenchmarkBestResponseDP: the user holds its best response
+// against the same external loads (one single-radio user per unit of
+// load), so the marginal-allocation screen decides the verdict without the
+// DP fold. A benchdiff of the two names the kernel's share of a verdict;
+// zero allocations per operation.
+func BenchmarkQuietScreen(b *testing.B) {
+	for _, sz := range []struct{ c, k int }{{6, 4}, {16, 8}, {64, 16}} {
+		b.Run(fmt.Sprintf("C%d_k%d", sz.c, sz.k), func(b *testing.B) {
+			r := chanalloc.TDMA(1)
+			budgets := []int{sz.k}
+			ext := make([]int, sz.c)
+			for c := range ext {
+				ext[c] = (c*7)%5 + 1
+				for l := 0; l < ext[c]; l++ {
+					budgets = append(budgets, 1)
+				}
+			}
+			g, err := chanalloc.NewHeteroGame(sz.c, budgets, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			best, _, err := chanalloc.BestResponseToLoads(r, ext, sz.k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := chanalloc.NewAlloc(len(budgets), sz.c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := a.SetRow(0, best); err != nil {
+				b.Fatal(err)
+			}
+			u := 1
+			for c, l := range ext {
+				for ; l > 0; l-- {
+					if err := a.Add(u, c, 1); err != nil {
+						b.Fatal(err)
+					}
+					u++
+				}
+			}
+			ws := chanalloc.NewWorkspace()
+			if row, _, improves, err := g.DeviationInto(ws, a, 0, chanalloc.DefaultEps); err != nil || improves || row != nil {
+				b.Fatalf("verdict not decided by the screen: row %v improves %v (%v)", row, improves, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, improves, err := g.DeviationInto(ws, a, 0, chanalloc.DefaultEps); err != nil || improves {
+					b.Fatalf("quiet user improves (%v)", err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBestResponseDPOneShot is the allocating convenience form, kept
 // so a benchdiff comparison shows the one-shot vs workspace gap.
 func BenchmarkBestResponseDPOneShot(b *testing.B) {

@@ -72,16 +72,21 @@ func (g *Game) BestResponseInto(ws *Workspace, a *Alloc, i int) ([]int, float64,
 	return row, val, nil
 }
 
-// BestResponseValueInto is BestResponseInto's value alone, bit for bit,
-// without tracing back the optimal row — all a deviation verdict needs.
-func (g *Game) BestResponseValueInto(ws *Workspace, a *Alloc, i int) (float64, error) {
+// DeviationInto is the deviation test of user i at tolerance eps in the
+// caller's workspace: improves reports that i's best response is worth more
+// than Utility(a, i)+eps, and then row (aliasing ws) and best are exactly
+// BestResponseInto's. Most quiet verdicts are decided by marginal
+// allocation without the DP (RateView.DeviationInto); row is then nil. The
+// allocation is NOT re-validated.
+func (g *Game) DeviationInto(ws *Workspace, a *Alloc, i int, eps float64) (row []int, best float64, improves bool, err error) {
 	if ws == nil {
-		return 0, fmt.Errorf("core: nil workspace")
+		return nil, 0, false, fmt.Errorf("core: nil workspace")
 	}
 	if i < 0 || i >= g.Users() {
-		return 0, fmt.Errorf("core: user %d out of range [0, %d)", i, g.Users())
+		return nil, 0, false, fmt.Errorf("core: user %d out of range [0, %d)", i, g.Users())
 	}
-	return g.view.BestResponseValueInto(ws, a, i, g.budgets[i]), nil
+	row, best, improves = g.view.DeviationInto(ws, a, i, g.budgets[i], eps)
+	return row, best, improves, nil
 }
 
 // BestResponseToLoads computes the utility-maximising placement of up to k
@@ -140,23 +145,22 @@ func (g *Game) FindDeviation(a *Alloc, eps float64) (*Deviation, error) {
 }
 
 // FindDeviationWith is FindDeviation running in the caller's workspace: it
-// sweeps users in index order with the allocation-free DP and returns the
-// first profitable deviation (identical to FindDeviation's answer), or nil.
-// Zero allocations unless a deviation is found. The allocation is not
-// re-validated.
+// sweeps users in index order with the deviation test (DeviationInto) and
+// returns the first profitable deviation (identical to FindDeviation's
+// answer), or nil. Zero allocations unless a deviation is found. The
+// allocation is not re-validated.
 func (g *Game) FindDeviationWith(ws *Workspace, a *Alloc, eps float64) (*Deviation, error) {
 	for i := 0; i < g.Users(); i++ {
-		current := g.Utility(a, i)
-		row, best, err := g.BestResponseInto(ws, a, i)
+		row, best, improves, err := g.DeviationInto(ws, a, i, eps)
 		if err != nil {
 			return nil, err
 		}
-		if best > current+eps {
+		if improves {
 			return &Deviation{
 				User:    i,
 				Current: a.Row(i),
 				Better:  append([]int(nil), row...),
-				Gain:    best - current,
+				Gain:    best - g.Utility(a, i),
 			}, nil
 		}
 	}

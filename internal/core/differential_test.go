@@ -312,8 +312,9 @@ func TestDifferentialBestResponseMatchesReference(t *testing.T) {
 // and values whether it reads its v rows in place from the share plane
 // (the game's own view) or builds them in the workspace from the rate
 // table (a view over the same game with the plane cap forced to zero), and
-// both must match the reference DP; the value-only form must return the
-// full DP's value bit for bit. The games include mixed budgets where a
+// both must match the reference DP; the deviation test must agree with the
+// reference verdict and, whenever it runs the DP (forced here by a
+// tolerance of -1), return the full DP's row and value bit for bit. The games include mixed budgets where a
 // small-budget user faces an external load above Σk_i − max k_i, the rows
 // a plane sized for the largest budget alone would not cover.
 func TestDifferentialBestResponseLayouts(t *testing.T) {
@@ -359,8 +360,13 @@ func TestDifferentialBestResponseLayouts(t *testing.T) {
 					t.Fatalf("%s (%s) user %d (k=%d, ext %v) %s rows: row %v value %v, reference row %v value %v",
 						name, rate.Name(), i, k, ext, layout, row, val, wantRow, wantVal)
 				}
-				if got, err := game.BestResponseValueInto(ws, a, i); err != nil || got != wantVal {
-					t.Fatalf("%s (%s) user %d %s rows: value-only DP %v (%v), want %v", name, rate.Name(), i, layout, got, err, wantVal)
+				if _, _, improves, err := game.DeviationInto(ws, a, i, DefaultEps); err != nil || improves != (wantVal > game.Utility(a, i)+DefaultEps) {
+					t.Fatalf("%s (%s) user %d %s rows: deviation verdict %v (%v), reference value %v against utility %v",
+						name, rate.Name(), i, layout, improves, err, wantVal, game.Utility(a, i))
+				}
+				if row, val, improves, err := game.DeviationInto(ws, a, i, -1); err != nil || !improves || val != wantVal || !slices.Equal(row, wantRow) {
+					t.Fatalf("%s (%s) user %d %s rows: deviation test at eps -1: row %v value %v improves %v (%v), want row %v value %v",
+						name, rate.Name(), i, layout, row, val, improves, err, wantRow, wantVal)
 				}
 			}
 		}

@@ -16,6 +16,7 @@ var (
 	mDPCalls       = obs.NewCounter("kernel_dp_calls_total")
 	mScreenAccepts = obs.NewCounter("kernel_screen_accepts_total")
 	mScreenRejects = obs.NewCounter("kernel_screen_rejects_total")
+	mScreenQuiet   = obs.NewCounter("kernel_screen_quiet_total")
 	mPoolHits      = obs.NewCounter("workspace_pool_hits_total")
 	mPoolMisses    = obs.NewCounter("workspace_pool_misses_total")
 )
@@ -26,6 +27,7 @@ type wsCounts struct {
 	dpCalls       uint64 // best-response DP folds executed
 	screenAccepts uint64 // profiles the screened oracle accepted as NE
 	screenRejects uint64 // profiles rejected by the Eq. 7 screen (no DP)
+	screenQuiet   uint64 // quiet verdicts the marginal-allocation screen decided (no DP)
 }
 
 // FlushObs folds the workspace's accumulated kernel counts into the
@@ -41,6 +43,9 @@ func (ws *Workspace) FlushObs() {
 	}
 	if ws.obs.screenRejects != 0 {
 		mScreenRejects.Add(ws.obs.screenRejects)
+	}
+	if ws.obs.screenQuiet != 0 {
+		mScreenQuiet.Add(ws.obs.screenQuiet)
 	}
 	ws.obs = wsCounts{}
 }

@@ -10,10 +10,12 @@ func TestWorkspaceFlushObs(t *testing.T) {
 	ws.obs.dpCalls += 5
 	ws.obs.screenAccepts += 3
 	ws.obs.screenRejects += 2
+	ws.obs.screenQuiet += 4
 
 	dp := mDPCalls.Value()
 	acc := mScreenAccepts.Value()
 	rej := mScreenRejects.Value()
+	quiet := mScreenQuiet.Value()
 	ws.FlushObs()
 	// Deltas are >= because parallel tests share the process globals.
 	if got := mDPCalls.Value() - dp; got < 5 {
@@ -24,6 +26,9 @@ func TestWorkspaceFlushObs(t *testing.T) {
 	}
 	if got := mScreenRejects.Value() - rej; got < 2 {
 		t.Errorf("screen rejects flushed %d, want >= 2", got)
+	}
+	if got := mScreenQuiet.Value() - quiet; got < 4 {
+		t.Errorf("screened quiet verdicts flushed %d, want >= 4", got)
 	}
 	if ws.obs != (wsCounts{}) {
 		t.Errorf("flush must zero the workspace counts, got %+v", ws.obs)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
@@ -32,6 +34,11 @@ type RateView struct {
 	maxOwn int       // share rows cover own radios 0..maxOwn
 	table  []float64 // R(0..maxLoad+maxOwn)
 	share  []float64 // row m, entry x: share(x, m+x); stride maxOwn+1; nil when over the cap
+	// concave[m] is the largest K <= maxOwn such that share row m is
+	// finite, non-negative and has non-increasing float increments
+	// fl(v[x] - v[x-1]) over 0..K: the rows the quiet screen may read for
+	// budgets up to K (see quietScreen). Nil with the plane.
+	concave []int32
 }
 
 // NewRateView tabulates R over loads 0..maxLoad+maxOwn and the share plane
@@ -49,6 +56,7 @@ func NewRateView(rate ratefn.Func, maxLoad, maxOwn int) *RateView {
 		return rv
 	}
 	rv.share = make([]float64, (maxLoad+1)*stride)
+	rv.concave = make([]int32, maxLoad+1)
 	for m := 0; m <= maxLoad; m++ {
 		row := rv.share[m*stride : (m+1)*stride]
 		for x := 1; x <= maxOwn; x++ {
@@ -56,8 +64,25 @@ func NewRateView(rate ratefn.Func, maxLoad, maxOwn int) *RateView {
 			// share(x, m+x, rate) because table[m+x] is rate.Rate(m+x).
 			row[x] = float64(x) / float64(m+x) * rv.table[m+x]
 		}
+		rv.concave[m] = int32(concavePrefix(row))
 	}
 	return rv
+}
+
+// concavePrefix returns the largest K such that row[0..K] is finite and
+// non-negative and its float increments fl(row[x] - row[x-1]), x = 1..K,
+// are non-increasing. The comparisons are written so that a NaN ends the
+// prefix.
+func concavePrefix(row []float64) int {
+	prev := math.Inf(1)
+	for x := 1; x < len(row); x++ {
+		d := row[x] - row[x-1]
+		if !(row[x] >= 0 && row[x] <= math.MaxFloat64 && d <= prev) {
+			return x - 1
+		}
+		prev = d
+	}
+	return len(row) - 1
 }
 
 // Rate returns the underlying rate function.
@@ -350,8 +375,7 @@ func bestResponseDP(ws *Workspace, v []float64, C, k int) ([]int, float64) {
 }
 
 // bestResponseFold is the DP's forward pass: it fills the suffix-value
-// slab f and returns the optimum f[0][k]. BestResponseValueInto stops here
-// and skips the traceback.
+// slab f and returns the optimum f[0][k].
 func bestResponseFold(ws *Workspace, v []float64, C, k int) float64 {
 	ws.obs.dpCalls++
 	stride := ws.capK + 1
@@ -383,11 +407,105 @@ func (rv *RateView) BestResponseAllocInto(ws *Workspace, a *Alloc, i, k int) ([]
 	return bestResponseDP(ws, rv.layoutDP(ws, a, i, k), a.Channels(), k)
 }
 
-// BestResponseValueInto is BestResponseAllocInto's value alone, bit for
-// bit, without tracing back the optimal row — all a deviation verdict
-// needs, since it compares the value against the current utility.
-func (rv *RateView) BestResponseValueInto(ws *Workspace, a *Alloc, i, k int) float64 {
-	return bestResponseFold(ws, rv.layoutDP(ws, a, i, k), a.Channels(), k)
+// DeviationInto is the deviation test behind every best-response verdict:
+// improves reports that user i with budget k has a best response worth more
+// than UtilityOf(a, i)+eps. The quiet screen (quietScreen) decides most
+// quiet verdicts in O(C·k) without the DP; every other case runs the DP
+// fold and traceback, so an improving row and its value are always the
+// DP's, bit for bit BestResponseAllocInto's (row aliases ws). On a screened
+// quiet verdict row is nil and best is the greedy value, within the
+// screen's bound δ of the DP's.
+func (rv *RateView) DeviationInto(ws *Workspace, a *Alloc, i, k int, eps float64) (row []int, best float64, improves bool) {
+	lim := rv.UtilityOf(a, i) + eps
+	v := rv.layoutDP(ws, a, i, k)
+	C := a.Channels()
+	if g, quiet := rv.quietScreen(ws, v, C, k, lim); quiet {
+		ws.obs.screenQuiet++
+		return nil, g, false
+	}
+	row, best = bestResponseDP(ws, v, C, k)
+	return row, best, best > lim
+}
+
+// quietScreen decides by marginal allocation (Gross 1956) that the fold's
+// value F over the laid-out rows cannot exceed lim. It only ever answers
+// "quiet"; false means "run the fold". It returns the greedy value G too.
+//
+// It applies when every row the DP reads, v_c = share row ext[c], is
+// flagged concave through k (concavePrefix). Greedy adds one radio at a
+// time where the float increment d̂_c(x) = fl(v_c[x] − v_c[x−1]) is largest
+// and positive; G sums the chosen row's values in the fold's suffix order.
+// The answer is quiet when fl(G + δ) < lim, δ = 4(C+1)·k·V1·u + 2⁻¹⁰⁰⁰ with
+// u = 2⁻⁵³ and V1 = max_c v_c[1], the greedy's first increment.
+//
+// Why F ≤ lim then. For a row y with Σy_c ≤ k write S(y) = Σ_c v_c[y_c]
+// and Ŵ(y) = Σ_c Σ_{x≤y_c} d̂_c(x), both exact, and T(y) = Σ_c Σ_{x≤y_c}
+// |d_c(x)| for the exact increments d.
+//   - Each fold cell is fl(v_c[x] + f[c+1][b−x]) for one x, so F is the
+//     float suffix sum of some such row y*, and G of the greedy row g. A
+//     recursive sum of C non-negative terms errs by at most γ·S, with
+//     γ = (C−1)u/(1−(C−1)u): F ≤ S(y*) + γS(y*), S(g) ≤ G + γS(g).
+//   - Per row the d̂ are non-increasing, and greedy compares them exactly,
+//     so it maximises Ŵ: Ŵ(y*) ≤ Ŵ(g).
+//   - Rounding keeps signs and |d − d̂| ≤ u|d|, so |S(y) − Ŵ(y)| ≤ u·T(y).
+//     With v_c ≥ 0 and d̂_c(x) ≤ d̂_c(1) = v_c[1] a row's increments give
+//     Σ_{x≤y_c}|d_c(x)| ≤ 2y_c·v_c[1]/(1−2u) and v_c[y_c] ≤
+//     y_c·v_c[1]/(1−2u); summed, T(y) ≤ 2k·V1/(1−2u), S(y) ≤ k·V1/(1−2u).
+//
+// Chained, F ≤ G + γ(S(y*) + S(g)) + u(T(y*) + T(g)) ≤ G + (2γ + 4u)·
+// k·V1/(1−2u), about 2(C+1)·k·V1·u for any C below 2⁴⁰. δ is twice that,
+// which covers its own roundings; the 2⁻¹⁰⁰⁰ term covers an underflowing
+// product. Rounding is monotone, so fl(G + δ) < lim gives G + δ ≤ lim and
+// F ≤ lim: the fold would not find best > lim either. A row that is not
+// finite, non-negative and concave is never read, and a NaN or an infinity
+// in G or δ fails the comparison, so those cases reach the fold.
+func (rv *RateView) quietScreen(ws *Workspace, v []float64, C, k int, lim float64) (float64, bool) {
+	if rv.concave == nil {
+		return 0, false
+	}
+	for _, m := range ws.ext[:C] {
+		if int(rv.concave[m]) < k {
+			return 0, false
+		}
+	}
+	// x is the greedy row and d each channel's next increment, in the
+	// row and suffix-slab scratch the fold would overwrite anyway.
+	off, x, d := ws.voff[:C], ws.row[:C], ws.f[:C]
+	clear(x)
+	for c, o := range off {
+		d[c] = v[o+1] - v[o]
+	}
+	var v1 float64
+	for r := 0; r < k; r++ {
+		best, at := 0.0, -1
+		for c, dc := range d {
+			if dc > best {
+				best, at = dc, c
+			}
+		}
+		if at < 0 {
+			break
+		}
+		if r == 0 {
+			v1 = best
+		}
+		x[at]++
+		if r+1 < k {
+			o := off[at] + x[at]
+			d[at] = v[o+1] - v[o]
+		}
+	}
+	var g float64
+	for c := C - 1; c >= 0; c-- {
+		g = v[off[c]+x[c]] + g
+	}
+	return g, g+quietBand(C, k, v1) < lim
+}
+
+// quietBand is the quiet screen's δ for C channels, budget k and largest
+// one-radio share v1: twice the bound on F − G proven at quietScreen.
+func quietBand(C, k int, v1 float64) float64 {
+	return float64(4*(C+1)*k)*0x1p-53*v1 + 0x1p-1000
 }
 
 // layoutDP sizes the workspace for user i's DP with budget k, computes the
@@ -417,14 +535,6 @@ func (rv *RateView) UtilityOf(a *Alloc, i int) float64 {
 	return u
 }
 
-// deviates reports whether user i with budget k can improve by more than
-// eps, via the allocation-free DP.
-func (rv *RateView) deviates(ws *Workspace, a *Alloc, i, k int, eps float64) bool {
-	current := rv.UtilityOf(a, i)
-	_, best := rv.BestResponseAllocInto(ws, a, i, k)
-	return best > current+eps
-}
-
 // ScreenedNE is the screen-then-prove NE oracle behind
 // Game.IsNashEquilibriumWith, bit-identical in verdict to the exhaustive
 // per-user DP sweep with zero steady-state allocations:
@@ -432,9 +542,10 @@ func (rv *RateView) deviates(ws *Workspace, a *Alloc, i, k int, eps float64) boo
 //   - screen: each user's Eq. 7 single-radio deltas (ScreenSingleMoves). A
 //     flagged candidate is confirmed by MovedRowValue — the DP optimum
 //     provably dominates it, so a confirmed reject is exactly the DP's
-//     conclusion — with the full DP as fallback; users the fallback clears
-//     are marked and skipped by the prove pass.
-//   - prove: remaining users pay the full O(|C|·k²) DP each.
+//     conclusion — with the deviation test as fallback; users the fallback
+//     clears are marked and skipped by the prove pass.
+//   - prove: remaining users pay the deviation test each (DeviationInto:
+//     the quiet screen, else the full O(|C|·k²) DP).
 //
 // User i's budget is budgets[i]. The allocation is not validated; callers
 // guarantee it is legal.
@@ -450,13 +561,16 @@ func (rv *RateView) ScreenedNE(ws *Workspace, a *Alloc, budgets []int, eps float
 			ws.obs.screenRejects++
 			return false
 		}
-		if rv.deviates(ws, a, i, k, eps) {
+		if _, _, improves := rv.DeviationInto(ws, a, i, k, eps); improves {
 			return false
 		}
 		cleared[i] = true
 	}
 	for i := 0; i < users; i++ {
-		if !cleared[i] && rv.deviates(ws, a, i, budgets[i], eps) {
+		if cleared[i] {
+			continue
+		}
+		if _, _, improves := rv.DeviationInto(ws, a, i, budgets[i], eps); improves {
 			return false
 		}
 	}

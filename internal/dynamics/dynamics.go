@@ -59,8 +59,9 @@ type Result struct {
 	// verdict was not already cached (radio-greedy runs report 0). An
 	// evaluation answered by a (budget, row) class already proven quiet
 	// counts like one that ran the DP, so the number depends only on the
-	// move sequence; the DPs actually executed are the
-	// kernel_dp_calls_total counter.
+	// move sequence; the DP folds actually executed are the
+	// kernel_dp_calls_total counter, the verdicts the quiet screen decided
+	// without one kernel_screen_quiet_total.
 	// Warm-started re-equilibration exists to shrink this number — see
 	// Requilibrate.
 	DPCalls int
@@ -245,12 +246,11 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg confi
 				quietAt[i] = res.Moves
 				continue
 			}
-			current := g.Utility(a, i)
-			row, best, err := g.BestResponseInto(ws, a, i)
+			row, _, improves, err := g.DeviationInto(ws, a, i, cfg.eps)
 			if err != nil {
 				return Result{}, fmt.Errorf("dynamics: best response for user %d: %w", i, err)
 			}
-			if best > current+cfg.eps {
+			if improves {
 				if err := a.SetRow(i, row); err != nil {
 					return Result{}, fmt.Errorf("dynamics: applying row for user %d: %w", i, err)
 				}

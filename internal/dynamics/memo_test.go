@@ -171,17 +171,22 @@ func churnTwin(t *testing.T, games [2]*core.LiveGame, rng *des.RNG, grow, maxBud
 	return kind
 }
 
-// kernelDPs counts the best-response DPs the kernel actually executed; the
-// sweep flushes its workspace's count into it at the end of every run.
-var kernelDPs = obs.NewCounter("kernel_dp_calls_total")
+// kernelDPs counts the best-response DP folds the kernel actually executed
+// and kernelScreened the quiet verdicts its screen decided without one; the
+// sweep flushes its workspace's counts into both at the end of every run.
+var (
+	kernelDPs      = obs.NewCounter("kernel_dp_calls_total")
+	kernelScreened = obs.NewCounter("kernel_screen_quiet_total")
+)
 
 // TestRequilibrateMemoDifferential pins the warm start and the sweep over
 // the live game's (budget, row) class index against the per-user
 // reference: on every event of seeded churn traces in the many-users,
 // few-channels regime, the two give identical rounds, moves, potential
 // traces, DP call counts, warm skips and final allocations, the indexed
-// run executes no more DPs than it counts, and both live games (index
-// included) pass their invariant check.
+// run executes no more kernel verdicts (DP folds plus screened quiet
+// verdicts) than it counts, and both live games (index included) pass
+// their invariant check.
 func TestRequilibrateMemoDifferential(t *testing.T) {
 	users, events := 256, 300
 	if testing.Short() {
@@ -214,9 +219,9 @@ func TestRequilibrateMemoDifferential(t *testing.T) {
 			for ev := 0; ev < users+events; ev++ {
 				kind := churnTwin(t, games, rng, users, tc.maxBudget)
 				opts := append(slices.Clone(tc.opts), WithWorkspace(ws))
-				dp0 := kernelDPs.Value()
+				dp0, sq0 := kernelDPs.Value(), kernelScreened.Value()
 				got, err := Requilibrate(games[0], opts...)
-				executed := int(kernelDPs.Value() - dp0)
+				executed := int(kernelDPs.Value() - dp0 + kernelScreened.Value() - sq0)
 				if err != nil {
 					t.Fatalf("event %d (%s): %v", ev, kind, err)
 				}
@@ -237,7 +242,7 @@ func TestRequilibrateMemoDifferential(t *testing.T) {
 					}
 				}
 				if executed > got.DPCalls {
-					t.Fatalf("event %d (%s): executed %d DPs for %d evaluations", ev, kind, executed, got.DPCalls)
+					t.Fatalf("event %d (%s): executed %d kernel verdicts for %d evaluations", ev, kind, executed, got.DPCalls)
 				}
 				hits += got.DPCalls - executed
 			}

@@ -40,12 +40,11 @@ func RunSimultaneous(g *core.Game, start *core.Alloc, inertia float64, opts ...O
 		anyImprovement := false
 		for i := 0; i < g.Users(); i++ {
 			rows[i] = nil
-			current := g.Utility(a, i)
-			row, best, err := g.BestResponseInto(ws, a, i)
+			row, _, improves, err := g.DeviationInto(ws, a, i, cfg.eps)
 			if err != nil {
 				return Result{}, fmt.Errorf("dynamics: best response for user %d: %w", i, err)
 			}
-			if best > current+cfg.eps {
+			if improves {
 				anyImprovement = true
 				if inertia == 1 || rng.Float64() < inertia {
 					// The DP row aliases the workspace; copy before the next

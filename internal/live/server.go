@@ -373,9 +373,7 @@ func verifyUsers(g *core.Game, a *core.Alloc, ws *core.Workspace, users []int, r
 		if refuted != nil && refuted.Load() {
 			return true // some other shard already decided; verdict unaffected
 		}
-		current := g.Utility(a, i)
-		best, err := g.BestResponseValueInto(ws, a, i)
-		if err != nil || best > current+core.DefaultEps {
+		if _, _, improves, err := g.DeviationInto(ws, a, i, core.DefaultEps); err != nil || improves {
 			return false
 		}
 	}
