@@ -421,30 +421,8 @@ func BenchmarkSimultaneousDynamics(b *testing.B) {
 	}
 }
 
-// BenchmarkEnumerateNEParallel measures the exhaustive NE enumeration
-// sharded over the engine, at one worker (the serial baseline cost plus
-// pool overhead) and at NumCPU workers.
-func BenchmarkEnumerateNEParallel(b *testing.B) {
-	b.ReportAllocs()
-	g := benchGame(b, 4, 4, 2, chanalloc.TDMA(1))
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				nes, err := chanalloc.EnumerateNEParallel(g, 10_000_000, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(nes) == 0 {
-					b.Fatal("no NE found")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEnumerateNESerial is the unsharded baseline for
-// BenchmarkEnumerateNEParallel.
+// BenchmarkEnumerateNESerial measures the exhaustive NE enumeration of
+// the 4×4×2 reference game.
 func BenchmarkEnumerateNESerial(b *testing.B) {
 	b.ReportAllocs()
 	g := benchGame(b, 4, 4, 2, chanalloc.TDMA(1))
@@ -609,11 +587,10 @@ func BenchmarkScreenIncremental(b *testing.B) {
 
 // BenchmarkParetoImprovement measures the exhaustive Pareto-optimality
 // scan on the 4×4×2 reference game from an Algorithm 1 equilibrium — a
-// Pareto-optimal input, so both variants pay the worst case: the complete
-// walk of the 50625-profile grid with no early exit. "orbit" is the serial
-// grid walk, still named for the orbit-reduced search it replaced so that
-// benchdiff pairs it across that change, and "parallel" the same walk
-// sharded by leading rows at NumCPU workers.
+// Pareto-optimal input, so it pays the worst case: the complete walk of
+// the 50625-profile grid with no early exit. "orbit" is the grid walk,
+// still named for the orbit-reduced search it replaced so that benchdiff
+// pairs it across that change.
 func BenchmarkParetoImprovement(b *testing.B) {
 	b.ReportAllocs()
 	g := benchGame(b, 4, 4, 2, chanalloc.TDMA(1))
@@ -626,18 +603,6 @@ func BenchmarkParetoImprovement(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w, err := chanalloc.FindParetoImprovement(g, ne, chanalloc.DefaultEps, cap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if w != nil {
-				b.Fatal("Algorithm 1's NE must be Pareto-optimal")
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w, err := chanalloc.FindParetoImprovementParallel(g, ne, chanalloc.DefaultEps, cap, runtime.NumCPU())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -32,8 +32,8 @@
 //
 // # Parallel experiment engine
 //
-// Batch paths run on a deterministic worker pool (ParallelMap,
-// EnumerateNEParallel, RunBatch): jobs fan out over runtime.NumCPU()
+// Batch paths run on a deterministic worker pool (ParallelMap, RunBatch):
+// jobs fan out over runtime.NumCPU()
 // workers, every job draws randomness from a PRNG stream derived from the
 // root seed and the job index alone, and results fan in ordered by job —
 // so batch output is byte-identical for every worker count. cmd/sweep runs
@@ -200,12 +200,12 @@ func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*
 	return core.FindParetoImprovement(g, a, eps, maxProfiles)
 }
 
-// FindParetoImprovementParallel is FindParetoImprovement sharded over the
-// deterministic worker pool by pinned leading rows of the profile grid
-// (like EnumerateNEParallel): the serial witness at any worker count.
-// workers < 1 means runtime.NumCPU().
+// FindParetoImprovementParallel returns FindParetoImprovement's witness.
+//
+// Deprecated: the search is no longer sharded and workers is ignored; call
+// FindParetoImprovement.
 func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles int64, workers int) (*Alloc, error) {
-	return core.FindParetoImprovementParallel(g, a, eps, maxProfiles, workers)
+	return core.FindParetoImprovement(g, a, eps, maxProfiles)
 }
 
 // EnumerateNE collects every Nash equilibrium of a tiny game by exhaustive

@@ -55,8 +55,7 @@ func expLemmas(out io.Writer, env expEnv) error {
 
 // expTheorem1 (E2) compares the Theorem 1 checker against the exact
 // best-response oracle on every allocation of a family of tiny games under
-// constant R. Agreement must be total. The exhaustive enumeration runs
-// sharded over the engine's worker pool.
+// constant R. Agreement must be total.
 func expTheorem1(out io.Writer, env expEnv) error {
 	fmt.Fprintln(out, "== E2: Theorem 1 characterisation vs exact oracle (constant R) ==")
 	configs := []struct{ n, c, k int }{
@@ -68,7 +67,7 @@ func expTheorem1(out io.Writer, env expEnv) error {
 		if err != nil {
 			return err
 		}
-		nes, err := chanalloc.EnumerateNEParallel(g, 10_000_000, env.workers)
+		nes, err := chanalloc.EnumerateNE(g, 10_000_000)
 		if err != nil {
 			return err
 		}
@@ -110,7 +109,7 @@ func expPareto(out io.Writer, env expEnv) error {
 		if err != nil {
 			return err
 		}
-		nes, err := chanalloc.EnumerateNEParallel(g, 10_000_000, env.workers)
+		nes, err := chanalloc.EnumerateNE(g, 10_000_000)
 		if err != nil {
 			return err
 		}

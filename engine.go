@@ -48,14 +48,12 @@ func ParallelForEach(n int, fn func(job int, rng *RNG) error, opts ...EngineOpti
 	return engine.ForEach(n, fn, opts...)
 }
 
-// EnumerateNEParallel is EnumerateNE sharded over the worker pool by the
-// first user's strategy row — or, when the game has few strategies per user
-// relative to the pool, by the first two users' rows, keeping every worker
-// busy. Either way the result is identical to the serial enumeration,
-// equilibrium for equilibrium, for every worker count (workers < 1 means
-// runtime.NumCPU()).
+// EnumerateNEParallel returns EnumerateNE's equilibria.
+//
+// Deprecated: the enumeration is no longer sharded and workers is ignored;
+// call EnumerateNE.
 func EnumerateNEParallel(g *Game, maxProfiles int64, workers int) ([]*Alloc, error) {
-	return core.EnumerateNEParallel(g, maxProfiles, workers)
+	return core.EnumerateNE(g, maxProfiles)
 }
 
 // Pluggable engine backends, re-exported. A Backend executes batches of a

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/big"
 
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
@@ -190,107 +189,4 @@ func (g *Game) IsNashEquilibriumWith(ws *Workspace, a *Alloc) (bool, error) {
 		return false, fmt.Errorf("core: nil workspace")
 	}
 	return g.view.ScreenedNE(ws, a, g.budgets, DefaultEps), nil
-}
-
-// UtilityRat computes U_i(S) exactly, if the game's rate function supports
-// exact rational evaluation. The second return is false otherwise.
-func (g *Game) UtilityRat(a *Alloc, i int) (*big.Rat, bool) {
-	exact, ok := g.rate.(ratefn.Exact)
-	if !ok {
-		return nil, false
-	}
-	u := new(big.Rat)
-	for c := 0; c < a.Channels(); c++ {
-		ki := a.Radios(i, c)
-		if ki == 0 {
-			continue
-		}
-		kc := a.Load(c)
-		term := new(big.Rat).Mul(big.NewRat(int64(ki), int64(kc)), exact.RateRat(kc))
-		u.Add(u, term)
-	}
-	return u, true
-}
-
-// BestResponseRat is the exact-arithmetic analogue of BestResponse. It
-// returns an optimal row and its utility as a big.Rat, or ok=false if the
-// rate function does not support exact evaluation.
-func (g *Game) BestResponseRat(a *Alloc, i int) (row []int, util *big.Rat, ok bool, err error) {
-	exact, isExact := g.rate.(ratefn.Exact)
-	if !isExact {
-		return nil, nil, false, nil
-	}
-	if err := g.CheckAlloc(a); err != nil {
-		return nil, nil, false, err
-	}
-	if i < 0 || i >= g.Users() {
-		return nil, nil, false, fmt.Errorf("core: user %d out of range [0, %d)", i, g.Users())
-	}
-	k := g.budgets[i]
-	C := g.channels
-
-	v := make([][]*big.Rat, C)
-	for c := 0; c < C; c++ {
-		ext := a.Load(c) - a.Radios(i, c)
-		v[c] = make([]*big.Rat, k+1)
-		v[c][0] = new(big.Rat)
-		for x := 1; x <= k; x++ {
-			total := ext + x
-			v[c][x] = new(big.Rat).Mul(big.NewRat(int64(x), int64(total)), exact.RateRat(total))
-		}
-	}
-
-	f := make([][]*big.Rat, C+1)
-	choice := make([][]int, C)
-	f[C] = make([]*big.Rat, k+1)
-	for b := range f[C] {
-		f[C][b] = new(big.Rat)
-	}
-	for c := C - 1; c >= 0; c-- {
-		f[c] = make([]*big.Rat, k+1)
-		choice[c] = make([]int, k+1)
-		for b := 0; b <= k; b++ {
-			var best *big.Rat
-			bestX := 0
-			for x := 0; x <= b; x++ {
-				val := new(big.Rat).Add(v[c][x], f[c+1][b-x])
-				if best == nil || val.Cmp(best) > 0 {
-					best, bestX = val, x
-				}
-			}
-			f[c][b] = best
-			choice[c][b] = bestX
-		}
-	}
-
-	row = make([]int, C)
-	b := k
-	for c := 0; c < C; c++ {
-		row[c] = choice[c][b]
-		b -= row[c]
-	}
-	return row, f[0][k], true, nil
-}
-
-// IsNashEquilibriumRat decides NE membership in exact rational arithmetic.
-// ok=false means the rate function cannot be evaluated exactly; use the
-// floating-point oracle instead.
-func (g *Game) IsNashEquilibriumRat(a *Alloc) (isNE, ok bool, err error) {
-	for i := 0; i < g.Users(); i++ {
-		current, exact := g.UtilityRat(a, i)
-		if !exact {
-			return false, false, nil
-		}
-		_, best, exact, err := g.BestResponseRat(a, i)
-		if err != nil {
-			return false, false, err
-		}
-		if !exact {
-			return false, false, nil
-		}
-		if best.Cmp(current) > 0 {
-			return false, true, nil
-		}
-	}
-	return true, true, nil
 }

@@ -176,13 +176,6 @@ func (g *Game) Utilities(a *Alloc) []float64 {
 	return out
 }
 
-// UtilitiesInto is Utilities into the workspace's reusable buffer: zero
-// steady-state allocations; the returned slice aliases ws and is valid
-// until its next Utils use.
-func (g *Game) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
-	return g.view.UtilitiesInto(ws, a)
-}
-
 // Welfare computes the total rate achieved by all users,
 // Σ_{c : k_c > 0} R(k_c), which equals Σ_i U_i(S). It requires a legal
 // allocation of g (see Utility).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -321,81 +322,44 @@ func TestFindParetoImprovementWitnessIsOdometerFirst(t *testing.T) {
 	}
 }
 
-// TestFindParetoImprovementParallelMatchesSerial: the sharded search must
-// return the serial search's result at every worker count, witness
-// included. The 3×3×2 game has 10 rows per user, so workers 1–5 shard on
-// user 0's row alone and workers 8 on users 0 and 1 (10 < 2·8); the
-// one-user game pins every digit of its single-digit shards.
-func TestFindParetoImprovementParallelMatchesSerial(t *testing.T) {
-	rates := []ratefn.Func{ratefn.NewTDMA(1), ratefn.Harmonic{R0: 2, Alpha: 0.6}}
-	for _, rate := range rates {
-		g := mustGame(t, 3, 3, 2, rate)
-		ne, err := Algorithm1(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		crowded := mustAlloc(t, [][]int{
-			{2, 0, 0},
-			{2, 0, 0},
-			{2, 0, 0},
-		})
-		solo := mustGame(t, 1, 3, 2, rate)
-		soloNE, err := Algorithm1(solo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases := []struct {
-			g    *Game
-			base *Alloc
-		}{
-			{g, ne}, {g, crowded}, {g, g.NewEmptyAlloc()},
-			{solo, soloNE}, {solo, mustAlloc(t, [][]int{{1, 0, 0}})}, {solo, solo.NewEmptyAlloc()},
-		}
-		for bi, tc := range cases {
-			serial, err := FindParetoImprovement(tc.g, tc.base, DefaultEps, 5_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 5, 8} {
-				par, err := FindParetoImprovementParallel(tc.g, tc.base, DefaultEps, 5_000_000, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if (serial == nil) != (par == nil) {
-					t.Fatalf("%s base %d workers %d: serial found %v, parallel found %v",
-						rate.Name(), bi, workers, serial != nil, par != nil)
-				}
-				if serial != nil && !serial.Equal(par) {
-					t.Fatalf("%s base %d workers %d: witnesses differ\nserial:\n%v\nparallel:\n%v",
-						rate.Name(), bi, workers, serial, par)
-				}
-			}
-		}
+// TestEnumerateNEHonoursCap keeps the exhaustive-search guard on both
+// grid searches.
+func TestEnumerateNEHonoursCap(t *testing.T) {
+	g, err := NewGame(4, 4, 3, ratefn.NewTDMA(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EnumerateNE(g, 100); err == nil {
+		t.Fatal("EnumerateNE: profile cap not enforced")
+	}
+	if _, err := FindParetoImprovement(g, g.NewEmptyAlloc(), DefaultEps, 100); err == nil {
+		t.Fatal("FindParetoImprovement: profile cap not enforced")
 	}
 }
 
-// TestUtilitiesIntoMatchesUtilities pins the workspace-backed utility
-// vector against the allocating form, bit for bit, with the buffer reused
-// across instances.
-func TestUtilitiesIntoMatchesUtilities(t *testing.T) {
-	rates := differentialRates(t)
-	ws := NewWorkspace()
-	for seed := uint64(0); seed < 60; seed++ {
-		rate := rates[int(seed)%len(rates)]
-		g, a, err := randomInstance(seed, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := g.Utilities(a)
-		got := g.UtilitiesInto(ws, a)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d utilities, want %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d user %d: UtilitiesInto %v, Utilities %v", seed, i, got[i], want[i])
-			}
-		}
+// TestForEachRestSurfacesSetRowError pins the error plumbing of the grid
+// walker (gridWalk): an invariant-breaking allocation (here, strategy rows
+// whose length does not match the game's channel count) must surface as
+// an error instead of silently truncating the enumeration.
+func TestForEachRestSurfacesSetRowError(t *testing.T) {
+	g, err := NewGame(2, 3, 2, ratefn.NewTDMA(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badRows := [][][]int{{{1, 1}}, {{1, 1}}} // two channels where the game has three
+	calls := 0
+	err = gridWalk(g, badRows, func(*Alloc) bool {
+		calls++
+		return true
+	})
+	if err == nil {
+		t.Fatal("invariant-breaking SetRow must surface, not truncate the walk")
+	}
+	if want := "setting row for user 0"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to contain %q", err, want)
+	}
+	if calls != 0 {
+		t.Fatalf("fn ran %d times on an invalid allocation", calls)
 	}
 }
 

@@ -193,7 +193,7 @@ func (rv *RateView) MovedRowValue(a *Alloc, i, from, to int) float64 {
 // and lives with it (see Classes).
 //
 // A Workspace is not safe for concurrent use: hold one per goroutine
-// (engine workers, dynamics runs, enumeration shards each own one).
+// (engine workers, dynamics runs and exhaustive searches each own one).
 type Workspace struct {
 	v     []float64 // C rows of stride capK+1: v[c][x]
 	voff  []int     // start of channel c's v row in the plane the DP reads
@@ -201,7 +201,6 @@ type Workspace struct {
 	ext   []int     // external loads, len capC
 	row   []int     // result strategy row, len capC
 	marks []bool    // per-user oracle bookkeeping, see userMarks
-	utils []float64 // per-user utility buffer, see Utils
 	ints  []int     // per-user int scratch, see UserInts
 	capC  int
 	capK  int
@@ -260,15 +259,6 @@ func (ws *Workspace) ensure(C, k int) {
 	ws.row = ints[2*ws.capC:]
 }
 
-// Utils returns an n-length float64 scratch slice reused across calls: the
-// backing store of UtilitiesInto. Contents are unspecified on entry.
-func (ws *Workspace) Utils(n int) []float64 {
-	if cap(ws.utils) < n {
-		ws.utils = make([]float64, n)
-	}
-	return ws.utils[:n]
-}
-
 // UserInts returns an n-length int scratch slice reused across calls: the
 // best-response sweep's visit order and quiet stamps, the live verifier's
 // class representatives. Contents are unspecified on entry.
@@ -293,17 +283,6 @@ func (ws *Workspace) ensureWelfare(C, total int) (rates, f []float64, loads []in
 		ws.wload = make([]int, C)
 	}
 	return ws.wrate[:total+1], ws.wf[:C*(total+1)], ws.wload[:C]
-}
-
-// UtilitiesInto computes every user's utility into the workspace's
-// reusable buffer — the allocation-free form of Game.Utilities. The
-// returned slice aliases ws and is valid until its next Utils use.
-func (rv *RateView) UtilitiesInto(ws *Workspace, a *Alloc) []float64 {
-	out := ws.Utils(a.Users())
-	for i := range out {
-		out[i] = rv.UtilityOf(a, i)
-	}
-	return out
 }
 
 // fillShares lays out the v rows for the given external loads and budget

@@ -209,7 +209,7 @@ func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return neShard(g, rows, nil)
+	return neShard(g, rows)
 }
 
 // FindParetoImprovement searches for an allocation that makes every user
@@ -231,5 +231,5 @@ func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*
 	if err != nil {
 		return nil, err
 	}
-	return paretoShard(g, rows, g.Utilities(a), eps, nil)
+	return paretoShard(g, rows, g.Utilities(a), eps)
 }

@@ -15,7 +15,6 @@ package ratefn
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"sync"
 )
 
@@ -30,14 +29,6 @@ type Func interface {
 	Rate(k int) float64
 	// Name returns a short human-readable identifier used in tables.
 	Name() string
-}
-
-// Exact is implemented by rate functions that can produce exact rational
-// values, enabling the big.Rat game oracle to avoid floating point entirely.
-type Exact interface {
-	Func
-	// RateRat returns R(k) as an exact rational.
-	RateRat(k int) *big.Rat
 }
 
 // Validate checks the Func contract (R(0)=0, non-negativity, monotone
@@ -74,10 +65,7 @@ type Constant struct {
 	R0 float64
 }
 
-var (
-	_ Func  = Constant{}
-	_ Exact = Constant{}
-)
+var _ Func = Constant{}
 
 // NewTDMA returns the reservation-TDMA rate function with total channel rate
 // r0 (the paper's "reservation TDMA" curve in Figure 3).
@@ -91,14 +79,6 @@ func (c Constant) Rate(k int) float64 {
 	return c.R0
 }
 
-// RateRat returns the exact rational value of Rate(k).
-func (c Constant) RateRat(k int) *big.Rat {
-	if k <= 0 {
-		return new(big.Rat)
-	}
-	return floatRat(c.R0)
-}
-
 // Name implements Func.
 func (c Constant) Name() string { return fmt.Sprintf("tdma(%.3g)", c.R0) }
 
@@ -110,10 +90,7 @@ type Harmonic struct {
 	Alpha float64
 }
 
-var (
-	_ Func  = Harmonic{}
-	_ Exact = Harmonic{}
-)
+var _ Func = Harmonic{}
 
 // Rate implements Func.
 func (h Harmonic) Rate(k int) float64 {
@@ -121,18 +98,6 @@ func (h Harmonic) Rate(k int) float64 {
 		return 0
 	}
 	return h.R0 / (1 + h.Alpha*float64(k-1))
-}
-
-// RateRat returns the exact rational value of Rate(k).
-func (h Harmonic) RateRat(k int) *big.Rat {
-	if k <= 0 {
-		return new(big.Rat)
-	}
-	denom := new(big.Rat).Add(
-		big.NewRat(1, 1),
-		new(big.Rat).Mul(floatRat(h.Alpha), big.NewRat(int64(k-1), 1)),
-	)
-	return new(big.Rat).Quo(floatRat(h.R0), denom)
 }
 
 // Name implements Func.
@@ -145,10 +110,7 @@ type Geometric struct {
 	Beta float64
 }
 
-var (
-	_ Func  = Geometric{}
-	_ Exact = Geometric{}
-)
+var _ Func = Geometric{}
 
 // Rate implements Func.
 func (g Geometric) Rate(k int) float64 {
@@ -156,19 +118,6 @@ func (g Geometric) Rate(k int) float64 {
 		return 0
 	}
 	return g.R0 * math.Pow(g.Beta, float64(k-1))
-}
-
-// RateRat returns the exact rational value of Rate(k).
-func (g Geometric) RateRat(k int) *big.Rat {
-	if k <= 0 {
-		return new(big.Rat)
-	}
-	beta := floatRat(g.Beta)
-	out := floatRat(g.R0)
-	for i := 1; i < k; i++ {
-		out.Mul(out, beta)
-	}
-	return out
 }
 
 // Name implements Func.
@@ -183,10 +132,7 @@ type Linear struct {
 	Slope float64
 }
 
-var (
-	_ Func  = Linear{}
-	_ Exact = Linear{}
-)
+var _ Func = Linear{}
 
 // Rate implements Func.
 func (l Linear) Rate(k int) float64 {
@@ -196,19 +142,6 @@ func (l Linear) Rate(k int) float64 {
 	r := l.R0 - l.Slope*float64(k-1)
 	if r < 0 {
 		return 0
-	}
-	return r
-}
-
-// RateRat returns the exact rational value of Rate(k).
-func (l Linear) RateRat(k int) *big.Rat {
-	if k <= 0 {
-		return new(big.Rat)
-	}
-	r := new(big.Rat).Sub(floatRat(l.R0),
-		new(big.Rat).Mul(floatRat(l.Slope), big.NewRat(int64(k-1), 1)))
-	if r.Sign() < 0 {
-		return new(big.Rat)
 	}
 	return r
 }
@@ -324,14 +257,4 @@ func Freeze(inner Func, maxK int) (*Table, error) {
 		values[k-1] = inner.Rate(k)
 	}
 	return NewTable(inner.Name(), values)
-}
-
-// floatRat converts a float64 to an exact big.Rat. Rate parameters are
-// finite by construction; a non-finite value maps to zero.
-func floatRat(f float64) *big.Rat {
-	r := new(big.Rat)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return r
-	}
-	return r.SetFloat64(f)
 }

@@ -2,7 +2,6 @@ package ratefn
 
 import (
 	"math"
-	"math/big"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,17 +22,6 @@ func TestConstant(t *testing.T) {
 	}
 	if err := Validate(c, 64); err != nil {
 		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestConstantExact(t *testing.T) {
-	c := NewTDMA(11)
-	if got := c.RateRat(0); got.Sign() != 0 {
-		t.Errorf("RateRat(0) = %v, want 0", got)
-	}
-	want := big.NewRat(11, 1)
-	if got := c.RateRat(5); got.Cmp(want) != 0 {
-		t.Errorf("RateRat(5) = %v, want %v", got, want)
 	}
 }
 
@@ -64,16 +52,6 @@ func TestHarmonicZeroAlphaIsConstant(t *testing.T) {
 	}
 }
 
-func TestHarmonicExactMatchesFloat(t *testing.T) {
-	h := Harmonic{R0: 10, Alpha: 0.5}
-	for k := 0; k <= 12; k++ {
-		exact, _ := h.RateRat(k).Float64()
-		if math.Abs(exact-h.Rate(k)) > 1e-9 {
-			t.Errorf("k=%d: RateRat=%v Rate=%v", k, exact, h.Rate(k))
-		}
-	}
-}
-
 func TestGeometric(t *testing.T) {
 	g := Geometric{R0: 8, Beta: 0.5}
 	tests := []struct {
@@ -92,16 +70,6 @@ func TestGeometric(t *testing.T) {
 	}
 }
 
-func TestGeometricExactMatchesFloat(t *testing.T) {
-	g := Geometric{R0: 8, Beta: 0.25}
-	for k := 0; k <= 10; k++ {
-		exact, _ := g.RateRat(k).Float64()
-		if math.Abs(exact-g.Rate(k)) > 1e-9 {
-			t.Errorf("k=%d: RateRat=%v Rate=%v", k, exact, g.Rate(k))
-		}
-	}
-}
-
 func TestLinear(t *testing.T) {
 	l := Linear{R0: 10, Slope: 3}
 	tests := []struct {
@@ -117,20 +85,6 @@ func TestLinear(t *testing.T) {
 	}
 	if err := Validate(l, 64); err != nil {
 		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestLinearExactMatchesFloat(t *testing.T) {
-	l := Linear{R0: 5, Slope: 1.25}
-	for k := 0; k <= 10; k++ {
-		exact, _ := l.RateRat(k).Float64()
-		if math.Abs(exact-l.Rate(k)) > 1e-9 {
-			t.Errorf("k=%d: RateRat=%v Rate=%v", k, exact, l.Rate(k))
-		}
-	}
-	// Clamp at zero must hold exactly.
-	if l.RateRat(100).Sign() != 0 {
-		t.Error("RateRat should clamp at zero")
 	}
 }
 
