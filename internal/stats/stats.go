@@ -1,11 +1,8 @@
-// Package stats provides the descriptive statistics used by the experiment
-// harnesses: streaming moments, quantiles, confidence intervals, fairness
-// indices and fixed-width histograms, plus the Mann–Whitney U test that
-// cmd/benchdiff runs on repeated benchmark samples.
+// Package stats provides the statistics the experiments and tools use:
+// quantiles and medians, Jain's fairness index, and the Mann–Whitney U
+// test that cmd/benchdiff runs on repeated benchmark samples.
 //
-// The package is intentionally small and dependency-free; it exists so that
-// benchmark and simulation code never hand-rolls numerically fragile
-// accumulators.
+// The package is intentionally small and dependency-free.
 package stats
 
 import (
@@ -17,114 +14,6 @@ import (
 
 // ErrNoData is returned by summaries that need at least one observation.
 var ErrNoData = errors.New("stats: no data")
-
-// Running accumulates streaming mean and variance using Welford's algorithm.
-// The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// AddAll records every observation in xs.
-func (r *Running) AddAll(xs ...float64) {
-	for _, x := range xs {
-		r.Add(x)
-	}
-}
-
-// N reports the number of observations recorded so far.
-func (r *Running) N() int { return r.n }
-
-// Mean reports the running mean. It is 0 for an empty accumulator.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Min reports the smallest observation, or 0 when empty.
-func (r *Running) Min() float64 { return r.min }
-
-// Max reports the largest observation, or 0 when empty.
-func (r *Running) Max() float64 { return r.max }
-
-// Variance reports the unbiased sample variance (n-1 denominator).
-// It is 0 when fewer than two observations were recorded.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// StdErr reports the standard error of the mean.
-func (r *Running) StdErr() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.StdDev() / math.Sqrt(float64(r.n))
-}
-
-// Summary is a point-in-time snapshot of a Running accumulator.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summary snapshots the accumulator.
-func (r *Running) Summary() Summary {
-	return Summary{N: r.n, Mean: r.mean, StdDev: r.StdDev(), Min: r.min, Max: r.max}
-}
-
-// String renders the summary as "mean ± sd [min, max] (n=N)".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.6g ± %.3g [%.6g, %.6g] (n=%d)", s.Mean, s.StdDev, s.Min, s.Max, s.N)
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: variance needs >= 2 samples, got %d: %w", len(xs), ErrNoData)
-	}
-	var r Running
-	r.AddAll(xs...)
-	return r.Variance(), nil
-}
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the numpy/R default).
@@ -178,125 +67,6 @@ func JainIndex(xs []float64) (float64, error) {
 	}
 	n := float64(len(xs))
 	return sum * sum / (n * sumSq), nil
-}
-
-// normalQuantile returns the standard normal quantile for the given upper
-// confidence level using the Acklam rational approximation (|error| < 1.2e-9
-// over the open interval).
-func normalQuantile(p float64) float64 {
-	// Coefficients for the Acklam inverse-normal approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const pLow = 0.02425
-	switch {
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p > 1-pLow:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	}
-}
-
-// Interval is a symmetric confidence interval around a mean.
-type Interval struct {
-	Mean  float64
-	Lo    float64
-	Hi    float64
-	Level float64
-}
-
-// String renders the interval as "mean [lo, hi] @ level".
-func (iv Interval) String() string {
-	return fmt.Sprintf("%.6g [%.6g, %.6g] @%.0f%%", iv.Mean, iv.Lo, iv.Hi, iv.Level*100)
-}
-
-// ConfidenceInterval returns a normal-approximation confidence interval for
-// the mean of xs at the given level (e.g. 0.95).
-func ConfidenceInterval(xs []float64, level float64) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, ErrNoData
-	}
-	if level <= 0 || level >= 1 {
-		return Interval{}, fmt.Errorf("stats: confidence level %v out of (0,1)", level)
-	}
-	var r Running
-	r.AddAll(xs...)
-	z := normalQuantile(1 - (1-level)/2)
-	half := z * r.StdErr()
-	return Interval{Mean: r.Mean(), Lo: r.Mean() - half, Hi: r.Mean() + half, Level: level}, nil
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations below Lo
-	Over     int // observations at or above Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: histogram bounds [%v, %v) are empty", lo, hi)
-	}
-	return &Histogram{
-		Lo:       lo,
-		Hi:       hi,
-		Counts:   make([]int, bins),
-		binWidth: (hi - lo) / float64(bins),
-	}, nil
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		idx := int((x - h.Lo) / h.binWidth)
-		if idx >= len(h.Counts) { // guard against float rounding at the edge
-			idx = len(h.Counts) - 1
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total reports the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	total := h.Under + h.Over
-	for _, c := range h.Counts {
-		total += c
-	}
-	return total
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
 }
 
 // exactUMax bounds the sample sizes MannWhitneyU enumerates exactly: the
