@@ -1,7 +1,7 @@
 // Package combin provides the combinatorial enumeration primitives used by
 // the exhaustive game-theory oracles: integer compositions (strategy spaces
-// of a multi-radio user), bounded compositions, and cartesian products over
-// per-player strategy sets.
+// of a multi-radio user) and cartesian products over per-player strategy
+// sets.
 //
 // All iterators are allocation-conscious: they reuse an internal buffer and
 // hand the caller a view that must be copied if retained, mirroring the
@@ -42,83 +42,6 @@ func Compositions(total, parts int, fn func([]int) bool) error {
 	return nil
 }
 
-// BoundedCompositions enumerates all length-parts vectors of non-negative
-// integers summing to total with every entry at most bound. fn receives a
-// reused buffer; returning false stops enumeration early.
-func BoundedCompositions(total, parts, bound int, fn func([]int) bool) error {
-	if total < 0 {
-		return fmt.Errorf("combin: negative total %d", total)
-	}
-	if parts <= 0 {
-		return fmt.Errorf("combin: non-positive parts %d", parts)
-	}
-	if bound < 0 {
-		return fmt.Errorf("combin: negative bound %d", bound)
-	}
-	if total > parts*bound {
-		return nil // no valid compositions; not an error
-	}
-	buf := make([]int, parts)
-	var rec func(idx, remaining int) bool
-	rec = func(idx, remaining int) bool {
-		if idx == parts-1 {
-			if remaining > bound {
-				return true
-			}
-			buf[idx] = remaining
-			return fn(buf)
-		}
-		maxV := remaining
-		if maxV > bound {
-			maxV = bound
-		}
-		// Prune: the remaining slots must be able to absorb what is left.
-		for v := 0; v <= maxV; v++ {
-			if remaining-v > (parts-idx-1)*bound {
-				continue
-			}
-			buf[idx] = v
-			if !rec(idx+1, remaining-v) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, total)
-	return nil
-}
-
-// CountCompositions returns C(total+parts-1, parts-1), the number of
-// compositions of total into parts non-negative integers. It returns an
-// error on overflow of int64 arithmetic or invalid arguments.
-func CountCompositions(total, parts int) (int64, error) {
-	if total < 0 || parts <= 0 {
-		return 0, fmt.Errorf("combin: invalid compositions(%d, %d)", total, parts)
-	}
-	return Binomial(total+parts-1, parts-1)
-}
-
-// Binomial returns C(n, k) using 64-bit integer arithmetic, erroring on
-// overflow rather than wrapping.
-func Binomial(n, k int) (int64, error) {
-	if n < 0 || k < 0 || k > n {
-		return 0, fmt.Errorf("combin: invalid binomial(%d, %d)", n, k)
-	}
-	if k > n-k {
-		k = n - k
-	}
-	result := int64(1)
-	for i := 1; i <= k; i++ {
-		num := int64(n - k + i)
-		// result * num must not overflow.
-		if result > (1<<62)/num {
-			return 0, fmt.Errorf("combin: binomial(%d, %d) overflows int64", n, k)
-		}
-		result = result * num / int64(i)
-	}
-	return result, nil
-}
-
 // Product enumerates the cartesian product of index spaces with the given
 // sizes: every vector v with 0 <= v[i] < sizes[i]. fn receives a reused
 // buffer; returning false stops enumeration early. An empty sizes slice
@@ -147,23 +70,4 @@ func Product(sizes []int, fn func([]int) bool) error {
 			return nil
 		}
 	}
-}
-
-// CollectCompositions materialises Compositions(total, parts) as a slice of
-// freshly allocated vectors. Intended for small strategy spaces in tests and
-// exhaustive oracles; use Compositions directly when streaming suffices.
-func CollectCompositions(total, parts int) ([][]int, error) {
-	n, err := CountCompositions(total, parts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int, 0, n)
-	err = Compositions(total, parts, func(v []int) bool {
-		out = append(out, append([]int(nil), v...))
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

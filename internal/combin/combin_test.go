@@ -3,7 +3,6 @@ package combin
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestCompositionsSmall(t *testing.T) {
@@ -55,11 +54,13 @@ func TestCompositionsCountMatchesFormula(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			want, err := CountCompositions(total, parts)
-			if err != nil {
-				t.Fatal(err)
+			// C(total+parts-1, parts-1), by the multiplicative formula.
+			n, k := total+parts-1, parts-1
+			want := 1
+			for i := 1; i <= k; i++ {
+				want = want * (n - k + i) / i
 			}
-			if int64(count) != want {
+			if count != want {
 				t.Errorf("Compositions(%d,%d) yielded %d, formula says %d", total, parts, count, want)
 			}
 		}
@@ -85,143 +86,6 @@ func TestCompositionsErrors(t *testing.T) {
 	}
 	if err := Compositions(1, 0, func([]int) bool { return true }); err == nil {
 		t.Error("zero parts should error")
-	}
-}
-
-func TestBoundedCompositions(t *testing.T) {
-	var got [][]int
-	if err := BoundedCompositions(3, 3, 2, func(v []int) bool {
-		got = append(got, append([]int(nil), v...))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// All vectors of length 3, entries <= 2, summing to 3.
-	want := [][]int{
-		{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 1, 1}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BoundedCompositions(3,3,2) = %v, want %v", got, want)
-	}
-}
-
-func TestBoundedCompositionsInfeasible(t *testing.T) {
-	called := false
-	if err := BoundedCompositions(10, 2, 3, func(v []int) bool {
-		called = true
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Fatal("infeasible bound should yield nothing")
-	}
-}
-
-func TestBoundedCompositionsMatchesFiltered(t *testing.T) {
-	for total := 0; total <= 5; total++ {
-		for parts := 1; parts <= 4; parts++ {
-			for bound := 0; bound <= 4; bound++ {
-				var bounded [][]int
-				if err := BoundedCompositions(total, parts, bound, func(v []int) bool {
-					bounded = append(bounded, append([]int(nil), v...))
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				var filtered [][]int
-				if err := Compositions(total, parts, func(v []int) bool {
-					for _, x := range v {
-						if x > bound {
-							return true
-						}
-					}
-					filtered = append(filtered, append([]int(nil), v...))
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if len(bounded) == 0 && len(filtered) == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(bounded, filtered) {
-					t.Fatalf("total=%d parts=%d bound=%d: bounded %v != filtered %v",
-						total, parts, bound, bounded, filtered)
-				}
-			}
-		}
-	}
-}
-
-func TestBoundedCompositionsErrors(t *testing.T) {
-	fn := func([]int) bool { return true }
-	if err := BoundedCompositions(-1, 1, 1, fn); err == nil {
-		t.Error("negative total should error")
-	}
-	if err := BoundedCompositions(1, 0, 1, fn); err == nil {
-		t.Error("zero parts should error")
-	}
-	if err := BoundedCompositions(1, 1, -1, fn); err == nil {
-		t.Error("negative bound should error")
-	}
-}
-
-func TestBinomial(t *testing.T) {
-	tests := []struct {
-		n, k int
-		want int64
-	}{
-		{0, 0, 1}, {5, 0, 1}, {5, 5, 1}, {5, 2, 10}, {10, 3, 120}, {52, 5, 2598960},
-	}
-	for _, tc := range tests {
-		got, err := Binomial(tc.n, tc.k)
-		if err != nil {
-			t.Fatalf("Binomial(%d,%d): %v", tc.n, tc.k, err)
-		}
-		if got != tc.want {
-			t.Errorf("Binomial(%d,%d) = %d, want %d", tc.n, tc.k, got, tc.want)
-		}
-	}
-}
-
-func TestBinomialSymmetry(t *testing.T) {
-	f := func(n, k uint8) bool {
-		nn := int(n % 40)
-		kk := int(k) % (nn + 1)
-		a, errA := Binomial(nn, kk)
-		b, errB := Binomial(nn, nn-kk)
-		return errA == nil && errB == nil && a == b
-	}
-	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinomialPascal(t *testing.T) {
-	for n := 1; n <= 30; n++ {
-		for k := 1; k < n; k++ {
-			c, _ := Binomial(n, k)
-			a, _ := Binomial(n-1, k-1)
-			b, _ := Binomial(n-1, k)
-			if c != a+b {
-				t.Fatalf("Pascal identity fails at C(%d,%d): %d != %d + %d", n, k, c, a, b)
-			}
-		}
-	}
-}
-
-func TestBinomialErrors(t *testing.T) {
-	if _, err := Binomial(-1, 0); err == nil {
-		t.Error("negative n should error")
-	}
-	if _, err := Binomial(3, 5); err == nil {
-		t.Error("k > n should error")
-	}
-	if _, err := Binomial(3, -1); err == nil {
-		t.Error("negative k should error")
-	}
-	if _, err := Binomial(200, 100); err == nil {
-		t.Error("huge binomial should overflow")
 	}
 }
 
@@ -271,26 +135,5 @@ func TestProductEarlyStop(t *testing.T) {
 func TestProductErrors(t *testing.T) {
 	if err := Product([]int{2, 0}, func([]int) bool { return true }); err == nil {
 		t.Error("zero-size dimension should error")
-	}
-}
-
-func TestCollectCompositions(t *testing.T) {
-	got, err := CollectCompositions(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 6 {
-		t.Fatalf("CollectCompositions(2,3) has %d entries, want 6", len(got))
-	}
-	// Returned slices must be independent allocations.
-	got[0][0] = 99
-	if got[1][0] == 99 {
-		t.Fatal("collected compositions share a buffer")
-	}
-}
-
-func TestCollectCompositionsError(t *testing.T) {
-	if _, err := CollectCompositions(-1, 1); err == nil {
-		t.Fatal("invalid args should error")
 	}
 }
