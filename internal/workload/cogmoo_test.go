@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -50,97 +49,6 @@ func TestCogMOOReproducible(t *testing.T) {
 	}
 	if s1.Alloc.String() != s2.Alloc.String() {
 		t.Fatal("cogmoo start allocation is not reproducible")
-	}
-	m1, err := NewCogMOOObjectives(5, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := NewCogMOOObjectives(5, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m1.Interference {
-		for c := range m1.Interference[i] {
-			if m1.Interference[i][c] != m2.Interference[i][c] {
-				t.Fatalf("interference weights differ at (%d,%d)", i, c)
-			}
-			if w := m1.Interference[i][c]; w < 0 || w >= 1 {
-				t.Fatalf("weight (%d,%d)=%v outside [0,1)", i, c, w)
-			}
-		}
-	}
-	// A different seed draws a different objective landscape.
-	m3, err := NewCogMOOObjectives(5, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range m1.Interference {
-		for c := range m1.Interference[i] {
-			if m1.Interference[i][c] != m3.Interference[i][c] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("seed change did not move the interference weights")
-	}
-}
-
-func TestCogMOOObjectives(t *testing.T) {
-	r := ratefn.NewTDMA(1)
-	s, err := ByName("cogmoo:5,4,2", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewCogMOOObjectives(5, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interference cost: non-negative, and equal to the hand-computed sum.
-	cost := m.InterferenceCost(s.Alloc)
-	if cost < 0 {
-		t.Fatalf("interference cost %v < 0", cost)
-	}
-	manual := 0.0
-	for i := 0; i < s.Game.Users(); i++ {
-		for c := 0; c < s.Game.Channels(); c++ {
-			manual += float64(s.Alloc.Radios(i, c)) * m.Interference[i][c]
-		}
-	}
-	if math.Abs(cost-manual) > 1e-12 {
-		t.Fatalf("InterferenceCost %v, manual sum %v", cost, manual)
-	}
-	// Jain's index: 1 for equal shares, 1/N for a monopoly, within (0,1].
-	if f := m.Fairness([]float64{2, 2, 2, 2}); math.Abs(f-1) > 1e-12 {
-		t.Fatalf("equal shares give Jain %v, want 1", f)
-	}
-	if f := m.Fairness([]float64{5, 0, 0, 0, 0}); math.Abs(f-0.2) > 1e-12 {
-		t.Fatalf("monopoly gives Jain %v, want 1/N = 0.2", f)
-	}
-	if f := m.Fairness(nil); f != 1 {
-		t.Fatalf("empty utilities give Jain %v, want the neutral 1", f)
-	}
-	if f := m.Fairness(s.Game.Utilities(s.Alloc)); f <= 0 || f > 1+1e-12 {
-		t.Fatalf("Jain %v outside (0,1]", f)
-	}
-	// The scalarisation responds to its weights in the documented
-	// directions: throughput and fairness reward, interference penalises.
-	base := m.Score(s.Game, s.Alloc, 1, 1, 1)
-	if math.IsNaN(base) || math.IsInf(base, 0) {
-		t.Fatalf("score %v not finite", base)
-	}
-	if cost > 0 {
-		heavier := m.Score(s.Game, s.Alloc, 1, 1, 2)
-		if heavier >= base {
-			t.Fatalf("raising the interference weight did not lower the score (%v -> %v)", base, heavier)
-		}
-	}
-	if s.Game.Welfare(s.Alloc) > 0 {
-		richer := m.Score(s.Game, s.Alloc, 2, 1, 1)
-		if richer <= base {
-			t.Fatalf("raising the throughput weight did not raise the score (%v -> %v)", base, richer)
-		}
 	}
 }
 

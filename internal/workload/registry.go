@@ -154,7 +154,7 @@ func init() {
 	mustRegister(Family{
 		Name:        "cogmoo",
 		Usage:       "cogmoo:N,C[,seed]",
-		Description: "multi-objective cognitive band: per-user primary interference + fairness objectives (arXiv:2004.05767)",
+		Description: "N single-radio secondary users over C licensed channels, C < N allowed, random start (arXiv:2004.05767)",
 	}, generateCogMOO)
 	mustRegister(Family{
 		Name:        "mesh",

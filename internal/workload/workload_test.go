@@ -333,28 +333,6 @@ func TestFamiliesListing(t *testing.T) {
 	}
 }
 
-func TestRebuild(t *testing.T) {
-	s, err := Figure4(ratefn.NewTDMA(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := ratefn.Harmonic{R0: 1, Alpha: 1}
-	s2, err := s.Rebuild(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Game.Rate().Name() != h.Name() {
-		t.Fatalf("rebuilt rate = %s, want %s", s2.Game.Rate().Name(), h.Name())
-	}
-	// Allocation is cloned, not shared.
-	if err := s2.Alloc.Add(0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if s.Alloc.Radios(0, 0) == s2.Alloc.Radios(0, 0) {
-		t.Fatal("rebuild shares allocation storage")
-	}
-}
-
 func TestRebuildExceptionNEBreaksUnderSharpDecay(t *testing.T) {
 	// Experiment E8's core observation: the Figure-4 exception NE survives
 	// constant R but admits a deviation under R(k) = 1/k (u1 moving a c5
@@ -374,74 +352,6 @@ func TestRebuildExceptionNEBreaksUnderSharpDecay(t *testing.T) {
 		t.Fatal("Figure 4 should admit a deviation under R(k)=1/k")
 	}
 }
-
-func TestRandomGame(t *testing.T) {
-	for seed := uint64(0); seed < 50; seed++ {
-		g, err := RandomGame(seed, 6, 8, 5, ratefn.NewTDMA(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Users() < 1 || g.Users() > 6 {
-			t.Fatalf("users %d out of range", g.Users())
-		}
-		if g.Channels() < 1 || g.Channels() > 8 {
-			t.Fatalf("channels %d out of range", g.Channels())
-		}
-		if g.Radios() < 1 || g.Radios() > g.Channels() || g.Radios() > 5 {
-			t.Fatalf("radios %d invalid for %d channels", g.Radios(), g.Channels())
-		}
-	}
-	if _, err := RandomGame(1, 0, 2, 2, ratefn.NewTDMA(1)); err == nil {
-		t.Fatal("invalid bounds should error")
-	}
-}
-
-func TestSweep(t *testing.T) {
-	var seen int
-	err := Sweep(1, 2, 1, 3, 2, func(n, c, k int) error {
-		if k > c || k > 2 {
-			t.Fatalf("invalid triple (%d,%d,%d)", n, c, k)
-		}
-		seen++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// N in {1,2}; C=1: k=1; C=2: k in {1,2}; C=3: k in {1,2} -> 5 per N.
-	if seen != 10 {
-		t.Fatalf("sweep visited %d triples, want 10", seen)
-	}
-}
-
-func TestSweepErrors(t *testing.T) {
-	if err := Sweep(0, 1, 1, 1, 1, func(int, int, int) error { return nil }); err == nil {
-		t.Error("invalid bounds should error")
-	}
-	if err := Sweep(2, 1, 1, 1, 1, func(int, int, int) error { return nil }); err == nil {
-		t.Error("inverted bounds should error")
-	}
-}
-
-func TestSweepPropagatesCallbackError(t *testing.T) {
-	sentinel := false
-	err := Sweep(1, 3, 1, 3, 3, func(n, c, k int) error {
-		if n == 2 {
-			sentinel = true
-			return errStop
-		}
-		return nil
-	})
-	if err != errStop || !sentinel {
-		t.Fatalf("callback error not propagated: %v", err)
-	}
-}
-
-var errStop = &stopError{}
-
-type stopError struct{}
-
-func (*stopError) Error() string { return "stop" }
 
 // TestScenarioCellBound pins the grammar's size bound: every parametric
 // family refuses users·channels > MaxCells with ErrTooLarge before it
