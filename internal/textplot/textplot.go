@@ -117,44 +117,6 @@ func formatTick(v float64) string {
 	return strconv.FormatFloat(v, 'g', 4, 64)
 }
 
-// BarChart renders labelled horizontal bars scaled to the maximum value.
-func BarChart(title string, labels []string, values []float64, width int) (string, error) {
-	if len(labels) != len(values) {
-		return "", fmt.Errorf("textplot: %d labels for %d values", len(labels), len(values))
-	}
-	if len(labels) == 0 {
-		return "", fmt.Errorf("textplot: no bars")
-	}
-	if width < 8 {
-		return "", fmt.Errorf("textplot: bar width %d too small", width)
-	}
-	maxV := math.Inf(-1)
-	for _, v := range values {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return "", fmt.Errorf("textplot: bar value %v must be finite and non-negative", v)
-		}
-		maxV = math.Max(maxV, v)
-	}
-	labelWidth := 0
-	for _, l := range labels {
-		if len(l) > labelWidth {
-			labelWidth = len(l)
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	for i, v := range values {
-		bar := 0
-		if maxV > 0 {
-			bar = int(math.Round(v / maxV * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-*s | %s %.4g\n", labelWidth, labels[i], strings.Repeat("#", bar), v)
-	}
-	return b.String(), nil
-}
-
 // Table renders an aligned text table.
 func Table(headers []string, rows [][]string) (string, error) {
 	if len(headers) == 0 {

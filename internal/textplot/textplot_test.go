@@ -63,48 +63,6 @@ func TestLineChartErrors(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out, err := BarChart("loads", []string{"c1", "c2", "c3"}, []float64{4, 2, 0}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("bar chart has %d lines:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[1], strings.Repeat("#", 20)) {
-		t.Errorf("max bar not full width:\n%s", out)
-	}
-	if strings.Contains(lines[3], "#") {
-		t.Errorf("zero bar should be empty:\n%s", out)
-	}
-}
-
-func TestBarChartAllZero(t *testing.T) {
-	out, err := BarChart("", []string{"a"}, []float64{0}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "#") {
-		t.Fatal("all-zero chart should have no bars")
-	}
-}
-
-func TestBarChartErrors(t *testing.T) {
-	if _, err := BarChart("t", []string{"a"}, []float64{1, 2}, 20); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-	if _, err := BarChart("t", nil, nil, 20); err == nil {
-		t.Error("no bars should error")
-	}
-	if _, err := BarChart("t", []string{"a"}, []float64{1}, 2); err == nil {
-		t.Error("tiny width should error")
-	}
-	if _, err := BarChart("t", []string{"a"}, []float64{-1}, 20); err == nil {
-		t.Error("negative value should error")
-	}
-}
-
 func TestTable(t *testing.T) {
 	out, err := Table([]string{"n", "rate"}, [][]string{
 		{"1", "5.00"},
