@@ -56,21 +56,6 @@ func BuildSchedules(a *core.Alloc) ([]ChannelSchedule, error) {
 	return out, nil
 }
 
-// Share returns the fraction of the channel's air time the given user
-// receives under the schedule.
-func (cs ChannelSchedule) Share(user int) float64 {
-	if len(cs.Slots) == 0 {
-		return 0
-	}
-	owned := 0
-	for _, s := range cs.Slots {
-		if s.User == user {
-			owned++
-		}
-	}
-	return float64(owned) / float64(len(cs.Slots))
-}
-
 // String renders the frame as "c3: u1 u2 u4 u1".
 func (cs ChannelSchedule) String() string {
 	if len(cs.Slots) == 0 {

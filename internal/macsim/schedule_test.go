@@ -38,15 +38,26 @@ func TestBuildSchedulesFigure1(t *testing.T) {
 	if len(c2.Slots) != 3 {
 		t.Fatalf("c2 frame has %d slots, want 3", len(c2.Slots))
 	}
-	if got := c2.Share(2); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("u3 share on c2 = %v, want 2/3", got)
+	if got := ownedSlots(c2, 2); got != 2 {
+		t.Errorf("u3 owns %d of c2's slots, want 2", got)
 	}
-	if got := c2.Share(0); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("u1 share on c2 = %v, want 1/3", got)
+	if got := ownedSlots(c2, 0); got != 1 {
+		t.Errorf("u1 owns %d of c2's slots, want 1", got)
 	}
-	if got := c2.Share(3); got != 0 {
-		t.Errorf("u4 share on c2 = %v, want 0", got)
+	if got := ownedSlots(c2, 3); got != 0 {
+		t.Errorf("u4 owns %d of c2's slots, want 0", got)
 	}
+}
+
+// ownedSlots counts the slots of the frame that belong to user.
+func ownedSlots(cs ChannelSchedule, user int) int {
+	owned := 0
+	for _, s := range cs.Slots {
+		if s.User == user {
+			owned++
+		}
+	}
+	return owned
 }
 
 func TestBuildSchedulesInterleaves(t *testing.T) {
@@ -119,7 +130,10 @@ func TestSchedulesMatchGameUtilities(t *testing.T) {
 	for i := 0; i < g.Users(); i++ {
 		var fromSchedule float64
 		for c := 0; c < a.Channels(); c++ {
-			fromSchedule += schedules[c].Share(i) * g.Rate().Rate(a.Load(c))
+			if n := len(schedules[c].Slots); n > 0 {
+				share := float64(ownedSlots(schedules[c], i)) / float64(n)
+				fromSchedule += share * g.Rate().Rate(a.Load(c))
+			}
 		}
 		if math.Abs(fromSchedule-g.Utility(a, i)) > 1e-9 {
 			t.Errorf("u%d: schedule-derived rate %v != utility %v", i+1, fromSchedule, g.Utility(a, i))
