@@ -126,29 +126,6 @@ func NewDeployment(band Band, devices []Device) (*Deployment, error) {
 // Band returns the deployment's band.
 func (d *Deployment) Band() Band { return d.band }
 
-// Devices returns a copy of the device list.
-func (d *Deployment) Devices() []Device { return append([]Device(nil), d.devices...) }
-
-// Uniform reports whether every device has the same radio count.
-func (d *Deployment) Uniform() bool {
-	first := d.devices[0].Radios
-	for _, dev := range d.devices[1:] {
-		if dev.Radios != first {
-			return false
-		}
-	}
-	return true
-}
-
-// Game builds the paper's uniform-k game for this deployment. It errors if
-// radio counts differ across devices; use HeteroGame then.
-func (d *Deployment) Game(rate ratefn.Func) (*core.Game, error) {
-	if !d.Uniform() {
-		return nil, fmt.Errorf("spectrum: devices have mixed radio counts; use HeteroGame")
-	}
-	return core.NewGame(len(d.devices), d.band.NumChannels, d.devices[0].Radios, rate)
-}
-
 // HeteroGame builds this deployment's game with one budget per device
 // (its radio count), mixed or not.
 func (d *Deployment) HeteroGame(rate ratefn.Func) (*core.Game, error) {

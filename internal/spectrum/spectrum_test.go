@@ -99,10 +99,7 @@ func TestDeploymentGameUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Uniform() {
-		t.Fatal("deployment should be uniform")
-	}
-	g, err := d.Game(ratefn.NewTDMA(54))
+	g, err := d.HeteroGame(ratefn.NewTDMA(54))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,16 +108,10 @@ func TestDeploymentGameUniform(t *testing.T) {
 	}
 }
 
-func TestDeploymentGameMixedRejected(t *testing.T) {
+func TestDeploymentHeteroGameMixed(t *testing.T) {
 	d, err := NewDeployment(UNII5GHz(), devices(3, 2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d.Uniform() {
-		t.Fatal("deployment should be mixed")
-	}
-	if _, err := d.Game(ratefn.NewTDMA(1)); err == nil {
-		t.Fatal("mixed radio counts should require HeteroGame")
 	}
 	hg, err := d.HeteroGame(ratefn.NewTDMA(1))
 	if err != nil {
@@ -136,7 +127,7 @@ func TestAssignmentsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := d.Game(ratefn.NewTDMA(1))
+	g, err := d.HeteroGame(ratefn.NewTDMA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,17 +220,5 @@ func TestAssignmentsErrors(t *testing.T) {
 	}
 	if _, err := d.Assignments(over); err == nil {
 		t.Error("over-budget assignment should error")
-	}
-}
-
-func TestDevicesCopy(t *testing.T) {
-	d, err := NewDeployment(ISM2400(), devices(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs := d.Devices()
-	devs[0].Radios = 99
-	if d.Devices()[0].Radios == 99 {
-		t.Fatal("Devices returned aliased storage")
 	}
 }
