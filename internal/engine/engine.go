@@ -55,15 +55,6 @@ type Stats struct {
 	Resumed int
 }
 
-// TotalJobTime sums the per-job times — the serial cost the pool amortised.
-func (s Stats) TotalJobTime() time.Duration {
-	var total time.Duration
-	for _, d := range s.JobTimes {
-		total += d
-	}
-	return total
-}
-
 // config carries the functional options of Map and ForEach.
 type config struct {
 	workers int

@@ -14,13 +14,16 @@ import (
 	"github.com/multiradio/chanalloc/internal/cluster"
 )
 
+// joinDialTimeout bounds each join connection attempt and the
+// registration exchange that follows it.
+const joinDialTimeout = 10 * time.Second
+
 // joinConfig carries the options of JoinAndServe.
 type joinConfig struct {
 	token       string
 	attempts    int
 	retryWait   time.Duration
 	backoffSeed uint64
-	dialTimeout time.Duration
 	heartbeat   time.Duration
 	stop        <-chan struct{}
 	tlsCfg      *tls.Config
@@ -72,15 +75,6 @@ func WithJoinBackoffSeed(seed uint64) JoinOption {
 	return func(c *joinConfig) { c.backoffSeed = seed }
 }
 
-// WithJoinDialTimeout bounds each connection attempt (default 10s).
-func WithJoinDialTimeout(d time.Duration) JoinOption {
-	return func(c *joinConfig) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
 // joinLogf is the default transient-failure logger (stderr, the listen.go
 // idiom); tests silence it through the config.
 func joinLogf(format string, args ...any) {
@@ -103,10 +97,9 @@ func joinLogf(format string, args ...any) {
 // retry with exponential backoff, bounded by WithJoinAttempts if set.
 func JoinAndServe(addr string, opts ...JoinOption) error {
 	cfg := joinConfig{
-		retryWait:   200 * time.Millisecond,
-		dialTimeout: 10 * time.Second,
-		heartbeat:   2 * time.Second,
-		logf:        joinLogf,
+		retryWait: 200 * time.Millisecond,
+		heartbeat: 2 * time.Second,
+		logf:      joinLogf,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -136,7 +129,7 @@ func JoinAndServe(addr string, opts ...JoinOption) error {
 // else — a reply cut short by a dying coordinator, a handshake deadline, a
 // reset — is transport trouble and transient.
 func joinOnce(network, address string, cfg *joinConfig) error {
-	conn, err := dialWorkerConn(network, address, cfg.dialTimeout, cfg.tlsCfg)
+	conn, err := dialWorkerConn(network, address, joinDialTimeout, cfg.tlsCfg)
 	if err != nil {
 		return err
 	}
@@ -160,7 +153,7 @@ func joinOnce(network, address string, cfg *joinConfig) error {
 	// Bound the handshake as the coordinator does with handshakeGrace: a
 	// peer that accepts and goes mute must not pin the join loop. The
 	// deadline error is a net.Error — transient, so the loop retries.
-	conn.SetDeadline(time.Now().Add(cfg.dialTimeout))
+	conn.SetDeadline(time.Now().Add(joinDialTimeout))
 	heartbeat, err := registerHandshake(enc, dec, cfg.token)
 	if err != nil {
 		if errors.Is(err, errRegisterRejected) {
