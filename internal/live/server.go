@@ -14,6 +14,7 @@ import (
 	"github.com/multiradio/chanalloc/internal/dynamics"
 	"github.com/multiradio/chanalloc/internal/obs"
 	"github.com/multiradio/chanalloc/internal/ratefn"
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 // Config parameterises a Server.
@@ -225,6 +226,12 @@ func (s *Server) Apply(req Request) Response {
 		st := s.Stats()
 		return Response{Type: "stats", Stats: &st}
 	case "join":
+		// The bound the scenario and churn grammars apply: one more user
+		// must keep users·channels within workload.MaxCells.
+		if err := workload.CheckCells(s.lg.Users()+1, s.cfg.Channels); err != nil {
+			mErrors.Inc()
+			return Response{Type: "error", Error: fmt.Sprintf("join: %v", err)}
+		}
 		jid, err := s.lg.Join(req.Budget)
 		if err != nil {
 			mErrors.Inc()

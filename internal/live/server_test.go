@@ -3,10 +3,12 @@ package live
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/multiradio/chanalloc/internal/ratefn"
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 func newTestServer(t *testing.T, workers int) *Server {
@@ -146,6 +148,40 @@ func TestServeErrorFrames(t *testing.T) {
 	}
 	if s.Game().Users() != 2 {
 		t.Fatalf("game has %d users after 2 good joins, want 2", s.Game().Users())
+	}
+}
+
+// TestApplyJoinRespectsCellBound: a join that would take users·channels
+// past workload.MaxCells gets an error frame naming the bound, and the
+// game, its invariants and the server's stats stay as they were.
+func TestApplyJoinRespectsCellBound(t *testing.T) {
+	s, err := NewServer(Config{
+		Channels: workload.MaxCells / 2,
+		Rate:     ratefn.NewTDMA(54),
+		RateName: "tdma:54",
+		Workers:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if resp := s.Apply(Request{Op: "join", Budget: 1}); resp.Type != "update" {
+			t.Fatalf("join %d within the bound -> %+v", i+1, resp)
+		}
+	}
+	before := s.Stats()
+	resp := s.Apply(Request{Op: "join", Budget: 1})
+	if resp.Type != "error" || !strings.Contains(resp.Error, workload.ErrTooLarge.Error()) {
+		t.Fatalf("join past the cell bound -> %+v, want an error naming %q", resp, workload.ErrTooLarge)
+	}
+	if got := s.Game().Users(); got != 2 {
+		t.Fatalf("game has %d users after a refused join, want 2", got)
+	}
+	if err := s.Game().Check(); err != nil {
+		t.Fatalf("invariants after a refused join: %v", err)
+	}
+	if after := s.Stats(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("stats moved on a refused join: %+v -> %+v", before, after)
 	}
 }
 
