@@ -39,50 +39,3 @@ func gridWalk(g *Game, rows [][][]int, fn func(*Alloc) bool) error {
 	}
 	return setErr
 }
-
-// neShard returns a clone of every profile of g's strategy grid (see
-// gridWalk) that the screened NE oracle accepts, in odometer order.
-func neShard(g *Game, rows [][][]int) ([]*Alloc, error) {
-	ws := Workspaces.Get()
-	defer Workspaces.Put(ws)
-	var out []*Alloc
-	err := gridWalk(g, rows, func(a *Alloc) bool {
-		if g.view.ScreenedNE(ws, a, g.budgets, DefaultEps) {
-			out = append(out, a.Clone())
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// paretoShard walks g's strategy grid (see gridWalk) and returns a clone
-// of the first profile, in odometer order, that hurts nobody (u >=
-// base-eps for every user) and helps someone (u > base+eps), or nil. Each profile is tested user by user and dropped at the first
-// hurt user.
-func paretoShard(g *Game, rows [][][]int, base []float64, eps float64) (*Alloc, error) {
-	var found *Alloc
-	err := gridWalk(g, rows, func(b *Alloc) bool {
-		strict := false
-		for i := range base {
-			u := g.Utility(b, i)
-			if u < base[i]-eps {
-				return true // someone is hurt; keep searching
-			}
-			if u > base[i]+eps {
-				strict = true
-			}
-		}
-		if strict {
-			found = b.Clone()
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return found, nil
-}

@@ -209,7 +209,19 @@ func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return neShard(g, rows)
+	ws := Workspaces.Get()
+	defer Workspaces.Put(ws)
+	var out []*Alloc
+	err = gridWalk(g, rows, func(a *Alloc) bool {
+		if g.view.ScreenedNE(ws, a, g.budgets, DefaultEps) {
+			out = append(out, a.Clone())
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // FindParetoImprovement searches for an allocation that makes every user
@@ -222,7 +234,8 @@ func EnumerateNE(g *Game, maxProfiles int64) ([]*Alloc, error) {
 // The search walks the whole profile grid in odometer order (user 0 the
 // most significant digit, each user's rows in strategyRows order) and
 // returns the first dominating profile it meets, so the witness is
-// deterministic.
+// deterministic. Each profile is tested user by user and dropped at the
+// first hurt user.
 func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
 	if err := g.CheckAlloc(a); err != nil {
 		return nil, err
@@ -231,5 +244,27 @@ func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*
 	if err != nil {
 		return nil, err
 	}
-	return paretoShard(g, rows, g.Utilities(a), eps)
+	base := g.Utilities(a)
+	var found *Alloc
+	err = gridWalk(g, rows, func(b *Alloc) bool {
+		strict := false
+		for i := range base {
+			u := g.Utility(b, i)
+			if u < base[i]-eps {
+				return true // someone is hurt; keep searching
+			}
+			if u > base[i]+eps {
+				strict = true
+			}
+		}
+		if strict {
+			found = b.Clone()
+			return false
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return found, nil
 }
