@@ -214,11 +214,4 @@ func TestExactRateMatchesFloat(t *testing.T) {
 	if linear(100).Sign() != 0 {
 		t.Error("exact linear rate should clamp at zero")
 	}
-	tbl, err := ratefn.NewTable("t", []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := exactRate(tbl); ok {
-		t.Error("a table rate has no exact form")
-	}
 }
