@@ -2,6 +2,7 @@ package ratefn
 
 import (
 	"math"
+	"math/big"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,19 @@ func TestConstant(t *testing.T) {
 	}
 }
 
+// TestConstantExact checks the TDMA rate against its exact rational value:
+// R(0) = 0 and R(k) = R0 for every k >= 1, with no rounding.
+func TestConstantExact(t *testing.T) {
+	c := NewTDMA(11)
+	if got := new(big.Rat).SetFloat64(c.Rate(0)); got.Sign() != 0 {
+		t.Errorf("Rate(0) = %v, want 0", got)
+	}
+	want := big.NewRat(11, 1)
+	if got := new(big.Rat).SetFloat64(c.Rate(5)); got.Cmp(want) != 0 {
+		t.Errorf("Rate(5) = %v, want %v", got, want)
+	}
+}
+
 func TestHarmonic(t *testing.T) {
 	h := Harmonic{R0: 10, Alpha: 1}
 	tests := []struct {
@@ -40,6 +54,23 @@ func TestHarmonic(t *testing.T) {
 	}
 	if err := Validate(h, 64); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// TestHarmonicExactMatchesFloat checks Rate against the closed form
+// R0 / (1 + α(k−1)) evaluated in exact rational arithmetic.
+func TestHarmonicExactMatchesFloat(t *testing.T) {
+	h := Harmonic{R0: 10, Alpha: 0.5}
+	for k := 0; k <= 12; k++ {
+		exact := new(big.Rat)
+		if k > 0 {
+			denom := new(big.Rat).Mul(new(big.Rat).SetFloat64(h.Alpha), big.NewRat(int64(k-1), 1))
+			denom.Add(denom, big.NewRat(1, 1))
+			exact.Quo(new(big.Rat).SetFloat64(h.R0), denom)
+		}
+		if f, _ := exact.Float64(); math.Abs(f-h.Rate(k)) > 1e-9 {
+			t.Errorf("k=%d: exact=%v Rate=%v", k, f, h.Rate(k))
+		}
 	}
 }
 
@@ -70,6 +101,25 @@ func TestGeometric(t *testing.T) {
 	}
 }
 
+// TestGeometricExactMatchesFloat checks Rate against the closed form
+// R0·β^(k−1) evaluated in exact rational arithmetic.
+func TestGeometricExactMatchesFloat(t *testing.T) {
+	g := Geometric{R0: 8, Beta: 0.25}
+	for k := 0; k <= 10; k++ {
+		exact := new(big.Rat)
+		if k > 0 {
+			exact.SetFloat64(g.R0)
+			beta := new(big.Rat).SetFloat64(g.Beta)
+			for i := 1; i < k; i++ {
+				exact.Mul(exact, beta)
+			}
+		}
+		if f, _ := exact.Float64(); math.Abs(f-g.Rate(k)) > 1e-9 {
+			t.Errorf("k=%d: exact=%v Rate=%v", k, f, g.Rate(k))
+		}
+	}
+}
+
 func TestLinear(t *testing.T) {
 	l := Linear{R0: 10, Slope: 3}
 	tests := []struct {
@@ -85,6 +135,34 @@ func TestLinear(t *testing.T) {
 	}
 	if err := Validate(l, 64); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// TestLinearExactMatchesFloat checks Rate against the closed form
+// max(0, R0 − s(k−1)) evaluated in exact rational arithmetic, including
+// the clamp at zero.
+func TestLinearExactMatchesFloat(t *testing.T) {
+	l := Linear{R0: 5, Slope: 1.25}
+	exact := func(k int) *big.Rat {
+		v := new(big.Rat)
+		if k <= 0 {
+			return v
+		}
+		v.Mul(new(big.Rat).SetFloat64(l.Slope), big.NewRat(int64(k-1), 1))
+		v.Sub(new(big.Rat).SetFloat64(l.R0), v)
+		if v.Sign() < 0 {
+			return new(big.Rat)
+		}
+		return v
+	}
+	for k := 0; k <= 10; k++ {
+		if f, _ := exact(k).Float64(); math.Abs(f-l.Rate(k)) > 1e-9 {
+			t.Errorf("k=%d: exact=%v Rate=%v", k, f, l.Rate(k))
+		}
+	}
+	// The clamp at zero must hold exactly.
+	if got := new(big.Rat).SetFloat64(l.Rate(100)); got.Sign() != 0 {
+		t.Errorf("Rate(100) = %v, want exactly 0", got)
 	}
 }
 
