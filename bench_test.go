@@ -188,17 +188,22 @@ func BenchmarkBestResponseDP(b *testing.B) {
 // BenchmarkQuietScreen measures the deviation test on a quiet user at the
 // sizes of BenchmarkBestResponseDP: the user holds its best response
 // against the same external loads (one single-radio user per unit of
-// load), so the marginal-allocation screen decides the verdict without the
-// DP fold. A benchdiff of the two names the kernel's share of a verdict;
-// zero allocations per operation.
+// load), so the exchange certificate decides the verdict without the DP
+// fold. A benchdiff of the two names the kernel's share of a verdict; zero
+// allocations per operation. The C16_k4_load160 case has the shape of the
+// churn-c16-n1024 benchmark workload: 16 channels, a budget of 4 and about
+// 160 radios per channel (1024 users of budget 1..4).
 func BenchmarkQuietScreen(b *testing.B) {
-	for _, sz := range []struct{ c, k int }{{6, 4}, {16, 8}, {64, 16}} {
-		b.Run(fmt.Sprintf("C%d_k%d", sz.c, sz.k), func(b *testing.B) {
+	for _, sz := range []struct {
+		c, k, base int
+		name       string
+	}{{6, 4, 0, "C6_k4"}, {16, 8, 0, "C16_k8"}, {64, 16, 0, "C64_k16"}, {16, 4, 157, "C16_k4_load160"}} {
+		b.Run(sz.name, func(b *testing.B) {
 			r := chanalloc.TDMA(1)
 			budgets := []int{sz.k}
 			ext := make([]int, sz.c)
 			for c := range ext {
-				ext[c] = (c*7)%5 + 1
+				ext[c] = sz.base + (c*7)%5 + 1
 				for l := 0; l < ext[c]; l++ {
 					budgets = append(budgets, 1)
 				}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -54,6 +56,35 @@ func TestExperimentCSVOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "alpha,") {
 		t.Fatalf("unexpected CSV header: %q", string(data[:20]))
+	}
+}
+
+// TestWriteFileReplacesLongerFile: writing a CSV over a longer one left by
+// an earlier run yields exactly the new bytes, and a write error comes back
+// to the caller.
+func TestWriteFileReplacesLongerFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "e2_theorem1.csv")
+	if err := os.WriteFile(path, []byte(strings.Repeat("an earlier, longer run\n", 64)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "k,ne\n1,true\n"
+	if err := writeFile(dir, "e2_theorem1.csv", func(w io.Writer) error {
+		_, err := io.WriteString(w, want)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("rewritten CSV is %q, want %q", got, want)
+	}
+	boom := errors.New("boom")
+	if err := writeFile(dir, "e2_theorem1.csv", func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("writeFile returned %v, want the write error", err)
 	}
 }
 

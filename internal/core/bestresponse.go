@@ -74,9 +74,9 @@ func (g *Game) BestResponseInto(ws *Workspace, a *Alloc, i int) ([]int, float64,
 // DeviationInto is the deviation test of user i at tolerance eps in the
 // caller's workspace: improves reports that i's best response is worth more
 // than Utility(a, i)+eps, and then row (aliasing ws) and best are exactly
-// BestResponseInto's. Most quiet verdicts are decided by marginal
-// allocation without the DP (RateView.DeviationInto); row is then nil. The
-// allocation is NOT re-validated.
+// BestResponseInto's. Most quiet verdicts are decided from i's own row by
+// an exchange certificate without the DP (RateView.DeviationInto); row is
+// then nil. The allocation is NOT re-validated.
 func (g *Game) DeviationInto(ws *Workspace, a *Alloc, i int, eps float64) (row []int, best float64, improves bool, err error) {
 	if ws == nil {
 		return nil, 0, false, fmt.Errorf("core: nil workspace")

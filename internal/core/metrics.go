@@ -27,7 +27,7 @@ type wsCounts struct {
 	dpCalls       uint64 // best-response DP folds executed
 	screenAccepts uint64 // profiles the screened oracle accepted as NE
 	screenRejects uint64 // profiles rejected by the Eq. 7 screen (no DP)
-	screenQuiet   uint64 // quiet verdicts the marginal-allocation screen decided (no DP)
+	screenQuiet   uint64 // quiet verdicts the exchange certificate decided (no DP)
 }
 
 // FlushObs folds the workspace's accumulated kernel counts into the

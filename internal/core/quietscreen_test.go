@@ -10,73 +10,132 @@ import (
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
-// This file pins the quiet screen (RateView.quietScreen) against the DP
-// fold: a quiet answer at a threshold lim must imply that the fold's value
-// is at most lim, so a verdict the screen decides is the fold's verdict.
+// This file pins the exchange certificate (RateView.exchangeBound) against
+// the DP fold: wherever the certificate gives a bound, the fold's value
+// over the same rows is at most that bound, so a quiet verdict the
+// certificate decides is the fold's verdict. It also pins UtilityOf's plane
+// read to the division form.
 
-// screenCase lays out budget k's DP rows against external loads ext on rv
-// and returns the screen's answer and greedy value at lim, the fold's
-// value and the screen's band δ over these rows. k must be at least 1.
-func screenCase(rv *RateView, ws *Workspace, ext []int, k int, lim float64) (quiet bool, g, fold, delta float64) {
+// foldCase lays out budget k's DP rows against external loads ext on rv and
+// returns the fold's row (a copy), its value, the certificate's band δ over
+// these rows, and whether every row is flagged concave through k. k must be
+// at least 1.
+func foldCase(rv *RateView, ws *Workspace, ext []int, k int) (row []int, fold, delta float64, concave bool) {
 	C := len(ext)
 	ws.ensure(C, k)
 	copy(ws.ext[:C], ext)
 	v := rv.fillShares(ws, ws.ext[:C], k)
-	g, quiet = rv.quietScreen(ws, v, C, k, lim)
+	row, fold = bestResponseDP(ws, v, C, k)
 	v1 := 0.0
-	for c := range ext {
+	concave = true
+	for c, m := range ext {
 		v1 = max(v1, v[ws.voff[c]+1])
+		concave = concave && int(rv.concave[m]) >= k
 	}
-	return quiet, g, bestResponseFold(ws, v, C, k), quietBand(C, k, v1)
+	return slices.Clone(row), fold, quietBand(C, k, v1), concave
 }
 
-// checkScreenCase runs one (ext, k) case at thresholds around the fold's
-// value. Wherever the rows are screened it checks G <= F <= G + δ, that the
-// thresholds at or below F + δ/4 reach the fold, and that no threshold
-// below F is answered quiet. It reports whether the rows were screened and
-// whether the verdict at F + DefaultEps was decided by the screen.
-func checkScreenCase(t *testing.T, rv *RateView, ws *Workspace, ext []int, k int) (screened, quietAtEps bool) {
-	t.Helper()
-	screened, g, fold, delta := screenCase(rv, ws, ext, k, math.Inf(1))
-	if !screened {
-		for _, lim := range []float64{fold + DefaultEps, fold + 1} {
-			if quiet, _, _, _ := screenCase(rv, ws, ext, k, lim); quiet {
-				t.Fatalf("%s ext %v k %d: unscreened rows answered quiet at %v", rv.rate.Name(), ext, k, lim)
-			}
-		}
-		return false, false
+// certify returns the utility and the certificate's bound for a user that
+// plays row y against external loads ext with budget k.
+func certify(rv *RateView, y, ext []int, k int) (u, bound float64) {
+	load := make([]int, len(ext))
+	for c := range ext {
+		load[c] = ext[c] + y[c]
 	}
-	if !(g <= fold && fold <= g+delta) {
-		t.Fatalf("%s ext %v k %d: greedy %v, fold %v, band %v: want G <= F <= G+δ", rv.rate.Name(), ext, k, g, fold, delta)
+	return rv.exchangeBound(y, load, k)
+}
+
+// checkRow checks the certificate on row y against the fold's value fold
+// over the same (ext, k): a bound is never below the fold, rows that are
+// not all concave through k get none, and no threshold from fold − δ to
+// fold + δ/4 is answered quiet (a quiet answer there would be one a looser
+// bound could get wrong). It reports whether the verdict at U + DefaultEps
+// is quiet.
+func checkRow(t *testing.T, rv *RateView, y, ext []int, k int, fold, delta float64, concave bool) bool {
+	t.Helper()
+	u, bound := certify(rv, y, ext, k)
+	if !concave && !math.IsInf(bound, 1) {
+		t.Fatalf("%s ext %v k %d row %v: bound %v over rows not concave through k", rv.rate.Name(), ext, k, y, bound)
+	}
+	if fold > bound {
+		t.Fatalf("%s ext %v k %d row %v: fold %v above the bound %v (U %v)", rv.rate.Name(), ext, k, y, fold, bound, u)
 	}
 	for _, lim := range []float64{fold - delta, math.Nextafter(fold, math.Inf(-1)), fold, fold + delta/4} {
-		if quiet, _, _, _ := screenCase(rv, ws, ext, k, lim); quiet {
-			t.Fatalf("%s ext %v k %d: quiet at %v inside the band of fold %v (δ %v)", rv.rate.Name(), ext, k, lim, fold, delta)
+		lim = u + (lim - u) // the threshold DeviationInto forms from U and eps
+		if bound < lim {
+			t.Fatalf("%s ext %v k %d row %v: quiet at %v inside the band of fold %v (δ %v, bound %v)",
+				rv.rate.Name(), ext, k, y, lim, fold, delta, bound)
 		}
 	}
-	quietAtEps, _, _, _ = screenCase(rv, ws, ext, k, fold+DefaultEps)
-	return true, quietAtEps
+	return bound < u+DefaultEps
+}
+
+// forEachRow calls f with every row of C channels holding at most k radios.
+// The slice is reused between calls.
+func forEachRow(C, k int, f func(y []int)) {
+	y := make([]int, C)
+	var rec func(c, left int)
+	rec = func(c, left int) {
+		if c == C {
+			f(y)
+			return
+		}
+		for x := 0; x <= left; x++ {
+			y[c] = x
+			rec(c+1, left-x)
+		}
+		y[c] = 0
+	}
+	rec(0, k)
+}
+
+// checkCase runs the certificate on rows against the fold for one (ext, k)
+// and reports whether the rows are concave through k and whether the
+// certificate decides the fold's own row quiet at U + DefaultEps.
+func checkCase(t *testing.T, rv *RateView, ws *Workspace, ext []int, k int, rows func(foldRow []int, f func(y []int))) (concave, covered bool) {
+	t.Helper()
+	foldRow, fold, delta, concave := foldCase(rv, ws, ext, k)
+	covered = checkRow(t, rv, foldRow, ext, k, fold, delta, concave)
+	rows(foldRow, func(y []int) { checkRow(t, rv, y, ext, k, fold, delta, concave) })
+	return concave, covered
+}
+
+// checkCoverage requires the certificate to decide the fold's own row in
+// every concave case, and every case of the TDMA family to be concave.
+func checkCoverage(t *testing.T, rate ratefn.Func, cases, concave, covered int) {
+	t.Helper()
+	if covered != concave {
+		t.Errorf("%s: fold's row certified in %d of %d concave cases, want all", rate.Name(), covered, concave)
+	}
+	if _, tdma := rate.(ratefn.Constant); tdma && concave != cases {
+		t.Errorf("%s: %d of %d cases concave, want all (TDMA rows are concave)", rate.Name(), concave, cases)
+	}
+	if concave == 0 {
+		t.Errorf("%s: no concave case among %d", rate.Name(), cases)
+	}
+	t.Logf("%s: %d cases, %d concave, %d certified at the fold's row", rate.Name(), cases, concave, covered)
 }
 
 // TestQuietScreenExhaustiveSmall runs every external load vector in
-// [0, 5]^C for C <= 4 and budgets k <= 4 under every rate family.
+// [0, 5]^C for C <= 4, budgets k <= 4 and every row with at most k radios
+// under every rate family.
 func TestQuietScreenExhaustiveSmall(t *testing.T) {
 	const maxLoad, maxOwn = 5, 4
 	ws := NewWorkspace()
 	for _, rate := range differentialRates(t) {
 		rv := NewRateView(rate, maxLoad, maxOwn)
-		cases, screened, quiet := 0, 0, 0
+		cases, concave, covered := 0, 0, 0
 		for C := 1; C <= 4; C++ {
 			ext := make([]int, C)
 			for {
 				for k := 1; k <= maxOwn; k++ {
-					s, q := checkScreenCase(t, rv, ws, ext, k)
+					conc, cov := checkCase(t, rv, ws, ext, k, func(_ []int, f func([]int)) { forEachRow(C, k, f) })
 					cases++
-					if s {
-						screened++
+					if conc {
+						concave++
 					}
-					if q {
-						quiet++
+					if cov {
+						covered++
 					}
 				}
 				c := 0
@@ -90,43 +149,71 @@ func TestQuietScreenExhaustiveSmall(t *testing.T) {
 				ext[c]++
 			}
 		}
-		if _, tdma := rate.(ratefn.Constant); tdma && screened != cases {
-			t.Errorf("%s: %d of %d cases screened, want all (TDMA rows are concave)", rate.Name(), screened, cases)
-		}
-		if screened > 0 && quiet == 0 {
-			t.Errorf("%s: %d screened cases, none decided quiet at F + eps", rate.Name(), screened)
-		}
-		t.Logf("%s: %d cases, %d screened, %d quiet at F + eps", rate.Name(), cases, screened, quiet)
+		checkCoverage(t, rate, cases, concave, covered)
 	}
 }
 
 // TestQuietScreenSeededLarge runs seeded random load vectors on 16
-// channels with budgets up to 8 under every rate family.
+// channels with budgets up to 8 under every rate family: the fold's row,
+// every row one radio away from it (moved, added or removed) and random
+// rows with at most k radios.
 func TestQuietScreenSeededLarge(t *testing.T) {
-	const C, maxLoad, maxOwn = 16, 40, 8
+	const C, maxLoad, maxOwn, cases = 16, 40, 8, 400
 	ws := NewWorkspace()
 	for f, rate := range differentialRates(t) {
 		rv := NewRateView(rate, maxLoad, maxOwn)
 		rng := des.NewRNG(uint64(0x5c4ee1 + f))
-		screened, quiet := 0, 0
-		for n := 0; n < 400; n++ {
+		concave, covered := 0, 0
+		for n := 0; n < cases; n++ {
 			ext := make([]int, C)
 			spread := 1 + rng.Intn(maxLoad)
 			for c := range ext {
 				ext[c] = rng.Intn(spread + 1)
 			}
-			s, q := checkScreenCase(t, rv, ws, ext, 1+rng.Intn(maxOwn))
-			if s {
-				screened++
+			k := 1 + rng.Intn(maxOwn)
+			conc, cov := checkCase(t, rv, ws, ext, k, func(foldRow []int, f func([]int)) {
+				y := slices.Clone(foldRow)
+				placed := 0
+				for _, x := range y {
+					placed += x
+				}
+				for b := -1; b < C; b++ { // b = -1: no radio removed
+					have := placed
+					if b >= 0 {
+						if y[b] == 0 {
+							continue
+						}
+						y[b]--
+						have--
+						f(y)
+					}
+					for c := range y {
+						if c != b && have < k {
+							y[c]++
+							f(y)
+							y[c]--
+						}
+					}
+					if b >= 0 {
+						y[b]++
+					}
+				}
+				for r := 0; r < 20; r++ {
+					clear(y)
+					for left := rng.Intn(k + 1); left > 0; left-- {
+						y[rng.Intn(C)]++
+					}
+					f(y)
+				}
+			})
+			if conc {
+				concave++
 			}
-			if q {
-				quiet++
+			if cov {
+				covered++
 			}
 		}
-		if _, tdma := rate.(ratefn.Constant); tdma && (screened != 400 || quiet == 0) {
-			t.Errorf("%s: %d of 400 cases screened, %d quiet at F + eps; want all screened, some quiet", rate.Name(), screened, quiet)
-		}
-		t.Logf("%s: 400 cases, %d screened, %d quiet at F + eps", rate.Name(), screened, quiet)
+		checkCoverage(t, rate, cases, concave, covered)
 	}
 }
 
@@ -153,8 +240,9 @@ func TestConcavePrefix(t *testing.T) {
 }
 
 // TestQuietScreenRefusesNonConcaveRows: a load vector that reads a share
-// row past its concave prefix never reaches the greedy, even at a
-// threshold of +Inf, and the deviation test runs the fold.
+// row past its concave prefix gives no bound for any row of the user, so
+// even a threshold of +Inf is not answered quiet, and the deviation test
+// runs the fold.
 func TestQuietScreenRefusesNonConcaveRows(t *testing.T) {
 	ws := NewWorkspace()
 	for _, rate := range []ratefn.Func{
@@ -172,9 +260,11 @@ func TestQuietScreenRefusesNonConcaveRows(t *testing.T) {
 			}
 			for k := p + 1; k <= maxOwn; k++ {
 				ext := []int{3, m, 1}
-				if quiet, _, _, _ := screenCase(rv, ws, ext, k, math.Inf(1)); quiet {
-					t.Fatalf("%s: row %d is concave through %d, yet k=%d was screened", rate.Name(), m, p, k)
-				}
+				forEachRow(len(ext), k, func(y []int) {
+					if _, bound := certify(rv, y, ext, k); bound < math.Inf(1) {
+						t.Fatalf("%s: row %d is concave through %d, yet k=%d row %v has bound %v", rate.Name(), m, p, k, y, bound)
+					}
+				})
 				refused++
 			}
 		}
@@ -214,9 +304,9 @@ func TestQuietScreenRefusesNonConcaveRows(t *testing.T) {
 }
 
 // TestDeviationIntoNearBand builds thresholds current+eps within the
-// screen's band of the fold's value on random games: every such verdict
-// must reach the fold, and the deviation test must agree with the fold's
-// verdict and, when it improves, return the fold's row and value.
+// certificate's band of the fold's value on random games: every such
+// verdict must reach the fold, and the deviation test must agree with the
+// fold's verdict and, when it improves, return the fold's row and value.
 func TestDeviationIntoNearBand(t *testing.T) {
 	ws := NewWorkspace()
 	rates := differentialRates(t)
@@ -248,7 +338,7 @@ func TestDeviationIntoNearBand(t *testing.T) {
 				}
 				label := fmt.Sprintf("seed %d (%s) user %d, threshold fold%+v", seed, rate.Name(), i, off)
 				if row == nil {
-					t.Fatalf("%s: screened quiet inside the band", label)
+					t.Fatalf("%s: certified quiet inside the band", label)
 				}
 				if improves != (fold > current+eps) {
 					t.Fatalf("%s: improves %v, fold %v against %v", label, improves, fold, current+eps)
@@ -264,7 +354,7 @@ func TestDeviationIntoNearBand(t *testing.T) {
 }
 
 // TestDeviationIntoScreensEquilibria: at a TDMA Nash equilibrium every
-// user is quiet, and the screen decides each verdict without a fold.
+// user is quiet, and the certificate decides each verdict without a fold.
 func TestDeviationIntoScreensEquilibria(t *testing.T) {
 	g, err := NewGame(12, 6, 3, ratefn.NewTDMA(54))
 	if err != nil {
@@ -279,14 +369,127 @@ func TestDeviationIntoScreensEquilibria(t *testing.T) {
 		t.Fatalf("Algorithm 1's equilibrium has deviation %v (%v)", dev, err)
 	}
 	if ws.obs.screenQuiet != uint64(g.Users()) || ws.obs.dpCalls != 0 {
-		t.Fatalf("%d users: %d screened quiet verdicts, %d folds; want all screened, no folds",
+		t.Fatalf("%d users: %d certified quiet verdicts, %d folds; want all certified, no folds",
 			g.Users(), ws.obs.screenQuiet, ws.obs.dpCalls)
+	}
+}
+
+// divisionUtility is Eq. 3 in the division form, each term rounded before
+// the sum: the reference for UtilityOf.
+func divisionUtility(rate ratefn.Func, a *Alloc, i int) float64 {
+	var u float64
+	for c := 0; c < a.Channels(); c++ {
+		if ki := a.Radios(i, c); ki > 0 {
+			kc := a.Load(c)
+			u += float64(float64(ki) / float64(kc) * rate.Rate(kc))
+		}
+	}
+	return u
+}
+
+// randomLegalAlloc draws a game of up to 8 channels and 12 users with
+// budgets 1..C, each user deploying between none and all of its radios.
+func randomLegalAlloc(rng *des.RNG, rate ratefn.Func) (*Game, *Alloc, error) {
+	C := 1 + rng.Intn(8)
+	budgets := make([]int, 1+rng.Intn(12))
+	for i := range budgets {
+		budgets[i] = 1 + rng.Intn(C)
+	}
+	g, err := NewHeteroGame(C, budgets, rate)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := g.NewEmptyAlloc()
+	for i, k := range budgets {
+		for n := rng.Intn(k + 1); n > 0; n-- {
+			if err := a.Add(i, rng.Intn(C), 1); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return g, a, g.CheckAlloc(a)
+}
+
+// TestUtilityOfMatchesDivision pins the share-plane UtilityOf (and so
+// Game.Utility and the certificate's U) to the division form bit for bit
+// on random legal allocations under every rate family.
+func TestUtilityOfMatchesDivision(t *testing.T) {
+	for f, rate := range differentialRates(t) {
+		rng := des.NewRNG(uint64(0x07117 + f))
+		for n := 0; n < 200; n++ {
+			g, a, err := randomLegalAlloc(rng, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.View().share == nil {
+				t.Fatalf("%s: game without a share plane", rate.Name())
+			}
+			for i := 0; i < a.Users(); i++ {
+				want := divisionUtility(rate, a, i)
+				got := g.Utility(a, i)
+				u, _ := g.View().exchangeBound(a.m[i], a.load, g.Budget(i))
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(u) != math.Float64bits(want) {
+					t.Fatalf("%s case %d user %d row %v: UtilityOf %v, certificate U %v, division form %v",
+						rate.Name(), n, i, a.Row(i), got, u, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUtilityOfWithoutPlane: a view built past the share plane's cap still
+// divides (bit for bit the plane's values) and gives the certificate no
+// bound, so every deviation test reaches the fold and agrees with it.
+func TestUtilityOfWithoutPlane(t *testing.T) {
+	ws := NewWorkspace()
+	for f, rate := range differentialRates(t) {
+		rng := des.NewRNG(uint64(0x9a7e + f))
+		for n := 0; n < 100; n++ {
+			g, a, err := randomLegalAlloc(rng, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved := maxShareTableLen
+			maxShareTableLen = 1 // too small for any plane
+			planeless := newGame(g.channels, g.budgets, rate, nil)
+			maxShareTableLen = saved
+			if planeless.View().share != nil {
+				t.Fatalf("%s: plane built past the cap", rate.Name())
+			}
+			for i := 0; i < a.Users(); i++ {
+				want := g.Utility(a, i)
+				if got := planeless.Utility(a, i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s case %d user %d: plane-less UtilityOf %v, plane %v", rate.Name(), n, i, got, want)
+				}
+				if got := divisionUtility(rate, a, i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s case %d user %d: division form %v, plane %v", rate.Name(), n, i, got, want)
+				}
+				wantRow, fold, err := g.BestResponseInto(ws, a, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRow = slices.Clone(wantRow)
+				ws.obs = wsCounts{}
+				row, best, improves, err := planeless.DeviationInto(ws, a, i, DefaultEps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ws.obs.screenQuiet != 0 || ws.obs.dpCalls != 1 {
+					t.Fatalf("%s case %d user %d: %d certified verdicts, %d folds; want the fold alone",
+						rate.Name(), n, i, ws.obs.screenQuiet, ws.obs.dpCalls)
+				}
+				if best != fold || !slices.Equal(row, wantRow) || improves != (fold > want+DefaultEps) {
+					t.Fatalf("%s case %d user %d: row %v value %v improves %v, fold row %v value %v",
+						rate.Name(), n, i, row, best, improves, wantRow, fold)
+				}
+			}
+		}
 	}
 }
 
 // FuzzQuietScreen: for a fuzzed rate family, external loads, budget,
 // current row and tolerance, the deviation test's verdict is the fold's
-// (a screened quiet verdict implies the fold is quiet), and an improving
+// (a certified quiet verdict implies the fold is quiet), and an improving
 // verdict carries the fold's row and value. The tolerance is either taken
 // raw from its bits or placed within a few bands of the fold's value.
 func FuzzQuietScreen(f *testing.F) {
@@ -387,7 +590,7 @@ func FuzzQuietScreen(f *testing.F) {
 			t.Fatal(err)
 		}
 		if want := fold > current+eps; improves != want {
-			t.Fatalf("%s ext %v k %d own %v eps %v: improves %v, fold %v against %v (screened %v)",
+			t.Fatalf("%s ext %v k %d own %v eps %v: improves %v, fold %v against %v (certified %v)",
 				rate.Name(), ext, k, a.Row(0), eps, improves, fold, current+eps, row == nil)
 		}
 		if improves && (best != fold || !slices.Equal(row, wantRow)) {

@@ -25,7 +25,8 @@ var maxShareTableLen = 1 << 22
 // generic rate-function code path, keeping results bit-identical.
 //
 // The view is the one cache of R: reads outside its domain are a caller
-// error (an allocation that fails Game.CheckAlloc) and panic.
+// error (an allocation that fails Game.CheckAlloc) and either panic or
+// read an unrelated entry.
 //
 // Rate functions are assumed pure (the ratefn.Func contract): the view
 // samples R once and serves the sampled values forever.
@@ -36,8 +37,8 @@ type RateView struct {
 	share  []float64 // row m, entry x: share(x, m+x); stride maxOwn+1; nil when over the cap
 	// concave[m] is the largest K <= maxOwn such that share row m is
 	// finite, non-negative and has non-increasing float increments
-	// fl(v[x] - v[x-1]) over 0..K: the rows the quiet screen may read for
-	// budgets up to K (see quietScreen). Nil with the plane.
+	// fl(v[x] - v[x-1]) over 0..K: the rows the exchange certificate may
+	// read for budgets up to K (see exchangeBound). Nil with the plane.
 	concave []int32
 }
 
@@ -387,102 +388,104 @@ func (rv *RateView) BestResponseAllocInto(ws *Workspace, a *Alloc, i, k int) ([]
 }
 
 // DeviationInto is the deviation test behind every best-response verdict:
-// improves reports that user i with budget k has a best response worth more
-// than UtilityOf(a, i)+eps. The quiet screen (quietScreen) decides most
-// quiet verdicts in O(C·k) without the DP; every other case runs the DP
-// fold and traceback, so an improving row and its value are always the
-// DP's, bit for bit BestResponseAllocInto's (row aliases ws). On a screened
-// quiet verdict row is nil and best is the greedy value, within the
-// screen's bound δ of the DP's.
+// improves reports that user i with budget k >= 1 has a best response worth
+// more than UtilityOf(a, i)+eps. The exchange certificate (exchangeBound)
+// decides most quiet verdicts in O(C) from the user's own row; every other
+// case runs the DP fold and traceback, so an improving row and its value
+// are always the DP's, bit for bit BestResponseAllocInto's (row aliases
+// ws). On a certified quiet verdict row is nil and best is the user's
+// utility, which the DP's value exceeds by at most the certificate's slack.
 func (rv *RateView) DeviationInto(ws *Workspace, a *Alloc, i, k int, eps float64) (row []int, best float64, improves bool) {
-	lim := rv.UtilityOf(a, i) + eps
-	v := rv.layoutDP(ws, a, i, k)
-	C := a.Channels()
-	if g, quiet := rv.quietScreen(ws, v, C, k, lim); quiet {
+	u, bound := rv.exchangeBound(a.m[i], a.load, k)
+	lim := u + eps
+	if bound < lim {
 		ws.obs.screenQuiet++
-		return nil, g, false
+		return nil, u, false
 	}
-	row, best = bestResponseDP(ws, v, C, k)
+	row, best = bestResponseDP(ws, rv.layoutDP(ws, a, i, k), a.Channels(), k)
 	return row, best, best > lim
 }
 
-// quietScreen decides by marginal allocation (Gross 1956) that the fold's
-// value F over the laid-out rows cannot exceed lim. It only ever answers
-// "quiet"; false means "run the fold". It returns the greedy value G too.
+// exchangeBound returns the utility U of a user that plays row y against
+// channel loads load (bit for bit UtilityOf's value), and an upper bound on
+// the value F the best-response fold finds for budget k ≥ 1, or +Inf when
+// it has none. DeviationInto answers quiet when bound < fl(U + eps).
 //
-// It applies when every row the DP reads, v_c = share row ext[c], is
-// flagged concave through k (concavePrefix). Greedy adds one radio at a
-// time where the float increment d̂_c(x) = fl(v_c[x] − v_c[x−1]) is largest
-// and positive; G sums the chosen row's values in the fold's suffix order.
-// The answer is quiet when fl(G + δ) < lim, δ = 4(C+1)·k·V1·u + 2⁻¹⁰⁰⁰ with
-// u = 2⁻⁵³ and V1 = max_c v_c[1], the greedy's first increment.
+// The bound is an exchange certificate (Gross 1956; Ibaraki & Katoh 1988):
+// on concave rows, a row with no profitable single-radio exchange is a best
+// response. It reads only the DP's own rows, v_c = share row m_c of the
+// external loads m_c = load[c] − y_c, and needs each flagged concave
+// through k (concavePrefix). With the float increments d̂_c(x) = fl(v_c[x]
+// − v_c[x−1]), V1 = max_c v_c[1] and
 //
-// Why F ≤ lim then. For a row y with Σy_c ≤ k write S(y) = Σ_c v_c[y_c]
-// and Ŵ(y) = Σ_c Σ_{x≤y_c} d̂_c(x), both exact, and T(y) = Σ_c Σ_{x≤y_c}
+//	L = min over c with y_c > 0 of d̂_c(y_c),
+//	H = max over c with y_c < k of d̂_c(y_c + 1),
+//	Δ = k·max(H − L, 0) + (k − Σy)·max(H, 0)
+//
+// (an empty min is +Inf and an empty max −Inf, which zero their terms), it
+// requires L ≥ 0 and returns fl(U + δ + 2Δ) with δ = quietBand(C, k, V1).
+//
+// Why F ≤ U + δ + 2Δ. For a row z with Σz ≤ k write S(z) = Σ_c v_c[z_c]
+// and Ŵ(z) = Σ_c Σ_{x≤z_c} d̂_c(x), both exact, and T(z) = Σ_c Σ_{x≤z_c}
 // |d_c(x)| for the exact increments d.
 //   - Each fold cell is fl(v_c[x] + f[c+1][b−x]) for one x, so F is the
-//     float suffix sum of some such row y*, and G of the greedy row g. A
-//     recursive sum of C non-negative terms errs by at most γ·S, with
-//     γ = (C−1)u/(1−(C−1)u): F ≤ S(y*) + γS(y*), S(g) ≤ G + γS(g).
-//   - Per row the d̂ are non-increasing, and greedy compares them exactly,
-//     so it maximises Ŵ: Ŵ(y*) ≤ Ŵ(g).
-//   - Rounding keeps signs and |d − d̂| ≤ u|d|, so |S(y) − Ŵ(y)| ≤ u·T(y).
+//     float suffix sum of some such row y*, and U is the float sum of y's
+//     values in ascending c. A recursive sum of C non-negative terms errs
+//     by at most γ·S, γ = (C−1)u/(1−(C−1)u) with u = 2⁻⁵³: F ≤ S(y*) +
+//     γS(y*) and S(y) ≤ U + γS(y).
+//   - Exchange: y* adds A radios to y on some channels and removes R on
+//     others. On a row concave through k an added radio's increment
+//     d̂_c(x), x > y_c, is at most d̂_c(y_c+1) ≤ H, and a removed one's,
+//     x ≤ y_c, at least d̂_c(y_c) ≥ L. So Ŵ(y*) − Ŵ(y) ≤ A·H − R·L.
+//     With A − R = Σy* − Σy ≤ k − Σy and R ≤ Σy ≤ k that is at most
+//     R(H − L) + (k − Σy)H ≤ Δ when H ≥ 0, and at most −R·L ≤ 0 when
+//     H < 0 (this case needs L ≥ 0).
+//   - Rounding keeps signs and |d − d̂| ≤ u|d|, so |S(z) − Ŵ(z)| ≤ u·T(z).
 //     With v_c ≥ 0 and d̂_c(x) ≤ d̂_c(1) = v_c[1] a row's increments give
-//     Σ_{x≤y_c}|d_c(x)| ≤ 2y_c·v_c[1]/(1−2u) and v_c[y_c] ≤
-//     y_c·v_c[1]/(1−2u); summed, T(y) ≤ 2k·V1/(1−2u), S(y) ≤ k·V1/(1−2u).
+//     Σ_{x≤z_c}|d_c(x)| ≤ 2z_c·v_c[1]/(1−2u) and v_c[z_c] ≤
+//     z_c·v_c[1]/(1−2u); summed, T(z) ≤ 2k·V1/(1−2u), S(z) ≤ k·V1/(1−2u).
 //
-// Chained, F ≤ G + γ(S(y*) + S(g)) + u(T(y*) + T(g)) ≤ G + (2γ + 4u)·
-// k·V1/(1−2u), about 2(C+1)·k·V1·u for any C below 2⁴⁰. δ is twice that,
-// which covers its own roundings; the 2⁻¹⁰⁰⁰ term covers an underflowing
-// product. Rounding is monotone, so fl(G + δ) < lim gives G + δ ≤ lim and
-// F ≤ lim: the fold would not find best > lim either. A row that is not
-// finite, non-negative and concave is never read, and a NaN or an infinity
-// in G or δ fails the comparison, so those cases reach the fold.
-func (rv *RateView) quietScreen(ws *Workspace, v []float64, C, k int, lim float64) (float64, bool) {
-	if rv.concave == nil {
-		return 0, false
+// Chained, F ≤ U + Δ + γ(S(y*) + S(y)) + u(T(y*) + T(y)) ≤ U + Δ +
+// (2γ + 4u)·k·V1/(1−2u), about U + Δ + 2(C+1)·k·V1·u for any C below 2⁴⁰.
+// δ is twice that term and the computed 2Δ is at least twice Δ less three
+// roundings, so each covers its own roundings and its share of the two
+// additions'; the 2⁻¹⁰⁰⁰ term of δ covers an underflowing product.
+// Rounding is monotone, so fl(U + δ + 2Δ) < fl(U + eps) gives F ≤ fl(U +
+// eps): the fold would find no deviation either. A row that is not
+// finite, non-negative and concave through k, and a view without a share
+// plane, give +Inf; a NaN eps fails the comparison; so those cases reach
+// the fold.
+func (rv *RateView) exchangeBound(y, load []int, k int) (u, bound float64) {
+	if rv.share == nil {
+		return rv.utility(y, load), math.Inf(1)
 	}
-	for _, m := range ws.ext[:C] {
-		if int(rv.concave[m]) < k {
-			return 0, false
+	stride := rv.maxOwn + 1
+	concave, placed := true, 0
+	v1, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+	for c, yc := range y {
+		m := load[c] - yc
+		v := rv.share[m*stride : (m+1)*stride]
+		concave = concave && int(rv.concave[m]) >= k
+		v1 = max(v1, v[1])
+		if yc > 0 {
+			u += v[yc]
+			lo = min(lo, v[yc]-v[yc-1])
+			placed += yc
+		}
+		if yc < k {
+			hi = max(hi, v[yc+1]-v[yc])
 		}
 	}
-	// x is the greedy row and d each channel's next increment, in the
-	// row and suffix-slab scratch the fold would overwrite anyway.
-	off, x, d := ws.voff[:C], ws.row[:C], ws.f[:C]
-	clear(x)
-	for c, o := range off {
-		d[c] = v[o+1] - v[o]
+	if !concave || !(lo >= 0) {
+		return u, math.Inf(1)
 	}
-	var v1 float64
-	for r := 0; r < k; r++ {
-		best, at := 0.0, -1
-		for c, dc := range d {
-			if dc > best {
-				best, at = dc, c
-			}
-		}
-		if at < 0 {
-			break
-		}
-		if r == 0 {
-			v1 = best
-		}
-		x[at]++
-		if r+1 < k {
-			o := off[at] + x[at]
-			d[at] = v[o+1] - v[o]
-		}
-	}
-	var g float64
-	for c := C - 1; c >= 0; c-- {
-		g = v[off[c]+x[c]] + g
-	}
-	return g, g+quietBand(C, k, v1) < lim
+	delta := float64(k)*max(hi-lo, 0) + float64(k-placed)*max(hi, 0)
+	return u, u + quietBand(len(y), k, v1) + 2*delta
 }
 
-// quietBand is the quiet screen's δ for C channels, budget k and largest
-// one-radio share v1: twice the bound on F − G proven at quietScreen.
+// quietBand is the certificate's δ for C channels, budget k and largest
+// one-radio share v1: twice the rounding term of the bound proven at
+// exchangeBound.
 func quietBand(C, k int, v1 float64) float64 {
 	return float64(4*(C+1)*k)*0x1p-53*v1 + 0x1p-1000
 }
@@ -502,14 +505,31 @@ func (rv *RateView) layoutDP(ws *Workspace, a *Alloc, i, k int) []float64 {
 // UtilityOf computes U_i(S) per Eq. 3 with table-backed rates — the one
 // implementation behind Game.Utility and the enumeration walks.
 func (rv *RateView) UtilityOf(a *Alloc, i int) float64 {
+	return rv.utility(a.m[i], a.load)
+}
+
+// utility sums row y's terms y_c/k_c · R(k_c) over the occupied channels in
+// ascending c. A view with a share plane reads each term as entry (k_c −
+// y_c, y_c); one without divides it out of the rate table in the
+// expression that built the plane, so the two layouts agree bit for bit.
+func (rv *RateView) utility(y, load []int) float64 {
 	var u float64
-	for c := 0; c < a.Channels(); c++ {
-		ki := a.Radios(i, c)
-		if ki == 0 {
-			continue
+	if rv.share == nil {
+		for c, yc := range y {
+			if yc > 0 {
+				// The conversion rounds the term before the sum, as the
+				// plane's stored entries are, so no fused multiply-add
+				// can tell the layouts apart.
+				u += float64(float64(yc) / float64(load[c]) * rv.table[load[c]])
+			}
 		}
-		kc := a.Load(c)
-		u += float64(ki) / float64(kc) * rv.RateAt(kc)
+		return u
+	}
+	stride := rv.maxOwn + 1
+	for c, yc := range y {
+		if yc > 0 {
+			u += rv.share[(load[c]-yc)*stride+yc]
+		}
 	}
 	return u
 }
@@ -524,7 +544,7 @@ func (rv *RateView) UtilityOf(a *Alloc, i int) float64 {
 //     conclusion — with the deviation test as fallback; users the fallback
 //     clears are marked and skipped by the prove pass.
 //   - prove: remaining users pay the deviation test each (DeviationInto:
-//     the quiet screen, else the full O(|C|·k²) DP).
+//     the exchange certificate, else the full O(|C|·k²) DP).
 //
 // User i's budget is budgets[i]. The allocation is not validated; callers
 // guarantee it is legal.
