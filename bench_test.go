@@ -192,12 +192,14 @@ func BenchmarkBestResponseDP(b *testing.B) {
 // fold. A benchdiff of the two names the kernel's share of a verdict; zero
 // allocations per operation. The C16_k4_load160 case has the shape of the
 // churn-c16-n1024 benchmark workload: 16 channels, a budget of 4 and about
-// 160 radios per channel (1024 users of budget 1..4).
+// 160 radios per channel (1024 users of budget 1..4); C64_k4_load160 is the
+// same user on 64 channels, where the certificate's reads follow the
+// user's 4 occupied channels rather than all 64.
 func BenchmarkQuietScreen(b *testing.B) {
 	for _, sz := range []struct {
 		c, k, base int
 		name       string
-	}{{6, 4, 0, "C6_k4"}, {16, 8, 0, "C16_k8"}, {64, 16, 0, "C64_k16"}, {16, 4, 157, "C16_k4_load160"}} {
+	}{{6, 4, 0, "C6_k4"}, {16, 8, 0, "C16_k8"}, {64, 16, 0, "C64_k16"}, {16, 4, 157, "C16_k4_load160"}, {64, 4, 157, "C64_k4_load160"}} {
 		b.Run(sz.name, func(b *testing.B) {
 			r := chanalloc.TDMA(1)
 			budgets := []int{sz.k}

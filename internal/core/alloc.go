@@ -45,6 +45,11 @@ type Alloc struct {
 	channels int
 	m        [][]int // m[i][c] >= 0
 	load     []int   // load[c] = Σ_i m[i][c]
+	// gen counts the mutations of m and load. SetRow, Add (and so Move),
+	// AppendRow and RemoveRowSwap, their only writers, bump it, so a
+	// (pointer, gen) pair names one state of the allocation: the key of
+	// the workspace's channel summary (see Workspace.summary).
+	gen uint64
 }
 
 // NewAlloc returns an all-zero allocation for the given dimensions.
@@ -162,6 +167,7 @@ func (a *Alloc) SetRow(i int, row []int) error {
 		a.load[c] += v - a.m[i][c]
 		a.m[i][c] = v
 	}
+	a.gen++
 	return nil
 }
 
@@ -183,6 +189,7 @@ func (a *Alloc) Add(i, c, delta int) error {
 	}
 	a.m[i][c] += delta
 	a.load[c] += delta
+	a.gen++
 	return nil
 }
 
@@ -211,6 +218,7 @@ func (a *Alloc) Move(i, from, to int) error {
 func (a *Alloc) AppendRow() int {
 	a.m = append(a.m, make([]int, a.channels))
 	a.users++
+	a.gen++
 	return a.users - 1
 }
 
@@ -232,6 +240,7 @@ func (a *Alloc) RemoveRowSwap(i int) error {
 	a.m[last] = nil
 	a.m = a.m[:last]
 	a.users = last
+	a.gen++
 	return nil
 }
 

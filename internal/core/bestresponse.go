@@ -74,9 +74,10 @@ func (g *Game) BestResponseInto(ws *Workspace, a *Alloc, i int) ([]int, float64,
 // DeviationInto is the deviation test of user i at tolerance eps in the
 // caller's workspace: improves reports that i's best response is worth more
 // than Utility(a, i)+eps, and then row (aliasing ws) and best are exactly
-// BestResponseInto's. Most quiet verdicts are decided from i's own row by
-// an exchange certificate without the DP (RateView.DeviationInto); row is
-// then nil. The allocation is NOT re-validated.
+// BestResponseInto's. Most quiet verdicts are decided without the DP by
+// an exchange certificate that reads i's occupied channels and a channel
+// summary of a, cached in ws per allocation state (RateView.DeviationInto,
+// CertifiedQuiet); row is then nil. The allocation is NOT re-validated.
 func (g *Game) DeviationInto(ws *Workspace, a *Alloc, i int, eps float64) (row []int, best float64, improves bool, err error) {
 	if ws == nil {
 		return nil, 0, false, fmt.Errorf("core: nil workspace")
@@ -86,6 +87,21 @@ func (g *Game) DeviationInto(ws *Workspace, a *Alloc, i int, eps float64) (row [
 	}
 	row, best, improves = g.view.DeviationInto(ws, a, i, g.budgets[i], eps)
 	return row, best, improves, nil
+}
+
+// CertifiedQuiet runs DeviationInto's exchange certificate alone: true
+// proves that user i has no deviation worth more than Utility(a, i)+eps,
+// so DeviationInto(ws, a, i, eps) would report none, and counts a quiet
+// verdict as DeviationInto does. False decides nothing (the fold may still
+// find a, i quiet); it is also the answer for a nil workspace or an
+// out-of-range user, which DeviationInto reports as errors. The
+// allocation is NOT re-validated.
+func (g *Game) CertifiedQuiet(ws *Workspace, a *Alloc, i int, eps float64) bool {
+	if ws == nil || i < 0 || i >= g.Users() {
+		return false
+	}
+	_, quiet := g.view.certify(ws, a, i, g.budgets[i], eps)
+	return quiet
 }
 
 // BestResponseToLoads computes the utility-maximising placement of up to k

@@ -43,11 +43,13 @@ func (wp *WorkspacePool) Get() *Workspace {
 
 // Put returns a workspace to the pool. The workspace must not be used after
 // Put; nil is ignored. The DP slabs carry no cross-call semantics, so
-// nothing is reset. Accumulated kernel counts are flushed to the global
-// obs counters on the way in, so pooled hot paths report without paying a
-// single atomic inside their loops.
+// they are kept as they are; the channel summary's key is dropped, so a
+// pooled workspace keeps no allocation or view alive. Accumulated kernel
+// counts are flushed to the global obs counters on the way in, so pooled
+// hot paths report without paying a single atomic inside their loops.
 func (wp *WorkspacePool) Put(ws *Workspace) {
 	if ws != nil {
+		ws.sum.a, ws.sum.rv = nil, nil
 		ws.FlushObs()
 		wp.p.Put(ws)
 	}

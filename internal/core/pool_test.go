@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
@@ -41,6 +43,52 @@ func TestWorkspacePoolSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled best response allocates %v per op, want 0", allocs)
+	}
+	// The deviation test rebuilds the channel summary on every borrow (Put
+	// drops its key) and still allocates nothing.
+	allocs = testing.AllocsPerRun(100, func() {
+		ws := pool.Get()
+		if _, _, _, err := g.DeviationInto(ws, a, 1, DefaultEps); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(ws)
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled deviation test allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestWorkspacePoolPutDropsSummary: a workspace's channel summary keeps
+// the allocation it was built for alive until the workspace goes back to
+// the pool, and not after.
+func TestWorkspacePoolPutDropsSummary(t *testing.T) {
+	g, err := NewGame(4, 3, 2, ratefn.NewTDMA(54))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewWorkspacePool()
+	var ws *Workspace
+	ref := func() weak.Pointer[Alloc] {
+		a := g.NewEmptyAlloc()
+		if err := a.Add(0, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		ws = pool.Get()
+		if _, _, _, err := g.DeviationInto(ws, a, 0, DefaultEps); err != nil {
+			t.Fatal(err)
+		}
+		if ws.sum.a != a || ws.sum.rv != g.View() {
+			t.Fatalf("summary key (%p, %p), want the allocation %p and view %p", ws.sum.a, ws.sum.rv, a, g.View())
+		}
+		pool.Put(ws)
+		return weak.Make(a)
+	}()
+	if ws.sum.a != nil || ws.sum.rv != nil {
+		t.Fatalf("pooled workspace still references allocation %p and view %p", ws.sum.a, ws.sum.rv)
+	}
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("allocation still reachable after its workspace went back to the pool")
 	}
 }
 

@@ -13,8 +13,56 @@ import (
 // This file pins the exchange certificate (RateView.exchangeBound) against
 // the DP fold: wherever the certificate gives a bound, the fold's value
 // over the same rows is at most that bound, so a quiet verdict the
-// certificate decides is the fold's verdict. It also pins UtilityOf's plane
+// certificate decides is the fold's verdict. It pins the certificate's
+// channel-summary form to the dense pass over every channel
+// (denseExchangeBound) bit for bit, and the workspace's summary cache to a
+// fresh build after every kind of mutation. It also pins UtilityOf's plane
 // read to the division form.
+
+// denseExchangeBound is the certificate as one pass over all |C| channels,
+// reading every channel's share row: the reference the summary form must
+// equal in both U and the bound, float bits included.
+func denseExchangeBound(rv *RateView, y, load []int, k int) (u, bound float64) {
+	if rv.share == nil {
+		return rv.utility(y, load), math.Inf(1)
+	}
+	stride := rv.maxOwn + 1
+	concave, placed := true, 0
+	v1, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+	for c, yc := range y {
+		m := load[c] - yc
+		v := rv.share[m*stride : (m+1)*stride]
+		concave = concave && int(rv.concave[m]) >= k
+		v1 = max(v1, v[1])
+		if yc > 0 {
+			u += v[yc]
+			lo = min(lo, v[yc]-v[yc-1])
+			placed += yc
+		}
+		if yc < k {
+			hi = max(hi, v[yc+1]-v[yc])
+		}
+	}
+	if !concave || !(lo >= 0) {
+		return u, math.Inf(1)
+	}
+	delta := float64(k)*max(hi-lo, 0) + float64(k-placed)*max(hi, 0)
+	return u, u + quietBand(len(y), k, v1) + 2*delta
+}
+
+// summaryBound runs the summary certificate for row y against channel
+// loads load with s built from load, and fails unless it equals the dense
+// pass bit for bit.
+func summaryBound(t testing.TB, rv *RateView, s *channelSummary, y, load []int, k int) (u, bound float64) {
+	t.Helper()
+	u, bound = rv.exchangeBound(s, y, load, k)
+	wu, wb := denseExchangeBound(rv, y, load, k)
+	if math.Float64bits(u) != math.Float64bits(wu) || math.Float64bits(bound) != math.Float64bits(wb) {
+		t.Fatalf("%s loads %v k %d row %v: summary (U %v, bound %v), dense (U %v, bound %v)",
+			rv.rate.Name(), load, k, y, u, bound, wu, wb)
+	}
+	return u, bound
+}
 
 // foldCase lays out budget k's DP rows against external loads ext on rv and
 // returns the fold's row (a copy), its value, the certificate's band δ over
@@ -36,13 +84,17 @@ func foldCase(rv *RateView, ws *Workspace, ext []int, k int) (row []int, fold, d
 }
 
 // certify returns the utility and the certificate's bound for a user that
-// plays row y against external loads ext with budget k.
-func certify(rv *RateView, y, ext []int, k int) (u, bound float64) {
+// plays row y against external loads ext with budget k, checking the
+// summary form against the dense pass.
+func certify(t testing.TB, rv *RateView, y, ext []int, k int) (u, bound float64) {
+	t.Helper()
 	load := make([]int, len(ext))
 	for c := range ext {
 		load[c] = ext[c] + y[c]
 	}
-	return rv.exchangeBound(y, load, k)
+	var s channelSummary
+	rv.summarize(&s, load)
+	return summaryBound(t, rv, &s, y, load, k)
 }
 
 // checkRow checks the certificate on row y against the fold's value fold
@@ -53,7 +105,7 @@ func certify(rv *RateView, y, ext []int, k int) (u, bound float64) {
 // is quiet.
 func checkRow(t *testing.T, rv *RateView, y, ext []int, k int, fold, delta float64, concave bool) bool {
 	t.Helper()
-	u, bound := certify(rv, y, ext, k)
+	u, bound := certify(t, rv, y, ext, k)
 	if !concave && !math.IsInf(bound, 1) {
 		t.Fatalf("%s ext %v k %d row %v: bound %v over rows not concave through k", rv.rate.Name(), ext, k, y, bound)
 	}
@@ -118,12 +170,13 @@ func checkCoverage(t *testing.T, rate ratefn.Func, cases, concave, covered int) 
 
 // TestQuietScreenExhaustiveSmall runs every external load vector in
 // [0, 5]^C for C <= 4, budgets k <= 4 and every row with at most k radios
-// under every rate family.
+// under every rate family. The views cover the channel loads ext + y, as a
+// game's view covers every load of its allocations.
 func TestQuietScreenExhaustiveSmall(t *testing.T) {
 	const maxLoad, maxOwn = 5, 4
 	ws := NewWorkspace()
 	for _, rate := range differentialRates(t) {
-		rv := NewRateView(rate, maxLoad, maxOwn)
+		rv := NewRateView(rate, maxLoad+maxOwn, maxOwn)
 		cases, concave, covered := 0, 0, 0
 		for C := 1; C <= 4; C++ {
 			ext := make([]int, C)
@@ -161,7 +214,7 @@ func TestQuietScreenSeededLarge(t *testing.T) {
 	const C, maxLoad, maxOwn, cases = 16, 40, 8, 400
 	ws := NewWorkspace()
 	for f, rate := range differentialRates(t) {
-		rv := NewRateView(rate, maxLoad, maxOwn)
+		rv := NewRateView(rate, maxLoad+maxOwn, maxOwn)
 		rng := des.NewRNG(uint64(0x5c4ee1 + f))
 		concave, covered := 0, 0
 		for n := 0; n < cases; n++ {
@@ -217,6 +270,172 @@ func TestQuietScreenSeededLarge(t *testing.T) {
 	}
 }
 
+// TestExchangeBoundSummaryMatchesDense pins the summary certificate to the
+// dense pass bit for bit on seeded load vectors of 16 and 64 channels
+// under every rate family: one summary per load vector serves random rows
+// (each channel holding at most its load, at most k radios in all), half
+// of them stacked on the channels with the largest t_c so that the walk
+// skips occupied channels. Loads include empty channels, whose harmonic and
+// geometric rows are not concave through 3, so some rows leave a flagged
+// channel unoccupied. A plane-less view of the same loads runs too.
+func TestExchangeBoundSummaryMatchesDense(t *testing.T) {
+	flaggedOutside, total := 0, 0
+	for f, rate := range differentialRates(t) {
+		for _, sz := range []struct{ C, maxLoad, maxOwn, cases int }{{16, 40, 8, 150}, {64, 200, 16, 40}} {
+			rv := NewRateView(rate, sz.maxLoad, sz.maxOwn)
+			saved := maxShareTableLen
+			maxShareTableLen = 1
+			planeless := NewRateView(rate, sz.maxLoad, sz.maxOwn)
+			maxShareTableLen = saved
+			if rv.share == nil || planeless.share != nil {
+				t.Fatalf("%s C=%d: plane %v, plane-less view's plane %v", rate.Name(), sz.C, rv.share != nil, planeless.share != nil)
+			}
+			rng := des.NewRNG(uint64(0x5a11 + 97*f + sz.C))
+			walked := 0
+			var s, none channelSummary
+			load, y := make([]int, sz.C), make([]int, sz.C)
+			for n := 0; n < sz.cases; n++ {
+				spread := rng.Intn(sz.maxLoad + 1)
+				for c := range load {
+					load[c] = rng.Intn(spread + 1)
+				}
+				rv.summarize(&s, load)
+				planeless.summarize(&none, load)
+				for r := 0; r < 30; r++ {
+					k := 1 + rng.Intn(sz.maxOwn)
+					clear(y)
+					top := r%2 == 0
+					for left, tries := rng.Intn(k+1), 0; left > 0 && tries < 4*sz.C; tries++ {
+						c := rng.Intn(sz.C)
+						if top {
+							c = s.order[rng.Intn(min(k, sz.C))]
+						}
+						if y[c] < load[c] {
+							y[c]++
+							left--
+						}
+					}
+					_, bound := summaryBound(t, rv, &s, y, load, k)
+					summaryBound(t, planeless, &none, y, load, k)
+					total++
+					occupiedFlagged, skipped := 0, 0
+					for c, yc := range y {
+						if yc > 0 && int(rv.concave[load[c]]) < k {
+							occupiedFlagged++
+						}
+					}
+					if s.bad[k] > occupiedFlagged {
+						flaggedOutside++
+					}
+					for _, c := range s.order {
+						if y[c] == 0 {
+							break
+						}
+						skipped++
+					}
+					if skipped > 0 && !math.IsInf(bound, 1) {
+						walked++
+					}
+				}
+			}
+			if walked == 0 {
+				t.Errorf("%s C=%d: no bounded row skipped an occupied channel in the walk", rate.Name(), sz.C)
+			}
+		}
+	}
+	if flaggedOutside == 0 {
+		t.Errorf("no row of %d left a flagged channel unoccupied", total)
+	}
+	t.Logf("%d rows, %d with a flagged channel unoccupied", total, flaggedOutside)
+}
+
+// TestSummaryCacheFollowsMutations: one workspace runs the deviation test
+// of every user between random mutations of one allocation by SetRow, Add,
+// Move, AppendRow and RemoveRowSwap. Its cached summary must give the
+// dense pass's certificate bit for bit, and every verdict (row, value,
+// improves) must be a fresh workspace's.
+func TestSummaryCacheFollowsMutations(t *testing.T) {
+	const C, maxOwn, maxUsers = 6, 4, 24
+	for f, rate := range differentialRates(t) {
+		rv := NewRateView(rate, maxUsers*maxOwn, maxOwn)
+		rng := des.NewRNG(uint64(0xcac4e + f))
+		a, err := NewAlloc(8, C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budgets := make([]int, a.Users())
+		for i := range budgets {
+			budgets[i] = 1 + i%maxOwn
+		}
+		ws := NewWorkspace()
+		check := func(op string) {
+			t.Helper()
+			for i, k := range budgets {
+				summaryBound(t, rv, ws.summary(rv, a), a.m[i], a.load, k)
+				row, best, improves := rv.DeviationInto(ws, a, i, k, DefaultEps)
+				row = slices.Clone(row)
+				frow, fbest, fimproves := rv.DeviationInto(NewWorkspace(), a, i, k, DefaultEps)
+				if !slices.Equal(row, frow) || math.Float64bits(best) != math.Float64bits(fbest) || improves != fimproves {
+					t.Fatalf("%s after %s, user %d row %v: cached (%v, %v, %v), fresh (%v, %v, %v)",
+						rate.Name(), op, i, a.Row(i), row, best, improves, frow, fbest, fimproves)
+				}
+			}
+		}
+		ops := map[string]int{}
+		for step := 0; step < 300; step++ {
+			i := rng.Intn(a.Users())
+			var op string
+			switch r := rng.Intn(5); {
+			case r == 0:
+				op = "SetRow"
+				row := make([]int, C)
+				for n := rng.Intn(budgets[i] + 1); n > 0; n-- {
+					row[rng.Intn(C)]++
+				}
+				err = a.SetRow(i, row)
+			case r == 1 && a.UserTotal(i) < budgets[i]:
+				op = "Add"
+				err = a.Add(i, rng.Intn(C), 1)
+			case r == 1:
+				op = "Add"
+				c := 0
+				for a.Radios(i, c) == 0 {
+					c++
+				}
+				err = a.Add(i, c, -1)
+			case r == 2 && a.UserTotal(i) > 0:
+				op = "Move"
+				from := rng.Intn(C)
+				for a.Radios(i, from) == 0 {
+					from = (from + 1) % C
+				}
+				err = a.Move(i, from, (from+1+rng.Intn(C-1))%C)
+			case r == 3 && a.Users() < maxUsers:
+				op = "AppendRow"
+				a.AppendRow()
+				budgets = append(budgets, 1+rng.Intn(maxOwn))
+			case r == 4 && a.Users() > 1:
+				op = "RemoveRowSwap"
+				err = a.RemoveRowSwap(i)
+				budgets[i] = budgets[len(budgets)-1]
+				budgets = budgets[:len(budgets)-1]
+			default:
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s step %d: %s: %v", rate.Name(), step, op, err)
+			}
+			ops[op]++
+			check(op)
+		}
+		for _, op := range []string{"SetRow", "Add", "Move", "AppendRow", "RemoveRowSwap"} {
+			if ops[op] == 0 {
+				t.Fatalf("%s: no %s among the mutations (%v)", rate.Name(), op, ops)
+			}
+		}
+	}
+}
+
 // TestConcavePrefix pins the row flag on hand-built rows.
 func TestConcavePrefix(t *testing.T) {
 	for _, tc := range []struct {
@@ -251,7 +470,7 @@ func TestQuietScreenRefusesNonConcaveRows(t *testing.T) {
 		ratefn.Harmonic{R0: 2, Alpha: 0.5},
 	} {
 		const maxLoad, maxOwn = 64, 8
-		rv := NewRateView(rate, maxLoad, maxOwn)
+		rv := NewRateView(rate, maxLoad+3+maxOwn, maxOwn)
 		refused := 0
 		for m := 0; m <= maxLoad; m++ {
 			p := int(rv.concave[m])
@@ -261,7 +480,7 @@ func TestQuietScreenRefusesNonConcaveRows(t *testing.T) {
 			for k := p + 1; k <= maxOwn; k++ {
 				ext := []int{3, m, 1}
 				forEachRow(len(ext), k, func(y []int) {
-					if _, bound := certify(rv, y, ext, k); bound < math.Inf(1) {
+					if _, bound := certify(t, rv, y, ext, k); bound < math.Inf(1) {
 						t.Fatalf("%s: row %d is concave through %d, yet k=%d row %v has bound %v", rate.Name(), m, p, k, y, bound)
 					}
 				})
@@ -414,6 +633,7 @@ func randomLegalAlloc(rng *des.RNG, rate ratefn.Func) (*Game, *Alloc, error) {
 // Game.Utility and the certificate's U) to the division form bit for bit
 // on random legal allocations under every rate family.
 func TestUtilityOfMatchesDivision(t *testing.T) {
+	ws := NewWorkspace()
 	for f, rate := range differentialRates(t) {
 		rng := des.NewRNG(uint64(0x07117 + f))
 		for n := 0; n < 200; n++ {
@@ -427,7 +647,7 @@ func TestUtilityOfMatchesDivision(t *testing.T) {
 			for i := 0; i < a.Users(); i++ {
 				want := divisionUtility(rate, a, i)
 				got := g.Utility(a, i)
-				u, _ := g.View().exchangeBound(a.m[i], a.load, g.Budget(i))
+				u, _ := g.View().exchangeBound(ws.summary(g.View(), a), a.m[i], a.load, g.Budget(i))
 				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(u) != math.Float64bits(want) {
 					t.Fatalf("%s case %d user %d row %v: UtilityOf %v, certificate U %v, division form %v",
 						rate.Name(), n, i, a.Row(i), got, u, want)
@@ -488,8 +708,9 @@ func TestUtilityOfWithoutPlane(t *testing.T) {
 }
 
 // FuzzQuietScreen: for a fuzzed rate family, external loads, budget,
-// current row and tolerance, the deviation test's verdict is the fold's
-// (a certified quiet verdict implies the fold is quiet), and an improving
+// current row and tolerance, every user's summary certificate equals the
+// dense pass bit for bit, the deviation test's verdict is the fold's (a
+// certified quiet verdict implies the fold is quiet), and an improving
 // verdict carries the fold's row and value. The tolerance is either taken
 // raw from its bits or placed within a few bands of the fold's value.
 func FuzzQuietScreen(f *testing.F) {
@@ -570,6 +791,9 @@ func FuzzQuietScreen(f *testing.F) {
 			t.Fatalf("built allocation: %v", err)
 		}
 		ws := NewWorkspace()
+		for i := 0; i < g.Users(); i++ {
+			summaryBound(t, g.View(), ws.summary(g.View(), a), a.m[i], a.load, g.Budget(i))
+		}
 		wantRow, fold, err := g.BestResponseInto(ws, a, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
@@ -220,6 +222,10 @@ type Workspace struct {
 	// so the pool can tell a miss from a recycled hit.
 	obs       wsCounts
 	poolFresh bool
+
+	// sum caches the exchange certificate's channel summary of the last
+	// allocation state it was built for (see summary).
+	sum channelSummary
 }
 
 // UserMarks returns an n-length, false-initialised per-user scratch slice,
@@ -390,26 +396,101 @@ func (rv *RateView) BestResponseAllocInto(ws *Workspace, a *Alloc, i, k int) ([]
 // DeviationInto is the deviation test behind every best-response verdict:
 // improves reports that user i with budget k >= 1 has a best response worth
 // more than UtilityOf(a, i)+eps. The exchange certificate (exchangeBound)
-// decides most quiet verdicts in O(C) from the user's own row; every other
-// case runs the DP fold and traceback, so an improving row and its value
-// are always the DP's, bit for bit BestResponseAllocInto's (row aliases
-// ws). On a certified quiet verdict row is nil and best is the user's
-// utility, which the DP's value exceeds by at most the certificate's slack.
+// decides most quiet verdicts from the user's occupied channels and a's
+// channel summary, which ws caches per allocation state (see
+// Workspace.summary); every other case runs the DP fold and traceback, so
+// an improving row and its value are always the DP's, bit for bit
+// BestResponseAllocInto's (row aliases ws). On a certified quiet verdict
+// row is nil and best is the user's utility, which the DP's value exceeds
+// by at most the certificate's slack.
 func (rv *RateView) DeviationInto(ws *Workspace, a *Alloc, i, k int, eps float64) (row []int, best float64, improves bool) {
-	u, bound := rv.exchangeBound(a.m[i], a.load, k)
-	lim := u + eps
-	if bound < lim {
-		ws.obs.screenQuiet++
+	u, quiet := rv.certify(ws, a, i, k, eps)
+	if quiet {
 		return nil, u, false
 	}
 	row, best = bestResponseDP(ws, rv.layoutDP(ws, a, i, k), a.Channels(), k)
-	return row, best, best > lim
+	return row, best, best > u+eps
+}
+
+// certify runs the exchange certificate for user i with budget k: it
+// returns the user's utility U and whether the certificate proves the fold
+// finds nothing above fl(U + eps), counting each such quiet verdict.
+func (rv *RateView) certify(ws *Workspace, a *Alloc, i, k int, eps float64) (u float64, quiet bool) {
+	u, bound := rv.exchangeBound(ws.summary(rv, a), a.m[i], a.load, k)
+	if bound < u+eps {
+		ws.obs.screenQuiet++
+		return u, true
+	}
+	return u, false
+}
+
+// channelSummary is the part of the exchange certificate that depends only
+// on the channel loads L_c, shared by every user of one allocation. With
+// t_c = v_{L_c}[1], the share-plane entry of one radio against the whole
+// load, it holds t (indexed by channel), the channels ordered by t_c
+// descending (ties by ascending c) and bad[k] = #{c : concave[L_c] < k} for
+// k = 0..maxOwn+1. The key (a, gen, rv) names the allocation state and
+// view it was built from; a view without a share plane leaves it empty.
+type channelSummary struct {
+	a     *Alloc
+	gen   uint64
+	rv    *RateView
+	t     []float64
+	order []int
+	bad   []int
+}
+
+// summary returns a's channel summary under rv, rebuilding the cached one
+// when a, its mutation count or rv differ from the key it was built for.
+// The key's pointer keeps a alive, so its address cannot be reused under a
+// stale key; WorkspacePool.Put drops it.
+func (ws *Workspace) summary(rv *RateView, a *Alloc) *channelSummary {
+	s := &ws.sum
+	if s.a != a || s.gen != a.gen || s.rv != rv {
+		rv.summarize(s, a.load)
+		s.a, s.gen, s.rv = a, a.gen, rv
+	}
+	return s
+}
+
+// summarize fills s for channel loads load: O(|C| log |C| + maxOwn).
+func (rv *RateView) summarize(s *channelSummary, load []int) {
+	if rv.share == nil {
+		return
+	}
+	C, stride := len(load), rv.maxOwn+1
+	if cap(s.t) < C {
+		s.t, s.order = make([]float64, C), make([]int, C)
+	}
+	if cap(s.bad) < stride+1 {
+		s.bad = make([]int, stride+1)
+	}
+	t, order, bad := s.t[:C], s.order[:C], s.bad[:stride+1]
+	clear(bad)
+	for c, l := range load {
+		t[c] = rv.share[l*stride+1]
+		order[c] = c
+		bad[rv.concave[l]+1]++
+	}
+	for k := 1; k < len(bad); k++ {
+		bad[k] += bad[k-1]
+	}
+	// cmp.Compare orders a NaN below every number, so the order is total;
+	// a NaN t_c is never read (its row is flagged, see exchangeBound).
+	slices.SortFunc(order, func(x, y int) int {
+		if d := cmp.Compare(t[y], t[x]); d != 0 {
+			return d
+		}
+		return x - y
+	})
+	s.t, s.order, s.bad = t, order, bad
 }
 
 // exchangeBound returns the utility U of a user that plays row y against
 // channel loads load (bit for bit UtilityOf's value), and an upper bound on
 // the value F the best-response fold finds for budget k ≥ 1, or +Inf when
-// it has none. DeviationInto answers quiet when bound < fl(U + eps).
+// it has none. s is the channel summary of load. DeviationInto answers
+// quiet when bound < fl(U + eps).
 //
 // The bound is an exchange certificate (Gross 1956; Ibaraki & Katoh 1988):
 // on concave rows, a row with no profitable single-radio exchange is a best
@@ -424,6 +505,15 @@ func (rv *RateView) DeviationInto(ws *Workspace, a *Alloc, i, k int, eps float64
 //
 // (an empty min is +Inf and an empty max −Inf, which zero their terms), it
 // requires L ≥ 0 and returns fl(U + δ + 2Δ) with δ = quietBand(C, k, V1).
+//
+// Only the occupied channels are read from the plane. An unoccupied
+// channel has m_c = L_c and d̂_c(1) = fl(v_c[1] − 0) = t_c exactly, so it
+// adds t_c to both maxima, and its concavity flag is the one s counts: the
+// unoccupied channels are all concave through k when bad[k] equals the
+// number of occupied channels with concave[L_c] < k, and then the first
+// unoccupied channel in s's order carries the largest t_c among them.
+// Float max and min are exact and U sums the same terms in ascending c, so
+// U and the bound are bit for bit those of one pass over all |C| channels.
 //
 // Why F ≤ U + δ + 2Δ. For a row z with Σz ≤ k write S(z) = Σ_c v_c[z_c]
 // and Ŵ(z) = Σ_c Σ_{x≤z_c} d̂_c(x), both exact, and T(z) = Σ_c Σ_{x≤z_c}
@@ -452,32 +542,42 @@ func (rv *RateView) DeviationInto(ws *Workspace, a *Alloc, i, k int, eps float64
 // additions'; the 2⁻¹⁰⁰⁰ term of δ covers an underflowing product.
 // Rounding is monotone, so fl(U + δ + 2Δ) < fl(U + eps) gives F ≤ fl(U +
 // eps): the fold would find no deviation either. A row that is not
-// finite, non-negative and concave through k, and a view without a share
-// plane, give +Inf; a NaN eps fails the comparison; so those cases reach
-// the fold.
-func (rv *RateView) exchangeBound(y, load []int, k int) (u, bound float64) {
-	if rv.share == nil {
+// finite, non-negative and concave through k, a budget past the view's,
+// and a view without a share plane give +Inf; a NaN eps fails the
+// comparison; so those cases reach the fold.
+func (rv *RateView) exchangeBound(s *channelSummary, y, load []int, k int) (u, bound float64) {
+	if rv.share == nil || k > rv.maxOwn {
 		return rv.utility(y, load), math.Inf(1)
 	}
 	stride := rv.maxOwn + 1
-	concave, placed := true, 0
+	concave, placed, flagged := true, 0, 0
 	v1, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
 	for c, yc := range y {
+		if yc == 0 {
+			continue
+		}
 		m := load[c] - yc
 		v := rv.share[m*stride : (m+1)*stride]
 		concave = concave && int(rv.concave[m]) >= k
-		v1 = max(v1, v[1])
-		if yc > 0 {
-			u += v[yc]
-			lo = min(lo, v[yc]-v[yc-1])
-			placed += yc
+		if int(rv.concave[load[c]]) < k {
+			flagged++
 		}
+		v1 = max(v1, v[1])
+		u += v[yc]
+		lo = min(lo, v[yc]-v[yc-1])
+		placed += yc
 		if yc < k {
 			hi = max(hi, v[yc+1]-v[yc])
 		}
 	}
-	if !concave || !(lo >= 0) {
+	if !concave || s.bad[k] != flagged || !(lo >= 0) {
 		return u, math.Inf(1)
+	}
+	for _, c := range s.order {
+		if y[c] == 0 {
+			v1, hi = max(v1, s.t[c]), max(hi, s.t[c])
+			break
+		}
 	}
 	delta := float64(k)*max(hi-lo, 0) + float64(k-placed)*max(hi, 0)
 	return u, u + quietBand(len(y), k, v1) + 2*delta

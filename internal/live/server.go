@@ -24,7 +24,9 @@ type Config struct {
 	Channels int
 	Rate     ratefn.Func
 	RateName string
-	// Workers bounds the parallel Nash-equilibrium verification fan-out;
+	// Workers bounds the goroutines that run the Nash-equilibrium
+	// verifier's DP folds, which only the class representatives its
+	// exchange certificate could not certify need (see verifyAlloc);
 	// < 1 means runtime.NumCPU(). The worker count NEVER affects output
 	// bytes — verification is an AND-reduce over per-user verdicts.
 	Workers int
@@ -321,38 +323,47 @@ func (s *Server) verifyNE() bool {
 }
 
 // verifyAlloc decides whether a is a Nash equilibrium of g with the exact
-// per-user best-response DP. Users with the same budget and the same row
-// face the same external loads and have the same utility, so their DP
-// results and verdicts are bit-identical: cls, a's (budget, row) class
-// index, groups them, and one serial stamp pass over the users' class ids
-// picks each class's first user as its representative. Only the
-// representatives run the DP, sharded over the workers; each worker
-// borrows its own pooled DP workspace. The verdict is an AND over
-// representatives, which equals the AND over all users, so it is the same
-// at any worker count, and the early exit on a found deviation only saves
-// time. Only the grouping is shared with the dynamics that produced a:
-// every representative's utility and DP are computed here.
+// per-user deviation test. Users with the same budget and the same row face
+// the same external loads and have the same utility, so their verdicts are
+// bit-identical: cls, a's (budget, row) class index, groups them, and one
+// serial stamp pass over the users' class ids picks each class's first
+// user as its representative. The test runs in two phases:
+//
+//   - the same serial pass runs the exchange certificate on each
+//     representative (Game.CertifiedQuiet), tens of nanoseconds each, in
+//     one workspace that builds a's channel summary once;
+//   - only the representatives it could not certify run the deviation
+//     test with its DP fold, sharded over min(workers, failed) goroutines,
+//     each with its own pooled workspace. An event whose representatives
+//     are all certified starts no goroutine.
+//
+// A certified quiet verdict implies the fold is quiet (see the certificate
+// in internal/core), so the verdict is the AND over representatives, which
+// equals the AND over all users, at any worker count; the early exit on a
+// found deviation only saves time. Only the grouping is shared with the
+// dynamics that produced a: every representative's verdict is computed
+// here.
 func verifyAlloc(g *core.Game, a *core.Alloc, cls *core.Classes, workers int) bool {
 	ws := core.Workspaces.Get()
 	defer core.Workspaces.Put(ws)
 	users, size := g.Users(), cls.Size()
 	scratch := ws.UserInts(size + users)
-	seen, reps := scratch[:size:size], scratch[size:size]
-	for c := range seen {
-		seen[c] = 0
-	}
+	seen, failed := scratch[:size:size], scratch[size:size]
+	clear(seen)
 	for i := 0; i < users; i++ {
 		if c := cls.Of(i); seen[c] == 0 {
 			seen[c] = 1
-			reps = append(reps, i)
+			if !g.CertifiedQuiet(ws, a, i, core.DefaultEps) {
+				failed = append(failed, i)
+			}
 		}
 	}
-	n := len(reps)
+	n := len(failed)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		return verifyUsers(g, a, ws, reps, nil)
+		return verifyUsers(g, a, ws, failed, nil)
 	}
 	var refuted atomic.Bool
 	var wg sync.WaitGroup
@@ -367,7 +378,7 @@ func verifyAlloc(g *core.Game, a *core.Alloc, cls *core.Classes, workers int) bo
 			if !verifyUsers(g, a, ws, users, &refuted) {
 				refuted.Store(true)
 			}
-		}(reps[lo:hi])
+		}(failed[lo:hi])
 	}
 	wg.Wait()
 	return !refuted.Load()

@@ -30,9 +30,24 @@ func refVerifyNE(g *core.Game, a *core.Alloc) bool {
 	return true
 }
 
+// andDeviationNE is the AND over every user of the deviation test's
+// verdict, each user in its own fresh workspace.
+func andDeviationNE(t *testing.T, g *core.Game, a *core.Alloc) bool {
+	t.Helper()
+	ne := true
+	for i := 0; i < g.Users(); i++ {
+		_, _, improves, err := g.DeviationInto(core.NewWorkspace(), a, i, core.DefaultEps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ne = ne && !improves
+	}
+	return ne
+}
+
 // worsen stacks every radio of user i on the channel carrying the most
 // external load, a placement no better than its equilibrium row.
-func worsen(t *testing.T, a *core.Alloc, i int) {
+func worsen(t testing.TB, a *core.Alloc, i int) {
 	t.Helper()
 	target := 0
 	for c := 1; c < a.Channels(); c++ {
@@ -48,12 +63,14 @@ func worsen(t *testing.T, a *core.Alloc, i int) {
 }
 
 // TestVerifyGroupedDifferential pins the verifier grouped by the (budget,
-// row) class index against the per-user reference on every event of
-// seeded churn traces in the many-users, few-channels regime, at several
-// worker counts, and on a perturbed copy of each allocation (one row moved
-// to a worse placement, grouped by a fresh index) so that false verdicts
-// must agree too. The live game's invariant check, class index included,
-// runs after every event.
+// row) class index against the per-user references (each user's DP, and
+// the AND of each user's deviation test) on every event of seeded churn
+// traces in the many-users, few-channels regime, at several worker counts,
+// and on a perturbed copy of each allocation (one row moved to a worse
+// placement, grouped by a fresh index) so that false verdicts must agree
+// too. When the perturbed user improves, its certificate must fail, so the
+// refutation comes from the fold phase. The live game's invariant check,
+// class index included, runs after every event.
 func TestVerifyGroupedDifferential(t *testing.T) {
 	users, events := 256, 200
 	if testing.Short() {
@@ -69,6 +86,7 @@ func TestVerifyGroupedDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := des.NewRNG(seed)
+		ws := core.NewWorkspace()
 		falses := 0
 		for ev, req := range trace {
 			resp := s.Apply(req)
@@ -86,14 +104,26 @@ func TestVerifyGroupedDifferential(t *testing.T) {
 			if g == nil {
 				continue
 			}
+			if !andDeviationNE(t, g, a) {
+				t.Fatalf("seed %d event %d: a user's deviation test refutes the verified equilibrium", seed, ev)
+			}
 			bad := a.Clone()
-			worsen(t, bad, rng.Intn(bad.Users()))
+			deviator := rng.Intn(bad.Users())
+			worsen(t, bad, deviator)
 			badClasses := core.NewClasses(g, bad)
 			want := refVerifyNE(g, bad)
-			if !want {
-				falses++
+			if and := andDeviationNE(t, g, bad); and != want {
+				t.Fatalf("seed %d event %d: AND of deviation tests %v, DP reference %v", seed, ev, and, want)
 			}
-			for _, workers := range []int{1, 2, 5} {
+			if !want {
+				if _, _, improves, _ := g.DeviationInto(ws, bad, deviator, core.DefaultEps); improves {
+					if g.CertifiedQuiet(ws, bad, deviator, core.DefaultEps) {
+						t.Fatalf("seed %d event %d: improving user %d certified quiet", seed, ev, deviator)
+					}
+					falses++
+				}
+			}
+			for _, workers := range []int{1, 2, 8} {
 				if got := verifyAlloc(g, a, lg.Classes(), workers); !got {
 					t.Fatalf("seed %d event %d: workers=%d refuted the equilibrium", seed, ev, workers)
 				}
@@ -103,7 +133,58 @@ func TestVerifyGroupedDifferential(t *testing.T) {
 			}
 		}
 		if falses == 0 {
-			t.Fatalf("seed %d: no perturbed allocation was a non-equilibrium", seed)
+			t.Fatalf("seed %d: no perturbed allocation had an improving, uncertified deviator", seed)
+		}
+	}
+}
+
+// TestVerifyWithoutPlane runs the verifier on a game whose rate view has
+// no share plane (16 channels, budgets of 16 and enough users that the
+// plane would pass its cap), where the certificate decides nothing and
+// every class representative reaches the fold phase. At workers 1, 2 and 8
+// the verdict on an equilibrium (every user one radio per channel) and on
+// a copy with one user's radios stacked on one channel equals the AND of
+// the per-user deviation tests.
+func TestVerifyWithoutPlane(t *testing.T) {
+	const C, users = 16, 15500
+	g, err := core.NewGame(users, C, C, ratefn.NewTDMA(54))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne := g.NewEmptyAlloc()
+	ones := make([]int, C)
+	for c := range ones {
+		ones[c] = 1
+	}
+	for i := 0; i < users; i++ {
+		if err := ne.SetRow(i, ones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := ne.Clone()
+	worsen(t, bad, users/2)
+	ws := core.NewWorkspace()
+	for _, tc := range []struct {
+		name string
+		a    *core.Alloc
+		want bool
+	}{{"equilibrium", ne, true}, {"stacked", bad, false}} {
+		if err := g.CheckAlloc(tc.a); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < users; i++ {
+			if g.CertifiedQuiet(ws, tc.a, i, core.DefaultEps) {
+				t.Fatalf("%s: user %d certified without a share plane", tc.name, i)
+			}
+		}
+		if and := andDeviationNE(t, g, tc.a); and != tc.want {
+			t.Fatalf("%s: AND of deviation tests %v, want %v", tc.name, and, tc.want)
+		}
+		cls := core.NewClasses(g, tc.a)
+		for _, workers := range []int{1, 2, 8} {
+			if got := verifyAlloc(g, tc.a, cls, workers); got != tc.want {
+				t.Fatalf("%s: workers=%d verdict %v, want %v", tc.name, workers, got, tc.want)
+			}
 		}
 	}
 }
