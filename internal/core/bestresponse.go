@@ -92,10 +92,10 @@ func (g *Game) DeviationInto(ws *Workspace, a *Alloc, i int, eps float64) (row [
 // CertifiedQuiet runs DeviationInto's exchange certificate alone: true
 // proves that user i has no deviation worth more than Utility(a, i)+eps,
 // so DeviationInto(ws, a, i, eps) would report none, and counts a quiet
-// verdict as DeviationInto does. False decides nothing (the fold may still
-// find a, i quiet); it is also the answer for a nil workspace or an
-// out-of-range user, which DeviationInto reports as errors. The
-// allocation is NOT re-validated.
+// verdict as DeviationInto does. False decides nothing: only the fold can
+// tell whether user i is quiet. False is also the answer for a nil
+// workspace or an out-of-range user, which DeviationInto reports as
+// errors. The allocation is NOT re-validated.
 func (g *Game) CertifiedQuiet(ws *Workspace, a *Alloc, i int, eps float64) bool {
 	if ws == nil || i < 0 || i >= g.Users() {
 		return false
