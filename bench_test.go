@@ -26,6 +26,9 @@ import (
 	"testing"
 
 	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/core"
+	"github.com/multiradio/chanalloc/internal/engine"
+	"github.com/multiradio/chanalloc/internal/obs"
 )
 
 func benchGame(b *testing.B, users, channels, radios int, r chanalloc.RateFunc) *chanalloc.Game {
@@ -174,10 +177,10 @@ func BenchmarkBestResponseDP(b *testing.B) {
 				ext[c] = (c*7)%5 + 1
 			}
 			r := chanalloc.TDMA(1)
-			ws := chanalloc.NewWorkspace()
+			ws := core.NewWorkspace()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := chanalloc.BestResponseToLoadsInto(ws, r, ext, sz.k); err != nil {
+				if _, _, err := core.BestResponseToLoadsInto(ws, r, ext, sz.k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,7 +237,7 @@ func BenchmarkQuietScreen(b *testing.B) {
 					u++
 				}
 			}
-			ws := chanalloc.NewWorkspace()
+			ws := core.NewWorkspace()
 			if row, _, improves, err := g.DeviationInto(ws, a, 0, chanalloc.DefaultEps); err != nil || improves || row != nil {
 				b.Fatalf("verdict not decided by the screen: row %v improves %v (%v)", row, improves, err)
 			}
@@ -293,7 +296,7 @@ func BenchmarkExactOracle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws := chanalloc.NewWorkspace()
+	ws := core.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ok, err := g.IsNashEquilibriumWith(ws, ne)
@@ -471,8 +474,9 @@ func BenchmarkDynamicsBatchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPotential measures the congestion-potential evaluation used to
-// trace dynamics.
+// BenchmarkPotential measures the congestion-potential evaluation the
+// dynamics runners and Requilibrate record after every round (Game.Potential,
+// over the game's rate table).
 func BenchmarkPotential(b *testing.B) {
 	b.ReportAllocs()
 	g := benchGame(b, 64, 32, 16, chanalloc.TDMA(1))
@@ -480,10 +484,9 @@ func BenchmarkPotential(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := g.Rate()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if chanalloc.Potential(r, ne) <= 0 {
+		if g.Potential(ne) <= 0 {
 			b.Fatal("degenerate potential")
 		}
 	}
@@ -535,7 +538,7 @@ func BenchmarkDispatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			done := make(chan struct{})
-			go func() { defer close(done); chanalloc.EngineServe(lis) }()
+			go func() { defer close(done); engine.Serve(lis) }()
 			defer func() { lis.Close(); <-done }()
 			backend := chanalloc.NewSocketBackendWith([]string{lis.Addr().String()},
 				chanalloc.ClusterWindow(window))
@@ -628,11 +631,11 @@ func BenchmarkWelfareDP(b *testing.B) {
 	r := chanalloc.HarmonicRate(1, 0.5)
 	b.Run("into", func(b *testing.B) {
 		b.ReportAllocs()
-		ws := chanalloc.NewWorkspace()
-		chanalloc.OptimalLoadWelfareInto(ws, r, 16, 128) // size the slabs
+		ws := core.NewWorkspace()
+		core.OptimalLoadWelfareInto(ws, r, 16, 128) // size the slabs
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if opt, _ := chanalloc.OptimalLoadWelfareInto(ws, r, 16, 128); opt <= 0 {
+			if opt, _ := core.OptimalLoadWelfareInto(ws, r, 16, 128); opt <= 0 {
 				b.Fatal("degenerate optimum")
 			}
 		}
@@ -640,7 +643,7 @@ func BenchmarkWelfareDP(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if opt, _ := chanalloc.OptimalLoadWelfare(r, 16, 128); opt <= 0 {
+			if opt, _ := core.OptimalLoadWelfare(r, 16, 128); opt <= 0 {
 				b.Fatal("degenerate optimum")
 			}
 		}
@@ -694,7 +697,7 @@ func BenchmarkRequilibrate(b *testing.B) {
 		b.Helper()
 		b.ReportAllocs()
 		var dpCalls, skipped float64
-		kernelDPs := chanalloc.NewObsCounter("kernel_dp_calls_total")
+		kernelDPs := obs.NewCounter("kernel_dp_calls_total")
 		kernel0 := kernelDPs.Value()
 		for i := 0; i < b.N; i++ {
 			lg, err := chanalloc.NewLiveGame(spec.Channels, rate)
@@ -814,7 +817,7 @@ func BenchmarkLiveEventScaling(b *testing.B) {
 				{Op: "budget", ID: 1, Budget: 2},
 				{Op: "budget", ID: 1, Budget: 1},
 			}
-			kernelDPs := chanalloc.NewObsCounter("kernel_dp_calls_total")
+			kernelDPs := obs.NewCounter("kernel_dp_calls_total")
 			b.ReportAllocs()
 			b.ResetTimer()
 			kernel0 := kernelDPs.Value()
@@ -863,9 +866,9 @@ func BenchmarkPooledWorkspaceBestResponse(b *testing.B) {
 // low-nanosecond range, or hot-path metrics would tax the DP benchmarks
 // they exist to explain.
 func BenchmarkObsOverhead(b *testing.B) {
-	c := chanalloc.NewObsCounter("bench_obs_overhead_total")
-	g := chanalloc.NewObsGauge("bench_obs_overhead_gauge")
-	h := chanalloc.NewObsHistogram("bench_obs_overhead_depth", []int64{1, 8, 64, 512})
+	c := obs.NewCounter("bench_obs_overhead_total")
+	g := obs.NewGauge("bench_obs_overhead_gauge")
+	h := obs.NewHistogram("bench_obs_overhead_depth", []int64{1, 8, 64, 512})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

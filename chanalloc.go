@@ -2,8 +2,9 @@
 // allocation game of Félegyházi, Čagalj and Hubaux, "Multi-radio channel
 // allocation in competitive wireless networks" (ICDCS 2006), together with
 // the substrates the paper builds on: rate functions for reservation TDMA
-// and CSMA/CA (Bianchi's DCF model), slot-level MAC simulators, equilibrium
-// analysis, convergence dynamics and a distributed allocation protocol.
+// and CSMA/CA (Bianchi's DCF model), a slot-level CSMA/CA simulator,
+// equilibrium analysis, convergence dynamics and a distributed allocation
+// protocol.
 //
 // # Model
 //
@@ -43,6 +44,26 @@
 // The package is a facade: implementation lives in internal packages (core,
 // ratefn, bianchi, macsim, des, engine, workload, dynamics, dist, ...),
 // each documented and tested on its own.
+//
+// # What the facade exports
+//
+// The paper's own API stays even when only tests call it: the game and its
+// rate functions (one constructor per family of the ParseRate grammar),
+// the best response to fixed loads, the NE tests, Theorem 1 and
+// Algorithm 1 with their options, the welfare optima and the price of
+// anarchy, the dynamics runners and the figure scenarios:
+//
+//	Game Alloc RateFunc Violation NewGame NewHeteroGame NewAlloc AllocFromMatrix DefaultEps
+//	TDMA HarmonicRate GeometricRate PracticalCSMA OptimalCSMA
+//	BestResponseToLoads TheoremNE CheckAllLemmas LoadBalanced EnumerateNE FindParetoImprovement
+//	Algorithm1 Algorithm1Option WithTieBreak WithSeed WithOrder WithLiteralRule TieBreak TieFirst TieRandom TieLast
+//	OptimalWelfareAllPlaced OptimalWelfareIdleAllowed PriceOfAnarchy
+//	RunBestResponse RunRadioGreedy RunSimultaneous RunBatch
+//	ScenarioFigure1 ScenarioFigure4 ScenarioFigure5
+//
+// Any other name stays only if a program under cmd/, examples/ or
+// e2ebench/ uses it, or if the signature of a kept name needs it.
+// TestFacadeKeepRule enforces this list and this rule.
 package chanalloc
 
 import (
@@ -60,22 +81,16 @@ type (
 	// Violation is a witness that an allocation breaks one of the paper's
 	// NE conditions.
 	Violation = core.Violation
-	// Deviation is a profitable unilateral strategy change found by the
-	// best-response oracle.
-	Deviation = core.Deviation
 	// TieBreak selects among equally attractive channels in Algorithm 1.
 	TieBreak = core.TieBreak
 	// RateFunc is the channel rate function R(k_c).
 	RateFunc = ratefn.Func
-	// Workspace holds the reusable scratch of the best-response DP; hold
-	// one per goroutine and pass it to the *Into/*With entry points
-	// (Game.BestResponseInto, Game.IsNashEquilibriumWith, ...) for
-	// zero-allocation steady state.
+	// Workspace holds the reusable scratch of the best-response DP. Borrow
+	// one per goroutine with BorrowWorkspace, pass it to the *Into/*With
+	// entry points (Game.BestResponseInto, Game.IsNashEquilibriumWith,
+	// WithDynamicsWorkspace, ...) for zero-allocation steady state, and
+	// give it back with ReturnWorkspace.
 	Workspace = core.Workspace
-	// RateView is a game's precomputed, lock-free rate table (R over the
-	// bounded load domain plus the best-response share plane); see
-	// Game.View.
-	RateView = core.RateView
 )
 
 // Tie-break policies for Algorithm 1.
@@ -147,36 +162,11 @@ func BestResponseToLoads(rate RateFunc, ext []int, k int) ([]int, float64, error
 	return core.BestResponseToLoads(rate, ext, k)
 }
 
-// NewWorkspace returns an empty best-response workspace; its buffers are
-// sized on first use and reused across calls.
-func NewWorkspace() *Workspace { return core.NewWorkspace() }
-
-// BestResponseToLoadsInto is the allocation-free form of
-// BestResponseToLoads: the DP runs inside ws and the returned row aliases
-// it (copy to retain). Reuse one workspace across many load vectors.
-func BestResponseToLoadsInto(ws *Workspace, rate RateFunc, ext []int, k int) ([]int, float64, error) {
-	return core.BestResponseToLoadsInto(ws, rate, ext, k)
-}
-
 // OptimalWelfareAllPlaced computes the maximum total rate over allocations
 // that deploy every radio, with one optimising load vector (a fresh copy).
 // Each call runs the welfare DP over the game's rate table.
 func OptimalWelfareAllPlaced(g *Game) (float64, []int) {
 	return core.OptimalWelfareAllPlaced(g)
-}
-
-// OptimalLoadWelfare maximises Σ_{c : l_c > 0} R(l_c) over load vectors on
-// C channels placing exactly total radios — the welfare DP behind
-// OptimalWelfareAllPlaced, exposed for callers that only know aggregate
-// loads. One-shot form of OptimalLoadWelfareInto.
-func OptimalLoadWelfare(rate RateFunc, C, total int) (float64, []int) {
-	return core.OptimalLoadWelfare(rate, C, total)
-}
-
-// OptimalLoadWelfareInto is the welfare DP in the caller's workspace: zero
-// steady-state allocations, returned loads aliasing ws (copy to retain).
-func OptimalLoadWelfareInto(ws *Workspace, rate RateFunc, C, total int) (float64, []int) {
-	return core.OptimalLoadWelfareInto(ws, rate, C, total)
 }
 
 // OptimalWelfareIdleAllowed computes the maximum total rate when radios may
@@ -197,14 +187,6 @@ func PriceOfAnarchy(g *Game, a *Alloc) (float64, error) {
 // by the full profile count). It walks every profile in odometer order and
 // returns the first one that dominates a.
 func FindParetoImprovement(g *Game, a *Alloc, eps float64, maxProfiles int64) (*Alloc, error) {
-	return core.FindParetoImprovement(g, a, eps, maxProfiles)
-}
-
-// FindParetoImprovementParallel returns FindParetoImprovement's witness.
-//
-// Deprecated: the search is no longer sharded and workers is ignored; call
-// FindParetoImprovement.
-func FindParetoImprovementParallel(g *Game, a *Alloc, eps float64, maxProfiles int64, workers int) (*Alloc, error) {
 	return core.FindParetoImprovement(g, a, eps, maxProfiles)
 }
 

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/bianchi"
+	"github.com/multiradio/chanalloc/internal/core"
+	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
 // TestPublicQuickstart walks the README's quickstart through the public API.
@@ -46,16 +49,9 @@ func TestPublicRateFamilies(t *testing.T) {
 		chanalloc.GeometricRate(10, 0.9),
 	}
 	for _, r := range rates {
-		if err := chanalloc.ValidateRate(r, 32); err != nil {
+		if err := ratefn.Validate(r, 32); err != nil {
 			t.Errorf("%s: %v", r.Name(), err)
 		}
-	}
-	tbl, err := chanalloc.TableRate("measured", []float64{9, 8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rate(2) != 8 {
-		t.Fatalf("table rate wrong: %v", tbl.Rate(2))
 	}
 }
 
@@ -69,10 +65,10 @@ func TestPublicCSMAAdapters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chanalloc.ValidateRate(prac, 20); err != nil {
+	if err := ratefn.Validate(prac, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := chanalloc.ValidateRate(opt, 20); err != nil {
+	if err := ratefn.Validate(opt, 20); err != nil {
 		t.Fatal(err)
 	}
 	// A full game on the practical CSMA rate still lands on a NE.
@@ -106,8 +102,8 @@ func TestPublicScenarios(t *testing.T) {
 	}
 	// Every registered family carries usage text and resolves via the
 	// registry (parametric families with example parameters).
-	if len(chanalloc.ScenarioNames()) < 7 {
-		t.Fatalf("registry too small: %v", chanalloc.ScenarioNames())
+	if fams := chanalloc.ScenarioFamilies(); len(fams) < 7 {
+		t.Fatalf("registry too small: %v", fams)
 	}
 	for _, name := range []string{"mesh", "cognitive", "random:8,6,3", "hetero:6,4,4,2,1"} {
 		s, err := chanalloc.ScenarioByName(name, chanalloc.TDMA(1))
@@ -143,10 +139,7 @@ func TestPublicDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := chanalloc.RandomAlloc(g, 42)
-	res, err := chanalloc.RunBestResponse(g, start,
-		chanalloc.WithDynamicsSchedule(chanalloc.RandomOrder),
-		chanalloc.WithDynamicsSeed(1),
-	)
+	res, err := chanalloc.RunBestResponse(g, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +153,7 @@ func TestPublicDynamics(t *testing.T) {
 	if !stable {
 		t.Fatal("converged state not NE")
 	}
-	if chanalloc.Potential(g.Rate(), res.Final) < chanalloc.Potential(g.Rate(), start)-1e-9 {
+	if g.Potential(res.Final) < g.Potential(start)-1e-9 {
 		t.Fatal("potential decreased end to end")
 	}
 }
@@ -198,15 +191,6 @@ func TestPublicSimulators(t *testing.T) {
 	if res.Throughput <= 0 {
 		t.Fatal("CSMA sim produced nothing")
 	}
-	tdma, err := chanalloc.SimulateTDMA(chanalloc.TDMASimConfig{
-		Radios: 4, SlotTime: 1000, Guard: 0, DataRate: 11, Frames: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tdma.Throughput-11) > 1e-9 {
-		t.Fatalf("TDMA sim throughput %v, want 11", tdma.Throughput)
-	}
 }
 
 func TestPublicWelfareHelpers(t *testing.T) {
@@ -235,24 +219,6 @@ func TestPublicWelfareHelpers(t *testing.T) {
 	}
 }
 
-func TestPublicTDMASchedules(t *testing.T) {
-	g, err := chanalloc.NewGame(4, 4, 2, chanalloc.TDMA(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := chanalloc.Algorithm1(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedules, err := chanalloc.BuildTDMASchedules(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := chanalloc.VerifyFairShare(a, schedules); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPublicDCFSolvers(t *testing.T) {
 	p := chanalloc.Bianchi1Mbps()
 	r, err := chanalloc.SolveDCF(p, 10)
@@ -262,7 +228,7 @@ func TestPublicDCFSolvers(t *testing.T) {
 	if r.Efficiency < 0.6 || r.Efficiency > 0.9 {
 		t.Fatalf("efficiency %v outside Bianchi's published band", r.Efficiency)
 	}
-	o, err := chanalloc.SolveDCFOptimal(p, 10)
+	o, err := bianchi.SolveOptimal(p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,22 +239,22 @@ func TestPublicDCFSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chanalloc.ValidateRate(emp, 3); err != nil {
+	if err := ratefn.Validate(emp, 3); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPublicWorkspaceKernel exercises the allocation-free facade: workspace
-// entry points agree with the one-shot forms, returned rows alias the
-// workspace (so wrappers must copy), and FreezeRate snapshots match the
-// inner curve exactly.
+// TestPublicWorkspaceKernel exercises the allocation-free facade: a
+// workspace borrowed from the shared pool gives the workspace entry points
+// the same answers as the one-shot forms.
 func TestPublicWorkspaceKernel(t *testing.T) {
 	g, err := chanalloc.NewGame(4, 4, 2, chanalloc.TDMA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := chanalloc.RandomAlloc(g, 7)
-	ws := chanalloc.NewWorkspace()
+	ws := chanalloc.BorrowWorkspace()
+	defer chanalloc.ReturnWorkspace(ws)
 	for i := 0; i < g.Users(); i++ {
 		wantRow, wantVal, err := g.BestResponse(a, i)
 		if err != nil {
@@ -324,7 +290,7 @@ func TestPublicWorkspaceKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowB, valB, err := chanalloc.BestResponseToLoadsInto(ws, chanalloc.TDMA(1), ext, 2)
+	rowB, valB, err := core.BestResponseToLoadsInto(ws, chanalloc.TDMA(1), ext, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,17 +300,6 @@ func TestPublicWorkspaceKernel(t *testing.T) {
 	for c := range rowA {
 		if rowA[c] != rowB[c] {
 			t.Fatalf("loads DP rows differ: %v vs %v", rowA, rowB)
-		}
-	}
-
-	inner := chanalloc.HarmonicRate(5, 0.5)
-	frozen, err := chanalloc.FreezeRate(inner, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k <= 16; k++ {
-		if frozen.Rate(k) != inner.Rate(k) {
-			t.Fatalf("frozen Rate(%d) = %v, inner %v", k, frozen.Rate(k), inner.Rate(k))
 		}
 	}
 }

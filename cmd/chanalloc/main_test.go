@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/ratefn"
 	"github.com/multiradio/chanalloc/internal/workload"
 )
 
@@ -179,7 +179,7 @@ func TestParseRate(t *testing.T) {
 		if r.Name() != wantName {
 			t.Errorf("%s: name %q, want %q", spec, r.Name(), wantName)
 		}
-		if err := chanalloc.ValidateRate(r, 16); err != nil {
+		if err := ratefn.Validate(r, 16); err != nil {
 			t.Errorf("%s violates contract: %v", spec, err)
 		}
 	}

@@ -46,7 +46,7 @@ func TestServesRingBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := chanalloc.RunDistributedRingBatch(chanalloc.NewSocketBackend(addr), specs,
+	got, _, err := chanalloc.RunDistributedRingBatch(chanalloc.NewSocketBackendWith([]string{addr}), specs,
 		chanalloc.EngineSeed(5))
 	if err != nil {
 		t.Fatal(err)

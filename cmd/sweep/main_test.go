@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/engine"
 )
 
 // TestMain lets the test binary double as the engine-worker binary: when
@@ -339,7 +340,7 @@ func TestSocketBackendDoesNotChangeOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	go func() { defer close(done); chanalloc.EngineServe(lis) }()
+	go func() { defer close(done); engine.Serve(lis) }()
 	defer func() { lis.Close(); <-done }()
 
 	for _, exp := range []string{"theorem1", "distbatch"} {

@@ -14,8 +14,6 @@ type (
 	Coordinator = dist.Coordinator
 	// CoordinatorOption configures a Coordinator.
 	CoordinatorOption = dist.CoordinatorOption
-	// DistStats summarises a protocol run.
-	DistStats = dist.Stats
 	// Policy chooses a device's row when it holds the token. The ext and
 	// current arguments of Propose are valid only for the call; a policy
 	// that keeps them must copy them.
@@ -50,9 +48,6 @@ const DistRingTask = dist.RingTask
 func NewCoordinator(g *Game, opts ...CoordinatorOption) (*Coordinator, error) {
 	return dist.NewCoordinator(g, opts...)
 }
-
-// WithDistMaxRounds caps token-ring sweeps.
-func WithDistMaxRounds(n int) CoordinatorOption { return dist.WithMaxRounds(n) }
 
 // WithDistTimeout bounds each protocol message wait on a connection
 // (Coordinator.Run); RunDistributed calls its agents directly and never

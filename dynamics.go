@@ -10,8 +10,6 @@ type (
 	DynamicsResult = dynamics.Result
 	// DynamicsOption configures the dynamics runners.
 	DynamicsOption = dynamics.Option
-	// Schedule orders users within a dynamics round.
-	Schedule = dynamics.Schedule
 	// DynamicsProcess selects the convergence process a batch replicates.
 	DynamicsProcess = dynamics.Process
 	// BatchSpec describes a batch of dynamics replicates run over the
@@ -26,12 +24,6 @@ const (
 	BestResponseProcess = dynamics.BestResponseProcess
 	RadioGreedyProcess  = dynamics.RadioGreedyProcess
 	SimultaneousProcess = dynamics.SimultaneousProcess
-)
-
-// Sweep schedules.
-const (
-	RoundRobin  = dynamics.RoundRobin
-	RandomOrder = dynamics.RandomOrder
 )
 
 // RunBestResponse runs user-level best-response dynamics from start (which
@@ -63,23 +55,11 @@ func RunBatch(g *Game, spec BatchSpec) (*BatchResult, error) {
 	return dynamics.RunBatch(g, spec)
 }
 
-// Potential evaluates the congestion potential Φ(S) = Σ_c Σ_{j<=k_c} R(j)/j.
-func Potential(r RateFunc, a *Alloc) float64 { return dynamics.Potential(r, a) }
-
 // RandomAlloc builds a full-deployment allocation with every radio on a
 // uniformly random channel — the standard cold start for dynamics runs.
 func RandomAlloc(g *Game, seed uint64) *Alloc { return dynamics.RandomAlloc(g, seed) }
 
-// WithDynamicsSchedule selects the sweep order (default RoundRobin).
-func WithDynamicsSchedule(s Schedule) DynamicsOption { return dynamics.WithSchedule(s) }
-
-// WithDynamicsMaxRounds caps the number of sweeps.
-func WithDynamicsMaxRounds(n int) DynamicsOption { return dynamics.WithMaxRounds(n) }
-
-// WithDynamicsEps sets the minimum strict improvement for a move.
-func WithDynamicsEps(eps float64) DynamicsOption { return dynamics.WithEps(eps) }
-
-// WithDynamicsSeed fixes the RNG seed for RandomOrder schedules.
+// WithDynamicsSeed fixes the seed of RunSimultaneous's inertia draws.
 func WithDynamicsSeed(seed uint64) DynamicsOption { return dynamics.WithSeed(seed) }
 
 // WithDynamicsWorkspace injects a reusable DP workspace into a run; borrow

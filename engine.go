@@ -2,10 +2,8 @@ package chanalloc
 
 import (
 	"crypto/tls"
-	"net"
 	"time"
 
-	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
 	"github.com/multiradio/chanalloc/internal/engine"
 )
@@ -19,7 +17,7 @@ type (
 	// EngineStats reports how a batch executed (pool size, wall time,
 	// per-job timings).
 	EngineStats = engine.Stats
-	// EngineOption configures ParallelMap / ParallelForEach.
+	// EngineOption configures ParallelMap and the batch runners.
 	EngineOption = engine.Option
 	// RNG is the explicit-seed SplitMix64 generator handed to engine jobs.
 	RNG = des.RNG
@@ -41,19 +39,6 @@ func EngineJobSeed(root uint64, job int) uint64 { return engine.JobSeed(root, jo
 // their results in job order.
 func ParallelMap[T any](n int, fn func(job int, rng *RNG) (T, error), opts ...EngineOption) ([]T, EngineStats, error) {
 	return engine.Map(n, fn, opts...)
-}
-
-// ParallelForEach is ParallelMap for jobs that produce no value.
-func ParallelForEach(n int, fn func(job int, rng *RNG) error, opts ...EngineOption) (EngineStats, error) {
-	return engine.ForEach(n, fn, opts...)
-}
-
-// EnumerateNEParallel returns EnumerateNE's equilibria.
-//
-// Deprecated: the enumeration is no longer sharded and workers is ignored;
-// call EnumerateNE.
-func EnumerateNEParallel(g *Game, maxProfiles int64, workers int) ([]*Alloc, error) {
-	return core.EnumerateNE(g, maxProfiles)
 }
 
 // Pluggable engine backends, re-exported. A Backend executes batches of a
@@ -88,7 +73,7 @@ type (
 	ClusterOption = engine.RemoteOption
 	// JoinOption configures EngineJoinAndServe.
 	JoinOption = engine.JoinOption
-	// ServeOption configures EngineServe / EngineListenAndServe.
+	// ServeOption configures EngineListenAndServe.
 	ServeOption = engine.ServeOption
 )
 
@@ -109,15 +94,13 @@ func NewProcessBackend(shards int, opts ...ClusterOption) *ProcessBackend {
 	return engine.NewProcess(shards, opts...)
 }
 
-// NewSocketBackend returns a cross-machine backend dispatching batches over
-// one persistent connection per worker address. Addresses are "host:port"
-// (TCP), "unix:/path" or a bare filesystem path (unix socket); workers are
-// processes serving EngineListenAndServe — cmd/engineworker for library
-// tasks, or any task-registering binary with a listen mode (cmd/sweep
-// -listen). A dead peer's in-flight job is requeued for the survivors.
-func NewSocketBackend(addrs ...string) *SocketBackend { return engine.NewSocket(addrs...) }
-
-// NewSocketBackendWith is NewSocketBackend plus options.
+// NewSocketBackendWith returns a cross-machine backend dispatching batches
+// over one persistent connection per worker address. Addresses are
+// "host:port" (TCP), "unix:/path" or a bare filesystem path (unix socket);
+// workers are processes serving EngineListenAndServe — cmd/engineworker for
+// library tasks, or any task-registering binary with a listen mode
+// (cmd/sweep -listen). A dead peer's in-flight job is requeued for the
+// survivors.
 func NewSocketBackendWith(addrs []string, opts ...ClusterOption) *SocketBackend {
 	return engine.NewSocketWith(addrs, opts...)
 }
@@ -207,10 +190,6 @@ func EngineJoinAndServe(addr string, opts ...JoinOption) error {
 // JoinAuthToken sets the shared secret presented at registration.
 func JoinAuthToken(token string) JoinOption { return engine.WithJoinAuthToken(token) }
 
-// JoinAttempts bounds consecutive failed join attempts (default 0:
-// retry forever — a worker outlives its coordinators).
-func JoinAttempts(n int) JoinOption { return engine.WithJoinAttempts(n) }
-
 // JoinStop makes EngineJoinAndServe return when the channel closes.
 func JoinStop(stop <-chan struct{}) JoinOption { return engine.WithJoinStop(stop) }
 
@@ -231,7 +210,7 @@ func ServeAuthToken(token string) ServeOption { return engine.WithServeAuthToken
 // with the matching ClusterTLS / -tls-ca.
 func ServeTLS(cfg *tls.Config) ServeOption { return engine.WithServeTLS(cfg) }
 
-// ServeStop makes EngineServe / EngineListenAndServe shut down gracefully
+// ServeStop makes EngineListenAndServe shut down gracefully
 // when the channel closes: stop accepting, drain in-flight connections,
 // return nil.
 func ServeStop(stop <-chan struct{}) ServeOption { return engine.WithServeStop(stop) }
@@ -247,10 +226,6 @@ func ServeDrainTimeout(d time.Duration) ServeOption { return engine.WithServeDra
 func EngineListenAndServe(addr string, opts ...ServeOption) error {
 	return engine.ListenAndServe(addr, opts...)
 }
-
-// EngineServe is EngineListenAndServe over an existing listener; it returns
-// nil when lis is closed.
-func EngineServe(lis net.Listener, opts ...ServeOption) error { return engine.Serve(lis, opts...) }
 
 // EngineTaskNames lists the tasks registered in this process, sorted.
 func EngineTaskNames() []string { return engine.TaskNames() }

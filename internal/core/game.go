@@ -190,10 +190,11 @@ func (g *Game) Welfare(a *Alloc) float64 {
 }
 
 // Potential evaluates the exact congestion potential
-// Φ(S) = Σ_c Σ_{j=1}^{k_c} R(j)/j via the precomputed rate table, in the
-// same term order (and hence bit-identical) as dynamics.Potential with the
-// game's own rate function. It requires a legal allocation of g (see
-// Utility).
+// Φ(S) = Σ_c Σ_{j=1}^{k_c} R(j)/j via the precomputed rate table. It sums
+// in the same term order as the direct sum over the game's rate function,
+// and so is bit-identical to it: internal/dynamics keeps that sum as its
+// test reference Potential, and TestGamePotentialMatchesReference pins the
+// two. It requires a legal allocation of g (see Utility).
 func (g *Game) Potential(a *Alloc) float64 {
 	var phi float64
 	for c := 0; c < a.Channels(); c++ {

@@ -267,7 +267,7 @@ func (ws *Workspace) ensure(C, k int) {
 }
 
 // UserInts returns an n-length int scratch slice reused across calls: the
-// best-response sweep's visit order and quiet stamps, the live verifier's
+// best-response sweep's quiet stamps, the live verifier's
 // class representatives. Contents are unspecified on entry.
 func (ws *Workspace) UserInts(n int) []int {
 	if cap(ws.ints) < n {

@@ -53,19 +53,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // ExpFloat64 returns an exponentially distributed value with rate 1, via
 // inverse-transform sampling (adequate for event inter-arrival times).
 func (r *RNG) ExpFloat64() float64 {

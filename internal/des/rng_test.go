@@ -40,35 +40,6 @@ func TestRNGIntnPanics(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Perm(20)
-	seen := make(map[int]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRNGPermIsShuffled(t *testing.T) {
-	// With 100 elements the probability of the identity permutation is
-	// negligible; the test guards Perm actually shuffling.
-	r := NewRNG(12)
-	p := r.Perm(100)
-	identity := true
-	for i, v := range p {
-		if v != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		t.Fatal("Perm returned identity permutation")
-	}
-}
-
 func TestRNGExpMean(t *testing.T) {
 	r := NewRNG(13)
 	const draws = 200000

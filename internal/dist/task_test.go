@@ -118,7 +118,7 @@ func TestRunRingBatchSocketConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := RunRingBatch(engine.NewSocket(lis.Addr().String(), lis.Addr().String()),
+	got, _, err := RunRingBatch(engine.NewSocketWith([]string{lis.Addr().String(), lis.Addr().String()}),
 		specs, engine.Seed(11))
 	if err != nil {
 		t.Fatal(err)

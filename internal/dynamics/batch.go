@@ -43,13 +43,13 @@ type BatchSpec struct {
 	Inertia float64
 	// Replicates is the number of independent runs.
 	Replicates int
-	// Seed is the root seed; replicate r draws its start allocation and
-	// schedule stream from engine.JobSeed(Seed, r), so batch results do not
-	// depend on the worker count.
+	// Seed is the root seed; replicate r draws its start allocation and its
+	// run seed (WithSeed) from engine.JobSeed(Seed, r), so batch results do
+	// not depend on the worker count.
 	Seed uint64
 	// Workers sizes the pool; < 1 means runtime.NumCPU().
 	Workers int
-	// Opts apply to every run (schedule, eps, round cap) — except WithSeed,
+	// Opts apply to every run (eps, round cap) — except WithSeed,
 	// which the batch overrides per replicate.
 	Opts []Option
 }

@@ -21,30 +21,7 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
-	"github.com/multiradio/chanalloc/internal/ratefn"
 )
-
-// Schedule determines the order in which users act each round.
-type Schedule int
-
-// Schedules. RoundRobin sweeps users 0..N-1 every round; RandomOrder
-// shuffles the sweep each round.
-const (
-	RoundRobin Schedule = iota + 1
-	RandomOrder
-)
-
-// String implements fmt.Stringer.
-func (s Schedule) String() string {
-	switch s {
-	case RoundRobin:
-		return "round-robin"
-	case RandomOrder:
-		return "random-order"
-	default:
-		return fmt.Sprintf("Schedule(%d)", int(s))
-	}
-}
 
 // Result reports one dynamics run.
 type Result struct {
@@ -75,7 +52,6 @@ type Result struct {
 
 // Options configures a dynamics run.
 type config struct {
-	schedule  Schedule
 	maxRounds int
 	eps       float64
 	seed      uint64
@@ -95,11 +71,6 @@ func (c *config) workspace() *core.Workspace {
 // Option configures RunBestResponse and RunRadioGreedy.
 type Option func(*config)
 
-// WithSchedule selects the sweep order (default RoundRobin).
-func WithSchedule(s Schedule) Option {
-	return func(c *config) { c.schedule = s }
-}
-
 // WithMaxRounds caps the number of sweeps (default 1000).
 func WithMaxRounds(n int) Option {
 	return func(c *config) { c.maxRounds = n }
@@ -111,7 +82,8 @@ func WithEps(eps float64) Option {
 	return func(c *config) { c.eps = eps }
 }
 
-// WithSeed fixes the RNG seed for RandomOrder (default 0).
+// WithSeed fixes the seed of RunSimultaneous's inertia draws (default 0);
+// the sequential runners sweep users in index order and draw nothing.
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
@@ -126,12 +98,9 @@ func WithWorkspace(ws *core.Workspace) Option {
 }
 
 func buildConfig(opts []Option) (config, error) {
-	cfg := config{schedule: RoundRobin, maxRounds: 1000, eps: core.DefaultEps}
+	cfg := config{maxRounds: 1000, eps: core.DefaultEps}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.schedule != RoundRobin && cfg.schedule != RandomOrder {
-		return cfg, fmt.Errorf("dynamics: unknown schedule %d", int(cfg.schedule))
 	}
 	if cfg.maxRounds < 1 {
 		return cfg, fmt.Errorf("dynamics: maxRounds = %d, want >= 1", cfg.maxRounds)
@@ -140,22 +109,6 @@ func buildConfig(opts []Option) (config, error) {
 		return cfg, fmt.Errorf("dynamics: negative eps %v", cfg.eps)
 	}
 	return cfg, nil
-}
-
-// Potential evaluates the exact potential Φ(S) = Σ_c Σ_{j=1}^{k_c} R(j)/j.
-// For a single-radio move by a user with exactly one radio on the source
-// channel and none on the target, the change in the mover's utility equals
-// the change in Φ (Rosenthal's congestion-game potential specialised to
-// this game). Radio-greedy dynamics therefore cannot cycle through such
-// states; the dynamics tests verify Φ is monotone along every run.
-func Potential(r ratefn.Func, a *core.Alloc) float64 {
-	var phi float64
-	for c := 0; c < a.Channels(); c++ {
-		for j := 1; j <= a.Load(c); j++ {
-			phi += r.Rate(j) / float64(j)
-		}
-	}
-	return phi
 }
 
 // RunBestResponse runs user-level best-response dynamics from the given
@@ -189,11 +142,11 @@ func RunBestResponse(g *core.Game, start *core.Alloc, opts ...Option) (Result, e
 // assertion a non-mover, the move sequence, trace and terminal allocation
 // are bit-identical to the preQuiet == nil run — only DPCalls differs.
 func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg config, preQuiet []bool) (Result, error) {
-	rng := des.NewRNG(cfg.seed)
 	// One workspace per run (injected or fresh): the whole convergence
-	// process is allocation-free apart from the trace (and the per-round
-	// permutation of RandomOrder). g.Potential reads the per-game rate
-	// table and is bit-identical to Potential(g.Rate(), a).
+	// process is allocation-free apart from the trace. g.Potential is the
+	// potential Φ of the package doc over the per-game rate table;
+	// TestGamePotentialMatchesReference pins it bit for bit to the direct
+	// sum over R.
 	ws := cfg.workspace()
 	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
 
@@ -201,11 +154,8 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg confi
 	// A move re-interns one row without growing the class table beyond
 	// max(Size, n), so the per-class stamps fit for the whole run.
 	classes := max(cls.Size(), n)
-	scratch := ws.UserInts(2*n + classes)
-	order, quietAt, classQuietAt := scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
-	for i := range order {
-		order[i] = i
-	}
+	scratch := ws.UserInts(n + classes)
+	quietAt, classQuietAt := scratch[:n:n], scratch[n:]
 	// Cached quiet verdicts: quietAt[i] is the move count at which user i
 	// was last verified to have no improving deviation, -1 if never. When
 	// nobody has moved since (res.Moves unchanged), the allocation is
@@ -232,11 +182,8 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg confi
 		classQuietAt[c] = -1
 	}
 	for round := 0; round < cfg.maxRounds; round++ {
-		if cfg.schedule == RandomOrder {
-			order = rng.Perm(n)
-		}
 		improved := false
-		for _, i := range order {
+		for i := 0; i < n; i++ {
 			if quietAt[i] == res.Moves {
 				continue
 			}
@@ -294,19 +241,11 @@ func RunRadioGreedy(g *core.Game, start *core.Alloc, opts ...Option) (Result, er
 		return Result{}, err
 	}
 	a := start.Clone()
-	rng := des.NewRNG(cfg.seed)
 	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
 
-	order := make([]int, g.Users())
-	for i := range order {
-		order[i] = i
-	}
 	for round := 0; round < cfg.maxRounds; round++ {
-		if cfg.schedule == RandomOrder {
-			order = rng.Perm(g.Users())
-		}
 		improved := false
-		for _, i := range order {
+		for i := 0; i < g.Users(); i++ {
 			for from := 0; from < g.Channels(); from++ {
 				if a.Radios(i, from) == 0 {
 					continue

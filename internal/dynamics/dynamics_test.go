@@ -148,19 +148,6 @@ func TestRadioGreedyTerminalIsLoadBalancedUnderConstantR(t *testing.T) {
 	}
 }
 
-func TestSchedulesBothConverge(t *testing.T) {
-	for _, sched := range []Schedule{RoundRobin, RandomOrder} {
-		g := mustGame(t, 5, 5, 3, ratefn.NewTDMA(1))
-		res, err := RunBestResponse(g, RandomAlloc(g, 9), WithSchedule(sched), WithSeed(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged {
-			t.Fatalf("%v: did not converge", sched)
-		}
-	}
-}
-
 func TestMaxRoundsCapsRun(t *testing.T) {
 	g := mustGame(t, 6, 5, 4, ratefn.NewTDMA(1))
 	res, err := RunBestResponse(g, RandomAlloc(g, 2), WithMaxRounds(1))
@@ -180,9 +167,6 @@ func TestMaxRoundsCapsRun(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	g := mustGame(t, 2, 2, 1, ratefn.NewTDMA(1))
 	start := RandomAlloc(g, 0)
-	if _, err := RunBestResponse(g, start, WithSchedule(Schedule(9))); err == nil {
-		t.Error("bad schedule should error")
-	}
 	if _, err := RunBestResponse(g, start, WithMaxRounds(0)); err == nil {
 		t.Error("zero rounds should error")
 	}
@@ -280,20 +264,12 @@ func TestRandomAllocDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestScheduleString(t *testing.T) {
-	for _, s := range []Schedule{RoundRobin, RandomOrder, Schedule(99)} {
-		if s.String() == "" {
-			t.Errorf("empty string for %d", int(s))
-		}
-	}
-}
-
 func TestBestResponseReachesTheoremNEOnConstantRate(t *testing.T) {
 	// End-to-end: decentralised play lands on exactly the allocations
 	// Theorem 1 characterises.
 	for seed := uint64(0); seed < 8; seed++ {
 		g := mustGame(t, 6, 5, 3, ratefn.NewTDMA(1))
-		res, err := RunBestResponse(g, RandomAlloc(g, seed), WithSchedule(RandomOrder), WithSeed(seed))
+		res, err := RunBestResponse(g, RandomAlloc(g, seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,11 +113,11 @@ func conformanceBackends(t *testing.T) []conformanceBackend {
 		// dispatcher's pipelined window must not show in their results
 		// either.
 		{"process/shards=2/window=4", NewProcess(2, WithWindow(4)), nil, 2},
-		{"socket/peers=1", NewSocket(tcp1), nil, 1},
+		{"socket/peers=1", NewSocketWith([]string{tcp1}), nil, 1},
 		// Three connections across two listeners: the same endpoint serving
 		// several peers concurrently must not show in the results.
-		{"socket/peers=3", NewSocket(tcp1, tcp2, tcp1), nil, 3},
-		{"socket/unix", NewSocket(unix), nil, 1},
+		{"socket/peers=3", NewSocketWith([]string{tcp1, tcp2, tcp1}), nil, 3},
+		{"socket/unix", NewSocketWith([]string{unix}), nil, 1},
 		{"socket/peers=2/window=8", NewSocketWith([]string{tcp1, tcp2}, WithWindow(8)), nil, 2},
 		// TLS under the framing: the conformance digest is the proof the
 		// frame bytes never changed.

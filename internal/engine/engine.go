@@ -7,8 +7,8 @@
 // shards, dynamics replicates, batched distributed-protocol runs and the
 // experiment suite of cmd/sweep.
 //
-// The fan-out/fan-in contract is pluggable (see Backend): Map and ForEach
-// run closures over the default in-process pool, while registered tasks
+// The fan-out/fan-in contract is pluggable (see Backend): Map runs
+// closures over the default in-process pool, while registered tasks
 // (RegisterTask) can run over any backend — the same pool (InProcess) or
 // one of the remote backends (Process, Socket, Cluster), which share one
 // windowed dispatcher and differ only in where their workers come from —
@@ -55,7 +55,7 @@ type Stats struct {
 	Resumed int
 }
 
-// config carries the functional options of Map and ForEach.
+// config carries the functional options of Map.
 type config struct {
 	workers int
 	seed    uint64
@@ -160,15 +160,4 @@ func Map[T any](n int, fn func(job int, rng *des.RNG) (T, error), opts ...Option
 		}
 	}
 	return results, stats, nil
-}
-
-// ForEach is Map for jobs that produce no value.
-func ForEach(n int, fn func(job int, rng *des.RNG) error, opts ...Option) (Stats, error) {
-	if fn == nil {
-		return Stats{}, fmt.Errorf("engine: nil job function")
-	}
-	_, stats, err := Map(n, func(job int, rng *des.RNG) (struct{}, error) {
-		return struct{}{}, fn(job, rng)
-	}, opts...)
-	return stats, err
 }

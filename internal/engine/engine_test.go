@@ -142,8 +142,7 @@ func TestWorkersOptionEdgeCases(t *testing.T) {
 }
 
 // TestZeroJobsEdgeCases: an empty batch succeeds with empty (non-nil)
-// results and a zero-worker stats report, for Map, ForEach and option
-// combinations alike.
+// results and a zero-worker stats report, for any option combination.
 func TestZeroJobsEdgeCases(t *testing.T) {
 	out, stats, err := Map(0, func(job int, rng *des.RNG) (int, error) {
 		t.Error("job function must not run for an empty batch")
@@ -157,31 +156,6 @@ func TestZeroJobsEdgeCases(t *testing.T) {
 	}
 	if stats.Workers != 0 || stats.Jobs != 0 || len(stats.JobTimes) != 0 {
 		t.Fatalf("empty-batch stats %+v", stats)
-	}
-	fstats, err := ForEach(0, func(job int, rng *des.RNG) error { return nil })
-	if err != nil || fstats.Jobs != 0 {
-		t.Fatalf("ForEach empty batch: stats=%+v err=%v", fstats, err)
-	}
-}
-
-// TestForEach checks the no-result wrapper visits every job exactly once.
-// Run with -race this also exercises the pool's synchronisation.
-func TestForEach(t *testing.T) {
-	visits := make([]int, 200)
-	stats, err := ForEach(len(visits), func(job int, rng *des.RNG) error {
-		visits[job]++ // distinct indices: safe across workers
-		return nil
-	}, Workers(runtime.NumCPU()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for job, v := range visits {
-		if v != 1 {
-			t.Fatalf("job %d visited %d times", job, v)
-		}
-	}
-	if len(stats.JobTimes) != len(visits) {
-		t.Fatalf("bad timing stats: %+v", stats)
 	}
 }
 

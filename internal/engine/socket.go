@@ -40,16 +40,11 @@ type Socket struct {
 // socketDialTimeout bounds each connection attempt.
 const socketDialTimeout = 10 * time.Second
 
-// NewSocket builds a socket backend over the given worker addresses.
+// NewSocketWith builds a socket backend over the given worker addresses.
 // Addresses are "host:port" (TCP), "unix:/path" or a bare filesystem path
 // (unix socket); each batch dials one connection per address, lazily — an
 // address is only dialled once it takes a job — and half-closes them all
 // when the batch ends.
-func NewSocket(addrs ...string) *Socket {
-	return NewSocketWith(addrs)
-}
-
-// NewSocketWith is NewSocket plus options.
 func NewSocketWith(addrs []string, opts ...RemoteOption) *Socket {
 	return &Socket{
 		addrs:      append([]string(nil), addrs...),

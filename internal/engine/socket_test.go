@@ -307,7 +307,7 @@ func TestServeClosesSilentHandshake(t *testing.T) {
 // TestSocketNoAddresses: constructing a batch with no peers is a
 // configuration error, caught before any work is attempted.
 func TestSocketNoAddresses(t *testing.T) {
-	if _, _, err := NewSocket().RunTask("conformance/draw", nil, 3); err == nil ||
+	if _, _, err := NewSocketWith(nil).RunTask("conformance/draw", nil, 3); err == nil ||
 		!strings.Contains(err.Error(), "no worker addresses") {
 		t.Fatalf("err = %v, want a no-addresses error", err)
 	}

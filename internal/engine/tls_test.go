@@ -213,7 +213,7 @@ func TestTLSExpiredCert(t *testing.T) {
 func TestPlainDialsTLS(t *testing.T) {
 	srvCfg, _ := testTLSPair(t)
 	addr := startServeTLS(t, srvCfg)
-	_, _, err := NewSocket(addr).RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
+	_, _, err := NewSocketWith([]string{addr}).RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
 	if err == nil {
 		t.Fatal("plain dial of a TLS listener succeeded")
 	}

@@ -1,17 +1,15 @@
-// Package macsim provides slot-level simulators of the two medium-access
-// regimes the reproduced paper builds on (§2):
+// Package macsim provides a slot-level simulator of CSMA/CA with binary
+// exponential backoff (802.11 DCF style), the contention-based regime the
+// reproduced paper builds on (§2): collisions make the total rate a
+// decreasing function of the number of radios, but the long-run per-radio
+// shares remain equal. (The paper's other regime, reservation-based TDMA,
+// shares a constant rate exactly equally by construction, so ratefn.NewTDMA
+// needs no simulator.)
 //
-//   - reservation-based TDMA, where the channel rate is shared exactly
-//     equally and the total rate is independent of the number of radios, and
-//   - CSMA/CA with binary exponential backoff (802.11 DCF style), where
-//     collisions make the total rate a decreasing function of the number of
-//     radios but the long-run per-radio shares remain equal.
-//
-// Each simulator is a plain loop: CSMA/CA over channel slots, drawing its
-// backoffs from package des's seeded RNG, and TDMA over frames. They are
-// validated against package bianchi's analytical model; together they
-// justify the game's fair-share utility (paper Eq. 3) and the R(k_c)
-// shapes of Figure 3.
+// The simulator is a plain loop over channel slots that draws its backoffs
+// from package des's seeded RNG. It is validated against package bianchi's
+// analytical model; it justifies the game's fair-share utility (paper
+// Eq. 3) and the CSMA/CA R(k_c) shapes of Figure 3.
 package macsim
 
 import (

@@ -196,54 +196,6 @@ func TestSimulateCSMARTSCTS(t *testing.T) {
 	}
 }
 
-func TestSimulateTDMAExactShares(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 12} {
-		cfg := TDMAConfig{Radios: n, SlotTime: 1000, Guard: 0, DataRate: 11, Frames: 10}
-		res, err := SimulateTDMA(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// No guard: total throughput equals the channel rate exactly,
-		// independent of n (the paper's constant-R TDMA assumption).
-		if math.Abs(res.Throughput-11) > 1e-9 {
-			t.Errorf("n=%d: throughput %.6f, want 11", n, res.Throughput)
-		}
-		for r, share := range res.PerRadio {
-			want := 11.0 / float64(n)
-			if math.Abs(share-want) > 1e-9 {
-				t.Errorf("n=%d radio %d: share %.6f, want %.6f", n, r, share, want)
-			}
-		}
-	}
-}
-
-func TestSimulateTDMAGuardOverhead(t *testing.T) {
-	cfg := TDMAConfig{Radios: 4, SlotTime: 900, Guard: 100, DataRate: 10, Frames: 5}
-	res, err := SimulateTDMA(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 10.0 * 900 / 1000 // 10% guard overhead
-	if math.Abs(res.Throughput-want) > 1e-9 {
-		t.Fatalf("throughput %.6f, want %.6f", res.Throughput, want)
-	}
-}
-
-func TestSimulateTDMAErrors(t *testing.T) {
-	bad := []TDMAConfig{
-		{Radios: 0, SlotTime: 1, DataRate: 1, Frames: 1},
-		{Radios: 1, SlotTime: 0, DataRate: 1, Frames: 1},
-		{Radios: 1, SlotTime: 1, Guard: -1, DataRate: 1, Frames: 1},
-		{Radios: 1, SlotTime: 1, DataRate: 0, Frames: 1},
-		{Radios: 1, SlotTime: 1, DataRate: 1, Frames: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := SimulateTDMA(cfg); err == nil {
-			t.Errorf("config %d should error: %+v", i, cfg)
-		}
-	}
-}
-
 func TestEmpiricalCSMARate(t *testing.T) {
 	p := bianchi.Default80211b()
 	f, err := EmpiricalCSMARate(p, 8, 60000, 3)
@@ -296,21 +248,6 @@ func float64Bits(vs ...float64) []uint64 {
 		bits[i] = math.Float64bits(v)
 	}
 	return bits
-}
-
-// TestSimulateTDMAPinned pins the exact float results of a long guarded
-// TDMA run: each radio's bits are summed slot by slot in frame order.
-func TestSimulateTDMAPinned(t *testing.T) {
-	res, err := SimulateTDMA(TDMAConfig{Radios: 5, SlotTime: 333.3, Guard: 12.7, DataRate: 5.5, Frames: 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := float64Bits(append([]float64{res.SimTime, res.Throughput}, res.PerRadio...)...)
-	want := []uint64{0x4143cc5c00000000, 0x40153146bba279e0, 0x3ff0f438961b94b3, 0x3ff0f438961b94b3,
-		0x3ff0f438961b94b3, 0x3ff0f438961b94b3, 0x3ff0f438961b94b3}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SimTime, Throughput, PerRadio bits %#v, want %#v", got, want)
-	}
 }
 
 // TestSimulateCSMAFreezePinned pins the exact results of a seeded run

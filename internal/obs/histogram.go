@@ -43,9 +43,6 @@ func (h *Histogram) Observe(v int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n.Load() }
 
-// Sum returns the running sum of observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // snapshot renders the cumulative bucket view (Prometheus semantics: each
 // bucket counts observations <= its bound, the last is +Inf).
 func (h *Histogram) snapshot() (count uint64, sum int64, buckets []Bucket) {

@@ -237,24 +237,3 @@ func (m *MonotoneEnvelope) Rate(k int) float64 {
 
 // Name implements Func.
 func (m *MonotoneEnvelope) Name() string { return "monotone(" + m.inner.Name() + ")" }
-
-// Freeze samples inner on 1..maxK and returns a Table snapshot: a plain
-// slice read, safe for concurrent use with no synchronisation at all.
-// Beyond maxK the table saturates at its last value (the Table tail
-// convention), so choose maxK to cover the loads the caller will ask for.
-// The snapshot validates the rate-function contract and keeps inner's
-// name. (A Game needs no snapshot: its RateView tabulates R over the
-// game's load domain at construction.)
-func Freeze(inner Func, maxK int) (*Table, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("ratefn: Freeze of nil Func")
-	}
-	if maxK < 1 {
-		return nil, fmt.Errorf("ratefn: Freeze needs maxK >= 1, got %d", maxK)
-	}
-	values := make([]float64, maxK)
-	for k := 1; k <= maxK; k++ {
-		values[k-1] = inner.Rate(k)
-	}
-	return NewTable(inner.Name(), values)
-}

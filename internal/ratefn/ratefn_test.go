@@ -412,69 +412,17 @@ func TestGeometricContractProperty(t *testing.T) {
 	}
 }
 
-func TestFreezeSnapshot(t *testing.T) {
-	inner := &countingFunc{}
-	frozen, err := Freeze(inner, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled := inner.calls
-	if sampled != 16 {
-		t.Fatalf("Freeze sampled %d values, want 16", sampled)
-	}
-	for k := 0; k <= 20; k++ {
-		want := 0.0
-		if k >= 1 {
-			want = 1 // saturated tail beyond 16
-		}
-		if got := frozen.Rate(k); got != want {
-			t.Fatalf("frozen Rate(%d) = %v, want %v", k, got, want)
-		}
-	}
-	if inner.calls != sampled {
-		t.Fatalf("frozen table consulted inner (%d calls after, %d at freeze)", inner.calls, sampled)
-	}
-	if frozen.Name() != inner.Name() {
-		t.Fatalf("Freeze renamed %q to %q", inner.Name(), frozen.Name())
-	}
-}
-
-func TestFreezeMatchesInnerExactly(t *testing.T) {
-	inner := Harmonic{R0: 3, Alpha: 0.7}
-	frozen, err := Freeze(inner, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 32; k++ {
-		if got, want := frozen.Rate(k), inner.Rate(k); got != want {
-			t.Fatalf("frozen Rate(%d) = %v, inner = %v (must be bit-identical)", k, got, want)
-		}
-	}
-}
-
-func TestFreezeErrors(t *testing.T) {
-	if _, err := Freeze(nil, 4); err == nil {
-		t.Error("Freeze(nil) should error")
-	}
-	if _, err := Freeze(NewTDMA(1), 0); err == nil {
-		t.Error("Freeze with maxK=0 should error")
-	}
-	// A non-monotone inner fails the Table contract check.
-	if _, err := Freeze(wiggle{}, 8); err == nil {
-		t.Error("Freeze of a non-monotone Func should surface the contract violation")
-	}
-	if _, err := Freeze(NewMonotoneEnvelope(wiggle{}), 8); err != nil {
-		t.Errorf("Freeze of the enveloped form should succeed, got %v", err)
-	}
-}
-
-// BenchmarkRateLookup times the lock-free frozen Table on the access
-// pattern of the game hot loops (sequential loads), serial and under
-// parallel workers.
+// BenchmarkRateLookup times a Table holding another Func's samples (a
+// frozen snapshot) on the access pattern of the game hot loops
+// (sequential loads), serial and under parallel workers.
 func BenchmarkRateLookup(b *testing.B) {
 	inner := Harmonic{R0: 54, Alpha: 0.4}
 	const maxK = 64
-	frozen, err := Freeze(inner, maxK)
+	values := make([]float64, maxK)
+	for k := range values {
+		values[k] = inner.Rate(k + 1)
+	}
+	frozen, err := NewTable(inner.Name(), values)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -68,12 +68,6 @@ func (c Channel) String() string {
 	return fmt.Sprintf("c%d @ %.1f MHz", c.Index+1, c.CenterMHz)
 }
 
-// ISM2400 returns the 2.4 GHz ISM band modelled as its three orthogonal
-// 802.11b channels (1, 6, 11 -> 22 MHz wide).
-func ISM2400() Band {
-	return Band{Name: "2.4 GHz ISM (orthogonal)", StartMHz: 2401, ChannelWidthMHz: 22, NumChannels: 3}
-}
-
 // UNII5GHz returns a U-NII 5 GHz band with eight orthogonal 20 MHz channels
 // (36..64).
 func UNII5GHz() Band {

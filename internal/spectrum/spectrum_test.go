@@ -9,8 +9,13 @@ import (
 	"github.com/multiradio/chanalloc/internal/ratefn"
 )
 
+// ism2400 is the 2.4 GHz ISM band modelled as its three orthogonal
+// 802.11b channels (1, 6, 11 -> 22 MHz wide): a small band for the
+// validation and error-path tests.
+var ism2400 = Band{Name: "2.4 GHz ISM (orthogonal)", StartMHz: 2401, ChannelWidthMHz: 22, NumChannels: 3}
+
 func TestBandValidate(t *testing.T) {
-	if err := ISM2400().Validate(); err != nil {
+	if err := ism2400.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := UNII5GHz().Validate(); err != nil {
@@ -50,7 +55,7 @@ func TestChannelFrequencies(t *testing.T) {
 }
 
 func TestChannelErrors(t *testing.T) {
-	b := ISM2400()
+	b := ism2400
 	if _, err := b.Channel(-1); err == nil {
 		t.Error("negative channel should error")
 	}
@@ -197,7 +202,7 @@ func TestAssignmentsHeteroNE(t *testing.T) {
 }
 
 func TestAssignmentsErrors(t *testing.T) {
-	d, err := NewDeployment(ISM2400(), devices(2, 2))
+	d, err := NewDeployment(ism2400, devices(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

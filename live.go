@@ -20,8 +20,6 @@ type (
 	// UserID is the stable identity of a live-game participant
 	// (sequential from 1, never reused).
 	UserID = core.UserID
-	// LiveChurn summarises mutations since the last re-equilibration.
-	LiveChurn = core.Churn
 	// ReqResult reports a warm-started re-equilibration.
 	ReqResult = dynamics.ReqResult
 	// LiveConfig parameterises a live allocation server.
@@ -34,9 +32,6 @@ type (
 	LiveUpdate  = live.Update
 	// ChurnSpec parameterises a synthetic churn trace.
 	ChurnSpec = live.ChurnSpec
-	// LiveTotals aggregates session statistics across every server that
-	// shares it via LiveConfig.Totals (a listening daemon's connections).
-	LiveTotals = live.Totals
 )
 
 // LiveProtocolVersion identifies the live NDJSON frame schema.
@@ -61,11 +56,6 @@ func NewLiveServer(cfg LiveConfig) (*LiveServer, error) { return live.NewServer(
 
 // ServeLive runs one NDJSON conversation on the given transport.
 func ServeLive(srv *LiveServer, r io.Reader, w io.Writer) error { return srv.Serve(r, w) }
-
-// ParseChurnSpec parses the compact churn form
-// "channels,initial,events[,seed]"; the rates and budget bounds come from
-// DefaultChurnSpec.
-func ParseChurnSpec(s string) (ChurnSpec, error) { return live.ParseChurnSpec(s) }
 
 // DefaultChurnSpec fills a churn spec's free parameters: budgets uniform
 // over [1, min(channels, 4)], unit arrival rate, steady population near

@@ -2,7 +2,6 @@ package chanalloc
 
 import (
 	"io"
-	"net/http"
 
 	"github.com/multiradio/chanalloc/internal/obs"
 )
@@ -16,28 +15,7 @@ type (
 	ObsSample = obs.Sample
 	// ObsServer is a running metrics endpoint (ServeObs); Close stops it.
 	ObsServer = obs.Server
-	// ObsEvent is one structured entry of the bounded trace ring.
-	ObsEvent = obs.Event
-	// ObsCounter, ObsGauge and ObsHistogram are the registrable metric
-	// kinds; their write paths are single atomic operations.
-	ObsCounter   = obs.Counter
-	ObsGauge     = obs.Gauge
-	ObsHistogram = obs.Histogram
 )
-
-// NewObsCounter registers (or fetches, by name) a process-global
-// monotonic counter.
-func NewObsCounter(name string) *ObsCounter { return obs.NewCounter(name) }
-
-// NewObsGauge registers (or fetches, by name) a process-global gauge.
-func NewObsGauge(name string) *ObsGauge { return obs.NewGauge(name) }
-
-// NewObsHistogram registers (or fetches, by name) a fixed-bucket
-// histogram; bounds must be strictly increasing (a +Inf bucket is
-// implicit).
-func NewObsHistogram(name string, bounds []int64) *ObsHistogram {
-	return obs.NewHistogram(name, bounds)
-}
 
 // ObsSnapshot returns every registered metric's current value, sorted by
 // name — successive snapshots diff line-by-line.
@@ -47,19 +25,10 @@ func ObsSnapshot() []ObsSample { return obs.Snapshot() }
 // name_count and name_sum).
 func ObsFlat(s []ObsSample) map[string]int64 { return obs.Flat(s) }
 
-// ObsHandler returns the HTTP mux serving /metrics (Prometheus text),
-// /metrics.json, /trace (NDJSON ring dump) and /debug/pprof/ for the
-// process-global registry and trace ring.
-func ObsHandler() http.Handler { return obs.NewMux(nil, nil) }
-
 // ServeObs starts the observability endpoint on addr (":0" picks a free
 // port; the chosen address is ObsServer.Addr). Pair with the daemons'
 // -metrics flag.
 func ServeObs(addr string) (*ObsServer, error) { return obs.ListenAndServe(addr) }
-
-// ObsEmit appends a structured event to the global trace ring (bounded;
-// oldest entries fall off).
-func ObsEmit(kind, note string, a, b, c int64) { obs.Emit(kind, note, a, b, c) }
 
 // WriteObsTrace dumps the global trace ring as NDJSON, oldest first.
 func WriteObsTrace(w io.Writer) error { return obs.DefaultTrace.WriteNDJSON(w) }

@@ -98,26 +98,6 @@ func HarmonicRate(r0, alpha float64) RateFunc { return ratefn.Harmonic{R0: r0, A
 // GeometricRate returns R(k) = r0 · beta^(k-1), 0 < beta <= 1.
 func GeometricRate(r0, beta float64) RateFunc { return ratefn.Geometric{R0: r0, Beta: beta} }
 
-// LinearRate returns R(k) = max(0, r0 - slope·(k-1)); it reaches exactly
-// zero at finite load, exercising R = 0 edge cases.
-func LinearRate(r0, slope float64) RateFunc { return ratefn.Linear{R0: r0, Slope: slope} }
-
-// TableRate builds a rate function from explicit non-increasing samples,
-// e.g. measurements from a testbed.
-func TableRate(name string, values []float64) (RateFunc, error) {
-	return ratefn.NewTable(name, values)
-}
-
-// ValidateRate checks the rate-function contract (R(0)=0, non-negative,
-// non-increasing) for k in [1, maxK].
-func ValidateRate(f RateFunc, maxK int) error { return ratefn.Validate(f, maxK) }
-
-// FreezeRate samples f on 1..maxK into a lock-free table snapshot, for
-// code that reads a rate function outside a game. A Game needs none: it
-// tabulates R over its own load domain at construction. Beyond maxK the
-// table saturates at its last value.
-func FreezeRate(f RateFunc, maxK int) (RateFunc, error) { return ratefn.Freeze(f, maxK) }
-
 // DCFParams parameterises Bianchi's 802.11 DCF model.
 type DCFParams = bianchi.Params
 
@@ -136,10 +116,6 @@ func Bianchi1Mbps() DCFParams { return bianchi.Bianchi1Mbps() }
 // binary exponential backoff (the "practical CSMA/CA" of Figure 3).
 func SolveDCF(p DCFParams, n int) (DCFResult, error) { return bianchi.Solve(p, n) }
 
-// SolveDCFOptimal computes the operating point under the approximately
-// throughput-optimal backoff (the "optimal CSMA/CA" of Figure 3).
-func SolveDCFOptimal(p DCFParams, n int) (DCFResult, error) { return bianchi.SolveOptimal(p, n) }
-
 // PracticalCSMA adapts the practical-DCF saturation throughput to a game
 // rate function (a monotone envelope, which stores every value it solves).
 func PracticalCSMA(p DCFParams) (RateFunc, error) { return bianchi.PracticalRate(p) }
@@ -157,35 +133,8 @@ func SimulateCSMA(p DCFParams, n int, cycles int64, seed uint64) (CSMASimResult,
 	return macsim.SimulateCSMA(p, n, cycles, seed)
 }
 
-// TDMASimConfig parameterises the reservation-TDMA frame simulator.
-type TDMASimConfig = macsim.TDMAConfig
-
-// TDMASimResult reports a reservation-TDMA simulation.
-type TDMASimResult = macsim.TDMAResult
-
-// SimulateTDMA runs the frame-level reservation TDMA simulator.
-func SimulateTDMA(cfg TDMASimConfig) (TDMASimResult, error) {
-	return macsim.SimulateTDMA(cfg)
-}
-
 // EmpiricalCSMARate measures R(k) for k = 1..maxK by simulation and freezes
 // the result into a table-backed rate function.
 func EmpiricalCSMARate(p DCFParams, maxK int, cycles int64, seed uint64) (RateFunc, error) {
 	return macsim.EmpiricalCSMARate(p, maxK, cycles, seed)
-}
-
-// ChannelSchedule is one channel's reservation-TDMA frame.
-type ChannelSchedule = macsim.ChannelSchedule
-
-// BuildTDMASchedules derives the per-channel round-robin TDMA frames that
-// realise the game's equal-share assumption: each radio on a channel owns
-// exactly one slot per frame.
-func BuildTDMASchedules(a *Alloc) ([]ChannelSchedule, error) {
-	return macsim.BuildSchedules(a)
-}
-
-// VerifyFairShare checks that schedules grant each user exactly
-// k_{i,c}/k_c of every channel.
-func VerifyFairShare(a *Alloc, schedules []ChannelSchedule) error {
-	return macsim.VerifyFairShare(a, schedules)
 }

@@ -35,9 +35,6 @@ func ScenarioByName(name string, r RateFunc) (*Scenario, error) {
 	return workload.ByName(name, r)
 }
 
-// ScenarioNames lists the registered scenario families in sorted order.
-func ScenarioNames() []string { return workload.Names() }
-
 // ScenarioFamilies lists the registered families with usage and
 // description — the source of CLI usage text.
 func ScenarioFamilies() []ScenarioFamily { return workload.Families() }
