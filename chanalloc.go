@@ -61,9 +61,10 @@
 //	RunBestResponse RunRadioGreedy RunSimultaneous RunBatch
 //	ScenarioFigure1 ScenarioFigure4 ScenarioFigure5
 //
-// Any other name stays only if a program under cmd/, examples/ or
-// e2ebench/ uses it, or if the signature of a kept name needs it.
-// TestFacadeKeepRule enforces this list and this rule.
+// Any other name stays only if a non-test Go file under cmd/, examples/ or
+// e2ebench/ names it (chanalloc.X, or ca.X in e2ebench), or if the
+// signature of a kept name needs it. TestFacadeKeepRule enforces this list
+// and this rule.
 package chanalloc
 
 import (
