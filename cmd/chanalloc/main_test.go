@@ -65,16 +65,23 @@ func TestRunVerifyFromFile(t *testing.T) {
 	}
 }
 
+// TestRunDynamics pins the whole -mode dynamics report of both processes,
+// the random start, the convergence line and the Φ(start) -> Φ(final)
+// line included, against testdata goldens.
 func TestRunDynamics(t *testing.T) {
 	for _, process := range []string{"br", "greedy"} {
 		var b strings.Builder
 		err := run([]string{"-mode", "dynamics", "-process", process,
-			"-users", "5", "-channels", "4", "-radios", "3", "-seed", "7"}, &b)
+			"-users", "9", "-channels", "6", "-radios", "3", "-seed", "7"}, &b)
 		if err != nil {
 			t.Fatalf("%s: %v", process, err)
 		}
-		if !strings.Contains(b.String(), "Converged: true") {
-			t.Errorf("%s did not converge:\n%s", process, b.String())
+		want, err := os.ReadFile(filepath.Join("testdata", "dynamics_"+process+"_9u6c3r_seed7.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.String(); got != string(want) {
+			t.Errorf("%s report diverged from golden:\n--- got ---\n%s--- want ---\n%s", process, got, want)
 		}
 	}
 }
