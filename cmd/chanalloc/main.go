@@ -206,8 +206,7 @@ func dynamicsMode(out io.Writer, g *chanalloc.Game, cfg *config) error {
 		return err
 	}
 	fmt.Fprintf(out, "\nConverged: %v in %d rounds, %d moves\n", res.Converged, res.Rounds, res.Moves)
-	fmt.Fprintf(out, "Potential: %.6f -> %.6f\n",
-		res.PotentialTrace[0], res.PotentialTrace[len(res.PotentialTrace)-1])
+	fmt.Fprintf(out, "Potential: %.6f -> %.6f\n", g.Potential(start), g.Potential(res.Final))
 	return report(out, g, res.Final)
 }
 

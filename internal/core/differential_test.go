@@ -339,7 +339,7 @@ func TestDifferentialBestResponseLayouts(t *testing.T) {
 		}
 		saved := maxShareTableLen
 		maxShareTableLen = 0 // the same game, its view built without a plane
-		planeless := newGame(g.channels, g.budgets, rate, nil)
+		planeless := newGame(g.channels, g.budgets, rate)
 		maxShareTableLen = saved
 		if g.View().share == nil || planeless.View().share != nil {
 			t.Fatalf("%s: plane present %v / %v, want true / false", name, g.View().share != nil, planeless.View().share != nil)

@@ -17,11 +17,14 @@ import (
 // read tables instead of calling through the rate interface. The rate
 // function must therefore be pure; it is sampled once at construction, and
 // the view is the game's only cache of R.
+//
+// A game from NewGame or NewHeteroGame never changes. The game a LiveGame
+// hands out (LiveGame.Frozen) is the live game's own: it is valid until the
+// next join, leave or budget change, which edits it in place.
 type Game struct {
 	channels int
 	budgets  []int
 	total    int // Σ_i k_i
-	common   int // the shared k when every budget is equal, else 0
 	rate     ratefn.Func
 	view     *RateView
 }
@@ -46,7 +49,7 @@ func NewGame(users, channels, radios int, rate ratefn.Func) (*Game, error) {
 	for i := range budgets {
 		budgets[i] = radios
 	}
-	return newGame(channels, budgets, rate, nil), nil
+	return newGame(channels, budgets, rate), nil
 }
 
 // NewHeteroGame validates per-user budgets (1 <= k_i <= channels) and
@@ -69,25 +72,19 @@ func NewHeteroGame(channels int, budgets []int, rate ratefn.Func) (*Game, error)
 	if rate == nil {
 		return nil, fmt.Errorf("core: nil rate function")
 	}
-	return newGame(channels, append([]int(nil), budgets...), rate, nil), nil
+	return newGame(channels, append([]int(nil), budgets...), rate), nil
 }
 
-// newGame assembles a game over validated, caller-owned budgets. A nil
-// view is built over the game's own load domain; LiveGame passes its
-// shared (superset-domain) view instead.
-func newGame(channels int, budgets []int, rate ratefn.Func, view *RateView) *Game {
-	total, maxBudget, common := 0, 0, budgets[0]
+// newGame assembles a game over validated, caller-owned budgets, with its
+// rate view built over the game's own load domain.
+func newGame(channels int, budgets []int, rate ratefn.Func) *Game {
+	total, maxBudget := 0, 0
 	for _, k := range budgets {
 		total += k
 		maxBudget = max(maxBudget, k)
-		if k != common {
-			common = 0
-		}
 	}
-	if view == nil {
-		view = NewRateView(rate, total, maxBudget)
-	}
-	return &Game{channels: channels, budgets: budgets, total: total, common: common, rate: rate, view: view}
+	view := NewRateView(rate, total, maxBudget)
+	return &Game{channels: channels, budgets: budgets, total: total, rate: rate, view: view}
 }
 
 // Users returns |N|.
@@ -98,8 +95,16 @@ func (g *Game) Channels() int { return g.channels }
 
 // Radios returns the common per-user budget k, or 0 when budgets differ.
 // The paper's closed-form results (Theorem 1, Fact 1) and the distributed
-// protocol assume a common k; per-user code reads Budget(i).
-func (g *Game) Radios() int { return g.common }
+// protocol assume a common k; per-user code reads Budget(i). It scans the
+// budgets, O(N): callers that need k repeatedly read it once.
+func (g *Game) Radios() int {
+	for _, k := range g.budgets {
+		if k != g.budgets[0] {
+			return 0
+		}
+	}
+	return g.Budget(0)
+}
 
 // Budget returns user i's radio budget k_i.
 func (g *Game) Budget(i int) int { return g.budgets[i] }
@@ -190,11 +195,13 @@ func (g *Game) Welfare(a *Alloc) float64 {
 }
 
 // Potential evaluates the exact congestion potential
-// Φ(S) = Σ_c Σ_{j=1}^{k_c} R(j)/j via the precomputed rate table. It sums
-// in the same term order as the direct sum over the game's rate function,
-// and so is bit-identical to it: internal/dynamics keeps that sum as its
-// test reference Potential, and TestGamePotentialMatchesReference pins the
-// two. It requires a legal allocation of g (see Utility).
+// Φ(S) = Σ_c Σ_{j=1}^{k_c} R(j)/j via the precomputed rate table. The
+// paper needs Φ only in its convergence proofs, so no dynamics loop
+// evaluates it; tests and cmd/chanalloc's report do. It sums in the same
+// term order as the direct sum over the game's rate function, and so is
+// bit-identical to it: internal/dynamics keeps that sum as its test
+// reference Potential, and TestGamePotentialMatchesReference pins the two.
+// It requires a legal allocation of g (see Utility).
 func (g *Game) Potential(a *Alloc) float64 {
 	var phi float64
 	for c := 0; c < a.Channels(); c++ {

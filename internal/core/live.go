@@ -25,8 +25,6 @@ type Churn struct {
 	Suspects map[UserID]bool
 	// Decreased is true when some channel's load went down.
 	Decreased bool
-	// Events counts the mutations folded into this record.
-	Events int
 }
 
 // LiveGame is the mutable form of the channel allocation game with
@@ -35,6 +33,9 @@ type Churn struct {
 // index and the precomputed RateView — is kept consistent incrementally
 // instead of being rebuilt per event.
 //
+//   - One Game: LiveGame owns a single *Game whose budget vector, radio
+//     total and rate view the mutators edit in place; Frozen hands out
+//     that game, valid until the next mutation.
 //   - Stable IDs vs dense rows: every kernel (DP workspaces, grid walks,
 //     the allocation matrix itself) indexes users 0..N-1 densely. A live
 //     population is sparse in identity space, so LiveGame owns the
@@ -47,35 +48,22 @@ type Churn struct {
 //     array read instead of re-hashing all N rows per event.
 //   - RateView growth: the view's domain covers total load 0..Σk_i and
 //     budgets up to max k_i. Joins grow the total, so the view is rebuilt
-//     with doubling headroom only when the domain is outgrown; every
-//     rebuild samples the same pure rate function, so table values are
-//     bit-identical across generations and the domain size never shows in
-//     results.
-//   - Snapshots: LiveGame hands out an immutable Game per generation
-//     (Frozen), sharing the already-built view; each mutation bumps the
-//     generation counter, so the next Frozen builds a new snapshot.
+//     with doubling headroom only when a join or budget change outgrows
+//     the domain; every rebuild samples the same pure rate function, so
+//     table values are bit-identical across rebuilds and the domain size
+//     never shows in results.
 //
 // A LiveGame is not safe for concurrent use; the live server serialises
 // events (mutations per event are O(|C|) plus re-equilibration).
 type LiveGame struct {
-	channels int
-	rate     ratefn.Func
+	g *Game // dense row -> budget k_i, their total and the rate view
 
-	ids     []UserID       // dense row -> stable id
-	budgets []int          // dense row -> budget k_i
-	rowOf   map[UserID]int // stable id -> dense row
-	nextID  UserID
+	ids    []UserID       // dense row -> stable id
+	rowOf  map[UserID]int // stable id -> dense row
+	nextID UserID
 
 	alloc   *Alloc   // dense allocation; nil while the game is empty
 	classes *Classes // (budget, row) class of every dense row
-
-	view     *RateView
-	viewLoad int // total-load domain the current view covers
-	viewOwn  int // per-user budget domain the current view covers
-
-	gen       uint64 // bumped by every mutation
-	frozen    *Game  // per-generation immutable snapshot
-	frozenGen uint64
 
 	pending Churn
 	quiet   bool // allocation known quiet (equilibrated) before pending churn
@@ -91,13 +79,10 @@ func NewLiveGame(channels int, rate ratefn.Func) (*LiveGame, error) {
 		return nil, fmt.Errorf("core: nil rate function")
 	}
 	lg := &LiveGame{
-		channels: channels,
-		rate:     rate,
-		rowOf:    make(map[UserID]int),
-		classes:  newClasses(channels),
-		viewLoad: -1,
-		viewOwn:  -1,
-		quiet:    true,
+		g:       &Game{channels: channels, rate: rate},
+		rowOf:   make(map[UserID]int),
+		classes: newClasses(channels),
+		quiet:   true,
 	}
 	lg.resetChurn()
 	return lg, nil
@@ -107,13 +92,10 @@ func NewLiveGame(channels int, rate ratefn.Func) (*LiveGame, error) {
 func (lg *LiveGame) Users() int { return len(lg.ids) }
 
 // Channels returns |C|.
-func (lg *LiveGame) Channels() int { return lg.channels }
+func (lg *LiveGame) Channels() int { return lg.g.channels }
 
 // Rate returns the rate function.
-func (lg *LiveGame) Rate() ratefn.Func { return lg.rate }
-
-// Generation returns the mutation counter; it changes iff game state did.
-func (lg *LiveGame) Generation() uint64 { return lg.gen }
+func (lg *LiveGame) Rate() ratefn.Func { return lg.g.rate }
 
 // Alloc returns the LIVE dense allocation (nil while empty). It is the
 // state dynamics.Requilibrate evolves in place; other callers must treat
@@ -140,56 +122,41 @@ func (lg *LiveGame) BudgetOf(id UserID) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return lg.budgets[row], true
+	return lg.g.budgets[row], true
 }
 
 // Budgets returns a copy of the dense budget vector.
-func (lg *LiveGame) Budgets() []int { return append([]int(nil), lg.budgets...) }
+func (lg *LiveGame) Budgets() []int { return lg.g.Budgets() }
 
-// ensureView grows the rate view when the load or budget domain is
-// outgrown. Doubling headroom keeps rebuilds O(log total-churn); shrinking
-// never rebuilds (a superset domain reads identical table values).
-func (lg *LiveGame) ensureView() {
-	total, maxBudget := 0, 0
-	for _, k := range lg.budgets {
-		total += k
-		if k > maxBudget {
-			maxBudget = k
+// ensureView grows the rate view when the running radio total or a budget
+// k just set outgrows its domain. Every other budget was covered when it
+// was set and the domain never shrinks, so k is the only budget to check.
+// Doubling headroom keeps rebuilds O(log total-churn); shrinking never
+// rebuilds (a superset domain reads identical table values).
+func (lg *LiveGame) ensureView(k int) {
+	g := lg.g
+	load, own := -1, -1
+	if g.view != nil {
+		load, own = g.view.domain()
+		if g.total <= load && k <= own {
+			return
 		}
 	}
-	if lg.view != nil && total <= lg.viewLoad && maxBudget <= lg.viewOwn {
-		return
-	}
-	newLoad := lg.viewLoad
-	if newLoad < 0 {
-		newLoad = 0
-	}
-	for newLoad < total {
+	newLoad := max(load, 0)
+	for newLoad < g.total {
 		newLoad = newLoad*2 + 8
 	}
-	newOwn := maxBudget
-	if lg.viewOwn > newOwn {
-		newOwn = lg.viewOwn
-	}
-	if newOwn > newLoad {
-		newLoad = newOwn
-	}
-	lg.view = NewRateView(lg.rate, newLoad, newOwn)
-	lg.viewLoad, lg.viewOwn = newLoad, newOwn
+	newOwn := max(k, own)
+	newLoad = max(newLoad, newOwn)
+	g.view = NewRateView(g.rate, newLoad, newOwn)
 }
 
 // resetChurn clears the pending churn record.
 func (lg *LiveGame) resetChurn() {
 	lg.pending = Churn{
-		Dirty:    make([]bool, lg.channels),
+		Dirty:    make([]bool, lg.g.channels),
 		Suspects: make(map[UserID]bool),
 	}
-}
-
-// bump invalidates generation-derived state after a mutation.
-func (lg *LiveGame) bump() {
-	lg.gen++
-	lg.pending.Events++
 }
 
 // Join admits a new user with the given radio budget: a fresh stable id, a
@@ -202,12 +169,12 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 	if budget < 1 {
 		return 0, fmt.Errorf("core: join budget %d, want >= 1", budget)
 	}
-	if budget > lg.channels {
-		return 0, fmt.Errorf("core: join budget %d exceeds %d channels", budget, lg.channels)
+	if budget > lg.g.channels {
+		return 0, fmt.Errorf("core: join budget %d exceeds %d channels", budget, lg.g.channels)
 	}
 	var row int
 	if lg.alloc == nil {
-		a, err := NewAlloc(1, lg.channels)
+		a, err := NewAlloc(1, lg.g.channels)
 		if err != nil {
 			return 0, err
 		}
@@ -219,9 +186,10 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 	lg.nextID++
 	id := lg.nextID
 	lg.ids = append(lg.ids, id)
-	lg.budgets = append(lg.budgets, budget)
+	lg.g.budgets = append(lg.g.budgets, budget)
+	lg.g.total += budget
 	lg.rowOf[id] = row
-	lg.ensureView()
+	lg.ensureView(budget)
 
 	placer := Placer{Tie: TieFirst}
 	seeded, err := placer.Place(lg.alloc.Loads(), budget)
@@ -238,7 +206,6 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 		}
 	}
 	lg.pending.Suspects[id] = true
-	lg.bump()
 	return id, nil
 }
 
@@ -252,7 +219,7 @@ func (lg *LiveGame) Leave(id UserID) error {
 	if !ok {
 		return fmt.Errorf("core: leave: unknown user %d", id)
 	}
-	for c := 0; c < lg.channels; c++ {
+	for c := 0; c < lg.g.channels; c++ {
 		if lg.alloc.Radios(row, c) > 0 {
 			lg.pending.Dirty[c] = true
 			lg.pending.Decreased = true
@@ -262,21 +229,22 @@ func (lg *LiveGame) Leave(id UserID) error {
 		return fmt.Errorf("core: leave user %d: %w", id, err)
 	}
 	lg.classes.RemoveSwap(row)
+	g := lg.g
+	g.total -= g.budgets[row]
 	last := len(lg.ids) - 1
 	if row != last {
 		moved := lg.ids[last]
 		lg.ids[row] = moved
-		lg.budgets[row] = lg.budgets[last]
+		g.budgets[row] = g.budgets[last]
 		lg.rowOf[moved] = row
 	}
 	lg.ids = lg.ids[:last]
-	lg.budgets = lg.budgets[:last]
+	g.budgets = g.budgets[:last]
 	delete(lg.rowOf, id)
 	delete(lg.pending.Suspects, id)
 	if last == 0 {
 		lg.alloc = nil
 	}
-	lg.bump()
 	return nil
 }
 
@@ -293,15 +261,17 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 	if k < 1 {
 		return fmt.Errorf("core: budget %d for user %d, want >= 1", k, id)
 	}
-	if k > lg.channels {
-		return fmt.Errorf("core: budget %d for user %d exceeds %d channels", k, id, lg.channels)
+	g := lg.g
+	if k > g.channels {
+		return fmt.Errorf("core: budget %d for user %d exceeds %d channels", k, id, g.channels)
 	}
-	old := lg.budgets[row]
+	old := g.budgets[row]
 	if k == old {
 		return nil
 	}
-	lg.budgets[row] = k
-	lg.ensureView()
+	g.budgets[row] = k
+	g.total += k - old
+	lg.ensureView(k)
 	a := lg.alloc
 	for deployed := a.UserTotal(row); deployed < k; deployed++ {
 		// One radio onto the least-loaded channel, preferring channels
@@ -309,7 +279,7 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 		// index.
 		best, bestLoad := -1, 0
 		for pass := 0; pass < 2 && best < 0; pass++ {
-			for c := 0; c < lg.channels; c++ {
+			for c := 0; c < g.channels; c++ {
 				if pass == 0 && a.Radios(row, c) > 0 {
 					continue
 				}
@@ -327,7 +297,7 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 		// Withdraw from the user's most-loaded occupied channel (the
 		// radio earning the smallest share), ties lowest index.
 		worst, worstLoad := -1, -1
-		for c := 0; c < lg.channels; c++ {
+		for c := 0; c < g.channels; c++ {
 			if a.Radios(row, c) == 0 {
 				continue
 			}
@@ -343,7 +313,6 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 	}
 	lg.classes.Set(row, k, a.m[row])
 	lg.pending.Suspects[id] = true
-	lg.bump()
 	return nil
 }
 
@@ -358,15 +327,16 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 //     user's class stores its budget and row, users share a class iff
 //     their (budget, row) agree, and member counts, intern map and free
 //     list are exact;
-//   - the rate view covers the total radio budget and the largest
-//     per-user budget.
+//   - the game's running radio total equals a fresh sum over the budgets;
+//   - the rate view covers that total and the largest per-user budget.
 //
 // It costs O(N·|C|) and mutates nothing; tests and fuzzers call it after
 // every event.
 func (lg *LiveGame) Check() error {
+	g := lg.g
 	n := len(lg.ids)
-	if len(lg.budgets) != n || len(lg.rowOf) != n {
-		return fmt.Errorf("core: %d ids, %d budgets, %d id→row entries", n, len(lg.budgets), len(lg.rowOf))
+	if len(g.budgets) != n || len(lg.rowOf) != n {
+		return fmt.Errorf("core: %d ids, %d budgets, %d id→row entries", n, len(g.budgets), len(lg.rowOf))
 	}
 	if (lg.alloc == nil) != (n == 0) {
 		return fmt.Errorf("core: %d users but allocation present = %v", n, lg.alloc != nil)
@@ -380,20 +350,23 @@ func (lg *LiveGame) Check() error {
 		}
 	}
 	if n == 0 {
+		if g.total != 0 {
+			return fmt.Errorf("core: empty game has a running radio total of %d", g.total)
+		}
 		return lg.classes.check(nil, nil)
 	}
 	a := lg.alloc
-	if a.Users() != n || a.Channels() != lg.channels {
+	if a.Users() != n || a.Channels() != g.channels {
 		return fmt.Errorf("core: allocation is %dx%d, game has %d users on %d channels",
-			a.Users(), a.Channels(), n, lg.channels)
+			a.Users(), a.Channels(), n, g.channels)
 	}
 	total, maxBudget := 0, 0
-	for i, k := range lg.budgets {
-		if k < 1 || k > lg.channels {
-			return fmt.Errorf("core: user %d has budget %d outside [1, %d]", lg.ids[i], k, lg.channels)
+	for i, k := range g.budgets {
+		if k < 1 || k > g.channels {
+			return fmt.Errorf("core: user %d has budget %d outside [1, %d]", lg.ids[i], k, g.channels)
 		}
 		deployed := 0
-		for c := 0; c < lg.channels; c++ {
+		for c := 0; c < g.channels; c++ {
 			if v := a.Radios(i, c); v < 0 {
 				return fmt.Errorf("core: user %d has %d radios on channel %d", lg.ids[i], v, c)
 			}
@@ -405,7 +378,7 @@ func (lg *LiveGame) Check() error {
 		total += k
 		maxBudget = max(maxBudget, k)
 	}
-	for c := 0; c < lg.channels; c++ {
+	for c := 0; c < g.channels; c++ {
 		sum := 0
 		for i := 0; i < n; i++ {
 			sum += a.Radios(i, c)
@@ -414,30 +387,32 @@ func (lg *LiveGame) Check() error {
 			return fmt.Errorf("core: channel %d load %d, column sum %d", c, a.Load(c), sum)
 		}
 	}
-	if err := lg.classes.check(a, lg.budgets); err != nil {
+	if err := lg.classes.check(a, g.budgets); err != nil {
 		return err
 	}
-	if lg.view == nil || lg.viewLoad < total || lg.viewOwn < maxBudget {
+	if g.total != total {
+		return fmt.Errorf("core: running radio total %d, budgets sum to %d", g.total, total)
+	}
+	if g.view == nil {
+		return fmt.Errorf("core: %d users but no rate view", n)
+	}
+	if load, own := g.view.domain(); load < total || own < maxBudget {
 		return fmt.Errorf("core: rate view covers load %d and budget %d, game needs %d and %d",
-			lg.viewLoad, lg.viewOwn, total, maxBudget)
+			load, own, total, maxBudget)
 	}
 	return nil
 }
 
-// Frozen returns the immutable Game snapshot of the current generation,
-// kept until the next mutation: the snapshot shares the live RateView
-// (superset domains read identical values) and owns a copy of the budget
-// vector. Returns nil while the game is empty.
+// Frozen returns the live population as a Game, without copying: the game
+// is LiveGame's own, valid until the next mutation (a join, leave or
+// budget change edits its budgets, radio total and rate view in place).
+// Its view may cover a larger domain than a fresh game's; superset domains
+// read identical values. Returns nil while the game is empty.
 func (lg *LiveGame) Frozen() *Game {
 	if lg.Users() == 0 {
 		return nil
 	}
-	if lg.frozen != nil && lg.frozenGen == lg.gen {
-		return lg.frozen
-	}
-	lg.frozen = newGame(lg.channels, append([]int(nil), lg.budgets...), lg.rate, lg.view)
-	lg.frozenGen = lg.gen
-	return lg.frozen
+	return lg.g
 }
 
 // TakeChurn hands over the pending churn record and starts a fresh one.
@@ -448,9 +423,6 @@ func (lg *LiveGame) TakeChurn() Churn {
 	lg.resetChurn()
 	return out
 }
-
-// PendingEvents reports how many mutations await re-equilibration.
-func (lg *LiveGame) PendingEvents() int { return lg.pending.Events }
 
 // Equilibrated reports whether the allocation was quiet (a verified
 // equilibrium at the dynamics tolerance) before the pending churn — the

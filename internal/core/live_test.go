@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/multiradio/chanalloc/internal/ratefn"
@@ -28,8 +30,8 @@ func checkConsistent(t *testing.T, lg *LiveGame) {
 		return
 	}
 	for i := 0; i < lg.Users(); i++ {
-		if a.UserTotal(i) != lg.budgets[i] {
-			t.Fatalf("row %d deploys %d radios, budget %d", i, a.UserTotal(i), lg.budgets[i])
+		if k := lg.g.Budget(i); a.UserTotal(i) != k {
+			t.Fatalf("row %d deploys %d radios, budget %d", i, a.UserTotal(i), k)
 		}
 	}
 	g := lg.Frozen()
@@ -42,7 +44,9 @@ func checkConsistent(t *testing.T, lg *LiveGame) {
 }
 
 // TestLiveGameCheckCatchesCorruption breaks each invariant Check guards
-// on an otherwise healthy game and expects it to be reported.
+// on an otherwise healthy game and expects it to be reported. The running
+// radio total is checked against a fresh sum over the budgets, so a stale
+// total is caught even when every budget and class agrees.
 func TestLiveGameCheckCatchesCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -51,10 +55,26 @@ func TestLiveGameCheckCatchesCorruption(t *testing.T) {
 		{"id maps to another row", func(lg *LiveGame) { lg.rowOf[lg.ids[0]] = 1 }},
 		{"duplicate id", func(lg *LiveGame) { lg.ids[1] = lg.ids[0] }},
 		{"id never issued", func(lg *LiveGame) { lg.nextID = 1 }},
-		{"missing budget", func(lg *LiveGame) { lg.budgets = lg.budgets[:1] }},
-		{"budget below deployment", func(lg *LiveGame) { lg.budgets[0] = 1 }},
-		{"view too small", func(lg *LiveGame) { lg.viewLoad = 1 }},
-		{"view budget domain too small", func(lg *LiveGame) { lg.viewOwn = 1 }},
+		{"missing budget", func(lg *LiveGame) { lg.g.budgets = lg.g.budgets[:1] }},
+		{"budget below deployment", func(lg *LiveGame) { lg.g.budgets[0] = 1 }},
+		{"view too small", func(lg *LiveGame) { lg.g.view = NewRateView(lg.g.rate, 1, 3) }},
+		{"view budget domain too small", func(lg *LiveGame) { lg.g.view = NewRateView(lg.g.rate, 64, 1) }},
+		{"running total one high", func(lg *LiveGame) { lg.g.total++ }},
+		{"running total one low", func(lg *LiveGame) { lg.g.total-- }},
+		{"budget raised without the running total", func(lg *LiveGame) {
+			// User 2 deploys its one radio: a budget of 2 keeps the row
+			// within budget, and re-interning keeps the class index exact.
+			lg.g.budgets[2] = 2
+			lg.classes.Set(2, 2, lg.alloc.Row(2))
+		}},
+		{"running total left on an empty game", func(lg *LiveGame) {
+			for lg.Users() > 0 {
+				if err := lg.Leave(lg.ids[0]); err != nil {
+					panic(err)
+				}
+			}
+			lg.g.total = 1
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lg := mustLive(t, 4)
@@ -127,8 +147,9 @@ func TestLiveGameJoinLeaveBudget(t *testing.T) {
 		t.Fatalf("total radios = %d, want 5", got)
 	}
 
-	// Validation errors leave state untouched.
-	gen := lg.Generation()
+	// Validation errors leave state untouched and record no churn.
+	lg.TakeChurn()
+	budgets, alloc := lg.Budgets(), lg.Alloc().Clone()
 	if err := lg.SetBudget(id2, 0); err == nil {
 		t.Fatal("budget 0 accepted")
 	}
@@ -141,8 +162,11 @@ func TestLiveGameJoinLeaveBudget(t *testing.T) {
 	if _, err := lg.Join(9); err == nil {
 		t.Fatal("join budget above channels accepted")
 	}
-	if lg.Generation() != gen {
-		t.Fatal("failed mutations bumped the generation")
+	if !slices.Equal(lg.Budgets(), budgets) || !lg.Alloc().Equal(alloc) {
+		t.Fatal("failed mutations changed the game")
+	}
+	if ch := lg.TakeChurn(); slices.Contains(ch.Dirty, true) || ch.Decreased || len(ch.Suspects) != 0 {
+		t.Fatalf("failed mutations recorded churn %+v", ch)
 	}
 	checkConsistent(t, lg)
 
@@ -173,13 +197,13 @@ func TestLiveGameChurnRecord(t *testing.T) {
 	if ch.Decreased {
 		t.Fatal("pure join reported a load decrease")
 	}
-	if !ch.Suspects[id1] || ch.Events != 1 {
-		t.Fatalf("join churn = %+v, want suspect id1, 1 event", ch)
+	if !ch.Suspects[id1] || len(ch.Suspects) != 1 {
+		t.Fatalf("join churn = %+v, want suspect id1 alone", ch)
 	}
 
 	// TakeChurn reset: nothing pending.
 	ch = lg.TakeChurn()
-	if ch.Events != 0 || ch.Decreased || len(ch.Suspects) != 0 {
+	if slices.Contains(ch.Dirty, true) || ch.Decreased || len(ch.Suspects) != 0 {
 		t.Fatalf("churn after take = %+v, want empty", ch)
 	}
 
@@ -191,11 +215,8 @@ func TestLiveGameChurnRecord(t *testing.T) {
 	if !ch.Decreased {
 		t.Fatal("leave did not set Decreased")
 	}
-	if ch.Suspects[id2] {
-		t.Fatal("departed user still a suspect")
-	}
-	if ch.Events != 2 {
-		t.Fatalf("events = %d, want 2", ch.Events)
+	if len(ch.Suspects) != 0 {
+		t.Fatalf("suspects %v after a join and the joiner's leave, want none", ch.Suspects)
 	}
 
 	// Budget shrink decreases loads; growth alone does not.
@@ -213,54 +234,116 @@ func TestLiveGameChurnRecord(t *testing.T) {
 	if !ch.Decreased || !ch.Suspects[id1] {
 		t.Fatalf("budget shrink churn = %+v", ch)
 	}
-	// No-op budget set: no event, no suspects.
+	// No-op budget set: an empty churn record.
 	if err := lg.SetBudget(id1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if lg.PendingEvents() != 0 {
-		t.Fatal("no-op budget change recorded an event")
+	if ch = lg.TakeChurn(); slices.Contains(ch.Dirty, true) || ch.Decreased || len(ch.Suspects) != 0 {
+		t.Fatalf("no-op budget change recorded churn %+v", ch)
 	}
 }
 
-// TestLiveGameFrozenMemo pins the generation-counter semantics: one frozen
-// snapshot per generation, a new snapshot after every mutation.
+// TestLiveGameFrozenMemo pins that Frozen hands out the live game itself,
+// edited in place: after every join, leave and budget change it reflects
+// the current budgets and matches a fresh NewHeteroGame over them bit for
+// bit on Utility, Welfare, Potential, Radios, HasConflict and the
+// all-placed welfare optimum (the view's larger domain must not show), and
+// a Frozen call after a mutation allocates nothing.
 func TestLiveGameFrozenMemo(t *testing.T) {
 	lg := mustLive(t, 3)
-	if _, err := lg.Join(2); err != nil {
-		t.Fatal(err)
-	}
-	g1 := lg.Frozen()
-	if g2 := lg.Frozen(); g2 != g1 {
-		t.Fatal("same-generation Frozen rebuilt the snapshot")
-	}
-	opt1, _ := OptimalWelfareAllPlaced(g1)
-	if _, err := lg.Join(2); err != nil {
-		t.Fatal(err)
-	}
-	g2 := lg.Frozen()
-	if g2 == g1 {
-		t.Fatal("mutation did not invalidate the frozen snapshot")
-	}
-	opt2, _ := OptimalWelfareAllPlaced(g2)
-	if opt2 <= opt1 {
-		t.Fatalf("all-placed optimum did not grow with the population: %v -> %v", opt1, opt2)
-	}
-
-	// The snapshot agrees with a from-scratch game on utilities and the
-	// welfare optimum (the view's larger domain must not show).
-	ref, err := NewHeteroGame(lg.Channels(), lg.Budgets(), lg.Rate())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := lg.Alloc()
-	for i := 0; i < lg.Users(); i++ {
-		if got, want := g2.Utility(a, i), ref.Utility(a, i); got != want {
-			t.Fatalf("user %d utility %v via live view, %v via fresh game", i, got, want)
+	matchesFresh := func(step string) {
+		t.Helper()
+		g := lg.Frozen()
+		if g != lg.g {
+			t.Fatalf("%s: Frozen returned %p, not the live game %p", step, g, lg.g)
+		}
+		ref, err := NewHeteroGame(lg.Channels(), lg.Budgets(), lg.Rate())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(g.Budgets(), ref.Budgets()) {
+			t.Fatalf("%s: budgets %v, fresh game %v", step, g.Budgets(), ref.Budgets())
+		}
+		a := lg.Alloc()
+		for i := 0; i < lg.Users(); i++ {
+			if got, want := g.Utility(a, i), ref.Utility(a, i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: user %d utility %v via the live game, %v via a fresh game", step, i, got, want)
+			}
+		}
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"welfare", g.Welfare(a), ref.Welfare(a)},
+			{"potential", g.Potential(a), ref.Potential(a)},
+		} {
+			if math.Float64bits(f.got) != math.Float64bits(f.want) {
+				t.Fatalf("%s: %s %v via the live game, %v via a fresh game", step, f.name, f.got, f.want)
+			}
+		}
+		if g.Radios() != ref.Radios() || g.HasConflict() != ref.HasConflict() {
+			t.Fatalf("%s: Radios %d, HasConflict %v; fresh game %d, %v",
+				step, g.Radios(), g.HasConflict(), ref.Radios(), ref.HasConflict())
+		}
+		opt, _ := OptimalWelfareAllPlaced(g)
+		refOpt, _ := OptimalWelfareAllPlaced(ref)
+		if math.Float64bits(opt) != math.Float64bits(refOpt) {
+			t.Fatalf("%s: welfare optimum %v via the live game, %v via a fresh game", step, opt, refOpt)
 		}
 	}
-	refOpt, _ := OptimalWelfareAllPlaced(ref)
-	if opt2 != refOpt {
-		t.Fatalf("welfare optimum %v via live view, %v via fresh game", opt2, refOpt)
+	join := func(k int) UserID {
+		t.Helper()
+		id, err := lg.Join(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesFresh("join")
+		return id
+	}
+	// Radios goes 2, 2, 0 (mixed), 2; HasConflict false, true, ..., false.
+	id1 := join(2)
+	opt1, _ := OptimalWelfareAllPlaced(lg.Frozen())
+	id2 := join(2)
+	if opt2, _ := OptimalWelfareAllPlaced(lg.Frozen()); opt2 <= opt1 {
+		t.Fatalf("all-placed optimum did not grow with the population: %v -> %v", opt1, opt2)
+	}
+	id3 := join(1)
+	if err := lg.SetBudget(id3, 2); err != nil {
+		t.Fatal(err)
+	}
+	matchesFresh("budget grow")
+	if err := lg.SetBudget(id2, 1); err != nil {
+		t.Fatal(err)
+	}
+	matchesFresh("budget shrink")
+	if err := lg.Leave(id1); err != nil {
+		t.Fatal(err)
+	}
+	matchesFresh("leave")
+	if err := lg.Leave(id2); err != nil {
+		t.Fatal(err)
+	}
+	matchesFresh("leave to one user")
+
+	k := 2
+	allocs := testing.AllocsPerRun(50, func() {
+		k = 3 - k
+		if err := lg.SetBudget(id3, k); err != nil {
+			t.Fatal(err)
+		}
+		if lg.Frozen() == nil {
+			t.Fatal("non-empty game froze to nil")
+		}
+	})
+	mutateOnly := testing.AllocsPerRun(50, func() {
+		k = 3 - k
+		if err := lg.SetBudget(id3, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v allocs per budget change with Frozen, %v without", allocs, mutateOnly)
+	if allocs != mutateOnly {
+		t.Fatalf("Frozen after a budget change allocates: %v allocs with it, %v without", allocs, mutateOnly)
 	}
 }
 

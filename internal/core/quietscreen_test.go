@@ -671,7 +671,7 @@ func TestUtilityOfWithoutPlane(t *testing.T) {
 			}
 			saved := maxShareTableLen
 			maxShareTableLen = 1 // too small for any plane
-			planeless := newGame(g.channels, g.budgets, rate, nil)
+			planeless := newGame(g.channels, g.budgets, rate)
 			maxShareTableLen = saved
 			if planeless.View().share != nil {
 				t.Fatalf("%s: plane built past the cap", rate.Name())

@@ -91,6 +91,11 @@ func concavePrefix(row []float64) int {
 // Rate returns the underlying rate function.
 func (rv *RateView) Rate() ratefn.Func { return rv.rate }
 
+// domain returns the maxLoad and maxOwn the view was built with.
+func (rv *RateView) domain() (maxLoad, maxOwn int) {
+	return len(rv.table) - 1 - rv.maxOwn, rv.maxOwn
+}
+
 // frozenFunc adapts a RateView to ratefn.Func for code that consumes a rate
 // function (the welfare DP, the distributed policies): table reads,
 // identical values to the underlying function.

@@ -24,6 +24,7 @@ type Stats struct {
 // Coordinator sequences the distributed token ring for one game.
 type Coordinator struct {
 	g         *core.Game
+	radios    int // the common budget every hello carries and every row obeys
 	maxRounds int
 	timeout   time.Duration
 }
@@ -50,10 +51,11 @@ func NewCoordinator(g *core.Game, opts ...CoordinatorOption) (*Coordinator, erro
 	if g == nil {
 		return nil, fmt.Errorf("dist: nil game")
 	}
-	if g.Radios() == 0 {
+	radios := g.Radios()
+	if radios == 0 {
 		return nil, fmt.Errorf("dist: the protocol needs a common radio budget; budgets differ")
 	}
-	co := &Coordinator{g: g, maxRounds: 100, timeout: 10 * time.Second}
+	co := &Coordinator{g: g, radios: radios, maxRounds: 100, timeout: 10 * time.Second}
 	for _, opt := range opts {
 		opt(co)
 	}
@@ -91,7 +93,7 @@ func (co *Coordinator) run(peers []link) (*core.Alloc, Stats, error) {
 	C := co.g.Channels()
 	m := &message{}
 	for i, p := range peers {
-		*m = message{Type: msgHello, User: i, Channels: C, Radios: co.g.Radios()}
+		*m = message{Type: msgHello, User: i, Channels: C, Radios: co.radios}
 		if err := p.send(m); err != nil {
 			return nil, stats, err
 		}
@@ -117,7 +119,7 @@ func (co *Coordinator) run(peers []link) (*core.Alloc, Stats, error) {
 				return nil, stats, err
 			}
 			stats.Messages++
-			if err := checkRow(reply.Row, C, co.g.Radios()); err != nil {
+			if err := checkRow(reply.Row, C, co.radios); err != nil {
 				return nil, stats, fmt.Errorf("dist: user %d: %w", i, err)
 			}
 			if !equalRows(reply.Row, current) {

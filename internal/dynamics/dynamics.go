@@ -45,9 +45,6 @@ type Result struct {
 	// Final is the terminal allocation (aliases the evolved copy, not the
 	// caller's input).
 	Final *core.Alloc
-	// PotentialTrace records Φ after every round, starting with the initial
-	// value (so len == Rounds+1).
-	PotentialTrace []float64
 }
 
 // Options configures a dynamics run.
@@ -58,9 +55,9 @@ type config struct {
 	ws        *core.Workspace
 }
 
-// workspace returns the injected workspace or a fresh one. Runs allocate
-// nothing beyond the trace when the caller injects (batch replicates and
-// the live server share pooled workspaces this way).
+// workspace returns the injected workspace or a fresh one. The sweep
+// allocates nothing when the caller injects (batch replicates and the live
+// server share pooled workspaces this way).
 func (c *config) workspace() *core.Workspace {
 	if c.ws != nil {
 		return c.ws
@@ -139,16 +136,13 @@ func RunBestResponse(g *core.Game, start *core.Alloc, opts ...Option) (Result, e
 // count 0), so its DP is skipped until somebody moves. Requilibrate derives
 // this set from churn dirt plus the load-monotonicity argument; nil means
 // no prior knowledge (every user is swept). Because a pre-quiet user is by
-// assertion a non-mover, the move sequence, trace and terminal allocation
-// are bit-identical to the preQuiet == nil run — only DPCalls differs.
+// assertion a non-mover, the move sequence and terminal allocation are
+// bit-identical to the preQuiet == nil run — only DPCalls differs.
 func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg config, preQuiet []bool) (Result, error) {
 	// One workspace per run (injected or fresh): the whole convergence
-	// process is allocation-free apart from the trace. g.Potential is the
-	// potential Φ of the package doc over the per-game rate table;
-	// TestGamePotentialMatchesReference pins it bit for bit to the direct
-	// sum over R.
+	// process is allocation-free.
 	ws := cfg.workspace()
-	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
+	res := Result{Final: a}
 
 	n := g.Users()
 	// A move re-interns one row without growing the class table beyond
@@ -160,7 +154,7 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg confi
 	// was last verified to have no improving deviation, -1 if never. When
 	// nobody has moved since (res.Moves unchanged), the allocation is
 	// bit-identical to the one that verdict was computed on, so the DP is
-	// skipped — same moves, trace and convergence round, at the cost of an
+	// skipped — same moves and convergence round, at the cost of an
 	// integer compare. The final quiet sweep in particular re-runs the DP
 	// only for users checked before the last accepted move. A mover is
 	// never marked quiet: its post-move utility comes from a different
@@ -210,7 +204,6 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg confi
 			classQuietAt[c] = res.Moves
 		}
 		res.Rounds++
-		res.PotentialTrace = append(res.PotentialTrace, g.Potential(a))
 		if !improved {
 			res.Converged = true
 			break
@@ -241,7 +234,7 @@ func RunRadioGreedy(g *core.Game, start *core.Alloc, opts ...Option) (Result, er
 		return Result{}, err
 	}
 	a := start.Clone()
-	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
+	res := Result{Final: a}
 
 	for round := 0; round < cfg.maxRounds; round++ {
 		improved := false
@@ -273,7 +266,6 @@ func RunRadioGreedy(g *core.Game, start *core.Alloc, opts ...Option) (Result, er
 			}
 		}
 		res.Rounds++
-		res.PotentialTrace = append(res.PotentialTrace, g.Potential(a))
 		if !improved {
 			res.Converged = true
 			break

@@ -76,6 +76,9 @@ func TestBestResponseFromNEIsQuiet(t *testing.T) {
 	}
 }
 
+// TestRadioGreedyConvergesAndPotentialIncreases reruns each converged
+// run capped at r = 1..Rounds rounds, which stops it after round r, and
+// requires Φ non-decreasing from the start through every round.
 func TestRadioGreedyConvergesAndPotentialIncreases(t *testing.T) {
 	rates := []ratefn.Func{
 		ratefn.NewTDMA(1),
@@ -92,10 +95,20 @@ func TestRadioGreedyConvergesAndPotentialIncreases(t *testing.T) {
 			if !res.Converged {
 				t.Fatalf("%s seed %d: radio-greedy did not converge", r.Name(), seed)
 			}
-			for i := 1; i < len(res.PotentialTrace); i++ {
-				if res.PotentialTrace[i] < res.PotentialTrace[i-1]-1e-9 {
-					t.Fatalf("%s seed %d: potential decreased at round %d: %v",
-						r.Name(), seed, i, res.PotentialTrace)
+			prev := g.Potential(start)
+			for rounds := 1; rounds <= res.Rounds; rounds++ {
+				capped, err := RunRadioGreedy(g, start, WithMaxRounds(rounds))
+				if err != nil {
+					t.Fatal(err)
+				}
+				phi := g.Potential(capped.Final)
+				if phi < prev-1e-9 {
+					t.Fatalf("%s seed %d: potential decreased at round %d: %v -> %v",
+						r.Name(), seed, rounds, prev, phi)
+				}
+				prev = phi
+				if rounds == res.Rounds && !capped.Final.Equal(res.Final) {
+					t.Fatalf("%s seed %d: the run capped at its own %d rounds ends elsewhere", r.Name(), seed, rounds)
 				}
 			}
 		}
@@ -224,17 +237,6 @@ func TestPotentialMatchesSingleRadioMoveForSingletonOwner(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPotentialTraceLength(t *testing.T) {
-	g := mustGame(t, 4, 4, 2, ratefn.NewTDMA(1))
-	res, err := RunBestResponse(g, RandomAlloc(g, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PotentialTrace) != res.Rounds+1 {
-		t.Fatalf("trace has %d entries for %d rounds", len(res.PotentialTrace), res.Rounds)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // For a single-radio move by a user with exactly one radio on the source
 // channel and none on the target, the change in the mover's utility equals
 // the change in Φ (Rosenthal's congestion-game potential specialised to
-// this game). Game.Potential, which the runners record in PotentialTrace,
-// reads the game's rate table instead; TestGamePotentialMatchesReference
-// pins the two bit for bit.
+// this game). Game.Potential, which the tests of the convergence argument
+// and cmd/chanalloc's report evaluate (no dynamics loop does), reads the
+// game's rate table instead; TestGamePotentialMatchesReference pins the two
+// bit for bit.
 func Potential(r ratefn.Func, a *core.Alloc) float64 {
 	var phi float64
 	for c := 0; c < a.Channels(); c++ {

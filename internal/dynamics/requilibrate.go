@@ -13,8 +13,6 @@ type ReqResult struct {
 	// WarmSkipped counts users whose pre-churn quiet verdict was carried
 	// over — their first best-response DP was skipped outright.
 	WarmSkipped int
-	// Events is the number of churn events folded into this run.
-	Events int
 }
 
 // Requilibrate restores a live game to a Nash equilibrium after churn,
@@ -51,10 +49,7 @@ func Requilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 	if lg.Users() == 0 {
 		// The empty allocation is trivially an equilibrium.
 		lg.MarkEquilibrated(true)
-		return ReqResult{
-			Result: Result{Converged: true, PotentialTrace: []float64{0}},
-			Events: churn.Events,
-		}, nil
+		return ReqResult{Result: Result{Converged: true}}, nil
 	}
 	g := lg.Frozen()
 	a := lg.Alloc()
@@ -71,7 +66,7 @@ func Requilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 	mRequilibrates.Inc()
 	mWarmSkips.Add(uint64(skipped))
 	obs.Emit("requilibrate", "", int64(res.Rounds), int64(res.Moves), int64(skipped))
-	return ReqResult{Result: res, WarmSkipped: skipped, Events: churn.Events}, nil
+	return ReqResult{Result: res, WarmSkipped: skipped}, nil
 }
 
 // warmQuiet derives the warm start's carried quiet verdicts (see

@@ -168,9 +168,6 @@ func TestRequilibrateWarmSkipsSomething(t *testing.T) {
 	if res.WarmSkipped == 0 {
 		t.Fatal("join-only churn carried no quiet verdicts over")
 	}
-	if res.Events != 1 {
-		t.Fatalf("events = %d, want 1", res.Events)
-	}
 
 	// A departure decreases loads: every verdict is void.
 	if err := lg.Leave(id); err != nil {

@@ -31,7 +31,7 @@ func RunSimultaneous(g *core.Game, start *core.Alloc, inertia float64, opts ...O
 	}
 	a := start.Clone()
 	rng := des.NewRNG(cfg.seed)
-	res := Result{Final: a, PotentialTrace: []float64{g.Potential(a)}}
+	res := Result{Final: a}
 
 	ws := cfg.workspace()
 	rows := make([][]int, g.Users())
@@ -64,7 +64,6 @@ func RunSimultaneous(g *core.Game, start *core.Alloc, inertia float64, opts ...O
 			res.Moves++
 		}
 		res.Rounds++
-		res.PotentialTrace = append(res.PotentialTrace, g.Potential(a))
 		if !anyImprovement {
 			res.Converged = true
 			break

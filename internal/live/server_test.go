@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -202,4 +203,49 @@ func TestApplyJoinAssignsSequentialIDs(t *testing.T) {
 	if resp := s.Apply(Request{Op: "join", Budget: 1}); resp.Update.ID != 4 {
 		t.Fatalf("join after leave assigned id %d, want 4", resp.Update.ID)
 	}
+}
+
+// TestBudgetEventAllocationPerUser bounds the heap one event allocates on
+// a large warm game: at N = 4096 users on 16 channels, budget events
+// (mutate, re-equilibrate, welfare, verify) allocate under 4 bytes per
+// user each, measured by runtime.MemStats.TotalAlloc over 300 events. A
+// per-event copy of any per-user vector (8 bytes a user for the budgets)
+// breaks the bound.
+func TestBudgetEventAllocationPerUser(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool and adds allocations")
+	}
+	const users, events = 4096, 300
+	s, err := NewServer(Config{
+		Channels: 16, Rate: ratefn.NewTDMA(54), RateName: "tdma:54",
+		Workers: 1, Verify: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg := s.Game()
+	for i := 0; i < users; i++ {
+		if _, err := lg.Join(1 + i%4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply := func(budget int) {
+		t.Helper()
+		if u := s.Apply(Request{Op: "budget", ID: 1, Budget: budget}).Update; u == nil || !u.Converged || !u.Verified {
+			t.Fatalf("budget %d: update %+v", budget, u)
+		}
+	}
+	apply(2) // re-equilibrates the joins and warms the pooled workspaces
+	apply(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < events; i++ {
+		apply(2 - i%2)
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / events
+	if perEvent >= 4*users {
+		t.Fatalf("%.0f bytes allocated per event at N=%d, want under %d (4 per user)", perEvent, users, 4*users)
+	}
+	t.Logf("%.0f bytes allocated per event at N=%d (%.2f per user)", perEvent, users, perEvent/users)
 }

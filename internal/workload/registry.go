@@ -334,7 +334,7 @@ func generateMesh(params string, r ratefn.Func) (*Scenario, error) {
 	}
 	naive := g.NewEmptyAlloc()
 	for i := 0; i < g.Users(); i++ {
-		for c := 0; c < g.Radios(); c++ {
+		for c := 0; c < g.Budget(i); c++ {
 			if err := naive.Add(i, c, 1); err != nil {
 				return nil, err
 			}

@@ -14,8 +14,8 @@ import (
 type (
 	// LiveGame is a mutable game with per-user budgets whose derived
 	// state — the dense allocation, the (budget, row) class index and the
-	// rate view — stays consistent across mutations; Frozen hands out an
-	// immutable Game snapshot per generation.
+	// rate view — stays consistent across mutations; Frozen hands out the
+	// live Game itself, valid until the next mutation.
 	LiveGame = core.LiveGame
 	// UserID is the stable identity of a live-game participant
 	// (sequential from 1, never reused).
