@@ -21,13 +21,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"runtime"
 	"testing"
 
 	"github.com/multiradio/chanalloc"
 	"github.com/multiradio/chanalloc/internal/core"
-	"github.com/multiradio/chanalloc/internal/engine"
 	"github.com/multiradio/chanalloc/internal/obs"
 )
 
@@ -521,33 +519,15 @@ func benchDispatchBatch(b *testing.B, backend chanalloc.EngineBackend, jobs int)
 }
 
 // BenchmarkDispatch measures the shared remote dispatcher on a
-// 64-small-job batch over loopback TCP, one worker each, from its two
-// network peer sources: a dialled socket worker and a joined cluster
-// member, at windows 1 (lock-step: one round-trip per job), 8 and 32
-// (pipelined: roughly one round-trip per window; EXPERIMENTS.md
+// 64-small-job batch over loopback TCP from its network peer source, one
+// joined cluster member, at windows 1 (lock-step: one round-trip per job),
+// 8 and 32 (pipelined: roughly one round-trip per window; EXPERIMENTS.md
 // "Work-queue and window semantics"). Compare two commits' -count runs
 // of these ops with cmd/benchdiff like any other benchmark.
 func BenchmarkDispatch(b *testing.B) {
 	b.ReportAllocs()
 	const jobs = 64
 	for _, window := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("dial/window%d", window), func(b *testing.B) {
-			b.ReportAllocs()
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			done := make(chan struct{})
-			go func() { defer close(done); engine.Serve(lis) }()
-			defer func() { lis.Close(); <-done }()
-			backend := chanalloc.NewSocketBackendWith([]string{lis.Addr().String()},
-				chanalloc.ClusterWindow(window))
-			benchDispatchBatch(b, backend, jobs) // warm up the connection path
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchDispatchBatch(b, backend, jobs)
-			}
-		})
 		b.Run(fmt.Sprintf("accept/window%d", window), func(b *testing.B) {
 			b.ReportAllocs()
 			backend, err := chanalloc.NewClusterBackend("127.0.0.1:0",

@@ -1,7 +1,8 @@
 package main
 
 import (
-	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,14 +27,57 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
-// TestServesRingBatch drives the full worker binary path end to end: run()
-// listening on a unix socket, a socket-backend coordinator dispatching a
-// distributed-protocol grid to it, results byte-identical to in-process.
+// TestMissingJoinIsUsageError: workers only dial in, so a worker with no
+// coordinator address is a configuration error.
+func TestMissingJoinIsUsageError(t *testing.T) {
+	err := run(nil, &strings.Builder{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "-join is required") {
+		t.Fatalf("err = %v, want the missing -join usage error", err)
+	}
+}
+
+// TestServesRingBatch drives the full worker binary path end to end over
+// TLS and with a shared secret: a cluster coordinator on loopback TCP,
+// run() joining it with -tls-ca and -auth-token, and a
+// distributed-protocol grid dispatched to it — byte-identical to
+// in-process.
 func TestServesRingBatch(t *testing.T) {
-	addr := "unix:" + t.TempDir() + "/worker.sock"
+	now := time.Now()
+	certPEM, keyPEM, err := chanalloc.GenerateSelfSignedCert([]string{"127.0.0.1"},
+		now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	certFile, keyFile := filepath.Join(dir, "cert.pem"), filepath.Join(dir, "key.pem")
+	if err := os.WriteFile(certFile, certPEM, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(keyFile, keyPEM, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	srvTLS, err := chanalloc.EngineServerTLSConfig(certFile, keyFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := chanalloc.NewClusterBackend("127.0.0.1:0",
+		chanalloc.ClusterTLS(srvTLS), chanalloc.ClusterAuthToken("s3cret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	workerErr := make(chan error, 1)
 	var b strings.Builder
-	go run([]string{"-listen", addr}, &b, nil) // serves until the test binary exits
-	waitForListener(t, addr)
+	go func() {
+		workerErr <- run([]string{"-join", coord.Addr(), "-tls-ca", certFile, "-auth-token", "s3cret"}, &b, stop)
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		coord.Close()
+		if err := <-workerErr; err != nil {
+			t.Errorf("worker run: %v", err)
+		}
+	})
 
 	specs := []chanalloc.DistRingSpec{
 		{Users: 3, Channels: 3, Radios: 2, Rate: chanalloc.DistRateSpec{Kind: "tdma", R0: 1},
@@ -46,8 +90,7 @@ func TestServesRingBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := chanalloc.RunDistributedRingBatch(chanalloc.NewSocketBackendWith([]string{addr}), specs,
-		chanalloc.EngineSeed(5))
+	got, _, err := chanalloc.RunDistributedRingBatch(coord, specs, chanalloc.EngineSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +147,4 @@ func TestJoinsCluster(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cluster-served batch differs:\n%+v\nvs\n%+v", got, want)
 	}
-}
-
-// waitForListener polls until the worker's socket accepts connections.
-func waitForListener(t *testing.T, addr string) {
-	t.Helper()
-	path := strings.TrimPrefix(addr, "unix:")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if conn, err := net.Dial("unix", path); err == nil {
-			conn.Close()
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("worker never listened on %s", addr)
 }

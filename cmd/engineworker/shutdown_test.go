@@ -8,27 +8,6 @@ import (
 	"github.com/multiradio/chanalloc"
 )
 
-// TestListenModeStopsGracefully: closing the stop channel makes a listening
-// worker stop accepting and run() return nil — exit 0, the SIGINT/SIGTERM
-// contract.
-func TestListenModeStopsGracefully(t *testing.T) {
-	addr := "unix:" + t.TempDir() + "/w.sock"
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	var b strings.Builder
-	go func() { done <- run([]string{"-listen", addr, "-drain-timeout", "2s"}, &b, stop) }()
-	waitForListener(t, addr)
-	close(stop)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("stopped worker: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("listen-mode worker did not stop")
-	}
-}
-
 // TestJoinModeStopsGracefully: a registered join worker leaves its session
 // and returns nil when stopped.
 func TestJoinModeStopsGracefully(t *testing.T) {

@@ -1,12 +1,13 @@
 // Command gencert mints a self-signed TLS certificate for the engine's
-// socket paths — the quick way to run `sweep`/`engineworker`/`allocd` with
-// encrypted transport on a lab cluster without standing up a CA. The
-// certificate is its own root: pass the SAME cert file as -tls-cert on the
-// listener and -tls-ca on every dialer.
+// cluster and allocd's listener — the quick way to run
+// `sweep`/`engineworker`/`allocd` with encrypted transport on a lab
+// cluster without standing up a CA. The certificate is its own root: pass
+// the SAME cert file as -tls-cert on the listener and -tls-ca on every
+// dialer.
 //
-//	gencert -hosts 127.0.0.1,worker1.lab -cert cert.pem -key key.pem
-//	engineworker -listen :9000 -tls-cert cert.pem -tls-key key.pem
-//	sweep -backend socket -addrs worker1.lab:9000 -tls-ca cert.pem ...
+//	gencert -hosts 127.0.0.1,coord.lab -cert cert.pem -key key.pem
+//	sweep -backend cluster -listen-workers :9100 -tls-cert cert.pem -tls-key key.pem ...
+//	engineworker -join coord.lab:9100 -tls-ca cert.pem
 //
 // Production clusters should bring certificates from a real CA instead;
 // gencert exists for tests, CI smokes and closed lab networks.

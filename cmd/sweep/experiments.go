@@ -508,11 +508,12 @@ func expLiteral(out io.Writer, env expEnv) error {
 }
 
 // expDistBatch (E12) is experiment E7 at scale: a full (game × policy-mix)
-// grid of token-ring runs batched over the engine via dist.RunBatch instead
-// of one RunLocal at a time. Greedy rings must still reproduce centralised
-// Algorithm 1, best-response rings must still land on NE — now verified
-// across the whole grid in one engine pass, with randomised-tie-break
-// policies seeded from each run's private stream.
+// grid of token-ring runs batched over the engine's ring task
+// (RunDistributedRingBatch) instead of one RunLocal at a time. Greedy
+// rings must still reproduce centralised Algorithm 1, best-response rings
+// must still land on NE — now verified across the whole grid in one engine
+// pass, with randomised-tie-break policies seeded from each run's private
+// stream.
 func expDistBatch(out io.Writer, env expEnv) error {
 	fmt.Fprintln(out, "== E12: batched distributed protocol (game × policy-mix grid) ==")
 	r := chanalloc.TDMA(1)
@@ -520,35 +521,23 @@ func expDistBatch(out io.Writer, env expEnv) error {
 		{4, 4, 2}, {5, 4, 3}, {7, 6, 4}, {10, 8, 4}, {12, 8, 5},
 	}
 	mixes := []struct {
-		name    string
-		factory func(g *chanalloc.Game) func(rng *chanalloc.RNG) ([]chanalloc.Policy, error)
+		name     string
+		policies func(users int) []string
 	}{
-		{"greedy", func(g *chanalloc.Game) func(rng *chanalloc.RNG) ([]chanalloc.Policy, error) {
-			return func(rng *chanalloc.RNG) ([]chanalloc.Policy, error) {
-				return chanalloc.UniformPolicies(g.Users(), func(int) chanalloc.Policy {
-					return &chanalloc.GreedyPolicy{}
-				}), nil
+		{"greedy", func(int) []string { return []string{"greedy"} }},
+		{"best-response", func(int) []string { return []string{"bestresponse"} }},
+		{"mixed", func(users int) []string {
+			names := make([]string, users)
+			for u := range names {
+				names[u] = "bestresponse"
+				if u%2 == 0 {
+					names[u] = "greedy-random"
+				}
 			}
-		}},
-		{"best-response", func(g *chanalloc.Game) func(rng *chanalloc.RNG) ([]chanalloc.Policy, error) {
-			return func(rng *chanalloc.RNG) ([]chanalloc.Policy, error) {
-				return chanalloc.UniformPolicies(g.Users(), func(int) chanalloc.Policy {
-					return &chanalloc.BestResponsePolicy{Rate: r}
-				}), nil
-			}
-		}},
-		{"mixed", func(g *chanalloc.Game) func(rng *chanalloc.RNG) ([]chanalloc.Policy, error) {
-			return func(rng *chanalloc.RNG) ([]chanalloc.Policy, error) {
-				return chanalloc.UniformPolicies(g.Users(), func(user int) chanalloc.Policy {
-					if user%2 == 0 {
-						return &chanalloc.GreedyPolicy{Tie: chanalloc.TieRandom, Seed: rng.Uint64()}
-					}
-					return &chanalloc.BestResponsePolicy{Rate: r}
-				}), nil
-			}
+			return names
 		}},
 	}
-	var specs []chanalloc.DistRunSpec
+	var specs []chanalloc.DistRingSpec
 	gameObjs := make([]*chanalloc.Game, len(games))
 	for gi, cfg := range games {
 		g, err := chanalloc.NewGame(cfg.n, cfg.c, cfg.k, r)
@@ -557,19 +546,28 @@ func expDistBatch(out io.Writer, env expEnv) error {
 		}
 		gameObjs[gi] = g
 		for _, mix := range mixes {
-			specs = append(specs, chanalloc.DistRunSpec{Game: g, Policies: mix.factory(g)})
+			specs = append(specs, chanalloc.DistRingSpec{
+				Users: cfg.n, Channels: cfg.c, Radios: cfg.k,
+				Rate:     chanalloc.DistRateSpec{Kind: "tdma", R0: 1},
+				Policies: mix.policies(cfg.n),
+			})
 		}
 	}
-	res, err := chanalloc.RunDistributedBatch(specs,
+	runs, _, err := chanalloc.RunDistributedRingBatch(chanalloc.NewInProcessBackend(), specs,
 		chanalloc.EngineSeed(env.seed), chanalloc.EngineWorkers(env.workers))
 	if err != nil {
 		return err
 	}
 	rows := [][]string{}
-	for i, runRes := range res.Runs {
+	messages := 0
+	for i, run := range runs {
 		gi, mi := i/len(mixes), i%len(mixes)
 		g := gameObjs[gi]
-		ne, err := g.IsNashEquilibrium(runRes.Alloc)
+		alloc, err := chanalloc.AllocFromMatrix(run.Matrix)
+		if err != nil {
+			return err
+		}
+		ne, err := g.IsNashEquilibrium(alloc)
 		if err != nil {
 			return err
 		}
@@ -579,16 +577,17 @@ func expDistBatch(out io.Writer, env expEnv) error {
 			if err != nil {
 				return err
 			}
-			matches = fmt.Sprintf("%v", runRes.Alloc.Equal(central))
+			matches = fmt.Sprintf("%v", alloc.Equal(central))
 		}
+		messages += run.Messages
 		rows = append(rows, []string{
 			fmt.Sprintf("%dx%dx%d", games[gi].n, games[gi].c, games[gi].k),
 			mixes[mi].name,
-			fmt.Sprintf("%v", runRes.Stats.Converged),
+			fmt.Sprintf("%v", run.Converged),
 			fmt.Sprintf("%v", ne),
 			matches,
-			fmt.Sprintf("%d", runRes.Stats.Rounds),
-			fmt.Sprintf("%d", runRes.Stats.Messages),
+			fmt.Sprintf("%d", run.Rounds),
+			fmt.Sprintf("%d", run.Messages),
 		})
 	}
 	table, err := textplot.Table(
@@ -597,7 +596,7 @@ func expDistBatch(out io.Writer, env expEnv) error {
 		return err
 	}
 	fmt.Fprint(out, table)
-	fmt.Fprintf(out, "batch: %d runs, %d protocol messages\n\n", len(res.Runs), res.Messages)
+	fmt.Fprintf(out, "batch: %d runs, %d protocol messages\n\n", len(runs), messages)
 	return writeCSV(env.csvDir, "e12_distbatch.csv",
 		[]string{"game", "mix", "converged", "ne", "greedy_matches", "rounds", "messages"}, rows)
 }

@@ -210,7 +210,6 @@ func TestProcessSweepJournalResume(t *testing.T) {
 func TestWindowValidatedOnEveryRemoteBackend(t *testing.T) {
 	for _, backend := range [][]string{
 		{"-backend", "process"},
-		{"-backend", "socket", "-addrs", "127.0.0.1:1"},
 		{"-backend", "cluster", "-listen-workers", "127.0.0.1:0"},
 	} {
 		var b strings.Builder

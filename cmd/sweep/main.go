@@ -15,7 +15,7 @@
 //	E11 hetero    — heterogeneous radio budgets: NE properties, welfare
 //	                optimum and price of anarchy beyond uniform k
 //	E12 distbatch — E7 at scale: a (game × policy-mix) grid of token rings
-//	                batched over the engine (dist.RunBatch)
+//	                batched over the engine (RunDistributedRingBatch)
 //
 // The paper's figures follow, each writing figureN.csv with -out:
 //
@@ -32,26 +32,24 @@
 //
 // The suite executes on the parallel experiment engine through a pluggable
 // backend: experiments run as jobs of a registered engine task, fanned out
-// over the in-process pool (default) or one of three remote backends that
+// over the in-process pool (default) or one of two remote backends that
 // share one dispatcher and differ only in where their workers come from:
 // worker subprocesses (-backend process -shards N; each shard is this
 // binary re-exec'd in engine-worker mode, speaking newline-delimited JSON
-// over stdio), socket workers on other machines (-backend socket -addrs
-// host:port,... — the same frames, plus a version handshake per
-// connection; see EXPERIMENTS.md for the frame grammar), or a worker
-// cluster (-backend cluster -listen-workers :9100 — the connection
-// direction reverses: workers dial in with `engineworker -join` or `sweep
-// -join` and register, may join or leave mid-batch, and heartbeat for
-// liveness). Every remote backend streams a -window of outstanding jobs
-// to each worker — lock-step (1) on process and socket unless -window is
-// given, 8 on cluster — and requeues a dead worker's jobs to the
-// survivors.
-// Socket workers are sweep binaries started with -listen, so the
+// over stdio), or a worker cluster across machines (-backend cluster
+// -listen-workers :9100 — workers dial in with `sweep -join` and register
+// with a version handshake, may join or leave mid-batch, and heartbeat for
+// liveness; see EXPERIMENTS.md for the frame grammar). Both remote
+// backends stream a -window of outstanding jobs to each worker —
+// lock-step (1) on process unless -window is given, 8 on cluster — and
+// requeue a dead worker's jobs to the survivors.
+// Cluster workers are sweep binaries started with -join, so the
 // experiment task is registered on both ends; note that experiments write
 // CSVs on the machine that runs them, so -out expects a shared filesystem
-// when peers are remote. -auth-token arms a shared-secret check in every
-// handshake; -tls-cert/-tls-key (listening paths) and -tls-ca (dialing
-// paths) run the same wire protocol over TLS with frame bytes unchanged.
+// when workers are remote. -auth-token arms a shared-secret check in every
+// registration; -tls-cert/-tls-key (the coordinator) and -tls-ca (a
+// joining worker) run the same wire protocol over TLS with frame bytes
+// unchanged.
 // A remote sweep can checkpoint progress with -journal path and, after a
 // coordinator crash, rerun with -resume to skip completed jobs — the
 // resumed output is byte-identical to an uninterrupted run (see
@@ -68,8 +66,6 @@
 //	sweep -exp all -out data/             # also write CSVs
 //	sweep -exp all -seed 7 -workers 4     # reproducible, 4 workers
 //	sweep -exp all -backend process -shards 4  # shard over 4 subprocesses
-//	sweep -listen :9000                   # serve as a socket worker, then:
-//	sweep -exp all -backend socket -addrs host1:9000,host2:9000
 //	sweep -join host:9100                 # serve as a cluster worker, and:
 //	sweep -exp all -backend cluster -listen-workers :9100 -window 8
 package main
@@ -83,7 +79,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/multiradio/chanalloc"
@@ -206,49 +201,26 @@ func writeTraceFile(path string) error {
 	return f.Close()
 }
 
-// splitAddrs parses a comma-separated -addrs list: entries are trimmed of
-// surrounding whitespace, and an empty entry — a doubled, leading or
-// trailing comma — is a loud configuration error instead of a silently
-// skipped (or worse, dialed) "" address.
-func splitAddrs(s string) ([]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	list := make([]string, 0, len(parts))
-	for i, addr := range parts {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			return nil, fmt.Errorf("-addrs entry %d of %d is empty (stray comma in %q?)",
-				i+1, len(parts), s)
-		}
-		list = append(list, addr)
-	}
-	return list, nil
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment to run (see package doc) or all")
 	csvDir := fs.String("out", "", "directory for CSV output (omit to skip)")
 	seed := fs.Uint64("seed", 0, "root seed for every randomised experiment")
 	workers := fs.Int("workers", 0, "worker-pool size (<= 0 means NumCPU)")
-	backendName := fs.String("backend", "inprocess", "engine backend: inprocess, process, socket or cluster")
+	backendName := fs.String("backend", "inprocess", "engine backend: inprocess, process or cluster")
 	shards := fs.Int("shards", 0, "worker subprocesses for -backend process (<= 0 means NumCPU)")
-	addrs := fs.String("addrs", "", "comma-separated worker addresses for -backend socket (host:port or unix:/path)")
-	listen := fs.String("listen", "", "serve as a socket worker on this address instead of running experiments")
 	join := fs.String("join", "", "serve as a cluster worker joined to this coordinator address instead of running experiments")
 	listenWorkers := fs.String("listen-workers", "", "accept cluster-worker joins on this address (-backend cluster)")
-	window := fs.Int("window", 0, "outstanding jobs per worker on the remote backends, 1 = lock-step (unset: 1 on process and socket, 8 on cluster)")
-	joinWait := fs.Duration("join-wait", 30*time.Second, "how long a remote batch waits while no worker is serving it (a cluster nobody joins, a socket peer between redials)")
+	window := fs.Int("window", 0, "outstanding jobs per worker on the remote backends, 1 = lock-step (unset: 1 on process, 8 on cluster)")
+	joinWait := fs.Duration("join-wait", 30*time.Second, "how long a remote batch waits while no worker is serving it (a cluster nobody joins or rejoins)")
 	authToken := fs.String("auth-token", "", "shared secret checked in every worker handshake")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /trace and /debug/pprof on this address (empty disables)")
 	traceOut := fs.String("trace-out", "", "write the structured trace ring as NDJSON to this file when the run ends")
-	tlsCert := fs.String("tls-cert", "", "serve TLS on listening paths (-listen, -listen-workers) with this PEM certificate (requires -tls-key)")
+	tlsCert := fs.String("tls-cert", "", "serve TLS on -listen-workers with this PEM certificate (requires -tls-key)")
 	tlsKey := fs.String("tls-key", "", "PEM private key for -tls-cert")
-	tlsCA := fs.String("tls-ca", "", "dial TLS on outgoing paths (-backend socket, -join) verifying against this PEM CA bundle")
+	tlsCA := fs.String("tls-ca", "", "dial TLS on -join, verifying the coordinator against this PEM CA bundle")
 	tlsSkipVerify := fs.Bool("tls-skip-verify", false, "dial TLS without verifying the peer certificate (tests only)")
-	journalPath := fs.String("journal", "", "checkpoint batch progress to this NDJSON file (-backend process, socket or cluster)")
+	journalPath := fs.String("journal", "", "checkpoint batch progress to this NDJSON file (-backend process or cluster)")
 	resume := fs.Bool("resume", false, "recover completed jobs from -journal before dispatching (skipped jobs are never re-run)")
 	journalFsync := fs.Int("journal-fsync", 1, "fsync the journal every N completed jobs")
 	if err := fs.Parse(args); err != nil {
@@ -258,7 +230,7 @@ func run(args []string, out io.Writer) error {
 	fs.Visit(func(f *flag.Flag) { windowSet = windowSet || f.Name == "window" })
 
 	// TLS configs are built eagerly so a bad flag combination or unreadable
-	// file fails before any listener binds or worker dials.
+	// file fails before the coordinator binds or the worker dials.
 	var serverTLS, clientTLS *tls.Config
 	if *tlsCert != "" || *tlsKey != "" {
 		cfg, err := chanalloc.EngineServerTLSConfig(*tlsCert, *tlsKey)
@@ -275,7 +247,7 @@ func run(args []string, out io.Writer) error {
 		clientTLS = cfg
 	}
 	if *journalPath != "" && *backendName == "inprocess" {
-		return fmt.Errorf("-journal only applies to the remote backends process, socket and cluster (got -backend %s)", *backendName)
+		return fmt.Errorf("-journal only applies to the remote backends process and cluster (got -backend %s)", *backendName)
 	}
 	if *resume && *journalPath == "" {
 		return fmt.Errorf("-resume needs -journal path (there is nothing to resume from)")
@@ -300,15 +272,6 @@ func run(args []string, out io.Writer) error {
 			}
 		}()
 	}
-	if *listen != "" {
-		fmt.Fprintf(out, "sweep: protocol v%d, serving %v on %s\n",
-			chanalloc.EngineProtocolVersion, chanalloc.EngineTaskNames(), *listen)
-		serveOpts := []chanalloc.ServeOption{chanalloc.ServeAuthToken(*authToken)}
-		if serverTLS != nil {
-			serveOpts = append(serveOpts, chanalloc.ServeTLS(serverTLS))
-		}
-		return chanalloc.EngineListenAndServe(*listen, serveOpts...)
-	}
 	if *join != "" {
 		fmt.Fprintf(out, "sweep: protocol v%d, serving %v, joining %s\n",
 			chanalloc.EngineProtocolVersion, chanalloc.EngineTaskNames(), *join)
@@ -322,7 +285,7 @@ func run(args []string, out io.Writer) error {
 	switch *backendName {
 	case "inprocess":
 		backend = chanalloc.NewInProcessBackend()
-	case "process", "socket", "cluster":
+	case "process", "cluster":
 		// The remote backends share one dispatcher and so one option set.
 		// Loud validation: the option constructors ignore out-of-range
 		// values, which would silently run the defaults instead.
@@ -349,24 +312,11 @@ func run(args []string, out io.Writer) error {
 		switch *backendName {
 		case "process":
 			backend = chanalloc.NewProcessBackend(*shards, opts...)
-		case "socket":
-			list, err := splitAddrs(*addrs)
-			if err != nil {
-				return err
-			}
-			if len(list) == 0 {
-				return fmt.Errorf("-backend socket needs -addrs host:port[,host:port...]")
-			}
-			// Socket coordinators dial out: the client side of TLS.
-			if clientTLS != nil {
-				opts = append(opts, chanalloc.ClusterTLS(clientTLS))
-			}
-			backend = chanalloc.NewSocketBackendWith(list, opts...)
 		case "cluster":
 			if *listenWorkers == "" {
 				return fmt.Errorf("-backend cluster needs -listen-workers addr (workers join it with `engineworker -join addr`)")
 			}
-			// Cluster coordinators accept joins: the server side of TLS.
+			// The coordinator accepts joins: the server side of TLS.
 			if serverTLS != nil {
 				opts = append(opts, chanalloc.ClusterTLS(serverTLS))
 			}
@@ -378,7 +328,7 @@ func run(args []string, out io.Writer) error {
 			backend = c
 		}
 	default:
-		return fmt.Errorf("unknown backend %q (want inprocess, process, socket or cluster)", *backendName)
+		return fmt.Errorf("unknown backend %q (want inprocess, process or cluster)", *backendName)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

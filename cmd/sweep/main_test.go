@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/multiradio/chanalloc"
-	"github.com/multiradio/chanalloc/internal/engine"
 )
 
 // TestMain lets the test binary double as the engine-worker binary: when
@@ -330,45 +328,6 @@ func TestProcessBackendDoesNotChangeOutput(t *testing.T) {
 	}
 }
 
-// TestSocketBackendDoesNotChangeOutput extends the backend-conformance
-// contract across the wire: the suite dispatched to socket workers over
-// loopback — this test process serving its own registered experiment task —
-// produces stdout and CSVs byte-identical to the in-process run.
-func TestSocketBackendDoesNotChangeOutput(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); engine.Serve(lis) }()
-	defer func() { lis.Close(); <-done }()
-
-	for _, exp := range []string{"theorem1", "distbatch"} {
-		exp := exp
-		t.Run(exp, func(t *testing.T) {
-			const seed = 7
-			baseOut, baseCSVs := sweepRun(t, exp, seed, 2)
-			// Two connections to the same loopback worker: peer scheduling
-			// must not show in the output.
-			gotOut, gotCSVs := sweepRun(t, exp, seed, 2,
-				"-backend", "socket", "-addrs",
-				lis.Addr().String()+","+lis.Addr().String())
-			if gotOut != baseOut {
-				t.Fatalf("socket backend changed stdout:\n--- inprocess\n%s\n--- socket\n%s",
-					baseOut, gotOut)
-			}
-			if len(gotCSVs) != len(baseCSVs) || len(baseCSVs) == 0 {
-				t.Fatalf("socket backend wrote %d CSVs, want %d", len(gotCSVs), len(baseCSVs))
-			}
-			for name, want := range baseCSVs {
-				if gotCSVs[name] != want {
-					t.Fatalf("socket backend changed %s", name)
-				}
-			}
-		})
-	}
-}
-
 // TestClusterBackendDoesNotChangeOutput extends the backend-conformance
 // contract to the membership backend: the suite dispatched over a cluster
 // coordinator — with this test process joined as a worker via the real
@@ -444,76 +403,11 @@ func TestClusterBackendRejectsBadWindow(t *testing.T) {
 	}
 }
 
-// TestSplitAddrs pins the -addrs parsing contract: whitespace around
-// entries is trimmed, and empty entries (stray commas) are loud errors
-// instead of silently dropped or dialed-as-"" addresses.
-func TestSplitAddrs(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		want    []string
-		wantErr bool
-	}{
-		{"", nil, false},
-		{"   ", nil, false},
-		{"host:1", []string{"host:1"}, false},
-		{" host:1 , host:2 ", []string{"host:1", "host:2"}, false},
-		{"unix:/tmp/w.sock,host:2", []string{"unix:/tmp/w.sock", "host:2"}, false},
-		{"host:1,,host:2", nil, true},
-		{"host:1,", nil, true},
-		{",host:1", nil, true},
-		{" , ", nil, true},
-	} {
-		got, err := splitAddrs(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("%q: want an empty-entry error, got %v", tc.in, got)
-			} else if !strings.Contains(err.Error(), "empty") {
-				t.Errorf("%q: error %v does not name the empty entry", tc.in, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%q: unexpected error %v", tc.in, err)
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
-				break
-			}
-		}
-	}
-}
-
-// TestSocketBackendRejectsStrayCommaAddrs is the CLI surface of the
-// -addrs bugfix: a stray comma is a configuration error, not a silently
-// shortened peer list.
-func TestSocketBackendRejectsStrayCommaAddrs(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-exp", "lemmas", "-backend", "socket", "-addrs", "host:1,,host:2"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "empty") {
-		t.Fatalf("err = %v, want the empty-entry rejection", err)
-	}
-}
-
 // TestUnknownBackend rejects a bad -backend value before any work runs.
 func TestUnknownBackend(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-exp", "lemmas", "-backend", "quantum"}, &b); err == nil {
 		t.Fatal("unknown backend should error")
-	}
-}
-
-// TestSocketBackendNeedsAddrs rejects -backend socket without -addrs.
-func TestSocketBackendNeedsAddrs(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-exp", "lemmas", "-backend", "socket"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "-addrs") {
-		t.Fatalf("err = %v, want the missing -addrs error", err)
 	}
 }
 

@@ -26,10 +26,6 @@ type (
 	AgentResult = dist.AgentResult
 	// DistResult bundles coordinator and agent views of an in-process run.
 	DistResult = dist.LocalResult
-	// DistRunSpec describes one token-ring run of an engine-fanned batch.
-	DistRunSpec = dist.RunSpec
-	// DistBatchResult aggregates an engine-batched set of protocol runs.
-	DistBatchResult = dist.BatchResult
 	// DistRingSpec is a fully serialisable token-ring run description that
 	// can cross the engine's Backend wire protocol to remote workers.
 	DistRingSpec = dist.RingSpec
@@ -40,7 +36,7 @@ type (
 )
 
 // DistRingTask is the registered engine task name behind
-// RunDistributedRingBatch; a socket worker advertising it can serve ring
+// RunDistributedRingBatch; a cluster worker registering it can serve ring
 // grids for any coordinator.
 const DistRingTask = dist.RingTask
 
@@ -72,17 +68,9 @@ func UniformPolicies(n int, factory func(user int) Policy) []Policy {
 	return dist.UniformPolicies(n, factory)
 }
 
-// RunDistributedBatch fans many token-ring runs — typically a (game ×
-// policy-mix) grid — over the engine's worker pool. Run r reproduces an
-// independent RunDistributed call with policies built from the stream
-// EngineJobSeed(root, r), exactly and for any worker count.
-func RunDistributedBatch(specs []DistRunSpec, opts ...EngineOption) (*DistBatchResult, error) {
-	return dist.RunBatch(specs, opts...)
-}
-
 // RunDistributedRingBatch fans a grid of serialisable ring specs over any
-// engine backend — the in-process pool, worker subprocesses, or socket
-// peers on other machines — with byte-identical results on each. Run r
+// engine backend — the in-process pool, worker subprocesses, or cluster
+// workers on other machines — with byte-identical results on each. Run r
 // builds its policies from the stream EngineJobSeed(root, r).
 func RunDistributedRingBatch(b EngineBackend, specs []DistRingSpec, opts ...EngineOption) ([]DistRingResult, EngineStats, error) {
 	return dist.RunRingBatch(b, specs, opts...)

@@ -46,11 +46,12 @@ func ParallelMap[T any](n int, fn func(job int, rng *RNG) (T, error), opts ...En
 // the engine's determinism contract: per-job PRNG streams seeded by
 // (root seed, job index) alone and index-ordered fan-in, so every backend
 // produces byte-identical results — the in-process pool and the remote
-// backends alike. The three remote backends (process, socket, cluster)
-// share one dispatcher — a window of outstanding jobs per worker, requeue
-// of a dead worker's jobs, an optional checkpoint journal — and differ only
-// in where their workers come from. See the internal/engine package
-// documentation.
+// backends alike. The two remote backends share one dispatcher — a window
+// of outstanding jobs per worker, requeue of a dead worker's jobs, an
+// optional checkpoint journal — and differ only in where their workers
+// come from: process spawns them on this machine, and cluster, the one
+// cross-machine backend, accepts workers that dial in. See the
+// internal/engine package documentation.
 type (
 	// EngineBackend executes task batches under the determinism contract.
 	EngineBackend = engine.Backend
@@ -59,27 +60,21 @@ type (
 	// ProcessBackend shards batches over re-exec'd worker subprocesses
 	// speaking newline-delimited JSON over stdio.
 	ProcessBackend = engine.Process
-	// SocketBackend dispatches batches over TCP or unix-socket connections
-	// it dials to remote workers speaking the same wire protocol, with a
-	// version handshake per connection.
-	SocketBackend = engine.Socket
 	// ClusterBackend is the membership backend: workers dial IN and
 	// register (joins are accepted mid-batch), heartbeats track liveness,
 	// and silent workers are evicted with their in-flight jobs requeued.
 	ClusterBackend = engine.Cluster
 	// ClusterOption configures the cluster backend's dispatcher, which
-	// every remote backend shares: NewProcessBackend, NewSocketBackendWith
-	// and NewClusterBackend all take the same set.
+	// both remote backends share: NewProcessBackend and NewClusterBackend
+	// take the same set.
 	ClusterOption = engine.RemoteOption
 	// JoinOption configures EngineJoinAndServe.
 	JoinOption = engine.JoinOption
-	// ServeOption configures EngineListenAndServe.
-	ServeOption = engine.ServeOption
 )
 
 // EngineProtocolVersion is the version of the coordinator<->worker wire
-// protocol, exchanged in the hello handshake that opens every socket
-// connection so skewed binaries fail loudly at connect time.
+// protocol, exchanged in the register handshake that opens every joining
+// worker's connection so skewed binaries fail loudly at connect time.
 const EngineProtocolVersion = engine.ProtocolVersion
 
 // NewInProcessBackend returns the default in-process backend.
@@ -94,20 +89,9 @@ func NewProcessBackend(shards int, opts ...ClusterOption) *ProcessBackend {
 	return engine.NewProcess(shards, opts...)
 }
 
-// NewSocketBackendWith returns a cross-machine backend dispatching batches
-// over one persistent connection per worker address. Addresses are
-// "host:port" (TCP), "unix:/path" or a bare filesystem path (unix socket);
-// workers are processes serving EngineListenAndServe — cmd/engineworker for
-// library tasks, or any task-registering binary with a listen mode
-// (cmd/sweep -listen). A dead peer's in-flight job is requeued for the
-// survivors.
-func NewSocketBackendWith(addrs []string, opts ...ClusterOption) *SocketBackend {
-	return engine.NewSocketWith(addrs, opts...)
-}
-
-// TLS plumbing, re-exported: every socket path of the engine — socket
-// workers, cluster coordinators, joining workers — can run its NDJSON
-// protocol over TLS with frame bytes unchanged. Listeners load a cert/key
+// TLS plumbing, re-exported: the engine's network path — cluster
+// coordinators and joining workers — can run its NDJSON protocol over TLS
+// with frame bytes unchanged. Listeners load a cert/key
 // pair (EngineServerTLSConfig ← -tls-cert/-tls-key), dialers verify against
 // a CA bundle (EngineClientTLSConfig ← -tls-ca, or -tls-skip-verify in
 // tests).
@@ -140,14 +124,13 @@ func NewClusterBackend(addr string, opts ...ClusterOption) (*ClusterBackend, err
 }
 
 // ClusterWindow sets the per-worker window of outstanding jobs; window 1 is
-// lock-step dispatch, the default of the process and socket backends, and
-// the cluster backend defaults to 8. The window never affects results, only
+// lock-step dispatch, the default of the process backend, and the cluster
+// backend defaults to 8. The window never affects results, only
 // wall clock.
 func ClusterWindow(n int) ClusterOption { return engine.WithWindow(n) }
 
-// ClusterAuthToken sets the shared secret of the connection handshake: a
-// socket coordinator announces it, a cluster coordinator requires it from
-// every joining worker. A mismatch fails loudly, like version skew.
+// ClusterAuthToken sets the shared secret a cluster coordinator requires
+// from every joining worker. A mismatch fails loudly, like version skew.
 func ClusterAuthToken(token string) ClusterOption { return engine.WithAuthToken(token) }
 
 // ClusterJoinWait bounds the batch's accumulated time with no worker
@@ -156,10 +139,9 @@ func ClusterAuthToken(token string) ClusterOption { return engine.WithAuthToken(
 // waiting forever.
 func ClusterJoinWait(d time.Duration) ClusterOption { return engine.WithJoinWait(d) }
 
-// ClusterTLS layers TLS under the job protocol: a socket coordinator dials
-// with cfg as a client (workers listen with ServeTLS / -tls-cert), a
-// cluster coordinator answers joins with cfg as a server (workers dial with
-// JoinTLS / -tls-ca).
+// ClusterTLS layers TLS under the job protocol: a cluster coordinator
+// answers joins with cfg as a server (workers dial with JoinTLS /
+// -tls-ca).
 func ClusterTLS(cfg *tls.Config) ClusterOption { return engine.WithTLS(cfg) }
 
 // ClusterJournal checkpoints batch progress to an append-only NDJSON file:
@@ -200,32 +182,6 @@ func JoinTLS(cfg *tls.Config) JoinOption { return engine.WithJoinTLS(cfg) }
 // JoinBackoffSeed seeds the join loop's backoff jitter (default: a
 // process-unique seed so restarted fleets spread their redials).
 func JoinBackoffSeed(seed uint64) JoinOption { return engine.WithJoinBackoffSeed(seed) }
-
-// ServeAuthToken sets the shared secret a listening socket worker requires
-// from every dialing coordinator.
-func ServeAuthToken(token string) ServeOption { return engine.WithServeAuthToken(token) }
-
-// ServeTLS makes a listening socket worker answer every connection with a
-// TLS server handshake before the job protocol; coordinators must dial
-// with the matching ClusterTLS / -tls-ca.
-func ServeTLS(cfg *tls.Config) ServeOption { return engine.WithServeTLS(cfg) }
-
-// ServeStop makes EngineListenAndServe shut down gracefully
-// when the channel closes: stop accepting, drain in-flight connections,
-// return nil.
-func ServeStop(stop <-chan struct{}) ServeOption { return engine.WithServeStop(stop) }
-
-// ServeDrainTimeout bounds the graceful drain after ServeStop fires;
-// connections still serving past it are force-closed (default: unbounded).
-func ServeDrainTimeout(d time.Duration) ServeOption { return engine.WithServeDrainTimeout(d) }
-
-// EngineListenAndServe turns the process into a long-lived socket worker:
-// announce on addr ("host:port", ":port", "unix:/path" or a bare path),
-// answer the protocol handshake on each connection, and serve jobs of the
-// tasks registered in this process until it dies.
-func EngineListenAndServe(addr string, opts ...ServeOption) error {
-	return engine.ListenAndServe(addr, opts...)
-}
 
 // EngineTaskNames lists the tasks registered in this process, sorted.
 func EngineTaskNames() []string { return engine.TaskNames() }

@@ -11,9 +11,9 @@ import (
 
 // RingTask is the registered engine task that runs one serialisable
 // token-ring specification per job. Registering the ring as a named task is
-// what lets protocol grids cross process — and, with the Socket backend,
-// machine — boundaries: RunBatch's closures cannot be shipped to a remote
-// worker, a RingSpec can.
+// what lets protocol grids cross process — and, with the Cluster backend,
+// machine — boundaries: a closure cannot be shipped to a remote worker, a
+// RingSpec can.
 const RingTask = "dist/ring"
 
 // RateSpec is a serialisable channel rate function. Kind selects the family
@@ -168,11 +168,10 @@ func init() {
 }
 
 // RunRingBatch fans a grid of serialisable ring specs over any engine
-// backend — the in-process pool, worker subprocesses, or socket peers on
-// other machines. Run r executes specs[r] with policies seeded from the
+// backend — the in-process pool, worker subprocesses, or cluster workers
+// on other machines. Run r executes specs[r] with policies seeded from the
 // stream engine.JobSeed(root, r), so the batch is byte-identical on every
-// backend; it reproduces RunBatch over equivalent closure specs run for
-// run.
+// backend and reproduces one RunLocal call per spec, run for run.
 func RunRingBatch(b engine.Backend, specs []RingSpec, opts ...engine.Option) ([]RingResult, engine.Stats, error) {
 	return engine.RunTask[RingResult](b, RingTask, ringParams{Specs: specs}, len(specs), opts...)
 }

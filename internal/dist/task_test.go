@@ -1,11 +1,13 @@
 package dist
 
 import (
-	"net"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/des"
@@ -36,18 +38,14 @@ func ringGrid() []RingSpec {
 }
 
 // TestRunRingBatchMatchesRunBatch: the serialisable ring task reproduces
-// the closure-based RunBatch run for run — matrices, convergence, message
-// counts — for the same root seed.
+// a serial loop of RunLocal calls run for run — matrices, convergence,
+// message counts — with each run's policies built from the stream
+// engine.JobSeed(root, r), for any worker count.
 func TestRunRingBatchMatchesRunBatch(t *testing.T) {
+	const root = 11
 	specs := ringGrid()
-	fromTask, _, err := RunRingBatch(engine.NewInProcess(), specs, engine.Seed(11), engine.Workers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	closures := make([]RunSpec, len(specs))
-	for i, spec := range specs {
-		spec := spec
+	want := make([]*LocalResult, len(specs))
+	for r, spec := range specs {
 		rate, err := spec.Rate.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -60,71 +58,72 @@ func TestRunRingBatchMatchesRunBatch(t *testing.T) {
 		if spec.MaxRounds > 0 {
 			opts = append(opts, WithMaxRounds(spec.MaxRounds))
 		}
-		closures[i] = RunSpec{
-			Game: g,
-			Policies: func(rng *des.RNG) ([]Policy, error) {
-				names := spec.Policies
-				if len(names) == 1 {
-					uniform := make([]string, spec.Users)
-					for u := range uniform {
-						uniform[u] = names[0]
-					}
-					names = uniform
-				}
-				out := make([]Policy, len(names))
-				for u, name := range names {
-					var err error
-					if out[u], err = buildPolicy(name, rate, rng); err != nil {
-						return nil, err
-					}
-				}
-				return out, nil
-			},
-			Opts: opts,
+		names := spec.Policies
+		if len(names) == 1 {
+			names = slices.Repeat(names, spec.Users)
 		}
-	}
-	fromClosures, err := RunBatch(closures, engine.Seed(11), engine.Workers(2))
-	if err != nil {
-		t.Fatal(err)
+		rng := des.NewRNG(engine.JobSeed(root, r))
+		policies := make([]Policy, len(names))
+		for u, name := range names {
+			if policies[u], err = buildPolicy(name, rate, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want[r], err = RunLocal(g, policies, opts...); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	for r := range specs {
-		want := fromClosures.Runs[r]
-		got := fromTask[r]
-		if !reflect.DeepEqual(got.Matrix, want.Alloc.Matrix()) {
-			t.Fatalf("run %d: matrix %v, RunBatch produced %v", r, got.Matrix, want.Alloc.Matrix())
+	for _, workers := range []int{1, 2, 8} {
+		fromTask, _, err := RunRingBatch(engine.NewInProcess(), specs, engine.Seed(root), engine.Workers(workers))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Converged != want.Stats.Converged || got.Rounds != want.Stats.Rounds ||
-			got.Moves != want.Stats.Moves || got.Messages != want.Stats.Messages {
-			t.Fatalf("run %d: stats %+v, RunBatch produced %+v", r, got, want.Stats)
+		for r, got := range fromTask {
+			if !reflect.DeepEqual(got.Matrix, want[r].Alloc.Matrix()) {
+				t.Fatalf("workers %d, run %d: matrix %v, RunLocal produced %v", workers, r, got.Matrix, want[r].Alloc.Matrix())
+			}
+			if got.Converged != want[r].Stats.Converged || got.Rounds != want[r].Stats.Rounds ||
+				got.Moves != want[r].Stats.Moves || got.Messages != want[r].Stats.Messages {
+				t.Fatalf("workers %d, run %d: stats %+v, RunLocal produced %+v", workers, r, got, want[r].Stats)
+			}
 		}
 	}
 }
 
-// TestRunRingBatchSocketConformance runs the same grid over the real socket
-// worker loop on loopback and requires byte-identical outcomes — the
-// cross-machine story of the distributed protocol, in one test.
-func TestRunRingBatchSocketConformance(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+// TestRunRingBatchClusterConformance runs the same grid over a real
+// cluster coordinator on loopback, with two workers of this test process
+// joined, and requires byte-identical outcomes — the cross-machine story
+// of the distributed protocol, in one test.
+func TestRunRingBatchClusterConformance(t *testing.T) {
+	c, err := engine.NewCluster("127.0.0.1:0", engine.WithJoinWait(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); engine.Serve(lis) }()
-	defer func() { lis.Close(); <-done }()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := engine.JoinAndServe(c.Addr(), engine.WithJoinStop(stop)); err != nil {
+				t.Errorf("worker join: %v", err)
+			}
+		}()
+	}
+	defer func() { close(stop); c.Close(); wg.Wait() }()
 
 	specs := ringGrid()
 	want, _, err := RunRingBatch(engine.NewInProcess(), specs, engine.Seed(11), engine.Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := RunRingBatch(engine.NewSocketWith([]string{lis.Addr().String(), lis.Addr().String()}),
-		specs, engine.Seed(11))
+	got, _, err := RunRingBatch(c, specs, engine.Seed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("socket ring batch differs:\n%+v\nvs\n%+v", got, want)
+		t.Fatalf("cluster ring batch differs:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

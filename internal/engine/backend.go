@@ -25,8 +25,8 @@ import (
 // conformance suite in backend_conformance_test.go pins this for every
 // backend in the repository.
 type Backend interface {
-	// Name identifies the backend ("inprocess", "process", "socket",
-	// "cluster") for logs, flags and error messages.
+	// Name identifies the backend ("inprocess", "process", "cluster") for
+	// logs, flags and error messages.
 	Name() string
 	// RunTask executes jobs 0..n-1 of the named task and returns their
 	// JSON-encoded results in job order. Option semantics: Seed sets the

@@ -91,44 +91,34 @@ func init() {
 }
 
 // conformanceBackends enumerates every backend implementation with a few
-// pool/shard/peer shapes each. Process shapes stay small (each entry spawns
-// that many subprocesses); socket shapes run the real worker loop — Serve
-// with handshake — over loopback TCP and a unix socket, with the test
-// process serving its own registered tasks; cluster shapes run the real
-// membership path — register handshake, heartbeats, pipelined windowed
-// dispatch — with JoinAndServe workers dialing a loopback coordinator.
+// pool/shard/member shapes each. Process shapes stay small (each entry
+// spawns that many subprocesses); cluster shapes run the real membership
+// path — register handshake, heartbeats, pipelined windowed dispatch —
+// with JoinAndServe workers, the test process serving its own registered
+// tasks, dialing a coordinator over loopback TCP, a unix socket and TLS.
 func conformanceBackends(t *testing.T) []conformanceBackend {
 	t.Helper()
-	tcp1 := startServe(t, "tcp", "127.0.0.1:0")
-	tcp2 := startServe(t, "tcp", "127.0.0.1:0")
-	unix := startServe(t, "unix", t.TempDir()+"/worker.sock")
+	const tcp = "127.0.0.1:0"
 	tlsSrv, tlsCli := testTLSPair(t)
-	tcpTLS := startServeTLS(t, tlsSrv)
 	return []conformanceBackend{
 		{"inprocess/workers=1", NewInProcess(), []Option{Workers(1)}, 0},
 		{"inprocess/workers=4", NewInProcess(), []Option{Workers(4)}, 0},
 		{"process/shards=1", NewProcess(1), nil, 1},
 		{"process/shards=3", NewProcess(3), nil, 3},
-		// Process and Socket default to lock-step (window 1); the shared
-		// dispatcher's pipelined window must not show in their results
-		// either.
+		// Process defaults to lock-step (window 1); the shared dispatcher's
+		// pipelined window must not show in its results either.
 		{"process/shards=2/window=4", NewProcess(2, WithWindow(4)), nil, 2},
-		{"socket/peers=1", NewSocketWith([]string{tcp1}), nil, 1},
-		// Three connections across two listeners: the same endpoint serving
-		// several peers concurrently must not show in the results.
-		{"socket/peers=3", NewSocketWith([]string{tcp1, tcp2, tcp1}), nil, 3},
-		{"socket/unix", NewSocketWith([]string{unix}), nil, 1},
-		{"socket/peers=2/window=8", NewSocketWith([]string{tcp1, tcp2}, WithWindow(8)), nil, 2},
-		// TLS under the framing: the conformance digest is the proof the
-		// frame bytes never changed.
-		{"socket/tls", NewSocketWith([]string{tcpTLS}, WithTLS(tlsCli)), nil, 1},
 		// Every pinned window size: lock-step (1), moderate (4) and deeper
 		// than most batches (32). Neither the window nor the worker count
 		// may show in the results.
-		{"cluster/window=1", startCluster(t, 1, WithWindow(1)), nil, 1},
-		{"cluster/window=4/workers=2", startCluster(t, 2, WithWindow(4)), nil, 2},
-		{"cluster/window=32", startCluster(t, 1, WithWindow(32)), nil, 1},
-		{"cluster/tls", startTLSCluster(t, 2, tlsSrv, tlsCli, WithWindow(4)), nil, 2},
+		{"cluster/window=1", startCluster(t, tcp, 1, nil, WithWindow(1)), nil, 1},
+		{"cluster/window=4/workers=2", startCluster(t, tcp, 2, nil, WithWindow(4)), nil, 2},
+		{"cluster/window=32", startCluster(t, tcp, 1, nil, WithWindow(32)), nil, 1},
+		{"cluster/unix", startCluster(t, "unix:"+t.TempDir()+"/coord.sock", 1, nil), nil, 1},
+		// TLS under the framing: the conformance digest is the proof the
+		// frame bytes never changed.
+		{"cluster/tls", startCluster(t, tcp, 2, []JoinOption{WithJoinTLS(tlsCli)},
+			WithTLS(tlsSrv), WithWindow(4)), nil, 2},
 	}
 }
 
@@ -137,17 +127,17 @@ type conformanceBackend struct {
 	desc    string
 	backend Backend
 	opts    []Option
-	// conns is how many worker connections (shards, peers, members) a
+	// conns is how many worker connections (shards, members) a
 	// healthy batch can use; 0 for the in-process pool.
 	conns int
 }
 
-// startCluster runs a loopback cluster coordinator with `workers` in-test
-// JoinAndServe workers dialed in and registered; the backend is torn down
-// with the test.
-func startCluster(t *testing.T, workers int, opts ...RemoteOption) *Cluster {
+// startCluster runs a cluster coordinator on addr with `workers` in-test
+// JoinAndServe workers, each joining with the join options, dialed in and
+// registered; the backend is torn down with the test.
+func startCluster(t *testing.T, addr string, workers int, join []JoinOption, opts ...RemoteOption) *Cluster {
 	t.Helper()
-	c, err := NewCluster("127.0.0.1:0",
+	c, err := NewCluster(addr,
 		append([]RemoteOption{WithJoinWait(10 * time.Second)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +148,10 @@ func startCluster(t *testing.T, workers int, opts ...RemoteOption) *Cluster {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := JoinAndServe(c.Addr(), WithJoinStop(stop), WithJoinRetryWait(10*time.Millisecond)); err != nil {
+			err := JoinAndServe(c.Addr(), append([]JoinOption{
+				WithJoinStop(stop), WithJoinRetryWait(10 * time.Millisecond),
+			}, join...)...)
+			if err != nil {
 				t.Errorf("worker join: %v", err)
 			}
 		}()

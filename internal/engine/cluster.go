@@ -13,13 +13,12 @@ import (
 	"github.com/multiradio/chanalloc/internal/obs"
 )
 
-// Cluster is the membership-based Backend: instead of the coordinator
-// dialing a static address list (the Socket backend), workers dial IN and
-// register — so workers behind NAT, started late, or restarted mid-sweep
-// can all join. The coordinator listens on one address, answers each
-// connection's register handshake (protocol version, task registry and
-// optional auth token, see registerHandshake), and tracks the membership in
-// an internal/cluster registry: every frame a worker sends refreshes its
+// Cluster is the cross-machine Backend, built on membership: workers dial
+// IN and register — so workers behind NAT, started late, or restarted
+// mid-sweep can all join. The coordinator listens on one address, answers
+// each connection's register handshake (protocol version, task registry
+// and optional auth token, see registerHandshake), and tracks the
+// membership in an internal/cluster registry: every frame a worker sends refreshes its
 // liveness clock, and a worker silent past the eviction deadline is dropped
 // with its in-flight jobs requeued for the survivors.
 //

@@ -16,14 +16,14 @@ import (
 )
 
 // The remote dispatcher: the one job loop behind every remote backend.
-// Process, Socket and Cluster differ only in where their peers come from —
-// a spawned shard's stdio pair, a dialled connection, an accepted member
-// (see peerSource) — and all of them stream a batch through runRemote:
+// Process and Cluster differ only in where their peers come from — a
+// spawned shard's stdio pair, an accepted member (see peerSource) — and
+// both stream a batch through runRemote:
 // journal recovery, a requeueing work queue, a window of outstanding jobs
 // per peer, index-ordered fan-in.
 
-// RemoteOption configures a remote backend (Process, Socket, Cluster). The
-// three share one dispatcher, so they share one option set; an option whose
+// RemoteOption configures a remote backend (Process, Cluster). The two
+// share one dispatcher, so they share one option set; an option whose
 // transport a backend lacks (TLS and the auth token on stdio shards) is
 // ignored there.
 type RemoteOption func(*remoteConfig)
@@ -53,9 +53,8 @@ func newRemoteConfig(window int, opts []RemoteOption) remoteConfig {
 // WithWindow sets the per-peer window of outstanding jobs. Window 1 is
 // lock-step dispatch — a peer takes its next job only once it has answered
 // the last, so long jobs balance across peers as they free up — and the
-// default of Process and Socket; larger windows pipeline sends so
-// small-job batches stop paying one round-trip per job, and 8 is the
-// Cluster default. The window never affects results, only wall clock.
+// default of Process; larger windows pipeline sends so small-job batches
+// stop paying one round-trip per job, and 8 is the Cluster default. The window never affects results, only wall clock.
 func WithWindow(n int) RemoteOption {
 	return func(c *remoteConfig) {
 		if n > 0 {
@@ -64,31 +63,28 @@ func WithWindow(n int) RemoteOption {
 	}
 }
 
-// WithAuthToken sets the shared secret of the connection handshake: the
-// hello a Socket coordinator sends, the register frame a Cluster requires.
-// Any disagreement — wrong token, or only one side configured — fails
-// loudly at connect time, like version skew (default: no token).
+// WithAuthToken sets the shared secret a Cluster requires in every
+// joining worker's register frame. Any disagreement — wrong token, or only
+// one side configured — fails loudly at connect time, like version skew
+// (default: no token).
 func WithAuthToken(token string) RemoteOption {
 	return func(c *remoteConfig) { c.token = token }
 }
 
-// WithTLS layers TLS under the job protocol. A Socket coordinator dials
-// every peer with cfg as a client (see ClientTLSConfig; workers listen with
-// WithServeTLS / -tls-cert); a Cluster answers every joining connection with
-// cfg as a server (see ServerTLSConfig; workers dial with WithJoinTLS /
-// -tls-ca). Frame bytes are unchanged, and certificate trouble surfaces at
-// connect time, not as a mid-protocol decode failure (default: plain
-// connections).
+// WithTLS layers TLS under the job protocol: a Cluster answers every
+// joining connection with cfg as a server (see ServerTLSConfig; workers
+// dial with WithJoinTLS / -tls-ca). Frame bytes are unchanged, and
+// certificate trouble surfaces at connect time, not as a mid-protocol
+// decode failure (default: plain connections).
 func WithTLS(cfg *tls.Config) RemoteOption {
 	return func(c *remoteConfig) { c.tlsCfg = cfg }
 }
 
 // WithJoinWait bounds the batch's accumulated time with NO peer serving it
-// while more may still arrive (default 30s): a Cluster waiting for joins, a
-// Socket between a lost connection and its redial. The clock pauses while a
-// peer is serving and resets when a job completes — so a worker stuck in a
-// join/crash loop without ever finishing a job burns the budget instead of
-// renewing it.
+// while more may still arrive (default 30s): a Cluster waiting for joins
+// or for a lost worker to rejoin. The clock pauses while a peer is serving
+// and resets when a job completes — so a worker stuck in a join/crash loop
+// without ever finishing a job burns the budget instead of renewing it.
 func WithJoinWait(d time.Duration) RemoteOption {
 	return func(c *remoteConfig) {
 		if d > 0 {
@@ -540,8 +536,8 @@ func openJournal(cfg *remoteConfig, b *batch, n int) (recovered map[int]bool, er
 // dispatch runs the batch to completion: it starts one sender (runPeer) per
 // peer the source supplies — at the start or mid-batch — and gives up only
 // when jobs are unfinished and no peer is serving, either because the
-// source is exhausted (every shard or dialled peer has failed) or because
-// none has served for the whole join-wait (a cluster nobody joins).
+// source is exhausted (every shard has failed) or because none has served
+// for the whole join-wait (a cluster nobody joins).
 func dispatch(b *batch, src peerSource, joinWait time.Duration, closed <-chan struct{}) error {
 	arrivals := make(chan *peer)
 	fed := make(chan struct{})
@@ -681,8 +677,8 @@ func runPeer(p *peer, b *batch) {
 		}
 		if p.open != nil {
 			// A lazily opened peer connects only once it holds a job, so
-			// surplus peers cost nothing. A failed open gives the job back
-			// and ends this peer; its source decides whether to retry.
+			// surplus shards cost nothing. A failed open gives the job back
+			// and ends this peer.
 			err := p.open()
 			p.open = nil
 			if err != nil {

@@ -10,8 +10,10 @@
 // The fan-out/fan-in contract is pluggable (see Backend): Map runs
 // closures over the default in-process pool, while registered tasks
 // (RegisterTask) can run over any backend — the same pool (InProcess) or
-// one of the remote backends (Process, Socket, Cluster), which share one
-// windowed dispatcher and differ only in where their workers come from —
+// one of the two remote backends, which share one windowed dispatcher and
+// differ only in where their workers come from: Process spawns worker
+// subprocesses on this machine, and Cluster, the one cross-machine
+// backend, accepts workers that dial in and register (JoinAndServe) —
 // with byte-identical results, because job seeds depend only on (root
 // seed, job index).
 package engine
@@ -32,8 +34,8 @@ import (
 type Stats struct {
 	// Workers is the pool size the batch actually used: goroutines on the
 	// in-process pool, and on the remote backends the worker connections
-	// (shards, dialled peers, cluster members) that received at least one
-	// of the batch's jobs.
+	// (shards, cluster members) that received at least one of the batch's
+	// jobs.
 	Workers int
 	// Jobs is the number of jobs executed (or aborted by a failure).
 	Jobs int
@@ -42,10 +44,10 @@ type Stats struct {
 	// JobTimes holds per-job execution times, indexed by job.
 	JobTimes []time.Duration
 	// Requeues counts jobs returned to the work queue after a worker
-	// failed — a shard that died, a dial that never connected, a transport
-	// lost mid-window, or a cluster member evicted for silence (remote
-	// backends only; always 0 in-process). Like the timings, it describes
-	// how the batch executed, never what it produced.
+	// failed — a shard that died, a transport lost mid-window, or a
+	// cluster member evicted for silence (remote backends only; always 0
+	// in-process). Like the timings, it describes how the batch executed,
+	// never what it produced.
 	Requeues int
 	// Resumed counts jobs recovered from a checkpoint journal instead of
 	// executed (remote backends with WithResume; always 0 in-process).

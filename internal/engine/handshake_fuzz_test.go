@@ -9,12 +9,14 @@ import (
 	"time"
 )
 
-// FuzzHandshake feeds arbitrary bytes to both server ends of the opening
-// exchange: the socket worker's hello (serverHandshake) and the cluster
-// coordinator's register (acceptRegistration), each under an empty and a
-// set auth token. Neither may panic or hang, and each must accept exactly
-// when the first JSON value is its opening frame at ProtocolVersion with
-// the configured token — and, for a hello, an empty or registered task.
+// FuzzHandshake feeds arbitrary bytes to both ends of the cluster join
+// exchange: the coordinator's register check (acceptRegistration, under an
+// empty and a set auth token) and the worker's reading of the
+// coordinator's reply (registerHandshake). Neither may panic or hang. The
+// coordinator must accept exactly when the first JSON value is a register
+// frame at ProtocolVersion with the configured token; the worker must
+// accept exactly when it is a hello at ProtocolVersion with an empty
+// Error, and then adopt the reply's heartbeat cadence.
 func FuzzHandshake(f *testing.F) {
 	for _, pin := range wireFramePins {
 		if pin.msg.Type == wireHello || pin.msg.Type == wireRegister {
@@ -22,14 +24,17 @@ func FuzzHandshake(f *testing.F) {
 		}
 	}
 	for _, seed := range []string{
-		`{"type":"hello","version":2,"task":"conformance/draw"}`,
-		`{"type":"hello","version":1,"task":"conformance/draw"}`,                  // wrong version
-		`{"type":"hello","version":2,"task":"conformance/draw","token":"wrong"}`,  // wrong token
-		`{"type":"hello","version":2,"task":"conformance/nope","token":"s3cret"}`, // unknown task
-		`{"type":"register","version":2,"tasks":["conformance/draw"]}`,            // register sent to a worker
+		`{"type":"register","version":2,"tasks":["conformance/draw"]}`,
+		`{"type":"register","version":2,"token":"s3cret"}`,
 		`{"type":"register","version":3,"token":"s3cret"}`,                        // wrong version
+		`{"type":"register","version":2,"token":"wrong"}`,                         // wrong token
+		`{"type":"hello","version":2,"tasks":["a"],"heartbeat_ms":1500}`,          // a reply
+		`{"type":"hello","version":1,"tasks":["a"]}`,                              // v1 coordinator
+		`{"type":"hello","version":2,"error":"protocol version mismatch"}`,        // rejection
+		`{"type":"hello","version":2,"heartbeat_ms":-5}`,                          // nonsense cadence
+		`{"type":"hello","version":2,"task":"conformance/draw","token":"s3cret"}`, // a hello with a task
 		`{"type":"job","job":0,"task":"conformance/draw","seed":1}`,               // no handshake at all
-		`{"type":"hello","version":2,"tok`,                                        // truncated JSON
+		`{"type":"register","version":2,"tok`,                                     // truncated JSON
 		`{"type":"hello","version":"2"}`,                                          // mistyped field
 		`{"type":"hello","version":2}{"type":"register","version":2}`,             // trailing frame
 	} {
@@ -39,22 +44,22 @@ func FuzzHandshake(f *testing.F) {
 		var first wireMsg
 		decoded := json.NewDecoder(bytes.NewReader(data)).Decode(&first) == nil
 		for _, token := range []string{"", "s3cret"} {
-			opens := func(typ string) bool {
-				return decoded && first.Type == typ && first.Version == ProtocolVersion && first.Token == token
-			}
-			_, known := taskByName(first.Task)
-			wantHello := opens(wireHello) && (first.Task == "" || known)
-			err := serverHandshake(json.NewEncoder(io.Discard), json.NewDecoder(bytes.NewReader(data)), token)
-			if (err == nil) != wantHello {
-				t.Fatalf("token %q: serverHandshake(%q) = %v, want accept = %v", token, data, err, wantHello)
-			}
+			want := decoded && first.Type == wireRegister && first.Version == ProtocolVersion && first.Token == token
 			tasks, err := acceptRegistration(json.NewEncoder(io.Discard), json.NewDecoder(bytes.NewReader(data)), token, time.Second)
-			if (err == nil) != opens(wireRegister) {
-				t.Fatalf("token %q: acceptRegistration(%q) = %v, want accept = %v", token, data, err, opens(wireRegister))
+			if (err == nil) != want {
+				t.Fatalf("token %q: acceptRegistration(%q) = %v, want accept = %v", token, data, err, want)
 			}
 			if err == nil && !slices.Equal(tasks, first.Tasks) {
 				t.Fatalf("token %q: acceptRegistration returned tasks %q, frame announced %q", token, tasks, first.Tasks)
 			}
+		}
+		want := decoded && first.Type == wireHello && first.Version == ProtocolVersion && first.Error == ""
+		heartbeat, err := registerHandshake(json.NewEncoder(io.Discard), json.NewDecoder(bytes.NewReader(data)), "s3cret")
+		if (err == nil) != want {
+			t.Fatalf("registerHandshake(%q) = %v, want accept = %v", data, err, want)
+		}
+		if err == nil && heartbeat != time.Duration(first.HeartbeatMillis)*time.Millisecond {
+			t.Fatalf("registerHandshake(%q) adopted heartbeat %v, reply advertised %d ms", data, heartbeat, first.HeartbeatMillis)
 		}
 	})
 }

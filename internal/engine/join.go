@@ -75,8 +75,8 @@ func WithJoinBackoffSeed(seed uint64) JoinOption {
 	return func(c *joinConfig) { c.backoffSeed = seed }
 }
 
-// joinLogf is the default transient-failure logger (stderr, the listen.go
-// idiom); tests silence it through the config.
+// joinLogf is the default transient-failure logger (stderr, the
+// acceptConns idiom); tests silence it through the config.
 func joinLogf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
@@ -85,9 +85,8 @@ func joinLogf(format string, args ...any) {
 // coordinator at addr ("host:port", "unix:/path" or a bare socket path),
 // register — protocol version, this process's task registry, auth token —
 // and serve jobs until the coordinator goes away, then redial and rejoin.
-// This reverses the Socket backend's connection direction: the worker dials
-// in, so it can live behind NAT, start before the coordinator exists, or
-// join a sweep that is already mid-batch.
+// The worker dials in, so it can live behind NAT, start before the
+// coordinator exists, or join a sweep that is already mid-batch.
 //
 // Serving is pipelined: the coordinator keeps a window of jobs in flight,
 // the worker executes them in arrival order while heartbeating at the

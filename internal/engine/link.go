@@ -10,7 +10,7 @@ import (
 )
 
 // link is one opened per-batch worker transport: a spawned shard's stdio
-// pair or a dialled, handshaken connection.
+// pair.
 type link struct {
 	remote string
 	enc    *json.Encoder
@@ -18,27 +18,23 @@ type link struct {
 	// closeWrite ends the job stream politely; a healthy worker answers by
 	// closing its side, which ends the peer's reader.
 	closeWrite func() error
-	// sever forces the transport down (process kill, connection close).
+	// sever forces the transport down (process kill).
 	sever func() error
 	// wait releases the transport once the reader has ended (the shard's
-	// process exit, the connection's close).
+	// process exit).
 	wait func() error
 }
 
-// linkSource is the peer source of the Process and Socket backends: a fixed
-// set of slots (shards, addresses), each yielding per-batch peers that
-// connect lazily on their first job and are torn down when the batch ends.
-// A slot whose peer fails yields a replacement up to retries times, after
-// retryWait: the Socket backend's redial budget (the Process backend never
-// respawns a shard). Peers send no heartbeats and never enter a registry,
-// so their liveness is the transport's: a dead shard or dropped connection
-// ends the reader, which requeues what the peer held.
+// linkSource is the peer source of the Process backend: a fixed set of
+// slots (shards), each yielding one per-batch peer that connects lazily on
+// its first job and is torn down when the batch ends. A shard that fails
+// is not respawned. Peers send no heartbeats and never enter a registry,
+// so their liveness is the transport's: a dead shard ends the reader,
+// which requeues what the peer held.
 type linkSource struct {
-	slots     int
-	open      func(slot int) (*link, error)
-	retries   int
-	retryWait time.Duration
-	grace     time.Duration // teardown grace before a link is severed
+	slots int
+	open  func(slot int) (*link, error)
+	grace time.Duration // teardown grace before a link is severed
 	// exitFatal makes a failed teardown of a link whose peer was still
 	// serving at batch end (a non-zero exit, a worker killed after the
 	// grace) the batch's error, in exitErr; other teardown failures, and
@@ -73,37 +69,26 @@ func (s *linkSource) feed(b *batch, arrivals chan<- *peer) {
 	s.teardown()
 }
 
-// runSlot hands the dispatcher one peer at a time for the slot, replacing a
-// failed one while the retry budget lasts.
+// runSlot hands the dispatcher the slot's peer and holds the slot until
+// the peer leaves or the batch stops.
 func (s *linkSource) runSlot(b *batch, slot int, arrivals chan<- *peer) {
-	for try := 0; ; try++ {
-		p := newPeer("")
-		p.open = func() error {
-			l, err := s.open(slot)
-			if err != nil {
-				return err
-			}
-			s.connect(p, l, b.trouble)
-			return nil
+	p := newPeer("")
+	p.open = func() error {
+		l, err := s.open(slot)
+		if err != nil {
+			return err
 		}
-		select {
-		case arrivals <- p:
-		case <-b.stop:
-			return
-		}
-		select {
-		case <-p.goneCh:
-		case <-b.stop:
-			return
-		}
-		if try >= s.retries {
-			return
-		}
-		select {
-		case <-time.After(s.retryWait):
-		case <-b.stop:
-			return
-		}
+		s.connect(p, l, b.trouble)
+		return nil
+	}
+	select {
+	case arrivals <- p:
+	case <-b.stop:
+		return
+	}
+	select {
+	case <-p.goneCh:
+	case <-b.stop:
 	}
 }
 
@@ -167,10 +152,10 @@ func (s *linkSource) teardown() {
 }
 
 // shutdown closes the job stream and waits for the worker to end its side
-// (the reader's EOF, then the process exit for a shard). A worker that
-// hangs instead — wedged in a task, or one that stopped reading after a
-// transport error — is severed once the grace expires (see reap), so
-// teardown never blocks the coordinator forever.
+// (the reader's EOF, then the process exit). A worker that hangs instead —
+// wedged in a task, or one that stopped reading after a transport error —
+// is severed once the grace expires (see reap), so teardown never blocks
+// the coordinator forever.
 func (lp *linkPeer) shutdown(grace time.Duration) error {
 	if err := lp.link.closeWrite(); err != nil {
 		lp.link.sever()

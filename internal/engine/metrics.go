@@ -3,8 +3,8 @@ package engine
 import "github.com/multiradio/chanalloc/internal/obs"
 
 // Engine metrics, shared by every backend: jobs flow through the same
-// counters whether the in-process pool, a subprocess shard, a dialed
-// socket peer or a registered cluster member ran them. All increments sit
+// counters whether the in-process pool, a subprocess shard or a
+// registered cluster member ran them. All increments sit
 // on per-job or per-frame paths (microseconds and up) where a single
 // atomic add is free; nothing here is read back by dispatch logic, so
 // results stay byte-identical with metrics hot or cold.

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
 )
 
-// wireFramePins are the exact bytes of every frame kind. The pins are the
-// compatibility contract with remote workers: a change here is a wire
-// change and needs a ProtocolVersion review. In particular the job frame
+// wireFramePins are the exact bytes of every frame kind still sent. The
+// pins are the compatibility contract with remote workers: a change here
+// is a wire change and needs a ProtocolVersion review. In particular the job frame
 // must carry "seed":0 explicitly — a zero seed is a legitimate JobSeed
 // value, and eliding it (the old omitempty) made "seed absent" and "seed 0"
 // indistinguishable to a version-skewed peer.
@@ -48,21 +49,6 @@ var wireFramePins = []struct {
 		`{"type":"result","job":4,"seed":0,"error":"boom"}`,
 	},
 	{
-		"hello frame",
-		wireMsg{Type: wireHello, Version: ProtocolVersion, Task: "t"},
-		`{"type":"hello","job":0,"task":"t","seed":0,"version":2}`,
-	},
-	{
-		"hello reply",
-		wireMsg{Type: wireHello, Version: ProtocolVersion, Tasks: []string{"a", "b"}},
-		`{"type":"hello","job":0,"seed":0,"version":2,"tasks":["a","b"]}`,
-	},
-	{
-		"hello frame with auth token",
-		wireMsg{Type: wireHello, Version: ProtocolVersion, Task: "t", Token: "s3cret"},
-		`{"type":"hello","job":0,"task":"t","seed":0,"version":2,"token":"s3cret"}`,
-	},
-	{
 		"register frame",
 		wireMsg{Type: wireRegister, Version: ProtocolVersion, Tasks: []string{"a"}, Token: "s3cret"},
 		`{"type":"register","job":0,"seed":0,"version":2,"tasks":["a"],"token":"s3cret"}`,
@@ -71,6 +57,11 @@ var wireFramePins = []struct {
 		"register reply with heartbeat cadence",
 		wireMsg{Type: wireHello, Version: ProtocolVersion, Tasks: []string{"a"}, HeartbeatMillis: 2000},
 		`{"type":"hello","job":0,"seed":0,"version":2,"tasks":["a"],"heartbeat_ms":2000}`,
+	},
+	{
+		"register rejection",
+		wireMsg{Type: wireHello, Version: ProtocolVersion, Error: rejectAuthToken},
+		`{"type":"hello","job":0,"seed":0,"error":"auth token mismatch (coordinator and worker -auth-token must agree)","version":2}`,
 	},
 	{
 		"heartbeat frame",
@@ -112,141 +103,24 @@ func TestWireSeedZeroRoundTrips(t *testing.T) {
 	}
 }
 
-// TestHandshake exercises both ends of the hello exchange back to back.
-func TestHandshake(t *testing.T) {
-	t.Run("accept", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "") }()
-		if err := clientHandshake(client.enc, client.dec, "conformance/draw", ""); err != nil {
-			t.Fatalf("client: %v", err)
-		}
-		if err := <-srvErr; err != nil {
-			t.Fatalf("server: %v", err)
-		}
-	})
-	t.Run("unknown task rejected", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "") }()
-		err := clientHandshake(client.enc, client.dec, "conformance/nope", "")
-		if err == nil || !strings.Contains(err.Error(), "unknown task") {
-			t.Fatalf("client error %v, want unknown-task rejection", err)
-		}
-		if err := <-srvErr; err == nil {
-			t.Fatal("server should report the rejection")
-		}
-	})
-	t.Run("version skew rejected", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "") }()
-		// A future coordinator: same frame, higher version.
-		if err := client.enc.Encode(&wireMsg{Type: wireHello, Version: ProtocolVersion + 1}); err != nil {
-			t.Fatal(err)
-		}
-		var reply wireMsg
-		if err := client.dec.Decode(&reply); err != nil {
-			t.Fatal(err)
-		}
-		if reply.Error == "" || !strings.Contains(reply.Error, "version mismatch") {
-			t.Fatalf("reply %+v, want a version-mismatch rejection", reply)
-		}
-		if err := <-srvErr; err == nil {
-			t.Fatal("server should reject version skew")
-		}
-	})
-	t.Run("v1 coordinator rejected", func(t *testing.T) {
-		// v1 coordinators send params in every job frame and cannot be
-		// told apart by their frames, only by the handshake.
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "") }()
-		if err := client.enc.Encode(&wireMsg{Type: wireHello, Version: 1, Task: "conformance/draw"}); err != nil {
-			t.Fatal(err)
-		}
-		var reply wireMsg
-		if err := client.dec.Decode(&reply); err != nil {
-			t.Fatal(err)
-		}
-		if want := "protocol version mismatch: coordinator v1, worker v2"; reply.Error != want {
-			t.Fatalf("reply %+v, want rejection %q", reply, want)
-		}
-		if err := <-srvErr; err == nil {
-			t.Fatal("server should reject a v1 coordinator")
-		}
-	})
-	t.Run("v1 worker rejected", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		go func() {
-			var hello wireMsg
-			server.dec.Decode(&hello)
-			server.enc.Encode(&wireMsg{Type: wireHello, Version: 1, Tasks: []string{"conformance/draw"}})
-		}()
-		err := clientHandshake(client.enc, client.dec, "conformance/draw", "")
-		if err == nil || err.Error() != "protocol version mismatch: coordinator v2, worker v1" {
-			t.Fatalf("client error %v, want a v1 version-skew rejection", err)
-		}
-	})
-	t.Run("matching auth tokens accepted", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "s3cret") }()
-		if err := clientHandshake(client.enc, client.dec, "conformance/draw", "s3cret"); err != nil {
-			t.Fatalf("client: %v", err)
-		}
-		if err := <-srvErr; err != nil {
-			t.Fatalf("server: %v", err)
-		}
-	})
-	t.Run("auth token mismatch rejected", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "s3cret") }()
-		err := clientHandshake(client.enc, client.dec, "conformance/draw", "wrong")
-		if err == nil || !strings.Contains(err.Error(), "auth token mismatch") {
-			t.Fatalf("client error %v, want auth-token rejection", err)
-		}
-		if strings.Contains(err.Error(), "s3cret") || strings.Contains(err.Error(), "wrong") {
-			t.Fatalf("rejection %v leaks a token value", err)
-		}
-		if err := <-srvErr; err == nil {
-			t.Fatal("server should report the rejection")
-		}
-	})
-	t.Run("token-less coordinator rejected by authenticated worker", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "s3cret") }()
-		err := clientHandshake(client.enc, client.dec, "conformance/draw", "")
-		if err == nil || !strings.Contains(err.Error(), "auth token mismatch") {
-			t.Fatalf("client error %v, want auth-token rejection", err)
-		}
-		<-srvErr
-	})
-	t.Run("pre-versioning coordinator rejected", func(t *testing.T) {
-		client, server := newTestPipes(t)
-		srvErr := make(chan error, 1)
-		go func() { srvErr <- serverHandshake(server.enc, server.dec, "") }()
-		// An old coordinator speaks jobs immediately, no hello.
-		if err := client.enc.Encode(&wireMsg{Type: wireJob, Job: 0, Task: "t"}); err != nil {
-			t.Fatal(err)
-		}
-		var reply wireMsg
-		if err := client.dec.Decode(&reply); err != nil {
-			t.Fatal(err)
-		}
-		if reply.Error == "" {
-			t.Fatalf("reply %+v, want a rejection", reply)
-		}
-		if err := <-srvErr; err == nil {
-			t.Fatal("server should reject a job before hello")
-		}
-	})
+// framed is one end of an in-memory protocol connection.
+type framed struct {
+	conn net.Conn
+	enc  *json.Encoder
+	dec  *json.Decoder
 }
 
-// TestRegisterHandshake exercises both ends of the cluster join exchange —
-// the hello handshake with the dialing direction reversed.
+// newTestPipes returns the client and server ends of a synchronous
+// in-memory connection with JSON framing.
+func newTestPipes(t *testing.T) (client, server *framed) {
+	t.Helper()
+	c, s := net.Pipe()
+	t.Cleanup(func() { c.Close(); s.Close() })
+	return &framed{c, json.NewEncoder(c), json.NewDecoder(c)},
+		&framed{s, json.NewEncoder(s), json.NewDecoder(s)}
+}
+
+// TestRegisterHandshake exercises both ends of the cluster join exchange.
 func TestRegisterHandshake(t *testing.T) {
 	t.Run("accept advertises heartbeat cadence and tasks", func(t *testing.T) {
 		client, server := newTestPipes(t)

@@ -6,16 +6,16 @@ import (
 )
 
 // defaultTeardownGrace bounds how long a backend waits for a worker to
-// acknowledge a polite shutdown (process exit after stdin close, EOF echo
-// after a socket half-close) before escalating.
+// acknowledge a polite shutdown (process exit after stdin close) before
+// escalating.
 const defaultTeardownGrace = 5 * time.Second
 
-// reap runs wait — a blocking teardown step such as exec.Cmd.Wait or a
-// read-until-EOF on a socket — and, if it has not returned within grace,
-// calls kill (process kill, forced connection close) to unblock it, then
-// keeps waiting for wait to return. grace <= 0 waits forever. This is the
-// kill-after-timeout escalation shared by every teardown path — a spawned
-// shard or dialled peer at batch end, Cluster.Close, Serve's drain: a hung
+// reap runs wait — a blocking teardown step such as exec.Cmd.Wait or
+// waiting for connection goroutines to drain — and, if it has not returned
+// within grace, calls kill (process kill, forced connection close) to
+// unblock it, then keeps waiting for wait to return. grace <= 0 waits
+// forever. This is the kill-after-timeout escalation shared by both
+// teardown paths — a spawned shard at batch end and Cluster.Close: a hung
 // worker must never block the coordinator indefinitely.
 func reap(grace time.Duration, wait func() error, kill func() error) error {
 	if grace <= 0 {

@@ -15,14 +15,12 @@ import (
 	"time"
 )
 
-// TLS on the engine's socket paths. The protocol is transport-agnostic
+// TLS on the engine's network path. The protocol is transport-agnostic
 // newline-delimited JSON; TLS slots in UNDER the framing, so every frame
-// byte — hello, register, job, result, heartbeat — is identical on plain
-// TCP, unix sockets and TLS connections (the conformance suite runs each
-// backend both ways to pin it). Coordinator and worker roles map onto TLS
-// roles by who LISTENS, not by who coordinates: a socket worker listens
-// (serves the cert) and the coordinator dials (verifies it); a cluster
-// coordinator listens and the joining workers dial.
+// byte — register, hello, job, result, heartbeat — is identical on plain
+// TCP, unix sockets and TLS connections (the conformance suite runs the
+// cluster both ways to pin it). The cluster coordinator listens (serves
+// the cert) and the joining workers dial (verify it).
 //
 // Configuration mirrors the flag surface of the binaries:
 //
@@ -31,8 +29,8 @@ import (
 //	           -tls-skip-verify    →  ClientTLSConfig (tests; still encrypts)
 //
 // A plain dialer hitting a TLS listener (or the reverse) fails the very
-// first exchange — the hello/register reply never parses — so skew is loud
-// at connect time, like protocol-version skew.
+// first exchange — the register reply never parses — so skew is loud at
+// connect time, like protocol-version skew.
 
 // ServerTLSConfig loads a listener's certificate/key pair. Both paths must
 // be set together: a cert without a key (or the reverse) is a configuration
@@ -106,8 +104,8 @@ func tlsClientConn(conn net.Conn, cfg *tls.Config, address string, timeout time.
 }
 
 // dialWorkerConn dials a (network, address) pair and, when tlsCfg is
-// non-nil, layers the TLS client session on top. Shared by the Socket
-// backend's peer dial and the cluster worker's join dial.
+// non-nil, layers the TLS client session on top: the cluster worker's
+// join dial.
 func dialWorkerConn(network, address string, timeout time.Duration, tlsCfg *tls.Config) (net.Conn, error) {
 	conn, err := net.DialTimeout(network, address, timeout)
 	if err != nil {

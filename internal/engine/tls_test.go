@@ -2,11 +2,9 @@ package engine
 
 import (
 	"crypto/tls"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -48,57 +46,6 @@ func testTLSPair(t *testing.T) (server, client *tls.Config) {
 	return server, client
 }
 
-// startServeTLS runs a TLS worker listener serving the test binary's
-// registered tasks, returning its dial address.
-func startServeTLS(t *testing.T, srvCfg *tls.Config) string {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); Serve(lis, WithServeTLS(srvCfg)) }()
-	t.Cleanup(func() { lis.Close(); <-done })
-	return lis.Addr().String()
-}
-
-// startTLSCluster mirrors startCluster with TLS on the coordinator listener
-// and every joining worker's dial.
-func startTLSCluster(t *testing.T, workers int, srvCfg, cliCfg *tls.Config, opts ...RemoteOption) *Cluster {
-	t.Helper()
-	c, err := NewCluster("127.0.0.1:0",
-		append([]RemoteOption{WithJoinWait(10 * time.Second), WithTLS(srvCfg)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := JoinAndServe(c.Addr(), WithJoinStop(stop),
-				WithJoinRetryWait(10*time.Millisecond), WithJoinTLS(cliCfg))
-			if err != nil {
-				t.Errorf("worker join: %v", err)
-			}
-		}()
-	}
-	t.Cleanup(func() {
-		close(stop)
-		c.Close()
-		wg.Wait()
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for c.reg.Len() < workers && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if c.reg.Len() < workers {
-		t.Fatalf("only %d of %d workers joined", c.reg.Len(), workers)
-	}
-	return c
-}
-
 // TestServerTLSConfigValidation: cert and key must come together, and the
 // pair must actually load.
 func TestServerTLSConfigValidation(t *testing.T) {
@@ -132,49 +79,8 @@ func TestClientTLSConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTLSSocketRoundTrip: a full batch over a TLS socket worker matches the
-// in-process backend byte for byte (the frame bytes are unchanged — TLS sits
-// under the JSON framing).
-func TestTLSSocketRoundTrip(t *testing.T) {
-	srvCfg, cliCfg := testTLSPair(t)
-	addr := startServeTLS(t, srvCfg)
-	params := []byte(`{"mul":31,"label":"tls"}`)
-	want, _, err := NewInProcess().RunTask("conformance/draw", params, 11, Seed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := NewSocketWith([]string{addr}, WithTLS(cliCfg)).
-		RunTask("conformance/draw", params, 11, Seed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Jobs != 11 {
-		t.Fatalf("stats %+v", stats)
-	}
-	for job := range want {
-		if string(want[job]) != string(got[job]) {
-			t.Fatalf("job %d: %s (plain) vs %s (tls)", job, want[job], got[job])
-		}
-	}
-}
-
-// TestTLSBadCA: a dialer verifying against the WRONG root must fail the
-// handshake at dial time, naming the address and the likely cause.
-func TestTLSBadCA(t *testing.T) {
-	srvCfg, _ := testTLSPair(t)
-	_, wrongCA := testTLSPair(t) // a different self-signed root
-	addr := startServeTLS(t, srvCfg)
-	_, _, err := NewSocketWith([]string{addr}, WithTLS(wrongCA)).
-		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
-	if err == nil {
-		t.Fatal("wrong CA verified")
-	}
-	if !strings.Contains(err.Error(), "TLS handshake with") {
-		t.Fatalf("error %q does not name the TLS handshake", err)
-	}
-}
-
-// TestTLSExpiredCert: a certificate past its notAfter fails verification.
+// TestTLSExpiredCert: a coordinator certificate past its notAfter fails a
+// joining worker's verification at dial time.
 func TestTLSExpiredCert(t *testing.T) {
 	now := time.Now()
 	certFile, keyFile := writeTestCert(t, []string{"127.0.0.1"},
@@ -187,9 +93,13 @@ func TestTLSExpiredCert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := startServeTLS(t, srvCfg)
-	_, _, err = NewSocketWith([]string{addr}, WithTLS(cliCfg)).
-		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
+	c, err := NewCluster("127.0.0.1:0", WithTLS(srvCfg), WithJoinWait(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	err = JoinAndServe(c.Addr(), WithJoinTLS(cliCfg), WithJoinRetryWait(time.Millisecond),
+		WithJoinAttempts(2))
 	if err == nil {
 		t.Fatal("expired certificate verified")
 	}
@@ -202,44 +112,51 @@ func TestTLSExpiredCert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewSocketWith([]string{addr}, WithTLS(skip)).
-		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1)); err != nil {
-		t.Fatalf("skip-verify dial failed: %v", err)
+	joinWorker(t, c.Addr(), WithJoinTLS(skip))
+	if _, _, err := c.RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1)); err != nil {
+		t.Fatalf("skip-verify join failed: %v", err)
 	}
 }
 
-// TestPlainDialsTLS: a plain coordinator dialing a TLS worker dies on the
+// TestPlainDialsTLS: a plain worker joining a TLS coordinator dies on the
 // first exchange with a hint that the two ends disagree about TLS.
 func TestPlainDialsTLS(t *testing.T) {
 	srvCfg, _ := testTLSPair(t)
-	addr := startServeTLS(t, srvCfg)
-	_, _, err := NewSocketWith([]string{addr}).RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
+	c, err := NewCluster("127.0.0.1:0", WithTLS(srvCfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	err = JoinAndServe(c.Addr(), WithJoinRetryWait(time.Millisecond), WithJoinAttempts(2))
 	if err == nil {
-		t.Fatal("plain dial of a TLS listener succeeded")
+		t.Fatal("plain join of a TLS coordinator succeeded")
 	}
 	if !strings.Contains(err.Error(), "TLS-expecting") {
 		t.Fatalf("error %q lacks the TLS-skew hint", err)
 	}
 }
 
-// TestTLSDialsPlain: the reverse skew — a TLS dialer hitting a plain
-// listener — fails the handshake at dial time.
+// TestTLSDialsPlain: the reverse skew — a TLS worker joining a plain
+// coordinator — fails the handshake at dial time.
 func TestTLSDialsPlain(t *testing.T) {
 	_, cliCfg := testTLSPair(t)
-	addr := startServe(t, "tcp", "127.0.0.1:0")
-	_, _, err := NewSocketWith([]string{addr}, WithTLS(cliCfg)).
-		RunTask("conformance/draw", []byte(`{"mul":1}`), 3, Seed(1))
+	c, err := NewCluster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	err = JoinAndServe(c.Addr(), WithJoinTLS(cliCfg), WithJoinRetryWait(time.Millisecond),
+		WithJoinAttempts(2))
 	if err == nil {
-		t.Fatal("TLS dial of a plain listener succeeded")
+		t.Fatal("TLS join of a plain coordinator succeeded")
 	}
 	if !strings.Contains(err.Error(), "TLS handshake with") {
 		t.Fatalf("error %q does not name the TLS handshake", err)
 	}
 }
 
-// TestTLSClusterJoinBadCA: the cluster join path surfaces handshake failures
-// the same way (and the register handshake hint mentions TLS when a plain
-// worker dials a TLS coordinator).
+// TestTLSClusterJoinBadCA: a worker verifying against the WRONG root fails
+// the handshake at dial time, naming the address and the likely cause.
 func TestTLSClusterJoinBadCA(t *testing.T) {
 	srvCfg, _ := testTLSPair(t)
 	_, wrongCA := testTLSPair(t)

@@ -19,7 +19,7 @@ const WorkerEnv = "CHANALLOC_ENGINE_WORKER"
 // JSON object on one line (the newline-delimited JSON idiom of
 // internal/dist); unknown fields are ignored so the protocol can grow.
 const (
-	wireHello     = "hello"     // both directions: version/task handshake (socket transport)
+	wireHello     = "hello"     // coordinator -> worker: the reply to a register
 	wireJob       = "job"       // coordinator -> worker: one task job to run
 	wireResult    = "result"    // worker -> coordinator: the job's value or error
 	wireRegister  = "register"  // worker -> coordinator: cluster membership registration
@@ -37,9 +37,9 @@ type wireMsg struct {
 	Type string `json:"type"`
 	// job and result
 	Job int `json:"job"`
-	// job (Task doubles as the required-task announcement of a hello).
-	// Params rides only on the first job frame of a batch on a connection
-	// (protocol v2); an absent Params means "reuse the cached params".
+	// job. Params rides only on the first job frame of a batch on a
+	// connection (protocol v2); an absent Params means "reuse the cached
+	// params".
 	Task   string          `json:"task,omitempty"`
 	Params json.RawMessage `json:"params,omitempty"`
 	Seed   uint64          `json:"seed"`
@@ -49,8 +49,8 @@ type wireMsg struct {
 	// hello and register
 	Version int      `json:"version,omitempty"`
 	Tasks   []string `json:"tasks,omitempty"`
-	// hello and register: shared-secret auth. Purely additive: both ends
-	// default to no token, and a mismatch is a loud handshake rejection.
+	// register: shared-secret auth. Purely additive: both ends default to
+	// no token, and a mismatch is a loud handshake rejection.
 	Token string `json:"token,omitempty"`
 	// hello reply to a register: the heartbeat cadence the coordinator
 	// expects, in milliseconds (0 leaves the worker's default in place).
@@ -83,13 +83,7 @@ func RunWorkerIfRequested() {
 // failures — the worker keeps serving, which is what lets a batch run every
 // job even when some fail, exactly like the in-process pool.
 func ServeWorker(r io.Reader, w io.Writer) error {
-	return serveWorker(json.NewDecoder(r), json.NewEncoder(w))
-}
-
-// serveWorker is ServeWorker with the framing already built — the socket
-// listener hands in the handshake's decoder so bytes it buffered ahead are
-// not lost.
-func serveWorker(dec *json.Decoder, enc *json.Encoder) error {
+	dec, enc := json.NewDecoder(r), json.NewEncoder(w)
 	var session workerSession
 	for {
 		var m wireMsg

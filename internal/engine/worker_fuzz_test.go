@@ -37,6 +37,12 @@ func FuzzServeWorker(f *testing.F) {
 {"type":"hello","version":2}`,
 		// a truncated frame
 		`{"type":"job","job":0,"task":"conformance/draw","params":{"mul":`,
+		// a hello carrying a task and a token, and a job stream that a
+		// stray hello reply interrupts
+		`{"type":"hello","job":0,"task":"conformance/draw","seed":0,"version":2,"token":"s3cret"}`,
+		`{"type":"job","job":0,"task":"conformance/draw","params":{"mul":3},"seed":1}
+{"type":"hello","job":0,"seed":0,"version":2,"tasks":["a","b"]}
+{"type":"job","job":1,"task":"conformance/draw","seed":2}`,
 	} {
 		f.Add([]byte(seed))
 	}

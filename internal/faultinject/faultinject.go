@@ -1,5 +1,5 @@
-// Package faultinject is a seeded adversary for the engine's socket
-// transports: an Injector wraps net.Listener / net.Conn and, on a schedule
+// Package faultinject is a seeded adversary for the engine's network
+// transport: an Injector wraps net.Listener / net.Conn and, on a schedule
 // drawn from its own PRNG, drops fresh connections at accept, delays
 // individual reads and writes, or severs live connections mid-frame. The
 // discipline mirrors the adversarial-channel literature the repository
