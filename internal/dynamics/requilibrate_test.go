@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/multiradio/chanalloc/internal/core"
@@ -179,5 +180,66 @@ func TestRequilibrateWarmSkipsSomething(t *testing.T) {
 	}
 	if res.WarmSkipped != 0 {
 		t.Fatalf("load-decreasing churn carried %d verdicts over, want 0", res.WarmSkipped)
+	}
+}
+
+// TestRequilibrateCatchesCorruptRow pins the legality check at the top of
+// Requilibrate: a row pushed over its budget behind the live game's back,
+// through the allocation that LiveGame.Alloc documents as read-only, is
+// refused by the next re-equilibration even when the row is no churn
+// suspect and the churn in between never touched it. Each corruption is
+// followed by a join, a budget change of another user, a departure of
+// another user, or no churn at all.
+func TestRequilibrateCatchesCorruptRow(t *testing.T) {
+	corruptions := []struct {
+		name    string
+		corrupt func(a *core.Alloc) error
+	}{
+		// Row 0 belongs to user 1, budget 1, one radio deployed.
+		{"SetRow", func(a *core.Alloc) error { return a.SetRow(0, []int{1, 1, 0, 0}) }},
+		{"Add", func(a *core.Alloc) error {
+			c := 0
+			for a.Radios(0, c) > 0 {
+				c++
+			}
+			return a.Add(0, c, 1)
+		}},
+	}
+	churns := []struct {
+		name  string
+		churn func(lg *core.LiveGame) error
+	}{
+		{"none", func(*core.LiveGame) error { return nil }},
+		{"join", func(lg *core.LiveGame) error { _, err := lg.Join(2); return err }},
+		{"budget", func(lg *core.LiveGame) error { return lg.SetBudget(2, 3) }},
+		{"leave", func(lg *core.LiveGame) error { return lg.Leave(3) }},
+	}
+	for _, cr := range corruptions {
+		for _, ch := range churns {
+			t.Run(cr.name+"/"+ch.name, func(t *testing.T) {
+				lg, err := core.NewLiveGame(4, ratefn.NewTDMA(54))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 2, 1, 3} {
+					if _, err := lg.Join(k); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := Requilibrate(lg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := cr.corrupt(lg.Alloc()); err != nil {
+					t.Fatal(err)
+				}
+				if err := ch.churn(lg); err != nil {
+					t.Fatal(err)
+				}
+				_, err = Requilibrate(lg)
+				if err == nil || !strings.Contains(err.Error(), "dynamics: live allocation invalid") {
+					t.Fatalf("requilibrate after a corrupt row = %v, want a live allocation invalid error", err)
+				}
+			})
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 	"github.com/multiradio/chanalloc/internal/workload"
 )
@@ -248,4 +249,48 @@ func TestBudgetEventAllocationPerUser(t *testing.T) {
 		t.Fatalf("%.0f bytes allocated per event at N=%d, want under %d (4 per user)", perEvent, users, 4*users)
 	}
 	t.Logf("%.0f bytes allocated per event at N=%d (%.2f per user)", perEvent, users, perEvent/users)
+}
+
+// TestApplyRefusesCorruptRow: a row pushed over its budget through the
+// live allocation, which LiveGame.Alloc documents as read-only, makes the
+// next event of any kind answer with an error frame naming the invalid
+// allocation, although the row is no churn suspect of that event.
+func TestApplyRefusesCorruptRow(t *testing.T) {
+	corruptions := []struct {
+		name    string
+		corrupt func(a *core.Alloc) error
+	}{
+		// Row 0 belongs to user 1, budget 1, one radio deployed.
+		{"SetRow", func(a *core.Alloc) error { return a.SetRow(0, []int{1, 1, 0, 0}) }},
+		{"Add", func(a *core.Alloc) error {
+			c := 0
+			for a.Radios(0, c) > 0 {
+				c++
+			}
+			return a.Add(0, c, 1)
+		}},
+	}
+	for _, cr := range corruptions {
+		for _, req := range []Request{
+			{Op: "join", Budget: 2},
+			{Op: "budget", ID: 2, Budget: 3},
+			{Op: "leave", ID: 3},
+		} {
+			t.Run(cr.name+"/"+req.Op, func(t *testing.T) {
+				s := newTestServer(t, 1)
+				for _, k := range []int{1, 2, 1, 3} {
+					if resp := s.Apply(Request{Op: "join", Budget: k}); resp.Type != "update" || !resp.Update.Verified {
+						t.Fatalf("join(%d) -> %+v", k, resp)
+					}
+				}
+				if err := cr.corrupt(s.Game().Alloc()); err != nil {
+					t.Fatal(err)
+				}
+				resp := s.Apply(req)
+				if resp.Type != "error" || !strings.Contains(resp.Error, "dynamics: live allocation invalid") {
+					t.Fatalf("%+v after a corrupt row -> %+v, want an error frame naming the invalid allocation", req, resp)
+				}
+			})
+		}
+	}
 }
