@@ -48,7 +48,8 @@ type Alloc struct {
 	// gen counts the mutations of m and load. SetRow, Add (and so Move),
 	// AppendRow and RemoveRowSwap, their only writers, bump it, so a
 	// (pointer, gen) pair names one state of the allocation: the key of
-	// the workspace's channel summary (see Workspace.summary).
+	// the workspace's channel summary (see Workspace.summary) and of
+	// LiveGame's legality stamp (see LiveGame.CheckAlloc).
 	gen uint64
 }
 

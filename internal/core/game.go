@@ -138,6 +138,8 @@ func (g *Game) NewEmptyAlloc() *Alloc {
 // CheckAlloc verifies that a is a legal strategy matrix for this game:
 // matching dimensions and every user within its radio budget. A legal
 // allocation loads no channel beyond Σk_i, the domain of the rate view.
+// It scans every row; LiveGame.CheckAlloc runs it only when a write it
+// did not check has reached the live allocation since the last pass.
 func (g *Game) CheckAlloc(a *Alloc) error {
 	if a == nil {
 		return fmt.Errorf("core: nil allocation")
@@ -159,6 +161,26 @@ func (g *Game) CheckAlloc(a *Alloc) error {
 		if total > k || bits > k {
 			return fmt.Errorf("core: user %d deploys more than its budget of %d radios", i, k)
 		}
+	}
+	return nil
+}
+
+// CheckRow verifies that row is a legal strategy vector for user i: one
+// entry per channel, deploying at most the user's budget. It is
+// CheckAlloc's test of one row, in O(|C|), for writers that vouch for the
+// rows they set (LiveGame's mutators and the best-response sweep).
+func (g *Game) CheckRow(i int, row []int) error {
+	if len(row) != g.channels {
+		return fmt.Errorf("core: row for user %d has %d channels, want %d", i, len(row), g.channels)
+	}
+	k := g.budgets[i]
+	total, bits := 0, 0
+	for _, v := range row {
+		total += v
+		bits |= v
+	}
+	if total > k || bits > k {
+		return fmt.Errorf("core: user %d deploys more than its budget of %d radios", i, k)
 	}
 	return nil
 }

@@ -52,6 +52,16 @@ type Churn struct {
 //     the domain; every rebuild samples the same pure rate function, so
 //     table values are bit-identical across rebuilds and the domain size
 //     never shows in results.
+//   - Legality stamp: legalAt is the allocation generation (Alloc.gen)
+//     at which every row was last known to be within its user's budget.
+//     Join and SetBudget check the one row they write in O(|C|), Leave
+//     moves the last row into the hole together with its budget, and
+//     dynamics.Requilibrate vouches for its sweep's rows (see
+//     ExtendLegal); each moves the stamp to the new generation, but only
+//     from a stamp that was current before its write. Any other write,
+//     such as one through the read-only Alloc, bumps the generation
+//     without the stamp, so CheckAlloc is O(1) after vouched writes and
+//     the full Game.CheckAlloc scan after anything else.
 //
 // A LiveGame is not safe for concurrent use; the live server serialises
 // events (mutations per event are O(|C|) plus re-equilibration).
@@ -64,6 +74,7 @@ type LiveGame struct {
 
 	alloc   *Alloc   // dense allocation; nil while the game is empty
 	classes *Classes // (budget, row) class of every dense row
+	legalAt uint64   // alloc.gen at which every row was last known legal
 
 	pending Churn
 	quiet   bool // allocation known quiet (equilibrated) before pending churn
@@ -99,8 +110,55 @@ func (lg *LiveGame) Rate() ratefn.Func { return lg.g.rate }
 
 // Alloc returns the LIVE dense allocation (nil while empty). It is the
 // state dynamics.Requilibrate evolves in place; other callers must treat
-// it as read-only.
+// it as read-only. A write through it anyway leaves the legality stamp
+// behind, so the next CheckAlloc scans every row.
 func (lg *LiveGame) Alloc() *Alloc { return lg.alloc }
+
+// CheckAlloc verifies that every row of the live allocation deploys at
+// most its user's budget, the test of Game.CheckAlloc, and returns the
+// allocation generation it vouches for. While the legality stamp is at
+// the allocation's generation, every write since the last full pass was
+// one this game or ExtendLegal's caller checked, and it costs O(1);
+// otherwise it runs the full Game.CheckAlloc and, on success, moves the
+// stamp to the current generation. The empty game is trivially legal.
+func (lg *LiveGame) CheckAlloc() (uint64, error) {
+	a := lg.alloc
+	if a == nil {
+		return 0, nil
+	}
+	if lg.legalAt != a.gen {
+		if err := lg.g.CheckAlloc(a); err != nil {
+			return 0, err
+		}
+		lg.legalAt = a.gen
+	}
+	return a.gen, nil
+}
+
+// ExtendLegal moves the legality stamp from generation from to the
+// allocation's current one: the caller asserts that every write to the
+// live allocation since from set a row that passed Game.CheckRow for its
+// user. dynamics.Requilibrate calls it after a successful sweep, with the
+// generation CheckAlloc returned before it. A stamp that is no longer at
+// from stays where it is.
+func (lg *LiveGame) ExtendLegal(from uint64) {
+	if lg.alloc != nil && lg.legalAt == from {
+		lg.legalAt = lg.alloc.gen
+	}
+}
+
+// legal reports whether the legality stamp is current: every row was
+// known to be within its budget at the last write. The empty game is.
+func (lg *LiveGame) legal() bool { return lg.alloc == nil || lg.legalAt == lg.alloc.gen }
+
+// vouchRow moves the stamp to the current generation when it was current
+// before the caller's write (wasLegal) and the one row the write set
+// passes Game.CheckRow.
+func (lg *LiveGame) vouchRow(wasLegal bool, row int) {
+	if wasLegal && lg.g.CheckRow(row, lg.alloc.m[row]) == nil {
+		lg.legalAt = lg.alloc.gen
+	}
+}
 
 // Classes returns the LIVE (budget, row) class index of the dense rows.
 // dynamics.Requilibrate re-interns every row it moves; other callers must
@@ -172,6 +230,7 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 	if budget > lg.g.channels {
 		return 0, fmt.Errorf("core: join budget %d exceeds %d channels", budget, lg.g.channels)
 	}
+	wasLegal := lg.legal()
 	var row int
 	if lg.alloc == nil {
 		a, err := NewAlloc(1, lg.g.channels)
@@ -192,13 +251,14 @@ func (lg *LiveGame) Join(budget int) (UserID, error) {
 	lg.ensureView(budget)
 
 	placer := Placer{Tie: TieFirst}
-	seeded, err := placer.Place(lg.alloc.Loads(), budget)
+	seeded, err := placer.Place(lg.alloc.load, budget)
 	if err != nil {
 		return 0, fmt.Errorf("core: seeding joiner %d: %w", id, err)
 	}
 	if err := lg.alloc.SetRow(row, seeded); err != nil {
 		return 0, fmt.Errorf("core: seeding joiner %d: %w", id, err)
 	}
+	lg.vouchRow(wasLegal, row)
 	lg.classes.Append(budget, seeded)
 	for c, v := range seeded {
 		if v > 0 {
@@ -219,6 +279,7 @@ func (lg *LiveGame) Leave(id UserID) error {
 	if !ok {
 		return fmt.Errorf("core: leave: unknown user %d", id)
 	}
+	wasLegal := lg.legal()
 	for c := 0; c < lg.g.channels; c++ {
 		if lg.alloc.Radios(row, c) > 0 {
 			lg.pending.Dirty[c] = true
@@ -227,6 +288,11 @@ func (lg *LiveGame) Leave(id UserID) error {
 	}
 	if err := lg.alloc.RemoveRowSwap(row); err != nil {
 		return fmt.Errorf("core: leave user %d: %w", id, err)
+	}
+	if wasLegal {
+		// The last row moved into the hole with its budget: every
+		// remaining (row, budget) pair is one that was legal.
+		lg.legalAt = lg.alloc.gen
 	}
 	lg.classes.RemoveSwap(row)
 	g := lg.g
@@ -269,6 +335,7 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 	if k == old {
 		return nil
 	}
+	wasLegal := lg.legal()
 	g.budgets[row] = k
 	g.total += k - old
 	lg.ensureView(k)
@@ -311,6 +378,7 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 		lg.pending.Dirty[worst] = true
 		lg.pending.Decreased = true
 	}
+	lg.vouchRow(wasLegal, row)
 	lg.classes.Set(row, k, a.m[row])
 	lg.pending.Suspects[id] = true
 	return nil
@@ -322,6 +390,8 @@ func (lg *LiveGame) SetBudget(id UserID, k int) error {
 //   - every channel's load equals the column sum of the allocation (the
 //     class index's premise: equal rows face equal external loads);
 //   - every row is non-negative and deploys at most its user's budget;
+//   - a current legality stamp vouches for an allocation that a fresh
+//     Game.CheckAlloc accepts;
 //   - stable ids and dense rows map one to one;
 //   - the class index matches a fresh exact grouping of the rows: each
 //     user's class stores its budget and row, users share a class iff
@@ -359,6 +429,11 @@ func (lg *LiveGame) Check() error {
 	if a.Users() != n || a.Channels() != g.channels {
 		return fmt.Errorf("core: allocation is %dx%d, game has %d users on %d channels",
 			a.Users(), a.Channels(), n, g.channels)
+	}
+	if lg.legalAt == a.gen {
+		if err := g.CheckAlloc(a); err != nil {
+			return fmt.Errorf("core: legality stamp at generation %d vouches for an illegal allocation: %w", a.gen, err)
+		}
 	}
 	total, maxBudget := 0, 0
 	for i, k := range g.budgets {

@@ -187,6 +187,143 @@ func TestLiveGameJoinLeaveBudget(t *testing.T) {
 	checkConsistent(t, lg)
 }
 
+// TestLiveGameLegalStamp pins which writes advance the legality stamp:
+// Join, SetBudget and Leave move it to the new generation from a current
+// stamp, a write through the read-only Alloc leaves it behind, and from a
+// stale stamp no mutator moves it, so CheckAlloc runs the full scan and
+// refuses a corrupt row however much churn followed it.
+func TestLiveGameLegalStamp(t *testing.T) {
+	lg := mustLive(t, 4)
+	current := func(step string) {
+		t.Helper()
+		if lg.alloc != nil && lg.legalAt != lg.alloc.gen {
+			t.Fatalf("%s: stamp %d behind generation %d", step, lg.legalAt, lg.alloc.gen)
+		}
+		checkConsistent(t, lg)
+	}
+	id1, err := lg.Join(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current("first join")
+	id2, err := lg.Join(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current("join")
+	if err := lg.SetBudget(id2, 4); err != nil {
+		t.Fatal(err)
+	}
+	current("budget grow")
+	if err := lg.SetBudget(id2, 2); err != nil {
+		t.Fatal(err)
+	}
+	current("budget shrink")
+	id3, err := lg.Join(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Leave(id1); err != nil {
+		t.Fatal(err)
+	}
+	current("leave")
+
+	// A legal write behind the game's back: the full scan re-stamps.
+	a := lg.Alloc()
+	row, _ := lg.RowOf(id3)
+	moved := slices.Clone(a.m[row])
+	slices.Reverse(moved)
+	if err := a.SetRow(row, moved); err != nil {
+		t.Fatal(err)
+	}
+	if lg.legal() {
+		t.Fatal("stamp current after a write through Alloc")
+	}
+	gen, err := lg.CheckAlloc()
+	if err != nil || gen != a.gen || !lg.legal() {
+		t.Fatalf("CheckAlloc after a legal write = %d, %v (generation %d, stamp %d)", gen, err, a.gen, lg.legalAt)
+	}
+
+	// ExtendLegal moves only a stamp that is still at from.
+	stale := gen
+	if err := a.Add(row, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	lg.ExtendLegal(stale - 1)
+	if lg.legal() {
+		t.Fatal("ExtendLegal moved a stamp that was not at from")
+	}
+	lg.ExtendLegal(stale)
+	if !lg.legal() {
+		t.Fatal("ExtendLegal left a stamp that was at from")
+	}
+
+	// An over-budget row, then churn by every mutator: still refused.
+	c := 0
+	for a.Radios(row, c) > 0 {
+		c++
+	}
+	if err := a.Add(row, c, 1); err != nil {
+		t.Fatal(err)
+	}
+	id4, err := lg.Join(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.SetBudget(id4, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Leave(id4); err != nil {
+		t.Fatal(err)
+	}
+	if lg.legal() {
+		t.Fatal("a mutator moved a stale stamp")
+	}
+	if _, err := lg.CheckAlloc(); err == nil {
+		t.Fatal("CheckAlloc accepted an over-budget row after churn")
+	}
+	if lg.legal() {
+		t.Fatal("stamp current over an over-budget row")
+	}
+
+	// Emptying the game and joining again starts a fresh, vouched stamp.
+	for lg.Users() > 0 {
+		if err := lg.Leave(lg.ids[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := lg.CheckAlloc(); err != nil {
+		t.Fatalf("CheckAlloc on the empty game: %v", err)
+	}
+	if _, err := lg.Join(2); err != nil {
+		t.Fatal(err)
+	}
+	current("join after empty")
+}
+
+// TestGameCheckRow: CheckRow refuses what CheckAlloc refuses in one row,
+// a row of the wrong length too, and accepts a row within budget.
+func TestGameCheckRow(t *testing.T) {
+	g := mustHetero(t, 3, []int{1, 2}, ratefn.NewTDMA(54))
+	for _, tc := range []struct {
+		user int
+		row  []int
+		ok   bool
+	}{
+		{0, []int{1, 0, 0}, true},
+		{0, []int{0, 0, 0}, true},
+		{1, []int{1, 0, 1}, true},
+		{0, []int{1, 1, 0}, false},
+		{1, []int{0, 3, 0}, false},
+		{1, []int{math.MaxInt, math.MaxInt, 2}, false}, // cells wrap the sum to 0
+		{1, []int{1, 1}, false},
+	} {
+		if err := g.CheckRow(tc.user, tc.row); (err == nil) != tc.ok {
+			t.Errorf("CheckRow(%d, %v) = %v, want ok %v", tc.user, tc.row, err, tc.ok)
+		}
+	}
+}
+
 func TestLiveGameChurnRecord(t *testing.T) {
 	lg := mustLive(t, 3)
 	id1, _ := lg.Join(2) // seeds channels 0,1

@@ -129,7 +129,9 @@ func RunBestResponse(g *core.Game, start *core.Alloc, opts ...Option) (Result, e
 // bestResponseSweep is the shared best-response loop behind
 // RunBestResponse and Requilibrate. It evolves a IN PLACE (callers clone
 // when the input must survive) and returns it as Result.Final; cls is a's
-// (budget, row) class index, re-interned after every move.
+// (budget, row) class index, re-interned after every move. Every row it
+// applies first passes Game.CheckRow against the mover's budget, so a
+// legal start stays legal (Requilibrate's legality stamp relies on it).
 //
 // preQuiet warm-starts the quiet cache: preQuiet[i] true asserts user i
 // provably has no improving deviation at the INITIAL allocation (move
@@ -192,6 +194,9 @@ func bestResponseSweep(g *core.Game, a *core.Alloc, cls *core.Classes, cfg confi
 				return Result{}, fmt.Errorf("dynamics: best response for user %d: %w", i, err)
 			}
 			if improves {
+				if err := g.CheckRow(i, row); err != nil {
+					return Result{}, fmt.Errorf("dynamics: best response for user %d: %w", i, err)
+				}
 				if err := a.SetRow(i, row); err != nil {
 					return Result{}, fmt.Errorf("dynamics: applying row for user %d: %w", i, err)
 				}

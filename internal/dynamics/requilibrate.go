@@ -36,6 +36,16 @@ type ReqResult struct {
 // Because carried verdicts only skip DPs for provable non-movers, the move
 // sequence, rounds and terminal allocation are bit-identical to a cold
 // RunBestResponse from the same start; only Result.DPCalls shrinks.
+//
+// Like RunBestResponse, it refuses an allocation in which some user
+// deploys more than its budget, but it does not rescan all N rows per
+// event to find one: LiveGame.CheckAlloc keeps a legality stamp that the
+// live game's own mutators advance over the rows they write, and the scan
+// runs only when some other write (one through the read-only
+// LiveGame.Alloc, say) reached the allocation since the last pass. The
+// sweep checks every row it applies against the mover's budget, so a
+// successful sweep that started from a vouched allocation extends the
+// stamp over its own moves.
 func Requilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 	if lg == nil {
 		return ReqResult{}, fmt.Errorf("dynamics: nil live game")
@@ -51,17 +61,17 @@ func Requilibrate(lg *core.LiveGame, opts ...Option) (ReqResult, error) {
 		lg.MarkEquilibrated(true)
 		return ReqResult{Result: Result{Converged: true}}, nil
 	}
-	g := lg.Frozen()
-	a := lg.Alloc()
-	if err := g.CheckAlloc(a); err != nil {
+	legalAt, err := lg.CheckAlloc()
+	if err != nil {
 		return ReqResult{}, fmt.Errorf("dynamics: live allocation invalid: %w", err)
 	}
 
 	preQuiet, skipped := warmQuiet(lg, wasQuiet, churn)
-	res, err := bestResponseSweep(g, a, lg.Classes(), cfg, preQuiet)
+	res, err := bestResponseSweep(lg.Frozen(), lg.Alloc(), lg.Classes(), cfg, preQuiet)
 	if err != nil {
 		return ReqResult{}, err
 	}
+	lg.ExtendLegal(legalAt)
 	lg.MarkEquilibrated(res.Converged)
 	mRequilibrates.Inc()
 	mWarmSkips.Add(uint64(skipped))

@@ -291,7 +291,6 @@ func (s *Server) Apply(req Request) Response {
 		Op:          req.Op,
 		ID:          int64(id),
 		Users:       s.lg.Users(),
-		Loads:       make([]int, s.cfg.Channels),
 		Rounds:      res.Rounds,
 		Moves:       res.Moves,
 		DPCalls:     res.DPCalls,
@@ -299,14 +298,16 @@ func (s *Server) Apply(req Request) Response {
 		Converged:   res.Converged,
 	}
 	if a := s.lg.Alloc(); a != nil {
-		copy(u.Loads, a.Loads())
+		u.Loads = a.Loads()
 		u.Radios = a.TotalRadios()
 		u.Welfare = s.lg.Frozen().Welfare(a)
 		if s.cfg.Verify {
 			u.Verified = s.verifyNE()
 		}
-	} else if s.cfg.Verify {
-		u.Verified = true // the empty allocation is trivially an equilibrium
+	} else {
+		u.Loads = make([]int, s.cfg.Channels)
+		// The empty allocation is trivially an equilibrium.
+		u.Verified = s.cfg.Verify
 	}
 	mEventLat.Observe(int64(time.Since(start)))
 	return Response{Type: "update", Update: u}
