@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"net"
@@ -13,6 +12,7 @@ import (
 
 	"github.com/multiradio/chanalloc"
 	"github.com/multiradio/chanalloc/internal/live"
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 const goldenSpec = "4,6,200,7"
@@ -95,18 +95,19 @@ func TestLoopbackServe(t *testing.T) {
 		writeErr <- err
 	}()
 
+	// Read as the server reads: the shared frame reader at live's bound.
 	var transcript bytes.Buffer
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		transcript.Write(sc.Bytes())
+	rd := ndjson.NewReader(conn, live.MaxFrameBytes)
+	for {
+		line, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		transcript.Write(line)
 		transcript.WriteByte('\n')
-		if bytes.Equal(sc.Bytes(), []byte(`{"type":"bye"}`)) {
+		if bytes.Equal(line, []byte(`{"type":"bye"}`)) {
 			break
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	if err := <-writeErr; err != nil {
 		t.Fatal(err)

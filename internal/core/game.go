@@ -148,18 +148,9 @@ func (g *Game) CheckAlloc(a *Alloc) error {
 		return fmt.Errorf("core: allocation is %dx%d, game is %dx%d",
 			a.Users(), a.Channels(), g.Users(), g.channels)
 	}
-	for i, k := range g.budgets {
-		// Cells are non-negative, so their OR is at least every cell and
-		// at most their sum: a row within budget passes, and a row with a
-		// cell above k fails even when its sum wraps. With every cell at
-		// most k <= |C|, the sum is at most |C|² and cannot wrap.
-		total, bits := 0, 0
-		for _, v := range a.m[i] {
-			total += v
-			bits |= v
-		}
-		if total > k || bits > k {
-			return fmt.Errorf("core: user %d deploys more than its budget of %d radios", i, k)
+	for i, row := range a.m {
+		if err := g.CheckRow(i, row); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -167,12 +158,17 @@ func (g *Game) CheckAlloc(a *Alloc) error {
 
 // CheckRow verifies that row is a legal strategy vector for user i: one
 // entry per channel, deploying at most the user's budget. It is
-// CheckAlloc's test of one row, in O(|C|), for writers that vouch for the
-// rows they set (LiveGame's mutators and the best-response sweep).
+// CheckAlloc's test of one row, in O(|C|), which writers that vouch for
+// the rows they set (LiveGame's mutators and the best-response sweep) call
+// on its own.
 func (g *Game) CheckRow(i int, row []int) error {
 	if len(row) != g.channels {
 		return fmt.Errorf("core: row for user %d has %d channels, want %d", i, len(row), g.channels)
 	}
+	// Cells are non-negative, so their OR is at least every cell and at
+	// most their sum: a row within budget passes, and a row with a cell
+	// above k fails even when its sum wraps. With every cell at most
+	// k <= |C|, the sum is at most |C|² and cannot wrap.
 	k := g.budgets[i]
 	total, bits := 0, 0
 	for _, v := range row {

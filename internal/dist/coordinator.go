@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/multiradio/chanalloc/internal/core"
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 // Stats summarises a protocol run.
@@ -71,6 +72,10 @@ func (co *Coordinator) Run(conns []net.Conn) (*core.Alloc, Stats, error) {
 	var stats Stats
 	if len(conns) != co.g.Users() {
 		return nil, stats, fmt.Errorf("dist: %d connections for %d users", len(conns), co.g.Users())
+	}
+	// The frame bound (maxFrameBytes) holds for games within MaxCells.
+	if err := workload.CheckCells(co.g.Users(), co.g.Channels()); err != nil {
+		return nil, stats, fmt.Errorf("dist: %w", err)
 	}
 	peers := make([]link, len(conns))
 	for i, conn := range conns {

@@ -18,9 +18,14 @@
 //
 // The wire protocol is newline-delimited JSON over any net.Conn, for
 // coordinator and agents on real sockets (Coordinator.Run, RunAgent,
-// examples/distributed). RunLocal keeps every agent in one process and
-// hands each its frames by direct call; the agent state machine, its frame
-// checks and the coordinator loop are the same code on both carriers.
+// examples/distributed): one frame per line, ended by exactly one
+// newline, read back with the shared line reader (internal/ndjson) that
+// allocd and the engine read with too, at this protocol's bound of 8 bytes
+// a cell of a game within workload.MaxCells. A frame split across lines,
+// two frames on one line, or a frame past the bound ends the run.
+// RunLocal keeps every agent in one process and hands each its frames by
+// direct call; the agent state machine, its frame checks and the
+// coordinator loop are the same code on both carriers.
 package dist
 
 import (

@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
+	"github.com/multiradio/chanalloc/internal/workload"
 )
 
 // Message kinds of the wire protocol. Every frame is one JSON object on one
-// line; unknown fields are ignored so the protocol can grow.
+// line, ended by exactly one newline, and read back with the shared line
+// reader (internal/ndjson) at maxFrameBytes; unknown fields are ignored so
+// the protocol can grow.
 const (
 	msgHello = "hello" // coordinator -> agent: game parameters + identity
 	msgToken = "token" // coordinator -> agent: external loads + current row
@@ -42,6 +47,14 @@ type message struct {
 	Moves     int     `json:"moves,omitempty"`
 }
 
+// maxFrameBytes bounds one frame of the protocol, newline excluded.
+// Coordinator.Run refuses a game past workload.MaxCells cells, and within
+// it every frame takes at most 5 bytes a cell: the done broadcast's matrix
+// and a token's loads and row are digits, commas and brackets, and each
+// row's radios sum to at most its channel count. At 8 bytes a cell the
+// bound leaves the rest for the frames' other fields.
+const maxFrameBytes = 8 * workload.MaxCells
+
 // link carries protocol frames between the coordinator and one agent. A
 // peer carries them as JSON over a connection; a localLink hands them to an
 // in-process agent by direct call.
@@ -54,7 +67,7 @@ type link interface {
 type peer struct {
 	conn    net.Conn
 	enc     *json.Encoder
-	dec     *json.Decoder
+	rd      *ndjson.Reader
 	timeout time.Duration
 }
 
@@ -62,7 +75,7 @@ func newPeer(conn net.Conn, timeout time.Duration) *peer {
 	return &peer{
 		conn:    conn,
 		enc:     json.NewEncoder(conn),
-		dec:     json.NewDecoder(conn),
+		rd:      ndjson.NewReader(conn, maxFrameBytes),
 		timeout: timeout,
 	}
 }
@@ -99,7 +112,7 @@ func (p *peer) read(awaiting string) (*message, error) {
 		}
 	}
 	var m message
-	if err := p.dec.Decode(&m); err != nil {
+	if err := p.rd.Decode(&m); err != nil {
 		return nil, fmt.Errorf("dist: awaiting %s: %w", awaiting, err)
 	}
 	return &m, nil

@@ -47,9 +47,9 @@ func (*InProcess) Name() string { return "inprocess" }
 
 // RunTask implements Backend over Map: the params blob is decoded once for
 // the whole batch and the task runs as ordinary pool jobs, each result
-// marshalled to JSON at the job boundary so the encoded bytes are what
-// every other backend must reproduce. A params decode failure fails every
-// job with the same error, exactly as on a remote worker connection.
+// marshalled to JSON at the job boundary (runJob) so the encoded bytes are
+// what every other backend must reproduce. A params decode failure fails
+// every job with the same error, exactly as on a remote worker connection.
 func (*InProcess) RunTask(task string, params json.RawMessage, n int, opts ...Option) ([]json.RawMessage, Stats, error) {
 	if err := checkBatch(task, params); err != nil {
 		return nil, Stats{}, err
@@ -60,15 +60,7 @@ func (*InProcess) RunTask(task string, params json.RawMessage, n int, opts ...Op
 		if bindErr != nil {
 			return nil, bindErr
 		}
-		out, err := run(job, rng)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := json.Marshal(out)
-		if err != nil {
-			return nil, fmt.Errorf("encoding result: %w", err)
-		}
-		return enc, nil
+		return runJob(run, job, rng)
 	}, opts...)
 }
 

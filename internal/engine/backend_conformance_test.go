@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,6 +81,21 @@ func init() {
 			acc = acc*p.Mul + rng.Uint64()
 		}
 		return confResult{Job: job, Acc: acc, Label: p.Label}, nil
+	})
+	// conformance/huge answers job 1 with a value, or with params
+	// {"error":true} an error text, too large for one result frame; the
+	// batch must surface job 1's error on every backend, worded
+	// identically, without losing a worker connection.
+	MustRegisterTask("conformance/huge", func(p struct{ Error bool }, job int, _ *des.RNG) (any, error) {
+		switch {
+		case job != 1:
+			return confResult{Job: job}, nil
+		case p.Error:
+			return nil, errors.New(strings.Repeat("e", (maxFrameBytes-frameOverhead)/6+1))
+		default:
+			// Quoted, the string is one byte past the room a value has.
+			return strings.Repeat("v", maxFrameBytes-frameOverhead-1), nil
+		}
 	})
 	// conformance/fail errors on every job with index ≡ 3 (mod 5); the
 	// batch must surface job 3's error on every backend, worded identically.
@@ -327,6 +344,50 @@ func TestBackendConformanceParamsErrors(t *testing.T) {
 					append(bc.opts, Seed(1))...)
 				if err == nil || err.Error() != tc.want || got != nil {
 					t.Fatalf("params %s: results %v, error %v; want nil results and %q", tc.params, got, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestBackendConformanceFrameBound pins the frame bound at the batch
+// boundary, identically on every backend: params that would not fit one
+// job frame fail the batch before dispatch, whether by their length or
+// once a json.Encoder escapes them, and a job whose value would not fit
+// one result frame fails with that as its error, while a job whose error
+// text would not fit fails with the text cut to fit. No worker connection
+// is lost over either.
+func TestBackendConformanceFrameBound(t *testing.T) {
+	const task = "conformance/draw"
+	room := maxFrameBytes - frameOverhead - 6*len(task)
+	long := make([]byte, room+1)
+	escaped := []byte(`"` + strings.Repeat("<", room/6+1) + `"`)
+	paramsErr := func(params []byte) string {
+		return fmt.Sprintf("engine: params of task %q (%d bytes) do not fit the %d-byte frame bound",
+			task, len(params), maxFrameBytes)
+	}
+	valueErr := fmt.Sprintf("engine: job 1: result of %d bytes does not fit the %d-byte frame bound",
+		maxFrameBytes-frameOverhead+1, maxFrameBytes)
+	textErr := "engine: job 1: " + strings.Repeat("e", (maxFrameBytes-frameOverhead)/6-len(cutMark)) + cutMark
+	for _, bc := range conformanceBackends(t) {
+		t.Run(bc.desc, func(t *testing.T) {
+			for _, params := range [][]byte{long, escaped} {
+				got, _, err := bc.backend.RunTask(task, params, 3, bc.opts...)
+				if err == nil || err.Error() != paramsErr(params) || got != nil {
+					t.Fatalf("params of %d bytes: results %v, error %.200v", len(params), got, err)
+				}
+			}
+			for _, tc := range []struct{ params, want string }{
+				{`{}`, valueErr},
+				{`{"error":true}`, textErr},
+			} {
+				got, stats, err := bc.backend.RunTask("conformance/huge", []byte(tc.params), 3,
+					append(bc.opts, Seed(1))...)
+				if err == nil || err.Error() != tc.want || got != nil {
+					t.Fatalf("params %s: results %v, error %.200v; want %.200q", tc.params, got, err, tc.want)
+				}
+				if stats.Requeues != 0 {
+					t.Fatalf("params %s: %d requeues; a worker connection was lost", tc.params, stats.Requeues)
 				}
 			}
 		})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/multiradio/chanalloc/internal/cluster"
+	"github.com/multiradio/chanalloc/internal/ndjson"
 	"github.com/multiradio/chanalloc/internal/obs"
 )
 
@@ -179,9 +180,9 @@ func (c *Cluster) admit(conn net.Conn) {
 		c.mu.Unlock()
 	}()
 	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
+	rd := ndjson.NewReader(conn, maxFrameBytes)
 	conn.SetReadDeadline(time.Now().Add(handshakeGrace))
-	tasks, err := acceptRegistration(enc, dec, c.cfg.token, c.heartbeat)
+	tasks, err := acceptRegistration(enc, rd, c.cfg.token, c.heartbeat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "engine cluster: %s: %v\n", remoteName(conn), err)
 		conn.Close()
@@ -202,7 +203,7 @@ func (c *Cluster) admit(conn net.Conn) {
 	// The reader is the peer's whole lifetime: when it returns — transport
 	// failure, eviction's conn.Close, coordinator teardown — the peer
 	// leaves, requeueing whatever it held.
-	err = p.read(dec, func() { c.reg.Touch(id) })
+	err = p.read(rd, func() { c.reg.Touch(id) })
 	if err != nil {
 		c.trouble.note(fmt.Errorf("%s: %w", p.remote, err))
 	}

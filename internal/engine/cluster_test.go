@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/multiradio/chanalloc/internal/des"
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 func init() {
@@ -170,7 +171,7 @@ func startSilentClusterWorker(t *testing.T, addr string) *atomic.Int64 {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	enc, dec := json.NewEncoder(conn), ndjson.NewReader(conn, maxFrameBytes)
 	if _, err := registerHandshake(enc, dec, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func startDyingClusterWorker(t *testing.T, addr string, serve int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	enc, dec := json.NewEncoder(conn), ndjson.NewReader(conn, maxFrameBytes)
 	if _, err := registerHandshake(enc, dec, ""); err != nil {
 		t.Fatal(err)
 	}

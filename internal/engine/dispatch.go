@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/multiradio/chanalloc/internal/journal"
+	"github.com/multiradio/chanalloc/internal/ndjson"
 	"github.com/multiradio/chanalloc/internal/obs"
 )
 
@@ -181,11 +182,12 @@ func newPeer(remote string) *peer {
 
 // read routes the peer's incoming frames until the transport ends:
 // heartbeats (cluster members only) refresh the liveness clock through
-// touch, results go to the active batch. Any decode error ends the peer.
-func (p *peer) read(dec *json.Decoder, touch func()) error {
+// touch, results go to the active batch. Any read or decode error ends the
+// peer.
+func (p *peer) read(rd *ndjson.Reader, touch func()) error {
 	for {
 		var m wireMsg
-		if err := dec.Decode(&m); err != nil {
+		if err := rd.Decode(&m); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}

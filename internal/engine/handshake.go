@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // ProtocolVersion is the version of the coordinator<->worker wire protocol.
@@ -56,7 +58,7 @@ var errRegisterRejected = errors.New("registration rejected")
 // it expects — or a hello whose Error explains the rejection. It returns the
 // heartbeat interval the coordinator advertised (0 if none); errors
 // wrapping errRegisterRejected are verdicts, everything else is transport.
-func registerHandshake(enc *json.Encoder, dec *json.Decoder, token string) (heartbeat time.Duration, err error) {
+func registerHandshake(enc *json.Encoder, rd *ndjson.Reader, token string) (heartbeat time.Duration, err error) {
 	if err := enc.Encode(&wireMsg{
 		Type:    wireRegister,
 		Version: ProtocolVersion,
@@ -66,7 +68,7 @@ func registerHandshake(enc *json.Encoder, dec *json.Decoder, token string) (hear
 		return 0, fmt.Errorf("sending register: %w", err)
 	}
 	var reply wireMsg
-	if err := dec.Decode(&reply); err != nil {
+	if err := rd.Decode(&reply); err != nil {
 		return 0, fmt.Errorf("awaiting register reply (a pre-membership or TLS-expecting coordinator closes here — do the -tls flags agree on both ends?): %w", err)
 	}
 	if reply.Type != wireHello {
@@ -89,9 +91,9 @@ func registerHandshake(enc *json.Encoder, dec *json.Decoder, token string) (hear
 // require a register frame with a matching version and token, reply with a
 // hello carrying this coordinator's registry and expected heartbeat
 // cadence, and return the worker's announced tasks.
-func acceptRegistration(enc *json.Encoder, dec *json.Decoder, token string, heartbeat time.Duration) (tasks []string, err error) {
+func acceptRegistration(enc *json.Encoder, rd *ndjson.Reader, token string, heartbeat time.Duration) (tasks []string, err error) {
 	var m wireMsg
-	if err := dec.Decode(&m); err != nil {
+	if err := rd.Decode(&m); err != nil {
 		return nil, fmt.Errorf("awaiting register: %w", err)
 	}
 	reject := func(reason string) error {

@@ -7,13 +7,15 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // FuzzHandshake feeds arbitrary bytes to both ends of the cluster join
 // exchange: the coordinator's register check (acceptRegistration, under an
 // empty and a set auth token) and the worker's reading of the
 // coordinator's reply (registerHandshake). Neither may panic or hang. The
-// coordinator must accept exactly when the first JSON value is a register
+// coordinator must accept exactly when the first frame is a register
 // frame at ProtocolVersion with the configured token; the worker must
 // accept exactly when it is a hello at ProtocolVersion with an empty
 // Error, and then adopt the reply's heartbeat cadence.
@@ -42,10 +44,11 @@ func FuzzHandshake(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var first wireMsg
-		decoded := json.NewDecoder(bytes.NewReader(data)).Decode(&first) == nil
+		frames := frameLines(data)
+		decoded := len(frames) > 0 && json.Unmarshal(frames[0], &first) == nil
 		for _, token := range []string{"", "s3cret"} {
 			want := decoded && first.Type == wireRegister && first.Version == ProtocolVersion && first.Token == token
-			tasks, err := acceptRegistration(json.NewEncoder(io.Discard), json.NewDecoder(bytes.NewReader(data)), token, time.Second)
+			tasks, err := acceptRegistration(json.NewEncoder(io.Discard), ndjson.NewReader(bytes.NewReader(data), maxFrameBytes), token, time.Second)
 			if (err == nil) != want {
 				t.Fatalf("token %q: acceptRegistration(%q) = %v, want accept = %v", token, data, err, want)
 			}
@@ -54,7 +57,7 @@ func FuzzHandshake(f *testing.F) {
 			}
 		}
 		want := decoded && first.Type == wireHello && first.Version == ProtocolVersion && first.Error == ""
-		heartbeat, err := registerHandshake(json.NewEncoder(io.Discard), json.NewDecoder(bytes.NewReader(data)), "s3cret")
+		heartbeat, err := registerHandshake(json.NewEncoder(io.Discard), ndjson.NewReader(bytes.NewReader(data), maxFrameBytes), "s3cret")
 		if (err == nil) != want {
 			t.Fatalf("registerHandshake(%q) = %v, want accept = %v", data, err, want)
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/multiradio/chanalloc/internal/cluster"
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // joinDialTimeout bounds each join connection attempt and the
@@ -148,12 +149,12 @@ func joinOnce(network, address string, cfg *joinConfig) error {
 		}()
 	}
 	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
+	rd := ndjson.NewReader(conn, maxFrameBytes)
 	// Bound the handshake as the coordinator does with handshakeGrace: a
 	// peer that accepts and goes mute must not pin the join loop. The
 	// deadline error is a net.Error — transient, so the loop retries.
 	conn.SetDeadline(time.Now().Add(joinDialTimeout))
-	heartbeat, err := registerHandshake(enc, dec, cfg.token)
+	heartbeat, err := registerHandshake(enc, rd, cfg.token)
 	if err != nil {
 		if errors.Is(err, errRegisterRejected) {
 			return cluster.Permanent(err)
@@ -164,7 +165,7 @@ func joinOnce(network, address string, cfg *joinConfig) error {
 	if heartbeat <= 0 {
 		heartbeat = cfg.heartbeat
 	}
-	return serveJoined(conn, dec, heartbeat)
+	return serveJoined(conn, rd, heartbeat)
 }
 
 // serveJoined is the worker's serving loop after a successful
@@ -175,7 +176,7 @@ func joinOnce(network, address string, cfg *joinConfig) error {
 // on the shared encoder so the coordinator never mistakes a long job for
 // silence. The session ends when the transport does — including
 // joinOnce's stop hook closing the connection.
-func serveJoined(conn net.Conn, dec *json.Decoder, heartbeat time.Duration) error {
+func serveJoined(conn net.Conn, rd *ndjson.Reader, heartbeat time.Duration) error {
 	var sendMu sync.Mutex
 	enc := json.NewEncoder(conn)
 	send := func(m *wireMsg) error {
@@ -193,16 +194,11 @@ func serveJoined(conn net.Conn, dec *json.Decoder, heartbeat time.Duration) erro
 		defer close(jobs)
 		for {
 			var m wireMsg
-			if err := dec.Decode(&m); err != nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-					readErr <- nil
-				} else {
-					readErr <- fmt.Errorf("decoding job frame: %w", err)
+			if err := nextJob(rd, &m); err != nil {
+				if err == io.EOF {
+					err = nil
 				}
-				return
-			}
-			if m.Type != wireJob {
-				readErr <- fmt.Errorf("unexpected frame %q, want %q", m.Type, wireJob)
+				readErr <- err
 				return
 			}
 			jobs <- m
@@ -233,7 +229,7 @@ func serveJoined(conn net.Conn, dec *json.Decoder, heartbeat time.Duration) erro
 		if err := send(session.execute(&m)); err != nil {
 			conn.Close()
 			// The reader may be parked on a full jobs buffer rather than in
-			// Decode (a coordinator window deeper than the buffer), where
+			// a read (a coordinator window deeper than the buffer), where
 			// the conn close cannot reach it — drain until it exits, or
 			// the <-readErr below would deadlock the whole join loop.
 			go func() {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // link is one opened per-batch worker transport: a spawned shard's stdio
@@ -14,7 +16,7 @@ import (
 type link struct {
 	remote string
 	enc    *json.Encoder
-	dec    *json.Decoder
+	rd     *ndjson.Reader
 	// closeWrite ends the job stream politely; a healthy worker answers by
 	// closing its side, which ends the peer's reader.
 	closeWrite func() error
@@ -102,7 +104,7 @@ func (s *linkSource) connect(p *peer, l *link, trouble *troubleLog) *linkPeer {
 	s.mu.Unlock()
 	go func() {
 		defer close(lp.readDone)
-		err := p.read(l.dec, nil)
+		err := p.read(l.rd, nil)
 		if err == nil {
 			// Mid-batch, a clean EOF is a worker that died or hung up.
 			err = errors.New("worker closed the connection")

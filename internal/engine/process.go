@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"time"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // Process is the multi-process Backend: a coordinator that shards a task
@@ -75,7 +77,7 @@ func (p *Process) spawn(shard int) (*link, error) {
 	return &link{
 		remote:     fmt.Sprintf("shard %d", shard),
 		enc:        json.NewEncoder(stdin),
-		dec:        json.NewDecoder(stdout),
+		rd:         ndjson.NewReader(stdout, maxFrameBytes),
 		closeWrite: stdin.Close,
 		sever:      cmd.Process.Kill,
 		wait:       cmd.Wait,

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // wireFramePins are the exact bytes of every frame kind still sent. The
@@ -107,7 +109,7 @@ func TestWireSeedZeroRoundTrips(t *testing.T) {
 type framed struct {
 	conn net.Conn
 	enc  *json.Encoder
-	dec  *json.Decoder
+	dec  *ndjson.Reader
 }
 
 // newTestPipes returns the client and server ends of a synchronous
@@ -116,8 +118,8 @@ func newTestPipes(t *testing.T) (client, server *framed) {
 	t.Helper()
 	c, s := net.Pipe()
 	t.Cleanup(func() { c.Close(); s.Close() })
-	return &framed{c, json.NewEncoder(c), json.NewDecoder(c)},
-		&framed{s, json.NewEncoder(s), json.NewDecoder(s)}
+	return &framed{c, json.NewEncoder(c), ndjson.NewReader(c, maxFrameBytes)},
+		&framed{s, json.NewEncoder(s), ndjson.NewReader(s, maxFrameBytes)}
 }
 
 // TestRegisterHandshake exercises both ends of the cluster join exchange.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -107,17 +109,40 @@ func unknownTask(name string) error {
 }
 
 // checkBatch is every backend's pre-dispatch check: the task must be
-// registered and the params blob, if any, must be valid JSON. An invalid
-// blob cannot be framed, so without the check it would surface as a
-// transport failure on every remote connection instead of one loud error.
+// registered and the params blob, if any, must be valid JSON that fits one
+// job frame. A blob that fails either cannot be framed, so without the
+// check it would surface as a transport failure on every remote connection
+// instead of one loud error.
 func checkBatch(task string, params json.RawMessage) error {
 	if _, ok := taskByName(task); !ok {
 		return fmt.Errorf("engine: %w", unknownTask(task))
+	}
+	// A task name takes at most 6 bytes a byte once quoted, a blob at most
+	// wireLen; the length test comes first, so a blob far past the bound
+	// is refused without a pass over it.
+	if room := maxFrameBytes - frameOverhead - 6*len(task); len(params) > room || wireLen(params) > room {
+		return fmt.Errorf("engine: params of task %q (%d bytes) do not fit the %d-byte frame bound",
+			task, len(params), maxFrameBytes)
 	}
 	if len(params) > 0 && !json.Valid(params) {
 		return fmt.Errorf("engine: params of task %q are not valid JSON", task)
 	}
 	return nil
+}
+
+// wireLen bounds the bytes a JSON blob takes in a frame. json.Encoder
+// compacts it, which can only shrink it, and escapes <, > and & inside
+// strings as \u003c and the like (5 bytes more) and U+2028 and U+2029 as
+// \u2028 and \u2029 (3 bytes more).
+func wireLen(raw []byte) int {
+	n := len(raw)
+	for _, s := range []string{"<", ">", "&"} {
+		n += 5 * bytes.Count(raw, []byte(s))
+	}
+	for _, s := range []string{"\u2028", "\u2029"} {
+		n += 3 * bytes.Count(raw, []byte(s))
+	}
+	return n
 }
 
 // paramsBlob is the params a batch actually ships and decodes: an empty
@@ -149,18 +174,49 @@ func (s *workerSession) execute(m *wireMsg) *wireMsg {
 	reply := &wireMsg{Type: wireResult, Job: m.Job}
 	run, err := s.jobFor(m)
 	if err == nil {
-		var out any
-		if out, err = run(m.Job, des.NewRNG(m.Seed)); err == nil {
-			if reply.Value, err = json.Marshal(out); err != nil {
-				err = fmt.Errorf("encoding result: %v", err)
-			}
-		}
+		reply.Value, err = runJob(run, m.Job, des.NewRNG(m.Seed))
 	}
 	if err != nil {
-		reply.Error = err.Error()
+		reply.Error = fitError(err).Error()
 	}
 	return reply
 }
+
+// runJob runs one job and encodes its value: the job boundary every
+// backend shares, so each produces the same bytes and the same errors. A
+// value that would not fit one result frame is the job's error, and an
+// error text that would not is cut to fit, so a worker never writes a
+// frame its coordinator refuses.
+func runJob(run jobFunc, job int, rng *des.RNG) (json.RawMessage, error) {
+	out, err := run(job, rng)
+	if err != nil {
+		return nil, fitError(err)
+	}
+	// Marshal escapes what a json.Encoder would, so these are the bytes
+	// the frame carries.
+	enc, err := json.Marshal(out)
+	if err != nil {
+		return nil, fitError(fmt.Errorf("encoding result: %w", err))
+	}
+	if len(enc) > maxFrameBytes-frameOverhead {
+		return nil, fmt.Errorf("result of %d bytes does not fit the %d-byte frame bound", len(enc), maxFrameBytes)
+	}
+	return enc, nil
+}
+
+// fitError returns err, or, when its text would not fit one result frame
+// (a json.Encoder writes at most 6 bytes for each byte of a string), an
+// error with the text cut to fit.
+func fitError(err error) error {
+	const room = (maxFrameBytes - frameOverhead) / 6
+	if msg := err.Error(); len(msg) > room {
+		return errors.New(msg[:room-len(cutMark)] + cutMark)
+	}
+	return err
+}
+
+// cutMark ends an error text that fitError cut.
+const cutMark = " [cut to fit the frame bound]"
 
 // jobFor resolves the job function for one frame, decoding (and caching)
 // the frame's params when it carries them.

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // WorkerEnv is the environment marker that switches a re-exec'd binary into
@@ -16,8 +19,10 @@ import (
 const WorkerEnv = "CHANALLOC_ENGINE_WORKER"
 
 // Wire frame kinds of the coordinator<->worker protocol. Every frame is one
-// JSON object on one line (the newline-delimited JSON idiom of
-// internal/dist); unknown fields are ignored so the protocol can grow.
+// JSON object on one line, ended by exactly one newline; both ends read
+// them with the shared line reader (internal/ndjson) at maxFrameBytes, so
+// a frame split across lines, or two frames on one line, does not decode.
+// Unknown fields are ignored so the protocol can grow.
 const (
 	wireHello     = "hello"     // coordinator -> worker: the reply to a register
 	wireJob       = "job"       // coordinator -> worker: one task job to run
@@ -25,6 +30,23 @@ const (
 	wireRegister  = "register"  // worker -> coordinator: cluster membership registration
 	wireHeartbeat = "heartbeat" // worker -> coordinator: cluster liveness beacon
 )
+
+// maxFrameBytes bounds one frame of the worker protocol, newline excluded.
+// It is derived from the largest legitimate frame, a token ring's result
+// (dist's ring task, E12's grid): the ring's strategy matrix, written for
+// a game within workload.MaxCells = 1<<22 cells. A row's radios sum to at
+// most its channel count, so its digits, commas and brackets take at most
+// 5 bytes a cell; at 8 bytes a cell the bound leaves the rest for the
+// frame's other fields. A batch's params travel in one job frame too, so
+// checkBatch refuses a blob that would not fit, and runJob makes a result
+// that would not fit the job's error. The constant is spelled out because
+// workload depends on engine.
+const maxFrameBytes = 8 << 22
+
+// frameOverhead bounds the bytes of a job or result frame besides its task
+// name, params, value and error text: its keys, its type and two 64-bit
+// integers.
+const frameOverhead = 256
 
 // wireMsg is the single frame type of the worker protocol; fields are
 // populated according to Type.
@@ -73,7 +95,7 @@ func RunWorkerIfRequested() {
 	os.Exit(0)
 }
 
-// ServeWorker runs the worker end of the protocol: decode one job frame,
+// ServeWorker runs the worker end of the protocol: read one job frame,
 // run the named registered task with a PRNG seeded by the frame's seed
 // (derived by the coordinator as JobSeed(root, job)), reply with the
 // JSON-encoded value or the error text, repeat until EOF. The batch's params
@@ -83,21 +105,35 @@ func RunWorkerIfRequested() {
 // failures — the worker keeps serving, which is what lets a batch run every
 // job even when some fail, exactly like the in-process pool.
 func ServeWorker(r io.Reader, w io.Writer) error {
-	dec, enc := json.NewDecoder(r), json.NewEncoder(w)
+	rd, enc := ndjson.NewReader(r, maxFrameBytes), json.NewEncoder(w)
 	var session workerSession
 	for {
 		var m wireMsg
-		if err := dec.Decode(&m); err != nil {
-			if errors.Is(err, io.EOF) {
+		if err := nextJob(rd, &m); err != nil {
+			if err == io.EOF {
 				return nil
 			}
-			return fmt.Errorf("decoding job frame: %w", err)
-		}
-		if m.Type != wireJob {
-			return fmt.Errorf("unexpected frame %q, want %q", m.Type, wireJob)
+			return err
 		}
 		if err := enc.Encode(session.execute(&m)); err != nil {
 			return fmt.Errorf("sending result for job %d: %w", m.Job, err)
 		}
 	}
+}
+
+// nextJob reads the next job frame into m, for both serving loops. The end
+// of the stream, or a connection closed under the reader, is io.EOF; a
+// frame that does not decode, or is not a job, ends the session with an
+// error.
+func nextJob(rd *ndjson.Reader, m *wireMsg) error {
+	if err := rd.Decode(m); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+			return io.EOF
+		}
+		return fmt.Errorf("decoding job frame: %w", err)
+	}
+	if m.Type != wireJob {
+		return fmt.Errorf("unexpected frame %q, want %q", m.Type, wireJob)
+	}
+	return nil
 }

@@ -50,19 +50,14 @@ func FuzzServeWorker(f *testing.F) {
 		var out bytes.Buffer
 		serveErr := ServeWorker(bytes.NewReader(data), &out)
 
-		// The frames the worker owes a result: every job frame the same
-		// decoder yields before the input ends or a non-job frame or
-		// decode error ends the session.
+		// The frames the worker owes a result: every job frame among the
+		// input's lines before the input ends or a non-job frame or a line
+		// that does not decode ends the session.
 		var owed []int
 		clean := true
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for {
+		for _, line := range frameLines(data) {
 			var m wireMsg
-			if err := dec.Decode(&m); err != nil {
-				clean = errors.Is(err, io.EOF)
-				break
-			}
-			if m.Type != wireJob {
+			if json.Unmarshal(line, &m) != nil || m.Type != wireJob {
 				clean = false
 				break
 			}
@@ -92,6 +87,19 @@ func FuzzServeWorker(f *testing.F) {
 			}
 		}
 	})
+}
+
+// frameLines splits data by the protocol's framing rule: one frame per
+// line, blank lines skipped, and the last line may end without its
+// newline.
+func frameLines(data []byte) [][]byte {
+	var frames [][]byte
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.Trim(line, " \t\r")) > 0 {
+			frames = append(frames, line)
+		}
+	}
+	return frames
 }
 
 // TestWorkerSessionParamsCache pins the worker side of the v2 params rule

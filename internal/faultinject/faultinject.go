@@ -18,6 +18,10 @@
 // Every injected event is counted in obs (faultinject_events_total and a
 // per-kind breakdown), so a chaos run can assert that faults actually
 // fired and reconcile them against Stats.Requeues and eviction counters.
+//
+// Flood is the adversary of a frame reader rather than of a transport: a
+// peer whose frame never ends, for the tests that bound what reading it
+// may allocate (Allocated).
 package faultinject
 
 import (

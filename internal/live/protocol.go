@@ -5,18 +5,28 @@
 // re-equilibration's outcome (dynamics.Requilibrate): the new allocation
 // summary plus convergence statistics.
 //
-// The wire format is one JSON object per line (NDJSON), the same framing
-// the engine's worker protocol uses. The server speaks first with a hello
-// frame carrying ProtocolVersion; a client that sees a version it does not
-// know must disconnect. All frames are deterministic functions of the
-// event stream and the server configuration — worker count never shows in
-// the bytes, so a seeded trace has one golden transcript.
+// The wire format is one JSON object per line (NDJSON), each ended by
+// exactly one newline: the framing of the engine's worker protocol and the
+// distributed protocol too. All three read frames with the one shared line
+// reader, internal/ndjson, each at its own byte bound; the server reads
+// requests at MaxFrameBytes. A request split across lines, or two on one
+// line, is a bad frame; blank lines are skipped. The server speaks first
+// with a hello frame carrying ProtocolVersion; a client that sees a
+// version it does not know must disconnect. All frames are deterministic
+// functions of the event stream and the server configuration — worker
+// count never shows in the bytes, so a seeded trace has one golden
+// transcript.
 package live
 
 // ProtocolVersion identifies the frame schema. Version 1: hello frame
 // {type, version, channels, rate}; requests {op, id?, budget?} with ops
 // join/leave/budget/stats/bye; responses {type, error?, update?, stats?}.
 const ProtocolVersion = 1
+
+// MaxFrameBytes bounds one request line, newline excluded. A request is a
+// few dozen bytes; the bound only stops a client from making the server
+// buffer without end, and a line past it ends the conversation.
+const MaxFrameBytes = 1 << 20
 
 // Hello is the server's first frame on every connection.
 type Hello struct {

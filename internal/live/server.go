@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +11,7 @@ import (
 
 	"github.com/multiradio/chanalloc/internal/core"
 	"github.com/multiradio/chanalloc/internal/dynamics"
+	"github.com/multiradio/chanalloc/internal/ndjson"
 	"github.com/multiradio/chanalloc/internal/obs"
 	"github.com/multiradio/chanalloc/internal/ratefn"
 	"github.com/multiradio/chanalloc/internal/workload"
@@ -110,10 +110,10 @@ func (s *Server) Stats() Stats {
 }
 
 // Serve runs one NDJSON conversation: hello first, then one response line
-// per request line until EOF, a bye request, a transport error, or an
-// Interrupt. Invalid requests get error frames and the conversation
-// continues — a malformed line is a client bug worth reporting, not a
-// reason to drop a live allocation service.
+// per request line until EOF, a bye request, a transport error, a request
+// line past MaxFrameBytes, or an Interrupt. Invalid requests get error
+// frames and the conversation continues — a malformed line is a client bug
+// worth reporting, not a reason to drop a live allocation service.
 func (s *Server) Serve(r io.Reader, w io.Writer) error {
 	enc := json.NewEncoder(frameCounter{w})
 	s.writeMu.Lock()
@@ -135,15 +135,17 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 		}
 		return fmt.Errorf("live: writing hello: %w", err)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
+	rd := ndjson.NewReader(r, MaxFrameBytes)
+	for {
+		line, err := rd.Next()
 		if s.Interrupted() {
 			return nil
 		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
 		}
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {
@@ -169,10 +171,6 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 			return err
 		}
 	}
-	if s.Interrupted() {
-		return nil
-	}
-	return sc.Err()
 }
 
 // send writes one frame under the write mutex. Once the server is
