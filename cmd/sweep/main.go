@@ -35,8 +35,8 @@
 // over the in-process pool (default) or one of two remote backends that
 // share one dispatcher and differ only in where their workers come from:
 // worker subprocesses (-backend process -shards N; each shard is this
-// binary re-exec'd in engine-worker mode, speaking newline-delimited JSON
-// over stdio), or a worker cluster across machines (-backend cluster
+// binary re-exec'd in engine-worker mode, joining a private unix socket
+// for the batch), or a worker cluster across machines (-backend cluster
 // -listen-workers :9100 — workers dial in with `sweep -join` and register
 // with a version handshake, may join or leave mid-batch, and heartbeat for
 // liveness; see EXPERIMENTS.md for the frame grammar). Both remote
@@ -179,8 +179,8 @@ func init() {
 }
 
 func main() {
-	// In engine-worker mode (spawned by -backend process) this serves task
-	// jobs over stdio and exits; in a normal run it is a no-op.
+	// In engine-worker mode (spawned by -backend process) this joins the
+	// coordinator, serves task jobs and exits; in a normal run it is a no-op.
 	chanalloc.RunEngineWorkerIfRequested()
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)

@@ -58,7 +58,7 @@ type (
 	// InProcessBackend is the default backend: the in-process worker pool.
 	InProcessBackend = engine.InProcess
 	// ProcessBackend shards batches over re-exec'd worker subprocesses
-	// speaking newline-delimited JSON over stdio.
+	// that join a private unix socket for the batch.
 	ProcessBackend = engine.Process
 	// ClusterBackend is the membership backend: workers dial IN and
 	// register (joins are accepted mid-batch), heartbeats track liveness,
@@ -205,7 +205,8 @@ func RunEngineTask[T any](b EngineBackend, task string, params any, n int, opts 
 }
 
 // RunEngineWorkerIfRequested turns the process into an engine worker when
-// the ProcessBackend's environment marker is set, serving task jobs over
-// stdio until the coordinator closes the pipe; it returns immediately in a
-// normal run. Call it at the top of main, after task registrations.
+// the ProcessBackend's environment marker is set: it joins the coordinator
+// the marker names, serves task jobs until the coordinator closes the
+// connection, and exits. It returns immediately in a normal run. Call it
+// at the top of main, after task registrations.
 func RunEngineWorkerIfRequested() { engine.RunWorkerIfRequested() }

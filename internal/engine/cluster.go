@@ -44,6 +44,11 @@ type Cluster struct {
 	heartbeat time.Duration
 	evict     time.Duration
 	teardown  time.Duration
+	// exhausted, when it closes, tells the feed that no worker can join
+	// any more (every shard of a Process batch has exited), so a batch
+	// with jobs left fails at once instead of after the join-wait. nil
+	// (never) for a coordinator built by NewCluster.
+	exhausted <-chan struct{}
 
 	reg     *cluster.Registry
 	mu      sync.Mutex // guards peers AND conns
@@ -77,13 +82,13 @@ func NewClusterOn(lis net.Listener, opts ...RemoteOption) *Cluster {
 }
 
 // newCluster builds an unstarted coordinator with the default liveness
-// cadence: a 2s heartbeat, eviction after 4× that, and the shared teardown
-// grace.
+// cadence (a heartbeat every defaultHeartbeat, eviction after 4× that) and
+// the shared teardown grace.
 func newCluster(lis net.Listener, opts []RemoteOption) *Cluster {
 	c := &Cluster{
 		lis:       lis,
 		cfg:       newRemoteConfig(8, opts),
-		heartbeat: 2 * time.Second,
+		heartbeat: defaultHeartbeat,
 		teardown:  defaultTeardownGrace,
 		reg:       cluster.NewRegistry(),
 		peers:     map[int64]*peer{},
@@ -142,15 +147,33 @@ func (c *Cluster) Close() error {
 
 // closeConns severs every live connection (best effort).
 func (c *Cluster) closeConns() {
+	for _, conn := range c.liveConns() {
+		conn.Close()
+	}
+}
+
+// hangUp stops accepting joins and half-closes every live connection, so
+// each worker reads the end of its job stream, ends its session and hangs
+// up first: no frame it sent is then left unread when Close severs the
+// coordinator's side, which would reset the worker's read.
+func (c *Cluster) hangUp() {
+	c.lis.Close()
+	for _, conn := range c.liveConns() {
+		if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+			cw.CloseWrite()
+		}
+	}
+}
+
+// liveConns snapshots the live connections.
+func (c *Cluster) liveConns() []net.Conn {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	conns := make([]net.Conn, 0, len(c.conns))
 	for conn := range c.conns {
 		conns = append(conns, conn)
 	}
-	c.mu.Unlock()
-	for _, conn := range conns {
-		conn.Close()
-	}
+	return conns
 }
 
 // acceptLoop admits joining workers until the listener closes, riding out
@@ -169,6 +192,16 @@ func (c *Cluster) acceptLoop() {
 	}
 }
 
+// registerBound bounds the register frame a coordinator reads from a
+// connection it has not admitted yet, newline excluded, so a peer that
+// never authenticates makes it buffer no more than this. The frame holds a
+// protocol version, an auth token and the worker's task names, and nothing
+// else of any size: the binaries of this repository register at most two
+// names of under 20 bytes ("sweep/experiment", "dist/ring") and a token is
+// a short shared secret, so 64 KiB leaves room for a thousand 60-byte
+// names. Once the hello is sent the connection reads at maxFrameBytes.
+const registerBound = 64 << 10
+
 // admit runs one connection's register handshake and, on success, turns it
 // into a registered peer whose reader routes heartbeats and results until
 // the transport ends.
@@ -180,7 +213,7 @@ func (c *Cluster) admit(conn net.Conn) {
 		c.mu.Unlock()
 	}()
 	enc := json.NewEncoder(conn)
-	rd := ndjson.NewReader(conn, maxFrameBytes)
+	rd := ndjson.NewReader(conn, registerBound)
 	conn.SetReadDeadline(time.Now().Add(handshakeGrace))
 	tasks, err := acceptRegistration(enc, rd, c.cfg.token, c.heartbeat)
 	if err != nil {
@@ -189,6 +222,7 @@ func (c *Cluster) admit(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
+	rd.SetMax(maxFrameBytes)
 	p := newPeer(remoteName(conn))
 	p.enc, p.sever = enc, conn.Close
 	// Register and publish atomically under c.mu: a feed woken by the
@@ -285,6 +319,8 @@ func (c *Cluster) feed(b *batch, arrivals chan<- *peer) {
 		select {
 		case <-changed:
 		case <-b.stop:
+			return
+		case <-c.exhausted:
 			return
 		}
 	}

@@ -17,16 +17,16 @@ import (
 )
 
 // The remote dispatcher: the one job loop behind every remote backend.
-// Process and Cluster differ only in where their peers come from — a
-// spawned shard's stdio pair, an accepted member (see peerSource) — and
-// both stream a batch through runRemote:
+// Every peer is a member of a Cluster (see peerSource): a worker that
+// dialed in, or one of a Process batch's shards, which join the batch's
+// private cluster. Both backends stream a batch through runRemote:
 // journal recovery, a requeueing work queue, a window of outstanding jobs
 // per peer, index-ordered fan-in.
 
 // RemoteOption configures a remote backend (Process, Cluster). The two
-// share one dispatcher, so they share one option set; an option whose
-// transport a backend lacks (TLS and the auth token on stdio shards) is
-// ignored there.
+// share one dispatcher, so they share one option set; Process ignores TLS
+// and the auth token, since its shards join a socket in a directory only
+// its user can enter.
 type RemoteOption func(*remoteConfig)
 
 // remoteConfig carries the RemoteOption settings.
@@ -158,12 +158,9 @@ func (t *troubleLog) latest() error {
 // peer still held.
 type peer struct {
 	remote string
-	// sever forces the transport down (connection close, process kill);
-	// the reader then ends and leave runs.
+	// sever forces the transport down (connection close); the reader then
+	// ends and leave runs.
 	sever func() error
-	// open, when set, connects the peer lazily on its first job (see
-	// linkSource); it installs enc and sever and starts the reader.
-	open func() error
 
 	enc *json.Encoder // written only by the batch's sender, runPeer
 
@@ -180,10 +177,9 @@ func newPeer(remote string) *peer {
 	return &peer{remote: remote, inflight: map[int]time.Time{}, goneCh: make(chan struct{})}
 }
 
-// read routes the peer's incoming frames until the transport ends:
-// heartbeats (cluster members only) refresh the liveness clock through
-// touch, results go to the active batch. Any read or decode error ends the
-// peer.
+// read routes the peer's incoming frames until the transport ends: every
+// frame refreshes the liveness clock through touch, results go to the
+// active batch. Any read or decode error ends the peer.
 func (p *peer) read(rd *ndjson.Reader, touch func()) error {
 	for {
 		var m wireMsg
@@ -193,9 +189,7 @@ func (p *peer) read(rd *ndjson.Reader, touch func()) error {
 			}
 			return err
 		}
-		if touch != nil {
-			touch()
-		}
+		touch()
 		switch m.Type {
 		case wireHeartbeat:
 			// The touch was the payload.
@@ -272,13 +266,6 @@ func (p *peer) deliver(m *wireMsg) {
 	default:
 	}
 	b.complete(m, time.Since(start))
-}
-
-// live reports whether the peer has not left.
-func (p *peer) live() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.gone
 }
 
 // leave ends the peer's participation: any jobs still in flight go back on
@@ -538,8 +525,9 @@ func openJournal(cfg *remoteConfig, b *batch, n int) (recovered map[int]bool, er
 // dispatch runs the batch to completion: it starts one sender (runPeer) per
 // peer the source supplies — at the start or mid-batch — and gives up only
 // when jobs are unfinished and no peer is serving, either because the
-// source is exhausted (every shard has failed) or because none has served
-// for the whole join-wait (a cluster nobody joins).
+// source is exhausted (every shard of a Process batch has exited) or
+// because none has served for the whole join-wait (a cluster nobody
+// joins).
 func dispatch(b *batch, src peerSource, joinWait time.Duration, closed <-chan struct{}) error {
 	arrivals := make(chan *peer)
 	fed := make(chan struct{})
@@ -676,19 +664,6 @@ func runPeer(p *peer, b *batch) {
 			}
 		case <-gone:
 			return
-		}
-		if p.open != nil {
-			// A lazily opened peer connects only once it holds a job, so
-			// surplus shards cost nothing. A failed open gives the job back
-			// and ends this peer.
-			err := p.open()
-			p.open = nil
-			if err != nil {
-				b.trouble.note(err)
-				b.requeue([]int{job})
-				p.leave()
-				return
-			}
 		}
 		if !p.claim(job) {
 			b.requeue([]int{job})

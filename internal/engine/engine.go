@@ -11,11 +11,11 @@
 // closures over the default in-process pool, while registered tasks
 // (RegisterTask) can run over any backend — the same pool (InProcess) or
 // one of the two remote backends, which share one windowed dispatcher and
-// differ only in where their workers come from: Process spawns worker
-// subprocesses on this machine, and Cluster, the one cross-machine
-// backend, accepts workers that dial in and register (JoinAndServe) —
-// with byte-identical results, because job seeds depend only on (root
-// seed, job index).
+// differ only in where their workers come from: Cluster, the one
+// cross-machine backend, accepts workers that dial in and register
+// (JoinAndServe), and Process spawns worker subprocesses on this machine
+// that join a private Cluster for the batch — with byte-identical
+// results, because job seeds depend only on (root seed, job index).
 package engine
 
 import (

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -37,70 +36,91 @@ func checkFlood(t *testing.T, err error, grew uint64) {
 	}
 }
 
-// TestServeWorkerFrameBound: the stdio worker refuses a job frame past the
-// bound, and reads one frame per line: blank lines are skipped, and a
-// frame split across lines or two frames on one line end the session.
-func TestServeWorkerFrameBound(t *testing.T) {
-	var err error
-	flood := faultinject.NewFlood(`{"type":"job","job":0,"task":"`, floodLimit)
-	grew := faultinject.Allocated(func() { err = ServeWorker(flood, io.Discard) })
+// TestJoinedWorkerFrameBound: a joined worker refuses a job frame past the
+// bound from the coordinator it registered with, and reads one frame per
+// line: blank lines are skipped, and a frame split across lines or two
+// frames on one line end the session.
+func TestJoinedWorkerFrameBound(t *testing.T) {
+	// join runs one worker session against a coordinator that admits it,
+	// streams in, half-closes and returns what the worker sent back before
+	// it hung up, with the error that ended the coordinator's stream or
+	// read.
+	join := func(in io.Reader) (replies string, workerErr, coordErr error) {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		type session struct {
+			replies string
+			err     error
+		}
+		coord := make(chan session, 1)
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				coord <- session{err: err}
+				return
+			}
+			defer conn.Close()
+			rd := ndjson.NewReader(conn, maxFrameBytes)
+			if _, err := acceptRegistration(json.NewEncoder(conn), rd, "", time.Hour); err != nil {
+				coord <- session{err: err}
+				return
+			}
+			if _, err := io.Copy(conn, in); err != nil {
+				coord <- session{err: err}
+				return
+			}
+			conn.(*net.TCPConn).CloseWrite()
+			var out strings.Builder
+			for {
+				line, err := rd.Next()
+				if err != nil {
+					coord <- session{out.String(), err}
+					return
+				}
+				out.Write(line)
+				out.WriteByte('\n')
+			}
+		}()
+		var cfg joinConfig
+		workerErr = joinOnce("tcp", lis.Addr().String(), &cfg)
+		s := <-coord
+		return s.replies, workerErr, s.err
+	}
+
+	var err, coordErr error
+	grew := faultinject.Allocated(func() {
+		_, err, coordErr = join(faultinject.NewFlood(`{"type":"job","job":0,"task":"`, floodLimit))
+	})
 	checkFlood(t, err, grew)
+	if coordErr == nil {
+		t.Fatal("the coordinator sent the whole flood; the worker kept reading")
+	}
 
 	job := `{"type":"job","job":0,"task":"conformance/draw","params":{"mul":3},"seed":1}`
-	var out bytes.Buffer
-	if err := ServeWorker(strings.NewReader("\n"+job+"\n \r\n\n"+job+"\n\n"), &out); err != nil {
+	replies, err, _ := join(strings.NewReader("\n" + job + "\n \r\n\n" + job + "\n\n"))
+	if err != nil {
 		t.Fatalf("blank lines: %v", err)
 	}
-	if n := strings.Count(out.String(), "\n"); n != 2 {
+	if n := strings.Count(replies, "\n"); n != 2 {
 		t.Fatalf("blank lines: %d results for 2 job frames", n)
 	}
 	for _, in := range []string{
 		strings.Replace(job, `"seed":`, "\n"+`"seed":`, 1) + "\n",
 		job + job + "\n",
 	} {
-		out.Reset()
-		err := ServeWorker(strings.NewReader(in), &out)
-		if err == nil || !strings.HasPrefix(err.Error(), "decoding job frame: ") || out.Len() != 0 {
-			t.Fatalf("ServeWorker(%q) = %v after %q; want a decode error and no result", in, err, out.String())
+		replies, err, _ := join(strings.NewReader(in))
+		if err == nil || !strings.HasPrefix(err.Error(), "decoding job frame: ") || replies != "" {
+			t.Fatalf("a session over %q ended with %v after %q; want a decode error and no result", in, err, replies)
 		}
-	}
-}
-
-// TestJoinedWorkerFrameBound: a joined worker refuses a job frame past the
-// bound from the coordinator it registered with.
-func TestJoinedWorkerFrameBound(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	coord := make(chan error, 1)
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			coord <- err
-			return
-		}
-		defer conn.Close()
-		if _, err := acceptRegistration(json.NewEncoder(conn), ndjson.NewReader(conn, maxFrameBytes), "", time.Second); err != nil {
-			coord <- err
-			return
-		}
-		// The worker hangs up once the frame passes its bound.
-		_, err = io.Copy(conn, faultinject.NewFlood(`{"type":"job","job":0,"task":"`, floodLimit))
-		coord <- err
-	}()
-	var cfg joinConfig
-	grew := faultinject.Allocated(func() { err = joinOnce("tcp", lis.Addr().String(), &cfg) })
-	checkFlood(t, err, grew)
-	if err := <-coord; err == nil {
-		t.Fatal("the coordinator sent the whole flood; the worker kept reading")
 	}
 }
 
 // TestClusterFrameBound: a coordinator refuses a register frame past the
-// bound, before any auth check, and drops a member whose result frame
-// passes it.
+// much smaller bound of a connection it has not admitted, before any auth
+// check, and drops a member whose result frame passes the frame bound.
 func TestClusterFrameBound(t *testing.T) {
 	c, err := NewCluster("127.0.0.1:0")
 	if err != nil {
@@ -128,8 +148,8 @@ func TestClusterFrameBound(t *testing.T) {
 		grew := faultinject.Allocated(func() {
 			err = flood(`{"type":"register","version":2,"token":"`, func(*json.Encoder, *ndjson.Reader) {})
 		})
-		if err == nil || grew > maxFrameBytes+floodSlack {
-			t.Fatalf("coordinator answered %v after allocating %d bytes (bound %d)", err, grew, maxFrameBytes)
+		if err == nil || grew > registerBound+floodSlack {
+			t.Fatalf("coordinator answered %v after allocating %d bytes (bound %d)", err, grew, registerBound)
 		}
 		if n := c.reg.Len(); n != 0 {
 			t.Fatalf("%d members after an endless register frame", n)

@@ -14,8 +14,8 @@ import (
 // A joining worker announces it in the register frame that opens its
 // connection, and the coordinator's hello reply echoes its own, so binaries
 // built from skewed revisions fail loudly at connect time instead of
-// silently misinterpreting frames; stdio shards skip the handshake because
-// parent and child are the same binary.
+// silently misinterpreting frames. A Process shard registers the same way,
+// although it is the coordinator's own binary.
 //
 // History:
 //

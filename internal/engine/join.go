@@ -19,6 +19,10 @@ import (
 // registration exchange that follows it.
 const joinDialTimeout = 10 * time.Second
 
+// defaultHeartbeat is the cadence a coordinator advertises to the workers
+// that join it, and the one a worker keeps if the hello names none.
+const defaultHeartbeat = 2 * time.Second
+
 // joinConfig carries the options of JoinAndServe.
 type joinConfig struct {
 	token       string
@@ -98,7 +102,7 @@ func joinLogf(format string, args ...any) {
 func JoinAndServe(addr string, opts ...JoinOption) error {
 	cfg := joinConfig{
 		retryWait: 200 * time.Millisecond,
-		heartbeat: 2 * time.Second,
+		heartbeat: defaultHeartbeat,
 		logf:      joinLogf,
 	}
 	for _, opt := range opts {
@@ -123,8 +127,8 @@ func JoinAndServe(addr string, opts ...JoinOption) error {
 
 // joinOnce runs one full worker session: dial, register, serve until the
 // transport ends. A nil return is a session that ended with the
-// coordinator closing the connection (teardown or restart) — the caller
-// redials. Registration VERDICTS (auth, version, protocol rejections —
+// coordinator closing the connection (teardown or restart) — JoinAndServe
+// redials, and a Process shard (RunWorkerIfRequested) exits. Registration VERDICTS (auth, version, protocol rejections —
 // errRegisterRejected) are Permanent: retrying cannot fix them. Everything
 // else — a reply cut short by a dying coordinator, a handshake deadline, a
 // reset — is transport trouble and transient.
@@ -174,8 +178,10 @@ func joinOnce(network, address string, cfg *joinConfig) error {
 // order against the session's params cache (the first job frame of a
 // batch carries the params, the rest reuse them), and a ticker heartbeats
 // on the shared encoder so the coordinator never mistakes a long job for
-// silence. The session ends when the transport does — including
-// joinOnce's stop hook closing the connection.
+// silence. Job failures are replies, not transport failures: the worker
+// keeps serving, which lets a batch run every job even when some fail,
+// exactly like the in-process pool. The session ends when the transport
+// does — including joinOnce's stop hook closing the connection.
 func serveJoined(conn net.Conn, rd *ndjson.Reader, heartbeat time.Duration) error {
 	var sendMu sync.Mutex
 	enc := json.NewEncoder(conn)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/multiradio/chanalloc/internal/des"
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
 // dieParams parameterises chaos/die: the worker process that runs job
@@ -42,11 +44,11 @@ func init() {
 	})
 }
 
-// TestRemoteRequeueOnPeerDeath pins the requeue contract of the spawn
-// source: a shard that dies with jobs in its window has them requeued to
-// the survivors, and the batch fans in byte-identical to the in-process
-// pool. Only when every shard is gone does the batch fail, with the
-// backend's transport error.
+// TestRemoteRequeueOnPeerDeath pins the requeue contract of the Process
+// backend's shards: a shard that dies with jobs in its window has them
+// requeued to the survivors, and the batch fans in byte-identical to the
+// in-process pool. Only when every shard is gone does the batch fail,
+// promptly, with the backend's transport error.
 func TestRemoteRequeueOnPeerDeath(t *testing.T) {
 	const n, root = 24, 17
 	for _, tc := range []struct {
@@ -89,28 +91,6 @@ func TestRemoteRequeueOnPeerDeath(t *testing.T) {
 	}
 }
 
-// TestShardShutdownKillsHungWorker pins the kill-after-timeout escalation:
-// a worker that ignores the job stream's EOF is killed once the teardown
-// grace expires instead of blocking the coordinator on cmd.Wait forever.
-func TestShardShutdownKillsHungWorker(t *testing.T) {
-	p := NewProcess(1)
-	p.command = func() *exec.Cmd { return exec.Command("sleep", "60") }
-	p.teardown = 200 * time.Millisecond
-	l, err := p.spawn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := (&linkSource{}).connect(newPeer(""), l, &troubleLog{})
-	start := time.Now()
-	err = sh.shutdown(p.teardown)
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("shutdown took %v, the grace escalation did not fire", elapsed)
-	}
-	if err == nil || !strings.Contains(err.Error(), "killed") {
-		t.Fatalf("err = %v, want a killed-after-grace report", err)
-	}
-}
-
 // TestProcessShardExitFailsBatch: a shard that answers every job but then
 // fails to exit cleanly — a non-zero status, or hung until the teardown
 // grace kills it — fails the batch with a process-backend error, although
@@ -123,15 +103,15 @@ func TestProcessShardExitFailsBatch(t *testing.T) {
 		grace              time.Duration
 	}{
 		// "$0" is the worker: this test binary with WorkerEnv set, serving
-		// until its stdin closes at batch end. The first case's grace
+		// until its socket closes at batch end. The first case's grace
 		// leaves room for a slow exit (a -race binary's, say).
 		{"non-zero exit", `"$0"; exit 3`, "exit status 3", defaultTeardownGrace},
 		{"hung after the job stream closes", `"$0"; exec sleep 60`, "killed", 200 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProcess(2)
-			p.command = func() *exec.Cmd {
-				self := selfWorkerCommand()
+			p.command = func(addr string) *exec.Cmd {
+				self := selfWorkerCommand(addr)
 				cmd := exec.Command("sh", "-c", tc.script, self.Path)
 				cmd.Env, cmd.Stderr = self.Env, self.Stderr
 				return cmd
@@ -144,6 +124,143 @@ func TestProcessShardExitFailsBatch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestProcessLeavesNothing: when RunTask returns, the batch's socket
+// directory is gone and every shard it spawned has exited and been reaped
+// — after a clean batch, after job errors, and after every shard died.
+func TestProcessLeavesNothing(t *testing.T) {
+	die, err := json.Marshal(dieParams{Always: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, task string
+		params     []byte
+		wantErr    string // "" means the batch succeeds
+	}{
+		{"success", "conformance/draw", []byte(`{"mul":3}`), ""},
+		{"job error", "conformance/fail", []byte(`{}`), "engine: job 3: job 3 boom"},
+		{"every shard dies", "chaos/die", die, "undispatched"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			var shards []*exec.Cmd
+			p := NewProcess(2)
+			p.command = func(addr string) *exec.Cmd {
+				cmd := selfWorkerCommand(addr)
+				shards = append(shards, cmd)
+				return cmd
+			}
+			_, _, err := p.RunTask(tc.task, tc.params, 12, Seed(1))
+			if (err == nil) != (tc.wantErr == "") || err != nil && !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+			if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+				t.Fatalf("temporary directory holds %v after the batch (%v)", left, err)
+			}
+			if len(shards) != 2 {
+				t.Fatalf("%d shards spawned, want 2", len(shards))
+			}
+			for i, cmd := range shards {
+				if cmd.ProcessState == nil {
+					t.Fatalf("shard %d was not reaped", i)
+				}
+			}
+		})
+	}
+}
+
+// TestShardJoinsOnce: a shard makes one join attempt and never redials. It
+// exits 0 once the coordinator that admitted it hangs up, and non-zero when
+// its register is refused or nothing listens at its address.
+func TestShardJoinsOnce(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "sock")
+	// shard runs this test binary as a shard joining sock; wait returns its
+	// exit, killing it if it has not exited within 10 s.
+	shard := func(t *testing.T) (wait func() error, stderr *bytes.Buffer) {
+		cmd := selfWorkerCommand("unix:" + sock)
+		stderr = &bytes.Buffer{}
+		cmd.Stderr = stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return func() error {
+			timer := time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() })
+			defer timer.Stop()
+			return cmd.Wait()
+		}, stderr
+	}
+	// coordinator listens at sock and admits one connection: answer reads
+	// its register frame and replies, then the coordinator hangs up and
+	// closes done.
+	coordinator := func(t *testing.T, answer func(enc *json.Encoder, rd *ndjson.Reader) error) (lis *net.UnixListener, done <-chan struct{}) {
+		l, err := net.Listen("unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		admitted := make(chan struct{})
+		go func() {
+			defer close(admitted)
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if err := answer(json.NewEncoder(conn), ndjson.NewReader(conn, maxFrameBytes)); err != nil {
+				t.Error(err)
+			}
+		}()
+		return l.(*net.UnixListener), admitted
+	}
+
+	t.Run("coordinator hangs up", func(t *testing.T) {
+		lis, done := coordinator(t, func(enc *json.Encoder, rd *ndjson.Reader) error {
+			_, err := acceptRegistration(enc, rd, "", time.Hour)
+			return err
+		})
+		wait, stderr := shard(t)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the shard never joined: %v (stderr %q)", wait(), stderr)
+		}
+		lis.SetDeadline(time.Now().Add(time.Second))
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				break // the deadline: no second connection
+			}
+			conn.Close()
+			t.Error("the shard dialed a second time")
+		}
+		if err := wait(); err != nil {
+			t.Fatalf("shard exit: %v, want 0 (stderr %q)", err, stderr)
+		}
+	})
+	t.Run("register rejected", func(t *testing.T) {
+		_, done := coordinator(t, func(enc *json.Encoder, rd *ndjson.Reader) error {
+			var m wireMsg
+			if err := rd.Decode(&m); err != nil {
+				return err
+			}
+			return enc.Encode(&wireMsg{Type: wireHello, Version: ProtocolVersion + 1})
+		})
+		wait, stderr := shard(t)
+		if err := wait(); err == nil || !strings.Contains(stderr.String(), "protocol version mismatch") {
+			t.Fatalf("shard exit: %v (stderr %q), want a failed exit over the version", err, stderr)
+		}
+		<-done
+	})
+	t.Run("nothing listening", func(t *testing.T) {
+		os.Remove(sock)
+		wait, stderr := shard(t)
+		if err := wait(); err == nil || !strings.Contains(stderr.String(), "engine worker:") {
+			t.Fatalf("shard exit: %v (stderr %q), want a failed exit", err, stderr)
+		}
+	})
 }
 
 // TestReapEscalation pins the shared teardown helper directly.

@@ -6,8 +6,8 @@ import (
 )
 
 // defaultTeardownGrace bounds how long a backend waits for a worker to
-// acknowledge a polite shutdown (process exit after stdin close) before
-// escalating.
+// acknowledge a polite shutdown (process exit after its job stream ends)
+// before escalating.
 const defaultTeardownGrace = 5 * time.Second
 
 // reap runs wait — a blocking teardown step such as exec.Cmd.Wait or

@@ -11,11 +11,12 @@ import (
 	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
-// WorkerEnv is the environment marker that switches a re-exec'd binary into
-// engine-worker mode: when set (to any non-empty value), the process serves
-// task jobs over stdin/stdout instead of running its normal main. Host
-// programs opt in by calling RunWorkerIfRequested before doing anything
-// else; the Process backend sets the marker when it spawns shards.
+// WorkerEnv is the environment variable that switches a re-exec'd binary
+// into engine-worker mode: set to a coordinator's address, it makes the
+// process join that coordinator for one session instead of running its
+// normal main. Host programs opt in by calling RunWorkerIfRequested before
+// doing anything else; the Process backend sets it to its batch's private
+// socket when it spawns shards.
 const WorkerEnv = "CHANALLOC_ENGINE_WORKER"
 
 // Wire frame kinds of the coordinator<->worker protocol. Every frame is one
@@ -80,48 +81,31 @@ type wireMsg struct {
 }
 
 // RunWorkerIfRequested turns the current process into an engine worker when
-// WorkerEnv is set: it serves jobs on stdin/stdout until the coordinator
-// closes the pipe, then exits. Call it first thing in main (after task
+// WorkerEnv is set: it joins the coordinator at that address once —
+// register, then serve jobs until the coordinator closes the connection —
+// and exits, with status 0 after a session the coordinator ended and 1
+// when the join fails (nothing listening, a rejected register) or the
+// session breaks. It never redials, so a shard does not outlive its
+// coordinator's socket. Call it first thing in main (after task
 // registrations, which conventionally live in init functions) — it does
 // nothing and returns immediately in a normal run.
 func RunWorkerIfRequested() {
-	if os.Getenv(WorkerEnv) == "" {
+	addr := os.Getenv(WorkerEnv)
+	if addr == "" {
 		return
 	}
-	if err := ServeWorker(os.Stdin, os.Stdout); err != nil {
+	network, address, err := splitWorkerAddr(addr)
+	if err == nil {
+		err = joinOnce(network, address, &joinConfig{heartbeat: defaultHeartbeat})
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "engine worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// ServeWorker runs the worker end of the protocol: read one job frame,
-// run the named registered task with a PRNG seeded by the frame's seed
-// (derived by the coordinator as JobSeed(root, job)), reply with the
-// JSON-encoded value or the error text, repeat until EOF. The batch's params
-// ride only on the first job frame of a batch on a connection; the session
-// decodes them once and reuses the value for the params-less frames that
-// follow (see workerSession). Job failures are replies, not transport
-// failures — the worker keeps serving, which is what lets a batch run every
-// job even when some fail, exactly like the in-process pool.
-func ServeWorker(r io.Reader, w io.Writer) error {
-	rd, enc := ndjson.NewReader(r, maxFrameBytes), json.NewEncoder(w)
-	var session workerSession
-	for {
-		var m wireMsg
-		if err := nextJob(rd, &m); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		if err := enc.Encode(session.execute(&m)); err != nil {
-			return fmt.Errorf("sending result for job %d: %w", m.Job, err)
-		}
-	}
-}
-
-// nextJob reads the next job frame into m, for both serving loops. The end
+// nextJob reads the next job frame into m for the serving loop. The end
 // of the stream, or a connection closed under the reader, is io.EOF; a
 // frame that does not decode, or is not a job, ends the session with an
 // error.

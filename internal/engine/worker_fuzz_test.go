@@ -5,15 +5,19 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/multiradio/chanalloc/internal/ndjson"
 )
 
-// FuzzServeWorker feeds arbitrary NDJSON to the worker loop. Whatever the
-// input, the worker must not panic or hang, and it must answer every job
-// frame it decodes with exactly one result frame for that job, in order,
-// until the input ends (nil) or a frame it cannot serve ends the session
-// (an error).
+// FuzzServeWorker feeds arbitrary NDJSON to the joined worker's serving
+// loop. Whatever the input, the worker must not panic or hang, and it must
+// answer every job frame it decodes with exactly one result frame for that
+// job, in order, until the input ends (nil) or a frame it cannot serve ends
+// the session (an error).
 func FuzzServeWorker(f *testing.F) {
 	for _, pin := range wireFramePins {
 		f.Add([]byte(pin.want + "\n"))
@@ -47,8 +51,7 @@ func FuzzServeWorker(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var out bytes.Buffer
-		serveErr := ServeWorker(bytes.NewReader(data), &out)
+		out, serveErr := serveInput(data)
 
 		// The frames the worker owes a result: every job frame among the
 		// input's lines before the input ends or a non-job frame or a line
@@ -67,7 +70,7 @@ func FuzzServeWorker(f *testing.F) {
 			t.Fatalf("session ended with %v, but the input ended cleanly = %v", serveErr, clean)
 		}
 
-		results := json.NewDecoder(&out)
+		results := json.NewDecoder(bytes.NewReader(out))
 		for i := 0; ; i++ {
 			var r wireMsg
 			if err := results.Decode(&r); err != nil {
@@ -87,6 +90,22 @@ func FuzzServeWorker(f *testing.F) {
 			}
 		}
 	})
+}
+
+// serveInput runs serveJoined on input, the job stream of a coordinator
+// that then hangs up, and returns what the worker sent back over its
+// net.Pipe connection. The heartbeat is an hour, so every frame sent back
+// is a reply.
+func serveInput(input []byte) ([]byte, error) {
+	coord, worker := net.Pipe()
+	replies := make(chan []byte, 1)
+	go func() {
+		out, _ := io.ReadAll(coord)
+		replies <- out
+	}()
+	err := serveJoined(worker, ndjson.NewReader(bytes.NewReader(input), maxFrameBytes), time.Hour)
+	worker.Close()
+	return <-replies, err
 }
 
 // frameLines splits data by the protocol's framing rule: one frame per
@@ -116,12 +135,12 @@ func TestWorkerSessionParamsCache(t *testing.T) {
 {"type":"job","job":6,"task":"conformance/count","seed":7}
 `
 	decodes0 := paramsDecodes.Load()
-	var out bytes.Buffer
-	if err := ServeWorker(strings.NewReader(frames), &out); err != nil {
+	out, err := serveInput([]byte(frames))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var replies []wireMsg
-	dec := json.NewDecoder(&out)
+	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var r wireMsg
 		if err := dec.Decode(&r); err != nil {

@@ -87,6 +87,12 @@ func (r *Reader) Next() ([]byte, error) {
 	}
 }
 
+// SetMax changes the bound of the frames the following calls return.
+// Bytes already read from the stream stay buffered, so a protocol that
+// reads its first frame under a small bound can raise the bound for the
+// rest of the stream without losing what the peer sent after that frame.
+func (r *Reader) SetMax(max int) { r.max = max }
+
 // Decode reads the next frame and unmarshals it into v.
 func (r *Reader) Decode(v any) error {
 	line, err := r.Next()

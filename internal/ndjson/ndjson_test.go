@@ -79,6 +79,24 @@ func TestReaderBound(t *testing.T) {
 	}
 }
 
+// TestReaderSetMax: raising the bound keeps the bytes already buffered. A
+// bound of 10 reads at most 11 bytes at a time, so the first frame's read
+// also buffers the start of the second, which is past the first bound.
+func TestReaderSetMax(t *testing.T) {
+	long := strings.Repeat("y", 20)
+	rd := NewReader(strings.NewReader("short\n"+long+"\n"), 10)
+	if line, err := rd.Next(); err != nil || string(line) != "short" {
+		t.Fatalf("first frame %q, %v", line, err)
+	}
+	rd.SetMax(32)
+	if line, err := rd.Next(); err != nil || string(line) != long {
+		t.Fatalf("after raising the bound: %q, %v; want %q", line, err, long)
+	}
+	if _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v", err)
+	}
+}
+
 // TestReaderReadError: a read error that cuts the stream mid-line ends it
 // with that error, not with the cut line as a frame.
 func TestReaderReadError(t *testing.T) {
