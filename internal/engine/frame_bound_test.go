@@ -36,85 +36,64 @@ func checkFlood(t *testing.T, err error, grew uint64) {
 	}
 }
 
-// TestJoinedWorkerFrameBound: a joined worker refuses a job frame past the
-// bound from the coordinator it registered with, and reads one frame per
-// line: blank lines are skipped, and a frame split across lines or two
-// frames on one line end the session.
-func TestJoinedWorkerFrameBound(t *testing.T) {
-	// join runs one worker session against a coordinator that admits it,
-	// streams in, half-closes and returns what the worker sent back before
-	// it hung up, with the error that ended the coordinator's stream or
-	// read.
-	join := func(in io.Reader) (replies string, workerErr, coordErr error) {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer lis.Close()
-		type session struct {
-			replies string
-			err     error
-		}
-		coord := make(chan session, 1)
-		go func() {
-			conn, err := lis.Accept()
-			if err != nil {
-				coord <- session{err: err}
-				return
-			}
-			defer conn.Close()
-			rd := ndjson.NewReader(conn, maxFrameBytes)
-			if _, err := acceptRegistration(json.NewEncoder(conn), rd, "", time.Hour); err != nil {
-				coord <- session{err: err}
-				return
-			}
-			if _, err := io.Copy(conn, in); err != nil {
-				coord <- session{err: err}
-				return
-			}
-			conn.(*net.TCPConn).CloseWrite()
-			var out strings.Builder
-			for {
-				line, err := rd.Next()
-				if err != nil {
-					coord <- session{out.String(), err}
-					return
-				}
-				out.Write(line)
-				out.WriteByte('\n')
-			}
-		}()
-		var cfg joinConfig
-		workerErr = joinOnce("tcp", lis.Addr().String(), &cfg)
-		s := <-coord
-		return s.replies, workerErr, s.err
-	}
-
-	var err, coordErr error
-	grew := faultinject.Allocated(func() {
-		_, err, coordErr = join(faultinject.NewFlood(`{"type":"job","job":0,"task":"`, floodLimit))
-	})
+// TestServeWorkerFrameBound: the worker's serving loop refuses a job frame
+// past the bound, and reads one frame per line: blank lines are skipped,
+// and a frame split across lines or two frames on one line end the
+// session.
+func TestServeWorkerFrameBound(t *testing.T) {
+	var err error
+	flood := faultinject.NewFlood(`{"type":"job","job":0,"task":"`, floodLimit)
+	grew := faultinject.Allocated(func() { _, err = serveInput(flood) })
 	checkFlood(t, err, grew)
-	if coordErr == nil {
-		t.Fatal("the coordinator sent the whole flood; the worker kept reading")
-	}
 
 	job := `{"type":"job","job":0,"task":"conformance/draw","params":{"mul":3},"seed":1}`
-	replies, err, _ := join(strings.NewReader("\n" + job + "\n \r\n\n" + job + "\n\n"))
+	out, err := serveInput(strings.NewReader("\n" + job + "\n \r\n\n" + job + "\n\n"))
 	if err != nil {
 		t.Fatalf("blank lines: %v", err)
 	}
-	if n := strings.Count(replies, "\n"); n != 2 {
+	if n := strings.Count(string(out), "\n"); n != 2 {
 		t.Fatalf("blank lines: %d results for 2 job frames", n)
 	}
 	for _, in := range []string{
 		strings.Replace(job, `"seed":`, "\n"+`"seed":`, 1) + "\n",
 		job + job + "\n",
 	} {
-		replies, err, _ := join(strings.NewReader(in))
-		if err == nil || !strings.HasPrefix(err.Error(), "decoding job frame: ") || replies != "" {
-			t.Fatalf("a session over %q ended with %v after %q; want a decode error and no result", in, err, replies)
+		out, err := serveInput(strings.NewReader(in))
+		if err == nil || !strings.HasPrefix(err.Error(), "decoding job frame: ") || len(out) != 0 {
+			t.Fatalf("serving %q ended with %v after %q; want a decode error and no result", in, err, out)
 		}
+	}
+}
+
+// TestJoinedWorkerFrameBound: a joined worker refuses a job frame past the
+// bound from the coordinator it registered with.
+func TestJoinedWorkerFrameBound(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	coord := make(chan error, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			coord <- err
+			return
+		}
+		defer conn.Close()
+		if _, err := acceptRegistration(json.NewEncoder(conn), ndjson.NewReader(conn, maxFrameBytes), "", time.Second); err != nil {
+			coord <- err
+			return
+		}
+		// The worker hangs up once the frame passes its bound.
+		_, err = io.Copy(conn, faultinject.NewFlood(`{"type":"job","job":0,"task":"`, floodLimit))
+		coord <- err
+	}()
+	var cfg joinConfig
+	grew := faultinject.Allocated(func() { err = joinOnce("tcp", lis.Addr().String(), &cfg) })
+	checkFlood(t, err, grew)
+	if err := <-coord; err == nil {
+		t.Fatal("the coordinator sent the whole flood; the worker kept reading")
 	}
 }
 

@@ -51,7 +51,7 @@ func FuzzServeWorker(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, serveErr := serveInput(data)
+		out, serveErr := serveInput(bytes.NewReader(data))
 
 		// The frames the worker owes a result: every job frame among the
 		// input's lines before the input ends or a non-job frame or a line
@@ -96,14 +96,14 @@ func FuzzServeWorker(f *testing.F) {
 // that then hangs up, and returns what the worker sent back over its
 // net.Pipe connection. The heartbeat is an hour, so every frame sent back
 // is a reply.
-func serveInput(input []byte) ([]byte, error) {
+func serveInput(input io.Reader) ([]byte, error) {
 	coord, worker := net.Pipe()
 	replies := make(chan []byte, 1)
 	go func() {
 		out, _ := io.ReadAll(coord)
 		replies <- out
 	}()
-	err := serveJoined(worker, ndjson.NewReader(bytes.NewReader(input), maxFrameBytes), time.Hour)
+	err := serveJoined(worker, ndjson.NewReader(input, maxFrameBytes), time.Hour)
 	worker.Close()
 	return <-replies, err
 }
@@ -135,7 +135,7 @@ func TestWorkerSessionParamsCache(t *testing.T) {
 {"type":"job","job":6,"task":"conformance/count","seed":7}
 `
 	decodes0 := paramsDecodes.Load()
-	out, err := serveInput([]byte(frames))
+	out, err := serveInput(strings.NewReader(frames))
 	if err != nil {
 		t.Fatal(err)
 	}
